@@ -68,11 +68,15 @@ def assemble(
     *,
     compress_current: bool = False,
     text_part: str = "",
+    compressed: dict[int, np.ndarray] | None = None,
 ) -> AssembledContext:
     """Concatenate turn embeddings according to the strategy.
 
     ``turn_embeddings`` covers turns 1..n in order; the last entry is the
-    current user turn.
+    current user turn. ``compressed`` maps a turn index to that turn's pooled
+    block: blocks found there are reused and blocks computed here are stored,
+    so a caller passing one map for every turn of a dialogue compresses each
+    turn once. Without it every compressed block is computed afresh.
     """
     if not turn_embeddings:
         raise ValueError("need at least one turn embedding")
@@ -90,7 +94,11 @@ def assemble(
     for position, emb in enumerate(turn_embeddings):
         is_current = position == len(turn_embeddings) - 1
         if strategy is Strategy.COMPRESSED_SPOKEN and (not is_current or compress_current):
-            block = compress_turn(emb, compressor)
+            block = None if compressed is None else compressed.get(emb.turn_index)
+            if block is None:
+                block = compress_turn(emb, compressor)
+                if compressed is not None:
+                    compressed[emb.turn_index] = block
         else:
             block = emb.matrix
         parts.append(block)
@@ -121,6 +129,15 @@ class EmbeddingPipeline:
             x = self.encoder_stub.forward(x[None, :, :])[0]
         x = downsample(x, self.stride)
         return SpeechEmbedding(connector_forward(x, self.connector), dialogue.id, turn_index)
+
+    def turn_rows(self, dialogue: Dialogue, turn_index: int) -> int:
+        """Rows ``embed_turn`` returns for the turn, computed without embedding
+        it: the encoder stub and the connector keep the row count, so only the
+        stride changes it."""
+        turn = dialogue.turn(turn_index)
+        if turn.features is None:
+            raise ValueError(f"turn {turn_index} of dialogue {dialogue.id} has no features")
+        return len(range(0, turn.features.shape[0], self.stride))
 
     def embed_dialogue(self, dialogue: Dialogue, up_to: int | None = None) -> list[SpeechEmbedding]:
         last = up_to if up_to is not None else len(dialogue.turns)
@@ -328,6 +345,11 @@ def run_dialogue(
 ) -> list[TurnResult]:
     """Predict the state at every user turn, in order.
 
+    Each turn is embedded once, as the dialogue reaches it. Under the
+    compressed strategy each turn is compressed once, the first time a
+    context needs its pooled block; later contexts reuse the block, since a
+    turn's pooled vectors never change once the turn is over.
+
     For the multimodal strategy the predictor's own transcription of each user
     turn is fed back as that turn's history text for subsequent prompts; gold
     user transcripts never enter the textual history. ``agent_texts`` swaps
@@ -338,6 +360,7 @@ def run_dialogue(
     results: list[TurnResult] = []
     asr_history: list[AsrHypothesis] = []
     embeddings: list[SpeechEmbedding] = []
+    compressed: dict[int, np.ndarray] = {}
     for turn in dialogue.turns:
         embeddings.append(embedder.embed_turn(dialogue, turn.index))
         if turn.speaker is not Speaker.USER:
@@ -350,6 +373,7 @@ def run_dialogue(
             compressor,
             compress_current=compress_current,
             text_part=prompt.text(),
+            compressed=compressed,
         )
         gold = dialogue.gold_states.get(n, DialogueState())
         completion = predictor.predict(
@@ -406,15 +430,17 @@ def context_length_report(
     strategies: list[Strategy],
     n_queries_list: list[int],
     embedder: EmbeddingPipeline,
+    *,
+    compress_current: bool = False,
 ) -> list[ContextLengthRow]:
-    """Mean assembled rows per user-turn index for each strategy."""
-    per_dialogue_rows: dict[str, list[int]] = {}
-    for dlg in corpus:
-        rows = []
-        for turn in dlg.turns:
-            emb = embedder.embed_turn(dlg, turn.index)
-            rows.append(emb.rows)
-        per_dialogue_rows[dlg.id] = rows
+    """Mean assembled rows per user-turn index for each strategy.
+
+    Per-turn row counts come from ``embedder.turn_rows``, so no turn is
+    embedded again; ``compress_current`` must match the run's flag.
+    """
+    per_dialogue_rows = {
+        dlg.id: [embedder.turn_rows(dlg, turn.index) for turn in dlg.turns] for dlg in corpus
+    }
 
     out: list[ContextLengthRow] = []
     variants: list[tuple[Strategy, int | None]] = []
@@ -428,7 +454,9 @@ def context_length_report(
         for dlg in corpus:
             rows = per_dialogue_rows[dlg.id]
             for n in dlg.user_turn_indices():
-                total = expected_total_rows(strategy, rows[:n], n_queries or 0)
+                total = expected_total_rows(
+                    strategy, rows[:n], n_queries or 0, compress_current=compress_current
+                )
                 totals.setdefault(n, []).append(total)
         for turn_index in sorted(totals):
             values = totals[turn_index]

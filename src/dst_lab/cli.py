@@ -141,6 +141,11 @@ class RunManifest:
         return _STRATEGY_ALIASES[key]
 
 
+def _require_positive(value: int, flag: str) -> None:
+    if value < 1:
+        raise click.BadParameter(f"must be >= 1, got {value}", param_hint=flag)
+
+
 def _load_run_corpus(manifest: RunManifest) -> list[Dialogue]:
     dialogues = load_corpus(manifest.corpus, manifest.format)
     return filter_corrupted(dialogues, manifest.exclude_ids)
@@ -317,6 +322,8 @@ def cmd_run(
     if exclude_ids is not None or not run_manifest.exclude_ids:
         run_manifest.exclude_ids = _parse_exclude_ids(exclude_ids)
 
+    _require_positive(run_manifest.workers, "--workers")
+    _require_positive(run_manifest.n_queries, "--n-queries")
     strategy_enum = run_manifest.resolved_strategy()
     dialogues = _load_run_corpus(run_manifest)
     if not dialogues:
@@ -390,6 +397,7 @@ def cmd_run(
         [strategy_enum],
         [run_manifest.n_queries],
         embedder,
+        compress_current=run_manifest.compress_current,
     )
     with open(out_dir / "context_lengths.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(render_context_lengths(length_rows))

@@ -3,7 +3,6 @@
 from .checkpoint import group_bytes, load_checkpoint, save_checkpoint
 from .gradcheck import GradCheckResult, grad_check, grad_check_suite
 from .pipeline import (
-    CompressedTurn,
     CompressorConfig,
     Compressor,
     Connector,
@@ -24,7 +23,6 @@ from .probe import ProbeHyper, build_probe_dataset, probe_retention
 from .train import TrainingConfig, TrainingDivergence, TrainingResult, accuracy, train
 
 __all__ = [
-    "CompressedTurn",
     "CompressorConfig",
     "Compressor",
     "Connector",

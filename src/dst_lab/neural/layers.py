@@ -8,6 +8,8 @@ central finite differences by the gradcheck module.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
@@ -42,13 +44,19 @@ def softmax_last(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+@functools.lru_cache(maxsize=256)
 def sinusoidal_positions(n: int, d_model: int) -> np.ndarray:
-    """Standard fixed sine/cosine position table of shape (n, d_model)."""
+    """Standard fixed sine/cosine position table of shape (n, d_model).
+
+    Tables are cached per shape and shared by every caller, so they are
+    read-only.
+    """
     positions = np.arange(n, dtype=np.float64)[:, None]
     dims = np.arange(d_model, dtype=np.float64)[None, :]
     angle_rates = 1.0 / np.power(10000.0, (2.0 * np.floor(dims / 2.0)) / d_model)
     angles = positions * angle_rates
     table = np.where(dims % 2 == 0, np.sin(angles), np.cos(angles))
+    table.flags.writeable = False
     return table
 
 

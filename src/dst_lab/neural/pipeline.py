@@ -64,19 +64,6 @@ class SpeechEmbedding:
         return int(self.matrix.shape[0])
 
 
-@dataclass(frozen=True)
-class CompressedTurn:
-    """Query-pooling output for one turn: exactly n_queries rows."""
-
-    matrix: np.ndarray
-    dialogue_id: str = ""
-    turn_index: int = 0
-
-    @property
-    def rows(self) -> int:
-        return int(self.matrix.shape[0])
-
-
 def downsample(features: np.ndarray, stride: int = 6) -> np.ndarray:
     """Keep every stride-th frame starting at frame 0."""
     if stride < 1:

@@ -123,9 +123,6 @@ def build_probe_pipeline(d_feat: int, n_queries: int, dataset: ProbeDataset, hyp
     )
 
 
-PROBE_MASK = ParameterMask.freeze("encoder_stub")
-
-
 def probe_mask(hyper: ProbeHyper) -> ParameterMask:
     """Encoder stub always frozen; the connector optionally stays at its random init."""
     frozen = ["encoder_stub"]

@@ -38,7 +38,6 @@ class TextSegment:
 @dataclass(frozen=True)
 class EmbeddingSlot:
     turn_index: int
-    expected_rows: int | None = None
 
 
 @dataclass
@@ -176,20 +175,41 @@ def _strip_trailing_commas(text: str) -> tuple[str, bool]:
     return "".join(out), changed
 
 
+def _decode_repaired(text: str) -> tuple[object, list[str]]:
+    """The first JSON object in ``text`` after repairs, with their diagnostics."""
+    fragment, diagnostics = _extract_json_object(text)
+    fragment, stripped = _strip_trailing_commas(fragment)
+    if stripped:
+        diagnostics.append("repaired: trailing comma")
+    try:
+        return json.loads(fragment), diagnostics
+    except json.JSONDecodeError as exc:
+        raise ParseFailure(f"unparseable output: {exc.msg}", text) from exc
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _decode(text: str) -> tuple[object, list[str]]:
+    """Same result as ``_decode_repaired``, without its scans when the object
+    starting at the first brace is valid JSON: valid JSON has no trailing
+    commas and no unclosed braces or strings, so it needs no repair."""
+    start = text.find("{")
+    if start >= 0:
+        try:
+            return _DECODER.raw_decode(text, start)[0], []
+        except json.JSONDecodeError:
+            pass
+    return _decode_repaired(text)
+
+
 def parse_state(text: str) -> tuple[DialogueState, list[str]]:
     """Best-effort extraction of a DialogueState from model-like output.
 
     Returns the state and a list of repair diagnostics. Raises
     :class:`ParseFailure` when no usable JSON object can be recovered.
     """
-    fragment, diagnostics = _extract_json_object(text)
-    fragment, stripped = _strip_trailing_commas(fragment)
-    if stripped:
-        diagnostics.append("repaired: trailing comma")
-    try:
-        doc = json.loads(fragment)
-    except json.JSONDecodeError as exc:
-        raise ParseFailure(f"unparseable output: {exc.msg}", text) from exc
+    doc, diagnostics = _decode(text)
     if not isinstance(doc, dict):
         raise ParseFailure("top-level JSON value is not an object", text)
 
@@ -221,10 +241,8 @@ def parse_state(text: str) -> tuple[DialogueState, list[str]]:
 def extract_user_last_turn(text: str) -> str | None:
     """The "user_last_turn" string from a multimodal completion, if present."""
     try:
-        fragment, _ = _extract_json_object(text)
-        fragment, _ = _strip_trailing_commas(fragment)
-        doc = json.loads(fragment)
-    except (ParseFailure, json.JSONDecodeError):
+        doc, _ = _decode(text)
+    except ParseFailure:
         return None
     if isinstance(doc, dict):
         value = doc.get("user_last_turn")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dst_lab import assembly
 from dst_lab.assembly import (
     EmbeddingPipeline,
     OracleExact,
@@ -22,6 +23,7 @@ from dst_lab.neural.pipeline import (
     build_compressor,
     build_connector,
     build_encoder_stub,
+    compress_turn,
 )
 from dst_lab.postprocess import MatchPolicy
 from dst_lab.state_codec import Strategy
@@ -196,6 +198,80 @@ def test_parse_failure_becomes_empty_state(small_corpus):
     assert all(r.parse_failed for r in results)
     assert all(r.state == DialogueState() for r in results)
     assert all(r.diagnostics for r in results)
+
+
+class RecordingPredictor:
+    """Exact oracle that keeps the context of every request, by turn index."""
+
+    def __init__(self):
+        self.contexts = {}
+
+    def predict(self, request):
+        self.contexts[request.turn_index] = request.context
+        return OracleExact().predict(request)
+
+
+STRATEGY_CASES = [
+    (Strategy.MULTIMODAL, False),
+    (Strategy.FULL_SPOKEN, False),
+    (Strategy.COMPRESSED_SPOKEN, False),
+    (Strategy.COMPRESSED_SPOKEN, True),
+]
+
+
+@pytest.mark.parametrize("strategy, compress_current", STRATEGY_CASES)
+def test_run_dialogue_contexts_equal_from_scratch_assembly(small_corpus, monkeypatch, strategy, compress_current):
+    embedder = _embedder(8)
+    compressor = build_compressor(CONFIG)
+    compressed_turns = []
+
+    def counting_compress_turn(h, pooler):
+        compressed_turns.append((h.dialogue_id, h.turn_index))
+        return compress_turn(h, pooler)
+
+    expected_compressed = set()
+    for dlg in small_corpus:
+        recorder = RecordingPredictor()
+        with monkeypatch.context() as patch:
+            patch.setattr(assembly, "compress_turn", counting_compress_turn)
+            run_dialogue(dlg, strategy, recorder, embedder, compressor, compress_current=compress_current)
+        assert sorted(recorder.contexts) == dlg.user_turn_indices()
+        embeddings = embedder.embed_dialogue(dlg)
+        for n, context in recorder.contexts.items():
+            expected = assemble(strategy, embeddings[:n], compressor, compress_current=compress_current)
+            assert np.array_equal(context.speech_part, expected.speech_part)
+            assert context.bookkeeping == expected.bookkeeping
+        if strategy is Strategy.COMPRESSED_SPOKEN:
+            last = dlg.user_turn_indices()[-1]
+            compressed_up_to = last if compress_current else last - 1
+            expected_compressed |= {(dlg.id, i) for i in range(1, compressed_up_to + 1)}
+    assert sorted(compressed_turns) == sorted(expected_compressed)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_turn_rows_equal_embedded_rows(small_corpus, stride):
+    for embedder in (_embedder(8, stride), EmbeddingPipeline(build_connector(8, CONFIG), stride=stride)):
+        for dlg in small_corpus:
+            for turn in dlg.turns:
+                assert embedder.turn_rows(dlg, turn.index) == embedder.embed_turn(dlg, turn.index).rows
+
+
+@pytest.mark.parametrize("strategy, compress_current", STRATEGY_CASES)
+def test_context_length_report_equals_assembled_rows(small_corpus, strategy, compress_current):
+    embedder = _embedder(8, stride=2)
+    compressor = build_compressor(CONFIG)
+    assembled: dict[int, list[int]] = {}
+    for dlg in small_corpus:
+        recorder = RecordingPredictor()
+        run_dialogue(dlg, strategy, recorder, embedder, compressor, compress_current=compress_current)
+        for n, context in recorder.contexts.items():
+            assembled.setdefault(n, []).append(context.total_rows)
+    report = context_length_report(
+        small_corpus, [strategy], [CONFIG.n_queries], embedder, compress_current=compress_current
+    )
+    assert {r.turn_index: (r.mean_rows, r.n_turns) for r in report} == {
+        n: (float(np.mean(rows)), len(rows)) for n, rows in assembled.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dst_lab import assembly
 from dst_lab.cli import main
 from dst_lab.corpus import load_corpus
 from dst_lab.state_codec import read_predictions
@@ -126,6 +129,49 @@ def test_run_rejects_invalid_compressor_config(runner, tmp_path):
         ],
     )
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-3"), ("--n-queries", "0")])
+def test_run_rejects_non_positive_counts(runner, tmp_path, flag, value):
+    _synth(runner, tmp_path / "corpus")
+    result = runner.invoke(
+        main,
+        ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "full", flag, value, "--out", str(tmp_path / "run")],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for {flag}: must be >= 1, got {value}" in result.output
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("compress_current", ["--compress-current", "--no-compress-current"])
+def test_context_lengths_csv_matches_assembled_contexts(runner, tmp_path, monkeypatch, compress_current):
+    _synth(runner, tmp_path / "corpus")
+    assembled: dict[int, list[int]] = {}
+    original = assembly.assemble
+
+    def recording_assemble(strategy, turn_embeddings, *args, **kwargs):
+        context = original(strategy, turn_embeddings, *args, **kwargs)
+        assembled.setdefault(turn_embeddings[-1].turn_index, []).append(context.total_rows)
+        return context
+
+    monkeypatch.setattr(assembly, "assemble", recording_assemble)
+    result = runner.invoke(
+        main,
+        [
+            "run",
+            "--corpus", str(tmp_path / "corpus"),
+            "--strategy", "compressed",
+            "--n-queries", "3",
+            compress_current,
+            "--out", str(tmp_path / "run"),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "run" / "context_lengths.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {int(r["turn_index"]): float(r["mean_rows"]) for r in rows} == {
+        n: float(np.mean(totals)) for n, totals in assembled.items()
+    }
 
 
 def test_run_determinism_across_invocations_and_workers(runner, tmp_path):

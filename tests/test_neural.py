@@ -254,3 +254,10 @@ def test_sinusoidal_positions_shape_and_range():
     table = sinusoidal_positions(11, 16)
     assert table.shape == (11, 16)
     assert np.abs(table).max() <= 1.0
+
+
+def test_sinusoidal_positions_cached_read_only():
+    table = sinusoidal_positions(11, 16)
+    assert sinusoidal_positions(11, 16) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
 import string
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dst_lab import state_codec
 from dst_lab.corpus import Dialogue, DialogueState, SplitMix64, Speaker, Turn
 from dst_lab.state_codec import (
     AsrHypothesis,
@@ -159,6 +162,43 @@ def test_parse_surrounding_prose():
     text = 'the state is {"domains":["taxi"],"predicted_state":{}} thanks'
     state, _ = parse_state(text)
     assert state.domains == ["taxi"]
+
+
+def _parse_outcome(text: str):
+    try:
+        parsed = parse_state(text)
+    except ParseFailure as exc:
+        parsed = ("ParseFailure", str(exc), exc.raw)
+    return parsed, extract_user_last_turn(text)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_JSON_OBJECTS = st.dictionaries(
+    st.sampled_from(["domains", "predicted_state", "user_last_turn", "Domains", "x"]), _JSON_VALUES, max_size=4
+).map(json.dumps)
+_FRAMED_OBJECTS = st.tuples(st.text(max_size=8), _JSON_OBJECTS, st.text(max_size=8)).map("".join)
+_MODEL_LIKE_TEXTS = st.one_of(
+    st.text(),
+    st.text('{}[]",:\\ ab1', max_size=40),
+    _FRAMED_OBJECTS,
+    _FRAMED_OBJECTS.flatmap(lambda t: st.integers(0, len(t)).map(lambda i: t[:i])),
+    _FRAMED_OBJECTS.map(lambda t: t.replace("}", ",}", 1).replace("]", " ,]", 1)),
+    _FRAMED_OBJECTS.map(lambda t: t.replace('"', '"\t', 1)),  # raw control character in a string
+)
+
+
+@settings(max_examples=400)
+@given(_MODEL_LIKE_TEXTS)
+def test_valid_json_fast_path_matches_repair_path(text):
+    # the repair path alone is the reference: same state and diagnostics, or
+    # the same ParseFailure, and the same user_last_turn
+    with mock.patch.object(state_codec, "_decode", state_codec._decode_repaired):
+        expected = _parse_outcome(text)
+    assert _parse_outcome(text) == expected
 
 
 # ---------------------------------------------------------------------------
