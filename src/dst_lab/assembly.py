@@ -309,13 +309,29 @@ class OracleTruncated:
         return render_completion(request.strategy, state, hypothesis)
 
 
-def make_predictor(kind: str, seed: int = 0, **kwargs) -> StatePredictor:
+def make_predictor(
+    kind: str,
+    seed: int = 0,
+    *,
+    budget_rows: int = 64,
+    drop_prob: float = 0.08,
+    typo_prob: float = 0.10,
+    insert_prob: float = 0.05,
+    time_reformat_prob: float = 0.25,
+) -> StatePredictor:
+    """The predictor named ``kind``; it takes only the settings it uses."""
     if kind == "exact":
         return OracleExact()
     if kind == "noisy":
-        return OracleNoisy(seed=seed, **kwargs)
+        return OracleNoisy(
+            seed=seed,
+            drop_prob=drop_prob,
+            typo_prob=typo_prob,
+            insert_prob=insert_prob,
+            time_reformat_prob=time_reformat_prob,
+        )
     if kind == "truncated":
-        return OracleTruncated(budget_rows=int(kwargs.get("budget_rows", 64)))
+        return OracleTruncated(budget_rows=int(budget_rows))
     raise ValueError(f"unknown predictor {kind!r}; expected exact, noisy, or truncated")
 
 

@@ -55,7 +55,13 @@ from .reporting import (
     render_report,
     render_retention_table,
 )
-from .state_codec import PredictionRecord, Strategy, read_predictions, write_predictions
+from .state_codec import (
+    PredictionFileError,
+    PredictionRecord,
+    Strategy,
+    read_predictions,
+    write_predictions,
+)
 
 log = logging.getLogger(__name__)
 
@@ -334,21 +340,11 @@ def cmd_run(
     predictor_obj = make_predictor(
         run_manifest.predictor,
         seed=run_manifest.seed,
-        **(
-            {"budget_rows": run_manifest.budget_rows}
-            if run_manifest.predictor == "truncated"
-            else {}
-        ),
-        **(
-            {
-                "drop_prob": run_manifest.drop_prob,
-                "typo_prob": run_manifest.typo_prob,
-                "insert_prob": run_manifest.insert_prob,
-                "time_reformat_prob": run_manifest.time_reformat_prob,
-            }
-            if run_manifest.predictor == "noisy"
-            else {}
-        ),
+        budget_rows=run_manifest.budget_rows,
+        drop_prob=run_manifest.drop_prob,
+        typo_prob=run_manifest.typo_prob,
+        insert_prob=run_manifest.insert_prob,
+        time_reformat_prob=run_manifest.time_reformat_prob,
     )
     agent_texts = _load_agent_texts(run_manifest.agent_asr)
 
@@ -433,7 +429,10 @@ def cmd_evaluate(
     top_k_errors: int,
 ) -> None:
     """Score predictions against gold states; print JGA with and without post-processing."""
-    records = read_predictions(predictions)
+    try:
+        records = read_predictions(predictions)
+    except PredictionFileError as exc:
+        raise click.ClickException(str(exc)) from exc
     dialogues = filter_corrupted(load_corpus(corpus, format_), _parse_exclude_ids(exclude_ids))
     taxonomy = None
     if format_ == "synthetic_json":

@@ -98,10 +98,6 @@ class DialogueState:
             return NotImplemented
         return set(self.domains) == set(other.domains) and self.slots == other.slots
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.domains and not self.slots
-
     def copy(self) -> "DialogueState":
         return DialogueState(list(self.domains), dict(self.slots))
 

@@ -1,9 +1,10 @@
 """Joint goal accuracy and slot-level analyses.
 
-All metrics fold over (dialogue_id, turn_index)-aligned prediction/reference
-pairs. A turn is JGA-correct when the predicted and reference states have the
-same (domain, slot) key sets and every value pair matches under the policy.
-Domain-set accuracy is tracked separately and never folded into JGA.
+``evaluate`` fills every report field in one fold over the (dialogue_id,
+turn_index)-aligned prediction/reference pairs. A turn is JGA-correct when the
+predicted and reference states have the same (domain, slot) key sets and every
+value pair matches under the policy. Domain-set accuracy is tracked
+separately and never folded into JGA.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def jga(
     policy: MatchPolicy,
     taxonomy: SlotTaxonomy | None = None,
 ) -> float:
-    """Fraction of aligned turns whose full state is correct."""
+    """Fraction of aligned turns whose full state is correct under one policy."""
     keys = align(predictions, references)
     if not keys:
         return 0.0
@@ -93,38 +94,6 @@ def jga(
         1 for k in keys if turn_correct(predictions[k], references[k], policy, taxonomy)
     )
     return correct / len(keys)
-
-
-def domain_accuracy(
-    predictions: Mapping[TurnKey, DialogueState],
-    references: Mapping[TurnKey, DialogueState],
-) -> float:
-    keys = align(predictions, references)
-    if not keys:
-        return 0.0
-    correct = sum(
-        1
-        for k in keys
-        if {d.lower() for d in predictions[k].domains} == {d.lower() for d in references[k].domains}
-    )
-    return correct / len(keys)
-
-
-def jga_per_turn(
-    predictions: Mapping[TurnKey, DialogueState],
-    references: Mapping[TurnKey, DialogueState],
-    policy: MatchPolicy,
-    taxonomy: SlotTaxonomy | None = None,
-) -> dict[int, tuple[float, int]]:
-    """turn_index -> (jga restricted to that index, number of turns counted)."""
-    keys = align(predictions, references)
-    buckets: dict[int, list[bool]] = {}
-    for key in keys:
-        ok = turn_correct(predictions[key], references[key], policy, taxonomy)
-        buckets.setdefault(key[1], []).append(ok)
-    return {
-        idx: (sum(flags) / len(flags), len(flags)) for idx, flags in sorted(buckets.items())
-    }
 
 
 @dataclass
@@ -140,41 +109,6 @@ class GroupCounts:
         return p, r, f1
 
 
-def slot_f1_by_group(
-    predictions: Mapping[TurnKey, DialogueState],
-    references: Mapping[TurnKey, DialogueState],
-    taxonomy: SlotTaxonomy,
-    policy: MatchPolicy,
-) -> dict[str, tuple[float, float, float]]:
-    """Micro-averaged precision/recall/F1 per slot group.
-
-    A predicted triple is a true positive when the reference holds the same
-    (domain, slot) at that turn and the values match; every reference slot
-    must be classified by the taxonomy.
-    """
-    keys = align(predictions, references)
-    counts = {g: GroupCounts() for g in SlotTaxonomy.GROUPS}
-    for key in keys:
-        pred_slots = _normalized_slots(predictions[key])
-        ref_slots = _normalized_slots(references[key])
-        for (domain, slot), ref_value in ref_slots.items():
-            try:
-                group = taxonomy.group_of(domain, slot)
-            except KeyError:
-                raise UnclassifiedSlotError(domain, slot) from None
-            pred_value = pred_slots.get((domain, slot))
-            if pred_value is not None and values_match(pred_value, ref_value, group, policy):
-                counts[group].tp += 1
-            else:
-                counts[group].fn += 1
-        for (domain, slot), pred_value in pred_slots.items():
-            group = taxonomy.classify(domain, slot)
-            ref_value = ref_slots.get((domain, slot))
-            if ref_value is None or not values_match(pred_value, ref_value, group, policy):
-                counts[group].fp += 1
-    return {g: counts[g].prf() for g in SlotTaxonomy.GROUPS}
-
-
 @dataclass
 class SlotErrorEntry:
     insertions: int = 0
@@ -188,46 +122,6 @@ class SlotErrorEntry:
     @property
     def error_score(self) -> int:
         return self.insertions + self.deletions + self.imperfect_matches
-
-
-def error_breakdown(
-    predictions: Mapping[TurnKey, DialogueState],
-    references: Mapping[TurnKey, DialogueState],
-    policy: MatchPolicy,
-    top_k: int,
-    taxonomy: SlotTaxonomy | None = None,
-) -> dict[tuple[str, str], SlotErrorEntry]:
-    """Insertion/deletion counts and value fuzzy-ratio lists per slot key.
-
-    Returns the ``top_k`` slots ranked by insertions + deletions + imperfect
-    matches (ties broken by slot name). Ratios are computed on the policy's
-    normalized value forms, so time canonicalization applies before comparison.
-    """
-    keys = align(predictions, references)
-    group_of = _group_lookup(taxonomy)
-    entries: dict[tuple[str, str], SlotErrorEntry] = {}
-
-    def entry(slot_key: tuple[str, str]) -> SlotErrorEntry:
-        return entries.setdefault(slot_key, SlotErrorEntry())
-
-    for key in keys:
-        pred_slots = _normalized_slots(predictions[key])
-        ref_slots = _normalized_slots(references[key])
-        for slot_key in pred_slots:
-            if slot_key not in ref_slots:
-                entry(slot_key).insertions += 1
-        for slot_key, ref_value in ref_slots.items():
-            if slot_key not in pred_slots:
-                entry(slot_key).deletions += 1
-                continue
-            group = group_of(*slot_key)
-            ratio = levenshtein_ratio(
-                canonical_value(pred_slots[slot_key], group, policy),
-                canonical_value(ref_value, group, policy),
-            )
-            entry(slot_key).matched_ratios.append(ratio)
-    ranked = sorted(entries.items(), key=lambda kv: (-kv[1].error_score, kv[0]))
-    return dict(ranked[: max(0, top_k)])
 
 
 # ---------------------------------------------------------------------------
@@ -283,29 +177,81 @@ def evaluate(
     taxonomy: SlotTaxonomy | None = None,
     top_k_errors: int = 6,
 ) -> EvalReport:
-    """Full evaluation: JGA exact and post-processed, plus per-slot analyses.
+    """Every report metric in one pass over the aligned pairs.
 
-    ``jga`` uses exact matching; ``jga_post`` and the fine-grained analyses
-    use the supplied policy.
+    ``jga`` uses exact matching; ``jga_post``, ``per_turn`` and the slot
+    analyses use the supplied policy.
+
+    ``group_f1`` is micro-averaged precision/recall/F1 per slot group: a
+    predicted slot is a true positive when the reference holds the same
+    (domain, slot) at that turn and the values match. It needs a taxonomy
+    that classifies every reference slot, and is empty without one.
+
+    ``slot_errors`` holds insertion/deletion counts and value fuzzy ratios for
+    the ``top_k_errors`` slots ranked by insertions + deletions + imperfect
+    matches (ties broken by slot name). Ratios are computed on the policy's
+    normalized value forms, so time canonicalization applies first.
     """
     keys = align(predictions, references)
     exact = MatchPolicy.exact()
-    report = EvalReport(
-        jga=jga(predictions, references, exact, taxonomy),
-        jga_post=jga(predictions, references, policy, taxonomy),
-        domain_accuracy=domain_accuracy(predictions, references),
-        per_turn=jga_per_turn(predictions, references, policy, taxonomy),
-        group_f1=(
-            slot_f1_by_group(predictions, references, taxonomy, policy)
-            if taxonomy is not None
-            else {}
-        ),
-        slot_errors=error_breakdown(predictions, references, policy, top_k_errors, taxonomy),
+    group_of = _group_lookup(taxonomy)
+    exact_hits = post_hits = domain_hits = 0
+    turn_tally: dict[int, list[int]] = {}  # turn_index -> [post-correct turns, turns]
+    counts = {g: GroupCounts() for g in SlotTaxonomy.GROUPS}
+    errors: dict[tuple[str, str], SlotErrorEntry] = {}
+
+    for key in keys:
+        pred, ref = predictions[key], references[key]
+        exact_hits += turn_correct(pred, ref, exact, taxonomy)
+        correct = turn_correct(pred, ref, policy, taxonomy)
+        post_hits += correct
+        tally = turn_tally.setdefault(key[1], [0, 0])
+        tally[0] += correct
+        tally[1] += 1
+        domain_hits += {d.lower() for d in pred.domains} == {d.lower() for d in ref.domains}
+
+        pred_slots = _normalized_slots(pred)
+        ref_slots = _normalized_slots(ref)
+        for slot_key in pred_slots:
+            if slot_key not in ref_slots:
+                errors.setdefault(slot_key, SlotErrorEntry()).insertions += 1
+                counts[group_of(*slot_key)].fp += 1
+        for slot_key, ref_value in ref_slots.items():
+            try:
+                group = group_of(*slot_key) if taxonomy is None else taxonomy.group_of(*slot_key)
+            except KeyError:
+                raise UnclassifiedSlotError(*slot_key) from None
+            entry = errors.setdefault(slot_key, SlotErrorEntry())
+            pred_value = pred_slots.get(slot_key)
+            if pred_value is None:
+                entry.deletions += 1
+                counts[group].fn += 1
+                continue
+            entry.matched_ratios.append(
+                levenshtein_ratio(
+                    canonical_value(pred_value, group, policy),
+                    canonical_value(ref_value, group, policy),
+                )
+            )
+            if values_match(pred_value, ref_value, group, policy):
+                counts[group].tp += 1
+            else:
+                counts[group].fn += 1
+                counts[group].fp += 1
+
+    n_turns = len(keys)
+    ranked = sorted(errors.items(), key=lambda kv: (-kv[1].error_score, kv[0]))
+    return EvalReport(
+        jga=exact_hits / n_turns if n_turns else 0.0,
+        jga_post=post_hits / n_turns if n_turns else 0.0,
+        domain_accuracy=domain_hits / n_turns if n_turns else 0.0,
+        per_turn={idx: (hits / n, n) for idx, (hits, n) in sorted(turn_tally.items())},
+        group_f1={g: counts[g].prf() for g in SlotTaxonomy.GROUPS} if taxonomy is not None else {},
+        slot_errors=dict(ranked[: max(0, top_k_errors)]),
         n_dialogues=len({d for d, _ in keys}),
-        n_turns=len(keys),
+        n_turns=n_turns,
         policy=policy,
     )
-    return report
 
 
 def states_from_records(records: Iterable) -> dict[TurnKey, DialogueState]:

@@ -144,11 +144,6 @@ class Compressor(_Composite):
     def n_queries(self) -> int:
         return self.config.n_queries
 
-    @property
-    def query_bank(self) -> np.ndarray:
-        """The trainable query matrix Q (n_queries x d_model)."""
-        return self._params["queries"]
-
     def forward(self, memory: np.ndarray) -> np.ndarray:
         if memory.shape[-1] != self.config.d_model:
             raise ValueError(

@@ -121,27 +121,10 @@ def _extract_json_object(text: str) -> tuple[str, list[str]]:
     if fragment.endswith(","):
         fragment = fragment[:-1].rstrip()
         diagnostics.append("repaired: trailing comma at end of output")
-    open_braces = 0
-    in_string = False
-    escaped = False
-    for ch in fragment:
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            open_braces += 1
-        elif ch == "}":
-            open_braces -= 1
-    if open_braces > 0:
-        fragment += "}" * open_braces
-        diagnostics.append(f"repaired: closed {open_braces} unterminated object(s)")
+    # The repairs above touch no brace outside a string, so the scan's depth
+    # (at least 1 here) is still the number of unclosed objects.
+    fragment += "}" * depth
+    diagnostics.append(f"repaired: closed {depth} unterminated object(s)")
     return fragment, diagnostics
 
 
@@ -370,11 +353,26 @@ def write_predictions(path, records: Iterable[PredictionRecord]) -> None:
             fh.write("\n")
 
 
+class PredictionFileError(ValueError):
+    """A prediction NDJSON line that is not a valid record; names ``path:line``."""
+
+    def __init__(self, path, line_no: int, reason: str):
+        super().__init__(f"{path}:{line_no}: {reason}")
+
+
 def read_predictions(path) -> list[PredictionRecord]:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 records.append(PredictionRecord.from_json_line(line))
+            except json.JSONDecodeError as exc:
+                raise PredictionFileError(path, line_no, f"malformed JSON: {exc.msg}") from exc
+            except KeyError as exc:
+                raise PredictionFileError(path, line_no, f"missing field {exc.args[0]!r}") from exc
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise PredictionFileError(path, line_no, f"malformed record: {exc}") from exc
     return records

@@ -130,6 +130,19 @@ def oracle_jga(predictions, references, groups, threshold, fuzzy_groups, canon) 
     return correct / len(keys)
 
 
+def oracle_domain_accuracy(predictions, references) -> float:
+    keys = sorted(references.keys())
+    if not keys:
+        return 0.0
+    correct = 0
+    for key in keys:
+        pred_domains = set(d.lower() for d in predictions[key].domains)
+        ref_domains = set(d.lower() for d in references[key].domains)
+        if pred_domains == ref_domains:
+            correct += 1
+    return correct / len(keys)
+
+
 def oracle_jga_per_turn(predictions, references, groups, threshold, fuzzy_groups, canon):
     totals: dict[int, int] = {}
     hits: dict[int, int] = {}

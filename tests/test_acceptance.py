@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from dst_lab.assembly import EmbeddingPipeline, OracleNoisy, assemble
 from dst_lab.cli import main as cli_main
 from dst_lab.corpus import DialogueState, SynthConfig, synth_corpus, synthetic_taxonomy
-from dst_lab.metrics import error_breakdown, jga, references_from_corpus, slot_f1_by_group
+from dst_lab.metrics import evaluate, references_from_corpus
 from dst_lab.neural.checkpoint import group_bytes
 from dst_lab.neural.gradcheck import grad_check_suite
 from dst_lab.neural.pipeline import (
@@ -83,18 +83,19 @@ def test_acceptance_1_metric_oracle_equivalence():
         groups = taxonomy.classify
         fuzzy = set(policy.fuzzy_groups)
 
-        ours_jga = jga(predictions, references, policy, taxonomy)
+        report = evaluate(predictions, references, policy, taxonomy, 6)
+        ours_jga = report.jga_post
         expected_jga = oracle_jga(predictions, references, groups, policy.fuzzy_threshold, fuzzy, True)
         assert abs(ours_jga - expected_jga) <= 1e-12
 
-        ours_f1 = slot_f1_by_group(predictions, references, taxonomy, policy)
+        ours_f1 = report.group_f1
         expected_f1 = oracle_group_f1(predictions, references, groups, policy.fuzzy_threshold, fuzzy, True)
         for group, (p, r, f1, *_counts) in expected_f1.items():
             assert abs(ours_f1[group][0] - p) <= 1e-12
             assert abs(ours_f1[group][1] - r) <= 1e-12
             assert abs(ours_f1[group][2] - f1) <= 1e-12
 
-        ours_err = error_breakdown(predictions, references, policy, 6, taxonomy)
+        ours_err = report.slot_errors
         expected_err = oracle_error_breakdown(predictions, references, groups, True, 6)
         assert list(ours_err.keys()) == list(expected_err.keys())
         for key, entry in ours_err.items():
@@ -164,8 +165,8 @@ def test_acceptance_2_post_processing_gain():
         assert expected_exact == pytest.approx(30 / 50)
         assert expected_post == pytest.approx(42 / 50)
 
-        got_exact = jga(predictions, references, MatchPolicy.exact(), taxonomy)
-        got_post = jga(predictions, references, MatchPolicy(), taxonomy)
+        report = evaluate(predictions, references, MatchPolicy(), taxonomy)
+        got_exact, got_post = report.jga, report.jga_post
         assert got_exact == pytest.approx(expected_exact, abs=1e-12)
         assert got_post == pytest.approx(expected_post, abs=1e-12)
         assert (got_post - got_exact) * 100 >= 2.0

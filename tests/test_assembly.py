@@ -16,7 +16,7 @@ from dst_lab.assembly import (
     run_dialogue,
 )
 from dst_lab.corpus import DialogueState
-from dst_lab.metrics import jga, jga_per_turn, references_from_corpus
+from dst_lab.metrics import evaluate, references_from_corpus
 from dst_lab.neural.pipeline import (
     CompressorConfig,
     SpeechEmbedding,
@@ -136,7 +136,7 @@ def test_oracle_exact_reproduces_gold(small_corpus, taxonomy, strategy):
             assert not result.parse_failed
             predictions[(dlg.id, result.turn_index)] = result.state
     references = references_from_corpus(small_corpus)
-    assert jga(predictions, references, MatchPolicy(), taxonomy) == 1.0
+    assert evaluate(predictions, references, MatchPolicy(), taxonomy).jga_post == 1.0
 
 
 def test_oracle_noisy_deterministic(small_corpus):
@@ -170,7 +170,7 @@ def test_truncated_oracle_degrades_late_turns_under_full_spoken(small_corpus, ta
     for dlg in small_corpus:
         for result in run_dialogue(dlg, Strategy.FULL_SPOKEN, budget_pred, embedder):
             predictions[(dlg.id, result.turn_index)] = result.state
-    per_turn = jga_per_turn(predictions, references, MatchPolicy(), taxonomy)
+    per_turn = evaluate(predictions, references, MatchPolicy(), taxonomy).per_turn
     indices = sorted(per_turn)
     early = np.mean([per_turn[i][0] for i in indices[: len(indices) // 2]])
     late = np.mean([per_turn[i][0] for i in indices[len(indices) // 2 :]])

@@ -227,6 +227,29 @@ def test_evaluate_alignment_failure_exit_code(runner, tmp_path):
     assert "alignment failure" in result.output
 
 
+@pytest.mark.parametrize(
+    "bad_line, reason",
+    [
+        ('{"dialogue_id": "d0", "turn_index": 5', "malformed JSON"),
+        ('{"turn_index": 5, "raw_output": ""}', "missing field 'dialogue_id'"),
+        ('{"dialogue_id": "d0", "raw_output": ""}', "missing field 'turn_index'"),
+        ('["d0", 5]', "malformed record"),
+    ],
+)
+def test_evaluate_reports_bad_prediction_line(runner, tmp_path, bad_line, reason):
+    _synth(runner, tmp_path / "corpus")
+    good = '{"dialogue_id":"d0","turn_index":%d,"raw_output":"","parsed_state":null}'
+    path = tmp_path / "pred.ndjson"
+    path.write_text("\n".join([good % 1, good % 3, bad_line, good % 7]) + "\n")
+    result = runner.invoke(
+        main,
+        ["evaluate", "--predictions", str(path), "--corpus", str(tmp_path / "corpus")],
+    )
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"{path}:3: {reason}" in result.output
+
+
 def test_evaluate_policy_exact_on_exact_oracle(runner, tmp_path):
     _synth(runner, tmp_path / "corpus")
     runner.invoke(

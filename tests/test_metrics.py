@@ -4,20 +4,18 @@ import pytest
 
 from dst_lab.assembly import OracleNoisy
 from dst_lab.corpus import DialogueState, SlotTaxonomy
+import dst_lab.metrics as metrics
 from dst_lab.metrics import (
     AlignmentError,
     UnclassifiedSlotError,
-    domain_accuracy,
-    error_breakdown,
     evaluate,
     jga,
-    jga_per_turn,
     references_from_corpus,
-    slot_f1_by_group,
 )
 from dst_lab.postprocess import MatchPolicy
 
 from oracles import (
+    oracle_domain_accuracy,
     oracle_error_breakdown,
     oracle_group_f1,
     oracle_jga,
@@ -46,13 +44,13 @@ def noisy_pair(taxonomy):
 
 def test_jga_identity(noisy_pair, taxonomy):
     _, references = noisy_pair
-    assert jga(references, references, MatchPolicy(), taxonomy) == 1.0
+    assert evaluate(references, references, MatchPolicy(), taxonomy).jga_post == 1.0
 
 
 def test_jga_all_empty_is_zero(noisy_pair, taxonomy):
     _, references = noisy_pair
     empties = {k: DialogueState() for k in references}
-    assert jga(empties, references, MatchPolicy(), taxonomy) == 0.0
+    assert evaluate(empties, references, MatchPolicy(), taxonomy).jga_post == 0.0
 
 
 def test_jga_handbuilt_fixture(taxonomy):
@@ -69,7 +67,7 @@ def test_jga_handbuilt_fixture(taxonomy):
         references[("d", 2 * i + 1)] = _state({"hotel": {"area": value}})
         predictions[("d", 2 * i + 1)] = _state({"hotel": {"area": "north"}})
     policy = MatchPolicy()
-    assert jga(predictions, references, policy, taxonomy) == pytest.approx(0.7)
+    assert evaluate(predictions, references, policy, taxonomy).jga_post == pytest.approx(0.7)
     groups = taxonomy.classify
     assert oracle_jga(predictions, references, groups, 0.90, {"open", "profile"}, True) == pytest.approx(0.7)
 
@@ -78,7 +76,7 @@ def test_jga_missing_prediction_errors(noisy_pair, taxonomy):
     predictions, references = noisy_pair
     partial = dict(list(predictions.items())[:-2])
     with pytest.raises(AlignmentError) as err:
-        jga(partial, references, MatchPolicy(), taxonomy)
+        evaluate(partial, references, MatchPolicy(), taxonomy)
     assert len(err.value.missing) == 2
 
 
@@ -89,26 +87,26 @@ def test_jga_matches_oracle_on_noisy_fixture(noisy_pair, taxonomy):
         predictions, references, taxonomy.classify, policy.fuzzy_threshold,
         set(policy.fuzzy_groups), policy.time_canonicalization,
     )
-    assert jga(predictions, references, policy, taxonomy) == pytest.approx(expected, abs=1e-12)
+    assert evaluate(predictions, references, policy, taxonomy).jga_post == pytest.approx(expected, abs=1e-12)
 
 
 def test_exact_policy_equals_exact_set_match_oracle(noisy_pair, taxonomy):
     predictions, references = noisy_pair
     expected = oracle_jga(predictions, references, taxonomy.classify, 1.0, set(), False)
-    got = jga(predictions, references, MatchPolicy.exact(), taxonomy)
+    got = evaluate(predictions, references, MatchPolicy(), taxonomy).jga
     assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_key_set_mismatch_fails_even_with_fuzzy(taxonomy):
     references = {("d", 1): _state({"hotel": {"area": "north", "name": "acorn"}})}
     predictions = {("d", 1): _state({"hotel": {"area": "north"}})}
-    assert jga(predictions, references, MatchPolicy(), taxonomy) == 0.0
+    assert evaluate(predictions, references, MatchPolicy(), taxonomy).jga_post == 0.0
 
 
 def test_empty_reference_turn_counts(taxonomy):
     references = {("d", 1): DialogueState()}
     predictions = {("d", 1): DialogueState()}
-    assert jga(predictions, references, MatchPolicy(), taxonomy) == 1.0
+    assert evaluate(predictions, references, MatchPolicy(), taxonomy).jga_post == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +116,20 @@ def test_empty_reference_turn_counts(taxonomy):
 
 def test_per_turn_identity(noisy_pair, taxonomy):
     _, references = noisy_pair
-    per_turn = jga_per_turn(references, references, MatchPolicy(), taxonomy)
+    per_turn = evaluate(references, references, MatchPolicy(), taxonomy).per_turn
     assert all(v == 1.0 for v, _ in per_turn.values())
 
 
 def test_per_turn_single_dialogue_counts(taxonomy):
     references = {("d", 1): DialogueState(), ("d", 3): DialogueState()}
-    per_turn = jga_per_turn(references, references, MatchPolicy(), taxonomy)
+    per_turn = evaluate(references, references, MatchPolicy(), taxonomy).per_turn
     assert all(count == 1 for _, count in per_turn.values())
 
 
 def test_per_turn_matches_oracle(noisy_pair, taxonomy):
     predictions, references = noisy_pair
     policy = MatchPolicy()
-    ours = jga_per_turn(predictions, references, policy, taxonomy)
+    ours = evaluate(predictions, references, policy, taxonomy).per_turn
     expected = oracle_jga_per_turn(
         predictions, references, taxonomy.classify, policy.fuzzy_threshold,
         set(policy.fuzzy_groups), policy.time_canonicalization,
@@ -145,10 +143,10 @@ def test_per_turn_matches_oracle(noisy_pair, taxonomy):
 def test_per_turn_weighted_mean_equals_overall(noisy_pair, taxonomy):
     predictions, references = noisy_pair
     policy = MatchPolicy()
-    per_turn = jga_per_turn(predictions, references, policy, taxonomy)
-    total = sum(count for _, count in per_turn.values())
-    weighted = sum(v * count for v, count in per_turn.values()) / total
-    assert weighted == pytest.approx(jga(predictions, references, policy, taxonomy), abs=1e-12)
+    report = evaluate(predictions, references, policy, taxonomy)
+    total = sum(count for _, count in report.per_turn.values())
+    weighted = sum(v * count for v, count in report.per_turn.values()) / total
+    assert weighted == pytest.approx(report.jga_post, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +156,7 @@ def test_per_turn_weighted_mean_equals_overall(noisy_pair, taxonomy):
 
 def test_group_f1_perfect(noisy_pair, taxonomy):
     _, references = noisy_pair
-    result = slot_f1_by_group(references, references, taxonomy, MatchPolicy())
+    result = evaluate(references, references, MatchPolicy(), taxonomy).group_f1
     for group, (p, r, f1) in result.items():
         counts_exist = any(
             taxonomy.groups.get((d.lower(), s.lower())) == group
@@ -174,7 +172,7 @@ def test_group_f1_profile_dropped(taxonomy):
         ("d", 1): _state({"profile": {"name": "alexmorgan"}, "hotel": {"area": "north"}})
     }
     predictions = {("d", 1): _state({"hotel": {"area": "north"}})}
-    result = slot_f1_by_group(predictions, references, taxonomy, MatchPolicy())
+    result = evaluate(predictions, references, MatchPolicy(), taxonomy).group_f1
     assert result["profile"][1] == 0.0  # recall
     assert result["categorical"] == (1.0, 1.0, 1.0)
 
@@ -182,7 +180,7 @@ def test_group_f1_profile_dropped(taxonomy):
 def test_group_f1_matches_oracle(noisy_pair, taxonomy):
     predictions, references = noisy_pair
     policy = MatchPolicy()
-    ours = slot_f1_by_group(predictions, references, taxonomy, policy)
+    ours = evaluate(predictions, references, policy, taxonomy).group_f1
     expected = oracle_group_f1(
         predictions, references, taxonomy.classify, policy.fuzzy_threshold,
         set(policy.fuzzy_groups), policy.time_canonicalization,
@@ -194,7 +192,7 @@ def test_group_f1_matches_oracle(noisy_pair, taxonomy):
 
 def test_group_f1_harmonic_identity(noisy_pair, taxonomy):
     predictions, references = noisy_pair
-    result = slot_f1_by_group(predictions, references, taxonomy, MatchPolicy())
+    result = evaluate(predictions, references, MatchPolicy(), taxonomy).group_f1
     for p, r, f1 in result.values():
         if p + r:
             assert f1 == pytest.approx(2 * p * r / (p + r), abs=1e-12)
@@ -206,7 +204,7 @@ def test_group_f1_unclassified_reference_slot_errors():
     taxonomy = SlotTaxonomy(groups={("hotel", "area"): "categorical"})
     references = {("d", 1): _state({"spa": {"sauna": "hot"}})}
     with pytest.raises(UnclassifiedSlotError, match="sauna"):
-        slot_f1_by_group(references, references, taxonomy, MatchPolicy())
+        evaluate(references, references, MatchPolicy(), taxonomy)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +214,7 @@ def test_group_f1_unclassified_reference_slot_errors():
 
 def test_breakdown_perfect(noisy_pair, taxonomy):
     _, references = noisy_pair
-    result = error_breakdown(references, references, MatchPolicy(), 6, taxonomy)
+    result = evaluate(references, references, MatchPolicy(), taxonomy, 6).slot_errors
     for entry in result.values():
         assert entry.insertions == 0
         assert entry.deletions == 0
@@ -226,7 +224,7 @@ def test_breakdown_perfect(noisy_pair, taxonomy):
 def test_breakdown_single_insertion(taxonomy):
     references = {("d", 1): _state({"hotel": {"area": "north"}})}
     predictions = {("d", 1): _state({"hotel": {"area": "north", "name": "acorn"}})}
-    result = error_breakdown(predictions, references, MatchPolicy(), 6, taxonomy)
+    result = evaluate(predictions, references, MatchPolicy(), taxonomy, 6).slot_errors
     assert result[("hotel", "name")].insertions == 1
     assert result[("hotel", "name")].deletions == 0
 
@@ -234,7 +232,7 @@ def test_breakdown_single_insertion(taxonomy):
 def test_breakdown_matches_oracle(noisy_pair, taxonomy):
     predictions, references = noisy_pair
     policy = MatchPolicy()
-    ours = error_breakdown(predictions, references, policy, 6, taxonomy)
+    ours = evaluate(predictions, references, policy, taxonomy, 6).slot_errors
     expected = oracle_error_breakdown(
         predictions, references, taxonomy.classify, policy.time_canonicalization, 6
     )
@@ -245,8 +243,11 @@ def test_breakdown_matches_oracle(noisy_pair, taxonomy):
         assert entry.matched_ratios == pytest.approx(expected[key]["ratios"], abs=1e-12)
 
 
-def test_breakdown_top_k_zero():
-    assert error_breakdown({}, {}, MatchPolicy(), 0) == {}
+def test_breakdown_top_k_zero(noisy_pair, taxonomy):
+    assert evaluate({}, {}, MatchPolicy(), top_k_errors=0).slot_errors == {}
+    predictions, references = noisy_pair
+    for top_k in (0, -1):
+        assert evaluate(predictions, references, MatchPolicy(), taxonomy, top_k).slot_errors == {}
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +269,9 @@ def test_exact_correct_turns_stay_correct_under_relaxed_policy(noisy_pair, taxon
 def test_domain_accuracy_separate(taxonomy):
     references = {("d", 1): _state({"hotel": {"area": "north"}})}
     predictions = {("d", 1): DialogueState(["hotel", "taxi"], {("hotel", "area"): "north"})}
-    assert jga(predictions, references, MatchPolicy(), taxonomy) == 1.0
-    assert domain_accuracy(predictions, references) == 0.0
+    report = evaluate(predictions, references, MatchPolicy(), taxonomy)
+    assert report.jga_post == 1.0
+    assert report.domain_accuracy == 0.0
 
 
 def test_evaluate_report_fields(noisy_pair, taxonomy):
@@ -281,3 +283,77 @@ def test_evaluate_report_fields(noisy_pair, taxonomy):
     obj = report.to_json_obj()
     assert obj["schema_version"] == 1
     assert len(obj["slot_errors"]) <= 6
+
+
+def test_evaluate_matches_oracles_on_every_field(noisy_pair, taxonomy):
+    predictions, references = noisy_pair
+    policy = MatchPolicy()
+    groups = taxonomy.classify
+    fuzzy = set(policy.fuzzy_groups)
+    report = evaluate(predictions, references, policy, taxonomy, 6)
+
+    assert report.jga == pytest.approx(
+        oracle_jga(predictions, references, groups, 1.0, set(), False), abs=1e-12
+    )
+    assert report.jga_post == pytest.approx(
+        oracle_jga(predictions, references, groups, policy.fuzzy_threshold, fuzzy, True), abs=1e-12
+    )
+    assert report.jga < report.jga_post  # the fixture has post-processing rescues
+    assert report.domain_accuracy == pytest.approx(
+        oracle_domain_accuracy(predictions, references), abs=1e-12
+    )
+    expected_per_turn = oracle_jga_per_turn(
+        predictions, references, groups, policy.fuzzy_threshold, fuzzy, True
+    )
+    assert list(report.per_turn) == list(expected_per_turn)
+    for idx, (value, count) in expected_per_turn.items():
+        assert report.per_turn[idx][1] == count
+        assert report.per_turn[idx][0] == pytest.approx(value, abs=1e-12)
+    expected_f1 = oracle_group_f1(
+        predictions, references, groups, policy.fuzzy_threshold, fuzzy, True
+    )
+    assert list(report.group_f1) == list(expected_f1)
+    for group, (p, r, f1, *_counts) in expected_f1.items():
+        assert report.group_f1[group] == pytest.approx((p, r, f1), abs=1e-12)
+    expected_errors = oracle_error_breakdown(predictions, references, groups, True, 6)
+    assert list(report.slot_errors) == list(expected_errors)
+    for key, entry in report.slot_errors.items():
+        assert entry.insertions == expected_errors[key]["insertions"]
+        assert entry.deletions == expected_errors[key]["deletions"]
+        assert entry.matched_ratios == pytest.approx(expected_errors[key]["ratios"], abs=1e-12)
+    assert report.n_turns == len(references)
+    assert report.n_dialogues == len({d for d, _ in references})
+
+
+def test_evaluate_without_taxonomy_has_no_group_f1(noisy_pair):
+    predictions, references = noisy_pair
+    report = evaluate(predictions, references, MatchPolicy())
+    assert report.group_f1 == {}
+    assert report.slot_errors
+
+
+def test_evaluate_aligns_once_and_scores_each_pair_at_most_twice(noisy_pair, taxonomy, monkeypatch):
+    predictions, references = noisy_pair
+    calls = {"align": 0, "turn_correct": 0}
+
+    def counting(name):
+        original = getattr(metrics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(metrics, name, counting(name))
+    evaluate(predictions, references, MatchPolicy(), taxonomy)
+    assert calls["align"] == 1
+    assert len(references) <= calls["turn_correct"] <= 2 * len(references)
+
+
+def test_jga_equals_report_jga_post(noisy_pair, taxonomy):
+    predictions, references = noisy_pair
+    for policy in (MatchPolicy(), MatchPolicy.exact(), MatchPolicy(fuzzy_threshold=0.7)):
+        report = evaluate(predictions, references, policy, taxonomy)
+        assert jga(predictions, references, policy, taxonomy) == report.jga_post

@@ -164,6 +164,19 @@ def test_parse_surrounding_prose():
     assert state.domains == ["taxi"]
 
 
+def test_every_truncation_of_a_nested_object_closes_its_open_objects():
+    # the inner object opens at index 5 and closes at index 17; the braces at
+    # 12 and 15 sit inside a string with an escaped quote
+    text = r'{"a":{"b":"x}\"{"}}'
+    fragment, diagnostics = state_codec._extract_json_object(text)
+    assert (fragment, diagnostics) == (text, [])
+    for end in range(1, len(text)):
+        unclosed = 2 if 5 < end <= 17 else 1
+        fragment, diagnostics = state_codec._extract_json_object(text[:end])
+        assert diagnostics[-1] == f"repaired: closed {unclosed} unterminated object(s)", end
+        assert fragment.count("}") - text[:end].count("}") == unclosed, end
+
+
 def _parse_outcome(text: str):
     try:
         parsed = parse_state(text)
