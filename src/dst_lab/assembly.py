@@ -185,6 +185,14 @@ class OracleExact:
         return render_completion(request.strategy, request.gold_state, hypothesis)
 
 
+# Predictor defaults, also read by the CLI's RunManifest.
+DROP_PROB = 0.08
+TYPO_PROB = 0.10
+INSERT_PROB = 0.05
+TIME_REFORMAT_PROB = 0.25
+BUDGET_ROWS = 64
+
+
 class OracleNoisy:
     """Gold state plus seeded perturbations: drops, typos, spurious slots,
     and 12-hour reformatting of time-like values.
@@ -198,10 +206,10 @@ class OracleNoisy:
     def __init__(
         self,
         seed: int,
-        drop_prob: float = 0.08,
-        typo_prob: float = 0.10,
-        insert_prob: float = 0.05,
-        time_reformat_prob: float = 0.25,
+        drop_prob: float = DROP_PROB,
+        typo_prob: float = TYPO_PROB,
+        insert_prob: float = INSERT_PROB,
+        time_reformat_prob: float = TIME_REFORMAT_PROB,
     ):
         self.seed = seed
         self.drop_prob = drop_prob
@@ -313,11 +321,11 @@ def make_predictor(
     kind: str,
     seed: int = 0,
     *,
-    budget_rows: int = 64,
-    drop_prob: float = 0.08,
-    typo_prob: float = 0.10,
-    insert_prob: float = 0.05,
-    time_reformat_prob: float = 0.25,
+    budget_rows: int = BUDGET_ROWS,
+    drop_prob: float = DROP_PROB,
+    typo_prob: float = TYPO_PROB,
+    insert_prob: float = INSERT_PROB,
+    time_reformat_prob: float = TIME_REFORMAT_PROB,
 ) -> StatePredictor:
     """The predictor named ``kind``; it takes only the settings it uses."""
     if kind == "exact":

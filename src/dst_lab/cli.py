@@ -9,16 +9,22 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import click
 
 from . import __version__
 from .assembly import (
+    BUDGET_ROWS,
+    DROP_PROB,
+    INSERT_PROB,
+    TIME_REFORMAT_PROB,
+    TYPO_PROB,
     EmbeddingPipeline,
     context_length_report,
     make_predictor,
@@ -103,6 +109,17 @@ def _parse_exclude_ids(value: str | None) -> list[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
+# JSON value types each RunManifest annotation accepts; a bool is never an int
+_MANIFEST_JSON_TYPES = {
+    "str": (str,),
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+    "list[str]": (list,),
+    "str | None": (str, type(None)),
+}
+
+
 @dataclass
 class RunManifest:
     """Archivable description of one prediction run."""
@@ -122,20 +139,42 @@ class RunManifest:
     exclude_ids: list[str] = field(default_factory=list)
     policy: str = "standard"
     out: str = "runs/out"
-    drop_prob: float = 0.08
-    typo_prob: float = 0.10
-    insert_prob: float = 0.05
-    time_reformat_prob: float = 0.25
-    budget_rows: int = 64
+    drop_prob: float = DROP_PROB
+    typo_prob: float = TYPO_PROB
+    insert_prob: float = INSERT_PROB
+    time_reformat_prob: float = TIME_REFORMAT_PROB
+    budget_rows: int = BUDGET_ROWS
     agent_asr: str | None = None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunManifest":
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise click.BadParameter(
+                    f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}", param_hint="--manifest"
+                ) from exc
+        if not isinstance(obj, dict):
+            raise click.BadParameter(f"{path}: expected a JSON object", param_hint="--manifest")
         unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise click.BadParameter(f"unknown manifest fields: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name not in obj:
+                if f.default is MISSING and f.default_factory is MISSING:
+                    raise click.BadParameter(f"{path}: field {f.name!r} is required", param_hint="--manifest")
+                continue
+            value = obj[f.name]
+            allowed = _MANIFEST_JSON_TYPES[f.type]
+            ok = isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool))
+            if ok and isinstance(value, list):
+                ok = all(isinstance(item, str) for item in value)
+            if not ok:
+                raise click.BadParameter(
+                    f"{path}: field {f.name!r} must be {f.type}, got {type(value).__name__} {value!r}",
+                    param_hint="--manifest",
+                )
         return cls(**obj)
 
     def resolved_strategy(self) -> Strategy:
@@ -462,6 +501,10 @@ def cmd_evaluate(
 @click.option("--threshold", type=float, default=1e-4, show_default=True)
 def cmd_gradcheck(eps: float, threshold: float) -> None:
     """Verify analytic gradients against central finite differences."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise click.BadParameter(f"must be a positive finite number, got {eps}", param_hint="--eps")
+    if not threshold > 0:
+        raise click.BadParameter(f"must be positive, got {threshold}", param_hint="--threshold")
     results = grad_check_suite(eps=eps)
     failed = False
     for result in results:

@@ -604,15 +604,39 @@ def write_feature_sidecar(path: Path, dialogue_id: str, turn_index: int, feature
 
 
 def read_feature_sidecar(path: Path) -> tuple[str, int, np.ndarray]:
+    """Parse one sidecar; a short, overlong or malformed file is a CorpusFormatError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(FEATURE_MAGIC))
-        if magic != FEATURE_MAGIC:
-            raise CorpusFormatError("bad feature sidecar magic", path=str(path), offset=0)
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        blob = fh.read()
+    where = str(path)
+    if blob[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:
+        raise CorpusFormatError("bad feature sidecar magic", path=where, offset=0)
+    header_start = len(FEATURE_MAGIC) + 4
+    if len(blob) < header_start:
+        raise CorpusFormatError("truncated sidecar header length", path=where, offset=len(blob))
+    (header_len,) = struct.unpack_from("<I", blob, len(FEATURE_MAGIC))
+    payload_start = header_start + header_len
+    if len(blob) < payload_start:
+        raise CorpusFormatError(
+            f"truncated sidecar header: {header_len} bytes declared", path=where, offset=len(blob)
+        )
+    try:
+        header = json.loads(blob[header_start:payload_start].decode("utf-8"))
         rows, cols = int(header["rows"]), int(header["cols"])
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8").reshape(rows, cols)
-    return str(header["dialogue_id"]), int(header["turn_index"]), data.astype(np.float64)
+        dialogue_id, turn_index = str(header["dialogue_id"]), int(header["turn_index"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorpusFormatError(f"malformed sidecar header: {exc}", path=where, offset=header_start) from exc
+    if rows < 0 or cols < 0:
+        raise CorpusFormatError(f"negative sidecar shape {rows}x{cols}", path=where, offset=header_start)
+    expected = rows * cols * 8
+    actual = len(blob) - payload_start
+    if actual != expected:
+        raise CorpusFormatError(
+            f"sidecar payload is {actual} bytes; a {rows}x{cols} float64 matrix needs {expected}",
+            path=where,
+            offset=payload_start + min(actual, expected),
+        )
+    data = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=payload_start).reshape(rows, cols)
+    return dialogue_id, turn_index, data.astype(np.float64)
 
 
 def write_corpus(

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .layers import Layer
 from .pipeline import CompressorConfig, Compressor, Connector, Readout
 
 _CHECKABLE = ("connector", "compressor", "readout")
+# Entries perturbed per forward pass; a block stacks 2 * _BLOCK copies of one
+# parameter, which bounds the memory a large CompressorConfig needs.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -38,6 +43,46 @@ def _build(module: str, input_shape: tuple[int, int], config: CompressorConfig):
     return net, x
 
 
+def _owner(net: Layer, name: str) -> tuple[Layer, str]:
+    """The layer holding the dotted parameter ``name`` and its key there."""
+    *path, key = name.split(".")
+    layer = net
+    for part in path:
+        layer = layer._sublayers[part]
+    return layer, key
+
+
+def numeric_gradients(net: Layer, x: np.ndarray, eps: float) -> dict[str, np.ndarray]:
+    """Central-difference gradient of ``net.forward(x).sum()``, flat per parameter.
+
+    Entries are perturbed ``_BLOCK`` at a time: the parameter is replaced by a
+    stack of 2k copies whose row 2i holds ``+eps`` and row 2i+1 ``-eps`` at
+    entry i, and one forward of the batch-1 input yields all 2k losses. The
+    stack axis is placed where the layers broadcast a batch axis, so a 1-d
+    parameter becomes (2k, 1, n). The original array is always restored.
+    """
+    numeric = {}
+    for name, param in net.params().items():
+        layer, key = _owner(net, name)
+        flat = param.reshape(-1)
+        grad = np.empty(flat.size)
+        stack_shape = (1,) * (2 - param.ndim) + param.shape
+        try:
+            for start in range(0, flat.size, _BLOCK):
+                entries = np.arange(start, min(start + _BLOCK, flat.size))
+                rows = np.arange(entries.size)
+                stacked = np.tile(flat, (2 * entries.size, 1))
+                stacked[2 * rows, entries] = flat[entries] + eps
+                stacked[2 * rows + 1, entries] = flat[entries] - eps
+                layer._params[key] = stacked.reshape(-1, *stack_shape)
+                losses = net.forward(x).reshape(stacked.shape[0], -1).sum(axis=1)
+                grad[entries] = (losses[0::2] - losses[1::2]) / (2.0 * eps)
+        finally:
+            layer._params[key] = param
+        numeric[name] = grad
+    return numeric
+
+
 def grad_check(
     module: str,
     input_shape: tuple[int, int],
@@ -48,9 +93,15 @@ def grad_check(
 
     The scalar loss is the sum of the module outputs. The relative error of a
     parameter entry is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    A non-finite analytic gradient, numeric gradient or relative error makes
+    the result ``inf``, naming the first such entry.
+
+    The numeric gradients come from :func:`numeric_gradients`, which relies
+    on every layer's forward broadcasting a leading stack axis on its
+    parameters (see :mod:`dst_lab.neural.layers`).
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be a positive finite number, got {eps}")
     config = config or CompressorConfig(d_model=8, n_heads=2, n_queries=2, seed=0)
     net, x = _build(module, input_shape, config)
 
@@ -58,23 +109,17 @@ def grad_check(
     out = net.forward(x)
     net.backward(np.ones_like(out))
     analytic = net.grads()
+    numeric = numeric_gradients(net, x, eps)
 
     worst = 0.0
     worst_param = ""
-    for name, param in net.params().items():
-        flat = param.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + eps
-            f_plus = float(net.forward(x).sum())
-            flat[i] = original - eps
-            f_minus = float(net.forward(x).sum())
-            flat[i] = original
-            numeric[i] = (f_plus - f_minus) / (2.0 * eps)
+    for name, grad in numeric.items():
         a = analytic[name].reshape(-1)
-        denom = np.maximum(1e-8, np.abs(a) + np.abs(numeric))
-        rel = np.abs(a - numeric) / denom
+        denom = np.maximum(1e-8, np.abs(a) + np.abs(grad))
+        rel = np.abs(a - grad) / denom
+        bad = ~(np.isfinite(a) & np.isfinite(grad) & np.isfinite(rel))
+        if bad.any():
+            return GradCheckResult(module, input_shape, math.inf, f"{name}[{int(np.argmax(bad))}]")
         idx = int(np.argmax(rel))
         if rel[idx] > worst:
             worst = float(rel[idx])

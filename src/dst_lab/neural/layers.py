@@ -4,6 +4,13 @@ All layers operate on batched tensors of shape (B, T, D). Forward calls cache
 what the matching backward pass needs; backward accumulates parameter
 gradients and returns the input gradient. Gradients are verified against
 central finite differences by the gradcheck module.
+
+A parameter may also carry a leading stack axis of size S in place of the
+batch axis: a matrix of shape (S, d_in, d_out), a vector of shape (S, 1, n).
+Every forward broadcasts it like a batch axis, so a batch-1 input yields S
+outputs, one per stacked parameter value. Gradcheck relies on this to
+evaluate a block of perturbed parameter copies in one forward; backward
+passes support only ordinary parameters.
 """
 
 from __future__ import annotations

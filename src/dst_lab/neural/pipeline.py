@@ -150,9 +150,8 @@ class Compressor(_Composite):
                 f"memory dim {memory.shape[-1]} does not match d_model {self.config.d_model}"
             )
         self._batch = memory.shape[0]
-        q = np.broadcast_to(
-            self._params["queries"], (self._batch, *self._params["queries"].shape)
-        ).copy()
+        queries = self._params["queries"]
+        q = np.broadcast_to(queries, np.broadcast_shapes((self._batch, 1, 1), queries.shape)).copy()
         for layer in self.layers:
             q = layer.forward(q, memory)
         return q
@@ -184,7 +183,7 @@ class Readout(Layer):
         flat = x.reshape(x.shape[0], -1)
         self._x = flat
         logits = flat @ self._params["W"] + self._params["b"]
-        return logits.reshape(x.shape[0], self.n_heads, self.n_classes)
+        return logits.reshape(-1, self.n_heads, self.n_classes)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         dflat = dout.reshape(dout.shape[0], -1)

@@ -216,3 +216,25 @@ def oracle_error_breakdown(predictions, references, groups, canon, top_k):
 
     ranked = sorted(entries.items(), key=score)
     return dict(ranked[:top_k])
+
+
+def oracle_numeric_gradients(net, x, eps: float) -> dict:
+    """Central differences one parameter entry at a time, two batch-1 forwards each.
+
+    ``net`` is any layer with ``params()`` and ``forward``; the loss is the sum
+    of its outputs. Gradients are flat, keyed by the dotted parameter name.
+    """
+    numeric = {}
+    for name, param in net.params().items():
+        flat = param.reshape(-1)
+        grad = [0.0] * flat.size
+        for i in range(flat.size):
+            original = flat[i]
+            flat[i] = original + eps
+            f_plus = float(net.forward(x).sum())
+            flat[i] = original - eps
+            f_minus = float(net.forward(x).sum())
+            flat[i] = original
+            grad[i] = (f_plus - f_minus) / (2.0 * eps)
+        numeric[name] = grad
+    return numeric

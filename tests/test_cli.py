@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from dst_lab import assembly
 from dst_lab.cli import main
 from dst_lab.corpus import load_corpus
+from dst_lab.neural import layers
 from dst_lab.state_codec import read_predictions
 
 
@@ -106,6 +107,43 @@ def test_run_manifest_with_flag_overrides(runner, tmp_path):
     summary = json.loads((tmp_path / "run" / "run_summary.json").read_text())
     assert summary["manifest"]["predictor"] == "exact"
     assert summary["manifest"]["n_queries"] == 4
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("workers", "2"),
+        ("workers", True),
+        ("n_queries", 2.0),
+        ("seed", None),
+        ("compress_current", 1),
+        ("drop_prob", "0.1"),
+        ("drop_prob", False),
+        ("exclude_ids", "d1"),
+        ("exclude_ids", [1]),
+        ("corpus", 3),
+        ("agent_asr", 0),
+    ],
+)
+def test_run_rejects_mistyped_manifest_field(runner, tmp_path, field, value):
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps({"corpus": "x", "strategy": "full", field: value}))
+    result = runner.invoke(main, ["run", "--manifest", str(manifest_path)])
+    assert result.exit_code == 2, result.output
+    assert f"field '{field}' must be" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [("[1, 2]", "expected a JSON object"), ('{"corpus": "x"}', "field 'strategy' is required"), ("{", "malformed JSON")],
+)
+def test_run_rejects_malformed_manifest(runner, tmp_path, text, message):
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(text)
+    result = runner.invoke(main, ["run", "--manifest", str(manifest_path)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
 
 
 def test_run_rejects_unknown_manifest_field(runner, tmp_path):
@@ -312,6 +350,33 @@ def test_gradcheck_command_fails_with_tight_threshold(runner):
     result = runner.invoke(main, ["gradcheck", "--threshold", "1e-18"])
     assert result.exit_code == 1
     assert "FAIL" in result.output
+
+
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (["--eps", "0"], "--eps"),
+        (["--eps", "nan"], "--eps"),
+        (["--eps", "-1e-5"], "--eps"),
+        (["--threshold", "0"], "--threshold"),
+        (["--threshold", "-1"], "--threshold"),
+        (["--threshold", "nan"], "--threshold"),
+    ],
+)
+def test_gradcheck_rejects_bad_flags(runner, args, flag):
+    result = runner.invoke(main, ["gradcheck", *args])
+    assert result.exit_code == 2, result.output
+    assert flag in result.output
+    assert "Traceback" not in result.output
+
+
+def test_gradcheck_command_fails_on_nan_gradients(runner, monkeypatch):
+    monkeypatch.setattr(layers, "gelu_grad", lambda x, t=None: np.full_like(x, np.nan))
+    result = runner.invoke(main, ["gradcheck"])
+    assert result.exit_code == 1
+    compressor_lines = [line for line in result.output.splitlines() if " compressor " in line]
+    assert len(compressor_lines) == 6
+    assert all(line.startswith("FAIL") and "max_rel_err=inf" in line for line in compressor_lines)
 
 
 def test_unknown_flag_is_an_error(runner):

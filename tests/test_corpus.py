@@ -195,6 +195,34 @@ def test_feature_sidecar_roundtrip(tmp_path):
     assert np.array_equal(loaded, mat)
 
 
+def test_truncated_or_padded_sidecar_is_a_format_error(tmp_path):
+    path = tmp_path / "x.f64"
+    write_feature_sidecar(path, "dlg", 3, np.arange(6.0).reshape(3, 2))
+    blob = path.read_bytes()
+    payload_start = len(blob) - 48
+    for end in range(len(blob)):
+        path.write_bytes(blob[:end])
+        with pytest.raises(CorpusFormatError) as info:
+            read_feature_sidecar(path)
+        assert info.value.path == str(path)
+        assert info.value.offset is not None
+        if end >= payload_start:
+            assert info.value.offset == end
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(CorpusFormatError, match="payload is 49 bytes") as info:
+        read_feature_sidecar(path)
+    assert info.value.offset == len(blob)
+
+
+@pytest.mark.parametrize("header", [b"{not json", b"[1, 2]", b'{"rows": 1}', b"\xff\xfe"])
+def test_malformed_sidecar_header_is_a_format_error(tmp_path, header):
+    path = tmp_path / "x.f64"
+    path.write_bytes(b"DSTLFEA1" + len(header).to_bytes(4, "little") + header)
+    with pytest.raises(CorpusFormatError, match="malformed sidecar header") as info:
+        read_feature_sidecar(path)
+    assert info.value.offset == 12
+
+
 def test_spokenwoz_ingestion(tmp_path):
     doc = {
         "SNG0001": {
