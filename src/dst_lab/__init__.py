@@ -17,6 +17,7 @@ from .corpus import (
     Turn,
     filter_corrupted,
     load_corpus,
+    parse_corpus,
     synth_corpus,
     synthetic_taxonomy,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "filter_corrupted",
     "levenshtein_ratio",
     "load_corpus",
+    "parse_corpus",
     "parse_state",
     "serialize_state",
     "synth_corpus",

@@ -19,7 +19,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .corpus import Dialogue, DialogueState, SplitMix64, Speaker, derive_key, ONTOLOGY, ontology_values
+from .corpus import Dialogue, DialogueState, SplitMix64, derive_key, ONTOLOGY, ontology_values
 from .neural.pipeline import (
     Compressor,
     Connector,
@@ -73,7 +73,8 @@ def assemble(
     """Concatenate turn embeddings according to the strategy.
 
     ``turn_embeddings`` covers turns 1..n in order; the last entry is the
-    current user turn. ``compressed`` maps a turn index to that turn's pooled
+    current user turn. The multimodal layout reads only that entry, so a
+    caller may pass it alone. ``compressed`` maps a turn index to that turn's pooled
     block: blocks found there are reused and blocks computed here are stored,
     so a caller passing one map for every turn of a dialogue compresses each
     turn once. Without it every compressed block is computed afresh.
@@ -369,10 +370,14 @@ def run_dialogue(
 ) -> list[TurnResult]:
     """Predict the state at every user turn, in order.
 
-    Each turn is embedded once, as the dialogue reaches it. Under the
-    compressed strategy each turn is compressed once, the first time a
-    context needs its pooled block; later contexts reuse the block, since a
-    turn's pooled vectors never change once the turn is over.
+    A turn is embedded only when a context reads it, and at most once. The
+    multimodal context of user turn n reads turn n alone, so only user turns
+    are embedded. The full and compressed spoken contexts of user turn n read
+    turns 1..n, so turns are embedded in order as the dialogue reaches them,
+    and an agent turn after the last user turn is never embedded. Under the
+    compressed strategy each turn is compressed once, the first time a context
+    needs its pooled block; later contexts reuse the block, since a turn's
+    pooled vectors never change once the turn is over.
 
     For the multimodal strategy the predictor's own transcription of each user
     turn is fed back as that turn's history text for subsequent prompts; gold
@@ -385,15 +390,15 @@ def run_dialogue(
     asr_history: list[AsrHypothesis] = []
     embeddings: list[SpeechEmbedding] = []
     compressed: dict[int, np.ndarray] = {}
-    for turn in dialogue.turns:
-        embeddings.append(embedder.embed_turn(dialogue, turn.index))
-        if turn.speaker is not Speaker.USER:
-            continue
-        n = turn.index
+    for n in dialogue.user_turn_indices():
+        if strategy is Strategy.MULTIMODAL:
+            embeddings = [embedder.embed_turn(dialogue, n)]
+        else:
+            embeddings.extend(embedder.embed_turn(dialogue, i) for i in range(len(embeddings) + 1, n + 1))
         prompt = build_prompt(strategy, dialogue, n, asr_history, agent_texts)
         context = assemble(
             strategy,
-            embeddings[:n],
+            embeddings,
             compressor,
             compress_current=compress_current,
             text_part=prompt.text(),
@@ -460,11 +465,16 @@ def context_length_report(
     """Mean assembled rows per user-turn index for each strategy.
 
     Per-turn row counts come from ``embedder.turn_rows``, so no turn is
-    embedded again; ``compress_current`` must match the run's flag.
+    embedded again. Like ``run_dialogue``, it reads only the turns a context
+    holds: user turns for multimodal, turns up to the last user turn for the
+    spoken strategies. ``compress_current`` must match the run's flag.
     """
-    per_dialogue_rows = {
-        dlg.id: [embedder.turn_rows(dlg, turn.index) for turn in dlg.turns] for dlg in corpus
-    }
+    spoken = any(strategy is not Strategy.MULTIMODAL for strategy in strategies)
+    per_dialogue_rows: dict[str, dict[int, int]] = {}
+    for dlg in corpus:
+        users = dlg.user_turn_indices()
+        read = range(1, users[-1] + 1) if spoken and users else users
+        per_dialogue_rows[dlg.id] = {i: embedder.turn_rows(dlg, i) for i in read}
 
     out: list[ContextLengthRow] = []
     variants: list[tuple[Strategy, int | None]] = []
@@ -478,8 +488,9 @@ def context_length_report(
         for dlg in corpus:
             rows = per_dialogue_rows[dlg.id]
             for n in dlg.user_turn_indices():
+                read = [n] if strategy is Strategy.MULTIMODAL else range(1, n + 1)
                 total = expected_total_rows(
-                    strategy, rows[:n], n_queries or 0, compress_current=compress_current
+                    strategy, [rows[i] for i in read], n_queries or 0, compress_current=compress_current
                 )
                 totals.setdefault(n, []).append(total)
         for turn_index in sorted(totals):

@@ -36,7 +36,7 @@ from .corpus import (
     default_corrupted_ids,
     filter_corrupted,
     load_corpus,
-    load_taxonomy,
+    parse_corpus,
     synth_corpus,
     synthetic_taxonomy,
     write_corpus,
@@ -176,6 +176,21 @@ class RunManifest:
                     param_hint="--manifest",
                 )
         return cls(**obj)
+
+    def check_ranges(self) -> None:
+        """Raise click.BadParameter naming the first field outside its range."""
+        for name in ("d_model", "n_heads", "n_layers", "stride", "budget_rows"):
+            value = getattr(self, name)
+            if value < 1:
+                raise click.BadParameter(f"must be >= 1, got {value}", param_hint=f"field {name!r}")
+        if self.d_model % self.n_heads:
+            raise click.BadParameter(
+                f"must divide d_model={self.d_model}, got {self.n_heads}", param_hint="field 'n_heads'"
+            )
+        for name in ("drop_prob", "typo_prob", "insert_prob", "time_reformat_prob"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:  # also false for NaN
+                raise click.BadParameter(f"must be in [0, 1], got {value}", param_hint=f"field {name!r}")
 
     def resolved_strategy(self) -> Strategy:
         key = self.strategy.lower()
@@ -369,6 +384,7 @@ def cmd_run(
 
     _require_positive(run_manifest.workers, "--workers")
     _require_positive(run_manifest.n_queries, "--n-queries")
+    run_manifest.check_ranges()
     strategy_enum = run_manifest.resolved_strategy()
     dialogues = _load_run_corpus(run_manifest)
     if not dialogues:
@@ -472,10 +488,11 @@ def cmd_evaluate(
         records = read_predictions(predictions)
     except PredictionFileError as exc:
         raise click.ClickException(str(exc)) from exc
-    dialogues = filter_corrupted(load_corpus(corpus, format_), _parse_exclude_ids(exclude_ids))
-    taxonomy = None
+    # scoring reads gold states only, so no feature sidecar is loaded
+    dialogues, taxonomy = parse_corpus(corpus, format_)
+    dialogues = filter_corrupted(dialogues, _parse_exclude_ids(exclude_ids))
     if format_ == "synthetic_json":
-        taxonomy = load_taxonomy(corpus) or synthetic_taxonomy()
+        taxonomy = taxonomy or synthetic_taxonomy()
     policy_obj = load_policy(policy)
     try:
         report = evaluate(
@@ -545,7 +562,12 @@ def cmd_probe(
     out: str,
 ) -> None:
     """Slot-recovery accuracy as a function of compressor query count."""
-    seed_values = [int(s) for s in seeds.split(",") if s.strip()]
+    try:
+        seed_values = [int(s) for s in seeds.split(",") if s.strip()]
+    except ValueError:
+        raise click.BadParameter(
+            f"expected comma-separated integers, got {seeds!r}", param_hint="--seeds"
+        ) from None
     rows: list[tuple[int, int, float]] = []
     for seed in seed_values:
         if not n_queries_list:

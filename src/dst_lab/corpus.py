@@ -604,7 +604,8 @@ def write_feature_sidecar(path: Path, dialogue_id: str, turn_index: int, feature
 
 
 def read_feature_sidecar(path: Path) -> tuple[str, int, np.ndarray]:
-    """Parse one sidecar; a short, overlong or malformed file is a CorpusFormatError."""
+    """Parse one sidecar; a short, overlong or malformed file, or a NaN or
+    infinite value, is a CorpusFormatError naming the byte offset."""
     with open(path, "rb") as fh:
         blob = fh.read()
     where = str(path)
@@ -636,6 +637,14 @@ def read_feature_sidecar(path: Path) -> tuple[str, int, np.ndarray]:
             offset=payload_start + min(actual, expected),
         )
     data = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=payload_start).reshape(rows, cols)
+    finite = np.isfinite(data)
+    if not finite.all():
+        first = int(np.argmin(finite.ravel()))
+        raise CorpusFormatError(
+            f"non-finite feature value {data.ravel()[first]!r} at row {first // cols}, column {first % cols}",
+            path=where,
+            offset=payload_start + 8 * first,
+        )
     return dialogue_id, turn_index, data.astype(np.float64)
 
 
@@ -691,7 +700,14 @@ def _attach_features(dialogues: list[Dialogue], features_dir: Path) -> None:
         for turn in dlg.turns:
             sidecar = features_dir / _feature_sidecar_name(dlg.id, turn.index)
             if sidecar.exists():
-                _, _, mat = read_feature_sidecar(sidecar)
+                dialogue_id, turn_index, mat = read_feature_sidecar(sidecar)
+                if (dialogue_id, turn_index) != (dlg.id, turn.index):
+                    raise CorpusFormatError(
+                        f"sidecar header is for {dialogue_id} turn {turn_index}, "
+                        f"not {dlg.id} turn {turn.index}",
+                        path=str(sidecar),
+                        offset=len(FEATURE_MAGIC) + 4,
+                    )
                 if mat.shape[0] < 1:
                     raise CorpusFormatError(
                         f"empty feature matrix for {dlg.id} turn {turn.index}", path=str(sidecar)
@@ -702,7 +718,7 @@ def _attach_features(dialogues: list[Dialogue], features_dir: Path) -> None:
         raise CorpusFormatError(f"feature_dim not uniform across corpus: {sorted(dims)}")
 
 
-def _load_synthetic(path: Path) -> list[Dialogue]:
+def _parse_synthetic(path: Path) -> tuple[list[Dialogue], SlotTaxonomy | None]:
     corpus_path = path / "corpus.json" if path.is_dir() else path
     try:
         with open(corpus_path, "r", encoding="utf-8") as fh:
@@ -733,8 +749,8 @@ def _load_synthetic(path: Path) -> list[Dialogue]:
             gold[int(key)] = DialogueState.from_nested(st.get("domains", []), st.get("slots", {}))
         dialogues.append(Dialogue(id=str(dlg_obj["id"]), turns=turns, gold_states=gold))
     _validate_alternation(dialogues, str(corpus_path))
-    _attach_features(dialogues, (path if path.is_dir() else path.parent) / "features")
-    return dialogues
+    taxonomy = SlotTaxonomy.from_json_obj(doc["taxonomy"]) if "taxonomy" in doc else None
+    return dialogues, taxonomy
 
 
 def _validate_alternation(dialogues: list[Dialogue], path: str) -> None:
@@ -793,7 +809,7 @@ def _flatten_metadata(metadata: Mapping) -> DialogueState:
     return DialogueState(domains, slots)
 
 
-def _load_spokenwoz(path: Path) -> list[Dialogue]:
+def _parse_spokenwoz(path: Path) -> list[Dialogue]:
     data_path = path / "data.json" if path.is_dir() else path
     try:
         with open(data_path, "r", encoding="utf-8") as fh:
@@ -833,28 +849,28 @@ def _load_spokenwoz(path: Path) -> list[Dialogue]:
                 if metadata:
                     gold[pos - 1] = _flatten_metadata(metadata)
         dialogues.append(Dialogue(id=str(dlg_id), turns=turns, gold_states=gold))
-    _attach_features(dialogues, (path if path.is_dir() else path.parent) / "features")
     return dialogues
 
 
-def load_corpus(path: str | Path, format: str) -> list[Dialogue]:
-    """Load a corpus from disk. ``format`` is ``synthetic_json`` or ``spokenwoz_json``."""
+def parse_corpus(path: str | Path, format: str) -> tuple[list[Dialogue], SlotTaxonomy | None]:
+    """Dialogues, gold states and the embedded taxonomy (None when absent) of
+    a corpus, read from its one document; no feature sidecar is read, so every
+    ``Turn.features`` is None. ``format`` is ``synthetic_json`` or
+    ``spokenwoz_json``."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"corpus path does not exist: {p}")
     if format == "synthetic_json":
-        return _load_synthetic(p)
+        return _parse_synthetic(p)
     if format == "spokenwoz_json":
-        return _load_spokenwoz(p)
+        return _parse_spokenwoz(p), None
     raise ValueError(f"unknown corpus format {format!r}")
 
 
-def load_taxonomy(path: str | Path) -> SlotTaxonomy | None:
-    """Taxonomy embedded in a synthetic corpus file, or None when absent."""
+def load_corpus(path: str | Path, format: str) -> list[Dialogue]:
+    """``parse_corpus`` plus each turn's feature sidecar from the ``features/``
+    directory next to the corpus document."""
+    dialogues, _ = parse_corpus(path, format)
     p = Path(path)
-    corpus_path = p / "corpus.json" if p.is_dir() else p
-    with open(corpus_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "taxonomy" not in doc:
-        return None
-    return SlotTaxonomy.from_json_obj(doc["taxonomy"])
+    _attach_features(dialogues, (p if p.is_dir() else p.parent) / "features")
+    return dialogues

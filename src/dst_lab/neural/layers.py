@@ -117,10 +117,14 @@ class LayerNorm(Layer):
         self.add_param("beta", np.zeros(d_model))
         self._cache: tuple | None = None
 
+    # Means are np.add.reduce over the last axis divided by its length: that
+    # is what ndarray.mean computes for float64, bit for bit, without the
+    # Python-level wrapper it runs on every call.
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
+        d = x.shape[-1]
+        mean = np.add.reduce(x, axis=-1, keepdims=True) / d
         centered = x - mean
-        var = (centered**2).mean(axis=-1, keepdims=True)
+        var = np.add.reduce(centered**2, axis=-1, keepdims=True) / d
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         normed = centered * inv_std
         self._cache = (normed, inv_std)
@@ -135,8 +139,8 @@ class LayerNorm(Layer):
         # standard layernorm backward in terms of the normalized activations
         dx = (
             dnormed
-            - dnormed.mean(axis=-1, keepdims=True)
-            - normed * (dnormed * normed).mean(axis=-1, keepdims=True)
+            - np.add.reduce(dnormed, axis=-1, keepdims=True) / d
+            - normed * (np.add.reduce(dnormed * normed, axis=-1, keepdims=True) / d)
         ) * inv_std
         return dx
 

@@ -7,6 +7,8 @@ dst_lab.postprocess, dst_lab.metrics, or dst_lab.neural.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def oracle_levenshtein_distance(a: str, b: str) -> int:
     rows = len(a) + 1
@@ -238,3 +240,39 @@ def oracle_numeric_gradients(net, x, eps: float) -> dict:
             grad[i] = (f_plus - f_minus) / (2.0 * eps)
         numeric[name] = grad
     return numeric
+
+
+class OracleLayerNorm:
+    """Layer normalisation with means through ``ndarray.mean``.
+
+    ``backward`` returns ``(dx, dgamma, dbeta)`` for ordinary (unstacked)
+    parameters; ``forward`` also broadcasts stacked ones.
+    """
+
+    EPS = 1e-6
+
+    def __init__(self, gamma: np.ndarray, beta: np.ndarray):
+        self.gamma = gamma
+        self.beta = beta
+        self._cache = None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        mean = x.mean(axis=-1, keepdims=True)
+        centered = x - mean
+        var = (centered**2).mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + self.EPS)
+        normed = centered * inv_std
+        self._cache = (normed, inv_std)
+        return normed * self.gamma + self.beta
+
+    def backward(self, dout: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        normed, inv_std = self._cache
+        dgamma = (dout * normed).sum(axis=tuple(range(dout.ndim - 1)))
+        dbeta = dout.sum(axis=tuple(range(dout.ndim - 1)))
+        dnormed = dout * self.gamma
+        dx = (
+            dnormed
+            - dnormed.mean(axis=-1, keepdims=True)
+            - normed * (dnormed * normed).mean(axis=-1, keepdims=True)
+        ) * inv_std
+        return dx, dgamma, dbeta

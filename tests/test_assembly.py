@@ -248,6 +248,29 @@ def test_run_dialogue_contexts_equal_from_scratch_assembly(small_corpus, monkeyp
     assert sorted(compressed_turns) == sorted(expected_compressed)
 
 
+@pytest.mark.parametrize("strategy, compress_current", STRATEGY_CASES)
+def test_run_dialogue_embeds_only_the_turns_contexts_read(small_corpus, monkeypatch, strategy, compress_current):
+    embedder = _embedder(8)
+    compressor = build_compressor(CONFIG)
+    embedded = []
+    embed_turn = EmbeddingPipeline.embed_turn
+
+    def counting_embed_turn(self, dialogue, turn_index):
+        embedded.append(turn_index)
+        return embed_turn(self, dialogue, turn_index)
+
+    monkeypatch.setattr(EmbeddingPipeline, "embed_turn", counting_embed_turn)
+    for dlg in small_corpus:
+        embedded.clear()
+        run_dialogue(dlg, strategy, RecordingPredictor(), embedder, compressor, compress_current=compress_current)
+        users = dlg.user_turn_indices()
+        if strategy is Strategy.MULTIMODAL:
+            assert embedded == users
+        else:
+            assert embedded == list(range(1, users[-1] + 1))
+        assert users[-1] < len(dlg.turns)  # a trailing agent turn exists and is skipped
+
+
 @pytest.mark.parametrize("stride", [1, 2, 3])
 def test_turn_rows_equal_embedded_rows(small_corpus, stride):
     for embedder in (_embedder(8, stride), EmbeddingPipeline(build_connector(8, CONFIG), stride=stride)):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import builtins
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,13 @@ import pytest
 from click.testing import CliRunner
 
 from dst_lab import assembly
+from dst_lab import corpus as corpus_module
 from dst_lab.cli import main
-from dst_lab.corpus import load_corpus
+from dst_lab.corpus import default_corrupted_ids, filter_corrupted, load_corpus, synthetic_taxonomy
+from dst_lab.metrics import evaluate, references_from_corpus, states_from_records
 from dst_lab.neural import layers
+from dst_lab.postprocess import MatchPolicy
+from dst_lab.reporting import render_report
 from dst_lab.state_codec import read_predictions
 
 
@@ -181,6 +187,33 @@ def test_run_rejects_non_positive_counts(runner, tmp_path, flag, value):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("stride", 0, "must be >= 1, got 0"),
+        ("d_model", 0, "must be >= 1, got 0"),
+        ("n_heads", -2, "must be >= 1, got -2"),
+        ("n_heads", 3, "must divide d_model=16, got 3"),
+        ("n_layers", 0, "must be >= 1, got 0"),
+        ("budget_rows", 0, "must be >= 1, got 0"),
+        ("drop_prob", 1.5, "must be in [0, 1], got 1.5"),
+        ("typo_prob", -0.1, "must be in [0, 1], got -0.1"),
+        ("insert_prob", float("nan"), "must be in [0, 1], got nan"),
+        ("time_reformat_prob", float("inf"), "must be in [0, 1], got inf"),
+    ],
+)
+def test_run_rejects_out_of_range_manifest_field(runner, tmp_path, field, value, message):
+    _synth(runner, tmp_path / "corpus")
+    manifest = {"corpus": str(tmp_path / "corpus"), "strategy": "compressed", "out": str(tmp_path / "run")}
+    manifest[field] = value
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest))
+    result = runner.invoke(main, ["run", "--manifest", str(manifest_path)])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for field '{field}': {message}" in result.output
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("compress_current", ["--compress-current", "--no-compress-current"])
 def test_context_lengths_csv_matches_assembled_contexts(runner, tmp_path, monkeypatch, compress_current):
     _synth(runner, tmp_path / "corpus")
@@ -253,6 +286,78 @@ def test_run_isolates_per_dialogue_failures(runner, tmp_path):
     assert all(r.dialogue_id != victim for r in records)
 
 
+def test_run_embeds_no_turn_its_contexts_do_not_read(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus")
+    base = ["run", "--corpus", str(tmp_path / "corpus"), "--predictor", "noisy"]
+    result = runner.invoke(main, base + ["--strategy", "multimodal", "--out", str(tmp_path / "all")])
+    assert result.exit_code == 0, result.output
+    # a middle agent turn of one dialogue and the trailing agent turn of another
+    first, second = load_corpus(tmp_path / "corpus", "synthetic_json")[:2]
+    (tmp_path / "corpus" / "features" / f"{first.id}__t0002.f64").unlink()
+    (tmp_path / "corpus" / "features" / f"{second.id}__t0006.f64").unlink()
+
+    result = runner.invoke(main, base + ["--strategy", "multimodal", "--out", str(tmp_path / "mm")])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "mm" / "run_summary.json").read_text())["failures"] == []
+    for name in ("predictions.ndjson", "context_lengths.csv"):
+        assert (tmp_path / "mm" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+    # the spoken contexts of user turns 3 and 5 hold turn 2; no context holds turn 6
+    result = runner.invoke(main, base + ["--strategy", "full", "--out", str(tmp_path / "full")])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "full" / "run_summary.json").read_text())
+    assert [f["dialogue_id"] for f in summary["failures"]] == [first.id]
+
+
+def test_evaluate_reads_the_corpus_document_once_and_no_sidecar(runner, tmp_path, monkeypatch):
+    _synth(runner, tmp_path / "corpus")
+    result = runner.invoke(
+        main,
+        [
+            "run",
+            "--corpus", str(tmp_path / "corpus"),
+            "--strategy", "multimodal",
+            "--predictor", "noisy",
+            "--out", str(tmp_path / "run"),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    predictions = tmp_path / "run" / "predictions.ndjson"
+    # reference report: scored on the fully loaded corpus, sidecars included
+    references = references_from_corpus(
+        filter_corrupted(load_corpus(tmp_path / "corpus", "synthetic_json"), default_corrupted_ids())
+    )
+    states = states_from_records(read_predictions(predictions))
+    report = evaluate(states, references, MatchPolicy(), synthetic_taxonomy(), 6)
+    expected = render_report(report, {"json", "csv", "svg"}, tmp_path / "expected")
+
+    opened: list[str] = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        if isinstance(file, (str, Path)):
+            opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    def no_sidecar(path):
+        raise AssertionError(f"evaluate read sidecar {path}")
+
+    args = ["evaluate", "--predictions", str(predictions), "--corpus", str(tmp_path / "corpus")]
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", recording_open)
+        patch.setattr(corpus_module, "read_feature_sidecar", no_sidecar)
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "report")])
+    assert result.exit_code == 0, result.output
+    assert opened.count("corpus.json") == 1
+
+    shutil.rmtree(tmp_path / "corpus" / "features")
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "report_no_features")])
+    assert result.exit_code == 0, result.output
+    for path in expected:
+        for out in ("report", "report_no_features"):
+            assert (tmp_path / out / Path(path).name).read_bytes() == Path(path).read_bytes()
+
+
 def test_evaluate_alignment_failure_exit_code(runner, tmp_path):
     _synth(runner, tmp_path / "corpus")
     empty = tmp_path / "empty.ndjson"
@@ -316,6 +421,15 @@ def test_probe_empty_n_queries_writes_header_only(runner, tmp_path):
     result = runner.invoke(main, ["probe", "--seeds", "0", "--out", str(tmp_path / "probe.csv")])
     assert result.exit_code == 0, result.output
     assert (tmp_path / "probe.csv").read_text() == "seed,n_queries,accuracy\n"
+
+
+def test_probe_rejects_non_integer_seeds(runner, tmp_path):
+    args = ["probe", "--n-queries", "1", "--seeds", "0,x", "--out", str(tmp_path / "p.csv")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for --seeds: expected comma-separated integers, got '0,x'" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_probe_smoke_row_shape(runner, tmp_path):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dst_lab import corpus
 from dst_lab.corpus import (
     CorpusFormatError,
     Dialogue,
@@ -17,7 +18,7 @@ from dst_lab.corpus import (
     default_corrupted_ids,
     filter_corrupted,
     load_corpus,
-    load_taxonomy,
+    parse_corpus,
     read_feature_sidecar,
     scan_transcript_mentions,
     synth_corpus,
@@ -87,12 +88,15 @@ def test_malformed_json_reports_offset(tmp_path):
     assert err.value.offset is not None
 
 
-def test_synth_roundtrip_through_disk(tmp_path, small_corpus):
+def test_synth_roundtrip_through_disk(tmp_path, small_corpus, monkeypatch):
     write_corpus(tmp_path / "c", small_corpus, taxonomy=synthetic_taxonomy())
     reloaded = load_corpus(tmp_path / "c", "synthetic_json")
     assert reloaded == small_corpus
-    taxonomy = load_taxonomy(tmp_path / "c")
+    monkeypatch.setattr(corpus, "read_feature_sidecar", None)  # parse_corpus reads no sidecar
+    parsed, taxonomy = parse_corpus(tmp_path / "c", "synthetic_json")
     assert taxonomy == synthetic_taxonomy()
+    assert [(d.id, d.gold_states) for d in parsed] == [(d.id, d.gold_states) for d in small_corpus]
+    assert all(t.features is None for d in parsed for t in d.turns)
 
 
 def test_synth_determinism_bytes(tmp_path):
@@ -220,6 +224,46 @@ def test_malformed_sidecar_header_is_a_format_error(tmp_path, header):
     path.write_bytes(b"DSTLFEA1" + len(header).to_bytes(4, "little") + header)
     with pytest.raises(CorpusFormatError, match="malformed sidecar header") as info:
         read_feature_sidecar(path)
+    assert info.value.offset == 12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("positions", [(0,), (3,), (5,), (2, 4)])
+def test_non_finite_sidecar_value_is_a_format_error(tmp_path, bad, positions):
+    path = tmp_path / "x.f64"
+    mat = np.arange(6.0).reshape(3, 2)
+    mat.flat[list(positions)] = bad
+    write_feature_sidecar(path, "dlg", 3, mat)
+    payload_start = path.stat().st_size - 48
+    with pytest.raises(CorpusFormatError, match="non-finite feature value") as info:
+        read_feature_sidecar(path)
+    assert info.value.path == str(path)
+    assert info.value.offset == payload_start + 8 * positions[0]
+
+
+def test_non_finite_sidecar_fails_corpus_load(tmp_path, small_corpus):
+    write_corpus(tmp_path / "c", small_corpus)
+    dlg = small_corpus[1]
+    agent_turn = dlg.turns[1]
+    features = agent_turn.features.copy()
+    features[1, 2] = np.nan
+    sidecar = tmp_path / "c" / "features" / f"{dlg.id}__t{agent_turn.index:04d}.f64"
+    write_feature_sidecar(sidecar, dlg.id, agent_turn.index, features)
+    with pytest.raises(CorpusFormatError, match="non-finite") as info:
+        load_corpus(tmp_path / "c", "synthetic_json")
+    assert info.value.path == str(sidecar)
+    assert info.value.offset == sidecar.stat().st_size - features.size * 8 + 8 * (features.shape[1] + 2)
+
+
+@pytest.mark.parametrize("header_id, header_turn", [("other", 2), (None, 4)])
+def test_sidecar_header_must_match_its_file(tmp_path, small_corpus, header_id, header_turn):
+    write_corpus(tmp_path / "c", small_corpus)
+    dlg = small_corpus[0]
+    sidecar = tmp_path / "c" / "features" / f"{dlg.id}__t0002.f64"
+    write_feature_sidecar(sidecar, header_id or dlg.id, header_turn, dlg.turns[1].features)
+    with pytest.raises(CorpusFormatError, match="sidecar header is for") as info:
+        load_corpus(tmp_path / "c", "synthetic_json")
+    assert info.value.path == str(sidecar)
     assert info.value.offset == 12
 
 

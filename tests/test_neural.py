@@ -20,6 +20,8 @@ from dst_lab.neural.pipeline import (
     downsample,
 )
 
+from oracles import OracleLayerNorm
+
 RNG = np.random.default_rng(1234)
 
 
@@ -241,6 +243,39 @@ def test_layernorm_normalizes():
     out = ln.forward(x)
     assert np.abs(out.mean(axis=-1)).max() < 1e-9
     assert np.abs(out.std(axis=-1) - 1.0).max() < 1e-3
+
+
+# (batch, rows, d_model, stack): batch-1 run shapes, probe training batches, and
+# gradcheck's stacked parameter copies (stack > 0: gamma and beta of shape
+# (stack, 1, d); batch == stack: a stacked input from an upstream layer)
+LAYERNORM_CASES = [
+    (1, 3, 16, 0),
+    (1, 40, 16, 0),
+    (240, 9, 16, 0),
+    (240, 8, 16, 0),
+    (1, 5, 8, 64),
+    (64, 9, 8, 0),
+]
+
+
+@pytest.mark.parametrize("batch, rows, d, stack", LAYERNORM_CASES)
+def test_layernorm_bitwise_equals_mean_oracle(batch, rows, d, stack):
+    rng = np.random.default_rng(batch * 1000 + rows * 10 + d + stack)
+    ln = LayerNorm(d)
+    shape = (stack, 1, d) if stack else (d,)
+    ln._params["gamma"] = 1.0 + 0.1 * rng.standard_normal(shape)
+    ln._params["beta"] = 0.1 * rng.standard_normal(shape)
+    oracle = OracleLayerNorm(ln._params["gamma"], ln._params["beta"])
+    x = rng.standard_normal((batch, rows, d)) * 3 + 1
+    out = ln.forward(x)
+    assert out.tobytes() == oracle.forward(x).tobytes()
+    if stack:
+        return  # backward passes support only ordinary parameters
+    dout = rng.standard_normal(out.shape)
+    dx, dgamma, dbeta = oracle.backward(dout)
+    assert ln.backward(dout).tobytes() == dx.tobytes()
+    assert ln._grads["gamma"].tobytes() == dgamma.tobytes()
+    assert ln._grads["beta"].tobytes() == dbeta.tobytes()
 
 
 def test_softmax_last_stable():
