@@ -24,11 +24,8 @@ from .corpus import (
 from .postprocess import MatchPolicy, canonicalize_time, levenshtein_ratio, values_match
 from .state_codec import (
     AsrHypothesis,
-    EmbeddingSlot,
     ParseFailure,
-    PromptSpec,
     Strategy,
-    TextSegment,
     build_prompt,
     parse_state,
     serialize_state,
@@ -38,15 +35,12 @@ __all__ = [
     "AsrHypothesis",
     "Dialogue",
     "DialogueState",
-    "EmbeddingSlot",
     "MatchPolicy",
     "ParseFailure",
-    "PromptSpec",
     "SlotTaxonomy",
     "Speaker",
     "Strategy",
     "SynthConfig",
-    "TextSegment",
     "Turn",
     "build_prompt",
     "canonicalize_time",

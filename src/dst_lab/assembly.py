@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Iterable, Protocol
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .neural.pipeline import (
 from .state_codec import (
     AsrHypothesis,
     ParseFailure,
-    PromptSpec,
     SPOKEN_PROMPT_PREFIX,
     Strategy,
     build_prompt,
@@ -79,6 +78,7 @@ def assemble(
     so a caller passing one map for every turn of a dialogue compresses each
     turn once. Without it every compressed block is computed afresh.
     """
+    compressed = {} if compressed is None else compressed
     if not turn_embeddings:
         raise ValueError("need at least one turn embedding")
     if strategy is Strategy.COMPRESSED_SPOKEN and compressor is None:
@@ -95,11 +95,9 @@ def assemble(
     for position, emb in enumerate(turn_embeddings):
         is_current = position == len(turn_embeddings) - 1
         if strategy is Strategy.COMPRESSED_SPOKEN and (not is_current or compress_current):
-            block = None if compressed is None else compressed.get(emb.turn_index)
+            block = compressed.get(emb.turn_index)
             if block is None:
-                block = compress_turn(emb, compressor)
-                if compressed is not None:
-                    compressed[emb.turn_index] = block
+                block = compressed[emb.turn_index] = compress_turn(emb, compressor)
         else:
             block = emb.matrix
         parts.append(block)
@@ -131,19 +129,6 @@ class EmbeddingPipeline:
         x = downsample(x, self.stride)
         return SpeechEmbedding(connector_forward(x, self.connector), dialogue.id, turn_index)
 
-    def turn_rows(self, dialogue: Dialogue, turn_index: int) -> int:
-        """Rows ``embed_turn`` returns for the turn, computed without embedding
-        it: the encoder stub and the connector keep the row count, so only the
-        stride changes it."""
-        turn = dialogue.turn(turn_index)
-        if turn.features is None:
-            raise ValueError(f"turn {turn_index} of dialogue {dialogue.id} has no features")
-        return len(range(0, turn.features.shape[0], self.stride))
-
-    def embed_dialogue(self, dialogue: Dialogue, up_to: int | None = None) -> list[SpeechEmbedding]:
-        last = up_to if up_to is not None else len(dialogue.turns)
-        return [self.embed_turn(dialogue, i) for i in range(1, last + 1)]
-
 
 # ---------------------------------------------------------------------------
 # Predictors
@@ -155,7 +140,6 @@ class PredictionRequest:
     dialogue: Dialogue
     turn_index: int
     strategy: Strategy
-    prompt: PromptSpec
     context: AssembledContext
     gold_state: DialogueState
 
@@ -354,6 +338,7 @@ class TurnResult:
     turn_index: int
     raw_output: str
     state: DialogueState
+    context_rows: int
     parse_failed: bool = False
     diagnostics: list[str] = field(default_factory=list)
 
@@ -401,14 +386,12 @@ def run_dialogue(
             embeddings,
             compressor,
             compress_current=compress_current,
-            text_part=prompt.text(),
+            text_part=prompt,
             compressed=compressed,
         )
         gold = dialogue.gold_states.get(n, DialogueState())
-        completion = predictor.predict(
-            PredictionRequest(dialogue, n, strategy, prompt, context, gold)
-        )
-        raw_output = prompt.text() + completion
+        completion = predictor.predict(PredictionRequest(dialogue, n, strategy, context, gold))
+        raw_output = prompt + completion
         diagnostics: list[str] = []
         try:
             state, diagnostics = parse_state(raw_output)
@@ -423,7 +406,7 @@ def run_dialogue(
                 hypothesis = ""
                 diagnostics.append("missing user_last_turn in output; empty hypothesis stored")
             asr_history.append(AsrHypothesis(n, hypothesis))
-        results.append(TurnResult(n, raw_output, state, failed, diagnostics))
+        results.append(TurnResult(n, raw_output, state, context.total_rows, failed, diagnostics))
     return results
 
 
@@ -441,67 +424,20 @@ class ContextLengthRow:
     n_turns: int
 
 
-def expected_total_rows(
-    strategy: Strategy, per_turn_rows: list[int], n_queries: int, *, compress_current: bool = False
-) -> int:
-    """Row-count law for a context over turns 1..n with the given per-turn rows."""
-    if strategy is Strategy.MULTIMODAL:
-        return per_turn_rows[-1]
-    if strategy is Strategy.FULL_SPOKEN:
-        return sum(per_turn_rows)
-    prior = (len(per_turn_rows) - 1) * n_queries
-    current = n_queries if compress_current else per_turn_rows[-1]
-    return prior + current
-
-
 def context_length_report(
-    corpus: list[Dialogue],
-    strategies: list[Strategy],
-    n_queries_list: list[int],
-    embedder: EmbeddingPipeline,
-    *,
-    compress_current: bool = False,
+    strategy: Strategy, n_queries: int, results: Iterable[TurnResult]
 ) -> list[ContextLengthRow]:
-    """Mean assembled rows per user-turn index for each strategy.
+    """Mean assembled rows per user-turn index over a run's turn results.
 
-    Per-turn row counts come from ``embedder.turn_rows``, so no turn is
-    embedded again. Like ``run_dialogue``, it reads only the turns a context
-    holds: user turns for multimodal, turns up to the last user turn for the
-    spoken strategies. ``compress_current`` must match the run's flag.
+    The rows are the ``context_rows`` that ``run_dialogue`` recorded, so the
+    report follows every layout option of the run. ``n_queries`` is kept only
+    for the compressed strategy.
     """
-    spoken = any(strategy is not Strategy.MULTIMODAL for strategy in strategies)
-    per_dialogue_rows: dict[str, dict[int, int]] = {}
-    for dlg in corpus:
-        users = dlg.user_turn_indices()
-        read = range(1, users[-1] + 1) if spoken and users else users
-        per_dialogue_rows[dlg.id] = {i: embedder.turn_rows(dlg, i) for i in read}
-
-    out: list[ContextLengthRow] = []
-    variants: list[tuple[Strategy, int | None]] = []
-    for strategy in strategies:
-        if strategy is Strategy.COMPRESSED_SPOKEN:
-            variants.extend((strategy, n) for n in n_queries_list)
-        else:
-            variants.append((strategy, None))
-    for strategy, n_queries in variants:
-        totals: dict[int, list[int]] = {}
-        for dlg in corpus:
-            rows = per_dialogue_rows[dlg.id]
-            for n in dlg.user_turn_indices():
-                read = [n] if strategy is Strategy.MULTIMODAL else range(1, n + 1)
-                total = expected_total_rows(
-                    strategy, [rows[i] for i in read], n_queries or 0, compress_current=compress_current
-                )
-                totals.setdefault(n, []).append(total)
-        for turn_index in sorted(totals):
-            values = totals[turn_index]
-            out.append(
-                ContextLengthRow(
-                    strategy=strategy,
-                    n_queries=n_queries,
-                    turn_index=turn_index,
-                    mean_rows=float(np.mean(values)),
-                    n_turns=len(values),
-                )
-            )
-    return out
+    totals: dict[int, list[int]] = {}
+    for result in results:
+        totals.setdefault(result.turn_index, []).append(result.context_rows)
+    kept_queries = n_queries if strategy is Strategy.COMPRESSED_SPOKEN else None
+    return [
+        ContextLengthRow(strategy, kept_queries, n, float(np.mean(totals[n])), len(totals[n]))
+        for n in sorted(totals)
+    ]

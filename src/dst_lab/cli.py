@@ -31,6 +31,7 @@ from .assembly import (
     run_dialogue,
 )
 from .corpus import (
+    CorpusFormatError,
     Dialogue,
     SynthConfig,
     default_corrupted_ids,
@@ -104,8 +105,18 @@ def _parse_exclude_ids(value: str | None) -> list[str]:
     path = Path(value)
     if path.exists():
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return [str(x) for x in (obj["ids"] if isinstance(obj, dict) else obj)]
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise click.BadParameter(
+                    f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}", param_hint="--exclude-ids"
+                ) from exc
+        ids = obj.get("ids") if isinstance(obj, dict) else obj
+        if not isinstance(ids, list):
+            raise click.BadParameter(
+                f"{path}: expected a JSON list of ids or an object with an 'ids' list", param_hint="--exclude-ids"
+            )
+        return [str(x) for x in ids]
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
@@ -207,7 +218,10 @@ def _require_positive(value: int, flag: str) -> None:
 
 
 def _load_run_corpus(manifest: RunManifest) -> list[Dialogue]:
-    dialogues = load_corpus(manifest.corpus, manifest.format)
+    try:
+        dialogues = load_corpus(manifest.corpus, manifest.format)
+    except CorpusFormatError as exc:
+        raise click.ClickException(str(exc)) from exc
     return filter_corrupted(dialogues, manifest.exclude_ids)
 
 
@@ -240,12 +254,19 @@ def _load_agent_texts(path: str | None) -> dict[str, dict[int, str]]:
         return {}
     out: dict[str, dict[int, str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            out.setdefault(str(obj["dialogue_id"]), {})[int(obj["turn_index"])] = str(obj["text"])
+            try:
+                obj = json.loads(line)
+                out.setdefault(str(obj["dialogue_id"]), {})[int(obj["turn_index"])] = str(obj["text"])
+            except json.JSONDecodeError as exc:
+                raise click.ClickException(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
+            except KeyError as exc:
+                raise click.ClickException(f"{path}:{line_no}: missing field {exc.args[0]!r}") from exc
+            except (TypeError, ValueError) as exc:
+                raise click.ClickException(f"{path}:{line_no}: malformed record: {exc}") from exc
     return out
 
 
@@ -442,13 +463,9 @@ def cmd_run(
     out_dir = Path(run_manifest.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_predictions(out_dir / "predictions.ndjson", records)
-    failed_ids = {f["dialogue_id"] for f in failures}
+    # a failed dialogue has no turn results, so only the dialogues that succeeded count
     length_rows = context_length_report(
-        [d for d in dialogues if d.id not in failed_ids],
-        [strategy_enum],
-        [run_manifest.n_queries],
-        embedder,
-        compress_current=run_manifest.compress_current,
+        strategy_enum, run_manifest.n_queries, [r for _, results, _ in outcomes for r in results]
     )
     with open(out_dir / "context_lengths.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(render_context_lengths(length_rows))
@@ -489,7 +506,10 @@ def cmd_evaluate(
     except PredictionFileError as exc:
         raise click.ClickException(str(exc)) from exc
     # scoring reads gold states only, so no feature sidecar is loaded
-    dialogues, taxonomy = parse_corpus(corpus, format_)
+    try:
+        dialogues, taxonomy = parse_corpus(corpus, format_)
+    except CorpusFormatError as exc:
+        raise click.ClickException(str(exc)) from exc
     dialogues = filter_corrupted(dialogues, _parse_exclude_ids(exclude_ids))
     if format_ == "synthetic_json":
         taxonomy = taxonomy or synthetic_taxonomy()

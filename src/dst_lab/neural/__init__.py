@@ -1,6 +1,6 @@
 """Desk-scale neural stack: connector, query compressor, trainer, gradcheck."""
 
-from .checkpoint import group_bytes, load_checkpoint, save_checkpoint
+from .checkpoint import group_bytes
 from .gradcheck import GradCheckResult, grad_check, grad_check_suite
 from .pipeline import (
     CompressorConfig,
@@ -48,8 +48,6 @@ __all__ = [
     "grad_check",
     "grad_check_suite",
     "group_bytes",
-    "load_checkpoint",
     "probe_retention",
-    "save_checkpoint",
     "train",
 ]

@@ -1,94 +1,13 @@
-"""Single-file binary checkpoints for pipeline parameters.
-
-Layout: 8-byte magic, little-endian uint32 manifest length, UTF-8 JSON
-manifest, then the parameter payload. The manifest lists entries in payload
-order as {group, name, shape}; each entry's data is C-order little-endian
-float64.
-"""
+"""Byte view of a parameter group, for bitwise freeze checks."""
 
 from __future__ import annotations
 
-import json
-import struct
-from pathlib import Path
-
 import numpy as np
-
-CHECKPOINT_MAGIC = b"DSTLCKP1"
-CHECKPOINT_VERSION = 1
-
-
-class CheckpointError(ValueError):
-    pass
-
-
-def _ordered_entries(groups: dict[str, dict[str, np.ndarray]]) -> list[tuple[str, str, np.ndarray]]:
-    out = []
-    for group in sorted(groups):
-        for name in sorted(groups[group]):
-            out.append((group, name, groups[group][name]))
-    return out
 
 
 def group_bytes(groups: dict[str, dict[str, np.ndarray]], group: str) -> bytes:
-    """Exact payload bytes a checkpoint would store for one parameter group."""
-    if group not in groups:
-        raise KeyError(group)
-    chunks = [
-        np.ascontiguousarray(array, dtype="<f8").tobytes(order="C")
-        for _, _, array in _ordered_entries({group: groups[group]})
-    ]
-    return b"".join(chunks)
-
-
-def save_checkpoint(path: str | Path, groups: dict[str, dict[str, np.ndarray]]) -> None:
-    entries = _ordered_entries(groups)
-    manifest = json.dumps(
-        {
-            "format_version": CHECKPOINT_VERSION,
-            "entries": [
-                {"group": g, "name": n, "shape": list(a.shape)} for g, n, a in entries
-            ],
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(manifest)))
-        fh.write(manifest)
-        for _, _, array in entries:
-            fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes(order="C"))
-
-
-def load_checkpoint(path: str | Path) -> dict[str, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad checkpoint magic in {path}")
-        (manifest_len,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(manifest_len).decode("utf-8"))
-        if manifest.get("format_version") != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version in {path}")
-        groups: dict[str, dict[str, np.ndarray]] = {}
-        for entry in manifest["entries"]:
-            shape = tuple(int(s) for s in entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-            groups.setdefault(entry["group"], {})[entry["name"]] = data.astype(np.float64)
-    return groups
-
-
-def restore_into(pipeline_groups: dict[str, dict[str, np.ndarray]], loaded: dict[str, dict[str, np.ndarray]]) -> None:
-    """Copy loaded values into live parameter arrays, validating shapes."""
-    for group, params in loaded.items():
-        if group not in pipeline_groups:
-            raise CheckpointError(f"checkpoint group {group!r} not present in pipeline")
-        for name, value in params.items():
-            target = pipeline_groups[group].get(name)
-            if target is None:
-                raise CheckpointError(f"checkpoint parameter {group}.{name} not present in pipeline")
-            if target.shape != value.shape:
-                raise CheckpointError(
-                    f"shape mismatch for {group}.{name}: checkpoint {value.shape}, pipeline {target.shape}"
-                )
-            target[...] = value
+    """One group's parameters as C-order little-endian float64 bytes, in name order."""
+    params = groups[group]
+    return b"".join(
+        np.ascontiguousarray(params[name], dtype="<f8").tobytes(order="C") for name in sorted(params)
+    )

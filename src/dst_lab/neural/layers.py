@@ -28,10 +28,6 @@ def init_matrix(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(d_in, d_out))
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_SQRT_2_OVER_PI * (x + _GELU_C * x * x * x)))
-
-
 def _gelu_with_tanh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t = np.tanh(_SQRT_2_OVER_PI * (x + _GELU_C * x * x * x))
     return 0.5 * x * (1.0 + t), t

@@ -31,30 +31,6 @@ class ParseFailure(ValueError):
 
 
 @dataclass(frozen=True)
-class TextSegment:
-    text: str
-
-
-@dataclass(frozen=True)
-class EmbeddingSlot:
-    turn_index: int
-
-
-@dataclass
-class PromptSpec:
-    """Interleaved text and embedding placeholders for one prompt layout."""
-
-    strategy: Strategy
-    segments: list[TextSegment | EmbeddingSlot] = field(default_factory=list)
-
-    def embedding_slots(self) -> list[EmbeddingSlot]:
-        return [s for s in self.segments if isinstance(s, EmbeddingSlot)]
-
-    def text(self) -> str:
-        return "".join(s.text for s in self.segments if isinstance(s, TextSegment))
-
-
-@dataclass(frozen=True)
 class AsrHypothesis:
     turn_index: int
     text: str
@@ -83,17 +59,19 @@ def serialize_state(state: DialogueState) -> str:
 
 
 def _extract_json_object(text: str) -> tuple[str, list[str]]:
-    """Outermost {...} span, repaired if the text ends mid-object."""
-    diagnostics: list[str] = []
+    """Outermost {...} span without trailing commas, closed if the text ends
+    mid-object. One scan tracks strings and depth and drops each comma that
+    directly precedes a closing brace or bracket outside a string."""
     start = text.find("{")
     if start < 0:
         raise ParseFailure("no JSON object found", text)
+    diagnostics: list[str] = []
+    out: list[str] = []
     depth = 0
     in_string = False
     escaped = False
-    end = None
-    for i in range(start, len(text)):
-        ch = text[i]
+    stripped = False
+    for ch in text[start:]:
         if in_string:
             if escaped:
                 escaped = False
@@ -101,69 +79,48 @@ def _extract_json_object(text: str) -> tuple[str, list[str]]:
                 escaped = True
             elif ch == '"':
                 in_string = False
-            continue
-        if ch == '"':
+        elif ch == '"':
             in_string = True
         elif ch == "{":
             depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                end = i + 1
-                break
-    if end is not None:
-        return text[start:end], diagnostics
-    fragment = text[start:].rstrip()
-    if in_string:
-        fragment += '"'
-        diagnostics.append("repaired: unterminated string")
-    fragment = fragment.rstrip()
-    if fragment.endswith(","):
-        fragment = fragment[:-1].rstrip()
-        diagnostics.append("repaired: trailing comma at end of output")
-    # The repairs above touch no brace outside a string, so the scan's depth
-    # (at least 1 here) is still the number of unclosed objects.
-    fragment += "}" * depth
-    diagnostics.append(f"repaired: closed {depth} unterminated object(s)")
-    return fragment, diagnostics
-
-
-def _strip_trailing_commas(text: str) -> tuple[str, bool]:
-    out: list[str] = []
-    in_string = False
-    escaped = False
-    changed = False
-    for ch in text:
-        if in_string:
-            out.append(ch)
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-            out.append(ch)
-            continue
-        if ch in "}]":
+        elif ch in "}]":
             j = len(out) - 1
             while j >= 0 and out[j] in " \t\r\n":
                 j -= 1
             if j >= 0 and out[j] == ",":
                 del out[j]
-                changed = True
+                stripped = True
+            if ch == "}":
+                depth -= 1
+                if depth == 0:
+                    out.append(ch)
+                    break
         out.append(ch)
-    return "".join(out), changed
+    fragment = "".join(out)
+    if depth:  # the text ended inside the object
+        fragment = fragment.rstrip()
+        if in_string:
+            fragment += '"'
+            diagnostics.append("repaired: unterminated string")
+        elif fragment.endswith(","):
+            fragment = fragment[:-1].rstrip()
+            diagnostics.append("repaired: trailing comma at end of output")
+        # the first closing brace appended below drops one more trailing comma
+        if fragment.endswith(","):
+            fragment = fragment[:-1]
+            stripped = True
+        # The repairs above touch no brace outside a string, so the scan's depth
+        # (at least 1 here) is still the number of unclosed objects.
+        fragment += "}" * depth
+        diagnostics.append(f"repaired: closed {depth} unterminated object(s)")
+    if stripped:
+        diagnostics.append("repaired: trailing comma")
+    return fragment, diagnostics
 
 
 def _decode_repaired(text: str) -> tuple[object, list[str]]:
     """The first JSON object in ``text`` after repairs, with their diagnostics."""
     fragment, diagnostics = _extract_json_object(text)
-    fragment, stripped = _strip_trailing_commas(fragment)
-    if stripped:
-        diagnostics.append("repaired: trailing comma")
     try:
         return json.loads(fragment), diagnostics
     except json.JSONDecodeError as exc:
@@ -258,13 +215,13 @@ def build_prompt(
     turn_index: int,
     asr_history: list[AsrHypothesis] | None = None,
     agent_texts: Mapping[int, str] | None = None,
-) -> PromptSpec:
-    """Prompt layout for predicting the state at ``turn_index``.
+) -> str:
+    """Prompt text for predicting the state at ``turn_index``.
 
-    Multimodal prompts embed only the current user turn and render prior turns
-    as text: prior user turns come from ``asr_history`` (the model feedback
-    loop), prior agent turns from ``agent_texts`` when given, else from gold
-    transcripts. Spoken prompts embed every turn and carry no transcripts.
+    Multimodal prompts render prior turns as text: prior user turns come from
+    ``asr_history`` (the model feedback loop), prior agent turns from
+    ``agent_texts`` when given, else from gold transcripts. Spoken prompts
+    carry no transcripts; their turns reach the model only as speech.
     """
     turn = dialogue.turn(turn_index)
     if turn.speaker is not Speaker.USER:
@@ -286,16 +243,12 @@ def build_prompt(
                 if agent_texts is not None and prior.index in agent_texts:
                     text = agent_texts[prior.index]
                 entries.append((Speaker.AGENT, text))
-        text = (
+        return (
             MULTIMODAL_PROMPT_PREFIX
             + json.dumps(format_history(entries), ensure_ascii=True)
             + MULTIMODAL_PROMPT_INFIX
         )
-        return PromptSpec(strategy, [EmbeddingSlot(turn_index), TextSegment(text)])
-
-    slots: list[TextSegment | EmbeddingSlot] = [EmbeddingSlot(i) for i in range(1, turn_index + 1)]
-    slots.append(TextSegment(SPOKEN_PROMPT_PREFIX))
-    return PromptSpec(strategy, slots)
+    return SPOKEN_PROMPT_PREFIX
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,11 @@ dst_lab.postprocess, dst_lab.metrics, or dst_lab.neural.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+
+from dst_lab.state_codec import ParseFailure, Strategy
 
 
 def oracle_levenshtein_distance(a: str, b: str) -> int:
@@ -276,3 +280,118 @@ class OracleLayerNorm:
             - normed * (dnormed * normed).mean(axis=-1, keepdims=True)
         ) * inv_std
         return dx, dgamma, dbeta
+
+
+def gelu(x: np.ndarray) -> np.ndarray:
+    """Tanh-approximated GELU."""
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x * x * x)))
+
+
+def oracle_total_rows(
+    strategy: Strategy, per_turn_rows: list[int], n_queries: int, *, compress_current: bool = False
+) -> int:
+    """Rows of the context assembled at turn n, given the embedded rows of turns 1..n.
+
+    Multimodal reads turn n alone, full spoken every turn, and compressed spoken
+    ``n_queries`` rows per prior turn plus the current turn (also pooled under
+    ``compress_current``).
+    """
+    if strategy is Strategy.MULTIMODAL:
+        return per_turn_rows[-1]
+    if strategy is Strategy.FULL_SPOKEN:
+        return sum(per_turn_rows)
+    prior = (len(per_turn_rows) - 1) * n_queries
+    current = n_queries if compress_current else per_turn_rows[-1]
+    return prior + current
+
+
+# Two-pass JSON repair: extract (and close) the outermost object, then strip
+# trailing commas from the fragment in a second scan.
+
+
+def oracle_extract_json_object(text: str) -> tuple[str, list[str]]:
+    """Outermost {...} span, repaired if the text ends mid-object."""
+    diagnostics: list[str] = []
+    start = text.find("{")
+    if start < 0:
+        raise ParseFailure("no JSON object found", text)
+    depth = 0
+    in_string = False
+    escaped = False
+    end = None
+    for i in range(start, len(text)):
+        ch = text[i]
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+            continue
+        if ch == '"':
+            in_string = True
+        elif ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                end = i + 1
+                break
+    if end is not None:
+        return text[start:end], diagnostics
+    fragment = text[start:].rstrip()
+    if in_string:
+        fragment += '"'
+        diagnostics.append("repaired: unterminated string")
+    fragment = fragment.rstrip()
+    if fragment.endswith(","):
+        fragment = fragment[:-1].rstrip()
+        diagnostics.append("repaired: trailing comma at end of output")
+    # The repairs above touch no brace outside a string, so the scan's depth
+    # (at least 1 here) is still the number of unclosed objects.
+    fragment += "}" * depth
+    diagnostics.append(f"repaired: closed {depth} unterminated object(s)")
+    return fragment, diagnostics
+
+
+def oracle_strip_trailing_commas(text: str) -> tuple[str, bool]:
+    out: list[str] = []
+    in_string = False
+    escaped = False
+    changed = False
+    for ch in text:
+        if in_string:
+            out.append(ch)
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+            continue
+        if ch == '"':
+            in_string = True
+            out.append(ch)
+            continue
+        if ch in "}]":
+            j = len(out) - 1
+            while j >= 0 and out[j] in " \t\r\n":
+                j -= 1
+            if j >= 0 and out[j] == ",":
+                del out[j]
+                changed = True
+        out.append(ch)
+    return "".join(out), changed
+
+
+def oracle_decode_repaired(text: str) -> tuple[object, list[str]]:
+    """The first JSON object in ``text`` after repairs, with their diagnostics."""
+    fragment, diagnostics = oracle_extract_json_object(text)
+    fragment, stripped = oracle_strip_trailing_commas(fragment)
+    if stripped:
+        diagnostics.append("repaired: trailing comma")
+    try:
+        return json.loads(fragment), diagnostics
+    except json.JSONDecodeError as exc:
+        raise ParseFailure(f"unparseable output: {exc.msg}", text) from exc

@@ -214,7 +214,7 @@ def test_acceptance_4_context_length_law():
                 stride=stride,
             )
             for dlg in corpus:
-                embeddings = embedder.embed_dialogue(dlg)
+                embeddings = [embedder.embed_turn(dlg, t.index) for t in dlg.turns]
                 rows = [e.rows for e in embeddings]
                 for n in dlg.user_turn_indices():
                     full = assemble(Strategy.FULL_SPOKEN, embeddings[:n])

@@ -11,7 +11,6 @@ from dst_lab.assembly import (
     OracleTruncated,
     assemble,
     context_length_report,
-    expected_total_rows,
     make_predictor,
     run_dialogue,
 )
@@ -27,6 +26,8 @@ from dst_lab.neural.pipeline import (
 )
 from dst_lab.postprocess import MatchPolicy
 from dst_lab.state_codec import Strategy
+
+from oracles import oracle_total_rows
 
 RNG = np.random.default_rng(77)
 CONFIG = CompressorConfig(d_model=16, n_heads=2, n_queries=10, seed=5)
@@ -236,7 +237,7 @@ def test_run_dialogue_contexts_equal_from_scratch_assembly(small_corpus, monkeyp
             patch.setattr(assembly, "compress_turn", counting_compress_turn)
             run_dialogue(dlg, strategy, recorder, embedder, compressor, compress_current=compress_current)
         assert sorted(recorder.contexts) == dlg.user_turn_indices()
-        embeddings = embedder.embed_dialogue(dlg)
+        embeddings = [embedder.embed_turn(dlg, t.index) for t in dlg.turns]
         for n, context in recorder.contexts.items():
             expected = assemble(strategy, embeddings[:n], compressor, compress_current=compress_current)
             assert np.array_equal(context.speech_part, expected.speech_part)
@@ -271,29 +272,33 @@ def test_run_dialogue_embeds_only_the_turns_contexts_read(small_corpus, monkeypa
         assert users[-1] < len(dlg.turns)  # a trailing agent turn exists and is skipped
 
 
-@pytest.mark.parametrize("stride", [1, 2, 3])
-def test_turn_rows_equal_embedded_rows(small_corpus, stride):
-    for embedder in (_embedder(8, stride), EmbeddingPipeline(build_connector(8, CONFIG), stride=stride)):
-        for dlg in small_corpus:
-            for turn in dlg.turns:
-                assert embedder.turn_rows(dlg, turn.index) == embedder.embed_turn(dlg, turn.index).rows
+def _run_results(corpus, strategy, embedder, compressor=None, *, compress_current=False):
+    """Turn results of every dialogue run under ``strategy``, and the contexts
+    the predictor received, keyed by (dialogue id, turn index)."""
+    results, contexts = [], {}
+    for dlg in corpus:
+        recorder = RecordingPredictor()
+        results += run_dialogue(dlg, strategy, recorder, embedder, compressor, compress_current=compress_current)
+        contexts.update({(dlg.id, n): context for n, context in recorder.contexts.items()})
+    return results, contexts
 
 
 @pytest.mark.parametrize("strategy, compress_current", STRATEGY_CASES)
 def test_context_length_report_equals_assembled_rows(small_corpus, strategy, compress_current):
     embedder = _embedder(8, stride=2)
     compressor = build_compressor(CONFIG)
-    assembled: dict[int, list[int]] = {}
-    for dlg in small_corpus:
-        recorder = RecordingPredictor()
-        run_dialogue(dlg, strategy, recorder, embedder, compressor, compress_current=compress_current)
-        for n, context in recorder.contexts.items():
-            assembled.setdefault(n, []).append(context.total_rows)
-    report = context_length_report(
-        small_corpus, [strategy], [CONFIG.n_queries], embedder, compress_current=compress_current
+    results, contexts = _run_results(
+        small_corpus, strategy, embedder, compressor, compress_current=compress_current
     )
+    assembled: dict[int, list[int]] = {}
+    for (_, n), context in contexts.items():
+        assembled.setdefault(n, []).append(context.total_rows)
+    report = context_length_report(strategy, CONFIG.n_queries, results)
     assert {r.turn_index: (r.mean_rows, r.n_turns) for r in report} == {
         n: (float(np.mean(rows)), len(rows)) for n, rows in assembled.items()
+    }
+    assert {r.n_queries for r in report} == {
+        CONFIG.n_queries if strategy is Strategy.COMPRESSED_SPOKEN else None
     }
 
 
@@ -302,36 +307,49 @@ def test_context_length_report_equals_assembled_rows(small_corpus, strategy, com
 # ---------------------------------------------------------------------------
 
 
+def _report(corpus, strategy, embedder, n_queries):
+    config = CompressorConfig(d_model=CONFIG.d_model, n_heads=CONFIG.n_heads, n_queries=n_queries, seed=CONFIG.seed)
+    results, _ = _run_results(corpus, strategy, embedder, build_compressor(config))
+    return context_length_report(strategy, n_queries, results)
+
+
 def test_context_length_report_matches_formulas(small_corpus):
     embedder = _embedder(8)
-    rows = context_length_report(
-        small_corpus, [Strategy.FULL_SPOKEN, Strategy.COMPRESSED_SPOKEN], [10], embedder
-    )
-    by_key = {(r.strategy, r.n_queries, r.turn_index): r for r in rows}
     per_turn_rows = {
         dlg.id: [embedder.embed_turn(dlg, t.index).rows for t in dlg.turns] for dlg in small_corpus
     }
-    for dlg in small_corpus:
-        for n in dlg.user_turn_indices():
-            full = expected_total_rows(Strategy.FULL_SPOKEN, per_turn_rows[dlg.id][:n], 0)
-            assert full == sum(per_turn_rows[dlg.id][:n])
+    for strategy in Strategy:
+        by_turn = {r.turn_index: r for r in _report(small_corpus, strategy, embedder, 10)}
+        expected: dict[int, list[int]] = {}
+        for dlg in small_corpus:
+            for n in dlg.user_turn_indices():
+                total = oracle_total_rows(strategy, per_turn_rows[dlg.id][:n], 10)
+                expected.setdefault(n, []).append(total)
+                if strategy is Strategy.FULL_SPOKEN:
+                    assert total == sum(per_turn_rows[dlg.id][:n])
+        assert {n: (r.mean_rows, r.n_turns) for n, r in by_turn.items()} == {
+            n: (float(np.mean(totals)), len(totals)) for n, totals in expected.items()
+        }
     # aggregated means are consistent with per-dialogue row counts
     n_max = max(idx for dlg in small_corpus for idx in dlg.user_turn_indices())
     expected_mean = np.mean([sum(per_turn_rows[d.id][:n_max]) for d in small_corpus])
-    assert by_key[(Strategy.FULL_SPOKEN, None, n_max)].mean_rows == pytest.approx(expected_mean)
+    full = {r.turn_index: r for r in _report(small_corpus, Strategy.FULL_SPOKEN, embedder, 10)}
+    assert full[n_max].mean_rows == pytest.approx(expected_mean)
 
 
 def test_context_length_single_turn_equal_rows(probe_corpus):
     embedder = _embedder(8)
     first_turn = [
         r
-        for r in context_length_report(
-            probe_corpus, list(Strategy), [4], embedder
-        )
+        for strategy in Strategy
+        for r in _report(probe_corpus, strategy, embedder, 4)
         if r.turn_index == 1
     ]
+    assert len(first_turn) == len(Strategy)
     values = {r.mean_rows for r in first_turn}
     assert len(values) == 1
+    first_rows = [embedder.embed_turn(dlg, 1).rows for dlg in probe_corpus]
+    assert values == {float(np.mean([oracle_total_rows(Strategy.COMPRESSED_SPOKEN, [r], 4) for r in first_rows]))}
 
 
 def test_context_length_ratio_near_one_when_queries_match_mean_rows(probe_corpus):
@@ -341,23 +359,31 @@ def test_context_length_ratio_near_one_when_queries_match_mean_rows(probe_corpus
         for dlg in probe_corpus
     }
     mean_rows = int(round(np.mean([r for rows in per_turn_rows.values() for r in rows])))
-    rows = context_length_report(
-        probe_corpus, [Strategy.FULL_SPOKEN, Strategy.COMPRESSED_SPOKEN], [mean_rows], embedder
-    )
-    last_idx = max(r.turn_index for r in rows)
-    full = next(
-        r for r in rows if r.strategy is Strategy.FULL_SPOKEN and r.turn_index == last_idx
-    )
-    compressed = next(
-        r for r in rows if r.strategy is Strategy.COMPRESSED_SPOKEN and r.turn_index == last_idx
-    )
+    full_rows = _report(probe_corpus, Strategy.FULL_SPOKEN, embedder, mean_rows)
+    compressed_rows = _report(probe_corpus, Strategy.COMPRESSED_SPOKEN, embedder, mean_rows)
+    last_idx = max(r.turn_index for r in full_rows + compressed_rows)
+    full = next(r for r in full_rows if r.turn_index == last_idx)
+    compressed = next(r for r in compressed_rows if r.turn_index == last_idx)
     assert compressed.mean_rows / full.mean_rows == pytest.approx(1.0, abs=0.25)
+    for row, strategy in ((full, Strategy.FULL_SPOKEN), (compressed, Strategy.COMPRESSED_SPOKEN)):
+        assert row.mean_rows == pytest.approx(
+            np.mean(
+                [
+                    oracle_total_rows(strategy, per_turn_rows[dlg.id][:last_idx], mean_rows)
+                    for dlg in probe_corpus
+                    if last_idx in dlg.user_turn_indices()
+                ]
+            )
+        )
 
 
 def test_compressed_strictly_smaller_when_turns_exceed_queries():
     # synthetic check of the size advantage whenever mean turn length > N_queries
     rows = [30, 20, 25, 15]
+    compressor = build_compressor(CONFIG)
     for n in range(2, 5):
-        full = expected_total_rows(Strategy.FULL_SPOKEN, rows[:n], 0)
-        compressed = expected_total_rows(Strategy.COMPRESSED_SPOKEN, rows[:n], 10)
+        full = assemble(Strategy.FULL_SPOKEN, _embeddings(rows[:n])).total_rows
+        compressed = assemble(Strategy.COMPRESSED_SPOKEN, _embeddings(rows[:n]), compressor).total_rows
+        assert full == oracle_total_rows(Strategy.FULL_SPOKEN, rows[:n], 10)
+        assert compressed == oracle_total_rows(Strategy.COMPRESSED_SPOKEN, rows[:n], 10)
         assert compressed < full

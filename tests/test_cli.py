@@ -309,6 +309,98 @@ def test_run_embeds_no_turn_its_contexts_do_not_read(runner, tmp_path):
     assert [f["dialogue_id"] for f in summary["failures"]] == [first.id]
 
 
+
+def test_context_lengths_count_only_dialogues_that_succeeded(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus")
+    dialogues = load_corpus(tmp_path / "corpus", "synthetic_json")
+    victim = dialogues[0].id
+    (tmp_path / "corpus" / "features" / f"{victim}__t0002.f64").unlink()
+    base = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "full"]
+    result = runner.invoke(main, base + ["--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "run" / "run_summary.json").read_text())
+    assert [f["dialogue_id"] for f in summary["failures"]] == [victim]
+    with open(tmp_path / "run" / "context_lengths.csv", newline="") as fh:
+        n_turns = {int(r["turn_index"]): int(r["n_turns"]) for r in csv.DictReader(fh)}
+    expected: dict[int, int] = {}
+    for dlg in dialogues[1:]:
+        for n in dlg.user_turn_indices():
+            expected[n] = expected.get(n, 0) + 1
+    assert n_turns == expected
+    # the same report as a run that never loads the failed dialogue
+    result = runner.invoke(main, base + ["--exclude-ids", victim, "--out", str(tmp_path / "excluded")])
+    assert result.exit_code == 0, result.output
+    csv_name = "context_lengths.csv"
+    assert (tmp_path / "run" / csv_name).read_bytes() == (tmp_path / "excluded" / csv_name).read_bytes()
+
+
+def _invoke_on_corpus(runner, tmp_path, command: str, extra: list[str]):
+    if command == "run":
+        args = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "full", "--out", str(tmp_path / "run")]
+    else:
+        predictions = tmp_path / "pred.ndjson"
+        predictions.write_text("")
+        args = ["evaluate", "--predictions", str(predictions), "--corpus", str(tmp_path / "corpus")]
+    return runner.invoke(main, args + extra)
+
+
+@pytest.mark.parametrize("command", ["run", "evaluate"])
+def test_malformed_corpus_json_is_a_click_error(runner, tmp_path, command):
+    _synth(runner, tmp_path / "corpus")
+    document = tmp_path / "corpus" / "corpus.json"
+    text = document.read_text()
+    document.write_text(text[: len(text) // 2])
+    result = _invoke_on_corpus(runner, tmp_path, command, [])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: malformed JSON" in result.output
+    assert f"[file: {document}]" in result.output
+    assert "[offset: " in result.output
+
+
+@pytest.mark.parametrize(
+    "bad_line, reason",
+    [
+        ('{"dialogue_id": "d0", "turn_index": 2', "malformed JSON"),
+        ('{"turn_index": 2, "text": "hi"}', "missing field 'dialogue_id'"),
+        ('{"dialogue_id": "d0", "text": "hi"}', "missing field 'turn_index'"),
+        ('{"dialogue_id": "d0", "turn_index": 2}', "missing field 'text'"),
+        ('["d0", 2, "hi"]', "malformed record"),
+        ('{"dialogue_id": "d0", "turn_index": "two", "text": "hi"}', "malformed record"),
+    ],
+)
+def test_run_reports_bad_agent_asr_line(runner, tmp_path, bad_line, reason):
+    _synth(runner, tmp_path / "corpus")
+    path = tmp_path / "agent_asr.ndjson"
+    good = '{"dialogue_id": "d0", "turn_index": 2, "text": "hi"}'
+    path.write_text("\n".join([good, bad_line, good]) + "\n")
+    result = runner.invoke(
+        main,
+        [
+            "run",
+            "--corpus", str(tmp_path / "corpus"),
+            "--strategy", "multimodal",
+            "--agent-asr", str(path),
+            "--out", str(tmp_path / "run"),
+        ],
+    )
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"{path}:2: {reason}" in result.output
+
+
+@pytest.mark.parametrize("command", ["run", "evaluate"])
+@pytest.mark.parametrize("content", ['{"ids": 3', '{"ids": 3}', '{"other": []}', "7"])
+def test_malformed_exclude_ids_file_is_a_usage_error(runner, tmp_path, command, content):
+    _synth(runner, tmp_path / "corpus")
+    path = tmp_path / "exclude.json"
+    path.write_text(content)
+    result = _invoke_on_corpus(runner, tmp_path, command, ["--exclude-ids", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for --exclude-ids" in result.output
+    assert str(path) in result.output
+
+
 def test_evaluate_reads_the_corpus_document_once_and_no_sidecar(runner, tmp_path, monkeypatch):
     _synth(runner, tmp_path / "corpus")
     result = runner.invoke(

@@ -6,7 +6,6 @@ import pytest
 from dst_lab.neural.layers import (
     LayerNorm,
     MultiHeadAttention,
-    gelu,
     sinusoidal_positions,
     softmax_last,
 )
@@ -20,7 +19,7 @@ from dst_lab.neural.pipeline import (
     downsample,
 )
 
-from oracles import OracleLayerNorm
+from oracles import OracleLayerNorm, gelu
 
 RNG = np.random.default_rng(1234)
 

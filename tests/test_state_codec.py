@@ -12,14 +12,12 @@ from dst_lab import state_codec
 from dst_lab.corpus import Dialogue, DialogueState, SplitMix64, Speaker, Turn
 from dst_lab.state_codec import (
     AsrHypothesis,
-    EmbeddingSlot,
     MULTIMODAL_PROMPT_INFIX,
     MULTIMODAL_PROMPT_PREFIX,
     ParseFailure,
     PredictionRecord,
     SPOKEN_PROMPT_PREFIX,
     Strategy,
-    TextSegment,
     build_prompt,
     extract_user_last_turn,
     parse_state,
@@ -27,6 +25,8 @@ from dst_lab.state_codec import (
     serialize_state,
     write_predictions,
 )
+
+from oracles import oracle_decode_repaired
 
 # ---------------------------------------------------------------------------
 # serialize_state
@@ -214,6 +214,37 @@ def test_valid_json_fast_path_matches_repair_path(text):
     assert _parse_outcome(text) == expected
 
 
+def _repair_outcome(decode, text: str) -> str:
+    # repr, so that a decoded NaN compares equal to itself
+    try:
+        return repr(decode(text))
+    except ParseFailure as exc:
+        return repr(("ParseFailure", str(exc), exc.raw))
+
+
+_SCAN_TEXT = st.text('{}[]",:\\ \tab', max_size=4)
+_SERIALIZED_STATES = st.dictionaries(st.tuples(_SCAN_TEXT, _SCAN_TEXT), _SCAN_TEXT, max_size=4).map(
+    lambda slots: serialize_state(DialogueState(sorted({d for d, _ in slots}), slots))
+)
+
+
+@settings(max_examples=150)
+@given(_SERIALIZED_STATES, st.sampled_from(["", ",", " ,", ", ", ",\n ", ",,"]))
+def test_one_pass_repair_matches_two_pass_oracle_on_every_truncation(serialized, noise):
+    # ``noise`` before every closer gives the comma and whitespace repairs work
+    text = serialized.replace("}", noise + "}").replace("]", noise + "]")
+    for end in range(len(text) + 1):
+        assert _repair_outcome(state_codec._decode_repaired, text[:end]) == _repair_outcome(
+            oracle_decode_repaired, text[:end]
+        ), end
+
+
+@settings(max_examples=400)
+@given(_MODEL_LIKE_TEXTS)
+def test_one_pass_repair_matches_two_pass_oracle_on_random_text(text):
+    assert _repair_outcome(state_codec._decode_repaired, text) == _repair_outcome(oracle_decode_repaired, text)
+
+
 # ---------------------------------------------------------------------------
 # build_prompt
 # ---------------------------------------------------------------------------
@@ -235,23 +266,20 @@ def test_multimodal_prompt_golden_bytes():
     prompt = build_prompt(
         Strategy.MULTIMODAL, _dialogue_3_turns(), 3, [AsrHypothesis(1, "u1")]
     )
-    slots = prompt.embedding_slots()
-    assert slots == [EmbeddingSlot(3)]
-    assert isinstance(prompt.segments[0], EmbeddingSlot)
-    assert prompt.text() == '{ "history": "USER: u1 ; AGENT: a2", "user_last_turn": '
+    assert prompt == '{ "history": "USER: u1 ; AGENT: a2", "user_last_turn": '
 
 
 def test_multimodal_first_turn_history_empty():
     prompt = build_prompt(Strategy.MULTIMODAL, _dialogue_3_turns(), 1, [])
-    assert prompt.text() == '{ "history": "", "user_last_turn": '
+    assert prompt == '{ "history": "", "user_last_turn": '
 
 
 def test_multimodal_uses_hypothesis_not_gold():
     prompt = build_prompt(
         Strategy.MULTIMODAL, _dialogue_3_turns(), 3, [AsrHypothesis(1, "you won")]
     )
-    assert "you won" in prompt.text()
-    assert "USER: u1" not in prompt.text()
+    assert "you won" in prompt
+    assert "USER: u1" not in prompt
 
 
 def test_multimodal_missing_hypothesis_errors():
@@ -267,7 +295,7 @@ def test_multimodal_agent_text_override():
         [AsrHypothesis(1, "u1")],
         agent_texts={2: "asr a2"},
     )
-    assert "AGENT: asr a2" in prompt.text()
+    assert "AGENT: asr a2" in prompt
 
 
 def test_full_spoken_prompt_slots_and_text():
@@ -277,20 +305,17 @@ def test_full_spoken_prompt_slots_and_text():
         turns.append(Turn(i, speaker, f"t{i}"))
     dlg = Dialogue(id="d", turns=turns, gold_states={})
     prompt = build_prompt(Strategy.FULL_SPOKEN, dlg, 5)
-    assert prompt.embedding_slots() == [EmbeddingSlot(i) for i in range(1, 6)]
-    assert prompt.segments[-1] == TextSegment(SPOKEN_PROMPT_PREFIX)
-    assert prompt.text() == '{"domains": '
+    assert prompt == SPOKEN_PROMPT_PREFIX == '{"domains": '
     # pure speech context: no transcripts leak into the text
     for turn in dlg.turns:
-        assert turn.transcript not in prompt.text()
+        assert turn.transcript not in prompt
 
 
 def test_compressed_prompt_same_layout_as_full():
     dlg = _dialogue_3_turns()
     full = build_prompt(Strategy.FULL_SPOKEN, dlg, 3)
     compressed = build_prompt(Strategy.COMPRESSED_SPOKEN, dlg, 3)
-    assert compressed.embedding_slots() == full.embedding_slots()
-    assert compressed.text() == full.text()
+    assert compressed == full
 
 
 def test_build_prompt_rejects_agent_turn():

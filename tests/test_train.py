@@ -3,13 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dst_lab.neural.checkpoint import (
-    CheckpointError,
-    group_bytes,
-    load_checkpoint,
-    restore_into,
-    save_checkpoint,
-)
+from dst_lab.neural.checkpoint import group_bytes
 from dst_lab.neural.pipeline import (
     CompressorConfig,
     ParameterMask,
@@ -152,47 +146,3 @@ def test_write_loss_trace(tmp_path):
     write_loss_trace(path, [1.5, 0.75])
     assert path.read_text() == "epoch,loss\n0,1.5\n1,0.75\n"
 
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    config = CompressorConfig(d_model=4, n_heads=2, n_queries=2, seed=8)
-    pipeline = Pipeline(
-        compressor=build_compressor(config),
-        readout=build_readout(2, config, n_heads=1, n_classes=2),
-    )
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, pipeline.group_params())
-    loaded = load_checkpoint(path)
-    for group, params in pipeline.group_params().items():
-        for name, value in params.items():
-            assert np.array_equal(loaded[group][name], value)
-
-    fresh = Pipeline(
-        compressor=build_compressor(CompressorConfig(d_model=4, n_heads=2, n_queries=2, seed=99)),
-        readout=build_readout(2, CompressorConfig(d_model=4, n_heads=2, n_queries=2, seed=99), 1, 2),
-    )
-    restore_into(fresh.group_params(), loaded)
-    assert group_bytes(fresh.group_params(), "compressor") == group_bytes(
-        pipeline.group_params(), "compressor"
-    )
-
-
-def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-    with pytest.raises(CheckpointError, match="magic"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_shape_mismatch(tmp_path):
-    config = CompressorConfig(d_model=4, n_heads=2, n_queries=2, seed=8)
-    pipeline = Pipeline(readout=build_readout(2, config, 1, 2))
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, pipeline.group_params())
-    other = Pipeline(readout=build_readout(3, config, 1, 2))
-    with pytest.raises(CheckpointError, match="shape mismatch"):
-        restore_into(other.group_params(), load_checkpoint(path))
