@@ -23,7 +23,6 @@ from .corpus import (
 )
 from .postprocess import MatchPolicy, canonicalize_time, levenshtein_ratio, values_match
 from .state_codec import (
-    AsrHypothesis,
     ParseFailure,
     Strategy,
     build_prompt,
@@ -32,7 +31,6 @@ from .state_codec import (
 )
 
 __all__ = [
-    "AsrHypothesis",
     "Dialogue",
     "DialogueState",
     "MatchPolicy",

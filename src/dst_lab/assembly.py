@@ -13,13 +13,12 @@ end to end; they do not model speech understanding.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
 import numpy as np
 
-from .corpus import Dialogue, DialogueState, SplitMix64, derive_key, ONTOLOGY, ontology_values
+from .corpus import Dialogue, DialogueState, Speaker, SplitMix64, derive_key, ONTOLOGY, ontology_values
 from .neural.pipeline import (
     Compressor,
     Connector,
@@ -30,14 +29,13 @@ from .neural.pipeline import (
     downsample,
 )
 from .state_codec import (
-    AsrHypothesis,
     ParseFailure,
-    SPOKEN_PROMPT_PREFIX,
     Strategy,
     build_prompt,
+    extend_history,
     extract_user_last_turn,
     parse_state,
-    serialize_state,
+    render_completion,
 )
 
 
@@ -148,16 +146,6 @@ class StatePredictor(Protocol):
     """Produces the autoregressive completion of a prompt."""
 
     def predict(self, request: PredictionRequest) -> str: ...
-
-
-def render_completion(strategy: Strategy, state: DialogueState, user_last_turn: str | None = None) -> str:
-    """Completion text matching each prompt layout's generated fields."""
-    serialized = serialize_state(state)
-    if strategy is Strategy.MULTIMODAL:
-        body = serialized[1:-1]  # inner fields of the canonical object
-        return json.dumps(user_last_turn or "", ensure_ascii=True) + ", " + body + " }"
-    assert serialized.startswith('{"domains":')
-    return serialized[len(SPOKEN_PROMPT_PREFIX) - 1 :]
 
 
 class OracleExact:
@@ -367,12 +355,15 @@ def run_dialogue(
     For the multimodal strategy the predictor's own transcription of each user
     turn is fed back as that turn's history text for subsequent prompts; gold
     user transcripts never enter the textual history. ``agent_texts`` swaps
-    gold agent transcripts for ASR sidecar texts in the history.
+    gold agent transcripts for ASR sidecar texts in the history. The history
+    is one string that grows by appending: each user turn adds its
+    transcription once it is parsed, and the agent turn after it, if any,
+    adds its text.
     """
     if strategy is Strategy.COMPRESSED_SPOKEN and compressor is None:
         raise ValueError("compressed_spoken requires a compressor")
     results: list[TurnResult] = []
-    asr_history: list[AsrHypothesis] = []
+    history = ""
     embeddings: list[SpeechEmbedding] = []
     compressed: dict[int, np.ndarray] = {}
     for n in dialogue.user_turn_indices():
@@ -380,7 +371,7 @@ def run_dialogue(
             embeddings = [embedder.embed_turn(dialogue, n)]
         else:
             embeddings.extend(embedder.embed_turn(dialogue, i) for i in range(len(embeddings) + 1, n + 1))
-        prompt = build_prompt(strategy, dialogue, n, asr_history, agent_texts)
+        prompt = build_prompt(strategy, history)
         context = assemble(
             strategy,
             embeddings,
@@ -405,7 +396,11 @@ def run_dialogue(
             if hypothesis is None:
                 hypothesis = ""
                 diagnostics.append("missing user_last_turn in output; empty hypothesis stored")
-            asr_history.append(AsrHypothesis(n, hypothesis))
+            history = extend_history(history, Speaker.USER, hypothesis)
+            if n < len(dialogue.turns) and dialogue.turns[n].speaker is Speaker.AGENT:
+                agent = dialogue.turns[n]
+                text = (agent_texts or {}).get(agent.index, agent.transcript)
+                history = extend_history(history, Speaker.AGENT, text)
         results.append(TurnResult(n, raw_output, state, context.total_rows, failed, diagnostics))
     return results
 

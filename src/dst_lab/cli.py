@@ -94,9 +94,18 @@ def load_policy(name: str) -> MatchPolicy:
         return MatchPolicy.exact()
     path = Path(name)
     if not path.exists():
-        raise click.BadParameter(f"policy must be 'standard', 'exact', or a JSON file; {name!r} not found")
+        raise click.BadParameter(
+            f"policy must be 'standard', 'exact', or a JSON file; {name!r} not found", param_hint="--policy"
+        )
     with open(path, "r", encoding="utf-8") as fh:
-        return MatchPolicy.from_json_obj(json.load(fh))
+        try:
+            return MatchPolicy.from_json_obj(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise click.BadParameter(
+                f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}", param_hint="--policy"
+            ) from exc
+        except ValueError as exc:
+            raise click.BadParameter(f"{path}: {exc}", param_hint="--policy") from exc
 
 
 def _parse_exclude_ids(value: str | None) -> list[str]:
@@ -148,7 +157,6 @@ class RunManifest:
     compress_current: bool = False
     workers: int = 1
     exclude_ids: list[str] = field(default_factory=list)
-    policy: str = "standard"
     out: str = "runs/out"
     drop_prob: float = DROP_PROB
     typo_prob: float = TYPO_PROB

@@ -405,10 +405,6 @@ class SynthConfig:
             "overwrite_prob": self.overwrite_prob,
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "SynthConfig":
-        return cls(**{k: obj[k] for k in obj if k in cls.__dataclass_fields__})
-
 
 def _pick_dialogue_slots(rng: SplitMix64, config: SynthConfig) -> tuple[list[str], list[tuple[str, str]]]:
     """Choose domains and ``slots_per_dialogue`` (domain, slot) pairs."""
@@ -718,6 +714,29 @@ def _attach_features(dialogues: list[Dialogue], features_dir: Path) -> None:
         raise CorpusFormatError(f"feature_dim not uniform across corpus: {sorted(dims)}")
 
 
+def _malformed_dialogue(exc: Exception, name: object, path: Path) -> CorpusFormatError:
+    reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+    return CorpusFormatError(f"malformed dialogue {name!r}: {reason}", path=str(path))
+
+
+def _synthetic_dialogue(dlg_obj: Mapping, corpus_path: Path) -> Dialogue:
+    turns = []
+    for turn_obj in dlg_obj.get("turns", []):
+        tag = str(turn_obj.get("speaker", ""))
+        try:
+            speaker = Speaker(tag)
+        except ValueError:
+            raise CorpusFormatError(
+                f"unknown speaker tag {tag!r} in dialogue {dlg_obj.get('id')!r}",
+                path=str(corpus_path),
+            ) from None
+        turns.append(Turn(index=int(turn_obj["index"]), speaker=speaker, transcript=str(turn_obj["transcript"])))
+    gold = {}
+    for key, st in dlg_obj.get("gold_states", {}).items():
+        gold[int(key)] = DialogueState.from_nested(st.get("domains", []), st.get("slots", {}))
+    return Dialogue(id=str(dlg_obj["id"]), turns=turns, gold_states=gold)
+
+
 def _parse_synthetic(path: Path) -> tuple[list[Dialogue], SlotTaxonomy | None]:
     corpus_path = path / "corpus.json" if path.is_dir() else path
     try:
@@ -725,29 +744,24 @@ def _parse_synthetic(path: Path) -> tuple[list[Dialogue], SlotTaxonomy | None]:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"malformed JSON: {exc.msg}", path=str(corpus_path), offset=exc.pos) from exc
+    if not isinstance(doc, dict):
+        raise CorpusFormatError("expected a JSON object with a 'dialogues' list", path=str(corpus_path))
     if doc.get("format_version") != CORPUS_FORMAT_VERSION:
         raise CorpusFormatError(
             f"unsupported format_version {doc.get('format_version')!r}", path=str(corpus_path)
         )
+    raw_dialogues = doc.get("dialogues", [])
+    if not isinstance(raw_dialogues, list):
+        raise CorpusFormatError("'dialogues' must be a list", path=str(corpus_path))
     dialogues = []
-    for dlg_obj in doc.get("dialogues", []):
-        turns = []
-        for turn_obj in dlg_obj.get("turns", []):
-            tag = str(turn_obj.get("speaker", ""))
-            try:
-                speaker = Speaker(tag)
-            except ValueError:
-                raise CorpusFormatError(
-                    f"unknown speaker tag {tag!r} in dialogue {dlg_obj.get('id')!r}",
-                    path=str(corpus_path),
-                ) from None
-            turns.append(
-                Turn(index=int(turn_obj["index"]), speaker=speaker, transcript=str(turn_obj["transcript"]))
-            )
-        gold = {}
-        for key, st in dlg_obj.get("gold_states", {}).items():
-            gold[int(key)] = DialogueState.from_nested(st.get("domains", []), st.get("slots", {}))
-        dialogues.append(Dialogue(id=str(dlg_obj["id"]), turns=turns, gold_states=gold))
+    for pos, dlg_obj in enumerate(raw_dialogues, start=1):
+        try:
+            dialogues.append(_synthetic_dialogue(dlg_obj, corpus_path))
+        except CorpusFormatError:
+            raise
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            name = dlg_obj.get("id", f"#{pos}") if isinstance(dlg_obj, dict) else f"#{pos}"
+            raise _malformed_dialogue(exc, name, corpus_path) from exc
     _validate_alternation(dialogues, str(corpus_path))
     taxonomy = SlotTaxonomy.from_json_obj(doc["taxonomy"]) if "taxonomy" in doc else None
     return dialogues, taxonomy
@@ -809,6 +823,29 @@ def _flatten_metadata(metadata: Mapping) -> DialogueState:
     return DialogueState(domains, slots)
 
 
+def _spokenwoz_dialogue(dlg_id: str, record: Mapping, data_path: Path) -> Dialogue:
+    turns = []
+    gold: dict[int, DialogueState] = {}
+    for pos, entry in enumerate(record.get("log", []), start=1):
+        tag = entry.get("tag")
+        if tag is None:
+            speaker = Speaker.USER if pos % 2 == 1 else Speaker.AGENT
+        else:
+            tag_l = str(tag).lower()
+            if tag_l == "user":
+                speaker = Speaker.USER
+            elif tag_l in ("system", "agent"):
+                speaker = Speaker.AGENT
+            else:
+                raise CorpusFormatError(f"unknown speaker tag {tag!r} in dialogue {dlg_id}", path=str(data_path))
+        turns.append(Turn(index=pos, speaker=speaker, transcript=str(entry.get("text", ""))))
+        if speaker is Speaker.AGENT:
+            metadata = entry.get("metadata") or {}
+            if metadata:
+                gold[pos - 1] = _flatten_metadata(metadata)
+    return Dialogue(id=dlg_id, turns=turns, gold_states=gold)
+
+
 def _parse_spokenwoz(path: Path) -> list[Dialogue]:
     data_path = path / "data.json" if path.is_dir() else path
     try:
@@ -820,35 +857,13 @@ def _parse_spokenwoz(path: Path) -> list[Dialogue]:
         raise CorpusFormatError("expected object mapping dialogue id -> record", path=str(data_path))
     dialogues = []
     for dlg_id, record in doc.items():
-        entries = record.get("log", [])
-        turns = []
-        gold: dict[int, DialogueState] = {}
-        for pos, entry in enumerate(entries, start=1):
-            tag = entry.get("tag")
-            if tag is None:
-                speaker = Speaker.USER if pos % 2 == 1 else Speaker.AGENT
-            else:
-                tag_l = str(tag).lower()
-                if tag_l == "user":
-                    speaker = Speaker.USER
-                elif tag_l in ("system", "agent"):
-                    speaker = Speaker.AGENT
-                else:
-                    raise CorpusFormatError(
-                        f"unknown speaker tag {tag!r} in dialogue {dlg_id}", path=str(data_path)
-                    )
-            expected = Speaker.USER if pos % 2 == 1 else Speaker.AGENT
-            if speaker is not expected:
-                raise CorpusFormatError(
-                    f"speaker alternation violated at turn {pos} of dialogue {dlg_id}",
-                    path=str(data_path),
-                )
-            turns.append(Turn(index=pos, speaker=speaker, transcript=str(entry.get("text", ""))))
-            if speaker is Speaker.AGENT:
-                metadata = entry.get("metadata") or {}
-                if metadata:
-                    gold[pos - 1] = _flatten_metadata(metadata)
-        dialogues.append(Dialogue(id=str(dlg_id), turns=turns, gold_states=gold))
+        try:
+            dialogues.append(_spokenwoz_dialogue(str(dlg_id), record, data_path))
+        except CorpusFormatError:
+            raise
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise _malformed_dialogue(exc, str(dlg_id), data_path) from exc
+    _validate_alternation(dialogues, str(data_path))
     return dialogues
 
 

@@ -158,7 +158,6 @@ class MultiHeadAttention(Layer):
         for name in ("bq", "bv", "bo"):
             self.add_param(name, np.zeros(d_model))
         self._cache: tuple | None = None
-        self.last_attention: np.ndarray | None = None
 
     def _split(self, x: np.ndarray) -> np.ndarray:
         b, t, _ = x.shape
@@ -179,7 +178,6 @@ class MultiHeadAttention(Layer):
         merged = self._merge(context)
         out = merged @ p["Wo"] + p["bo"]
         self._cache = (x_q, x_kv, q, k, v, attn, merged)
-        self.last_attention = attn
         return out
 
     def backward(self, dout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,9 +21,8 @@ PARAM_GROUPS = ("encoder_stub", "connector", "compressor", "readout")
 class CompressorConfig:
     """Dimensions and seed for the neural stack.
 
-    The "published" preset records the full system scale (hidden 1024, 16
-    heads); desk-scale defaults keep everything small enough for exhaustive
-    checking.
+    The full system runs at hidden size 1024 with 16 heads; desk-scale
+    defaults keep everything small enough for exhaustive checking.
     """
 
     d_model: int = 16
@@ -39,10 +38,6 @@ class CompressorConfig:
             raise ValueError("n_queries must be >= 1")
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
-
-    @classmethod
-    def published(cls, n_queries: int = 10, seed: int = 0) -> "CompressorConfig":
-        return cls(d_model=1024, n_heads=16, n_layers=1, n_queries=n_queries, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -139,10 +134,6 @@ class Compressor(_Composite):
             for i in range(config.n_layers)
         ]
         self._batch: int = 0
-
-    @property
-    def n_queries(self) -> int:
-        return self.config.n_queries
 
     def forward(self, memory: np.ndarray) -> np.ndarray:
         if memory.shape[-1] != self.config.d_model:
@@ -241,18 +232,6 @@ class Pipeline:
         }
 
     @property
-    def encoder_stub(self) -> EncoderStub | None:
-        return self.stages["encoder_stub"]
-
-    @property
-    def connector(self) -> Connector | None:
-        return self.stages["connector"]
-
-    @property
-    def compressor(self) -> Compressor | None:
-        return self.stages["compressor"]
-
-    @property
     def readout(self) -> Readout | None:
         return self.stages["readout"]
 
@@ -265,13 +244,6 @@ class Pipeline:
             if stage is not None:
                 out = stage.forward(out)
         return out
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        grad = dout
-        for stage in reversed(list(self.stages.values())):
-            if stage is not None:
-                grad = stage.backward(grad)
-        return grad
 
     def zero_grads(self) -> None:
         for stage in self.stages.values():

@@ -50,10 +50,6 @@ class ProbeDataset:
     def n_slots(self) -> int:
         return int(self.labels.shape[1])
 
-    @property
-    def turn_rows(self) -> int:
-        return int(self.features.shape[1])
-
 
 def build_probe_dataset(corpus: list[Dialogue]) -> ProbeDataset:
     """Stack user turns into uniform tensors with per-slot value labels."""

@@ -116,10 +116,3 @@ def train(
             raise TrainingDivergence(f"loss diverged to {final_loss}", trace)
         trace.append(float(final_loss))
     return TrainingResult(pipeline=trained, trace=trace)
-
-
-def write_loss_trace(path, trace: list[float]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("epoch,loss\n")
-        for epoch, loss in enumerate(trace):
-            fh.write(f"{epoch},{loss!r}\n")

@@ -8,8 +8,10 @@ are applied symmetrically to predictions and references.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
+
+from .corpus import SlotTaxonomy
 
 DEFAULT_FUZZY_THRESHOLD = 0.90
 DEFAULT_FUZZY_GROUPS = frozenset({"open", "profile"})
@@ -92,11 +94,23 @@ class MatchPolicy:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "MatchPolicy":
-        return cls(
-            fuzzy_threshold=float(obj.get("fuzzy_threshold", DEFAULT_FUZZY_THRESHOLD)),
-            fuzzy_groups=frozenset(obj.get("fuzzy_groups", sorted(DEFAULT_FUZZY_GROUPS))),
-            time_canonicalization=bool(obj.get("time_canonicalization", True)),
-        )
+        """The policy a JSON document describes; ValueError names the first bad key."""
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown policy keys: {sorted(unknown)}")
+        threshold = obj.get("fuzzy_threshold", DEFAULT_FUZZY_THRESHOLD)
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+            raise ValueError(f"fuzzy_threshold must be a number, got {threshold!r}")
+        groups = obj.get("fuzzy_groups", sorted(DEFAULT_FUZZY_GROUPS))
+        if not isinstance(groups, list) or any(g not in SlotTaxonomy.GROUPS for g in groups):
+            raise ValueError(f"fuzzy_groups must be a list of names from {list(SlotTaxonomy.GROUPS)}, got {groups!r}")
+        canonicalize = obj.get("time_canonicalization", True)
+        if not isinstance(canonicalize, bool):
+            raise ValueError(f"time_canonicalization must be true or false, got {canonicalize!r}")
+        # the range check in __post_init__ also rejects NaN
+        return cls(float(threshold), frozenset(groups), canonicalize)
 
     def to_json_obj(self) -> dict:
         return {

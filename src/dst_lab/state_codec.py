@@ -1,4 +1,4 @@
-"""Serialization and parsing of dialogue states, and prompt construction.
+"""Serialization and parsing of dialogue states, and prompt and completion text.
 
 The canonical state encoding is a compact JSON object with a "domains" array
 and a "predicted_state" object. Parsing is deliberately forgiving: model-like
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .corpus import Dialogue, DialogueState, Speaker
+from .corpus import DialogueState, Speaker
 
 
 class Strategy(str, Enum):
@@ -28,12 +28,6 @@ class ParseFailure(ValueError):
     def __init__(self, message: str, raw: str):
         super().__init__(message)
         self.raw = raw
-
-
-@dataclass(frozen=True)
-class AsrHypothesis:
-    turn_index: int
-    text: str
 
 
 # --------------------------------------------------------------------------
@@ -202,53 +196,33 @@ MULTIMODAL_PROMPT_INFIX = ', "user_last_turn": '
 SPOKEN_PROMPT_PREFIX = '{"domains": '
 
 
-def format_history(entries: Iterable[tuple[Speaker, str]]) -> str:
-    """Textual history: "USER: {text} ; AGENT: {text} ; ..." (empty for no turns)."""
-    return HISTORY_TURN_SEPARATOR.join(
-        f"{speaker.value}: {text}" for speaker, text in entries
-    )
+def extend_history(history: str, speaker: Speaker, text: str) -> str:
+    """``history`` with one more turn: "USER: {text} ; AGENT: {text} ; ..."."""
+    entry = f"{speaker.value}: {text}"
+    return f"{history}{HISTORY_TURN_SEPARATOR}{entry}" if history else entry
 
 
-def build_prompt(
-    strategy: Strategy,
-    dialogue: Dialogue,
-    turn_index: int,
-    asr_history: list[AsrHypothesis] | None = None,
-    agent_texts: Mapping[int, str] | None = None,
-) -> str:
-    """Prompt text for predicting the state at ``turn_index``.
+def build_prompt(strategy: Strategy, history: str = "") -> str:
+    """Prompt text for one user turn.
 
-    Multimodal prompts render prior turns as text: prior user turns come from
-    ``asr_history`` (the model feedback loop), prior agent turns from
-    ``agent_texts`` when given, else from gold transcripts. Spoken prompts
-    carry no transcripts; their turns reach the model only as speech.
+    A multimodal prompt carries ``history``, the prior turns as
+    ``extend_history`` renders them (empty before the first turn), as a JSON
+    string. Spoken prompts carry no transcripts; their turns reach the model
+    only as speech.
     """
-    turn = dialogue.turn(turn_index)
-    if turn.speaker is not Speaker.USER:
-        raise ValueError(f"turn {turn_index} of dialogue {dialogue.id} is not a user turn")
-
     if strategy is Strategy.MULTIMODAL:
-        hypotheses = {h.turn_index: h.text for h in (asr_history or [])}
-        entries: list[tuple[Speaker, str]] = []
-        for prior in dialogue.turns[: turn_index - 1]:
-            if prior.speaker is Speaker.USER:
-                if prior.index not in hypotheses:
-                    raise ValueError(
-                        f"missing ASR hypothesis for prior user turn {prior.index} "
-                        f"of dialogue {dialogue.id}"
-                    )
-                entries.append((Speaker.USER, hypotheses[prior.index]))
-            else:
-                text = prior.transcript
-                if agent_texts is not None and prior.index in agent_texts:
-                    text = agent_texts[prior.index]
-                entries.append((Speaker.AGENT, text))
-        return (
-            MULTIMODAL_PROMPT_PREFIX
-            + json.dumps(format_history(entries), ensure_ascii=True)
-            + MULTIMODAL_PROMPT_INFIX
-        )
+        return MULTIMODAL_PROMPT_PREFIX + json.dumps(history, ensure_ascii=True) + MULTIMODAL_PROMPT_INFIX
     return SPOKEN_PROMPT_PREFIX
+
+
+def render_completion(strategy: Strategy, state: DialogueState, user_last_turn: str | None = None) -> str:
+    """Completion text matching each prompt layout's generated fields."""
+    serialized = serialize_state(state)
+    if strategy is Strategy.MULTIMODAL:
+        body = serialized[1:-1]  # inner fields of the canonical object
+        return json.dumps(user_last_turn or "", ensure_ascii=True) + ", " + body + " }"
+    assert serialized.startswith('{"domains":')
+    return serialized[len(SPOKEN_PROMPT_PREFIX) - 1 :]
 
 
 # --------------------------------------------------------------------------

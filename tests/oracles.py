@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 
+from dst_lab.corpus import Speaker
 from dst_lab.state_codec import ParseFailure, Strategy
 
 
@@ -303,6 +304,37 @@ def oracle_total_rows(
     prior = (len(per_turn_rows) - 1) * n_queries
     current = n_queries if compress_current else per_turn_rows[-1]
     return prior + current
+
+
+def oracle_build_prompt(
+    strategy: Strategy,
+    dialogue,
+    turn_index: int,
+    hypotheses: dict[int, str],
+    agent_texts: dict[int, str] | None = None,
+) -> str:
+    """Prompt text for user turn ``turn_index``, rebuilt from scratch.
+
+    Every prior turn is rendered in order: a user turn as its hypothesis
+    (which must be given), an agent turn as its ``agent_texts`` entry or else
+    its transcript. Spoken prompts carry no transcripts.
+    """
+    turn = dialogue.turns[turn_index - 1]
+    if turn.speaker is not Speaker.USER:
+        raise ValueError(f"turn {turn_index} of dialogue {dialogue.id} is not a user turn")
+    if strategy is not Strategy.MULTIMODAL:
+        return '{"domains": '
+    entries = []
+    for prior in dialogue.turns[: turn_index - 1]:
+        if prior.speaker is Speaker.USER:
+            if prior.index not in hypotheses:
+                raise ValueError(f"missing hypothesis for prior user turn {prior.index}")
+            entries.append(f"USER: {hypotheses[prior.index]}")
+        elif agent_texts is not None and prior.index in agent_texts:
+            entries.append(f"AGENT: {agent_texts[prior.index]}")
+        else:
+            entries.append(f"AGENT: {prior.transcript}")
+    return '{ "history": ' + json.dumps(" ; ".join(entries), ensure_ascii=True) + ', "user_last_turn": '
 
 
 # Two-pass JSON repair: extract (and close) the outermost object, then strip

@@ -18,7 +18,9 @@ from dst_lab.metrics import evaluate, references_from_corpus, states_from_record
 from dst_lab.neural import layers
 from dst_lab.postprocess import MatchPolicy
 from dst_lab.reporting import render_report
-from dst_lab.state_codec import read_predictions
+from dst_lab.state_codec import Strategy, read_predictions
+
+from oracles import oracle_build_prompt
 
 
 @pytest.fixture()
@@ -158,6 +160,19 @@ def test_run_rejects_unknown_manifest_field(runner, tmp_path):
     result = runner.invoke(main, ["run", "--manifest", str(manifest_path)])
     assert result.exit_code != 0
     assert "unknown manifest fields" in result.output
+
+
+def test_run_rejects_manifest_policy_field(runner, tmp_path):
+    """``policy`` is not a run setting: ``evaluate --policy`` chooses it."""
+    _synth(runner, tmp_path / "corpus")
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(
+        json.dumps({"corpus": str(tmp_path / "corpus"), "strategy": "full", "policy": "standard"})
+    )
+    result = runner.invoke(main, ["run", "--manifest", str(manifest_path), "--out", str(tmp_path / "run")])
+    assert result.exit_code != 0
+    assert "unknown manifest fields: ['policy']" in result.output
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_rejects_invalid_compressor_config(runner, tmp_path):
@@ -356,6 +371,99 @@ def test_malformed_corpus_json_is_a_click_error(runner, tmp_path, command):
     assert "Error: malformed JSON" in result.output
     assert f"[file: {document}]" in result.output
     assert "[offset: " in result.output
+
+
+def _break_document(tmp_path, case: str) -> tuple[Path, list[str], str]:
+    """Corrupt the corpus document under ``tmp_path``; returns its path, the
+    extra CLI arguments and the expected message."""
+    document = tmp_path / "corpus" / "corpus.json"
+    doc = json.loads(document.read_text())
+    dialogues = doc["dialogues"]
+    if case == "missing_transcript":
+        del dialogues[1]["turns"][2]["transcript"]
+        message = f"malformed dialogue {dialogues[1]['id']!r}: missing field 'transcript'"
+    elif case == "gold_states_list":
+        dialogues[0]["gold_states"] = []
+        message = f"malformed dialogue {dialogues[0]['id']!r}"
+    elif case == "top_level_list":
+        doc = dialogues
+        message = "expected a JSON object"
+    else:  # a SpokenWOZ log entry that is a string
+        document = tmp_path / "corpus" / "data.json"
+        doc = {"SNG0001": {"log": [{"text": "hi", "tag": "user"}, "ok"]}}
+        document.write_text(json.dumps(doc))
+        return document, ["--format", "spokenwoz_json"], "malformed dialogue 'SNG0001'"
+    document.write_text(json.dumps(doc))
+    return document, [], message
+
+
+@pytest.mark.parametrize("command", ["run", "evaluate"])
+@pytest.mark.parametrize("case", ["missing_transcript", "gold_states_list", "top_level_list", "spokenwoz_string_entry"])
+def test_malformed_corpus_document_is_a_click_error(runner, tmp_path, command, case):
+    _synth(runner, tmp_path / "corpus")
+    document, extra, message = _break_document(tmp_path, case)
+    result = _invoke_on_corpus(runner, tmp_path, command, extra)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {message}" in result.output
+    assert f"[file: {document}]" in result.output
+
+
+def test_run_agent_asr_texts_replace_agent_transcripts_in_later_prompts(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus")
+    dialogues = load_corpus(tmp_path / "corpus", "synthetic_json")
+    target = dialogues[1]
+    override = 'asr heard "two nights" \\ please'
+    path = tmp_path / "agent_asr.ndjson"
+    path.write_text(json.dumps({"dialogue_id": target.id, "turn_index": 2, "text": override}) + "\n")
+    base = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "multimodal"]
+    result = runner.invoke(main, base + ["--agent-asr", str(path), "--out", str(tmp_path / "asr")])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, base + ["--out", str(tmp_path / "gold")])
+    assert result.exit_code == 0, result.output
+
+    records = read_predictions(tmp_path / "asr" / "predictions.ndjson")
+    gold_records = read_predictions(tmp_path / "gold" / "predictions.ndjson")
+    assert len(records) == len(gold_records) == sum(len(d.user_turn_indices()) for d in dialogues)
+    by_id = {d.id: d for d in dialogues}
+    for record, gold_record in zip(records, gold_records):
+        dlg = by_id[record.dialogue_id]
+        # the exact predictor transcribes every user turn verbatim
+        hypotheses = {n: dlg.turn(n).transcript for n in dlg.user_turn_indices()}
+        agent_texts = {2: override} if dlg is target else None
+        prompt = oracle_build_prompt(Strategy.MULTIMODAL, dlg, record.turn_index, hypotheses, agent_texts)
+        assert record.raw_output.startswith(prompt)
+        if dlg is not target or record.turn_index == 1:
+            assert record.raw_output == gold_record.raw_output
+        else:
+            assert json.dumps(f"AGENT: {override}")[1:-1] in record.raw_output
+            assert record.raw_output != gold_record.raw_output
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"fuzzy_threshold": ', ":1:21: malformed JSON"),
+        ("[0.9]", "expected a JSON object, got list"),
+        ('{"bogus": 1}', "unknown policy keys: ['bogus']"),
+        ('{"fuzzy_threshold": "high"}', "fuzzy_threshold must be a number"),
+        ('{"fuzzy_threshold": true}', "fuzzy_threshold must be a number"),
+        ('{"fuzzy_threshold": NaN}', "fuzzy_threshold must be in [0, 1], got nan"),
+        ('{"fuzzy_groups": "open"}', "fuzzy_groups must be a list of names"),
+        ('{"fuzzy_groups": ["open", "names"]}', "fuzzy_groups must be a list of names"),
+        ('{"time_canonicalization": "no"}', "time_canonicalization must be true or false"),
+    ],
+)
+def test_evaluate_rejects_bad_policy_file(runner, tmp_path, content, message):
+    _synth(runner, tmp_path / "corpus")
+    path = tmp_path / "policy.json"
+    path.write_text(content)
+    result = _invoke_on_corpus(runner, tmp_path, "evaluate", ["--policy", str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Invalid value for --policy" in result.output
+    assert f"{path}" in result.output
+    assert message in result.output
 
 
 @pytest.mark.parametrize(

@@ -312,6 +312,14 @@ def test_spokenwoz_unknown_tag(tmp_path):
         load_corpus(path, "spokenwoz_json")
 
 
+def test_spokenwoz_alternation_uses_the_synthetic_rule(tmp_path):
+    doc = {"X": {"log": [{"text": "hi", "tag": "user"}, {"text": "yes", "tag": "user"}]}}
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorpusFormatError, match="speaker alternation violated at turn 2 of dialogue X"):
+        load_corpus(path, "spokenwoz_json")
+
+
 def test_turn_equality_with_features():
     a = Turn(1, Speaker.USER, "hi", np.zeros((2, 2)))
     b = Turn(1, Speaker.USER, "hi", np.zeros((2, 2)))

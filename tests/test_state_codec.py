@@ -4,14 +4,16 @@ import json
 import string
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dst_lab import state_codec
+from dst_lab.assembly import OracleExact, run_dialogue
 from dst_lab.corpus import Dialogue, DialogueState, SplitMix64, Speaker, Turn
+from dst_lab.neural.pipeline import CompressorConfig, SpeechEmbedding, build_compressor
 from dst_lab.state_codec import (
-    AsrHypothesis,
     MULTIMODAL_PROMPT_INFIX,
     MULTIMODAL_PROMPT_PREFIX,
     ParseFailure,
@@ -22,11 +24,12 @@ from dst_lab.state_codec import (
     extract_user_last_turn,
     parse_state,
     read_predictions,
+    render_completion,
     serialize_state,
     write_predictions,
 )
 
-from oracles import oracle_decode_repaired
+from oracles import oracle_build_prompt, oracle_decode_repaired
 
 # ---------------------------------------------------------------------------
 # serialize_state
@@ -246,8 +249,44 @@ def test_one_pass_repair_matches_two_pass_oracle_on_random_text(text):
 
 
 # ---------------------------------------------------------------------------
-# build_prompt
+# build_prompt and the history run_dialogue builds
 # ---------------------------------------------------------------------------
+
+
+_COMPRESSOR = build_compressor(CompressorConfig(d_model=8, n_heads=2, n_queries=2))
+
+
+class _StubEmbedder:
+    """One constant row per turn: these tests read only the prompt text."""
+
+    def embed_turn(self, dialogue, turn_index):
+        return SpeechEmbedding(np.ones((1, 8)), dialogue.id, turn_index)
+
+
+class _Scripted:
+    """Transcribes user turn n as ``texts[n]``; a turn that ``texts`` lacks
+    gets a completion whose user_last_turn is not a string."""
+
+    def __init__(self, texts):
+        self.texts = texts
+
+    def predict(self, request):
+        if request.turn_index in self.texts:
+            return render_completion(request.strategy, request.gold_state, self.texts[request.turn_index])
+        return 'null, "domains": [], "predicted_state": {} }'
+
+
+def _run_prompts(dialogue, strategy, predictor, *, agent_texts=None):
+    """``run_dialogue``'s results and the prompt text of each user turn's context."""
+    prompts = {}
+
+    class Recording:
+        def predict(self, request):
+            prompts[request.turn_index] = request.context.text_part
+            return predictor.predict(request)
+
+    results = run_dialogue(dialogue, strategy, Recording(), _StubEmbedder(), _COMPRESSOR, agent_texts=agent_texts)
+    return prompts, results
 
 
 def _dialogue_3_turns() -> Dialogue:
@@ -263,39 +302,30 @@ def _dialogue_3_turns() -> Dialogue:
 
 
 def test_multimodal_prompt_golden_bytes():
-    prompt = build_prompt(
-        Strategy.MULTIMODAL, _dialogue_3_turns(), 3, [AsrHypothesis(1, "u1")]
-    )
-    assert prompt == '{ "history": "USER: u1 ; AGENT: a2", "user_last_turn": '
+    expected = '{ "history": "USER: u1 ; AGENT: a2", "user_last_turn": '
+    assert build_prompt(Strategy.MULTIMODAL, "USER: u1 ; AGENT: a2") == expected
+    prompts, _ = _run_prompts(_dialogue_3_turns(), Strategy.MULTIMODAL, OracleExact())
+    assert prompts[3] == expected
 
 
 def test_multimodal_first_turn_history_empty():
-    prompt = build_prompt(Strategy.MULTIMODAL, _dialogue_3_turns(), 1, [])
-    assert prompt == '{ "history": "", "user_last_turn": '
+    expected = '{ "history": "", "user_last_turn": '
+    assert build_prompt(Strategy.MULTIMODAL) == expected
+    prompts, _ = _run_prompts(_dialogue_3_turns(), Strategy.MULTIMODAL, OracleExact())
+    assert prompts[1] == expected
 
 
 def test_multimodal_uses_hypothesis_not_gold():
-    prompt = build_prompt(
-        Strategy.MULTIMODAL, _dialogue_3_turns(), 3, [AsrHypothesis(1, "you won")]
-    )
-    assert "you won" in prompt
-    assert "USER: u1" not in prompt
-
-
-def test_multimodal_missing_hypothesis_errors():
-    with pytest.raises(ValueError, match="missing ASR hypothesis"):
-        build_prompt(Strategy.MULTIMODAL, _dialogue_3_turns(), 3, [])
+    prompts, _ = _run_prompts(_dialogue_3_turns(), Strategy.MULTIMODAL, _Scripted({1: "you won", 3: "u3"}))
+    assert "you won" in prompts[3]
+    assert "USER: u1" not in prompts[3]
 
 
 def test_multimodal_agent_text_override():
-    prompt = build_prompt(
-        Strategy.MULTIMODAL,
-        _dialogue_3_turns(),
-        3,
-        [AsrHypothesis(1, "u1")],
-        agent_texts={2: "asr a2"},
+    prompts, _ = _run_prompts(
+        _dialogue_3_turns(), Strategy.MULTIMODAL, OracleExact(), agent_texts={2: "asr a2"}
     )
-    assert "AGENT: asr a2" in prompt
+    assert "AGENT: asr a2" in prompts[3]
 
 
 def test_full_spoken_prompt_slots_and_text():
@@ -304,23 +334,62 @@ def test_full_spoken_prompt_slots_and_text():
         speaker = Speaker.USER if i % 2 == 1 else Speaker.AGENT
         turns.append(Turn(i, speaker, f"t{i}"))
     dlg = Dialogue(id="d", turns=turns, gold_states={})
-    prompt = build_prompt(Strategy.FULL_SPOKEN, dlg, 5)
-    assert prompt == SPOKEN_PROMPT_PREFIX == '{"domains": '
+    assert build_prompt(Strategy.FULL_SPOKEN) == SPOKEN_PROMPT_PREFIX == '{"domains": '
+    prompts, _ = _run_prompts(dlg, Strategy.FULL_SPOKEN, OracleExact())
+    assert prompts == {1: SPOKEN_PROMPT_PREFIX, 3: SPOKEN_PROMPT_PREFIX, 5: SPOKEN_PROMPT_PREFIX}
     # pure speech context: no transcripts leak into the text
     for turn in dlg.turns:
-        assert turn.transcript not in prompt
+        assert turn.transcript not in prompts[5]
 
 
 def test_compressed_prompt_same_layout_as_full():
+    assert build_prompt(Strategy.COMPRESSED_SPOKEN) == build_prompt(Strategy.FULL_SPOKEN)
     dlg = _dialogue_3_turns()
-    full = build_prompt(Strategy.FULL_SPOKEN, dlg, 3)
-    compressed = build_prompt(Strategy.COMPRESSED_SPOKEN, dlg, 3)
+    full, _ = _run_prompts(dlg, Strategy.FULL_SPOKEN, OracleExact())
+    compressed, _ = _run_prompts(dlg, Strategy.COMPRESSED_SPOKEN, OracleExact())
     assert compressed == full
 
 
-def test_build_prompt_rejects_agent_turn():
-    with pytest.raises(ValueError, match="not a user turn"):
-        build_prompt(Strategy.FULL_SPOKEN, _dialogue_3_turns(), 2)
+# Text that JSON must escape, or that tests ensure_ascii: quotes, backslashes,
+# control characters, non-ASCII, lone surrogates and astral characters.
+_HARD_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "€", "\ud800", "\udfff", "\U0001f600", ";", ":"]),
+        st.characters(),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    transcripts=st.lists(_HARD_TEXT, min_size=1, max_size=7),
+    hypotheses=st.lists(st.one_of(st.none(), _HARD_TEXT), min_size=4, max_size=4),
+    agent_texts=st.one_of(st.none(), st.dictionaries(st.integers(1, 8), _HARD_TEXT, max_size=4)),
+)
+def test_run_prompts_equal_from_scratch_prompts(transcripts, hypotheses, agent_texts):
+    """The history run_dialogue appends to gives, at every user turn, the
+    prompt that rebuilding it from the run's parsed hypotheses gives."""
+    turns = [
+        Turn(i, Speaker.USER if i % 2 == 1 else Speaker.AGENT, text)
+        for i, text in enumerate(transcripts, start=1)
+    ]
+    dlg = Dialogue(id="d", turns=turns)
+    script = {n: h for n, h in zip(dlg.user_turn_indices(), hypotheses) if h is not None}
+    prompts, results = _run_prompts(dlg, Strategy.MULTIMODAL, _Scripted(script), agent_texts=agent_texts)
+    parsed = {}
+    for result in results:
+        # not always the scripted text: JSON decoding joins an escaped
+        # surrogate pair into one astral character
+        hypothesis = extract_user_last_turn(result.raw_output)
+        assert (hypothesis is None) == (result.turn_index not in script)
+        assert (hypothesis is None) == (
+            "missing user_last_turn in output; empty hypothesis stored" in result.diagnostics
+        )
+        parsed[result.turn_index] = hypothesis or ""
+    assert sorted(prompts) == dlg.user_turn_indices()
+    for n, prompt in prompts.items():
+        assert prompt == oracle_build_prompt(Strategy.MULTIMODAL, dlg, n, parsed, agent_texts)
 
 
 def test_prompt_constants_frozen():

@@ -18,7 +18,6 @@ from dst_lab.neural.train import (
     accuracy,
     softmax_cross_entropy,
     train,
-    write_loss_trace,
 )
 
 
@@ -139,10 +138,4 @@ def test_softmax_cross_entropy_gradient_is_probability_gap():
     assert loss == pytest.approx(np.log(3.0))
     assert grad[0, 0, 0] == pytest.approx((1 / 3 - 1) / 2)
     assert grad[0, 0, 1] == pytest.approx((1 / 3) / 2)
-
-
-def test_write_loss_trace(tmp_path):
-    path = tmp_path / "trace.csv"
-    write_loss_trace(path, [1.5, 0.75])
-    assert path.read_text() == "epoch,loss\n0,1.5\n1,0.75\n"
 
