@@ -58,6 +58,12 @@ class AssembledContext:
         return int(self.speech_part.shape[0])
 
 
+def context_turns(strategy: Strategy, n: int) -> range:
+    """Indices of the turns the context of user turn ``n`` reads: turn ``n``
+    alone under the multimodal strategy, turns 1..n under the spoken ones."""
+    return range(n, n + 1) if strategy is Strategy.MULTIMODAL else range(1, n + 1)
+
+
 def assemble(
     strategy: Strategy,
     turn_embeddings: list[SpeechEmbedding],
@@ -69,9 +75,9 @@ def assemble(
 ) -> AssembledContext:
     """Concatenate turn embeddings according to the strategy.
 
-    ``turn_embeddings`` covers turns 1..n in order; the last entry is the
-    current user turn. The multimodal layout reads only that entry, so a
-    caller may pass it alone. ``compressed`` maps a turn index to that turn's pooled
+    The last entry of ``turn_embeddings`` is the current user turn n; the
+    context places the turns ``context_turns`` names, picked by
+    ``turn_index``. ``compressed`` maps a turn index to that turn's pooled
     block: blocks found there are reused and blocks computed here are stored,
     so a caller passing one map for every turn of a dialogue compresses each
     turn once. Without it every compressed block is computed afresh.
@@ -82,24 +88,21 @@ def assemble(
     if strategy is Strategy.COMPRESSED_SPOKEN and compressor is None:
         raise ValueError("compressed_spoken requires a compressor")
 
-    if strategy is Strategy.MULTIMODAL:
-        current = turn_embeddings[-1]
-        spans = [TurnSpan(current.turn_index, 0, current.rows)]
-        return AssembledContext(strategy, current.matrix.copy(), spans, text_part)
-
+    current = turn_embeddings[-1].turn_index
+    by_index = {emb.turn_index: emb for emb in turn_embeddings}
     parts: list[np.ndarray] = []
     spans: list[TurnSpan] = []
     row = 0
-    for position, emb in enumerate(turn_embeddings):
-        is_current = position == len(turn_embeddings) - 1
-        if strategy is Strategy.COMPRESSED_SPOKEN and (not is_current or compress_current):
-            block = compressed.get(emb.turn_index)
+    for i in context_turns(strategy, current):
+        emb = by_index[i]
+        if strategy is Strategy.COMPRESSED_SPOKEN and (i != current or compress_current):
+            block = compressed.get(i)
             if block is None:
-                block = compressed[emb.turn_index] = compress_turn(emb, compressor)
+                block = compressed[i] = compress_turn(emb, compressor)
         else:
             block = emb.matrix
         parts.append(block)
-        spans.append(TurnSpan(emb.turn_index, row, block.shape[0]))
+        spans.append(TurnSpan(i, row, block.shape[0]))
         row += block.shape[0]
     return AssembledContext(strategy, np.concatenate(parts, axis=0), spans, text_part)
 
@@ -343,14 +346,14 @@ def run_dialogue(
 ) -> list[TurnResult]:
     """Predict the state at every user turn, in order.
 
-    A turn is embedded only when a context reads it, and at most once. The
-    multimodal context of user turn n reads turn n alone, so only user turns
-    are embedded. The full and compressed spoken contexts of user turn n read
-    turns 1..n, so turns are embedded in order as the dialogue reaches them,
-    and an agent turn after the last user turn is never embedded. Under the
-    compressed strategy each turn is compressed once, the first time a context
-    needs its pooled block; later contexts reuse the block, since a turn's
-    pooled vectors never change once the turn is over.
+    A turn is embedded only when a context reads it (``context_turns``), and
+    at most once. The multimodal context of user turn n reads turn n alone, so
+    only user turns are embedded. The full and compressed spoken contexts of
+    user turn n read turns 1..n, so turns are embedded in order as the
+    dialogue reaches them, and an agent turn after the last user turn is never
+    embedded. Under the compressed strategy each turn is compressed once, the
+    first time a context needs its pooled block; later contexts reuse the
+    block, since a turn's pooled vectors never change once the turn is over.
 
     For the multimodal strategy the predictor's own transcription of each user
     turn is fed back as that turn's history text for subsequent prompts; gold
@@ -360,21 +363,18 @@ def run_dialogue(
     transcription once it is parsed, and the agent turn after it, if any,
     adds its text.
     """
-    if strategy is Strategy.COMPRESSED_SPOKEN and compressor is None:
-        raise ValueError("compressed_spoken requires a compressor")
     results: list[TurnResult] = []
     history = ""
-    embeddings: list[SpeechEmbedding] = []
+    embedded: dict[int, SpeechEmbedding] = {}
     compressed: dict[int, np.ndarray] = {}
     for n in dialogue.user_turn_indices():
-        if strategy is Strategy.MULTIMODAL:
-            embeddings = [embedder.embed_turn(dialogue, n)]
-        else:
-            embeddings.extend(embedder.embed_turn(dialogue, i) for i in range(len(embeddings) + 1, n + 1))
+        for i in context_turns(strategy, n):
+            if i not in embedded:
+                embedded[i] = embedder.embed_turn(dialogue, i)
         prompt = build_prompt(strategy, history)
         context = assemble(
             strategy,
-            embeddings,
+            list(embedded.values()),
             compressor,
             compress_current=compress_current,
             text_part=prompt,

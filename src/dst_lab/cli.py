@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import click
@@ -33,6 +33,7 @@ from .assembly import (
 from .corpus import (
     CorpusFormatError,
     Dialogue,
+    Speaker,
     SynthConfig,
     default_corrupted_ids,
     filter_corrupted,
@@ -56,6 +57,7 @@ from .neural.pipeline import (
     build_encoder_stub,
 )
 from .neural.probe import ProbeHyper, probe_retention
+from .neural.train import TrainingDivergence
 from .postprocess import MatchPolicy
 from .reporting import (
     render_context_lengths,
@@ -79,6 +81,8 @@ _STRATEGY_ALIASES = {
     "compressed": Strategy.COMPRESSED_SPOKEN,
     "compressed_spoken": Strategy.COMPRESSED_SPOKEN,
 }
+_FORMATS = ("synthetic_json", "spokenwoz_json")
+_PREDICTORS = ("exact", "noisy", "truncated")
 
 
 def _configure_logging() -> None:
@@ -197,7 +201,12 @@ class RunManifest:
         return cls(**obj)
 
     def check_ranges(self) -> None:
-        """Raise click.BadParameter naming the first field outside its range."""
+        """Raise click.BadParameter naming the first field outside its range,
+        whether its value came from the manifest or from a flag."""
+        _require_positive(self.workers, "--workers")
+        _require_positive(self.n_queries, "--n-queries")
+        if self.seed < 0:
+            raise click.BadParameter(f"must be >= 0, got {self.seed}", param_hint="field 'seed'")
         for name in ("d_model", "n_heads", "n_layers", "stride", "budget_rows"):
             value = getattr(self, name)
             if value < 1:
@@ -210,6 +219,14 @@ class RunManifest:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:  # also false for NaN
                 raise click.BadParameter(f"must be in [0, 1], got {value}", param_hint=f"field {name!r}")
+        for name, allowed in (("predictor", _PREDICTORS), ("format", _FORMATS)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise click.BadParameter(f"must be one of {list(allowed)}, got {value!r}", param_hint=f"field {name!r}")
+        for name in ("corpus", "agent_asr"):
+            value = getattr(self, name)
+            if value is not None and not Path(value).exists():
+                raise click.BadParameter(f"path {value!r} does not exist", param_hint=f"field {name!r}")
 
     def resolved_strategy(self) -> Strategy:
         key = self.strategy.lower()
@@ -225,12 +242,13 @@ def _require_positive(value: int, flag: str) -> None:
         raise click.BadParameter(f"must be >= 1, got {value}", param_hint=flag)
 
 
-def _load_run_corpus(manifest: RunManifest) -> list[Dialogue]:
+def _validated(config):
+    """``config`` after its ``validate()``; a ValueError becomes a usage error."""
     try:
-        dialogues = load_corpus(manifest.corpus, manifest.format)
-    except CorpusFormatError as exc:
-        raise click.ClickException(str(exc)) from exc
-    return filter_corrupted(dialogues, manifest.exclude_ids)
+        config.validate()
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from exc
+    return config
 
 
 def _feature_dim(dialogues: list[Dialogue]) -> int:
@@ -257,10 +275,12 @@ def _build_embedder(manifest: RunManifest, d_feat: int) -> tuple[EmbeddingPipeli
     return embedder, config
 
 
-def _load_agent_texts(path: str | None) -> dict[str, dict[int, str]]:
+def _load_agent_texts(path: str | None, dialogues: list[Dialogue]) -> dict[str, dict[int, str]]:
+    """Agent-turn texts by dialogue id and turn index. Every line is parsed
+    first; then each must name an agent turn of ``dialogues``."""
     if not path:
         return {}
-    out: dict[str, dict[int, str]] = {}
+    lines: list[tuple[int, str, int, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -268,13 +288,19 @@ def _load_agent_texts(path: str | None) -> dict[str, dict[int, str]]:
                 continue
             try:
                 obj = json.loads(line)
-                out.setdefault(str(obj["dialogue_id"]), {})[int(obj["turn_index"])] = str(obj["text"])
+                lines.append((line_no, str(obj["dialogue_id"]), int(obj["turn_index"]), str(obj["text"])))
             except json.JSONDecodeError as exc:
                 raise click.ClickException(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
             except KeyError as exc:
                 raise click.ClickException(f"{path}:{line_no}: missing field {exc.args[0]!r}") from exc
             except (TypeError, ValueError) as exc:
                 raise click.ClickException(f"{path}:{line_no}: malformed record: {exc}") from exc
+    agent_turns = {(dlg.id, turn.index) for dlg in dialogues for turn in dlg.turns if turn.speaker is Speaker.AGENT}
+    out: dict[str, dict[int, str]] = {}
+    for line_no, dialogue_id, turn_index, text in lines:
+        if (dialogue_id, turn_index) not in agent_turns:
+            raise click.ClickException(f"{path}:{line_no}: dialogue {dialogue_id!r} has no agent turn {turn_index}")
+        out.setdefault(dialogue_id, {})[turn_index] = text
     return out
 
 
@@ -319,33 +345,10 @@ def main() -> None:
 @click.option("--fixed-domain", type=str, default=None, help="Use one domain for every dialogue.")
 @click.option("--frames-per-token", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(), required=True, help="Output corpus directory.")
-def cmd_synth(
-    seed: int,
-    n_dialogues: int,
-    turns_per_dialogue: int,
-    feature_dim: int,
-    slots_per_dialogue: int,
-    noise_sigma: float,
-    mentions_per_turn: int | None,
-    fixed_domain: str | None,
-    frames_per_token: int,
-    out: str,
-) -> None:
+def cmd_synth(seed: int, out: str, **flags) -> None:
     """Generate a synthetic corpus with feature sidecars."""
-    try:
-        config = SynthConfig(
-            n_dialogues=n_dialogues,
-            turns_per_dialogue=turns_per_dialogue,
-            feature_dim=feature_dim,
-            slots_per_dialogue=slots_per_dialogue,
-            noise_sigma=noise_sigma,
-            mentions_per_turn=mentions_per_turn,
-            fixed_domain=fixed_domain,
-            frames_per_token=frames_per_token,
-        )
-        config.validate()
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from exc
+    # every other flag names a SynthConfig field
+    config = _validated(SynthConfig(**flags))
     dialogues = synth_corpus(seed, config)
     path = write_corpus(
         out,
@@ -359,9 +362,9 @@ def cmd_synth(
 @main.command("run")
 @click.option("--manifest", type=click.Path(exists=True), default=None, help="Run manifest JSON; flags override fields.")
 @click.option("--corpus", type=click.Path(), default=None, help="Corpus path (file or directory).")
-@click.option("--format", "format_", type=click.Choice(["synthetic_json", "spokenwoz_json"]), default=None)
+@click.option("--format", type=click.Choice(_FORMATS), default=None)
 @click.option("--strategy", type=click.Choice(sorted(_STRATEGY_ALIASES)), default=None)
-@click.option("--predictor", type=click.Choice(["exact", "noisy", "truncated"]), default=None)
+@click.option("--predictor", type=click.Choice(_PREDICTORS), default=None)
 @click.option("--seed", type=int, default=None, help="Seed for predictor noise and parameter init.")
 @click.option("--n-queries", type=int, default=None, help="Compressor query count.")
 @click.option("--compress-current/--no-compress-current", default=None, help="Also compress the current turn (ablation).")
@@ -370,52 +373,27 @@ def cmd_synth(
 @click.option("--workers", type=int, default=None, help="Parallel dialogue workers.")
 @click.option("--budget-rows", type=int, default=None, help="Row budget for the truncated predictor.")
 @click.option("--agent-asr", type=click.Path(exists=True), default=None, help="NDJSON sidecar of agent-turn ASR texts for multimodal history.")
-def cmd_run(
-    manifest: str | None,
-    corpus: str | None,
-    format_: str | None,
-    strategy: str | None,
-    predictor: str | None,
-    seed: int | None,
-    n_queries: int | None,
-    compress_current: bool | None,
-    exclude_ids: str | None,
-    out: str | None,
-    workers: int | None,
-    budget_rows: int | None,
-    agent_asr: str | None,
-) -> None:
+def cmd_run(manifest: str | None, exclude_ids: str | None, **flags) -> None:
     """Run a predictor over a corpus and write NDJSON predictions."""
     if manifest:
         run_manifest = RunManifest.from_file(manifest)
+    elif not flags["corpus"] or not flags["strategy"]:
+        raise click.UsageError("--corpus and --strategy are required without --manifest")
     else:
-        if not corpus or not strategy:
-            raise click.UsageError("--corpus and --strategy are required without --manifest")
-        run_manifest = RunManifest(corpus=corpus, strategy=strategy)
-    overrides = {
-        "corpus": corpus,
-        "format": format_,
-        "strategy": strategy,
-        "predictor": predictor,
-        "seed": seed,
-        "n_queries": n_queries,
-        "compress_current": compress_current,
-        "out": out,
-        "workers": workers,
-        "budget_rows": budget_rows,
-        "agent_asr": agent_asr,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(run_manifest, key, value)
+        run_manifest = RunManifest(corpus=flags["corpus"], strategy=flags["strategy"])
+    # every other flag names the manifest field it overrides
+    run_manifest = replace(run_manifest, **{key: value for key, value in flags.items() if value is not None})
     if exclude_ids is not None or not run_manifest.exclude_ids:
         run_manifest.exclude_ids = _parse_exclude_ids(exclude_ids)
 
-    _require_positive(run_manifest.workers, "--workers")
-    _require_positive(run_manifest.n_queries, "--n-queries")
     run_manifest.check_ranges()
     strategy_enum = run_manifest.resolved_strategy()
-    dialogues = _load_run_corpus(run_manifest)
+    try:
+        dialogues = load_corpus(run_manifest.corpus, run_manifest.format)
+    except CorpusFormatError as exc:
+        raise click.ClickException(str(exc)) from exc
+    agent_texts = _load_agent_texts(run_manifest.agent_asr, dialogues)
+    dialogues = filter_corrupted(dialogues, run_manifest.exclude_ids)
     if not dialogues:
         raise click.ClickException("no dialogues left after filtering")
     d_feat = _feature_dim(dialogues)
@@ -430,7 +408,6 @@ def cmd_run(
         insert_prob=run_manifest.insert_prob,
         time_reformat_prob=run_manifest.time_reformat_prob,
     )
-    agent_texts = _load_agent_texts(run_manifest.agent_asr)
 
     tasks = [
         (
@@ -494,7 +471,7 @@ def cmd_run(
 @main.command("evaluate")
 @click.option("--predictions", type=click.Path(exists=True), required=True, help="NDJSON prediction file.")
 @click.option("--corpus", type=click.Path(exists=True), required=True, help="Reference corpus path.")
-@click.option("--format", "format_", type=click.Choice(["synthetic_json", "spokenwoz_json"]), default="synthetic_json", show_default=True)
+@click.option("--format", "format_", type=click.Choice(_FORMATS), default="synthetic_json", show_default=True)
 @click.option("--policy", type=str, default="standard", show_default=True, help="'standard', 'exact', or a policy JSON file.")
 @click.option("--exclude-ids", type=str, default=None, help="Comma-separated ids or a JSON file; defaults to the packaged list.")
 @click.option("--out", type=click.Path(), default=None, help="Report output directory.")
@@ -577,17 +554,7 @@ def cmd_gradcheck(eps: float, threshold: float) -> None:
 @click.option("--epochs", type=int, default=600, show_default=True)
 @click.option("--out", type=click.Path(), required=True, help="Retention CSV path.")
 def cmd_probe(
-    n_queries_list: tuple[int, ...],
-    seeds: str,
-    n_dialogues: int,
-    turns_per_dialogue: int,
-    feature_dim: int,
-    noise_sigma: float,
-    slots_per_dialogue: int,
-    fixed_domain: str,
-    lr: float,
-    epochs: int,
-    out: str,
+    n_queries_list: tuple[int, ...], seeds: str, lr: float, epochs: int, out: str, **flags
 ) -> None:
     """Slot-recovery accuracy as a function of compressor query count."""
     try:
@@ -596,24 +563,28 @@ def cmd_probe(
         raise click.BadParameter(
             f"expected comma-separated integers, got {seeds!r}", param_hint="--seeds"
         ) from None
+    for n_queries in n_queries_list:
+        _require_positive(n_queries, "--n-queries")
+    # every other flag names a SynthConfig field; each turn restates every slot
+    config = _validated(SynthConfig(mentions_per_turn=flags["slots_per_dialogue"], **flags))
+    if config.n_dialogues < 2:
+        raise click.BadParameter(
+            f"must be >= 2 so that a dialogue is held out, got {config.n_dialogues}", param_hint="--n-dialogues"
+        )
+    hypers = [_validated(ProbeHyper(lr=lr, epochs=epochs, seed=seed)) for seed in seed_values]
     rows: list[tuple[int, int, float]] = []
-    for seed in seed_values:
+    for hyper in hypers:
         if not n_queries_list:
             break
-        config = SynthConfig(
-            n_dialogues=n_dialogues,
-            turns_per_dialogue=turns_per_dialogue,
-            feature_dim=feature_dim,
-            slots_per_dialogue=slots_per_dialogue,
-            noise_sigma=noise_sigma,
-            mentions_per_turn=slots_per_dialogue,
-            fixed_domain=fixed_domain,
-        )
-        corpus_dialogues = synth_corpus(seed, config)
-        hyper = ProbeHyper(lr=lr, epochs=epochs, seed=seed)
-        accuracies = probe_retention(corpus_dialogues, list(n_queries_list), hyper)
+        corpus_dialogues = synth_corpus(hyper.seed, config)
+        try:
+            accuracies = probe_retention(corpus_dialogues, list(n_queries_list), hyper)
+        except TrainingDivergence as exc:
+            raise click.ClickException(
+                f"probe training at seed {hyper.seed} diverged at every learning rate tried: {exc}"
+            ) from exc
         for n_queries in n_queries_list:
-            rows.append((seed, n_queries, accuracies[n_queries]))
+            rows.append((hyper.seed, n_queries, accuracies[n_queries]))
     out_path = Path(out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

@@ -177,7 +177,13 @@ class SlotTaxonomy:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "SlotTaxonomy":
+    def from_json_obj(cls, obj: object) -> "SlotTaxonomy":
+        """Inverse of ``to_json_obj``; a malformed document is a CorpusFormatError."""
+        if not isinstance(obj, dict):
+            raise CorpusFormatError(f"expected an object, got {type(obj).__name__}")
+        for name in ("groups", "categorical_values"):
+            if not isinstance(obj.get(name, {}), dict):
+                raise CorpusFormatError(f"{name!r} must be an object, got {type(obj[name]).__name__}")
         groups = {}
         for key, group in obj.get("groups", {}).items():
             domain, _, slot = key.partition("-")
@@ -186,6 +192,8 @@ class SlotTaxonomy:
             groups[(domain, slot)] = group
         cat = {}
         for key, vals in obj.get("categorical_values", {}).items():
+            if not isinstance(vals, list):
+                raise CorpusFormatError(f"categorical values for {key} must be a list, got {type(vals).__name__}")
             domain, _, slot = key.partition("-")
             cat[(domain, slot)] = [str(v) for v in vals]
         return cls(groups, cat)
@@ -385,12 +393,17 @@ class SynthConfig:
         for name in ("n_dialogues", "turns_per_dialogue", "feature_dim", "slots_per_dialogue", "frames_per_token"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # also true for NaN
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.noise_sigma == float("inf"):
+            raise ValueError("noise_sigma must be finite, got inf")
         if self.mentions_per_turn is not None and self.mentions_per_turn < 1:
             raise ValueError("mentions_per_turn must be >= 1 when given")
         if self.fixed_domain is not None and self.fixed_domain not in ONTOLOGY:
             raise ValueError(f"unknown domain {self.fixed_domain!r}")
+        domains = sorted(ONTOLOGY) if self.fixed_domain is None else [self.fixed_domain]
+        if self.slots_per_dialogue > sum(len(ONTOLOGY[d]) for d in domains):
+            raise ValueError(f"slots_per_dialogue={self.slots_per_dialogue} exceeds available slots for {domains}")
 
     def to_json_obj(self) -> dict:
         return {
@@ -422,10 +435,6 @@ def _pick_dialogue_slots(rng: SplitMix64, config: SynthConfig) -> tuple[list[str
         take = rng.sample(slots, min(remaining, len(slots)))
         domains.append(domain)
         pairs.extend((domain, slot) for slot in sorted(take))
-    if len(pairs) < config.slots_per_dialogue:
-        raise ValueError(
-            f"slots_per_dialogue={config.slots_per_dialogue} exceeds available slots for {candidates}"
-        )
     return domains, pairs
 
 
@@ -763,7 +772,10 @@ def _parse_synthetic(path: Path) -> tuple[list[Dialogue], SlotTaxonomy | None]:
             name = dlg_obj.get("id", f"#{pos}") if isinstance(dlg_obj, dict) else f"#{pos}"
             raise _malformed_dialogue(exc, name, corpus_path) from exc
     _validate_alternation(dialogues, str(corpus_path))
-    taxonomy = SlotTaxonomy.from_json_obj(doc["taxonomy"]) if "taxonomy" in doc else None
+    try:
+        taxonomy = SlotTaxonomy.from_json_obj(doc["taxonomy"]) if "taxonomy" in doc else None
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"malformed taxonomy: {exc}", path=str(corpus_path)) from exc
     return dialogues, taxonomy
 
 

@@ -9,6 +9,7 @@ and held-out recovery accuracy is reported.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +29,27 @@ from .train import TrainingConfig, TrainingDivergence, accuracy, train
 log = logging.getLogger(__name__)
 
 
+# every probe pipeline has two attention heads and trains with the encoder
+# stub and the connector frozen at their random init
+N_HEADS = 2
+FROZEN_GROUPS = ("encoder_stub", "connector")
+
+
 @dataclass(frozen=True)
 class ProbeHyper:
     lr: float = 0.2
     epochs: int = 600
     seed: int = 0
     d_model: int = 16
-    n_heads: int = 2
     train_fraction: float = 0.8
-    freeze_connector: bool = True
+
+    def validate(self) -> None:
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a positive finite number, got {self.lr}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -109,7 +122,7 @@ def _split_indices(dataset: ProbeDataset, train_fraction: float) -> tuple[np.nda
 
 def build_probe_pipeline(d_feat: int, n_queries: int, dataset: ProbeDataset, hyper: ProbeHyper) -> Pipeline:
     config = CompressorConfig(
-        d_model=hyper.d_model, n_heads=hyper.n_heads, n_queries=n_queries, seed=hyper.seed
+        d_model=hyper.d_model, n_heads=N_HEADS, n_queries=n_queries, seed=hyper.seed
     )
     return Pipeline(
         encoder_stub=build_encoder_stub(d_feat, config),
@@ -119,12 +132,10 @@ def build_probe_pipeline(d_feat: int, n_queries: int, dataset: ProbeDataset, hyp
     )
 
 
-def probe_mask(hyper: ProbeHyper) -> ParameterMask:
-    """Encoder stub always frozen; the connector optionally stays at its random init."""
-    frozen = ["encoder_stub"]
-    if hyper.freeze_connector:
-        frozen.append("connector")
-    return ParameterMask.freeze(*frozen)
+def probe_mask(hyper: ProbeHyper | None = None) -> ParameterMask:
+    """The mask every probe config trains under: ``FROZEN_GROUPS`` frozen.
+    No ``hyper`` setting changes it."""
+    return ParameterMask.freeze(*FROZEN_GROUPS)
 
 
 def _train_with_retry(pipeline, mask, dataset, hyper: ProbeHyper):
@@ -135,7 +146,7 @@ def _train_with_retry(pipeline, mask, dataset, hyper: ProbeHyper):
     for _ in range(4):
         try:
             return train(
-                pipeline, mask, dataset, TrainingConfig(lr=lr, epochs=hyper.epochs, seed=hyper.seed)
+                pipeline, mask, dataset, TrainingConfig(lr=lr, epochs=hyper.epochs)
             )
         except TrainingDivergence as exc:
             log.warning("training diverged at lr=%.4f; retrying at %.4f", lr, lr / 2)
@@ -153,15 +164,16 @@ def probe_retention(
 
     The encoder stub stays frozen (the published two-stage recipe freezes the
     encoder during state-tracking training); the compressor and readout train
-    jointly, with the connector frozen by default so the contrast between
-    query counts isolates compressor capacity.
+    jointly, with the connector frozen so the contrast between query counts
+    isolates compressor capacity.
     """
     if not n_queries_list:
         return {}
     hyper = hyper or ProbeHyper()
+    hyper.validate()
     dataset = build_probe_dataset(corpus)
     train_idx, held_idx = _split_indices(dataset, hyper.train_fraction)
-    mask = probe_mask(hyper)
+    mask = probe_mask()
     results: dict[int, float] = {}
     for n_queries in n_queries_list:
         pipeline = build_probe_pipeline(dataset.features.shape[2], n_queries, dataset, hyper)

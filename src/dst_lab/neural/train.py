@@ -21,7 +21,6 @@ class TrainingDivergence(RuntimeError):
 class TrainingConfig:
     lr: float = 0.1
     epochs: int = 100
-    seed: int = 0
 
 
 @dataclass

@@ -308,7 +308,7 @@ def test_acceptance_7_freeze_contract():
             pipeline,
             probe_mask(hyper),
             (dataset.features[train_idx], dataset.labels[train_idx]),
-            TrainingConfig(lr=hyper.lr, epochs=hyper.epochs, seed=hyper.seed),
+            TrainingConfig(lr=hyper.lr, epochs=hyper.epochs),
         )
         after = group_bytes(outcome.pipeline.group_params(), "encoder_stub")
         assert before == after

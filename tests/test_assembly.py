@@ -53,6 +53,12 @@ def _embedder(feature_dim: int, stride: int = 1) -> EmbeddingPipeline:
 # ---------------------------------------------------------------------------
 
 
+def test_context_turns():
+    assert list(assembly.context_turns(Strategy.MULTIMODAL, 5)) == [5]
+    for strategy in (Strategy.FULL_SPOKEN, Strategy.COMPRESSED_SPOKEN):
+        assert list(assembly.context_turns(strategy, 5)) == [1, 2, 3, 4, 5]
+
+
 def test_single_turn_all_strategies_equal_h1():
     embs = _embeddings([12])
     compressor = build_compressor(CONFIG)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import builtins
 import csv
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -12,10 +13,11 @@ from click.testing import CliRunner
 
 from dst_lab import assembly
 from dst_lab import corpus as corpus_module
-from dst_lab.cli import main
-from dst_lab.corpus import default_corrupted_ids, filter_corrupted, load_corpus, synthetic_taxonomy
+from dst_lab.cli import RunManifest, main
+from dst_lab.corpus import SynthConfig, default_corrupted_ids, filter_corrupted, load_corpus, synthetic_taxonomy
 from dst_lab.metrics import evaluate, references_from_corpus, states_from_records
 from dst_lab.neural import layers
+from dst_lab.neural.probe import ProbeHyper
 from dst_lab.postprocess import MatchPolicy
 from dst_lab.reporting import render_report
 from dst_lab.state_codec import Strategy, read_predictions
@@ -440,6 +442,61 @@ def test_run_agent_asr_texts_replace_agent_transcripts_in_later_prompts(runner, 
             assert record.raw_output != gold_record.raw_output
 
 
+@pytest.mark.parametrize("case", ["unknown_dialogue", "user_turn", "past_end"])
+def test_run_rejects_agent_asr_line_naming_no_agent_turn(runner, tmp_path, case):
+    _synth(runner, tmp_path / "corpus")
+    dialogue_id = load_corpus(tmp_path / "corpus", "synthetic_json")[0].id
+    good = {"dialogue_id": dialogue_id, "turn_index": 2, "text": "hi"}
+    bad, reason = {
+        "unknown_dialogue": ({**good, "dialogue_id": "nope"}, "dialogue 'nope' has no agent turn 2"),
+        "user_turn": ({**good, "turn_index": 3}, f"dialogue {dialogue_id!r} has no agent turn 3"),
+        "past_end": ({**good, "turn_index": 7}, f"dialogue {dialogue_id!r} has no agent turn 7"),
+    }[case]
+    path = tmp_path / "agent_asr.ndjson"
+    path.write_text("\n".join(json.dumps(line) for line in (good, bad, good)) + "\n")
+    args = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "multimodal", "--agent-asr", str(path)]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "run")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"{path}:2: {reason}" in result.output
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_accepts_agent_asr_line_for_an_excluded_dialogue(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus")
+    dialogue_id = load_corpus(tmp_path / "corpus", "synthetic_json")[0].id
+    path = tmp_path / "agent_asr.ndjson"
+    path.write_text(json.dumps({"dialogue_id": dialogue_id, "turn_index": 2, "text": "hi"}) + "\n")
+    args = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "multimodal", "--agent-asr", str(path)]
+    result = runner.invoke(main, args + ["--exclude-ids", dialogue_id, "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    assert all(r.dialogue_id != dialogue_id for r in read_predictions(tmp_path / "run" / "predictions.ndjson"))
+
+
+@pytest.mark.parametrize("command", ["run", "evaluate"])
+@pytest.mark.parametrize(
+    "taxonomy, reason",
+    [
+        ([], "expected an object, got list"),
+        ({"groups": []}, "'groups' must be an object, got list"),
+        ({"categorical_values": "north"}, "'categorical_values' must be an object, got str"),
+        ({"categorical_values": {"hotel-area": "north"}}, "categorical values for hotel-area must be a list, got str"),
+        ({"groups": {"hotel-area": "weird"}}, "unknown slot group 'weird' for hotel-area"),
+    ],
+    ids=["list", "groups-list", "categorical-string", "value-list-string", "unknown-group"],
+)
+def test_malformed_taxonomy_is_a_click_error(runner, tmp_path, command, taxonomy, reason):
+    _synth(runner, tmp_path / "corpus")
+    document = tmp_path / "corpus" / "corpus.json"
+    doc = json.loads(document.read_text())
+    doc["taxonomy"] = taxonomy
+    document.write_text(json.dumps(doc))
+    result = _invoke_on_corpus(runner, tmp_path, command, [])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: malformed taxonomy: {reason} [file: {document}]" in result.output
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -691,6 +748,130 @@ def test_gradcheck_command_fails_on_nan_gradients(runner, monkeypatch):
     compressor_lines = [line for line in result.output.splitlines() if " compressor " in line]
     assert len(compressor_lines) == 6
     assert all(line.startswith("FAIL") and "max_rel_err=inf" in line for line in compressor_lines)
+
+
+# the flags of each command that name no field of the object the command fills
+_UNFORWARDED = {
+    "run": {"--manifest", "--exclude-ids"},
+    "synth": {"--seed", "--out"},
+    "probe": {"--seeds", "--out", "--n-queries"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, fills",
+    [
+        ("run", {None: RunManifest}),
+        ("synth", {None: SynthConfig}),
+        ("probe", {"--lr": ProbeHyper, "--epochs": ProbeHyper, None: SynthConfig}),
+    ],
+)
+def test_command_options_name_fields_of_the_objects_they_fill(command, fills):
+    options = {param.opts[0]: param.name for param in main.commands[command].params}
+    assert _UNFORWARDED[command] <= set(options)
+    for flag, name in options.items():
+        if flag in _UNFORWARDED[command]:
+            continue
+        target = fills.get(flag, fills[None])
+        assert name in {f.name for f in dataclasses.fields(target)}, f"{command} {flag} names no {target.__name__} field"
+
+
+@pytest.mark.parametrize("strategy", ["multimodal", "compressed"])
+def test_run_flags_and_manifest_write_identical_outputs(runner, tmp_path, strategy):
+    _synth(runner, tmp_path / "corpus")
+    dialogue_id = load_corpus(tmp_path / "corpus", "synthetic_json")[0].id
+    agent_asr = tmp_path / "agent_asr.ndjson"
+    agent_asr.write_text(json.dumps({"dialogue_id": dialogue_id, "turn_index": 2, "text": "two nights"}) + "\n")
+    settings = {
+        "corpus": str(tmp_path / "corpus"),
+        "format": "synthetic_json",
+        "strategy": strategy,
+        "predictor": "noisy",
+        "seed": 7,
+        "n_queries": 3,
+        "compress_current": True,
+        "out": str(tmp_path / "run"),
+        "workers": 1,
+        "budget_rows": 40,
+        "agent_asr": str(agent_asr),
+    }
+    flags = []
+    for key, value in settings.items():
+        flag = "--" + key.replace("_", "-")
+        flags += [flag] if value is True else [flag, str(value)]
+    result = runner.invoke(main, ["run", *flags])
+    assert result.exit_code == 0, result.output
+    names = ("predictions.ndjson", "context_lengths.csv", "run_summary.json")
+    from_flags = {name: (tmp_path / "run" / name).read_bytes() for name in names}
+    shutil.rmtree(tmp_path / "run")
+
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(settings))
+    result = runner.invoke(main, ["run", "--manifest", str(manifest)])
+    assert result.exit_code == 0, result.output
+    assert {name: (tmp_path / "run" / name).read_bytes() for name in names} == from_flags
+
+
+# small probe settings, so that a case that is not rejected still ends quickly
+_PROBE_BASE = ["--n-queries", "1", "--seeds", "0", "--n-dialogues", "4", "--turns-per-dialogue", "2", "--epochs", "2"]
+
+
+@pytest.mark.parametrize(
+    "command, args, manifest, message",
+    [
+        ("run", [], {"predictor": "llm"}, "field 'predictor': must be one of ['exact', 'noisy', 'truncated'], got 'llm'"),
+        ("run", [], {"format": "xml"}, "field 'format': must be one of ['synthetic_json', 'spokenwoz_json'], got 'xml'"),
+        ("run", ["--corpus", "nope"], None, "field 'corpus': path 'nope' does not exist"),
+        ("run", ["--seed", "-5"], None, "field 'seed': must be >= 0, got -5"),
+        ("run", [], {"corpus": "nope"}, "field 'corpus': path 'nope' does not exist"),
+        ("synth", ["--slots-per-dialogue", "5", "--fixed-domain", "hotel"], None, "slots_per_dialogue=5 exceeds available slots for ['hotel']"),
+        ("probe", ["--n-dialogues", "0"], None, "n_dialogues must be >= 1, got 0"),
+        ("probe", ["--n-dialogues", "1"], None, "--n-dialogues: must be >= 2 so that a dialogue is held out, got 1"),
+        ("probe", ["--fixed-domain", "nowhere"], None, "unknown domain 'nowhere'"),
+        ("probe", ["--noise-sigma", "-1"], None, "noise_sigma must be >= 0, got -1.0"),
+        ("probe", ["--turns-per-dialogue", "0"], None, "turns_per_dialogue must be >= 1, got 0"),
+        ("probe", ["--feature-dim", "0"], None, "feature_dim must be >= 1, got 0"),
+        ("probe", ["--n-queries", "0"], None, "--n-queries: must be >= 1, got 0"),
+        ("probe", ["--lr", "nan"], None, "lr must be a positive finite number, got nan"),
+        ("probe", ["--lr", "-5"], None, "lr must be a positive finite number, got -5.0"),
+        ("probe", ["--epochs", "-1"], None, "epochs must be >= 0, got -1"),
+        ("probe", ["--seeds", "3,-1"], None, "seed must be >= 0, got -1"),
+        ("synth", ["--noise-sigma", "inf"], None, "noise_sigma must be finite, got inf"),
+    ],
+    ids=[
+        "run-manifest-predictor", "run-manifest-format", "run-corpus-flag", "run-seed", "run-manifest-corpus",
+        "synth-slot-capacity", "probe-n-dialogues-0", "probe-n-dialogues-1", "probe-fixed-domain",
+        "probe-noise-sigma", "probe-turns-per-dialogue", "probe-feature-dim", "probe-n-queries",
+        "probe-lr-nan", "probe-lr-negative", "probe-epochs", "probe-seeds", "synth-noise-sigma-inf",
+    ],
+)
+def test_bad_setting_is_a_usage_error(runner, tmp_path, command, args, manifest, message):
+    base = []
+    if command == "run":
+        _synth(runner, tmp_path / "corpus")
+        base = ["--corpus", str(tmp_path / "corpus"), "--strategy", "full"]
+        if manifest is not None:
+            path = tmp_path / "manifest.json"
+            path.write_text(json.dumps({"corpus": str(tmp_path / "corpus"), "strategy": "full", **manifest}))
+            base = ["--manifest", str(path)]
+    elif command == "probe":
+        base = _PROBE_BASE
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, *base, *args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_probe_that_diverges_at_every_learning_rate_is_a_one_line_error(runner, tmp_path):
+    args = ["probe", *_PROBE_BASE, "--epochs", "20", "--lr", "1e6", "--out", str(tmp_path / "p.csv")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: probe training at seed 0 diverged at every learning rate tried" in result.output
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_unknown_flag_is_an_error(runner):

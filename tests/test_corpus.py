@@ -163,6 +163,22 @@ def test_config_validation():
         SynthConfig(fixed_domain="starship").validate()
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (SynthConfig(noise_sigma=float("nan")), "noise_sigma must be >= 0, got nan"),
+        (SynthConfig(noise_sigma=float("inf")), "noise_sigma must be finite, got inf"),
+        (SynthConfig(slots_per_dialogue=5, fixed_domain="hotel"), "exceeds available slots for ['hotel']"),
+    ],
+)
+def test_config_validation_runs_before_generation(config, message):
+    with pytest.raises(ValueError) as info:
+        config.validate()
+    assert message in str(info.value)
+    with pytest.raises(ValueError):
+        synth_corpus(0, config)
+
+
 def test_filter_corrupted_drops_present_ids(small_corpus):
     dialogues = synth_corpus(3, SynthConfig(n_dialogues=100, turns_per_dialogue=2, feature_dim=4))
     excluded = [d.id for d in dialogues[:9]]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from dst_lab.corpus import SynthConfig, synth_corpus
@@ -28,6 +30,20 @@ def test_probe_dataset_rejects_nonuniform_corpus(small_corpus):
 
 def test_probe_empty_query_list(probe_corpus):
     assert probe_retention(probe_corpus, []) == {}
+
+
+@pytest.mark.parametrize(
+    "hyper, message",
+    [
+        (ProbeHyper(lr=float("nan")), "lr must be a positive finite number, got nan"),
+        (ProbeHyper(lr=0.0), "lr must be a positive finite number, got 0.0"),
+        (ProbeHyper(epochs=-1), "epochs must be >= 0, got -1"),
+        (ProbeHyper(seed=-1), "seed must be >= 0, got -1"),
+    ],
+)
+def test_probe_rejects_bad_hyper_before_training(probe_corpus, hyper, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        probe_retention(probe_corpus, [2], hyper)
 
 
 def test_probe_deterministic(probe_corpus):
