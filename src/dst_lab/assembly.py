@@ -19,10 +19,10 @@ from typing import Iterable, Protocol
 import numpy as np
 
 from .corpus import Dialogue, DialogueState, Speaker, SplitMix64, derive_key, ONTOLOGY, ontology_values
+from .neural.layers import Linear
 from .neural.pipeline import (
     Compressor,
     Connector,
-    EncoderStub,
     SpeechEmbedding,
     compress_turn,
     connector_forward,
@@ -114,20 +114,17 @@ def assemble(
 
 @dataclass
 class EmbeddingPipeline:
-    """features -> (encoder stub) -> stride downsample -> connector."""
+    """features -> encoder stub -> stride downsample -> connector."""
 
     connector: Connector
-    encoder_stub: EncoderStub | None = None
+    encoder_stub: Linear
     stride: int = 1
 
     def embed_turn(self, dialogue: Dialogue, turn_index: int) -> SpeechEmbedding:
         turn = dialogue.turn(turn_index)
         if turn.features is None:
             raise ValueError(f"turn {turn_index} of dialogue {dialogue.id} has no features")
-        x = turn.features
-        if self.encoder_stub is not None:
-            x = self.encoder_stub.forward(x[None, :, :])[0]
-        x = downsample(x, self.stride)
+        x = downsample(self.encoder_stub.forward(turn.features[None, :, :])[0], self.stride)
         return SpeechEmbedding(connector_forward(x, self.connector), dialogue.id, turn_index)
 
 

@@ -1,14 +1,10 @@
 """Desk-scale neural stack: connector, query compressor, trainer, gradcheck."""
 
-from .checkpoint import group_bytes
 from .gradcheck import GradCheckResult, grad_check, grad_check_suite
 from .pipeline import (
     CompressorConfig,
     Compressor,
     Connector,
-    EncoderStub,
-    ParameterMask,
-    Pipeline,
     Readout,
     SpeechEmbedding,
     build_compressor,
@@ -26,10 +22,7 @@ __all__ = [
     "CompressorConfig",
     "Compressor",
     "Connector",
-    "EncoderStub",
     "GradCheckResult",
-    "ParameterMask",
-    "Pipeline",
     "ProbeHyper",
     "Readout",
     "SpeechEmbedding",
@@ -47,7 +40,6 @@ __all__ = [
     "downsample",
     "grad_check",
     "grad_check_suite",
-    "group_bytes",
     "probe_retention",
     "train",
 ]

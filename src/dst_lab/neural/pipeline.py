@@ -7,14 +7,11 @@ head. All arithmetic is float64 and deterministic given the configured seed.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .layers import DecoderLayer, EncoderLayer, Layer, Linear, _Composite, init_matrix, sinusoidal_positions
-
-PARAM_GROUPS = ("encoder_stub", "connector", "compressor", "readout")
 
 
 @dataclass(frozen=True)
@@ -66,26 +63,6 @@ def downsample(features: np.ndarray, stride: int = 6) -> np.ndarray:
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError(f"features must be a non-empty frames x dim matrix, got shape {features.shape}")
     return features[::stride]
-
-
-class EncoderStub(Layer):
-    """Placeholder for the frozen speech encoder: a single linear map."""
-
-    def __init__(self, d_feat: int, rng: np.random.Generator):
-        super().__init__()
-        self.add_param("W", init_matrix(rng, d_feat, d_feat))
-        self.add_param("b", np.zeros(d_feat))
-        self._x: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return x @ self._params["W"] + self._params["b"]
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        x = self._x
-        self._grads["W"] += np.tensordot(x, dout, axes=((0, 1), (0, 1)))
-        self._grads["b"] += dout.sum(axis=(0, 1))
-        return dout @ self._params["W"].T
 
 
 class Connector(_Composite):
@@ -184,82 +161,6 @@ class Readout(Layer):
         return dx.reshape(dout.shape[0], self.rows, self.d_model)
 
 
-@dataclass
-class ParameterMask:
-    """Per-group trainable flags. At least one group must remain trainable."""
-
-    trainable: dict[str, bool] = field(
-        default_factory=lambda: {g: True for g in PARAM_GROUPS}
-    )
-
-    def __post_init__(self) -> None:
-        unknown = set(self.trainable) - set(PARAM_GROUPS)
-        if unknown:
-            raise ValueError(f"unknown parameter groups: {sorted(unknown)}")
-        for group in PARAM_GROUPS:
-            self.trainable.setdefault(group, True)
-        if not any(self.trainable.values()):
-            raise ValueError("at least one parameter group must be trainable")
-
-    @classmethod
-    def only(cls, *groups: str) -> "ParameterMask":
-        return cls({g: g in groups for g in PARAM_GROUPS})
-
-    @classmethod
-    def freeze(cls, *groups: str) -> "ParameterMask":
-        return cls({g: g not in groups for g in PARAM_GROUPS})
-
-
-class Pipeline:
-    """Composable stack of the four parameter groups.
-
-    Stages present run in order encoder_stub -> connector -> compressor ->
-    readout; absent stages pass activations through unchanged.
-    """
-
-    def __init__(
-        self,
-        encoder_stub: EncoderStub | None = None,
-        connector: Connector | None = None,
-        compressor: Compressor | None = None,
-        readout: Readout | None = None,
-    ):
-        self.stages: dict[str, Layer | None] = {
-            "encoder_stub": encoder_stub,
-            "connector": connector,
-            "compressor": compressor,
-            "readout": readout,
-        }
-
-    @property
-    def readout(self) -> Readout | None:
-        return self.stages["readout"]
-
-    def ordered_stages(self) -> list[tuple[str, Layer]]:
-        return [(name, stage) for name, stage in self.stages.items() if stage is not None]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = x
-        for stage in self.stages.values():
-            if stage is not None:
-                out = stage.forward(out)
-        return out
-
-    def zero_grads(self) -> None:
-        for stage in self.stages.values():
-            if stage is not None:
-                stage.zero_grads()
-
-    def group_params(self) -> dict[str, dict[str, np.ndarray]]:
-        return {name: stage.params() for name, stage in self.stages.items() if stage is not None}
-
-    def group_grads(self) -> dict[str, dict[str, np.ndarray]]:
-        return {name: stage.grads() for name, stage in self.stages.items() if stage is not None}
-
-    def copy(self) -> "Pipeline":
-        return copy.deepcopy(self)
-
-
 def build_connector(d_in: int, config: CompressorConfig) -> Connector:
     return Connector(d_in, config, np.random.default_rng(np.random.SeedSequence([config.seed, 1])))
 
@@ -268,8 +169,9 @@ def build_compressor(config: CompressorConfig) -> Compressor:
     return Compressor(config, np.random.default_rng(np.random.SeedSequence([config.seed, 2])))
 
 
-def build_encoder_stub(d_feat: int, config: CompressorConfig) -> EncoderStub:
-    return EncoderStub(d_feat, np.random.default_rng(np.random.SeedSequence([config.seed, 0])))
+def build_encoder_stub(d_feat: int, config: CompressorConfig) -> Linear:
+    """Placeholder for the frozen speech encoder: one square linear map."""
+    return Linear(d_feat, d_feat, np.random.default_rng(np.random.SeedSequence([config.seed, 0])))
 
 
 def build_readout(rows: int, config: CompressorConfig, n_heads: int, n_classes: int) -> Readout:

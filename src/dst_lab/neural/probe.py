@@ -2,37 +2,36 @@
 
 Works on synthetic corpora whose user turns all mention the same number of
 slot-value pairs (``mentions_per_turn`` set). For each query count, a fresh
-pipeline is trained to recover the mentioned values from the compressed turn,
-and held-out recovery accuracy is reported.
+compressor and readout are trained to recover the mentioned values from the
+compressed turn, and held-out recovery accuracy is reported.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..corpus import Dialogue, Speaker, ontology_values, scan_transcript_mentions
+from .layers import Layer
 from .pipeline import (
     CompressorConfig,
-    ParameterMask,
-    Pipeline,
     build_compressor,
     build_connector,
     build_encoder_stub,
     build_readout,
 )
-from .train import TrainingConfig, TrainingDivergence, accuracy, train
+from .train import TrainingConfig, TrainingDivergence, TrainingResult, accuracy, forward, train
 
 log = logging.getLogger(__name__)
 
 
-# every probe pipeline has two attention heads and trains with the encoder
-# stub and the connector frozen at their random init
+# every probe config has two attention heads and trains on the first 80% of
+# the dialogues by id, scoring on the rest
 N_HEADS = 2
-FROZEN_GROUPS = ("encoder_stub", "connector")
+TRAIN_FRACTION = 0.8
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,6 @@ class ProbeHyper:
     epochs: int = 600
     seed: int = 0
     d_model: int = 16
-    train_fraction: float = 0.8
 
     def validate(self) -> None:
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -112,42 +110,29 @@ def build_probe_dataset(corpus: list[Dialogue]) -> ProbeDataset:
     )
 
 
-def _split_indices(dataset: ProbeDataset, train_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+def _split_indices(dataset: ProbeDataset) -> tuple[np.ndarray, np.ndarray]:
     unique_ids = sorted(set(dataset.dialogue_ids))
-    n_train = max(1, min(len(unique_ids) - 1, int(round(train_fraction * len(unique_ids)))))
+    if len(unique_ids) < 2:
+        raise ValueError(
+            f"probe needs at least 2 dialogues, got {len(unique_ids)}: one dialogue must be held out for scoring"
+        )
+    n_train = max(1, min(len(unique_ids) - 1, int(round(TRAIN_FRACTION * len(unique_ids)))))
     train_ids = set(unique_ids[:n_train])
     is_train = np.asarray([d in train_ids for d in dataset.dialogue_ids])
     return np.where(is_train)[0], np.where(~is_train)[0]
 
 
-def build_probe_pipeline(d_feat: int, n_queries: int, dataset: ProbeDataset, hyper: ProbeHyper) -> Pipeline:
-    config = CompressorConfig(
-        d_model=hyper.d_model, n_heads=N_HEADS, n_queries=n_queries, seed=hyper.seed
-    )
-    return Pipeline(
-        encoder_stub=build_encoder_stub(d_feat, config),
-        connector=build_connector(d_feat, config),
-        compressor=build_compressor(config),
-        readout=build_readout(n_queries, config, dataset.n_slots, dataset.n_classes),
-    )
-
-
-def probe_mask(hyper: ProbeHyper | None = None) -> ParameterMask:
-    """The mask every probe config trains under: ``FROZEN_GROUPS`` frozen.
-    No ``hyper`` setting changes it."""
-    return ParameterMask.freeze(*FROZEN_GROUPS)
-
-
-def _train_with_retry(pipeline, mask, dataset, hyper: ProbeHyper):
+def _train_with_retry(
+    stages: list[Layer], dataset: tuple[np.ndarray, np.ndarray], hyper: ProbeHyper
+) -> TrainingResult:
     """Plain gradient descent diverges above a data-dependent step size; retry
-    the full schedule at half the rate when that happens."""
+    the full schedule from the same initial stages at half the rate when that
+    happens."""
     lr = hyper.lr
     last: TrainingDivergence | None = None
     for _ in range(4):
         try:
-            return train(
-                pipeline, mask, dataset, TrainingConfig(lr=lr, epochs=hyper.epochs)
-            )
+            return train(stages, dataset, TrainingConfig(lr=lr, epochs=hyper.epochs))
         except TrainingDivergence as exc:
             log.warning("training diverged at lr=%.4f; retrying at %.4f", lr, lr / 2)
             last = exc
@@ -165,23 +150,30 @@ def probe_retention(
     The encoder stub stays frozen (the published two-stage recipe freezes the
     encoder during state-tracking training); the compressor and readout train
     jointly, with the connector frozen so the contrast between query counts
-    isolates compressor capacity.
+    isolates compressor capacity. Both frozen stages are built once and run
+    once over the train rows and once over the held-out rows; only
+    ``[compressor, readout]`` is trained.
     """
     if not n_queries_list:
         return {}
     hyper = hyper or ProbeHyper()
     hyper.validate()
     dataset = build_probe_dataset(corpus)
-    train_idx, held_idx = _split_indices(dataset, hyper.train_fraction)
-    mask = probe_mask()
+    train_idx, held_idx = _split_indices(dataset)
+    d_feat = dataset.features.shape[2]
+    base = CompressorConfig(d_model=hyper.d_model, n_heads=N_HEADS, seed=hyper.seed)
+    frozen = [build_encoder_stub(d_feat, base), build_connector(d_feat, base)]
+    train_x = forward(frozen, dataset.features[train_idx])
+    held_x = forward(frozen, dataset.features[held_idx])
     results: dict[int, float] = {}
     for n_queries in n_queries_list:
-        pipeline = build_probe_pipeline(dataset.features.shape[2], n_queries, dataset, hyper)
-        outcome = _train_with_retry(
-            pipeline, mask, (dataset.features[train_idx], dataset.labels[train_idx]), hyper
-        )
-        logits = outcome.pipeline.forward(dataset.features[held_idx])
-        acc = accuracy(logits, dataset.labels[held_idx])
+        config = replace(base, n_queries=n_queries)
+        stages = [
+            build_compressor(config),
+            build_readout(n_queries, config, dataset.n_slots, dataset.n_classes),
+        ]
+        outcome = _train_with_retry(stages, (train_x, dataset.labels[train_idx]), hyper)
+        acc = accuracy(forward(outcome.stages, held_x), dataset.labels[held_idx])
         log.info(
             "probe n_queries=%d train_loss=%.4f heldout_accuracy=%.4f",
             n_queries,

@@ -1,12 +1,13 @@
-"""Full-batch gradient-descent training with per-group freeze masks."""
+"""Full-batch gradient-descent training of a stack of stages."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import ParameterMask, Pipeline
+from .layers import Layer
 
 
 class TrainingDivergence(RuntimeError):
@@ -25,7 +26,7 @@ class TrainingConfig:
 
 @dataclass
 class TrainingResult:
-    pipeline: Pipeline
+    stages: list[Layer]
     trace: list[float]
 
 
@@ -55,63 +56,48 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((logits.argmax(axis=-1) == labels).mean())
 
 
+def forward(stages: list[Layer], x: np.ndarray) -> np.ndarray:
+    """Run ``x`` through ``stages`` in order."""
+    for stage in stages:
+        x = stage.forward(x)
+    return x
+
+
 def train(
-    pipeline: Pipeline,
-    mask: ParameterMask,
+    stages: list[Layer],
     dataset: tuple[np.ndarray, np.ndarray],
     hyper: TrainingConfig,
 ) -> TrainingResult:
-    """Train a copy of ``pipeline`` by full-batch gradient descent.
+    """Train a copy of every stage in ``stages`` by full-batch gradient descent.
 
-    The input pipeline is left untouched. Parameter groups with a false mask
-    entry are bit-identical between input and output. The returned trace has
-    ``epochs + 1`` entries: the loss before each step plus the final loss.
+    The input stages are left untouched; a stage that must stay frozen is kept
+    out of the list and applied to the inputs beforehand. The returned trace
+    has ``epochs + 1`` entries: the loss before each step plus the final loss.
     """
     x, labels = dataset
     if x.shape[0] == 0:
         raise ValueError("dataset must be nonempty")
-    trained = pipeline.copy()
-
-    # A frozen prefix of the stack never changes during training, so its
-    # activations are computed once up front. The arithmetic is identical to
-    # recomputing it every epoch.
-    stages = trained.ordered_stages()
-    split = 0
-    while split < len(stages) and not mask.trainable.get(stages[split][0], True):
-        split += 1
-    cached = x
-    for _, stage in stages[:split]:
-        cached = stage.forward(cached)
-    active = stages[split:]
-
-    def forward_active(inp: np.ndarray) -> np.ndarray:
-        out = inp
-        for _, stage in active:
-            out = stage.forward(out)
-        return out
-
+    trained = copy.deepcopy(stages)
     trace: list[float] = []
     # overflow is an expected, handled condition: it surfaces as a non-finite
     # loss and raises TrainingDivergence
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(hyper.epochs):
-            trained.zero_grads()
-            logits = forward_active(cached)
-            loss, dlogits = softmax_cross_entropy(logits, labels)
+            for stage in trained:
+                stage.zero_grads()
+            loss, dlogits = softmax_cross_entropy(forward(trained, x), labels)
             if not np.isfinite(loss):
                 raise TrainingDivergence(f"loss diverged to {loss}", trace)
             trace.append(loss)
             grad = dlogits
-            for _, stage in reversed(active):
+            for stage in reversed(trained):
                 grad = stage.backward(grad)
-            for group, grads in trained.group_grads().items():
-                if not mask.trainable.get(group, True):
-                    continue
-                params = trained.group_params()[group]
-                for name, g in grads.items():
+            for stage in trained:
+                params = stage.params()
+                for name, g in stage.grads().items():
                     params[name] -= hyper.lr * g
-        final_loss, _ = softmax_cross_entropy(forward_active(cached), labels)
+        final_loss, _ = softmax_cross_entropy(forward(trained, x), labels)
         if not np.isfinite(final_loss):
             raise TrainingDivergence(f"loss diverged to {final_loss}", trace)
         trace.append(float(final_loss))
-    return TrainingResult(pipeline=trained, trace=trace)
+    return TrainingResult(stages=trained, trace=trace)

@@ -119,6 +119,8 @@ def _decode_repaired(text: str) -> tuple[object, list[str]]:
         return json.loads(fragment), diagnostics
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"unparseable output: {exc.msg}", text) from exc
+    except RecursionError as exc:
+        raise ParseFailure("unparseable output: nesting too deep", text) from exc
 
 
 _DECODER = json.JSONDecoder()
@@ -132,7 +134,7 @@ def _decode(text: str) -> tuple[object, list[str]]:
     if start >= 0:
         try:
             return _DECODER.raw_decode(text, start)[0], []
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             pass
     return _decode_repaired(text)
 
@@ -298,6 +300,8 @@ def read_predictions(path) -> list[PredictionRecord]:
                 records.append(PredictionRecord.from_json_line(line))
             except json.JSONDecodeError as exc:
                 raise PredictionFileError(path, line_no, f"malformed JSON: {exc.msg}") from exc
+            except RecursionError as exc:
+                raise PredictionFileError(path, line_no, "malformed JSON: nesting too deep") from exc
             except KeyError as exc:
                 raise PredictionFileError(path, line_no, f"missing field {exc.args[0]!r}") from exc
             except (AttributeError, TypeError, ValueError) as exc:

@@ -12,27 +12,21 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import dst_lab.neural.probe as probe_module
 from dst_lab.assembly import EmbeddingPipeline, OracleNoisy, assemble
 from dst_lab.cli import main as cli_main
 from dst_lab.corpus import DialogueState, SynthConfig, synth_corpus, synthetic_taxonomy
 from dst_lab.metrics import evaluate, references_from_corpus
-from dst_lab.neural.checkpoint import group_bytes
 from dst_lab.neural.gradcheck import grad_check_suite
+from dst_lab.neural.layers import Layer
 from dst_lab.neural.pipeline import (
     CompressorConfig,
     build_compressor,
     build_connector,
     build_encoder_stub,
 )
-from dst_lab.neural.probe import (
-    ProbeHyper,
-    build_probe_dataset,
-    build_probe_pipeline,
-    probe_mask,
-    probe_retention,
-    _split_indices,
-)
-from dst_lab.neural.train import TrainingConfig, train
+from dst_lab.neural.probe import ProbeHyper, probe_retention
+from dst_lab.neural.train import train
 from dst_lab.postprocess import MatchPolicy, levenshtein_ratio, values_match
 from dst_lab.corpus import SplitMix64
 from dst_lab.reporting import MethodComparisonRow, render_method_comparison
@@ -290,7 +284,15 @@ def test_acceptance_6_retention_probe():
 # ---------------------------------------------------------------------------
 
 
-def test_acceptance_7_freeze_contract():
+def layer_bytes(layer: Layer) -> bytes:
+    """One layer's parameters as C-order little-endian float64 bytes, in name order."""
+    params = layer.params()
+    return b"".join(
+        np.ascontiguousarray(params[name], dtype="<f8").tobytes(order="C") for name in sorted(params)
+    )
+
+
+def test_acceptance_7_freeze_contract(monkeypatch):
     with criterion(7, "frozen encoder-stub checkpoint bytes identical across training"):
         corpus = synth_corpus(
             3,
@@ -300,21 +302,31 @@ def test_acceptance_7_freeze_contract():
             ),
         )
         hyper = ProbeHyper(lr=0.1, epochs=40, seed=0, d_model=8)
-        dataset = build_probe_dataset(corpus)
-        train_idx, _ = _split_indices(dataset, hyper.train_fraction)
-        pipeline = build_probe_pipeline(8, 2, dataset, hyper)
-        before = group_bytes(pipeline.group_params(), "encoder_stub")
-        outcome = train(
-            pipeline,
-            probe_mask(hyper),
-            (dataset.features[train_idx], dataset.labels[train_idx]),
-            TrainingConfig(lr=hyper.lr, epochs=hyper.epochs),
-        )
-        after = group_bytes(outcome.pipeline.group_params(), "encoder_stub")
-        assert before == after
-        assert group_bytes(pipeline.group_params(), "compressor") != group_bytes(
-            outcome.pipeline.group_params(), "compressor"
-        )
+        config = CompressorConfig(d_model=8, n_heads=2, n_queries=2, seed=0)
+        # record the stages the probe builds and the stages it trains
+        built: dict[str, Layer] = {}
+        trained: list[tuple[list[Layer], list[Layer]]] = []
+
+        def recording(name, build):
+            def wrapper(*args):
+                built[name] = build(*args)
+                return built[name]
+            return wrapper
+
+        def recording_train(stages, dataset, training_config):
+            outcome = train(stages, dataset, training_config)
+            trained.append((stages, outcome.stages))
+            return outcome
+
+        monkeypatch.setattr(probe_module, "build_encoder_stub", recording("encoder_stub", build_encoder_stub))
+        monkeypatch.setattr(probe_module, "build_connector", recording("connector", build_connector))
+        monkeypatch.setattr(probe_module, "train", recording_train)
+        probe_retention(corpus, [2], hyper)
+        assert layer_bytes(built["encoder_stub"]) == layer_bytes(build_encoder_stub(8, config))
+        assert layer_bytes(built["connector"]) == layer_bytes(build_connector(8, config))
+        [(before, after)] = trained
+        assert layer_bytes(before[0]) == layer_bytes(build_compressor(config))
+        assert layer_bytes(before[0]) != layer_bytes(after[0])
 
 
 # ---------------------------------------------------------------------------

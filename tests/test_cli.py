@@ -634,6 +634,11 @@ def test_evaluate_alignment_failure_exit_code(runner, tmp_path):
         ('{"turn_index": 5, "raw_output": ""}', "missing field 'dialogue_id'"),
         ('{"dialogue_id": "d0", "raw_output": ""}', "missing field 'turn_index'"),
         ('["d0", 5]', "malformed record"),
+        pytest.param(
+            '{"dialogue_id": "d0", "turn_index": 5, "parsed_state": ' + "[" * 100000,
+            "malformed JSON: nesting too deep",
+            id="nested-too-deep",
+        ),
     ],
 )
 def test_evaluate_reports_bad_prediction_line(runner, tmp_path, bad_line, reason):

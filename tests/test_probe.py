@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import dst_lab.neural.probe as probe_module
 from dst_lab.corpus import SynthConfig, synth_corpus
 from dst_lab.neural.probe import (
     ProbeHyper,
@@ -51,6 +52,30 @@ def test_probe_deterministic(probe_corpus):
     a = probe_retention(probe_corpus, [2], hyper)
     b = probe_retention(probe_corpus, [2], hyper)
     assert a == b
+
+
+def test_probe_accuracies_pinned(probe_corpus):
+    # exact held-out accuracies of this config: any change to the probe's
+    # arithmetic or to the stages it builds shows here
+    hyper = ProbeHyper(lr=0.1, epochs=12, seed=4, d_model=8)
+    result = probe_retention(probe_corpus, [1, 2], hyper)
+    assert repr(result) == "{1: 0.125, 2: 0.08333333333333333}"
+
+
+def test_probe_one_dialogue_corpus_rejected_before_training(monkeypatch):
+    corpus = synth_corpus(
+        0,
+        SynthConfig(
+            n_dialogues=1, turns_per_dialogue=2, feature_dim=8, mentions_per_turn=4, fixed_domain="hotel"
+        ),
+    )
+
+    def no_training(*args):
+        raise AssertionError("probe trained on a corpus it cannot score")
+
+    monkeypatch.setattr(probe_module, "train", no_training)
+    with pytest.raises(ValueError, match="at least 2 dialogues, got 1: one dialogue must be held out"):
+        probe_retention(corpus, [1], ProbeHyper(epochs=3))
 
 
 def test_probe_accuracy_in_unit_interval(probe_corpus):

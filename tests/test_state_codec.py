@@ -248,6 +248,45 @@ def test_one_pass_repair_matches_two_pass_oracle_on_random_text(text):
     assert _repair_outcome(state_codec._decode_repaired, text) == _repair_outcome(oracle_decode_repaired, text)
 
 
+_CLOSERS = {"[": "]", "{": "}", '{"a": ': "}", "[{": "}]"}
+# runs of openers deep enough to exhaust json's recursion limit, unclosed or closed
+_BRACKET_RUNS = st.tuples(
+    st.sampled_from(["", '{"domains": ', '{"predicted_state": {"hotel": {"area": ', "{"]),
+    st.sampled_from(sorted(_CLOSERS)),
+    st.sampled_from([1, 10, 999, 1000, 5000, 100000]),
+    st.booleans(),
+).map(lambda t: t[0] + t[1] * t[2] + (_CLOSERS[t[1]] * t[2] if t[3] else ""))
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        _MODEL_LIKE_TEXTS,
+        _SERIALIZED_STATES.flatmap(lambda t: st.integers(0, len(t)).map(lambda i: t[:i])),
+        _BRACKET_RUNS,
+    )
+)
+def test_parse_state_raises_nothing_but_parse_failure(text):
+    try:
+        parse_state(text)
+    except ParseFailure:
+        pass
+    extract_user_last_turn(text)
+
+
+def test_unterminated_deep_nesting_is_a_parse_failure():
+    text = '{"domains": ' + "[" * 100000
+    with pytest.raises(ParseFailure, match="nesting too deep"):
+        parse_state(text)
+    assert extract_user_last_turn(text) is None
+
+
+def test_valid_deep_nesting_is_a_parse_failure():
+    text = '{"domains": [], "predicted_state": ' + "[" * 5000 + "]" * 5000 + "}"
+    with pytest.raises(ParseFailure, match="nesting too deep"):
+        parse_state(text)
+
+
 # ---------------------------------------------------------------------------
 # build_prompt and the history run_dialogue builds
 # ---------------------------------------------------------------------------

@@ -3,19 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dst_lab.neural.checkpoint import group_bytes
-from dst_lab.neural.pipeline import (
-    CompressorConfig,
-    ParameterMask,
-    Pipeline,
-    build_compressor,
-    build_encoder_stub,
-    build_readout,
-)
+from dst_lab.neural.layers import Layer
+from dst_lab.neural.pipeline import CompressorConfig, build_compressor, build_readout
 from dst_lab.neural.train import (
     TrainingConfig,
     TrainingDivergence,
     accuracy,
+    forward,
     softmax_cross_entropy,
     train,
 )
@@ -30,105 +24,70 @@ def _separable_dataset(n: int = 40, seed: int = 0):
     return x[:, None, :], labels[:, None].astype(np.int64)
 
 
-def _readout_pipeline(seed: int = 0) -> Pipeline:
+def _readout_stages(seed: int = 0) -> list[Layer]:
     config = CompressorConfig(d_model=4, n_heads=2, n_queries=1, seed=seed)
-    return Pipeline(readout=build_readout(1, config, n_heads=1, n_classes=2))
+    return [build_readout(1, config, n_heads=1, n_classes=2)]
 
 
 def test_readout_only_reaches_perfect_accuracy():
     dataset = _separable_dataset()
-    result = train(
-        _readout_pipeline(), ParameterMask.only("readout"), dataset, TrainingConfig(lr=0.5, epochs=300)
-    )
-    logits = result.pipeline.forward(dataset[0])
+    result = train(_readout_stages(), dataset, TrainingConfig(lr=0.5, epochs=300))
+    logits = forward(result.stages, dataset[0])
     assert accuracy(logits, dataset[1]) == 1.0
 
 
 def test_convex_case_trace_monotone_for_small_lr():
     dataset = _separable_dataset()
-    result = train(
-        _readout_pipeline(), ParameterMask.only("readout"), dataset, TrainingConfig(lr=0.05, epochs=200)
-    )
+    result = train(_readout_stages(), dataset, TrainingConfig(lr=0.05, epochs=200))
     trace = np.asarray(result.trace)
     assert (np.diff(trace) <= 1e-12).all()
 
 
 def test_zero_lr_keeps_parameters_and_trace_constant():
     dataset = _separable_dataset()
-    pipeline = _readout_pipeline()
-    before = {k: v.copy() for k, v in pipeline.readout.params().items()}
-    result = train(pipeline, ParameterMask.only("readout"), dataset, TrainingConfig(lr=0.0, epochs=20))
+    stages = _readout_stages()
+    before = {k: v.copy() for k, v in stages[0].params().items()}
+    result = train(stages, dataset, TrainingConfig(lr=0.0, epochs=20))
     assert len(set(result.trace)) == 1
-    for name, value in result.pipeline.readout.params().items():
+    for name, value in result.stages[0].params().items():
         assert np.array_equal(value, before[name])
 
 
 def test_same_seed_identical_traces():
     dataset = _separable_dataset()
-    a = train(_readout_pipeline(3), ParameterMask.only("readout"), dataset, TrainingConfig(lr=0.2, epochs=50))
-    b = train(_readout_pipeline(3), ParameterMask.only("readout"), dataset, TrainingConfig(lr=0.2, epochs=50))
+    a = train(_readout_stages(3), dataset, TrainingConfig(lr=0.2, epochs=50))
+    b = train(_readout_stages(3), dataset, TrainingConfig(lr=0.2, epochs=50))
     assert a.trace == b.trace
 
 
 def test_input_pipeline_untouched():
     dataset = _separable_dataset()
-    pipeline = _readout_pipeline()
-    before = {k: v.copy() for k, v in pipeline.readout.params().items()}
-    train(pipeline, ParameterMask.only("readout"), dataset, TrainingConfig(lr=0.5, epochs=30))
-    for name, value in pipeline.readout.params().items():
+    stages = _readout_stages()
+    before = {k: v.copy() for k, v in stages[0].params().items()}
+    result = train(stages, dataset, TrainingConfig(lr=0.5, epochs=30))
+    assert result.stages[0] is not stages[0]
+    for name, value in stages[0].params().items():
         assert np.array_equal(value, before[name])
-
-
-def test_frozen_groups_bit_identical():
-    config = CompressorConfig(d_model=4, n_heads=2, n_queries=2, seed=1)
-    pipeline = Pipeline(
-        encoder_stub=build_encoder_stub(4, config),
-        compressor=build_compressor(config),
-        readout=build_readout(2, config, n_heads=1, n_classes=2),
-    )
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((12, 3, 4))
-    labels = rng.integers(0, 2, size=(12, 1)).astype(np.int64)
-    mask = ParameterMask.freeze("encoder_stub")
-    before = group_bytes(pipeline.group_params(), "encoder_stub")
-    result = train(pipeline, mask, (x, labels), TrainingConfig(lr=0.05, epochs=40))
-    after = group_bytes(result.pipeline.group_params(), "encoder_stub")
-    assert before == after
-    # trainable groups did change
-    assert group_bytes(pipeline.group_params(), "readout") != group_bytes(
-        result.pipeline.group_params(), "readout"
-    )
 
 
 def test_divergence_raises_with_trace():
     config = CompressorConfig(d_model=4, n_heads=2, n_queries=2, seed=1)
-    pipeline = Pipeline(
-        compressor=build_compressor(config),
-        readout=build_readout(2, config, n_heads=1, n_classes=2),
-    )
+    stages = [build_compressor(config), build_readout(2, config, n_heads=1, n_classes=2)]
     rng = np.random.default_rng(0)
     x = rng.standard_normal((8, 3, 4))
     labels = rng.integers(0, 2, size=(8, 1)).astype(np.int64)
     with pytest.raises(TrainingDivergence) as err:
-        train(pipeline, ParameterMask(), (x, labels), TrainingConfig(lr=1e6, epochs=500))
+        train(stages, (x, labels), TrainingConfig(lr=1e6, epochs=500))
     assert len(err.value.trace) >= 1
 
 
 def test_empty_dataset_rejected():
     with pytest.raises(ValueError, match="nonempty"):
         train(
-            _readout_pipeline(),
-            ParameterMask.only("readout"),
+            _readout_stages(),
             (np.zeros((0, 1, 4)), np.zeros((0, 1), dtype=np.int64)),
             TrainingConfig(),
         )
-
-
-def test_mask_validation():
-    with pytest.raises(ValueError, match="at least one"):
-        ParameterMask({g: False for g in ("encoder_stub", "connector", "compressor", "readout")})
-    with pytest.raises(ValueError, match="unknown parameter groups"):
-        ParameterMask({"llm": True})
 
 
 def test_softmax_cross_entropy_gradient_is_probability_gap():
