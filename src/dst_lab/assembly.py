@@ -78,11 +78,9 @@ def assemble(
     The last entry of ``turn_embeddings`` is the current user turn n; the
     context places the turns ``context_turns`` names, picked by
     ``turn_index``. ``compressed`` maps a turn index to that turn's pooled
-    block: blocks found there are reused and blocks computed here are stored,
-    so a caller passing one map for every turn of a dialogue compresses each
-    turn once. Without it every compressed block is computed afresh.
+    block, used as it is; a turn it lacks is pooled here, on its own.
     """
-    compressed = {} if compressed is None else compressed
+    compressed = compressed or {}
     if not turn_embeddings:
         raise ValueError("need at least one turn embedding")
     if strategy is Strategy.COMPRESSED_SPOKEN and compressor is None:
@@ -98,7 +96,7 @@ def assemble(
         if strategy is Strategy.COMPRESSED_SPOKEN and (i != current or compress_current):
             block = compressed.get(i)
             if block is None:
-                block = compressed[i] = compress_turn(emb, compressor)
+                block = compress_turn(emb.matrix[None], compressor)[0]
         else:
             block = emb.matrix
         parts.append(block)
@@ -112,6 +110,13 @@ def assemble(
 # ---------------------------------------------------------------------------
 
 
+def _features(dialogue: Dialogue, turn_index: int) -> np.ndarray:
+    features = dialogue.turn(turn_index).features
+    if features is None:
+        raise ValueError(f"turn {turn_index} of dialogue {dialogue.id} has no features")
+    return features
+
+
 @dataclass
 class EmbeddingPipeline:
     """features -> encoder stub -> stride downsample -> connector."""
@@ -120,12 +125,24 @@ class EmbeddingPipeline:
     encoder_stub: Linear
     stride: int = 1
 
-    def embed_turn(self, dialogue: Dialogue, turn_index: int) -> SpeechEmbedding:
-        turn = dialogue.turn(turn_index)
-        if turn.features is None:
-            raise ValueError(f"turn {turn_index} of dialogue {dialogue.id} has no features")
-        x = downsample(self.encoder_stub.forward(turn.features[None, :, :])[0], self.stride)
-        return SpeechEmbedding(connector_forward(x, self.connector), dialogue.id, turn_index)
+    def embed_turn(self, dialogue: Dialogue, turn_indices: tuple[int, ...]) -> list[SpeechEmbedding]:
+        """Embed turns whose feature matrices share one shape, with one
+        encoder-stub forward and one connector forward over their stack."""
+        stack = np.stack([_features(dialogue, i) for i in turn_indices])
+        x = downsample(self.encoder_stub.forward(stack), self.stride)
+        return [
+            SpeechEmbedding(matrix, dialogue.id, i)
+            for i, matrix in zip(turn_indices, connector_forward(x, self.connector))
+        ]
+
+
+def _groups(indices: list[int], key) -> list[tuple[int, ...]]:
+    """``indices`` split by ``key(index)`` into tuples that keep their order,
+    with ``key`` called on every index in order."""
+    groups: dict[object, list[int]] = {}
+    for i in indices:
+        groups.setdefault(key(i), []).append(i)
+    return [tuple(group) for group in groups.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +360,15 @@ def run_dialogue(
 ) -> list[TurnResult]:
     """Predict the state at every user turn, in order.
 
-    A turn is embedded only when a context reads it (``context_turns``), and
-    at most once. The multimodal context of user turn n reads turn n alone, so
-    only user turns are embedded. The full and compressed spoken contexts of
-    user turn n read turns 1..n, so turns are embedded in order as the
-    dialogue reaches them, and an agent turn after the last user turn is never
-    embedded. Under the compressed strategy each turn is compressed once, the
-    first time a context needs its pooled block; later contexts reuse the
-    block, since a turn's pooled vectors never change once the turn is over.
+    The turns the contexts read (``context_turns`` over the user turns) are
+    embedded once, up front: the user turns under the multimodal strategy,
+    every turn up to the last user turn under the spoken ones. A read turn
+    without features fails the dialogue, naming the lowest such turn. Turns
+    whose features share a shape are embedded by one ``embed_turn`` call.
+    Under the compressed strategy every read turn before the last user turn
+    (and that turn under ``compress_current``) is pooled once, up front, by
+    one ``compress_turn`` call per embedding row count, and every context
+    reuses the blocks. A stacked forward is bitwise equal to per-turn ones.
 
     For the multimodal strategy the predictor's own transcription of each user
     turn is fed back as that turn's history text for subsequent prompts; gold
@@ -362,16 +380,23 @@ def run_dialogue(
     """
     results: list[TurnResult] = []
     history = ""
+    users = dialogue.user_turn_indices()
+    read = sorted({i for n in users for i in context_turns(strategy, n)})
     embedded: dict[int, SpeechEmbedding] = {}
+    for group in _groups(read, lambda i: _features(dialogue, i).shape):
+        embedded.update(zip(group, embedder.embed_turn(dialogue, group)))
     compressed: dict[int, np.ndarray] = {}
-    for n in dialogue.user_turn_indices():
-        for i in context_turns(strategy, n):
-            if i not in embedded:
-                embedded[i] = embedder.embed_turn(dialogue, i)
+    # without a compressor, assemble raises its own error
+    if strategy is Strategy.COMPRESSED_SPOKEN and compressor is not None:
+        pooled = [i for i in read if i < users[-1] or compress_current]
+        for group in _groups(pooled, lambda i: embedded[i].rows):
+            blocks = compress_turn(np.stack([embedded[i].matrix for i in group]), compressor)
+            compressed.update(zip(group, blocks))
+    for n in users:
         prompt = build_prompt(strategy, history)
         context = assemble(
             strategy,
-            list(embedded.values()),
+            [embedded[i] for i in context_turns(strategy, n)],
             compressor,
             compress_current=compress_current,
             text_part=prompt,

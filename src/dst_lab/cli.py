@@ -12,7 +12,7 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -322,6 +322,14 @@ def _execute_dialogue(task: tuple) -> tuple[str, list, str | None]:
         return dialogue.id, [], f"{type(exc).__name__}: {exc}"
 
 
+def _outcome(dialogue_id: str, future: Future) -> tuple[str, list, str | None]:
+    """A worker's result; a worker that died fails its pending dialogues alone."""
+    try:
+        return future.result()
+    except Exception as exc:  # BrokenProcessPool, or a result that cannot be sent back
+        return dialogue_id, [], f"{type(exc).__name__}: {exc}"
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="dst-lab")
 def main() -> None:
@@ -423,7 +431,8 @@ def cmd_run(manifest: str | None, exclude_ids: str | None, **flags) -> None:
     ]
     if run_manifest.workers > 1:
         with ProcessPoolExecutor(max_workers=run_manifest.workers) as pool:
-            outcomes = list(pool.map(_execute_dialogue, tasks))
+            futures = [pool.submit(_execute_dialogue, task) for task in tasks]
+            outcomes = [_outcome(task[0].id, future) for task, future in zip(tasks, futures)]
     else:
         outcomes = [_execute_dialogue(task) for task in tasks]
 

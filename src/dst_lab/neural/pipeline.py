@@ -57,12 +57,13 @@ class SpeechEmbedding:
 
 
 def downsample(features: np.ndarray, stride: int = 6) -> np.ndarray:
-    """Keep every stride-th frame starting at frame 0."""
+    """Keep every stride-th frame starting at frame 0, of a frames x dim
+    matrix or of each turn in a (turns, frames, dim) stack."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ValueError(f"features must be a non-empty frames x dim matrix, got shape {features.shape}")
-    return features[::stride]
+    if features.ndim not in (2, 3) or features.shape[-2] == 0:
+        raise ValueError(f"features must be a non-empty frames x dim matrix or stack, got shape {features.shape}")
+    return features[..., ::stride, :]
 
 
 class Connector(_Composite):
@@ -185,15 +186,22 @@ def build_readout(rows: int, config: CompressorConfig, n_heads: int, n_classes: 
 
 
 def connector_forward(features: np.ndarray, connector: Connector) -> np.ndarray:
-    """Single-turn connector application: (frames, d_in) -> (frames, d_model)."""
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ValueError(f"features must be a non-empty 2-d matrix, got shape {features.shape}")
-    return connector.forward(features[None, :, :])[0]
+    """Connector over a stack of equal-length turns: (turns, frames, d_in) ->
+    (turns, frames, d_model).
+
+    Each turn of the stack goes through the same float operations, in the same
+    order, as a stack of that turn alone, so its output is bitwise equal to its
+    own batch-1 forward (tests/test_neural.py checks this).
+    """
+    if features.ndim != 3 or 0 in features.shape[:2]:
+        raise ValueError(f"features must be a non-empty (turns, frames, d_in) stack, got shape {features.shape}")
+    return connector.forward(features)
 
 
-def compress_turn(h: np.ndarray | SpeechEmbedding, compressor: Compressor) -> np.ndarray:
-    """Pool one turn embedding down to the compressor's n_queries rows."""
-    matrix = h.matrix if isinstance(h, SpeechEmbedding) else h
-    if matrix.ndim != 2 or matrix.shape[0] == 0:
-        raise ValueError(f"turn embedding must be a non-empty 2-d matrix, got shape {matrix.shape}")
-    return compressor.forward(matrix[None, :, :])[0]
+def compress_turn(h: np.ndarray, compressor: Compressor) -> np.ndarray:
+    """Pool a stack of equal-length turn embeddings, (turns, rows, d_model),
+    to (turns, n_queries, d_model); each turn's block is bitwise equal to its
+    own batch-1 forward."""
+    if h.ndim != 3 or 0 in h.shape[:2]:
+        raise ValueError(f"turn embeddings must be a non-empty (turns, rows, d_model) stack, got shape {h.shape}")
+    return compressor.forward(h)

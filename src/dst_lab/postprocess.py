@@ -141,5 +141,10 @@ def values_match(pred: str, ref: str, slot_group: str, policy: MatchPolicy) -> b
     p = canonical_value(pred, slot_group, policy)
     r = canonical_value(ref, slot_group, policy)
     if slot_group in policy.fuzzy_groups:
+        # the edit distance is at least the length gap (Ukkonen 1985), so the
+        # ratio is at most this bound; below the threshold the DP is skipped
+        longest = max(len(p), len(r))
+        if longest and 1.0 - abs(len(p) - len(r)) / longest < policy.fuzzy_threshold:
+            return False
         return levenshtein_ratio(p, r) >= policy.fuzzy_threshold
     return p == r

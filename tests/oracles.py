@@ -2,7 +2,8 @@
 
 Everything here is written straight-line from the evaluation contract and must
 stay independent of the library code it checks: no imports from
-dst_lab.postprocess, dst_lab.metrics, or dst_lab.neural.
+dst_lab.postprocess or dst_lab.metrics, and from dst_lab.neural only the
+SpeechEmbedding container.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import numpy as np
 
 from dst_lab.corpus import Speaker
+from dst_lab.neural.pipeline import SpeechEmbedding
 from dst_lab.state_codec import ParseFailure, Strategy
 
 
@@ -304,6 +306,14 @@ def oracle_total_rows(
     prior = (len(per_turn_rows) - 1) * n_queries
     current = n_queries if compress_current else per_turn_rows[-1]
     return prior + current
+
+
+def oracle_embed_turn(embedder, dialogue, turn_index: int) -> SpeechEmbedding:
+    """One turn's embedding from batch-1 forwards of ``embedder``'s encoder
+    stub and connector layers, each turn alone."""
+    features = dialogue.turn(turn_index).features
+    stubbed = embedder.encoder_stub.forward(features[None])[0]
+    return SpeechEmbedding(embedder.connector.forward(stubbed[:: embedder.stride][None])[0], dialogue.id, turn_index)
 
 
 def oracle_build_prompt(

@@ -33,6 +33,7 @@ from dst_lab.reporting import MethodComparisonRow, render_method_comparison
 from dst_lab.state_codec import Strategy
 
 from oracles import (
+    oracle_embed_turn,
     oracle_error_breakdown,
     oracle_group_f1,
     oracle_jga,
@@ -208,7 +209,7 @@ def test_acceptance_4_context_length_law():
                 stride=stride,
             )
             for dlg in corpus:
-                embeddings = [embedder.embed_turn(dlg, t.index) for t in dlg.turns]
+                embeddings = [oracle_embed_turn(embedder, dlg, t.index) for t in dlg.turns]
                 rows = [e.rows for e in embeddings]
                 for n in dlg.user_turn_indices():
                     full = assemble(Strategy.FULL_SPOKEN, embeddings[:n])

@@ -27,7 +27,7 @@ from dst_lab.neural.pipeline import (
 from dst_lab.postprocess import MatchPolicy
 from dst_lab.state_codec import Strategy
 
-from oracles import oracle_total_rows
+from oracles import oracle_embed_turn, oracle_total_rows
 
 RNG = np.random.default_rng(77)
 CONFIG = CompressorConfig(d_model=16, n_heads=2, n_queries=10, seed=5)
@@ -230,24 +230,29 @@ STRATEGY_CASES = [
 def test_run_dialogue_contexts_equal_from_scratch_assembly(small_corpus, monkeypatch, strategy, compress_current):
     embedder = _embedder(8)
     compressor = build_compressor(CONFIG)
-    compressed_turns = []
+    stacks = []
 
     def counting_compress_turn(h, pooler):
-        compressed_turns.append((h.dialogue_id, h.turn_index))
+        stacks.append(h)
         return compress_turn(h, pooler)
 
-    expected_compressed = set()
+    compressed_turns, expected_compressed = [], set()
     for dlg in small_corpus:
         recorder = RecordingPredictor()
+        stacks.clear()
         with monkeypatch.context() as patch:
             patch.setattr(assembly, "compress_turn", counting_compress_turn)
             run_dialogue(dlg, strategy, recorder, embedder, compressor, compress_current=compress_current)
         assert sorted(recorder.contexts) == dlg.user_turn_indices()
-        embeddings = [embedder.embed_turn(dlg, t.index) for t in dlg.turns]
+        embeddings = [oracle_embed_turn(embedder, dlg, t.index) for t in dlg.turns]
         for n, context in recorder.contexts.items():
             expected = assemble(strategy, embeddings[:n], compressor, compress_current=compress_current)
             assert np.array_equal(context.speech_part, expected.speech_part)
             assert context.bookkeeping == expected.bookkeeping
+        assert len({stack.shape[1] for stack in stacks}) == len(stacks)  # one call per row count
+        # a pooled turn is known by its embedding, which is bitwise the oracle's
+        by_content = {e.matrix.tobytes(): (dlg.id, e.turn_index) for e in embeddings}
+        compressed_turns += [by_content[turn.tobytes()] for stack in stacks for turn in stack]
         if strategy is Strategy.COMPRESSED_SPOKEN:
             last = dlg.user_turn_indices()[-1]
             compressed_up_to = last if compress_current else last - 1
@@ -259,23 +264,29 @@ def test_run_dialogue_contexts_equal_from_scratch_assembly(small_corpus, monkeyp
 def test_run_dialogue_embeds_only_the_turns_contexts_read(small_corpus, monkeypatch, strategy, compress_current):
     embedder = _embedder(8)
     compressor = build_compressor(CONFIG)
-    embedded = []
+    calls = []
     embed_turn = EmbeddingPipeline.embed_turn
 
-    def counting_embed_turn(self, dialogue, turn_index):
-        embedded.append(turn_index)
-        return embed_turn(self, dialogue, turn_index)
+    def counting_embed_turn(self, dialogue, turn_indices):
+        assert isinstance(turn_indices, tuple)
+        calls.append(turn_indices)
+        return embed_turn(self, dialogue, turn_indices)
 
     monkeypatch.setattr(EmbeddingPipeline, "embed_turn", counting_embed_turn)
     for dlg in small_corpus:
-        embedded.clear()
+        calls.clear()
         run_dialogue(dlg, strategy, RecordingPredictor(), embedder, compressor, compress_current=compress_current)
         users = dlg.user_turn_indices()
+        embedded = sorted(i for call in calls for i in call)
         if strategy is Strategy.MULTIMODAL:
             assert embedded == users
         else:
             assert embedded == list(range(1, users[-1] + 1))
         assert users[-1] < len(dlg.turns)  # a trailing agent turn exists and is skipped
+        # one frame count per call, and one call per frame count
+        frames = [{dlg.turn(i).features.shape[0] for i in call} for call in calls]
+        assert all(len(f) == 1 for f in frames)
+        assert len(set().union(*frames)) == len(calls)
 
 
 def _run_results(corpus, strategy, embedder, compressor=None, *, compress_current=False):
@@ -322,7 +333,7 @@ def _report(corpus, strategy, embedder, n_queries):
 def test_context_length_report_matches_formulas(small_corpus):
     embedder = _embedder(8)
     per_turn_rows = {
-        dlg.id: [embedder.embed_turn(dlg, t.index).rows for t in dlg.turns] for dlg in small_corpus
+        dlg.id: [oracle_embed_turn(embedder, dlg, t.index).rows for t in dlg.turns] for dlg in small_corpus
     }
     for strategy in Strategy:
         by_turn = {r.turn_index: r for r in _report(small_corpus, strategy, embedder, 10)}
@@ -354,14 +365,14 @@ def test_context_length_single_turn_equal_rows(probe_corpus):
     assert len(first_turn) == len(Strategy)
     values = {r.mean_rows for r in first_turn}
     assert len(values) == 1
-    first_rows = [embedder.embed_turn(dlg, 1).rows for dlg in probe_corpus]
+    first_rows = [oracle_embed_turn(embedder, dlg, 1).rows for dlg in probe_corpus]
     assert values == {float(np.mean([oracle_total_rows(Strategy.COMPRESSED_SPOKEN, [r], 4) for r in first_rows]))}
 
 
 def test_context_length_ratio_near_one_when_queries_match_mean_rows(probe_corpus):
     embedder = _embedder(8)
     per_turn_rows = {
-        dlg.id: [embedder.embed_turn(dlg, t.index).rows for t in dlg.turns]
+        dlg.id: [oracle_embed_turn(embedder, dlg, t.index).rows for t in dlg.turns]
         for dlg in probe_corpus
     }
     mean_rows = int(round(np.mean([r for rows in per_turn_rows.values() for r in rows])))

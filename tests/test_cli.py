@@ -4,14 +4,16 @@ import builtins
 import csv
 import dataclasses
 import json
+import os
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dst_lab import assembly
+from dst_lab import assembly, cli
 from dst_lab import corpus as corpus_module
 from dst_lab.cli import RunManifest, main
 from dst_lab.corpus import SynthConfig, default_corrupted_ids, filter_corrupted, load_corpus, synthetic_taxonomy
@@ -349,6 +351,60 @@ def test_context_lengths_count_only_dialogues_that_succeeded(runner, tmp_path):
     assert result.exit_code == 0, result.output
     csv_name = "context_lengths.csv"
     assert (tmp_path / "run" / csv_name).read_bytes() == (tmp_path / "excluded" / csv_name).read_bytes()
+
+
+@pytest.mark.parametrize("strategy, missing_turn", [("multimodal", 3), ("full", 2), ("compressed", 2)])
+def test_run_failure_names_the_lowest_read_turn_without_features(runner, tmp_path, strategy, missing_turn):
+    _synth(runner, tmp_path / "corpus")
+    victim = load_corpus(tmp_path / "corpus", "synthetic_json")[1].id
+    # agent turn 2 and user turns 3 and 5: the spoken contexts read all three,
+    # the multimodal ones only the user turns
+    for turn in (5, 2, 3):
+        (tmp_path / "corpus" / "features" / f"{victim}__t{turn:04d}.f64").unlink()
+    base = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", strategy]
+    result = runner.invoke(main, base + ["--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "run" / "run_summary.json").read_text())
+    assert summary["failures"] == [
+        {"dialogue_id": victim, "error": f"ValueError: turn {missing_turn} of dialogue {victim} has no features"}
+    ]
+    # every other dialogue is written as if the victim were excluded
+    result = runner.invoke(main, base + ["--exclude-ids", victim, "--out", str(tmp_path / "excluded")])
+    assert result.exit_code == 0, result.output
+    for name in ("predictions.ndjson", "context_lengths.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "excluded" / name).read_bytes()
+
+
+class _DiesOnDialogue:
+    """Exact oracle whose worker process dies, a second in, on one dialogue."""
+
+    def __init__(self, dialogue_id: str):
+        self.dialogue_id = dialogue_id
+
+    def predict(self, request):
+        if request.dialogue.id == self.dialogue_id:
+            time.sleep(1.0)  # the other dialogues finish first
+            os._exit(3)
+        return assembly.OracleExact().predict(request)
+
+
+def test_run_records_a_dead_worker_as_its_dialogues_failure(runner, tmp_path, monkeypatch):
+    _synth(runner, tmp_path / "corpus")
+    ids = sorted(d.id for d in load_corpus(tmp_path / "corpus", "synthetic_json"))
+    base = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "full", "--workers", "2"]
+    result = runner.invoke(main, base + ["--exclude-ids", ids[-1], "--out", str(tmp_path / "reference")])
+    assert result.exit_code == 0, result.output
+
+    monkeypatch.setattr(cli, "make_predictor", lambda *args, **kwargs: _DiesOnDialogue(ids[-1]))
+    result = runner.invoke(main, base + ["--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    assert "1 dialogue(s) failed" in result.output
+    summary = json.loads((tmp_path / "run" / "run_summary.json").read_text())
+    assert [f["dialogue_id"] for f in summary["failures"]] == [ids[-1]]
+    assert summary["failures"][0]["error"].startswith("BrokenProcessPool: ")
+    # the dialogues that finished keep their predictions
+    for name in ("predictions.ndjson", "context_lengths.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
 
 
 def _invoke_on_corpus(runner, tmp_path, command: str, extra: list[str]):

@@ -14,6 +14,7 @@ from dst_lab.neural.pipeline import (
     SpeechEmbedding,
     build_compressor,
     build_connector,
+    build_encoder_stub,
     compress_turn,
     connector_forward,
     downsample,
@@ -67,21 +68,21 @@ def test_downsample_errors():
 def test_connector_shape_contract():
     config = CompressorConfig(d_model=16, n_heads=2, seed=3)
     connector = build_connector(5, config)
-    out = connector_forward(RNG.standard_normal((10, 5)), connector)
-    assert out.shape == (10, 16)
+    out = connector_forward(RNG.standard_normal((3, 10, 5)), connector)
+    assert out.shape == (3, 10, 16)
 
 
 def test_connector_rejects_nonfinite():
     config = CompressorConfig(d_model=16, n_heads=2, seed=3)
     connector = build_connector(4, config)
-    bad = np.full((3, 4), np.nan)
+    bad = np.full((1, 3, 4), np.nan)
     with pytest.raises(ValueError, match="non-finite"):
         connector_forward(bad, connector)
 
 
 def test_connector_deterministic_given_seed():
     config = CompressorConfig(d_model=16, n_heads=2, seed=9)
-    x = RNG.standard_normal((6, 4))
+    x = RNG.standard_normal((1, 6, 4))
     a = connector_forward(x, build_connector(4, config))
     b = connector_forward(x, build_connector(4, config))
     assert np.array_equal(a, b)
@@ -90,7 +91,7 @@ def test_connector_deterministic_given_seed():
 def test_attention_rows_sum_to_one():
     config = CompressorConfig(d_model=16, n_heads=2, seed=3)
     connector = build_connector(4, config)
-    connector_forward(RNG.standard_normal((9, 4)), connector)
+    connector_forward(RNG.standard_normal((1, 9, 4)), connector)
     attn = _attention(connector.layer.attn)
     assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-12
 
@@ -100,7 +101,7 @@ def test_connector_matches_straight_line_oracle():
     config = CompressorConfig(d_model=8, n_heads=2, seed=21)
     connector = build_connector(4, config)
     x = np.random.default_rng(0).standard_normal((3, 4))
-    expected = connector_forward(x, connector)
+    expected = connector_forward(x[None], connector)[0]
 
     p = connector.params()
     h = x @ p["proj.W"] + p["proj.b"]
@@ -138,33 +139,52 @@ def test_connector_matches_straight_line_oracle():
 def test_compress_shape_contract():
     config = CompressorConfig(d_model=16, n_heads=2, n_queries=10, seed=4)
     compressor = build_compressor(config)
-    out = compress_turn(RNG.standard_normal((37, 16)), compressor)
-    assert out.shape == (10, 16)
+    out = compress_turn(RNG.standard_normal((2, 37, 16)), compressor)
+    assert out.shape == (2, 10, 16)
 
 
 def test_compress_single_query_attention_pooling():
     config = CompressorConfig(d_model=16, n_heads=2, n_queries=1, seed=4)
-    out = compress_turn(RNG.standard_normal((23, 16)), build_compressor(config))
-    assert out.shape == (1, 16)
+    out = compress_turn(RNG.standard_normal((1, 23, 16)), build_compressor(config))
+    assert out.shape == (1, 1, 16)
 
 
 def test_compress_row_count_independent_of_input_length():
     config = CompressorConfig(d_model=8, n_heads=2, n_queries=3, seed=4)
     compressor = build_compressor(config)
     for rows in (1, 2, 17, 64):
-        assert compress_turn(RNG.standard_normal((rows, 8)), compressor).shape == (3, 8)
+        assert compress_turn(RNG.standard_normal((1, rows, 8)), compressor).shape == (1, 3, 8)
 
 
 def test_compress_dimension_mismatch():
     config = CompressorConfig(d_model=16, n_heads=2, n_queries=2, seed=4)
     with pytest.raises(ValueError, match="does not match d_model"):
-        compress_turn(RNG.standard_normal((5, 8)), build_compressor(config))
+        compress_turn(RNG.standard_normal((1, 5, 8)), build_compressor(config))
 
 
-def test_compress_accepts_speech_embedding():
+@pytest.mark.parametrize("shape", [(5, 8), (0, 5, 8), (2, 0, 8), (1, 2, 5, 8)])
+def test_connector_and_compressor_take_only_non_empty_stacks(shape):
     config = CompressorConfig(d_model=8, n_heads=2, n_queries=2, seed=4)
-    emb = SpeechEmbedding(RNG.standard_normal((5, 8)), "d0", 1)
-    assert compress_turn(emb, build_compressor(config)).shape == (2, 8)
+    with pytest.raises(ValueError, match="non-empty"):
+        connector_forward(np.zeros(shape), build_connector(8, config))
+    with pytest.raises(ValueError, match="non-empty"):
+        compress_turn(np.zeros(shape), build_compressor(config))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 12, 25, 40])
+def test_stacked_forwards_bitwise_equal_per_turn_forwards(rows):
+    """At the run's shapes, one forward over a stack of 1-64 same-length turns
+    gives, turn by turn, exactly the batch-1 forward of that turn."""
+    config = CompressorConfig(d_model=16, n_heads=2, n_queries=8, seed=5)
+    stub, connector, compressor = build_encoder_stub(16, config), build_connector(16, config), build_compressor(config)
+    features = np.random.default_rng(rows).standard_normal((64, rows, 16))
+    stubbed = np.stack([stub.forward(features[k : k + 1])[0] for k in range(64)])
+    embedded = np.stack([connector_forward(stubbed[k : k + 1], connector)[0] for k in range(64)])
+    pooled = np.stack([compress_turn(embedded[k : k + 1], compressor)[0] for k in range(64)])
+    for size in range(1, 65):
+        assert np.array_equal(stub.forward(features[:size]), stubbed[:size])
+        assert np.array_equal(connector_forward(stubbed[:size], connector), embedded[:size])
+        assert np.array_equal(compress_turn(embedded[:size], compressor), pooled[:size])
 
 
 def test_cross_attention_matches_brute_force_softmax_mean():
@@ -197,8 +217,8 @@ def test_uniform_attention_is_permutation_invariant():
         layer.cross_attn.params()["Wk"][...] = 0.0
         layer.cross_attn.params()["bq"][...] = 0.0
     h = RNG.standard_normal((12, 8))
-    base = compress_turn(h, compressor)
-    permuted = compress_turn(h[::-1].copy(), compressor)
+    base = compress_turn(h[None], compressor)
+    permuted = compress_turn(h[None, ::-1].copy(), compressor)
     assert np.allclose(base, permuted, atol=1e-12, rtol=0)
     attn = _attention(compressor.layers[0].cross_attn)
     assert np.allclose(attn, 1.0 / 12.0, atol=0, rtol=0)
@@ -206,14 +226,14 @@ def test_uniform_attention_is_permutation_invariant():
 
 def test_compressor_multi_layer():
     config = CompressorConfig(d_model=8, n_heads=2, n_layers=3, n_queries=2, seed=5)
-    out = compress_turn(RNG.standard_normal((6, 8)), build_compressor(config))
-    assert out.shape == (2, 8)
+    out = compress_turn(RNG.standard_normal((1, 6, 8)), build_compressor(config))
+    assert out.shape == (1, 2, 8)
 
 
 def test_compressor_attention_rows_sum_to_one():
     config = CompressorConfig(d_model=8, n_heads=2, n_queries=3, seed=5)
     compressor = build_compressor(config)
-    compress_turn(RNG.standard_normal((11, 8)), compressor)
+    compress_turn(RNG.standard_normal((1, 11, 8)), compressor)
     for layer in compressor.layers:
         for attn in (_attention(layer.self_attn), _attention(layer.cross_attn)):
             assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-12

@@ -141,6 +141,22 @@ def test_symmetry_on_random_pairs():
             assert values_match(a, b, group, policy) == values_match(b, a, group, policy)
 
 
+@settings(max_examples=500, deadline=None)
+@given(p=st.text("abc", max_size=12), r=st.text("abc", max_size=12), data=st.data())
+def test_fuzzy_match_equals_full_ratio_at_any_threshold(p, r, data):
+    """The length-gap exit never changes a fuzzy result, also at thresholds
+    equal to the gap bound or to the ratio itself."""
+    longest = max(len(p), len(r), 1)
+    threshold = data.draw(
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.sampled_from([1.0 - abs(len(p) - len(r)) / longest, levenshtein_ratio(p, r)]),
+        )
+    )
+    policy = MatchPolicy(fuzzy_threshold=threshold)
+    assert values_match(p, r, "open", policy) == (levenshtein_ratio(p, r) >= threshold)
+
+
 def test_degenerate_policy_is_case_insensitive_equality():
     policy = MatchPolicy(fuzzy_threshold=1.0, fuzzy_groups=frozenset(), time_canonicalization=False)
     assert values_match("Foo", "foo", "open", policy)

@@ -298,8 +298,8 @@ _COMPRESSOR = build_compressor(CompressorConfig(d_model=8, n_heads=2, n_queries=
 class _StubEmbedder:
     """One constant row per turn: these tests read only the prompt text."""
 
-    def embed_turn(self, dialogue, turn_index):
-        return SpeechEmbedding(np.ones((1, 8)), dialogue.id, turn_index)
+    def embed_turn(self, dialogue, turn_indices):
+        return [SpeechEmbedding(np.ones((1, 8)), dialogue.id, i) for i in turn_indices]
 
 
 class _Scripted:
@@ -324,6 +324,8 @@ def _run_prompts(dialogue, strategy, predictor, *, agent_texts=None):
             prompts[request.turn_index] = request.context.text_part
             return predictor.predict(request)
 
+    for turn in dialogue.turns:
+        turn.features = np.ones((1, 8))  # run_dialogue groups the turns it embeds by feature shape
     results = run_dialogue(dialogue, strategy, Recording(), _StubEmbedder(), _COMPRESSOR, agent_texts=agent_texts)
     return prompts, results
 
