@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -323,11 +324,27 @@ def _execute_dialogue(task: tuple) -> tuple[str, list, str | None]:
 
 
 def _outcome(dialogue_id: str, future: Future) -> tuple[str, list, str | None]:
-    """A worker's result; a worker that died fails its pending dialogues alone."""
+    """A worker's result, or its dialogue's failure when it cannot come back."""
     try:
         return future.result()
     except Exception as exc:  # BrokenProcessPool, or a result that cannot be sent back
         return dialogue_id, [], f"{type(exc).__name__}: {exc}"
+
+
+def _run_in_pool(tasks: list[tuple], workers: int) -> list[tuple[str, list, str | None]]:
+    """Run every task in a pool of ``workers`` processes; outcomes in task order.
+
+    A worker that dies breaks the pool, and with it every dialogue whose
+    result had not come back. Each of those runs again alone, in a fresh
+    one-worker pool, so only a dialogue that kills its own worker fails.
+    """
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_execute_dialogue, task) for task in tasks]
+        outcomes = [_outcome(task[0].id, future) for task, future in zip(tasks, futures)]
+    for i, (task, future) in enumerate(zip(tasks, futures)):
+        if workers > 1 and isinstance(future.exception(), BrokenProcessPool):
+            (outcomes[i],) = _run_in_pool([task], 1)
+    return outcomes
 
 
 @click.group()
@@ -430,9 +447,7 @@ def cmd_run(manifest: str | None, exclude_ids: str | None, **flags) -> None:
         for dlg in sorted(dialogues, key=lambda d: d.id)
     ]
     if run_manifest.workers > 1:
-        with ProcessPoolExecutor(max_workers=run_manifest.workers) as pool:
-            futures = [pool.submit(_execute_dialogue, task) for task in tasks]
-            outcomes = [_outcome(task[0].id, future) for task, future in zip(tasks, futures)]
+        outcomes = _run_in_pool(tasks, run_manifest.workers)
     else:
         outcomes = [_execute_dialogue(task) for task in tasks]
 

@@ -111,18 +111,28 @@ class DialogueState:
         return nested
 
     @classmethod
-    def from_nested(
-        cls, domains: Iterable[str], nested: Mapping[str, Mapping[str, str]]
-    ) -> "DialogueState":
+    def from_nested(cls, domains: list[str], nested: Mapping[str, Mapping[str, str]]) -> "DialogueState":
+        """Inverse of ``to_nested`` plus the domain list, as read from JSON.
+
+        Nothing is coerced: ``domains`` must be a list of strings and
+        ``nested`` a mapping of mappings of strings, else a TypeError names
+        the part that is not.
+        """
+        if not isinstance(domains, list) or not all(isinstance(d, str) for d in domains):
+            raise TypeError(f"domains must be a list of strings, got {domains!r}")
+        if not isinstance(nested, Mapping):
+            raise TypeError(f"slots must be an object, got {nested!r}")
         doms = list(domains)
-        for domain in nested:
+        slots: dict[tuple[str, str], str] = {}
+        for domain, slot_map in nested.items():
+            if not isinstance(slot_map, Mapping):
+                raise TypeError(f"slots of domain {domain!r} must be an object, got {slot_map!r}")
+            for slot, value in slot_map.items():
+                if not (isinstance(slot, str) and isinstance(value, str)):
+                    raise TypeError(f"slot {domain}.{slot} must have a string value, got {value!r}")
+                slots[(domain, slot)] = value
             if domain not in doms:
                 doms.append(domain)
-        slots = {
-            (domain, slot): str(value)
-            for domain, slot_map in nested.items()
-            for slot, value in slot_map.items()
-        }
         return cls(doms, slots)
 
 
@@ -499,12 +509,25 @@ def scan_transcript_mentions(transcript: str) -> list[tuple[str, str, str]]:
 
 
 def _features_for_transcript(
-    seed: int, dialogue_index: int, turn_index: int, transcript: str, config: SynthConfig
+    seed: int,
+    dialogue_index: int,
+    turn_index: int,
+    transcript: str,
+    config: SynthConfig,
+    vectors: dict[str, np.ndarray],
 ) -> np.ndarray:
+    """Feature matrix of one turn: each token's vector, repeated per frame, plus noise.
+
+    ``vectors`` maps each token to its :func:`token_vector`. It is shared by
+    every turn of one :func:`synth_corpus` call and filled on first use, so a
+    token's vector is computed once per call; the noise is drawn per turn.
+    """
     tokens = transcript.split()
     rows = []
     for token in tokens:
-        vec = token_vector(seed, token, config.feature_dim)
+        vec = vectors.get(token)
+        if vec is None:
+            vec = vectors[token] = token_vector(seed, token, config.feature_dim)
         for _ in range(config.frames_per_token):
             rows.append(vec)
     feats = np.stack(rows, axis=0)
@@ -523,6 +546,7 @@ def synth_corpus(seed: int, config: SynthConfig) -> list[Dialogue]:
     """
     config.validate()
     dialogues: list[Dialogue] = []
+    vectors: dict[str, np.ndarray] = {}
     for i in range(config.n_dialogues):
         rng = SplitMix64(derive_key(seed, "dialogue", i))
         domains, pairs = _pick_dialogue_slots(rng, config)
@@ -551,7 +575,7 @@ def synth_corpus(seed: int, config: SynthConfig) -> list[Dialogue]:
             else:
                 transcript = " ".join(AGENT_ACK_TOKENS)
                 speaker = Speaker.AGENT
-            features = _features_for_transcript(seed, i, t, transcript, config)
+            features = _features_for_transcript(seed, i, t, transcript, config, vectors)
             turns.append(Turn(index=t, speaker=speaker, transcript=transcript, features=features))
         dialogues.append(Dialogue(id=f"syn-{seed:04d}-{i:04d}", turns=turns, gold_states=gold_states))
     return dialogues

@@ -11,6 +11,14 @@ Every forward broadcasts it like a batch axis, so a batch-1 input yields S
 outputs, one per stacked parameter value. Gradcheck relies on this to
 evaluate a block of perturbed parameter copies in one forward; backward
 passes support only ordinary parameters.
+
+The elementwise kernels (``gelu_grad``, ``softmax_last``, the GELU factor of
+``FeedForward.backward`` and ``LayerNorm.backward``) are ``out=`` ufunc chains.
+They write only into temporaries they allocated themselves, never into an
+input or a cached array, and they keep every operation, its operands and its
+association (``0.5 * x * (1 - t*t) * dinner`` stays
+``((0.5*x) * (1-t*t)) * dinner``). So they are bitwise equal to the
+straight-line expressions in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -34,17 +42,37 @@ def _gelu_with_tanh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gelu_grad(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    x2 = x * x
+    """Derivative of the tanh GELU at ``x``; ``t`` is the forward's tanh, if cached."""
+    x2 = np.multiply(x, x)
     if t is None:
-        t = np.tanh(_SQRT_2_OVER_PI * (x + _GELU_C * x2 * x))
-    dinner = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x2)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+        t = np.multiply(x2, _GELU_C)
+        t *= x
+        t += x
+        t *= _SQRT_2_OVER_PI
+        np.tanh(t, out=t)
+    # dinner = sqrt(2/pi) * (1 + 3c * x^2), built in place of x^2
+    dinner = x2
+    dinner *= 3.0 * _GELU_C
+    dinner += 1.0
+    dinner *= _SQRT_2_OVER_PI
+    # 0.5 * x * (1 - t*t) * dinner
+    out = np.multiply(x, 0.5)
+    tmp = np.multiply(t, t)
+    np.subtract(1.0, tmp, out=tmp)
+    out *= tmp
+    out *= dinner
+    # + 0.5 * (1 + t)
+    np.add(t, 1.0, out=tmp)
+    tmp *= 0.5
+    out += tmp
+    return out
 
 
 def softmax_last(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True))
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 @functools.lru_cache(maxsize=256)
@@ -129,15 +157,22 @@ class LayerNorm(Layer):
     def backward(self, dout: np.ndarray) -> np.ndarray:
         normed, inv_std = self._cache
         d = normed.shape[-1]
-        self._grads["gamma"] += (dout * normed).sum(axis=tuple(range(dout.ndim - 1)))
-        self._grads["beta"] += dout.sum(axis=tuple(range(dout.ndim - 1)))
-        dnormed = dout * self._params["gamma"]
-        # standard layernorm backward in terms of the normalized activations
-        dx = (
-            dnormed
-            - np.add.reduce(dnormed, axis=-1, keepdims=True) / d
-            - normed * (np.add.reduce(dnormed * normed, axis=-1, keepdims=True) / d)
-        ) * inv_std
+        lead = tuple(range(dout.ndim - 1))
+        prod = np.multiply(dout, normed)
+        self._grads["gamma"] += prod.sum(axis=lead)
+        self._grads["beta"] += dout.sum(axis=lead)
+        # standard layernorm backward in terms of the normalized activations:
+        # dx = (dnormed - mean(dnormed) - normed * mean(dnormed * normed)) * inv_std
+        dx = np.multiply(dout, self._params["gamma"])
+        np.multiply(dx, normed, out=prod)
+        mean_dot = np.add.reduce(prod, axis=-1, keepdims=True)
+        mean_dot /= d
+        mean = np.add.reduce(dx, axis=-1, keepdims=True)
+        mean /= d
+        np.multiply(normed, mean_dot, out=prod)
+        dx -= mean
+        dx -= prod
+        dx *= inv_std
         return dx
 
 
@@ -228,8 +263,8 @@ class FeedForward(Layer):
         x, pre, tanh_cache, hidden = self._cache
         g["W2"] += np.tensordot(hidden, dout, axes=((0, 1), (0, 1)))
         g["b2"] += dout.sum(axis=(0, 1))
-        dhidden = dout @ p["W2"].T
-        dpre = dhidden * gelu_grad(pre, tanh_cache)
+        dpre = dout @ p["W2"].T
+        dpre *= gelu_grad(pre, tanh_cache)
         g["W1"] += np.tensordot(x, dpre, axes=((0, 1), (0, 1)))
         g["b1"] += dpre.sum(axis=(0, 1))
         return dpre @ p["W1"].T

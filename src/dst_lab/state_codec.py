@@ -261,14 +261,20 @@ class PredictionRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "PredictionRecord":
+        """Inverse of ``to_json_line``; a field of the wrong JSON type is a TypeError."""
         obj = json.loads(line)
+        dialogue_id, turn_index = obj["dialogue_id"], obj["turn_index"]
+        if not isinstance(dialogue_id, str):
+            raise TypeError(f"dialogue_id must be a string, got {dialogue_id!r}")
+        if not isinstance(turn_index, int) or isinstance(turn_index, bool):
+            raise TypeError(f"turn_index must be an integer, got {turn_index!r}")
         parsed = obj.get("parsed_state")
         state = None
         if parsed is not None:
             state = DialogueState.from_nested(parsed.get("domains", []), parsed.get("slots", {}))
         return cls(
-            dialogue_id=str(obj["dialogue_id"]),
-            turn_index=int(obj["turn_index"]),
+            dialogue_id=dialogue_id,
+            turn_index=turn_index,
             raw_output=str(obj.get("raw_output", "")),
             parsed_state=state,
             diagnostics=[str(d) for d in obj.get("diagnostics", [])],
@@ -290,14 +296,16 @@ class PredictionFileError(ValueError):
 
 
 def read_predictions(path) -> list[PredictionRecord]:
+    """Every record of a prediction NDJSON file; at most one per (dialogue, turn)."""
     records = []
+    first_line: dict[tuple[str, int], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(PredictionRecord.from_json_line(line))
+                record = PredictionRecord.from_json_line(line)
             except json.JSONDecodeError as exc:
                 raise PredictionFileError(path, line_no, f"malformed JSON: {exc.msg}") from exc
             except RecursionError as exc:
@@ -306,4 +314,13 @@ def read_predictions(path) -> list[PredictionRecord]:
                 raise PredictionFileError(path, line_no, f"missing field {exc.args[0]!r}") from exc
             except (AttributeError, TypeError, ValueError) as exc:
                 raise PredictionFileError(path, line_no, f"malformed record: {exc}") from exc
+            key = (record.dialogue_id, record.turn_index)
+            if key in first_line:
+                raise PredictionFileError(
+                    path,
+                    line_no,
+                    f"duplicate record for dialogue {key[0]!r} turn {key[1]}, first on line {first_line[key]}",
+                )
+            first_line[key] = line_no
+            records.append(record)
     return records

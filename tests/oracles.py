@@ -290,6 +290,37 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x * x * x)))
 
 
+def oracle_gelu_grad(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """Derivative of the tanh GELU; ``t`` is the forward's tanh, if known."""
+    x2 = x * x
+    if t is None:
+        t = np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x2 * x))
+    dinner = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * 0.044715 * x2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+
+
+def oracle_softmax_last(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def oracle_feed_forward_backward(params: dict, cache: tuple, dout: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Backward pass of the two-layer GELU MLP from its forward cache
+    ``(x, pre, tanh, hidden)``; returns the input gradient and the parameter
+    gradients by name."""
+    x, pre, t, hidden = cache
+    grads = {
+        "W2": np.tensordot(hidden, dout, axes=((0, 1), (0, 1))),
+        "b2": dout.sum(axis=(0, 1)),
+    }
+    dhidden = dout @ params["W2"].T
+    dpre = dhidden * oracle_gelu_grad(pre, t)
+    grads["W1"] = np.tensordot(x, dpre, axes=((0, 1), (0, 1)))
+    grads["b1"] = dpre.sum(axis=(0, 1))
+    return dpre @ params["W1"].T, grads
+
+
 def oracle_total_rows(
     strategy: Strategy, per_turn_rows: list[int], n_queries: int, *, compress_current: bool = False
 ) -> int:

@@ -376,14 +376,15 @@ def test_run_failure_names_the_lowest_read_turn_without_features(runner, tmp_pat
 
 
 class _DiesOnDialogue:
-    """Exact oracle whose worker process dies, a second in, on one dialogue."""
+    """Exact oracle whose worker process dies, ``delay`` seconds in, on one dialogue."""
 
-    def __init__(self, dialogue_id: str):
+    def __init__(self, dialogue_id: str, delay: float = 1.0):
         self.dialogue_id = dialogue_id
+        self.delay = delay
 
     def predict(self, request):
         if request.dialogue.id == self.dialogue_id:
-            time.sleep(1.0)  # the other dialogues finish first
+            time.sleep(self.delay)  # with the default delay, the other dialogues finish first
             os._exit(3)
         return assembly.OracleExact().predict(request)
 
@@ -403,6 +404,28 @@ def test_run_records_a_dead_worker_as_its_dialogues_failure(runner, tmp_path, mo
     assert [f["dialogue_id"] for f in summary["failures"]] == [ids[-1]]
     assert summary["failures"][0]["error"].startswith("BrokenProcessPool: ")
     # the dialogues that finished keep their predictions
+    for name in ("predictions.ndjson", "context_lengths.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+
+
+def test_run_loses_only_the_dialogue_that_kills_its_worker(runner, tmp_path, monkeypatch):
+    # the first dialogue kills its worker at once, while the others are still
+    # queued or running
+    _synth(runner, tmp_path / "corpus", ["--n-dialogues", "8"])
+    ids = sorted(d.id for d in load_corpus(tmp_path / "corpus", "synthetic_json"))
+    base = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "full"]
+    reference = ["--workers", "1", "--exclude-ids", ids[0], "--out", str(tmp_path / "reference")]
+    result = runner.invoke(main, base + reference)
+    assert result.exit_code == 0, result.output
+
+    monkeypatch.setattr(cli, "make_predictor", lambda *args, **kwargs: _DiesOnDialogue(ids[0], delay=0.0))
+    result = runner.invoke(main, base + ["--workers", "2", "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    assert "1 dialogue(s) failed" in result.output
+    summary = json.loads((tmp_path / "run" / "run_summary.json").read_text())
+    assert [f["dialogue_id"] for f in summary["failures"]] == [ids[0]]
+    assert summary["failures"][0]["error"].startswith("BrokenProcessPool: ")
+    assert summary["n_records"] == len(read_predictions(tmp_path / "reference" / "predictions.ndjson"))
     for name in ("predictions.ndjson", "context_lengths.csv"):
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
 
@@ -443,6 +466,9 @@ def _break_document(tmp_path, case: str) -> tuple[Path, list[str], str]:
     elif case == "gold_states_list":
         dialogues[0]["gold_states"] = []
         message = f"malformed dialogue {dialogues[0]['id']!r}"
+    elif case == "gold_domains_string":
+        dialogues[1]["gold_states"]["1"]["domains"] = "train"
+        message = f"malformed dialogue {dialogues[1]['id']!r}: domains must be a list of strings, got 'train'"
     elif case == "top_level_list":
         doc = dialogues
         message = "expected a JSON object"
@@ -456,7 +482,9 @@ def _break_document(tmp_path, case: str) -> tuple[Path, list[str], str]:
 
 
 @pytest.mark.parametrize("command", ["run", "evaluate"])
-@pytest.mark.parametrize("case", ["missing_transcript", "gold_states_list", "top_level_list", "spokenwoz_string_entry"])
+@pytest.mark.parametrize(
+    "case", ["missing_transcript", "gold_states_list", "gold_domains_string", "top_level_list", "spokenwoz_string_entry"]
+)
 def test_malformed_corpus_document_is_a_click_error(runner, tmp_path, command, case):
     _synth(runner, tmp_path / "corpus")
     document, extra, message = _break_document(tmp_path, case)
@@ -690,6 +718,30 @@ def test_evaluate_alignment_failure_exit_code(runner, tmp_path):
         ('{"turn_index": 5, "raw_output": ""}', "missing field 'dialogue_id'"),
         ('{"dialogue_id": "d0", "raw_output": ""}', "missing field 'turn_index'"),
         ('["d0", 5]', "malformed record"),
+        ('{"dialogue_id": 5, "turn_index": 5}', "malformed record: dialogue_id must be a string, got 5"),
+        ('{"dialogue_id": "d0", "turn_index": 1.9}', "malformed record: turn_index must be an integer, got 1.9"),
+        ('{"dialogue_id": "d0", "turn_index": "5"}', "malformed record: turn_index must be an integer, got '5'"),
+        ('{"dialogue_id": "d0", "turn_index": true}', "malformed record: turn_index must be an integer, got True"),
+        (
+            '{"dialogue_id": "d0", "turn_index": 5, "parsed_state": {"domains": "train", "slots": {}}}',
+            "malformed record: domains must be a list of strings, got 'train'",
+        ),
+        (
+            '{"dialogue_id": "d0", "turn_index": 5, "parsed_state": {"domains": ["train", 1]}}',
+            "malformed record: domains must be a list of strings",
+        ),
+        (
+            '{"dialogue_id": "d0", "turn_index": 5, "parsed_state": {"domains": [], "slots": []}}',
+            "malformed record: slots must be an object, got []",
+        ),
+        (
+            '{"dialogue_id": "d0", "turn_index": 5, "parsed_state": {"domains": [], "slots": {"train": "day"}}}',
+            "malformed record: slots of domain 'train' must be an object, got 'day'",
+        ),
+        (
+            '{"dialogue_id": "d0", "turn_index": 5, "parsed_state": {"domains": [], "slots": {"train": {"day": 3}}}}',
+            "malformed record: slot train.day must have a string value, got 3",
+        ),
         pytest.param(
             '{"dialogue_id": "d0", "turn_index": 5, "parsed_state": ' + "[" * 100000,
             "malformed JSON: nesting too deep",
@@ -709,6 +761,20 @@ def test_evaluate_reports_bad_prediction_line(runner, tmp_path, bad_line, reason
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert f"{path}:3: {reason}" in result.output
+
+
+def test_evaluate_rejects_a_duplicate_prediction_naming_both_lines(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus")
+    good = '{"dialogue_id":"d0","turn_index":%d,"raw_output":"","parsed_state":null}'
+    path = tmp_path / "pred.ndjson"
+    path.write_text("\n".join([good % 1, good % 3, "", good % 1]) + "\n")
+    result = runner.invoke(
+        main,
+        ["evaluate", "--predictions", str(path), "--corpus", str(tmp_path / "corpus")],
+    )
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"{path}:4: duplicate record for dialogue 'd0' turn 1, first on line 1" in result.output
 
 
 def test_evaluate_policy_exact_on_exact_oracle(runner, tmp_path):

@@ -122,6 +122,23 @@ def test_zero_noise_features_equal_token_vectors():
         assert np.array_equal(row, token_vector(5, token, 8))
 
 
+def test_noisy_features_share_one_token_vector_per_token(monkeypatch):
+    config = SynthConfig(n_dialogues=3, turns_per_dialogue=6, feature_dim=8, noise_sigma=0.3, frames_per_token=2)
+    calls: list[str] = []
+    real = corpus.token_vector
+    monkeypatch.setattr(corpus, "token_vector", lambda seed, token, dim: calls.append(token) or real(seed, token, dim))
+    dialogues = synth_corpus(5, config)
+    tokens = {token for dlg in dialogues for turn in dlg.turns for token in turn.transcript.split()}
+    assert sorted(calls) == sorted(tokens)
+    # expected features: one token_vector call per token occurrence, plus the
+    # turn's own noise draw
+    for i, dlg in enumerate(dialogues):
+        for turn in dlg.turns:
+            clean = np.stack([real(5, token, 8) for token in turn.transcript.split() for _ in range(2)])
+            noise = corpus.gaussian_stream(corpus.derive_key(5, "noise", i, turn.index), clean.size)
+            assert np.array_equal(turn.features, clean + 0.3 * noise.reshape(clean.shape))
+
+
 def test_final_gold_state_matches_transcript_scan(small_corpus):
     # brute-force oracle: scan every user transcript in order, last mention wins
     for dlg in small_corpus:

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from dst_lab.neural.layers import (
+    FeedForward,
     LayerNorm,
     MultiHeadAttention,
+    _gelu_with_tanh,
+    gelu_grad,
     sinusoidal_positions,
     softmax_last,
 )
@@ -20,7 +23,13 @@ from dst_lab.neural.pipeline import (
     downsample,
 )
 
-from oracles import OracleLayerNorm, gelu
+from oracles import (
+    OracleLayerNorm,
+    gelu,
+    oracle_feed_forward_backward,
+    oracle_gelu_grad,
+    oracle_softmax_last,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -276,6 +285,8 @@ LAYERNORM_CASES = [
     (240, 8, 16, 0),
     (1, 5, 8, 64),
     (64, 9, 8, 0),
+    (1, 1, 4, 0),
+    (3, 7, 12, 0),
 ]
 
 
@@ -294,9 +305,11 @@ def test_layernorm_bitwise_equals_mean_oracle(batch, rows, d, stack):
         return  # backward passes support only ordinary parameters
     dout = rng.standard_normal(out.shape)
     dx, dgamma, dbeta = oracle.backward(dout)
+    kept = _snapshot(dout, *ln._cache)
     assert ln.backward(dout).tobytes() == dx.tobytes()
     assert ln._grads["gamma"].tobytes() == dgamma.tobytes()
     assert ln._grads["beta"].tobytes() == dbeta.tobytes()
+    _assert_unchanged(kept)
 
 
 def test_softmax_last_stable():
@@ -304,6 +317,79 @@ def test_softmax_last_stable():
     s = softmax_last(x)
     assert np.isfinite(s).all()
     assert s.sum() == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels: bitwise equal to the straight-line oracles, and no write
+# into an input or a cached array
+# ---------------------------------------------------------------------------
+
+
+def _snapshot(*arrays: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    return [(a, a.copy()) for a in arrays]
+
+
+def _assert_unchanged(snapshot: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    for array, copy in snapshot:
+        assert array.tobytes() == copy.tobytes()
+
+
+def _assert_bitwise(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+# probe training: 240 train rows, 1 or 8 queries over 9 frames, d_model 16
+# (hidden 64); then a single row and an odd shape
+@pytest.mark.parametrize("shape", [(240, 8, 64), (240, 1, 64), (240, 9, 64), (1, 1, 4), (3, 7, 12)])
+@pytest.mark.parametrize("cached_tanh", [True, False])
+def test_gelu_grad_bitwise_equals_oracle(shape, cached_tanh):
+    x = 3.0 * np.random.default_rng(sum(shape)).standard_normal(shape)
+    t = _gelu_with_tanh(x)[1] if cached_tanh else None
+    kept = _snapshot(x, *([t] if cached_tanh else []))
+    out = gelu_grad(x, t)
+    _assert_bitwise(out, oracle_gelu_grad(x, t))
+    _assert_unchanged(kept)
+    assert not any(np.shares_memory(out, a) for a, _ in kept)
+
+
+@pytest.mark.parametrize("shape", [(240, 2, 8, 9), (240, 2, 8, 8), (240, 2, 1, 9), (240, 2, 1, 1), (1, 1, 4), (3, 7, 12)])
+def test_softmax_last_bitwise_equals_oracle(shape):
+    x = 4.0 * np.random.default_rng(sum(shape)).standard_normal(shape)
+    kept = _snapshot(x)
+    out = softmax_last(x)
+    _assert_bitwise(out, oracle_softmax_last(x))
+    _assert_unchanged(kept)
+    assert not np.shares_memory(out, x)
+
+
+@pytest.mark.parametrize("shape", [(240, 8, 16), (240, 1, 16), (1, 1, 4), (3, 7, 12)])
+def test_feed_forward_backward_bitwise_equals_oracle(shape):
+    rng = np.random.default_rng(sum(shape))
+    ff = FeedForward(shape[-1], rng)
+    ff.forward(rng.standard_normal(shape))
+    dout = rng.standard_normal(shape)
+    kept = _snapshot(dout, *ff._cache)
+    expected_dx, expected_grads = oracle_feed_forward_backward(ff.params(), ff._cache, dout)
+    _assert_bitwise(ff.backward(dout), expected_dx)
+    for name, grad in expected_grads.items():
+        _assert_bitwise(ff.grads()[name], grad)
+    _assert_unchanged(kept)
+
+
+# (query shape, key/value rows or None for self-attention)
+@pytest.mark.parametrize("q_shape, kv_rows", [((240, 8, 16), 9), ((240, 8, 16), None), ((1, 1, 4), None), ((3, 7, 12), 5)])
+def test_attention_caches_the_oracle_softmax_and_backward_writes_no_cache(q_shape, kv_rows):
+    rng = np.random.default_rng(sum(q_shape))
+    attn = MultiHeadAttention(q_shape[-1], 2, rng)
+    x_q = rng.standard_normal(q_shape)
+    x_kv = x_q if kv_rows is None else rng.standard_normal((q_shape[0], kv_rows, q_shape[-1]))
+    attn.forward(x_q, x_kv)
+    _, _, q, k, _, weights, _ = attn._cache
+    _assert_bitwise(weights, oracle_softmax_last(q @ k.transpose(0, 1, 3, 2) / np.sqrt(attn.d_head)))
+    kept = _snapshot(*attn._cache)
+    attn.backward(rng.standard_normal(q_shape))
+    _assert_unchanged(kept)
 
 
 def test_sinusoidal_positions_shape_and_range():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dst_lab.neural import layers
 from dst_lab.neural.layers import Layer
 from dst_lab.neural.pipeline import CompressorConfig, build_compressor, build_readout
 from dst_lab.neural.train import (
@@ -13,6 +14,8 @@ from dst_lab.neural.train import (
     softmax_cross_entropy,
     train,
 )
+
+from oracles import OracleLayerNorm, oracle_feed_forward_backward, oracle_gelu_grad, oracle_softmax_last
 
 
 def _separable_dataset(n: int = 40, seed: int = 0):
@@ -98,3 +101,43 @@ def test_softmax_cross_entropy_gradient_is_probability_gap():
     assert grad[0, 0, 0] == pytest.approx((1 / 3 - 1) / 2)
     assert grad[0, 0, 1] == pytest.approx((1 / 3) / 2)
 
+
+
+def _oracle_layer_norm_backward(self, dout):
+    oracle = OracleLayerNorm(self._params["gamma"], self._params["beta"])
+    oracle._cache = self._cache
+    dx, dgamma, dbeta = oracle.backward(dout)
+    self._grads["gamma"] += dgamma
+    self._grads["beta"] += dbeta
+    return dx
+
+
+def _oracle_feed_forward_backward(self, dout):
+    dx, grads = oracle_feed_forward_backward(self._params, self._cache, dout)
+    for name, grad in grads.items():
+        self._grads[name] += grad
+    return dx
+
+
+@pytest.mark.parametrize("n_queries", [1, 8])
+def test_training_on_the_oracle_kernels_is_bitwise_equal(monkeypatch, n_queries):
+    """The probe's trained stages, at its two benchmark query counts."""
+    rng = np.random.default_rng(n_queries)
+    x = rng.standard_normal((48, 9, 16))
+    labels = rng.integers(0, 5, size=(48, 3))
+    config = CompressorConfig(d_model=16, n_heads=2, n_queries=n_queries, seed=1)
+    stages = [build_compressor(config), build_readout(n_queries, config, n_heads=3, n_classes=5)]
+    hyper = TrainingConfig(lr=0.2, epochs=30)
+    fast = train(stages, (x, labels), hyper)
+    monkeypatch.setattr(layers, "gelu_grad", oracle_gelu_grad)
+    monkeypatch.setattr(layers, "softmax_last", oracle_softmax_last)
+    monkeypatch.setattr(layers.LayerNorm, "backward", _oracle_layer_norm_backward)
+    monkeypatch.setattr(layers.FeedForward, "backward", _oracle_feed_forward_backward)
+    slow = train(stages, (x, labels), hyper)
+    assert fast.trace == slow.trace
+    assert slow.trace[-1] < slow.trace[0]
+    for fast_stage, slow_stage in zip(fast.stages, slow.stages, strict=True):
+        fast_params, slow_params = fast_stage.params(), slow_stage.params()
+        assert fast_params.keys() == slow_params.keys()
+        for name, value in fast_params.items():
+            assert value.tobytes() == slow_params[name].tobytes(), name
