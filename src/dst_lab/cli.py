@@ -46,6 +46,7 @@ from .corpus import (
 )
 from .metrics import (
     AlignmentError,
+    UnclassifiedSlotError,
     evaluate,
     references_from_corpus,
     states_from_records,
@@ -534,6 +535,11 @@ def cmd_evaluate(
     except AlignmentError as exc:
         click.echo(f"alignment failure: {exc}", err=True)
         sys.exit(2)
+    except UnclassifiedSlotError as exc:
+        domain, slot = exc.slot
+        raise click.ClickException(
+            f"gold slot ({domain}, {slot}) in {corpus} is not classified by the taxonomy"
+        ) from exc
     click.echo(f"JGA (exact match):     {report.jga:.4f}")
     click.echo(f"JGA (post-processed):  {report.jga_post:.4f}")
     click.echo(f"domain-set accuracy:   {report.domain_accuracy:.4f}")

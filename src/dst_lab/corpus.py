@@ -787,14 +787,21 @@ def _parse_synthetic(path: Path) -> tuple[list[Dialogue], SlotTaxonomy | None]:
     if not isinstance(raw_dialogues, list):
         raise CorpusFormatError("'dialogues' must be a list", path=str(corpus_path))
     dialogues = []
+    positions: dict[str, int] = {}
     for pos, dlg_obj in enumerate(raw_dialogues, start=1):
         try:
-            dialogues.append(_synthetic_dialogue(dlg_obj, corpus_path))
+            dialogue = _synthetic_dialogue(dlg_obj, corpus_path)
         except CorpusFormatError:
             raise
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
             name = dlg_obj.get("id", f"#{pos}") if isinstance(dlg_obj, dict) else f"#{pos}"
             raise _malformed_dialogue(exc, name, corpus_path) from exc
+        first = positions.setdefault(dialogue.id, pos)
+        if first != pos:
+            raise CorpusFormatError(
+                f"duplicate dialogue id {dialogue.id!r} at positions {first} and {pos}", path=str(corpus_path)
+            )
+        dialogues.append(dialogue)
     _validate_alternation(dialogues, str(corpus_path))
     try:
         taxonomy = SlotTaxonomy.from_json_obj(doc["taxonomy"]) if "taxonomy" in doc else None

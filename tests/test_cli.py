@@ -469,6 +469,9 @@ def _break_document(tmp_path, case: str) -> tuple[Path, list[str], str]:
     elif case == "gold_domains_string":
         dialogues[1]["gold_states"]["1"]["domains"] = "train"
         message = f"malformed dialogue {dialogues[1]['id']!r}: domains must be a list of strings, got 'train'"
+    elif case == "duplicate_id":
+        dialogues.append(dict(dialogues[1], gold_states={}))
+        message = f"duplicate dialogue id {dialogues[1]['id']!r} at positions 2 and {len(dialogues)}"
     elif case == "top_level_list":
         doc = dialogues
         message = "expected a JSON object"
@@ -483,7 +486,15 @@ def _break_document(tmp_path, case: str) -> tuple[Path, list[str], str]:
 
 @pytest.mark.parametrize("command", ["run", "evaluate"])
 @pytest.mark.parametrize(
-    "case", ["missing_transcript", "gold_states_list", "gold_domains_string", "top_level_list", "spokenwoz_string_entry"]
+    "case",
+    [
+        "missing_transcript",
+        "gold_states_list",
+        "gold_domains_string",
+        "duplicate_id",
+        "top_level_list",
+        "spokenwoz_string_entry",
+    ],
 )
 def test_malformed_corpus_document_is_a_click_error(runner, tmp_path, command, case):
     _synth(runner, tmp_path / "corpus")
@@ -697,6 +708,24 @@ def test_evaluate_reads_the_corpus_document_once_and_no_sidecar(runner, tmp_path
     for path in expected:
         for out in ("report", "report_no_features"):
             assert (tmp_path / out / Path(path).name).read_bytes() == Path(path).read_bytes()
+
+
+def test_evaluate_names_a_gold_slot_the_taxonomy_lacks(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus")
+    run_args = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "full", "--predictor", "exact"]
+    result = runner.invoke(main, run_args + ["--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    document = tmp_path / "corpus" / "corpus.json"
+    doc = json.loads(document.read_text())
+    doc["dialogues"][0]["gold_states"]["1"]["slots"]["spa"] = {"sauna": "hot"}
+    document.write_text(json.dumps(doc))
+    result = runner.invoke(
+        main,
+        ["evaluate", "--predictions", str(tmp_path / "run" / "predictions.ndjson"), "--corpus", str(tmp_path / "corpus")],
+    )
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: gold slot (spa, sauna) in {tmp_path / 'corpus'} is not classified by the taxonomy" in result.output
 
 
 def test_evaluate_alignment_failure_exit_code(runner, tmp_path):
