@@ -12,6 +12,7 @@ import logging
 import math
 import os
 import sys
+import typing
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__
+from . import __version__, jsonio
 from .assembly import (
     BUDGET_ROWS,
     DROP_PROB,
@@ -34,16 +35,19 @@ from .assembly import (
 from .corpus import (
     CorpusFormatError,
     Dialogue,
+    SlotTaxonomy,
     Speaker,
     SynthConfig,
     default_corrupted_ids,
     filter_corrupted,
+    id_list,
     load_corpus,
     parse_corpus,
     synth_corpus,
     synthetic_taxonomy,
     write_corpus,
 )
+from .jsonio import JsonInputError, check, get, reject
 from .metrics import (
     AlignmentError,
     UnclassifiedSlotError,
@@ -60,7 +64,7 @@ from .neural.pipeline import (
 )
 from .neural.probe import ProbeHyper, probe_retention
 from .neural.train import TrainingDivergence
-from .postprocess import MatchPolicy
+from .postprocess import DEFAULT_FUZZY_GROUPS, DEFAULT_FUZZY_THRESHOLD, MatchPolicy
 from .reporting import (
     render_context_lengths,
     render_report,
@@ -92,6 +96,28 @@ def _configure_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
 
 
+def _read_option_file(path, read, flag: str):
+    """``read`` of the JSON document that ``flag`` names; a fault is a usage error."""
+    try:
+        return jsonio.read_document(path, read)
+    except JsonInputError as exc:
+        raise click.BadParameter(f"{path}:{exc.line}:{exc.column}: {exc}", param_hint=flag) from exc
+
+
+def _policy(obj: object) -> MatchPolicy:
+    unknown = set(check(obj, dict)) - {f.name for f in fields(MatchPolicy)}
+    if unknown:
+        raise JsonInputError(f"unknown policy keys: {sorted(unknown)}")
+    threshold = get(obj, "fuzzy_threshold", float, default=DEFAULT_FUZZY_THRESHOLD)
+    if not 0.0 <= threshold <= 1.0:  # also true for NaN
+        reject(("fuzzy_threshold",), "must be in [0, 1]", threshold)
+    groups = get(obj, "fuzzy_groups", list[str], default=sorted(DEFAULT_FUZZY_GROUPS))
+    for i, group in enumerate(groups):
+        if group not in SlotTaxonomy.GROUPS:
+            reject(("fuzzy_groups", i), f"must be one of {list(SlotTaxonomy.GROUPS)}", group)
+    return MatchPolicy(float(threshold), frozenset(groups), get(obj, "time_canonicalization", bool, default=True))
+
+
 def load_policy(name: str) -> MatchPolicy:
     """Named policy ("standard", "exact") or a JSON file path."""
     if name == "standard":
@@ -103,15 +129,7 @@ def load_policy(name: str) -> MatchPolicy:
         raise click.BadParameter(
             f"policy must be 'standard', 'exact', or a JSON file; {name!r} not found", param_hint="--policy"
         )
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return MatchPolicy.from_json_obj(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise click.BadParameter(
-                f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}", param_hint="--policy"
-            ) from exc
-        except ValueError as exc:
-            raise click.BadParameter(f"{path}: {exc}", param_hint="--policy") from exc
+    return _read_option_file(path, _policy, "--policy")
 
 
 def _parse_exclude_ids(value: str | None) -> list[str]:
@@ -119,31 +137,8 @@ def _parse_exclude_ids(value: str | None) -> list[str]:
         return default_corrupted_ids()
     path = Path(value)
     if path.exists():
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise click.BadParameter(
-                    f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}", param_hint="--exclude-ids"
-                ) from exc
-        ids = obj.get("ids") if isinstance(obj, dict) else obj
-        if not isinstance(ids, list):
-            raise click.BadParameter(
-                f"{path}: expected a JSON list of ids or an object with an 'ids' list", param_hint="--exclude-ids"
-            )
-        return [str(x) for x in ids]
+        return _read_option_file(path, id_list, "--exclude-ids")
     return [part.strip() for part in value.split(",") if part.strip()]
-
-
-# JSON value types each RunManifest annotation accepts; a bool is never an int
-_MANIFEST_JSON_TYPES = {
-    "str": (str,),
-    "int": (int,),
-    "float": (int, float),
-    "bool": (bool,),
-    "list[str]": (list,),
-    "str | None": (str, type(None)),
-}
 
 
 @dataclass
@@ -173,34 +168,16 @@ class RunManifest:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunManifest":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise click.BadParameter(
-                    f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}", param_hint="--manifest"
-                ) from exc
-        if not isinstance(obj, dict):
-            raise click.BadParameter(f"{path}: expected a JSON object", param_hint="--manifest")
-        unknown = set(obj) - set(cls.__dataclass_fields__)
+        return _read_option_file(path, cls._from_json, "--manifest")
+
+    @classmethod
+    def _from_json(cls, obj: object) -> "RunManifest":
+        unknown = set(check(obj, dict)) - set(cls.__dataclass_fields__)
         if unknown:
-            raise click.BadParameter(f"unknown manifest fields: {sorted(unknown)}")
-        for f in fields(cls):
-            if f.name not in obj:
-                if f.default is MISSING and f.default_factory is MISSING:
-                    raise click.BadParameter(f"{path}: field {f.name!r} is required", param_hint="--manifest")
-                continue
-            value = obj[f.name]
-            allowed = _MANIFEST_JSON_TYPES[f.type]
-            ok = isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool))
-            if ok and isinstance(value, list):
-                ok = all(isinstance(item, str) for item in value)
-            if not ok:
-                raise click.BadParameter(
-                    f"{path}: field {f.name!r} must be {f.type}, got {type(value).__name__} {value!r}",
-                    param_hint="--manifest",
-                )
-        return cls(**obj)
+            raise JsonInputError(f"unknown manifest fields: {sorted(unknown)}")
+        kinds = typing.get_type_hints(cls)  # each field's annotation is the JSON type it accepts
+        required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+        return cls(**{name: get(obj, name, kinds[name]) for name in [*required, *obj]})
 
     def check_ranges(self) -> None:
         """Raise click.BadParameter naming the first field outside its range,
@@ -277,29 +254,22 @@ def _build_embedder(manifest: RunManifest, d_feat: int) -> tuple[EmbeddingPipeli
     return embedder, config
 
 
+def _agent_text(obj: object) -> tuple[str, int, str]:
+    return get(check(obj, dict), "dialogue_id", str), get(obj, "turn_index", int), get(obj, "text", str)
+
+
 def _load_agent_texts(path: str | None, dialogues: list[Dialogue]) -> dict[str, dict[int, str]]:
     """Agent-turn texts by dialogue id and turn index. Every line is parsed
     first; then each must name an agent turn of ``dialogues``."""
     if not path:
         return {}
-    lines: list[tuple[int, str, int, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                lines.append((line_no, str(obj["dialogue_id"]), int(obj["turn_index"]), str(obj["text"])))
-            except json.JSONDecodeError as exc:
-                raise click.ClickException(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
-            except KeyError as exc:
-                raise click.ClickException(f"{path}:{line_no}: missing field {exc.args[0]!r}") from exc
-            except (TypeError, ValueError) as exc:
-                raise click.ClickException(f"{path}:{line_no}: malformed record: {exc}") from exc
+    try:
+        lines = list(jsonio.read_lines(path, _agent_text))
+    except JsonInputError as exc:
+        raise click.ClickException(f"{path}:{exc.line}:{exc.column}: {exc}") from exc
     agent_turns = {(dlg.id, turn.index) for dlg in dialogues for turn in dlg.turns if turn.speaker is Speaker.AGENT}
     out: dict[str, dict[int, str]] = {}
-    for line_no, dialogue_id, turn_index, text in lines:
+    for line_no, (dialogue_id, turn_index, text) in lines:
         if (dialogue_id, turn_index) not in agent_turns:
             raise click.ClickException(f"{path}:{line_no}: dialogue {dialogue_id!r} has no agent turn {turn_index}")
         out.setdefault(dialogue_id, {})[turn_index] = text
@@ -380,7 +350,7 @@ def cmd_synth(seed: int, out: str, **flags) -> None:
         out,
         dialogues,
         taxonomy=synthetic_taxonomy(),
-        meta={"seed": seed, "config": config.to_json_obj()},
+        meta={"seed": seed, "config": asdict(config)},
     )
     click.echo(f"wrote {len(dialogues)} dialogues to {path}")
 
@@ -533,7 +503,7 @@ def cmd_evaluate(
             top_k_errors,
         )
     except AlignmentError as exc:
-        click.echo(f"alignment failure: {exc}", err=True)
+        click.echo(f"alignment failure: {predictions} against {corpus}: {exc}", err=True)
         sys.exit(2)
     except UnclassifiedSlotError as exc:
         domain, slot = exc.slot

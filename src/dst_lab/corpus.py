@@ -20,6 +20,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import jsonio
+from .jsonio import JsonInputError, check, get, reject
+
 log = logging.getLogger(__name__)
 
 CORPUS_FORMAT_VERSION = 1
@@ -30,14 +33,9 @@ class CorpusFormatError(ValueError):
     """Raised when a corpus file does not match its declared format."""
 
     def __init__(self, message: str, *, path: str | None = None, offset: int | None = None):
-        detail = message
-        if path is not None:
-            detail += f" [file: {path}]"
-        if offset is not None:
-            detail += f" [offset: {offset}]"
-        super().__init__(detail)
-        self.path = path
-        self.offset = offset
+        tags = (("file", path), ("offset", offset))
+        super().__init__(message + "".join(f" [{tag}: {value}]" for tag, value in tags if value is not None))
+        self.path, self.offset = path, offset
 
 
 class Speaker(str, Enum):
@@ -110,30 +108,17 @@ class DialogueState:
                 nested[domain] = {s: entries[s] for s in sorted(entries)}
         return nested
 
-    @classmethod
-    def from_nested(cls, domains: list[str], nested: Mapping[str, Mapping[str, str]]) -> "DialogueState":
-        """Inverse of ``to_nested`` plus the domain list, as read from JSON.
 
-        Nothing is coerced: ``domains`` must be a list of strings and
-        ``nested`` a mapping of mappings of strings, else a TypeError names
-        the part that is not.
-        """
-        if not isinstance(domains, list) or not all(isinstance(d, str) for d in domains):
-            raise TypeError(f"domains must be a list of strings, got {domains!r}")
-        if not isinstance(nested, Mapping):
-            raise TypeError(f"slots must be an object, got {nested!r}")
-        doms = list(domains)
-        slots: dict[tuple[str, str], str] = {}
-        for domain, slot_map in nested.items():
-            if not isinstance(slot_map, Mapping):
-                raise TypeError(f"slots of domain {domain!r} must be an object, got {slot_map!r}")
-            for slot, value in slot_map.items():
-                if not (isinstance(slot, str) and isinstance(value, str)):
-                    raise TypeError(f"slot {domain}.{slot} must have a string value, got {value!r}")
-                slots[(domain, slot)] = value
-            if domain not in doms:
-                doms.append(domain)
-        return cls(doms, slots)
+_DOMAINS, _SLOTS = list[str], dict[str, dict[str, str]]  # a state's JSON fields, made once
+
+
+def read_state(obj: object, where: tuple) -> DialogueState:
+    """The state of a ``{"domains": [...], "slots": {domain: {slot: value}}}`` object at
+    ``where`` (``to_nested`` plus the domains); a domain with slots joins ``domains``."""
+    domains = get(check(obj, dict, where), "domains", _DOMAINS, where, default=[])
+    nested = get(obj, "slots", _SLOTS, where, default={})
+    slots = {(domain, slot): value for domain, slot_map in nested.items() for slot, value in slot_map.items()}
+    return DialogueState(domains + [domain for domain in nested if domain not in domains], slots)
 
 
 @dataclass
@@ -185,28 +170,6 @@ class SlotTaxonomy:
                 f"{d}-{s}": vals for (d, s), vals in sorted(self.categorical_values.items())
             },
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: object) -> "SlotTaxonomy":
-        """Inverse of ``to_json_obj``; a malformed document is a CorpusFormatError."""
-        if not isinstance(obj, dict):
-            raise CorpusFormatError(f"expected an object, got {type(obj).__name__}")
-        for name in ("groups", "categorical_values"):
-            if not isinstance(obj.get(name, {}), dict):
-                raise CorpusFormatError(f"{name!r} must be an object, got {type(obj[name]).__name__}")
-        groups = {}
-        for key, group in obj.get("groups", {}).items():
-            domain, _, slot = key.partition("-")
-            if group not in cls.GROUPS:
-                raise CorpusFormatError(f"unknown slot group {group!r} for {key}")
-            groups[(domain, slot)] = group
-        cat = {}
-        for key, vals in obj.get("categorical_values", {}).items():
-            if not isinstance(vals, list):
-                raise CorpusFormatError(f"categorical values for {key} must be a list, got {type(vals).__name__}")
-            domain, _, slot = key.partition("-")
-            cat[(domain, slot)] = [str(v) for v in vals]
-        return cls(groups, cat)
 
 
 _TIME_SLOT_HINTS = ("time", "leaveat", "arriveby", "checkin", "departat")
@@ -415,19 +378,6 @@ class SynthConfig:
         if self.slots_per_dialogue > sum(len(ONTOLOGY[d]) for d in domains):
             raise ValueError(f"slots_per_dialogue={self.slots_per_dialogue} exceeds available slots for {domains}")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n_dialogues": self.n_dialogues,
-            "turns_per_dialogue": self.turns_per_dialogue,
-            "feature_dim": self.feature_dim,
-            "slots_per_dialogue": self.slots_per_dialogue,
-            "noise_sigma": self.noise_sigma,
-            "mentions_per_turn": self.mentions_per_turn,
-            "fixed_domain": self.fixed_domain,
-            "frames_per_token": self.frames_per_token,
-            "overwrite_prob": self.overwrite_prob,
-        }
-
 
 def _pick_dialogue_slots(rng: SplitMix64, config: SynthConfig) -> tuple[list[str], list[tuple[str, str]]]:
     """Choose domains and ``slots_per_dialogue`` (domain, slot) pairs."""
@@ -586,12 +536,15 @@ def synth_corpus(seed: int, config: SynthConfig) -> list[Dialogue]:
 # ---------------------------------------------------------------------------
 
 
+def id_list(obj: object) -> list[str]:
+    """The ids of a JSON list of strings, or of an object whose ``ids`` is one."""
+    ids = check(obj, list[str] | dict)
+    return get(ids, "ids", list[str]) if type(ids) is dict else ids
+
+
 def default_corrupted_ids() -> list[str]:
     """Exclusion list shipped with the package (see data/corrupted_ids.json)."""
-    path = Path(__file__).parent / "data" / "corrupted_ids.json"
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return [str(x) for x in obj.get("ids", [])]
+    return jsonio.read_document(Path(__file__).parent / "data" / "corrupted_ids.json", id_list)
 
 
 def filter_corrupted(dialogues: list[Dialogue], exclude_ids: Iterable[str]) -> list[Dialogue]:
@@ -632,6 +585,11 @@ def write_feature_sidecar(path: Path, dialogue_id: str, turn_index: int, feature
         fh.write(mat.astype("<f8").tobytes(order="C"))
 
 
+def _sidecar_header(header: object) -> tuple[str, int, int, int]:
+    check(header, dict)
+    return get(header, "dialogue_id", str), get(header, "turn_index", int), get(header, "rows", int), get(header, "cols", int)
+
+
 def read_feature_sidecar(path: Path) -> tuple[str, int, np.ndarray]:
     """Parse one sidecar; a short, overlong or malformed file, or a NaN or
     infinite value, is a CorpusFormatError naming the byte offset."""
@@ -650,10 +608,8 @@ def read_feature_sidecar(path: Path) -> tuple[str, int, np.ndarray]:
             f"truncated sidecar header: {header_len} bytes declared", path=where, offset=len(blob)
         )
     try:
-        header = json.loads(blob[header_start:payload_start].decode("utf-8"))
-        rows, cols = int(header["rows"]), int(header["cols"])
-        dialogue_id, turn_index = str(header["dialogue_id"]), int(header["turn_index"])
-    except (ValueError, KeyError, TypeError) as exc:
+        dialogue_id, turn_index, rows, cols = jsonio.parse(blob[header_start:payload_start], _sidecar_header)
+    except JsonInputError as exc:
         raise CorpusFormatError(f"malformed sidecar header: {exc}", path=where, offset=header_start) from exc
     if rows < 0 or cols < 0:
         raise CorpusFormatError(f"negative sidecar shape {rows}x{cols}", path=where, offset=header_start)
@@ -747,82 +703,69 @@ def _attach_features(dialogues: list[Dialogue], features_dir: Path) -> None:
         raise CorpusFormatError(f"feature_dim not uniform across corpus: {sorted(dims)}")
 
 
-def _malformed_dialogue(exc: Exception, name: object, path: Path) -> CorpusFormatError:
-    reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
-    return CorpusFormatError(f"malformed dialogue {name!r}: {reason}", path=str(path))
+def _read_corpus_document(path: Path, read):
+    """``read`` of the corpus document at ``path``; a fault is a CorpusFormatError."""
+    try:
+        return jsonio.read_document(path, read)
+    except JsonInputError as exc:
+        raise CorpusFormatError(f"{exc} (line {exc.line}, column {exc.column})", path=str(path), offset=exc.pos) from exc
 
 
-def _synthetic_dialogue(dlg_obj: Mapping, corpus_path: Path) -> Dialogue:
+def _check_turns(dialogue_id: str, turns: list[Turn], where: tuple) -> None:
+    """A dialogue has turns, numbered 1, 2, ... and alternating from a user turn."""
+    if not turns:
+        raise JsonInputError(f"dialogue {dialogue_id!r} has no turns", where)
+    for pos, turn in enumerate(turns, start=1):
+        if turn.index != pos:
+            raise JsonInputError(f"non-contiguous turn index {turn.index} at position {pos} in dialogue {dialogue_id}", where)
+        if turn.speaker is not (Speaker.USER if pos % 2 == 1 else Speaker.AGENT):
+            raise JsonInputError(f"speaker alternation violated at turn {pos} of dialogue {dialogue_id}", where)
+
+
+def _synthetic_dialogue(obj: object, where: tuple) -> Dialogue:
+    dialogue_id = get(check(obj, dict, where), "id", str, where)
     turns = []
-    for turn_obj in dlg_obj.get("turns", []):
-        tag = str(turn_obj.get("speaker", ""))
-        try:
-            speaker = Speaker(tag)
-        except ValueError:
-            raise CorpusFormatError(
-                f"unknown speaker tag {tag!r} in dialogue {dlg_obj.get('id')!r}",
-                path=str(corpus_path),
-            ) from None
-        turns.append(Turn(index=int(turn_obj["index"]), speaker=speaker, transcript=str(turn_obj["transcript"])))
+    for i, turn_obj in enumerate(get(obj, "turns", list, where)):
+        at = where + ("turns", i)
+        index, tag = get(check(turn_obj, dict, at), "index", int, at), get(turn_obj, "speaker", str, at)
+        if tag not in ("USER", "AGENT"):
+            reject(at + ("speaker",), "must be 'USER' or 'AGENT'", tag)
+        turns.append(Turn(index=index, speaker=Speaker[tag], transcript=get(turn_obj, "transcript", str, at)))
+    _check_turns(dialogue_id, turns, where)
+    # a gold state's key is its user turn's index (checked above to be its position) as write_corpus writes it
+    user_keys = {str(pos): pos for pos, turn in enumerate(turns, start=1) if turn.speaker is Speaker.USER}
     gold = {}
-    for key, st in dlg_obj.get("gold_states", {}).items():
-        gold[int(key)] = DialogueState.from_nested(st.get("domains", []), st.get("slots", {}))
-    return Dialogue(id=str(dlg_obj["id"]), turns=turns, gold_states=gold)
+    for key, state_obj in get(obj, "gold_states", dict, where, default={}).items():
+        if key not in user_keys:
+            rule = f"keys must name user turns of dialogue {dialogue_id!r} ({', '.join(user_keys)})"
+            reject(where + ("gold_states",), rule, key)
+        gold[user_keys[key]] = read_state(state_obj, where + ("gold_states", key))
+    return Dialogue(id=dialogue_id, turns=turns, gold_states=gold)
 
 
-def _parse_synthetic(path: Path) -> tuple[list[Dialogue], SlotTaxonomy | None]:
-    corpus_path = path / "corpus.json" if path.is_dir() else path
-    try:
-        with open(corpus_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"malformed JSON: {exc.msg}", path=str(corpus_path), offset=exc.pos) from exc
-    if not isinstance(doc, dict):
-        raise CorpusFormatError("expected a JSON object with a 'dialogues' list", path=str(corpus_path))
-    if doc.get("format_version") != CORPUS_FORMAT_VERSION:
-        raise CorpusFormatError(
-            f"unsupported format_version {doc.get('format_version')!r}", path=str(corpus_path)
-        )
-    raw_dialogues = doc.get("dialogues", [])
-    if not isinstance(raw_dialogues, list):
-        raise CorpusFormatError("'dialogues' must be a list", path=str(corpus_path))
-    dialogues = []
+def _synthetic_document(doc: object) -> tuple[list[Dialogue], SlotTaxonomy | None]:
+    version = get(check(doc, dict), "format_version", int)
+    if version != CORPUS_FORMAT_VERSION:
+        reject(("format_version",), f"must be {CORPUS_FORMAT_VERSION}", version)
+    dialogues = [_synthetic_dialogue(obj, ("dialogues", i)) for i, obj in enumerate(get(doc, "dialogues", list))]
     positions: dict[str, int] = {}
-    for pos, dlg_obj in enumerate(raw_dialogues, start=1):
-        try:
-            dialogue = _synthetic_dialogue(dlg_obj, corpus_path)
-        except CorpusFormatError:
-            raise
-        except (AttributeError, LookupError, TypeError, ValueError) as exc:
-            name = dlg_obj.get("id", f"#{pos}") if isinstance(dlg_obj, dict) else f"#{pos}"
-            raise _malformed_dialogue(exc, name, corpus_path) from exc
-        first = positions.setdefault(dialogue.id, pos)
-        if first != pos:
-            raise CorpusFormatError(
-                f"duplicate dialogue id {dialogue.id!r} at positions {first} and {pos}", path=str(corpus_path)
-            )
-        dialogues.append(dialogue)
-    _validate_alternation(dialogues, str(corpus_path))
-    try:
-        taxonomy = SlotTaxonomy.from_json_obj(doc["taxonomy"]) if "taxonomy" in doc else None
-    except CorpusFormatError as exc:
-        raise CorpusFormatError(f"malformed taxonomy: {exc}", path=str(corpus_path)) from exc
-    return dialogues, taxonomy
-
-
-def _validate_alternation(dialogues: list[Dialogue], path: str) -> None:
-    for dlg in dialogues:
-        for pos, turn in enumerate(dlg.turns, start=1):
-            if turn.index != pos:
-                raise CorpusFormatError(
-                    f"non-contiguous turn index {turn.index} at position {pos} in dialogue {dlg.id}",
-                    path=path,
-                )
-            expected = Speaker.USER if pos % 2 == 1 else Speaker.AGENT
-            if turn.speaker is not expected:
-                raise CorpusFormatError(
-                    f"speaker alternation violated at turn {pos} of dialogue {dlg.id}", path=path
-                )
+    for pos, dialogue in enumerate(dialogues, start=1):
+        if positions.setdefault(dialogue.id, pos) != pos:
+            message = f"duplicate dialogue id {dialogue.id!r} at positions {positions[dialogue.id]} and {pos}"
+            raise JsonInputError(message, ("dialogues", pos - 1))
+    if "taxonomy" not in doc:
+        return dialogues, None
+    where = ("taxonomy",)  # the inverse of SlotTaxonomy.to_json_obj
+    groups = get(check(doc["taxonomy"], dict, where), "groups", dict[str, str], where, default={})
+    values = get(doc["taxonomy"], "categorical_values", dict[str, list[str]], where, default={})
+    for part, entries in (("groups", groups), ("categorical_values", values)):
+        for key, value in entries.items():
+            if "-" not in key:
+                reject(where + (part,), "keys must be 'domain-slot' names", key)
+            if part == "groups" and value not in SlotTaxonomy.GROUPS:
+                reject(where + (part, key), f"must be one of {list(SlotTaxonomy.GROUPS)}", value)
+    by_slot = [{key.partition("-")[::2]: value for key, value in entries.items()} for entries in (groups, values)]
+    return dialogues, SlotTaxonomy(*by_slot)
 
 
 # SpokenWOZ-style ingestion. The subset read per dialogue entry is:
@@ -830,83 +773,48 @@ def _validate_alternation(dialogues: list[Dialogue], path: str) -> None:
 #   log[i].tag                      "user"/"system" (optional; position parity otherwise)
 #   log[i].metadata[domain].semi     slot -> value for the preceding user turn
 #   log[i].metadata[domain].book     slot -> value, stored as "book<slot>" ("booked" ignored)
-# Audio references and span annotations are ignored; features come from an
-# optional features/ sidecar directory next to the data file.
+# A value is a string or a list of strings (the first is taken); an empty one is
+# skipped. Audio references and span annotations are ignored; features come
+# from an optional features/ sidecar directory next to the data file.
 _EMPTY_SLOT_VALUES = {"", "not mentioned", "none", "dontcare-placeholder"}
+_SPOKENWOZ_SPEAKERS = {"user": Speaker.USER, "system": Speaker.AGENT, "agent": Speaker.AGENT}
 
 
-def _flatten_metadata(metadata: Mapping) -> DialogueState:
+def _flatten_metadata(metadata: dict, where: tuple) -> DialogueState:
     domains: list[str] = []
     slots: dict[tuple[str, str], str] = {}
-    for domain in metadata:
-        entry = metadata[domain] or {}
-        found = False
-        semi = entry.get("semi", {}) or {}
-        for slot, value in semi.items():
-            if isinstance(value, list):
-                value = value[0] if value else ""
-            value = str(value).strip()
-            if value.lower() in _EMPTY_SLOT_VALUES:
-                continue
-            slots[(domain.lower(), slot.lower())] = value
-            found = True
-        book = entry.get("book", {}) or {}
-        for slot, value in book.items():
-            if slot == "booked":
-                continue
-            if isinstance(value, list):
-                value = value[0] if value else ""
-            value = str(value).strip()
-            if value.lower() in _EMPTY_SLOT_VALUES:
-                continue
-            slots[(domain.lower(), f"book{slot.lower()}")] = value
-            found = True
-        if found:
-            domains.append(domain.lower())
+    for domain, entry in metadata.items():
+        for part, prefix in (("semi", ""), ("book", "book")):
+            for slot, value in get(check(entry, dict, where + (domain,)), part, dict, where + (domain,), default={}).items():
+                if part == "book" and slot == "booked":
+                    continue
+                value = check(value, str | list[str], where + (domain, part, slot))
+                value = (value if type(value) is str else value[0] if value else "").strip()
+                if value.lower() not in _EMPTY_SLOT_VALUES:
+                    slots[(domain.lower(), prefix + slot.lower())] = value
+                    if domain.lower() not in domains:
+                        domains.append(domain.lower())
     return DialogueState(domains, slots)
 
 
-def _spokenwoz_dialogue(dlg_id: str, record: Mapping, data_path: Path) -> Dialogue:
-    turns = []
-    gold: dict[int, DialogueState] = {}
-    for pos, entry in enumerate(record.get("log", []), start=1):
-        tag = entry.get("tag")
-        if tag is None:
-            speaker = Speaker.USER if pos % 2 == 1 else Speaker.AGENT
-        else:
-            tag_l = str(tag).lower()
-            if tag_l == "user":
-                speaker = Speaker.USER
-            elif tag_l in ("system", "agent"):
-                speaker = Speaker.AGENT
-            else:
-                raise CorpusFormatError(f"unknown speaker tag {tag!r} in dialogue {dlg_id}", path=str(data_path))
-        turns.append(Turn(index=pos, speaker=speaker, transcript=str(entry.get("text", ""))))
-        if speaker is Speaker.AGENT:
-            metadata = entry.get("metadata") or {}
-            if metadata:
-                gold[pos - 1] = _flatten_metadata(metadata)
-    return Dialogue(id=dlg_id, turns=turns, gold_states=gold)
-
-
-def _parse_spokenwoz(path: Path) -> list[Dialogue]:
-    data_path = path / "data.json" if path.is_dir() else path
-    try:
-        with open(data_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"malformed JSON: {exc.msg}", path=str(data_path), offset=exc.pos) from exc
-    if not isinstance(doc, dict):
-        raise CorpusFormatError("expected object mapping dialogue id -> record", path=str(data_path))
+def _spokenwoz_document(doc: object) -> list[Dialogue]:
     dialogues = []
-    for dlg_id, record in doc.items():
-        try:
-            dialogues.append(_spokenwoz_dialogue(str(dlg_id), record, data_path))
-        except CorpusFormatError:
-            raise
-        except (AttributeError, LookupError, TypeError, ValueError) as exc:
-            raise _malformed_dialogue(exc, str(dlg_id), data_path) from exc
-    _validate_alternation(dialogues, str(data_path))
+    for dlg_id, record in check(doc, dict).items():
+        turns, gold = [], {}
+        for pos, entry in enumerate(get(check(record, dict, (dlg_id,)), "log", list, (dlg_id,)), start=1):
+            at = (dlg_id, "log", pos - 1)
+            tag = get(check(entry, dict, at), "tag", str | None, at, default=None)
+            speaker = Speaker.USER if pos % 2 == 1 else Speaker.AGENT
+            if tag is not None:
+                if tag.lower() not in _SPOKENWOZ_SPEAKERS:
+                    reject(at + ("tag",), "must be 'user', 'system' or 'agent'", tag)
+                speaker = _SPOKENWOZ_SPEAKERS[tag.lower()]
+            turns.append(Turn(index=pos, speaker=speaker, transcript=get(entry, "text", str, at)))
+            metadata = get(entry, "metadata", dict, at, default={}) if speaker is Speaker.AGENT else None
+            if metadata:
+                gold[pos - 1] = _flatten_metadata(metadata, at + ("metadata",))
+        _check_turns(dlg_id, turns, (dlg_id,))
+        dialogues.append(Dialogue(id=dlg_id, turns=turns, gold_states=gold))
     return dialogues
 
 
@@ -916,12 +824,10 @@ def parse_corpus(path: str | Path, format: str) -> tuple[list[Dialogue], SlotTax
     ``Turn.features`` is None. ``format`` is ``synthetic_json`` or
     ``spokenwoz_json``."""
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"corpus path does not exist: {p}")
     if format == "synthetic_json":
-        return _parse_synthetic(p)
+        return _read_corpus_document(p / "corpus.json" if p.is_dir() else p, _synthetic_document)
     if format == "spokenwoz_json":
-        return _parse_spokenwoz(p), None
+        return _read_corpus_document(p / "data.json" if p.is_dir() else p, _spokenwoz_document), None
     raise ValueError(f"unknown corpus format {format!r}")
 
 

@@ -256,16 +256,8 @@ def evaluate(
 
 def states_from_records(records: Iterable) -> dict[TurnKey, DialogueState]:
     """Key prediction records by (dialogue_id, turn_index); ParseFailure -> empty."""
-    out: dict[TurnKey, DialogueState] = {}
-    for record in records:
-        state = record.parsed_state if record.parsed_state is not None else DialogueState()
-        out[(record.dialogue_id, record.turn_index)] = state
-    return out
+    return {(r.dialogue_id, r.turn_index): r.parsed_state if r.parsed_state is not None else DialogueState() for r in records}
 
 
 def references_from_corpus(dialogues: Iterable) -> dict[TurnKey, DialogueState]:
-    out: dict[TurnKey, DialogueState] = {}
-    for dlg in dialogues:
-        for idx, state in dlg.gold_states.items():
-            out[(dlg.id, idx)] = state
-    return out
+    return {(dlg.id, idx): state for dlg in dialogues for idx, state in dlg.gold_states.items()}

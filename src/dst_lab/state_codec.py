@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .corpus import DialogueState, Speaker
+from .corpus import DialogueState, Speaker, read_state
+from .jsonio import JsonInputError, check, get, read_lines
 
 
 class Strategy(str, Enum):
@@ -259,26 +260,17 @@ class PredictionRecord:
             obj["diagnostics"] = self.diagnostics
         return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
 
-    @classmethod
-    def from_json_line(cls, line: str) -> "PredictionRecord":
-        """Inverse of ``to_json_line``; a field of the wrong JSON type is a TypeError."""
-        obj = json.loads(line)
-        dialogue_id, turn_index = obj["dialogue_id"], obj["turn_index"]
-        if not isinstance(dialogue_id, str):
-            raise TypeError(f"dialogue_id must be a string, got {dialogue_id!r}")
-        if not isinstance(turn_index, int) or isinstance(turn_index, bool):
-            raise TypeError(f"turn_index must be an integer, got {turn_index!r}")
-        parsed = obj.get("parsed_state")
-        state = None
-        if parsed is not None:
-            state = DialogueState.from_nested(parsed.get("domains", []), parsed.get("slots", {}))
-        return cls(
-            dialogue_id=dialogue_id,
-            turn_index=turn_index,
-            raw_output=str(obj.get("raw_output", "")),
-            parsed_state=state,
-            diagnostics=[str(d) for d in obj.get("diagnostics", [])],
-        )
+
+def _record(obj: object) -> PredictionRecord:
+    """Inverse of ``PredictionRecord.to_json_line`` on the decoded line."""
+    parsed = check(obj, dict).get("parsed_state")
+    return PredictionRecord(
+        dialogue_id=get(obj, "dialogue_id", str),
+        turn_index=get(obj, "turn_index", int),
+        raw_output=get(obj, "raw_output", str, default=""),
+        parsed_state=None if parsed is None else read_state(parsed, ("parsed_state",)),
+        diagnostics=get(obj, "diagnostics", list[str], default=[]),
+    )
 
 
 def write_predictions(path, records: Iterable[PredictionRecord]) -> None:
@@ -289,38 +281,24 @@ def write_predictions(path, records: Iterable[PredictionRecord]) -> None:
 
 
 class PredictionFileError(ValueError):
-    """A prediction NDJSON line that is not a valid record; names ``path:line``."""
+    """A prediction NDJSON line that is not a valid record; names ``path:line[:column]``."""
 
-    def __init__(self, path, line_no: int, reason: str):
-        super().__init__(f"{path}:{line_no}: {reason}")
+    def __init__(self, path, line: int | str, reason: str):
+        super().__init__(f"{path}:{line}: {reason}")
 
 
 def read_predictions(path) -> list[PredictionRecord]:
     """Every record of a prediction NDJSON file; at most one per (dialogue, turn)."""
     records = []
     first_line: dict[tuple[str, int], int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = PredictionRecord.from_json_line(line)
-            except json.JSONDecodeError as exc:
-                raise PredictionFileError(path, line_no, f"malformed JSON: {exc.msg}") from exc
-            except RecursionError as exc:
-                raise PredictionFileError(path, line_no, "malformed JSON: nesting too deep") from exc
-            except KeyError as exc:
-                raise PredictionFileError(path, line_no, f"missing field {exc.args[0]!r}") from exc
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise PredictionFileError(path, line_no, f"malformed record: {exc}") from exc
+    try:
+        for line_no, record in read_lines(path, _record):
             key = (record.dialogue_id, record.turn_index)
             if key in first_line:
-                raise PredictionFileError(
-                    path,
-                    line_no,
-                    f"duplicate record for dialogue {key[0]!r} turn {key[1]}, first on line {first_line[key]}",
-                )
+                reason = f"duplicate record for dialogue {key[0]!r} turn {key[1]}, first on line {first_line[key]}"
+                raise PredictionFileError(path, line_no, reason)
             first_line[key] = line_no
             records.append(record)
+    except JsonInputError as exc:
+        raise PredictionFileError(path, f"{exc.line}:{exc.column}", str(exc)) from exc
     return records

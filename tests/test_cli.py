@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import shutil
 import time
 from pathlib import Path
@@ -142,13 +143,13 @@ def test_run_rejects_mistyped_manifest_field(runner, tmp_path, field, value):
     manifest_path.write_text(json.dumps({"corpus": "x", "strategy": "full", field: value}))
     result = runner.invoke(main, ["run", "--manifest", str(manifest_path)])
     assert result.exit_code == 2, result.output
-    assert f"field '{field}' must be" in result.output
+    assert re.search(re.escape(f"{manifest_path}:1:") + rf"\d+: {field}(\[0\])? must be", result.output), result.output
     assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize(
     "text,message",
-    [("[1, 2]", "expected a JSON object"), ('{"corpus": "x"}', "field 'strategy' is required"), ("{", "malformed JSON")],
+    [("[1, 2]", "expected a JSON object"), ('{"corpus": "x"}', "missing field 'strategy'"), ("{", "malformed JSON")],
 )
 def test_run_rejects_malformed_manifest(runner, tmp_path, text, message):
     manifest_path = tmp_path / "manifest.json"
@@ -462,24 +463,45 @@ def _break_document(tmp_path, case: str) -> tuple[Path, list[str], str]:
     dialogues = doc["dialogues"]
     if case == "missing_transcript":
         del dialogues[1]["turns"][2]["transcript"]
-        message = f"malformed dialogue {dialogues[1]['id']!r}: missing field 'transcript'"
+        message = "missing field 'dialogues[1].turns[2].transcript'"
     elif case == "gold_states_list":
         dialogues[0]["gold_states"] = []
-        message = f"malformed dialogue {dialogues[0]['id']!r}"
+        message = "dialogues[0].gold_states must be an object, got []"
     elif case == "gold_domains_string":
         dialogues[1]["gold_states"]["1"]["domains"] = "train"
-        message = f"malformed dialogue {dialogues[1]['id']!r}: domains must be a list of strings, got 'train'"
+        message = "dialogues[1].gold_states.1.domains must be a list of strings, got 'train'"
     elif case == "duplicate_id":
         dialogues.append(dict(dialogues[1], gold_states={}))
         message = f"duplicate dialogue id {dialogues[1]['id']!r} at positions 2 and {len(dialogues)}"
     elif case == "top_level_list":
         doc = dialogues
-        message = "expected a JSON object"
+        message = "expected a JSON object, got list"
+    elif case in ("index_float", "index_bool", "transcript_number"):
+        key, value = {"index_float": ("index", 1.5), "index_bool": ("index", True), "transcript_number": ("transcript", 5)}[case]
+        dialogues[2]["turns"][1][key] = value
+        message = f"dialogues[2].turns[1].{key} must be {'an integer' if key == 'index' else 'a string'}, got {value!r}"
+    elif case == "id_number":
+        dialogues[2]["id"] = 7
+        message = "dialogues[2].id must be a string, got 7"
+    elif case == "turns_empty":
+        dialogues[2]["turns"] = []
+        message = f"dialogue {dialogues[2]['id']!r} has no turns"
+    elif case == "turns_object":
+        dialogues[2]["turns"] = {}
+        message = "dialogues[2].turns must be a list, got {}"
+    elif case.startswith("gold_key_"):
+        key = {"padded": "01", "spaced": " 3", "underscore": "1_0", "agent_turn": "2", "past_end": "7"}[case[9:]]
+        dialogues[2]["gold_states"][key] = dialogues[2]["gold_states"]["1"]
+        user_turns = f"dialogue {dialogues[2]['id']!r} (1, 3, 5)"
+        message = f"dialogues[2].gold_states keys must name user turns of {user_turns}, got {key!r}"
+    elif case == "repeated_key":
+        document.write_text(json.dumps(doc).replace('"transcript": ', '"transcript": "x", "transcript": ', 1))
+        return document, [], "repeated key 'transcript'"
     else:  # a SpokenWOZ log entry that is a string
         document = tmp_path / "corpus" / "data.json"
         doc = {"SNG0001": {"log": [{"text": "hi", "tag": "user"}, "ok"]}}
         document.write_text(json.dumps(doc))
-        return document, ["--format", "spokenwoz_json"], "malformed dialogue 'SNG0001'"
+        return document, ["--format", "spokenwoz_json"], "SNG0001.log[1] must be an object, got 'ok'"
     document.write_text(json.dumps(doc))
     return document, [], message
 
@@ -494,6 +516,18 @@ def _break_document(tmp_path, case: str) -> tuple[Path, list[str], str]:
         "duplicate_id",
         "top_level_list",
         "spokenwoz_string_entry",
+        "index_float",
+        "index_bool",
+        "transcript_number",
+        "id_number",
+        "turns_empty",
+        "turns_object",
+        "gold_key_padded",
+        "gold_key_spaced",
+        "gold_key_underscore",
+        "gold_key_agent_turn",
+        "gold_key_past_end",
+        "repeated_key",
     ],
 )
 def test_malformed_corpus_document_is_a_click_error(runner, tmp_path, command, case):
@@ -502,7 +536,7 @@ def test_malformed_corpus_document_is_a_click_error(runner, tmp_path, command, c
     result = _invoke_on_corpus(runner, tmp_path, command, extra)
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert f"Error: {message}" in result.output
+    assert re.search(re.escape(f"Error: {message}") + r".* \(line \d+, column \d+\)", result.output), result.output
     assert f"[file: {document}]" in result.output
 
 
@@ -572,13 +606,27 @@ def test_run_accepts_agent_asr_line_for_an_excluded_dialogue(runner, tmp_path):
 @pytest.mark.parametrize(
     "taxonomy, reason",
     [
-        ([], "expected an object, got list"),
-        ({"groups": []}, "'groups' must be an object, got list"),
-        ({"categorical_values": "north"}, "'categorical_values' must be an object, got str"),
-        ({"categorical_values": {"hotel-area": "north"}}, "categorical values for hotel-area must be a list, got str"),
-        ({"groups": {"hotel-area": "weird"}}, "unknown slot group 'weird' for hotel-area"),
+        ([], "taxonomy must be an object, got []"),
+        ({"groups": []}, "taxonomy.groups must be an object of strings, got []"),
+        (
+            {"categorical_values": "north"},
+            "taxonomy.categorical_values must be an object of lists of strings, got 'north'",
+        ),
+        (
+            {"categorical_values": {"hotel-area": "north"}},
+            "taxonomy.categorical_values.hotel-area must be a list of strings, got 'north'",
+        ),
+        (
+            {"groups": {"hotel-area": "weird"}},
+            "taxonomy.groups.hotel-area must be one of ['categorical', 'time', 'open', 'profile'], got 'weird'",
+        ),
+        ({"groups": {"hotelarea": "categorical"}}, "taxonomy.groups keys must be 'domain-slot' names, got 'hotelarea'"),
+        ({"categorical_values": {"hotel-area": [1, 2]}}, "taxonomy.categorical_values.hotel-area[0] must be a string, got 1"),
     ],
-    ids=["list", "groups-list", "categorical-string", "value-list-string", "unknown-group"],
+    ids=[
+        "list", "groups-list", "categorical-string", "value-list-string", "unknown-group", "key-without-dash",
+        "value-list-numbers",
+    ],
 )
 def test_malformed_taxonomy_is_a_click_error(runner, tmp_path, command, taxonomy, reason):
     _synth(runner, tmp_path / "corpus")
@@ -589,7 +637,8 @@ def test_malformed_taxonomy_is_a_click_error(runner, tmp_path, command, taxonomy
     result = _invoke_on_corpus(runner, tmp_path, command, [])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert f"Error: malformed taxonomy: {reason} [file: {document}]" in result.output
+    assert f"Error: {reason} (line " in result.output
+    assert f"[file: {document}]" in result.output
 
 
 @pytest.mark.parametrize(
@@ -601,9 +650,13 @@ def test_malformed_taxonomy_is_a_click_error(runner, tmp_path, command, taxonomy
         ('{"fuzzy_threshold": "high"}', "fuzzy_threshold must be a number"),
         ('{"fuzzy_threshold": true}', "fuzzy_threshold must be a number"),
         ('{"fuzzy_threshold": NaN}', "fuzzy_threshold must be in [0, 1], got nan"),
-        ('{"fuzzy_groups": "open"}', "fuzzy_groups must be a list of names"),
-        ('{"fuzzy_groups": ["open", "names"]}', "fuzzy_groups must be a list of names"),
-        ('{"time_canonicalization": "no"}', "time_canonicalization must be true or false"),
+        ('{"fuzzy_groups": "open"}', "fuzzy_groups must be a list of strings, got 'open'"),
+        (
+            '{"fuzzy_groups": ["open", "names"]}',
+            "fuzzy_groups[1] must be one of ['categorical', 'time', 'open', 'profile'], got 'names'",
+        ),
+        ('{"time_canonicalization": "no"}', "time_canonicalization must be a boolean, got 'no'"),
+        ('{"fuzzy_threshold": 0.5, "fuzzy_threshold": 0.9}', ":1:1: repeated key 'fuzzy_threshold'"),
     ],
 )
 def test_evaluate_rejects_bad_policy_file(runner, tmp_path, content, message):
@@ -627,6 +680,8 @@ def test_evaluate_rejects_bad_policy_file(runner, tmp_path, content, message):
         ('{"dialogue_id": "d0", "turn_index": 2}', "missing field 'text'"),
         ('["d0", 2, "hi"]', "malformed record"),
         ('{"dialogue_id": "d0", "turn_index": "two", "text": "hi"}', "malformed record"),
+        ('{"dialogue_id": "d0", "turn_index": 2.9, "text": "hi"}', "turn_index must be an integer, got 2.9"),
+        ('{"dialogue_id": "d0", "turn_index": 2, "text": null}', "text must be a string, got None"),
     ],
 )
 def test_run_reports_bad_agent_asr_line(runner, tmp_path, bad_line, reason):
@@ -646,11 +701,21 @@ def test_run_reports_bad_agent_asr_line(runner, tmp_path, bad_line, reason):
     )
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert f"{path}:2: {reason}" in result.output
+    assert re.search(re.escape(f"{path}:2:") + r"\d+: (malformed record: )?" + re.escape(reason), result.output)
+
+
+# each malformed id list and what its error names
+_EXCLUDE_IDS_FAULTS = {
+    '{"ids": 3': ":1:10: malformed JSON: Expecting ',' delimiter",
+    '{"ids": 3}': ":1:1: ids must be a list of strings, got 3",
+    '{"other": []}': ":1:1: missing field 'ids'",
+    "7": ":1:1: expected a JSON list of strings or object, got integer",
+    "[0, 1]": ":1:1: [0] must be a string, got 0",
+}
 
 
 @pytest.mark.parametrize("command", ["run", "evaluate"])
-@pytest.mark.parametrize("content", ['{"ids": 3', '{"ids": 3}', '{"other": []}', "7"])
+@pytest.mark.parametrize("content", list(_EXCLUDE_IDS_FAULTS))
 def test_malformed_exclude_ids_file_is_a_usage_error(runner, tmp_path, command, content):
     _synth(runner, tmp_path / "corpus")
     path = tmp_path / "exclude.json"
@@ -658,7 +723,7 @@ def test_malformed_exclude_ids_file_is_a_usage_error(runner, tmp_path, command, 
     result = _invoke_on_corpus(runner, tmp_path, command, ["--exclude-ids", str(path)])
     assert result.exit_code == 2, result.output
     assert "Invalid value for --exclude-ids" in result.output
-    assert str(path) in result.output
+    assert f"{path}{_EXCLUDE_IDS_FAULTS[content]}" in result.output
 
 
 def test_evaluate_reads_the_corpus_document_once_and_no_sidecar(runner, tmp_path, monkeypatch):
@@ -753,24 +818,30 @@ def test_evaluate_alignment_failure_exit_code(runner, tmp_path):
         ('{"dialogue_id": "d0", "turn_index": true}', "malformed record: turn_index must be an integer, got True"),
         (
             '{"dialogue_id": "d0", "turn_index": 5, "parsed_state": {"domains": "train", "slots": {}}}',
-            "malformed record: domains must be a list of strings, got 'train'",
+            "malformed record: parsed_state.domains must be a list of strings, got 'train'",
         ),
         (
             '{"dialogue_id": "d0", "turn_index": 5, "parsed_state": {"domains": ["train", 1]}}',
-            "malformed record: domains must be a list of strings",
+            "malformed record: parsed_state.domains[1] must be a string, got 1",
         ),
         (
             '{"dialogue_id": "d0", "turn_index": 5, "parsed_state": {"domains": [], "slots": []}}',
-            "malformed record: slots must be an object, got []",
+            "malformed record: parsed_state.slots must be an object of objects of strings, got []",
         ),
         (
             '{"dialogue_id": "d0", "turn_index": 5, "parsed_state": {"domains": [], "slots": {"train": "day"}}}',
-            "malformed record: slots of domain 'train' must be an object, got 'day'",
+            "malformed record: parsed_state.slots.train must be an object of strings, got 'day'",
         ),
         (
             '{"dialogue_id": "d0", "turn_index": 5, "parsed_state": {"domains": [], "slots": {"train": {"day": 3}}}}',
-            "malformed record: slot train.day must have a string value, got 3",
+            "malformed record: parsed_state.slots.train.day must be a string, got 3",
         ),
+        ('{"dialogue_id": "d0", "turn_index": 5, "raw_output": 5}', "malformed record: raw_output must be a string, got 5"),
+        (
+            '{"dialogue_id": "d0", "turn_index": 5, "diagnostics": "abc"}',
+            "malformed record: diagnostics must be a list of strings, got 'abc'",
+        ),
+        ('{"dialogue_id": "d0", "turn_index": 5, "turn_index": 6}', "repeated key 'turn_index'"),
         pytest.param(
             '{"dialogue_id": "d0", "turn_index": 5, "parsed_state": ' + "[" * 100000,
             "malformed JSON: nesting too deep",
@@ -789,7 +860,7 @@ def test_evaluate_reports_bad_prediction_line(runner, tmp_path, bad_line, reason
     )
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert f"{path}:3: {reason}" in result.output
+    assert re.search(re.escape(f"{path}:3:") + r"\d+: (malformed record: )?" + re.escape(reason), result.output)
 
 
 def test_evaluate_rejects_a_duplicate_prediction_naming_both_lines(runner, tmp_path):

@@ -76,7 +76,7 @@ def test_unknown_speaker_tag_rejected(tmp_path):
         }
     ]
     path = _write_minimal_corpus(tmp_path, dialogues)
-    with pytest.raises(CorpusFormatError, match="unknown speaker tag"):
+    with pytest.raises(CorpusFormatError, match=r"dialogues\[0\].turns\[0\].speaker must be 'USER' or 'AGENT', got 'NARRATOR'"):
         load_corpus(path, "synthetic_json")
 
 
@@ -251,13 +251,27 @@ def test_truncated_or_padded_sidecar_is_a_format_error(tmp_path):
     assert info.value.offset == len(blob)
 
 
-@pytest.mark.parametrize("header", [b"{not json", b"[1, 2]", b'{"rows": 1}', b"\xff\xfe"])
+_SIDECAR_HEADER_FIELDS = '"cols": 2, "dialogue_id": "dlg", "format_version": 1'
+# each malformed header and what its error names
+_SIDECAR_HEADER_FAULTS = {
+    b"{not json": "malformed JSON",
+    b"[1, 2]": "expected a JSON object, got list",
+    b'{"rows": 1}': "missing field 'dialogue_id'",
+    b"\xff\xfe": "malformed UTF-8",
+    b'{%s, "rows": "3", "turn_index": 3}' % _SIDECAR_HEADER_FIELDS.encode(): "rows must be an integer, got '3'",
+    b'{%s, "rows": 3, "turn_index": 1.0}' % _SIDECAR_HEADER_FIELDS.encode(): "turn_index must be an integer, got 1.0",
+}
+
+
+@pytest.mark.parametrize("header", list(_SIDECAR_HEADER_FAULTS))
 def test_malformed_sidecar_header_is_a_format_error(tmp_path, header):
     path = tmp_path / "x.f64"
     path.write_bytes(b"DSTLFEA1" + len(header).to_bytes(4, "little") + header)
     with pytest.raises(CorpusFormatError, match="malformed sidecar header") as info:
         read_feature_sidecar(path)
     assert info.value.offset == 12
+    assert f"malformed sidecar header: {_SIDECAR_HEADER_FAULTS[header]}" in str(info.value)
+    assert info.value.path == str(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -341,8 +355,49 @@ def test_spokenwoz_unknown_tag(tmp_path):
     doc = {"X": {"log": [{"text": "hi", "tag": "robot"}]}}
     path = tmp_path / "data.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(CorpusFormatError, match="unknown speaker tag"):
+    with pytest.raises(CorpusFormatError, match=r"X.log\[0\].tag must be 'user', 'system' or 'agent', got 'robot'"):
         load_corpus(path, "spokenwoz_json")
+
+
+def test_spokenwoz_repeated_dialogue_id_is_a_format_error(tmp_path):
+    # json.load would keep only the second SNG1 entry
+    path = tmp_path / "data.json"
+    path.write_text(
+        '{\n  "SNG1": {"log": [{"text": "first", "tag": "user"}]},\n  "SNG1": {"log": [{"text": "second", "tag": "user"}]}\n}'
+    )
+    with pytest.raises(CorpusFormatError, match=r"repeated key 'SNG1' \(line 1, column 1\)") as info:
+        load_corpus(path, "spokenwoz_json")
+    assert info.value.path == str(path)
+
+
+@pytest.mark.parametrize(
+    "metadata, message",
+    [
+        ({"hotel": {"semi": {"area": 5}}}, "SNG1.log[1].metadata.hotel.semi.area must be a string or list of strings, got 5"),
+        ({"hotel": {"book": {"people": [2]}}}, "SNG1.log[1].metadata.hotel.book.people[0] must be a string, got 2"),
+        ({"hotel": None}, "SNG1.log[1].metadata.hotel must be an object, got None"),
+        ([], "SNG1.log[1].metadata must be an object, got []"),
+    ],
+)
+def test_spokenwoz_slot_value_of_the_wrong_type_is_a_format_error(tmp_path, metadata, message):
+    doc = {"SNG1": {"log": [{"text": "hi", "tag": "user"}, {"text": "ok", "tag": "system", "metadata": metadata}]}}
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(path, "spokenwoz_json")
+    assert str(info.value).startswith(message)
+
+
+def test_spokenwoz_tolerances_are_kept(tmp_path):
+    # a list value gives its first element, a missing tag goes by position,
+    # and empty values are skipped
+    metadata = {"hotel": {"semi": {"area": ["north", "south"], "name": [], "type": "not mentioned"}, "book": {"booked": [{}]}}}
+    doc = {"SNG1": {"log": [{"text": "hi"}, {"text": "ok", "metadata": metadata}]}}
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(doc))
+    (dlg,) = load_corpus(path, "spokenwoz_json")
+    assert [t.speaker for t in dlg.turns] == [Speaker.USER, Speaker.AGENT]
+    assert dlg.gold_states == {1: DialogueState(["hotel"], {("hotel", "area"): "north"})}
 
 
 def test_spokenwoz_alternation_uses_the_synthetic_rule(tmp_path):

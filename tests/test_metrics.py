@@ -24,7 +24,7 @@ from oracles import (
 
 
 def _state(domain_slots: dict[str, dict[str, str]]) -> DialogueState:
-    return DialogueState.from_nested(list(domain_slots), domain_slots)
+    return DialogueState(list(domain_slots), {(d, s): v for d, slots in domain_slots.items() for s, v in slots.items()})
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dst_lab.cli import load_policy
 from dst_lab.corpus import SplitMix64
 from dst_lab.postprocess import (
     MatchPolicy,
@@ -169,10 +171,12 @@ def test_whitespace_normalization():
     assert values_match("pizza  hut", "Pizza Hut", "categorical", MatchPolicy())
 
 
-def test_policy_validation_and_json_roundtrip():
+def test_policy_validation_and_json_roundtrip(tmp_path):
     with pytest.raises(ValueError):
         MatchPolicy(fuzzy_threshold=1.5)
     policy = MatchPolicy(fuzzy_threshold=0.8, fuzzy_groups=frozenset({"open"}))
-    rebuilt = MatchPolicy.from_json_obj(policy.to_json_obj())
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(policy.to_json_obj()))
+    rebuilt = load_policy(str(path))
     assert rebuilt == policy
     assert MatchPolicy.exact().fuzzy_groups == frozenset()
