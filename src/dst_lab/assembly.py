@@ -64,6 +64,13 @@ def context_turns(strategy: Strategy, n: int) -> range:
     return range(n, n + 1) if strategy is Strategy.MULTIMODAL else range(1, n + 1)
 
 
+def read_turns(strategy: Strategy, dialogue: Dialogue) -> list[int]:
+    """Indices, ascending, of the turns some context of ``dialogue`` reads:
+    ``context_turns`` over its user turns. ``run`` loads the features of
+    these turns and no others."""
+    return sorted({i for n in dialogue.user_turn_indices() for i in context_turns(strategy, n)})
+
+
 def assemble(
     strategy: Strategy,
     turn_embeddings: list[SpeechEmbedding],
@@ -360,15 +367,15 @@ def run_dialogue(
 ) -> list[TurnResult]:
     """Predict the state at every user turn, in order.
 
-    The turns the contexts read (``context_turns`` over the user turns) are
-    embedded once, up front: the user turns under the multimodal strategy,
-    every turn up to the last user turn under the spoken ones. A read turn
-    without features fails the dialogue, naming the lowest such turn. Turns
-    whose features share a shape are embedded by one ``embed_turn`` call.
-    Under the compressed strategy every read turn before the last user turn
-    (and that turn under ``compress_current``) is pooled once, up front, by
-    one ``compress_turn`` call per embedding row count, and every context
-    reuses the blocks. A stacked forward is bitwise equal to per-turn ones.
+    The turns the contexts read (``read_turns``) are embedded once, up front:
+    the user turns under the multimodal strategy, every turn up to the last
+    user turn under the spoken ones. A read turn without features fails the
+    dialogue, naming the lowest such turn. Turns whose features share a shape
+    are embedded by one ``embed_turn`` call. Under the compressed strategy
+    every read turn before the last user turn (and that turn under
+    ``compress_current``) is pooled once, up front, by one ``compress_turn``
+    call per embedding row count, and every context reuses the blocks. A
+    stacked forward is bitwise equal to per-turn ones.
 
     For the multimodal strategy the predictor's own transcription of each user
     turn is fed back as that turn's history text for subsequent prompts; gold
@@ -381,7 +388,7 @@ def run_dialogue(
     results: list[TurnResult] = []
     history = ""
     users = dialogue.user_turn_indices()
-    read = sorted({i for n in users for i in context_turns(strategy, n)})
+    read = read_turns(strategy, dialogue)
     embedded: dict[int, SpeechEmbedding] = {}
     for group in _groups(read, lambda i: _features(dialogue, i).shape):
         embedded.update(zip(group, embedder.embed_turn(dialogue, group)))

@@ -30,6 +30,7 @@ from .assembly import (
     EmbeddingPipeline,
     context_length_report,
     make_predictor,
+    read_turns,
     run_dialogue,
 )
 from .corpus import (
@@ -235,7 +236,7 @@ def _feature_dim(dialogues: list[Dialogue]) -> int:
         for turn in dlg.turns:
             if turn.features is not None:
                 return int(turn.features.shape[1])
-    raise click.ClickException("corpus carries no feature matrices; generate sidecars first")
+    raise click.ClickException("no turn that a context reads has a feature sidecar; generate sidecars first")
 
 
 def _build_embedder(manifest: RunManifest, d_feat: int) -> tuple[EmbeddingPipeline, CompressorConfig]:
@@ -384,8 +385,13 @@ def cmd_run(manifest: str | None, exclude_ids: str | None, **flags) -> None:
 
     run_manifest.check_ranges()
     strategy_enum = run_manifest.resolved_strategy()
+    excluded = set(run_manifest.exclude_ids)
+
+    def read(dialogue: Dialogue) -> list[int]:
+        return [] if dialogue.id in excluded else read_turns(strategy_enum, dialogue)
+
     try:
-        dialogues = load_corpus(run_manifest.corpus, run_manifest.format)
+        dialogues = load_corpus(run_manifest.corpus, run_manifest.format, read)
     except CorpusFormatError as exc:
         raise click.ClickException(str(exc)) from exc
     agent_texts = _load_agent_texts(run_manifest.agent_asr, dialogues)
@@ -490,14 +496,16 @@ def cmd_evaluate(
         dialogues, taxonomy = parse_corpus(corpus, format_)
     except CorpusFormatError as exc:
         raise click.ClickException(str(exc)) from exc
-    dialogues = filter_corrupted(dialogues, _parse_exclude_ids(exclude_ids))
+    references = references_from_corpus(filter_corrupted(dialogues, _parse_exclude_ids(exclude_ids)))
     if format_ == "synthetic_json":
         taxonomy = taxonomy or synthetic_taxonomy()
     policy_obj = load_policy(policy)
+    if not references:
+        raise click.ClickException(f"no reference turn to score in {corpus}")
     try:
         report = evaluate(
             states_from_records(records),
-            references_from_corpus(dialogues),
+            references,
             policy_obj,
             taxonomy,
             top_k_errors,

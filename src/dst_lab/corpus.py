@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -561,6 +561,9 @@ def filter_corrupted(dialogues: list[Dialogue], exclude_ids: Iterable[str]) -> l
 # ---------------------------------------------------------------------------
 
 
+TurnSelector = Callable[[Dialogue], Iterable[int]]  # the indices of the turns whose sidecars to read
+
+
 def _feature_sidecar_name(dialogue_id: str, turn_index: int) -> str:
     return f"{dialogue_id}__t{turn_index:04d}.f64"
 
@@ -592,10 +595,14 @@ def _sidecar_header(header: object) -> tuple[str, int, int, int]:
 
 def read_feature_sidecar(path: Path) -> tuple[str, int, np.ndarray]:
     """Parse one sidecar; a short, overlong or malformed file, or a NaN or
-    infinite value, is a CorpusFormatError naming the byte offset."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    infinite value, is a CorpusFormatError naming the byte offset, and a file
+    that cannot be read one naming the path."""
     where = str(path)
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot read feature sidecar: {exc.strerror}", path=where) from exc
     if blob[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:
         raise CorpusFormatError("bad feature sidecar magic", path=where, offset=0)
     header_start = len(FEATURE_MAGIC) + 4
@@ -677,12 +684,15 @@ def write_corpus(
     return corpus_path
 
 
-def _attach_features(dialogues: list[Dialogue], features_dir: Path) -> None:
+def _attach_features(dialogues: list[Dialogue], features_dir: Path, read: TurnSelector | None) -> None:
+    """Attach the sidecar, where there is one, of each turn that ``read``
+    names (every turn when ``read`` is None). The sidecars read must agree
+    on ``feature_dim``; no other sidecar is opened."""
     if not features_dir.is_dir():
         return
     dims: set[int] = set()
     for dlg in dialogues:
-        for turn in dlg.turns:
+        for turn in dlg.turns if read is None else [dlg.turn(i) for i in read(dlg)]:
             sidecar = features_dir / _feature_sidecar_name(dlg.id, turn.index)
             if sidecar.exists():
                 dialogue_id, turn_index, mat = read_feature_sidecar(sidecar)
@@ -707,6 +717,8 @@ def _read_corpus_document(path: Path, read):
     """``read`` of the corpus document at ``path``; a fault is a CorpusFormatError."""
     try:
         return jsonio.read_document(path, read)
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot read corpus document: {exc.strerror}", path=str(path)) from exc
     except JsonInputError as exc:
         raise CorpusFormatError(f"{exc} (line {exc.line}, column {exc.column})", path=str(path), offset=exc.pos) from exc
 
@@ -831,10 +843,11 @@ def parse_corpus(path: str | Path, format: str) -> tuple[list[Dialogue], SlotTax
     raise ValueError(f"unknown corpus format {format!r}")
 
 
-def load_corpus(path: str | Path, format: str) -> list[Dialogue]:
-    """``parse_corpus`` plus each turn's feature sidecar from the ``features/``
-    directory next to the corpus document."""
+def load_corpus(path: str | Path, format: str, read: TurnSelector | None = None) -> list[Dialogue]:
+    """``parse_corpus`` plus feature sidecars from the ``features/`` directory
+    next to the corpus document: of the turns ``read(dialogue)`` names, or of
+    every turn when ``read`` is None. A turn left unread keeps no features."""
     dialogues, _ = parse_corpus(path, format)
     p = Path(path)
-    _attach_features(dialogues, (p if p.is_dir() else p.parent) / "features")
+    _attach_features(dialogues, (p if p.is_dir() else p.parent) / "features", read)
     return dialogues

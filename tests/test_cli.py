@@ -376,6 +376,97 @@ def test_run_failure_names_the_lowest_read_turn_without_features(runner, tmp_pat
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "excluded" / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "strategy, extra, expected",
+    [
+        ("multimodal", [], [1, 3, 5]),
+        ("full", [], [1, 2, 3, 4, 5]),
+        ("compressed", [], [1, 2, 3, 4, 5]),
+        ("compressed", ["--compress-current"], [1, 2, 3, 4, 5]),
+    ],
+)
+def test_run_reads_each_sidecar_its_contexts_read_once(runner, tmp_path, monkeypatch, strategy, extra, expected):
+    _synth(runner, tmp_path / "corpus")
+    dialogues = load_corpus(tmp_path / "corpus", "synthetic_json")
+    victim = dialogues[2].id
+    read: list[str] = []
+    real_read = corpus_module.read_feature_sidecar
+
+    def counting_read(path):
+        read.append(Path(path).name)
+        return real_read(path)
+
+    monkeypatch.setattr(corpus_module, "read_feature_sidecar", counting_read)
+    args = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", strategy, "--exclude-ids", victim]
+    result = runner.invoke(main, args + extra + ["--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "run" / "run_summary.json").read_text())["failures"] == []
+    # six turns each: no context reads the trailing agent turn 6, nor under multimodal any agent turn
+    kept = [d for d in dialogues if d.id != victim]
+    assert all(assembly.read_turns(cli._STRATEGY_ALIASES[strategy], d) == expected for d in kept)
+    assert sorted(read) == sorted(f"{d.id}__t{i:04d}.f64" for d in kept for i in expected)
+    assert not [name for name in read if name.startswith(victim)]
+
+
+def test_run_without_a_sidecar_on_any_read_turn_is_a_click_error(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus")
+    # agent turns keep their sidecars, but no multimodal context reads one
+    for sidecar in (tmp_path / "corpus" / "features").glob("*__t000[135].f64"):
+        sidecar.unlink()
+    args = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "multimodal", "--out", str(tmp_path / "run")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert "Error: no turn that a context reads has a feature sidecar" in result.output
+
+
+def _write_bad_sidecar(features_dir: Path, dialogue, turn_index: int, fault: str) -> Path:
+    sidecar = features_dir / f"{dialogue.id}__t{turn_index:04d}.f64"
+    features = dialogue.turn(turn_index).features.copy()
+    header_turn = turn_index
+    if fault == "non_finite":
+        features[0, 1] = np.inf
+    else:
+        header_turn = turn_index + 2
+    corpus_module.write_feature_sidecar(sidecar, dialogue.id, header_turn, features)
+    return sidecar
+
+
+@pytest.mark.parametrize("fault, message, offset", [
+    ("non_finite", "non-finite feature value", "sidecar"),
+    ("header_mismatch", "sidecar header is for", 12),
+])
+def test_run_opens_no_sidecar_its_contexts_do_not_read(runner, tmp_path, fault, message, offset):
+    _synth(runner, tmp_path / "corpus")
+    dialogues = load_corpus(tmp_path / "corpus", "synthetic_json")
+    base = ["run", "--corpus", str(tmp_path / "corpus"), "--predictor", "noisy"]
+    result = runner.invoke(main, base + ["--strategy", "multimodal", "--out", str(tmp_path / "clean")])
+    assert result.exit_code == 0, result.output
+    # a middle agent turn and the trailing one: no multimodal context reads either
+    features_dir = tmp_path / "corpus" / "features"
+    middle = _write_bad_sidecar(features_dir, dialogues[1], 2, fault)
+    _write_bad_sidecar(features_dir, dialogues[3], 6, fault)
+
+    result = runner.invoke(main, base + ["--strategy", "multimodal", "--out", str(tmp_path / "mm")])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "mm" / "run_summary.json").read_text())["failures"] == []
+    for name in ("predictions.ndjson", "context_lengths.csv"):
+        assert (tmp_path / "mm" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+    # the spoken contexts of user turns 3 and 5 read turn 2, so the run ends at load
+    result = runner.invoke(main, base + ["--strategy", "full", "--out", str(tmp_path / "full")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    if offset == "sidecar":  # the byte of row 0, column 1 in the payload, which ends the file
+        offset = middle.stat().st_size - dialogues[1].turn(2).features.size * 8 + 8
+    assert f"Error: {message}" in result.output
+    assert f"[file: {middle}] [offset: {offset}]" in result.output
+    # a dialogue that --exclude-ids drops has no sidecar read
+    result = runner.invoke(
+        main, base + ["--strategy", "full", "--exclude-ids", dialogues[1].id, "--out", str(tmp_path / "excluded")]
+    )
+    assert result.exit_code == 0, result.output
+
+
 class _DiesOnDialogue:
     """Exact oracle whose worker process dies, ``delay`` seconds in, on one dialogue."""
 
@@ -538,6 +629,29 @@ def test_malformed_corpus_document_is_a_click_error(runner, tmp_path, command, c
     assert isinstance(result.exception, SystemExit)
     assert re.search(re.escape(f"Error: {message}") + r".* \(line \d+, column \d+\)", result.output), result.output
     assert f"[file: {document}]" in result.output
+
+
+@pytest.mark.parametrize("command", ["run", "evaluate"])
+@pytest.mark.parametrize("format_, document", [("synthetic_json", "corpus.json"), ("spokenwoz_json", "data.json")])
+def test_missing_corpus_document_is_a_click_error(runner, tmp_path, command, format_, document):
+    (tmp_path / "corpus").mkdir()
+    result = _invoke_on_corpus(runner, tmp_path, command, ["--format", format_])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    path = tmp_path / "corpus" / document
+    assert f"Error: cannot read corpus document: No such file or directory [file: {path}]" in result.output
+
+
+def test_unreadable_sidecar_of_a_read_turn_is_a_click_error(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus")
+    dialogue_id = load_corpus(tmp_path / "corpus", "synthetic_json")[0].id
+    sidecar = tmp_path / "corpus" / "features" / f"{dialogue_id}__t0001.f64"
+    sidecar.unlink()
+    sidecar.mkdir()
+    result = _invoke_on_corpus(runner, tmp_path, "run", [])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: cannot read feature sidecar: Is a directory [file: {sidecar}]" in result.output
 
 
 def test_run_agent_asr_texts_replace_agent_transcripts_in_later_prompts(runner, tmp_path):
@@ -773,6 +887,24 @@ def test_evaluate_reads_the_corpus_document_once_and_no_sidecar(runner, tmp_path
     for path in expected:
         for out in ("report", "report_no_features"):
             assert (tmp_path / out / Path(path).name).read_bytes() == Path(path).read_bytes()
+
+
+@pytest.mark.parametrize("how", ["no_gold_states", "all_excluded"])
+def test_evaluate_with_no_reference_turn_is_a_click_error(runner, tmp_path, how):
+    _synth(runner, tmp_path / "corpus")
+    document = tmp_path / "corpus" / "corpus.json"
+    doc = json.loads(document.read_text())
+    extra = []
+    if how == "no_gold_states":
+        for dialogue in doc["dialogues"]:
+            dialogue["gold_states"] = {}
+        document.write_text(json.dumps(doc))
+    else:
+        extra = ["--exclude-ids", ",".join(d["id"] for d in doc["dialogues"])]
+    result = _invoke_on_corpus(runner, tmp_path, "evaluate", extra)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: no reference turn to score in {tmp_path / 'corpus'}" in result.output
 
 
 def test_evaluate_names_a_gold_slot_the_taxonomy_lacks(runner, tmp_path):

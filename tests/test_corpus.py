@@ -314,6 +314,40 @@ def test_sidecar_header_must_match_its_file(tmp_path, small_corpus, header_id, h
     assert info.value.offset == 12
 
 
+def _user_turns(dialogue):
+    return dialogue.user_turn_indices()
+
+
+def test_load_corpus_reads_only_the_sidecars_read_names(tmp_path, small_corpus):
+    write_corpus(tmp_path / "c", small_corpus)
+    # every agent turn's sidecar is broken; reading user turns only never opens one
+    for dlg in small_corpus:
+        for turn in dlg.turns[1::2]:
+            sidecar = tmp_path / "c" / "features" / f"{dlg.id}__t{turn.index:04d}.f64"
+            sidecar.write_bytes(b"not a sidecar")
+    loaded = load_corpus(tmp_path / "c", "synthetic_json", _user_turns)
+    for got, want in zip(loaded, small_corpus):
+        for turn, original in zip(got.turns, want.turns):
+            if turn.speaker is Speaker.USER:
+                assert np.array_equal(turn.features, original.features)
+            else:
+                assert turn.features is None
+    loaded = load_corpus(tmp_path / "c", "synthetic_json", lambda dialogue: [])
+    assert all(turn.features is None for dlg in loaded for turn in dlg.turns)
+    with pytest.raises(CorpusFormatError, match="bad feature sidecar magic"):
+        load_corpus(tmp_path / "c", "synthetic_json")
+
+
+def test_feature_dim_must_agree_across_the_sidecars_read(tmp_path, small_corpus):
+    write_corpus(tmp_path / "c", small_corpus)
+    dlg = small_corpus[0]
+    wide = np.zeros((3, dlg.turns[1].features.shape[1] + 1))
+    write_feature_sidecar(tmp_path / "c" / "features" / f"{dlg.id}__t0002.f64", dlg.id, 2, wide)
+    assert load_corpus(tmp_path / "c", "synthetic_json", _user_turns)[0].turns[1].features is None
+    with pytest.raises(CorpusFormatError, match=r"feature_dim not uniform across corpus: \[8, 9\]"):
+        load_corpus(tmp_path / "c", "synthetic_json")
+
+
 def test_spokenwoz_ingestion(tmp_path):
     doc = {
         "SNG0001": {
