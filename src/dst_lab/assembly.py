@@ -1,10 +1,11 @@
 """Context assembly for the three strategies, plus pluggable state predictors.
 
-``assemble`` realizes the embedding-sequence layouts: the multimodal context
+``run_dialogue`` holds the embedding-sequence layouts: the multimodal context
 carries only the current turn's embedding, the full spoken context the
 concatenation of every turn, and the compressed spoken context replaces each
 prior turn with its pooled query vectors while the current turn stays
-uncompressed.
+uncompressed. It picks each context's blocks; ``assemble`` only concatenates
+them.
 
 The predictor oracles stand in for the language model. They read gold states
 (optionally perturbing them) so the harness, codecs and metrics can be tested
@@ -23,7 +24,6 @@ from .neural.layers import Linear
 from .neural.pipeline import (
     Compressor,
     Connector,
-    SpeechEmbedding,
     compress_turn,
     connector_forward,
     downsample,
@@ -48,7 +48,6 @@ class TurnSpan:
 
 @dataclass
 class AssembledContext:
-    strategy: Strategy
     speech_part: np.ndarray
     bookkeeping: list[TurnSpan]
     text_part: str = ""
@@ -71,45 +70,15 @@ def read_turns(strategy: Strategy, dialogue: Dialogue) -> list[int]:
     return sorted({i for n in dialogue.user_turn_indices() for i in context_turns(strategy, n)})
 
 
-def assemble(
-    strategy: Strategy,
-    turn_embeddings: list[SpeechEmbedding],
-    compressor: Compressor | None = None,
-    *,
-    compress_current: bool = False,
-    text_part: str = "",
-    compressed: dict[int, np.ndarray] | None = None,
-) -> AssembledContext:
-    """Concatenate turn embeddings according to the strategy.
-
-    The last entry of ``turn_embeddings`` is the current user turn n; the
-    context places the turns ``context_turns`` names, picked by
-    ``turn_index``. ``compressed`` maps a turn index to that turn's pooled
-    block, used as it is; a turn it lacks is pooled here, on its own.
-    """
-    compressed = compressed or {}
-    if not turn_embeddings:
-        raise ValueError("need at least one turn embedding")
-    if strategy is Strategy.COMPRESSED_SPOKEN and compressor is None:
-        raise ValueError("compressed_spoken requires a compressor")
-
-    current = turn_embeddings[-1].turn_index
-    by_index = {emb.turn_index: emb for emb in turn_embeddings}
-    parts: list[np.ndarray] = []
+def assemble(blocks: list[tuple[int, np.ndarray]], text_part: str = "") -> AssembledContext:
+    """Concatenate a context's ``(turn_index, block)`` pairs, in order, and
+    record the rows each turn's block fills."""
     spans: list[TurnSpan] = []
     row = 0
-    for i in context_turns(strategy, current):
-        emb = by_index[i]
-        if strategy is Strategy.COMPRESSED_SPOKEN and (i != current or compress_current):
-            block = compressed.get(i)
-            if block is None:
-                block = compress_turn(emb.matrix[None], compressor)[0]
-        else:
-            block = emb.matrix
-        parts.append(block)
+    for i, block in blocks:
         spans.append(TurnSpan(i, row, block.shape[0]))
         row += block.shape[0]
-    return AssembledContext(strategy, np.concatenate(parts, axis=0), spans, text_part)
+    return AssembledContext(np.concatenate([block for _, block in blocks], axis=0), spans, text_part)
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +101,15 @@ class EmbeddingPipeline:
     encoder_stub: Linear
     stride: int = 1
 
-    def embed_turn(self, dialogue: Dialogue, turn_indices: tuple[int, ...]) -> list[SpeechEmbedding]:
+    def embed_turn(self, dialogue: Dialogue, turn_indices: tuple[int, ...]) -> np.ndarray:
         """Embed turns whose feature matrices share one shape, with one
-        encoder-stub forward and one connector forward over their stack."""
+        encoder-stub forward and one connector forward over their stack;
+        returns the (turns, rows, d_model) stack of connector outputs."""
         stack = np.stack([_features(dialogue, i) for i in turn_indices])
-        x = downsample(self.encoder_stub.forward(stack), self.stride)
-        return [
-            SpeechEmbedding(matrix, dialogue.id, i)
-            for i, matrix in zip(turn_indices, connector_forward(x, self.connector))
-        ]
+        embedded = connector_forward(downsample(self.encoder_stub.forward(stack), self.stride), self.connector)
+        if not np.isfinite(embedded).all():
+            raise ValueError("embedding contains non-finite entries")
+        return embedded
 
 
 def _groups(indices: list[int], key) -> list[tuple[int, ...]]:
@@ -367,15 +336,20 @@ def run_dialogue(
 ) -> list[TurnResult]:
     """Predict the state at every user turn, in order.
 
+    The context of user turn ``n`` reads the turns ``context_turns`` names.
+    Under the compressed strategy it holds each turn before ``n`` (and ``n``
+    itself under ``compress_current``) as that turn's pooled block, and every
+    other turn as its embedding; this is the one place that rule is written.
+    ``assemble`` concatenates the blocks picked here.
+
     The turns the contexts read (``read_turns``) are embedded once, up front:
     the user turns under the multimodal strategy, every turn up to the last
     user turn under the spoken ones. A read turn without features fails the
     dialogue, naming the lowest such turn. Turns whose features share a shape
-    are embedded by one ``embed_turn`` call. Under the compressed strategy
-    every read turn before the last user turn (and that turn under
-    ``compress_current``) is pooled once, up front, by one ``compress_turn``
-    call per embedding row count, and every context reuses the blocks. A
-    stacked forward is bitwise equal to per-turn ones.
+    are embedded by one ``embed_turn`` call. Every turn some context holds
+    pooled is pooled once, up front, by one ``compress_turn`` call per
+    embedding row count, and every context reuses the blocks. A stacked
+    forward is bitwise equal to per-turn ones.
 
     For the multimodal strategy the predictor's own transcription of each user
     turn is fed back as that turn's history text for subsequent prompts; gold
@@ -385,30 +359,27 @@ def run_dialogue(
     transcription once it is parsed, and the agent turn after it, if any,
     adds its text.
     """
+    compressed = strategy is Strategy.COMPRESSED_SPOKEN
+    if compressed and compressor is None:
+        raise ValueError("compressed_spoken requires a compressor")
+
+    def pooled_at(n: int, i: int) -> bool:
+        return compressed and (i < n or compress_current)
+
     results: list[TurnResult] = []
     history = ""
     users = dialogue.user_turn_indices()
-    read = read_turns(strategy, dialogue)
-    embedded: dict[int, SpeechEmbedding] = {}
-    for group in _groups(read, lambda i: _features(dialogue, i).shape):
+    embedded: dict[int, np.ndarray] = {}
+    for group in _groups(read_turns(strategy, dialogue), lambda i: _features(dialogue, i).shape):
         embedded.update(zip(group, embedder.embed_turn(dialogue, group)))
-    compressed: dict[int, np.ndarray] = {}
-    # without a compressor, assemble raises its own error
-    if strategy is Strategy.COMPRESSED_SPOKEN and compressor is not None:
-        pooled = [i for i in read if i < users[-1] or compress_current]
-        for group in _groups(pooled, lambda i: embedded[i].rows):
-            blocks = compress_turn(np.stack([embedded[i].matrix for i in group]), compressor)
-            compressed.update(zip(group, blocks))
+    to_pool = sorted({i for n in users for i in context_turns(strategy, n) if pooled_at(n, i)})
+    pooled: dict[int, np.ndarray] = {}
+    for group in _groups(to_pool, lambda i: embedded[i].shape[0]):
+        pooled.update(zip(group, compress_turn(np.stack([embedded[i] for i in group]), compressor)))
     for n in users:
         prompt = build_prompt(strategy, history)
-        context = assemble(
-            strategy,
-            [embedded[i] for i in context_turns(strategy, n)],
-            compressor,
-            compress_current=compress_current,
-            text_part=prompt,
-            compressed=compressed,
-        )
+        blocks = [(i, pooled[i] if pooled_at(n, i) else embedded[i]) for i in context_turns(strategy, n)]
+        context = assemble(blocks, prompt)
         gold = dialogue.gold_states.get(n, DialogueState())
         completion = predictor.predict(PredictionRequest(dialogue, n, strategy, context, gold))
         raw_output = prompt + completion

@@ -522,7 +522,7 @@ def cmd_evaluate(
     click.echo(f"JGA (post-processed):  {report.jga_post:.4f}")
     click.echo(f"domain-set accuracy:   {report.domain_accuracy:.4f}")
     if out:
-        written = render_report(report, {"json", "csv", "svg"}, out)
+        written = render_report(report, out)
         click.echo(f"wrote {len(written)} report files to {out}")
 
 

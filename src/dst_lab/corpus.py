@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -633,7 +634,7 @@ def read_feature_sidecar(path: Path) -> tuple[str, int, np.ndarray]:
     if not finite.all():
         first = int(np.argmin(finite.ravel()))
         raise CorpusFormatError(
-            f"non-finite feature value {data.ravel()[first]!r} at row {first // cols}, column {first % cols}",
+            f"non-finite feature value {float(data.ravel()[first])} at row {first // cols}, column {first % cols}",
             path=where,
             offset=payload_start + 8 * first,
         )
@@ -685,16 +686,21 @@ def write_corpus(
 
 
 def _attach_features(dialogues: list[Dialogue], features_dir: Path, read: TurnSelector | None) -> None:
-    """Attach the sidecar, where there is one, of each turn that ``read``
-    names (every turn when ``read`` is None). The sidecars read must agree
+    """Attach the sidecar, where ``features_dir`` lists one, of each turn
+    that ``read`` names (every turn when ``read`` is None). The sidecars read must agree
     on ``feature_dim``; no other sidecar is opened."""
     if not features_dir.is_dir():
         return
+    try:
+        listed = set(os.listdir(features_dir))
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot list feature sidecars: {exc.strerror}", path=str(features_dir)) from exc
     dims: set[int] = set()
     for dlg in dialogues:
         for turn in dlg.turns if read is None else [dlg.turn(i) for i in read(dlg)]:
-            sidecar = features_dir / _feature_sidecar_name(dlg.id, turn.index)
-            if sidecar.exists():
+            name = _feature_sidecar_name(dlg.id, turn.index)
+            if name in listed:
+                sidecar = features_dir / name
                 dialogue_id, turn_index, mat = read_feature_sidecar(sidecar)
                 if (dialogue_id, turn_index) != (dlg.id, turn.index):
                     raise CorpusFormatError(

@@ -6,7 +6,6 @@ from .pipeline import (
     Compressor,
     Connector,
     Readout,
-    SpeechEmbedding,
     build_compressor,
     build_connector,
     build_encoder_stub,
@@ -25,7 +24,6 @@ __all__ = [
     "GradCheckResult",
     "ProbeHyper",
     "Readout",
-    "SpeechEmbedding",
     "TrainingConfig",
     "TrainingDivergence",
     "TrainingResult",

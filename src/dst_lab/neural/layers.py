@@ -41,15 +41,9 @@ def _gelu_with_tanh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * x * (1.0 + t), t
 
 
-def gelu_grad(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    """Derivative of the tanh GELU at ``x``; ``t`` is the forward's tanh, if cached."""
+def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Derivative of the tanh GELU at ``x``; ``t`` is the forward's tanh."""
     x2 = np.multiply(x, x)
-    if t is None:
-        t = np.multiply(x2, _GELU_C)
-        t *= x
-        t += x
-        t *= _SQRT_2_OVER_PI
-        np.tanh(t, out=t)
     # dinner = sqrt(2/pi) * (1 + 3c * x^2), built in place of x^2
     dinner = x2
     dinner *= 3.0 * _GELU_C

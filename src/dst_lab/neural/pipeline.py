@@ -37,25 +37,6 @@ class CompressorConfig:
             raise ValueError("n_layers must be >= 1")
 
 
-@dataclass(frozen=True)
-class SpeechEmbedding:
-    """Connector output for one turn: rows are positions, columns d_model."""
-
-    matrix: np.ndarray
-    dialogue_id: str = ""
-    turn_index: int = 0
-
-    def __post_init__(self) -> None:
-        if self.matrix.ndim != 2 or self.matrix.shape[0] < 1:
-            raise ValueError(f"embedding must be a non-empty 2-d matrix, got shape {self.matrix.shape}")
-        if not np.isfinite(self.matrix).all():
-            raise ValueError("embedding contains non-finite entries")
-
-    @property
-    def rows(self) -> int:
-        return int(self.matrix.shape[0])
-
-
 def downsample(features: np.ndarray, stride: int = 6) -> np.ndarray:
     """Keep every stride-th frame starting at frame 0, of a frames x dim
     matrix or of each turn in a (turns, frames, dim) stack."""

@@ -225,13 +225,8 @@ def _slot_errors_svg(report: EvalReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def render_report(
-    report: EvalReport, formats: set[str], out_dir: str | Path
-) -> list[Path]:
-    """Write the report in the requested formats; returns the files written."""
-    unknown = set(formats) - {"json", "csv", "svg"}
-    if unknown:
-        raise ValueError(f"unknown report formats: {sorted(unknown)}")
+def render_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
+    """Write the report as JSON, CSV and SVG files; returns the files written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -242,17 +237,14 @@ def render_report(
             fh.write(content)
         written.append(path)
 
-    if "json" in formats:
-        emit("report.json", json.dumps(report.to_json_obj(), indent=2) + "\n")
-    if "csv" in formats:
-        emit("summary.csv", _summary_csv(report))
-        emit("per_turn.csv", _per_turn_csv(report))
-        emit("group_f1.csv", _group_f1_csv(report))
-        emit("slot_errors.csv", _slot_errors_csv(report))
-    if "svg" in formats:
-        emit("per_turn_jga.svg", _per_turn_svg(report))
-        emit("group_f1.svg", _group_f1_svg(report))
-        emit("slot_errors.svg", _slot_errors_svg(report))
+    emit("report.json", json.dumps(report.to_json_obj(), indent=2) + "\n")
+    emit("summary.csv", _summary_csv(report))
+    emit("per_turn.csv", _per_turn_csv(report))
+    emit("group_f1.csv", _group_f1_csv(report))
+    emit("slot_errors.csv", _slot_errors_csv(report))
+    emit("per_turn_jga.svg", _per_turn_svg(report))
+    emit("group_f1.svg", _group_f1_svg(report))
+    emit("slot_errors.svg", _slot_errors_svg(report))
     return written
 
 

@@ -2,8 +2,9 @@
 
 Everything here is written straight-line from the evaluation contract and must
 stay independent of the library code it checks: no imports from
-dst_lab.postprocess or dst_lab.metrics, and from dst_lab.neural only the
-SpeechEmbedding container.
+dst_lab.postprocess, dst_lab.metrics, dst_lab.assembly or dst_lab.neural. The
+neural oracles call a layer's own ``forward`` where they need one, never a
+pipeline function.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import numpy as np
 
 from dst_lab.corpus import Speaker
-from dst_lab.neural.pipeline import SpeechEmbedding
 from dst_lab.state_codec import ParseFailure, Strategy
 
 
@@ -290,11 +290,9 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x * x * x)))
 
 
-def oracle_gelu_grad(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    """Derivative of the tanh GELU; ``t`` is the forward's tanh, if known."""
+def oracle_gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Derivative of the tanh GELU; ``t`` is the forward's tanh."""
     x2 = x * x
-    if t is None:
-        t = np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x2 * x))
     dinner = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * 0.044715 * x2)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
 
@@ -339,12 +337,47 @@ def oracle_total_rows(
     return prior + current
 
 
-def oracle_embed_turn(embedder, dialogue, turn_index: int) -> SpeechEmbedding:
+def oracle_embed_turn(embedder, dialogue, turn_index: int) -> np.ndarray:
     """One turn's embedding from batch-1 forwards of ``embedder``'s encoder
     stub and connector layers, each turn alone."""
     features = dialogue.turn(turn_index).features
     stubbed = embedder.encoder_stub.forward(features[None])[0]
-    return SpeechEmbedding(embedder.connector.forward(stubbed[:: embedder.stride][None])[0], dialogue.id, turn_index)
+    return embedder.connector.forward(stubbed[:: embedder.stride][None])[0]
+
+
+def oracle_assemble(
+    strategy: Strategy,
+    turn_embeddings: list[np.ndarray],
+    compressor=None,
+    *,
+    compress_current: bool = False,
+) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """The context of user turn n, assembled from scratch, given the
+    embeddings of turns 1..n; returns its speech part and the
+    ``(turn_index, start_row, n_rows)`` span of each turn it holds.
+
+    Multimodal holds turn n alone, full spoken every turn, and compressed
+    spoken every prior turn pooled through its own batch-1
+    ``compressor.forward`` plus turn n (also pooled under
+    ``compress_current``).
+    """
+    if not turn_embeddings:
+        raise ValueError("need at least one turn embedding")
+    if strategy is Strategy.COMPRESSED_SPOKEN and compressor is None:
+        raise ValueError("compressed_spoken requires a compressor")
+    current = len(turn_embeddings)
+    turns = [current] if strategy is Strategy.MULTIMODAL else range(1, current + 1)
+    parts: list[np.ndarray] = []
+    spans: list[tuple[int, int, int]] = []
+    row = 0
+    for i in turns:
+        block = turn_embeddings[i - 1]
+        if strategy is Strategy.COMPRESSED_SPOKEN and (i != current or compress_current):
+            block = compressor.forward(block[None])[0]
+        parts.append(block)
+        spans.append((i, row, block.shape[0]))
+        row += block.shape[0]
+    return np.concatenate(parts, axis=0), spans
 
 
 def oracle_build_prompt(

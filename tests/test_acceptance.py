@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import dst_lab.neural.probe as probe_module
-from dst_lab.assembly import EmbeddingPipeline, OracleNoisy, assemble
+from dst_lab.assembly import EmbeddingPipeline, OracleExact, OracleNoisy, run_dialogue
 from dst_lab.cli import main as cli_main
 from dst_lab.corpus import DialogueState, SynthConfig, synth_corpus, synthetic_taxonomy
 from dst_lab.metrics import evaluate, references_from_corpus
@@ -211,15 +211,18 @@ def test_acceptance_4_context_length_law():
                 stride=stride,
             )
             for dlg in corpus:
-                embeddings = [oracle_embed_turn(embedder, dlg, t.index) for t in dlg.turns]
-                rows = [e.rows for e in embeddings]
+                rows = [oracle_embed_turn(embedder, dlg, t.index).shape[0] for t in dlg.turns]
+                context_rows = {
+                    strategy: {
+                        r.turn_index: r.context_rows
+                        for r in run_dialogue(dlg, strategy, OracleExact(), embedder, compressor)
+                    }
+                    for strategy in Strategy
+                }
                 for n in dlg.user_turn_indices():
-                    full = assemble(Strategy.FULL_SPOKEN, embeddings[:n])
-                    assert full.total_rows == sum(rows[:n])
-                    compressed = assemble(Strategy.COMPRESSED_SPOKEN, embeddings[:n], compressor)
-                    assert compressed.total_rows == (n - 1) * n_queries + rows[n - 1]
-                    multimodal = assemble(Strategy.MULTIMODAL, embeddings[:n])
-                    assert multimodal.total_rows == rows[n - 1]
+                    assert context_rows[Strategy.FULL_SPOKEN][n] == sum(rows[:n])
+                    assert context_rows[Strategy.COMPRESSED_SPOKEN][n] == (n - 1) * n_queries + rows[n - 1]
+                    assert context_rows[Strategy.MULTIMODAL][n] == rows[n - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,26 +18,24 @@ from dst_lab.corpus import DialogueState
 from dst_lab.metrics import evaluate, references_from_corpus
 from dst_lab.neural.pipeline import (
     CompressorConfig,
-    SpeechEmbedding,
     build_compressor,
     build_connector,
     build_encoder_stub,
     compress_turn,
+    connector_forward,
 )
 from dst_lab.postprocess import MatchPolicy
 from dst_lab.state_codec import Strategy
 
-from oracles import oracle_embed_turn, oracle_total_rows
+from oracles import oracle_assemble, oracle_embed_turn, oracle_total_rows
 
 RNG = np.random.default_rng(77)
 CONFIG = CompressorConfig(d_model=16, n_heads=2, n_queries=10, seed=5)
 
 
-def _embeddings(rows: list[int]) -> list[SpeechEmbedding]:
-    return [
-        SpeechEmbedding(RNG.standard_normal((r, CONFIG.d_model)), "d0", i + 1)
-        for i, r in enumerate(rows)
-    ]
+def _embeddings(rows: list[int]) -> list[np.ndarray]:
+    """Embeddings of turns 1, 2, ... with the given row counts."""
+    return [RNG.standard_normal((r, CONFIG.d_model)) for r in rows]
 
 
 def _embedder(feature_dim: int, stride: int = 1) -> EmbeddingPipeline:
@@ -63,69 +61,94 @@ def test_single_turn_all_strategies_equal_h1():
     embs = _embeddings([12])
     compressor = build_compressor(CONFIG)
     for strategy in Strategy:
-        ctx = assemble(strategy, embs, compressor)
-        assert np.array_equal(ctx.speech_part, embs[0].matrix)
-        assert ctx.total_rows == 12
+        speech, _ = oracle_assemble(strategy, embs, compressor)
+        assert np.array_equal(speech, embs[0])
+        assert speech.shape[0] == 12
 
 
 def test_full_spoken_row_sum():
-    ctx = assemble(Strategy.FULL_SPOKEN, _embeddings([30, 20, 25, 15]))
-    assert ctx.total_rows == 90
+    speech, _ = oracle_assemble(Strategy.FULL_SPOKEN, _embeddings([30, 20, 25, 15]))
+    assert speech.shape[0] == 90
 
 
 def test_compressed_rows_formula():
-    ctx = assemble(Strategy.COMPRESSED_SPOKEN, _embeddings([30, 20, 25, 15]), build_compressor(CONFIG))
-    assert ctx.total_rows == 3 * 10 + 15
+    speech, _ = oracle_assemble(Strategy.COMPRESSED_SPOKEN, _embeddings([30, 20, 25, 15]), build_compressor(CONFIG))
+    assert speech.shape[0] == 3 * 10 + 15
 
 
 def test_multimodal_keeps_only_current_turn():
     embs = _embeddings([30, 20, 25, 15])
-    ctx = assemble(Strategy.MULTIMODAL, embs)
-    assert np.array_equal(ctx.speech_part, embs[-1].matrix)
-    assert [s.turn_index for s in ctx.bookkeeping] == [4]
+    speech, spans = oracle_assemble(Strategy.MULTIMODAL, embs)
+    assert np.array_equal(speech, embs[-1])
+    assert [turn for turn, _, _ in spans] == [4]
 
 
 def test_bookkeeping_partitions_rows():
-    for strategy in (Strategy.FULL_SPOKEN, Strategy.COMPRESSED_SPOKEN):
-        ctx = assemble(strategy, _embeddings([7, 3, 9, 2, 5]), build_compressor(CONFIG))
+    for rows in ([7, 3, 9, 2, 5], [10, 10, 10, 10, 5], [4]):
+        blocks = list(zip([1, 2, 3, 4, 5], _embeddings(rows)))
+        ctx = assemble(blocks, "prompt")
         position = 0
-        for span in ctx.bookkeeping:
-            assert span.start_row == position
+        for span, (i, block) in zip(ctx.bookkeeping, blocks, strict=True):
+            assert (span.turn_index, span.start_row, span.n_rows) == (i, position, block.shape[0])
+            assert np.array_equal(ctx.speech_part[position : position + span.n_rows], block)
             position += span.n_rows
         assert position == ctx.total_rows
-        assert [s.turn_index for s in ctx.bookkeeping] == [1, 2, 3, 4, 5]
+        assert ctx.text_part == "prompt"
 
 
-def test_missing_compressor_rejected():
+def test_missing_compressor_rejected(small_corpus, monkeypatch):
+    embedder = _embedder(8)
+    calls = []
+    embed_turn = EmbeddingPipeline.embed_turn
+
+    def counting_embed_turn(self, dialogue, turn_indices):
+        calls.append(turn_indices)
+        return embed_turn(self, dialogue, turn_indices)
+
+    class NeverCalled:
+        def predict(self, request):
+            raise AssertionError("predicted without a compressor")
+
+    monkeypatch.setattr(EmbeddingPipeline, "embed_turn", counting_embed_turn)
+    with pytest.raises(ValueError, match="compressed_spoken requires a compressor"):
+        run_dialogue(small_corpus[0], Strategy.COMPRESSED_SPOKEN, NeverCalled(), embedder)
+    assert calls == []
     with pytest.raises(ValueError, match="requires a compressor"):
-        assemble(Strategy.COMPRESSED_SPOKEN, _embeddings([5, 5]))
+        oracle_assemble(Strategy.COMPRESSED_SPOKEN, _embeddings([5, 5]))
 
 
 def test_compress_current_flag():
-    ctx = assemble(
+    speech, _ = oracle_assemble(
         Strategy.COMPRESSED_SPOKEN,
         _embeddings([30, 20, 25, 15]),
         build_compressor(CONFIG),
         compress_current=True,
     )
-    assert ctx.total_rows == 4 * 10
+    assert speech.shape[0] == 4 * 10
 
 
 def test_prior_turn_rows_never_change_compressed_total():
     compressor = build_compressor(CONFIG)
-    a = assemble(Strategy.COMPRESSED_SPOKEN, _embeddings([30, 20, 15]), compressor)
-    b = assemble(Strategy.COMPRESSED_SPOKEN, _embeddings([3, 200, 15]), compressor)
-    assert a.total_rows == b.total_rows == 2 * 10 + 15
-    c = assemble(Strategy.COMPRESSED_SPOKEN, _embeddings([30, 20, 17]), compressor)
-    assert c.total_rows == a.total_rows + 2
+    a, _ = oracle_assemble(Strategy.COMPRESSED_SPOKEN, _embeddings([30, 20, 15]), compressor)
+    b, _ = oracle_assemble(Strategy.COMPRESSED_SPOKEN, _embeddings([3, 200, 15]), compressor)
+    assert a.shape[0] == b.shape[0] == 2 * 10 + 15
+    c, _ = oracle_assemble(Strategy.COMPRESSED_SPOKEN, _embeddings([30, 20, 17]), compressor)
+    assert c.shape[0] == a.shape[0] + 2
 
 
 def test_assemble_deterministic():
     embs = _embeddings([4, 6, 8])
     compressor = build_compressor(CONFIG)
-    x = assemble(Strategy.COMPRESSED_SPOKEN, embs, compressor)
-    y = assemble(Strategy.COMPRESSED_SPOKEN, embs, compressor)
+
+    def blocks():
+        return [(i, compress_turn(embs[i - 1][None], compressor)[0]) for i in (1, 2)] + [(3, embs[2])]
+
+    x = assemble(blocks())
+    y = assemble(blocks())
     assert np.array_equal(x.speech_part, y.speech_part)
+    assert x.bookkeeping == y.bookkeeping
+    assert not np.shares_memory(x.speech_part, y.speech_part)
+    assert not np.shares_memory(x.speech_part, embs[2])
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +230,20 @@ def test_parse_failure_becomes_empty_state(small_corpus):
     assert all(r.diagnostics for r in results)
 
 
+def test_run_dialogue_rejects_non_finite_embedding(small_corpus, monkeypatch):
+    for bad in (np.nan, np.inf, -np.inf):
+
+        def spoiled_connector_forward(features, connector):
+            out = connector_forward(features, connector)
+            out[-1, -1, -1] = bad
+            return out
+
+        monkeypatch.setattr(assembly, "connector_forward", spoiled_connector_forward)
+        for strategy in Strategy:
+            with pytest.raises(ValueError, match="^embedding contains non-finite entries$"):
+                run_dialogue(small_corpus[0], strategy, OracleExact(), _embedder(8), build_compressor(CONFIG))
+
+
 class RecordingPredictor:
     """Exact oracle that keeps the context of every request, by turn index."""
 
@@ -228,7 +265,6 @@ STRATEGY_CASES = [
 
 @pytest.mark.parametrize("strategy, compress_current", STRATEGY_CASES)
 def test_run_dialogue_contexts_equal_from_scratch_assembly(small_corpus, monkeypatch, strategy, compress_current):
-    embedder = _embedder(8)
     compressor = build_compressor(CONFIG)
     stacks = []
 
@@ -236,28 +272,29 @@ def test_run_dialogue_contexts_equal_from_scratch_assembly(small_corpus, monkeyp
         stacks.append(h)
         return compress_turn(h, pooler)
 
-    compressed_turns, expected_compressed = [], set()
-    for dlg in small_corpus:
-        recorder = RecordingPredictor()
-        stacks.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(assembly, "compress_turn", counting_compress_turn)
+    monkeypatch.setattr(assembly, "compress_turn", counting_compress_turn)
+    for stride in (1, 2):
+        embedder = _embedder(8, stride=stride)
+        compressed_turns, expected_compressed = [], set()
+        for dlg in small_corpus:
+            recorder = RecordingPredictor()
+            stacks.clear()
             run_dialogue(dlg, strategy, recorder, embedder, compressor, compress_current=compress_current)
-        assert sorted(recorder.contexts) == dlg.user_turn_indices()
-        embeddings = [oracle_embed_turn(embedder, dlg, t.index) for t in dlg.turns]
-        for n, context in recorder.contexts.items():
-            expected = assemble(strategy, embeddings[:n], compressor, compress_current=compress_current)
-            assert np.array_equal(context.speech_part, expected.speech_part)
-            assert context.bookkeeping == expected.bookkeeping
-        assert len({stack.shape[1] for stack in stacks}) == len(stacks)  # one call per row count
-        # a pooled turn is known by its embedding, which is bitwise the oracle's
-        by_content = {e.matrix.tobytes(): (dlg.id, e.turn_index) for e in embeddings}
-        compressed_turns += [by_content[turn.tobytes()] for stack in stacks for turn in stack]
-        if strategy is Strategy.COMPRESSED_SPOKEN:
-            last = dlg.user_turn_indices()[-1]
-            compressed_up_to = last if compress_current else last - 1
-            expected_compressed |= {(dlg.id, i) for i in range(1, compressed_up_to + 1)}
-    assert sorted(compressed_turns) == sorted(expected_compressed)
+            assert sorted(recorder.contexts) == dlg.user_turn_indices()
+            embeddings = [oracle_embed_turn(embedder, dlg, t.index) for t in dlg.turns]
+            for n, context in recorder.contexts.items():
+                speech, spans = oracle_assemble(strategy, embeddings[:n], compressor, compress_current=compress_current)
+                assert np.array_equal(context.speech_part, speech)
+                assert [(s.turn_index, s.start_row, s.n_rows) for s in context.bookkeeping] == spans
+            assert len({stack.shape[1] for stack in stacks}) == len(stacks)  # one call per row count
+            # a pooled turn is known by its embedding, which is bitwise the oracle's
+            by_content = {e.tobytes(): (dlg.id, i) for i, e in enumerate(embeddings, start=1)}
+            compressed_turns += [by_content[turn.tobytes()] for stack in stacks for turn in stack]
+            if strategy is Strategy.COMPRESSED_SPOKEN:
+                last = dlg.user_turn_indices()[-1]
+                compressed_up_to = last if compress_current else last - 1
+                expected_compressed |= {(dlg.id, i) for i in range(1, compressed_up_to + 1)}
+        assert sorted(compressed_turns) == sorted(expected_compressed)
 
 
 @pytest.mark.parametrize("strategy, compress_current", STRATEGY_CASES)
@@ -333,7 +370,7 @@ def _report(corpus, strategy, embedder, n_queries):
 def test_context_length_report_matches_formulas(small_corpus):
     embedder = _embedder(8)
     per_turn_rows = {
-        dlg.id: [oracle_embed_turn(embedder, dlg, t.index).rows for t in dlg.turns] for dlg in small_corpus
+        dlg.id: [oracle_embed_turn(embedder, dlg, t.index).shape[0] for t in dlg.turns] for dlg in small_corpus
     }
     for strategy in Strategy:
         by_turn = {r.turn_index: r for r in _report(small_corpus, strategy, embedder, 10)}
@@ -365,14 +402,14 @@ def test_context_length_single_turn_equal_rows(probe_corpus):
     assert len(first_turn) == len(Strategy)
     values = {r.mean_rows for r in first_turn}
     assert len(values) == 1
-    first_rows = [oracle_embed_turn(embedder, dlg, 1).rows for dlg in probe_corpus]
+    first_rows = [oracle_embed_turn(embedder, dlg, 1).shape[0] for dlg in probe_corpus]
     assert values == {float(np.mean([oracle_total_rows(Strategy.COMPRESSED_SPOKEN, [r], 4) for r in first_rows]))}
 
 
 def test_context_length_ratio_near_one_when_queries_match_mean_rows(probe_corpus):
     embedder = _embedder(8)
     per_turn_rows = {
-        dlg.id: [oracle_embed_turn(embedder, dlg, t.index).rows for t in dlg.turns]
+        dlg.id: [oracle_embed_turn(embedder, dlg, t.index).shape[0] for t in dlg.turns]
         for dlg in probe_corpus
     }
     mean_rows = int(round(np.mean([r for rows in per_turn_rows.values() for r in rows])))
@@ -399,8 +436,8 @@ def test_compressed_strictly_smaller_when_turns_exceed_queries():
     rows = [30, 20, 25, 15]
     compressor = build_compressor(CONFIG)
     for n in range(2, 5):
-        full = assemble(Strategy.FULL_SPOKEN, _embeddings(rows[:n])).total_rows
-        compressed = assemble(Strategy.COMPRESSED_SPOKEN, _embeddings(rows[:n]), compressor).total_rows
+        full = oracle_assemble(Strategy.FULL_SPOKEN, _embeddings(rows[:n]))[0].shape[0]
+        compressed = oracle_assemble(Strategy.COMPRESSED_SPOKEN, _embeddings(rows[:n]), compressor)[0].shape[0]
         assert full == oracle_total_rows(Strategy.FULL_SPOKEN, rows[:n], 10)
         assert compressed == oracle_total_rows(Strategy.COMPRESSED_SPOKEN, rows[:n], 10)
         assert compressed < full

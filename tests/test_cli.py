@@ -240,9 +240,10 @@ def test_context_lengths_csv_matches_assembled_contexts(runner, tmp_path, monkey
     assembled: dict[int, list[int]] = {}
     original = assembly.assemble
 
-    def recording_assemble(strategy, turn_embeddings, *args, **kwargs):
-        context = original(strategy, turn_embeddings, *args, **kwargs)
-        assembled.setdefault(turn_embeddings[-1].turn_index, []).append(context.total_rows)
+    def recording_assemble(blocks, text_part):
+        context = original(blocks, text_part)
+        current, _ = blocks[-1]
+        assembled.setdefault(current, []).append(context.total_rows)
         return context
 
     monkeypatch.setattr(assembly, "assemble", recording_assemble)
@@ -860,7 +861,7 @@ def test_evaluate_reads_the_corpus_document_once_and_no_sidecar(runner, tmp_path
     )
     states = states_from_records(read_predictions(predictions))
     report = evaluate(states, references, MatchPolicy(), synthetic_taxonomy(), 6)
-    expected = render_report(report, {"json", "csv", "svg"}, tmp_path / "expected")
+    expected = render_report(report, tmp_path / "expected")
 
     opened: list[str] = []
     real_open = builtins.open

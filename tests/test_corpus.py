@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,10 +284,15 @@ def test_non_finite_sidecar_value_is_a_format_error(tmp_path, bad, positions):
     mat.flat[list(positions)] = bad
     write_feature_sidecar(path, "dlg", 3, mat)
     payload_start = path.stat().st_size - 48
-    with pytest.raises(CorpusFormatError, match="non-finite feature value") as info:
+    with pytest.raises(CorpusFormatError) as info:
         read_feature_sidecar(path)
     assert info.value.path == str(path)
     assert info.value.offset == payload_start + 8 * positions[0]
+    value = "nan" if np.isnan(bad) else "inf" if bad > 0 else "-inf"
+    row, column = divmod(positions[0], 2)
+    assert str(info.value) == (
+        f"non-finite feature value {value} at row {row}, column {column} [file: {path}] [offset: {info.value.offset}]"
+    )
 
 
 def test_non_finite_sidecar_fails_corpus_load(tmp_path, small_corpus):
@@ -296,10 +303,13 @@ def test_non_finite_sidecar_fails_corpus_load(tmp_path, small_corpus):
     features[1, 2] = np.nan
     sidecar = tmp_path / "c" / "features" / f"{dlg.id}__t{agent_turn.index:04d}.f64"
     write_feature_sidecar(sidecar, dlg.id, agent_turn.index, features)
-    with pytest.raises(CorpusFormatError, match="non-finite") as info:
+    with pytest.raises(CorpusFormatError) as info:
         load_corpus(tmp_path / "c", "synthetic_json")
     assert info.value.path == str(sidecar)
     assert info.value.offset == sidecar.stat().st_size - features.size * 8 + 8 * (features.shape[1] + 2)
+    assert str(info.value) == (
+        f"non-finite feature value nan at row 1, column 2 [file: {sidecar}] [offset: {info.value.offset}]"
+    )
 
 
 @pytest.mark.parametrize("header_id, header_turn", [("other", 2), (None, 4)])
@@ -346,6 +356,53 @@ def test_feature_dim_must_agree_across_the_sidecars_read(tmp_path, small_corpus)
     assert load_corpus(tmp_path / "c", "synthetic_json", _user_turns)[0].turns[1].features is None
     with pytest.raises(CorpusFormatError, match=r"feature_dim not uniform across corpus: \[8, 9\]"):
         load_corpus(tmp_path / "c", "synthetic_json")
+
+
+def test_load_corpus_lists_the_features_directory_once(tmp_path, small_corpus, monkeypatch):
+    write_corpus(tmp_path / "c", small_corpus)
+    listings = []
+    listdir = os.listdir
+
+    def counting_listdir(path):
+        listings.append(path)
+        return listdir(path)
+
+    def no_exists(self):
+        raise AssertionError(f"stat of {self}")
+
+    monkeypatch.setattr(os, "listdir", counting_listdir)
+    monkeypatch.setattr(Path, "exists", no_exists)
+    loaded = load_corpus(tmp_path / "c", "synthetic_json")
+    assert listings == [tmp_path / "c" / "features"]
+    for got, want in zip(loaded, small_corpus):
+        assert all(np.array_equal(a.features, b.features) for a, b in zip(got.turns, want.turns))
+
+
+@pytest.mark.parametrize("fault, reason", [("directory", "Is a directory"), ("dangling_link", "No such file or directory")])
+def test_listed_sidecar_that_cannot_be_opened_is_a_format_error(tmp_path, small_corpus, fault, reason):
+    write_corpus(tmp_path / "c", small_corpus)
+    sidecar = tmp_path / "c" / "features" / f"{small_corpus[0].id}__t0001.f64"
+    sidecar.unlink()
+    if fault == "directory":
+        sidecar.mkdir()
+    else:
+        sidecar.symlink_to(tmp_path / "gone.f64")
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(tmp_path / "c", "synthetic_json")
+    assert str(info.value) == f"cannot read feature sidecar: {reason} [file: {sidecar}]"
+
+
+def test_unlistable_features_directory_is_a_format_error(tmp_path, small_corpus, monkeypatch):
+    write_corpus(tmp_path / "c", small_corpus)
+
+    def denied(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(os, "listdir", denied)
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(tmp_path / "c", "synthetic_json")
+    features = tmp_path / "c" / "features"
+    assert str(info.value) == f"cannot list feature sidecars: Permission denied [file: {features}]"
 
 
 def test_spokenwoz_ingestion(tmp_path):

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import pytest
-
 from dst_lab.metrics import EvalReport, evaluate, references_from_corpus
 from dst_lab.postprocess import MatchPolicy
 from dst_lab.reporting import (
@@ -50,7 +48,7 @@ def test_method_comparison_golden_bytes():
 
 def test_render_report_writes_all_formats(tmp_path, small_corpus, taxonomy):
     report = _sample_report(small_corpus, taxonomy)
-    written = render_report(report, {"json", "csv", "svg"}, tmp_path)
+    written = render_report(report, tmp_path)
     names = {p.name for p in written}
     assert names == {
         "report.json",
@@ -67,14 +65,14 @@ def test_render_report_writes_all_formats(tmp_path, small_corpus, taxonomy):
 
 def test_render_report_deterministic(tmp_path, small_corpus, taxonomy):
     report = _sample_report(small_corpus, taxonomy)
-    render_report(report, {"json", "csv", "svg"}, tmp_path / "a")
-    render_report(report, {"json", "csv", "svg"}, tmp_path / "b")
+    render_report(report, tmp_path / "a")
+    render_report(report, tmp_path / "b")
     for path in sorted((tmp_path / "a").iterdir()):
         assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
 
 
 def test_render_empty_report_has_markers(tmp_path):
-    written = render_report(_empty_report(), {"json", "csv", "svg"}, tmp_path)
+    written = render_report(_empty_report(), tmp_path)
     summary = (tmp_path / "summary.csv").read_text()
     assert NO_DATA_MARKER in summary
     for svg in tmp_path.glob("*.svg"):
@@ -83,13 +81,8 @@ def test_render_empty_report_has_markers(tmp_path):
     assert '"n_turns": 0' in report_json
 
 
-def test_render_report_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError, match="unknown report formats"):
-        render_report(_empty_report(), {"pdf"}, tmp_path)
-
-
 def test_svg_is_self_contained(tmp_path, small_corpus, taxonomy):
-    render_report(_sample_report(small_corpus, taxonomy), {"svg"}, tmp_path)
+    render_report(_sample_report(small_corpus, taxonomy), tmp_path)
     for svg in tmp_path.glob("*.svg"):
         text = svg.read_text()
         assert text.startswith("<svg ")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from dst_lab import state_codec
 from dst_lab.assembly import OracleExact, run_dialogue
 from dst_lab.corpus import Dialogue, DialogueState, SplitMix64, Speaker, Turn
-from dst_lab.neural.pipeline import CompressorConfig, SpeechEmbedding, build_compressor
+from dst_lab.neural.pipeline import CompressorConfig, build_compressor
 from dst_lab.state_codec import (
     MULTIMODAL_PROMPT_INFIX,
     MULTIMODAL_PROMPT_PREFIX,
@@ -299,7 +299,7 @@ class _StubEmbedder:
     """One constant row per turn: these tests read only the prompt text."""
 
     def embed_turn(self, dialogue, turn_indices):
-        return [SpeechEmbedding(np.ones((1, 8)), dialogue.id, i) for i in turn_indices]
+        return [np.ones((1, 8)) for _ in turn_indices]
 
 
 class _Scripted:
