@@ -222,6 +222,12 @@ def _require_positive(value: int, flag: str) -> None:
         raise click.BadParameter(f"must be >= 1, got {value}", param_hint=flag)
 
 
+def _require_distinct(values, flag: str) -> None:
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise click.BadParameter(f"{value} is given more than once", param_hint=flag)
+
+
 def _validated(config):
     """``config`` after its ``validate()``; a ValueError becomes a usage error."""
     try:
@@ -573,6 +579,9 @@ def cmd_probe(
         ) from None
     for n_queries in n_queries_list:
         _require_positive(n_queries, "--n-queries")
+    # a repeated value would train the same config twice and write its row twice
+    _require_distinct(seed_values, "--seeds")
+    _require_distinct(n_queries_list, "--n-queries")
     # every other flag names a SynthConfig field; each turn restates every slot
     config = _validated(SynthConfig(mentions_per_turn=flags["slots_per_dialogue"], **flags))
     if config.n_dialogues < 2:

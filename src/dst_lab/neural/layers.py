@@ -12,6 +12,14 @@ outputs, one per stacked parameter value. Gradcheck relies on this to
 evaluate a block of perturbed parameter copies in one forward; backward
 passes support only ordinary parameters.
 
+An input may have batch 1 where the other input of the same layer, and so the
+output, has batch B: the compressor feeds its query bank to decoder layer 0
+once, not copied per memory turn. Backward takes ``dout`` at batch B, and a
+cache with batch 1 broadcasts to ``dout``'s batch. ``LayerNorm`` and every
+``@`` do that by numpy broadcasting; ``MultiHeadAttention`` reads its cached
+``x_q``, ``x_kv`` and ``merged`` through ``np.broadcast_to`` for the weight
+gradients' ``tensordot``.
+
 The elementwise kernels (``gelu_grad``, ``softmax_last``, the GELU factor of
 ``FeedForward.backward`` and ``LayerNorm.backward``) are ``out=`` ufunc chains.
 They write only into temporaries they allocated themselves, never into an
@@ -212,6 +220,8 @@ class MultiHeadAttention(Layer):
     def backward(self, dout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p, g = self._params, self._grads
         x_q, x_kv, q, k, v, attn, merged = self._cache
+        # a cache with batch 1 broadcasts to dout's batch for the tensordots
+        x_q, x_kv, merged = (np.broadcast_to(a, dout.shape[:1] + a.shape[1:]) for a in (x_q, x_kv, merged))
         g["Wo"] += np.tensordot(merged, dout, axes=((0, 1), (0, 1)))
         g["bo"] += dout.sum(axis=(0, 1))
         dmerged = dout @ p["Wo"].T

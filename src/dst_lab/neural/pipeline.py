@@ -79,6 +79,13 @@ class Compressor(_Composite):
 
     The queries are the target sequence; the turn embedding is the memory.
     Output row count equals n_queries regardless of input length.
+
+    The query bank enters layer 0 unbroadcast, at its own batch: 1, or S
+    when gradcheck stacks it as (S, n_queries, d_model). So ``ln1``, query
+    self-attention, ``ln2`` and cross-attention's query projection run once
+    per forward, and rows split per memory turn from the cross-attention
+    scores onward. Backward reads those batch-1 caches at the memory's batch
+    (see :mod:`dst_lab.neural.layers`).
     """
 
     def __init__(self, config: CompressorConfig, rng: np.random.Generator | None = None):
@@ -92,16 +99,14 @@ class Compressor(_Composite):
             self.add_sublayer(f"layer{i}", DecoderLayer(config.d_model, config.n_heads, rng))
             for i in range(config.n_layers)
         ]
-        self._batch: int = 0
 
     def forward(self, memory: np.ndarray) -> np.ndarray:
         if memory.shape[-1] != self.config.d_model:
             raise ValueError(
                 f"memory dim {memory.shape[-1]} does not match d_model {self.config.d_model}"
             )
-        self._batch = memory.shape[0]
         queries = self._params["queries"]
-        q = np.broadcast_to(queries, np.broadcast_shapes((self._batch, 1, 1), queries.shape)).copy()
+        q = queries.reshape((-1,) + queries.shape[-2:])
         for layer in self.layers:
             q = layer.forward(q, memory)
         return q

@@ -319,6 +319,20 @@ def oracle_feed_forward_backward(params: dict, cache: tuple, dout: np.ndarray) -
     return dpre @ params["W1"].T, grads
 
 
+def oracle_compressor_forward(compressor, memory: np.ndarray) -> np.ndarray:
+    """The compressor forward with the query bank copied to the memory's batch
+    before decoder layer 0, so every sublayer caches full-batch arrays.
+
+    ``compressor.backward`` after this forward is the backward over those
+    copies, the reference for the one that reads batch-1 caches.
+    """
+    queries = compressor.params()["queries"]
+    q = np.broadcast_to(queries, np.broadcast_shapes((memory.shape[0], 1, 1), queries.shape)).copy()
+    for layer in compressor.layers:
+        q = layer.forward(q, memory)
+    return q
+
+
 def oracle_total_rows(
     strategy: Strategy, per_turn_rows: list[int], n_queries: int, *, compress_current: bool = False
 ) -> int:

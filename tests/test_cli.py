@@ -1196,13 +1196,16 @@ _PROBE_BASE = ["--n-queries", "1", "--seeds", "0", "--n-dialogues", "4", "--turn
         ("probe", ["--lr", "-5"], None, "lr must be a positive finite number, got -5.0"),
         ("probe", ["--epochs", "-1"], None, "epochs must be >= 0, got -1"),
         ("probe", ["--seeds", "3,-1"], None, "seed must be >= 0, got -1"),
+        ("probe", ["--seeds", "0,3,0"], None, "--seeds: 0 is given more than once"),
+        ("probe", ["--n-queries", "2", "--n-queries", "1"], None, "--n-queries: 1 is given more than once"),
         ("synth", ["--noise-sigma", "inf"], None, "noise_sigma must be finite, got inf"),
     ],
     ids=[
         "run-manifest-predictor", "run-manifest-format", "run-corpus-flag", "run-seed", "run-manifest-corpus",
         "synth-slot-capacity", "probe-n-dialogues-0", "probe-n-dialogues-1", "probe-fixed-domain",
         "probe-noise-sigma", "probe-turns-per-dialogue", "probe-feature-dim", "probe-n-queries",
-        "probe-lr-nan", "probe-lr-negative", "probe-epochs", "probe-seeds", "synth-noise-sigma-inf",
+        "probe-lr-nan", "probe-lr-negative", "probe-epochs", "probe-seeds", "probe-seeds-repeated",
+        "probe-n-queries-repeated", "synth-noise-sigma-inf",
     ],
 )
 def test_bad_setting_is_a_usage_error(runner, tmp_path, command, args, manifest, message):

@@ -8,7 +8,7 @@ import pytest
 
 from dst_lab.neural import gradcheck, layers
 from dst_lab.neural.gradcheck import grad_check, numeric_gradients
-from dst_lab.neural.pipeline import CompressorConfig
+from dst_lab.neural.pipeline import Compressor, CompressorConfig
 from oracles import oracle_numeric_gradients
 
 CONFIG = CompressorConfig(d_model=8, n_heads=2, n_queries=2, seed=0)
@@ -53,6 +53,24 @@ def test_compressor_gradients_within_tolerance():
 def test_connector_gradients_within_tolerance():
     result = grad_check("connector", (4, 6), 1e-5, CONFIG)
     assert result.max_relative_error < 1e-4
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_compressor_gradients_at_memory_batch_above_one(n_layers):
+    # gradcheck feeds batch-1 memory only; over three memory turns, backward
+    # reads decoder layer 0's batch-1 query caches at batch 3
+    config = CompressorConfig(d_model=8, n_heads=2, n_layers=n_layers, n_queries=2, seed=0)
+    net = Compressor(config, np.random.default_rng(7))
+    memory = np.random.default_rng(8).standard_normal((3, 5, 8))
+    net.zero_grads()
+    net.backward(np.ones_like(net.forward(memory)))
+    analytic = net.grads()
+    numeric = oracle_numeric_gradients(net, memory, 1e-5)
+    assert list(numeric) == list(analytic)
+    for name, grad in numeric.items():
+        a = analytic[name].reshape(-1)
+        rel = np.abs(a - grad) / np.maximum(1e-8, np.abs(a) + np.abs(grad))
+        assert rel.max() < 1e-4, name
 
 
 def test_eps_zero_rejected():

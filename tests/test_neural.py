@@ -25,6 +25,7 @@ from dst_lab.neural.pipeline import (
 from oracles import (
     OracleLayerNorm,
     gelu,
+    oracle_compressor_forward,
     oracle_feed_forward_backward,
     oracle_gelu_grad,
     oracle_softmax_last,
@@ -104,6 +105,29 @@ def test_attention_rows_sum_to_one():
     assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-12
 
 
+def _layer_norm(v, gamma, beta):
+    mean = v.mean(axis=-1, keepdims=True)
+    var = ((v - mean) ** 2).mean(axis=-1, keepdims=True)
+    return (v - mean) / np.sqrt(var + 1e-6) * gamma + beta
+
+
+def _attention_straight(x_q, x_kv, p, prefix, n_heads):
+    """Multi-head attention of one (rows, d) query block over one memory block,
+    head by head; head h owns columns h * d_head to (h + 1) * d_head."""
+    d_head = x_q.shape[-1] // n_heads
+    q = x_q @ p[prefix + "Wq"] + p[prefix + "bq"]
+    k = x_kv @ p[prefix + "Wk"]
+    v = x_kv @ p[prefix + "Wv"] + p[prefix + "bv"]
+    ctx_heads = []
+    for head in range(n_heads):
+        cols = slice(head * d_head, (head + 1) * d_head)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(d_head)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights = weights / weights.sum(axis=-1, keepdims=True)
+        ctx_heads.append(weights @ v[:, cols])
+    return np.concatenate(ctx_heads, axis=-1) @ p[prefix + "Wo"] + p[prefix + "bo"]
+
+
 def test_connector_matches_straight_line_oracle():
     """No-abstraction re-computation of the connector forward on a 3x4 input."""
     config = CompressorConfig(d_model=8, n_heads=2, seed=21)
@@ -114,25 +138,9 @@ def test_connector_matches_straight_line_oracle():
     p = connector.params()
     h = x @ p["proj.W"] + p["proj.b"]
     h = h + sinusoidal_positions(3, 8)
-
-    def layer_norm(v, gamma, beta):
-        mean = v.mean(axis=-1, keepdims=True)
-        var = ((v - mean) ** 2).mean(axis=-1, keepdims=True)
-        return (v - mean) / np.sqrt(var + 1e-6) * gamma + beta
-
-    normed = layer_norm(h, p["layer.ln1.gamma"], p["layer.ln1.beta"])
-    q = (normed @ p["layer.attn.Wq"] + p["layer.attn.bq"]).reshape(3, 2, 4).transpose(1, 0, 2)
-    k = (normed @ p["layer.attn.Wk"]).reshape(3, 2, 4).transpose(1, 0, 2)
-    v = (normed @ p["layer.attn.Wv"] + p["layer.attn.bv"]).reshape(3, 2, 4).transpose(1, 0, 2)
-    ctx_heads = []
-    for head in range(2):
-        scores = q[head] @ k[head].T / np.sqrt(4.0)
-        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        weights = weights / weights.sum(axis=-1, keepdims=True)
-        ctx_heads.append(weights @ v[head])
-    ctx = np.concatenate(ctx_heads, axis=-1)
-    a = h + ctx @ p["layer.attn.Wo"] + p["layer.attn.bo"]
-    normed2 = layer_norm(a, p["layer.ln2.gamma"], p["layer.ln2.beta"])
+    normed = _layer_norm(h, p["layer.ln1.gamma"], p["layer.ln1.beta"])
+    a = h + _attention_straight(normed, normed, p, "layer.attn.", 2)
+    normed2 = _layer_norm(a, p["layer.ln2.gamma"], p["layer.ln2.beta"])
     hidden = gelu(normed2 @ p["layer.ff.W1"] + p["layer.ff.b1"])
     out = a + hidden @ p["layer.ff.W2"] + p["layer.ff.b2"]
 
@@ -193,6 +201,51 @@ def test_stacked_forwards_bitwise_equal_per_turn_forwards(rows):
         assert np.array_equal(stub.forward(features[:size]), stubbed[:size])
         assert np.array_equal(connector_forward(stubbed[:size], connector), embedded[:size])
         assert np.array_equal(compress_turn(embedded[:size], compressor), pooled[:size])
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_compressor_matches_straight_line_oracle(n_layers):
+    """No-abstraction re-computation of one compressor forward over two turns:
+    query self-attention, cross-attention and feed-forward, layer by layer."""
+    config = CompressorConfig(d_model=8, n_heads=2, n_layers=n_layers, n_queries=3, seed=21)
+    compressor = build_compressor(config)
+    memory = np.random.default_rng(0).standard_normal((2, 5, 8))
+    expected = compress_turn(memory, compressor)
+
+    p = compressor.params()
+    for turn in range(2):
+        q = p["queries"]
+        for i in range(n_layers):
+            pre = f"layer{i}."
+            normed = _layer_norm(q, p[pre + "ln1.gamma"], p[pre + "ln1.beta"])
+            a = q + _attention_straight(normed, normed, p, pre + "self_attn.", 2)
+            normed2 = _layer_norm(a, p[pre + "ln2.gamma"], p[pre + "ln2.beta"])
+            b = a + _attention_straight(normed2, memory[turn], p, pre + "cross_attn.", 2)
+            normed3 = _layer_norm(b, p[pre + "ln3.gamma"], p[pre + "ln3.beta"])
+            q = b + gelu(normed3 @ p[pre + "ff.W1"] + p[pre + "ff.b1"]) @ p[pre + "ff.W2"] + p[pre + "ff.b2"]
+        assert np.allclose(q, expected[turn], atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3, 240])
+def test_compressor_bitwise_equal_to_query_copying_oracle(batch, n_layers):
+    """Layer 0 sees the query bank once, at batch 1; the oracle copies it to
+    every memory turn. Outputs, the memory gradient and every parameter
+    gradient after one backward are bitwise equal."""
+    config = CompressorConfig(d_model=16, n_heads=2, n_layers=n_layers, n_queries=8, seed=5)
+    rng = np.random.default_rng(batch)
+    memory = rng.standard_normal((batch, 9, 16))
+    dout = rng.standard_normal((batch, 8, 16))
+    fast, oracle = build_compressor(config), build_compressor(config)
+
+    assert np.array_equal(fast.forward(memory), oracle_compressor_forward(oracle, memory))
+    assert fast.layers[0].self_attn._cache[0].shape[0] == 1
+    assert oracle.layers[0].self_attn._cache[0].shape[0] == batch
+    assert np.array_equal(fast.backward(dout), oracle.backward(dout))
+    fast_grads, oracle_grads = fast.grads(), oracle.grads()
+    assert list(fast_grads) == list(oracle_grads)
+    for name, grad in fast_grads.items():
+        assert np.array_equal(grad, oracle_grads[name]), name
 
 
 def test_cross_attention_matches_brute_force_softmax_mean():
