@@ -316,11 +316,12 @@ def make_predictor(
 
 @dataclass
 class TurnResult:
+    """One user turn's prediction; ``parsed_state`` is None when the output does not parse."""
+
     turn_index: int
     raw_output: str
-    state: DialogueState
+    parsed_state: DialogueState | None
     context_rows: int
-    parse_failed: bool = False
     diagnostics: list[str] = field(default_factory=list)
 
 
@@ -332,7 +333,6 @@ def run_dialogue(
     compressor: Compressor | None = None,
     *,
     compress_current: bool = False,
-    agent_texts: dict[int, str] | None = None,
 ) -> list[TurnResult]:
     """Predict the state at every user turn, in order.
 
@@ -353,11 +353,10 @@ def run_dialogue(
 
     For the multimodal strategy the predictor's own transcription of each user
     turn is fed back as that turn's history text for subsequent prompts; gold
-    user transcripts never enter the textual history. ``agent_texts`` swaps
-    gold agent transcripts for ASR sidecar texts in the history. The history
-    is one string that grows by appending: each user turn adds its
-    transcription once it is parsed, and the agent turn after it, if any,
-    adds its text.
+    user transcripts never enter the textual history. The history is one
+    string that grows by appending: each user turn adds its transcription
+    once it is parsed, and the agent turn after it, if any, adds its
+    transcript (an ASR text when ``run --agent-asr`` replaced it at load).
     """
     compressed = strategy is Strategy.COMPRESSED_SPOKEN
     if compressed and compressor is None:
@@ -383,14 +382,10 @@ def run_dialogue(
         gold = dialogue.gold_states.get(n, DialogueState())
         completion = predictor.predict(PredictionRequest(dialogue, n, strategy, context, gold))
         raw_output = prompt + completion
-        diagnostics: list[str] = []
         try:
             state, diagnostics = parse_state(raw_output)
-            failed = False
         except ParseFailure as exc:
-            state = DialogueState()
-            diagnostics = [f"parse failure: {exc}"]
-            failed = True
+            state, diagnostics = None, [f"parse failure: {exc}"]
         if strategy is Strategy.MULTIMODAL:
             hypothesis = extract_user_last_turn(raw_output)
             if hypothesis is None:
@@ -398,10 +393,8 @@ def run_dialogue(
                 diagnostics.append("missing user_last_turn in output; empty hypothesis stored")
             history = extend_history(history, Speaker.USER, hypothesis)
             if n < len(dialogue.turns) and dialogue.turns[n].speaker is Speaker.AGENT:
-                agent = dialogue.turns[n]
-                text = (agent_texts or {}).get(agent.index, agent.transcript)
-                history = extend_history(history, Speaker.AGENT, text)
-        results.append(TurnResult(n, raw_output, state, context.total_rows, failed, diagnostics))
+                history = extend_history(history, Speaker.AGENT, dialogue.turns[n].transcript)
+        results.append(TurnResult(n, raw_output, state, context.total_rows, diagnostics))
     return results
 
 

@@ -7,6 +7,7 @@ regardless of worker count. Set DST_LAB_LOG to control log verbosity.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -101,8 +102,23 @@ def _read_option_file(path, read, flag: str):
     """``read`` of the JSON document that ``flag`` names; a fault is a usage error."""
     try:
         return jsonio.read_document(path, read)
+    except OSError as exc:
+        raise click.BadParameter(f"cannot read {path}: {exc.strerror}", param_hint=flag) from exc
     except JsonInputError as exc:
         raise click.BadParameter(f"{path}:{exc.line}:{exc.column}: {exc}", param_hint=flag) from exc
+
+
+def _check_out(out: str, *, directory: bool) -> None:
+    """A usage error, raised before any work, for an ``--out`` that cannot be
+    written: a file where the output directory goes, a directory where the
+    output file goes, or a file as the nearest existing path above either.
+    Nothing is created; missing directories are made when the output is written."""
+    path = Path(out)
+    nearest = next(p for p in (path, *path.absolute().parents) if p.exists())  # the root always exists
+    if nearest == path and path.is_dir() != directory:
+        raise click.BadParameter(f"{out} is {'not ' if directory else ''}a directory", param_hint="--out")
+    if nearest != path and not nearest.is_dir():
+        raise click.BadParameter(f"{nearest} is not a directory", param_hint="--out")
 
 
 def _policy(obj: object) -> MatchPolicy:
@@ -207,6 +223,7 @@ class RunManifest:
             value = getattr(self, name)
             if value is not None and not Path(value).exists():
                 raise click.BadParameter(f"path {value!r} does not exist", param_hint=f"field {name!r}")
+        _check_out(self.out, directory=True)
 
     def resolved_strategy(self) -> Strategy:
         key = self.strategy.lower()
@@ -265,38 +282,29 @@ def _agent_text(obj: object) -> tuple[str, int, str]:
     return get(check(obj, dict), "dialogue_id", str), get(obj, "turn_index", int), get(obj, "text", str)
 
 
-def _load_agent_texts(path: str | None, dialogues: list[Dialogue]) -> dict[str, dict[int, str]]:
-    """Agent-turn texts by dialogue id and turn index. Every line is parsed
-    first; then each must name an agent turn of ``dialogues``."""
+def _load_agent_texts(path: str | None, dialogues: list[Dialogue]) -> None:
+    """Replace agent transcripts in ``dialogues`` by the texts of the NDJSON
+    file ``path``. Every line is parsed first; then each must name an agent
+    turn of ``dialogues``."""
     if not path:
-        return {}
+        return
     try:
         lines = list(jsonio.read_lines(path, _agent_text))
+    except OSError as exc:
+        raise click.ClickException(f"cannot read {path}: {exc.strerror}") from exc
     except JsonInputError as exc:
         raise click.ClickException(f"{path}:{exc.line}:{exc.column}: {exc}") from exc
-    agent_turns = {(dlg.id, turn.index) for dlg in dialogues for turn in dlg.turns if turn.speaker is Speaker.AGENT}
-    out: dict[str, dict[int, str]] = {}
+    agent_turns = {(dlg.id, turn.index): turn for dlg in dialogues for turn in dlg.turns if turn.speaker is Speaker.AGENT}
     for line_no, (dialogue_id, turn_index, text) in lines:
         if (dialogue_id, turn_index) not in agent_turns:
             raise click.ClickException(f"{path}:{line_no}: dialogue {dialogue_id!r} has no agent turn {turn_index}")
-        out.setdefault(dialogue_id, {})[turn_index] = text
-    return out
+        agent_turns[dialogue_id, turn_index].transcript = text
 
 
-def _execute_dialogue(task: tuple) -> tuple[str, list, str | None]:
-    """Worker entry: returns (dialogue_id, turn results, error message or None)."""
-    dialogue, strategy, predictor, embedder, compressor, compress_current, agent_texts = task
+def _execute_dialogue(run, dialogue: Dialogue) -> tuple[str, list, str | None]:
+    """Worker entry: returns (dialogue_id, ``run(dialogue)``, error message or None)."""
     try:
-        results = run_dialogue(
-            dialogue,
-            strategy,
-            predictor,
-            embedder,
-            compressor,
-            compress_current=compress_current,
-            agent_texts=agent_texts,
-        )
-        return dialogue.id, results, None
+        return dialogue.id, run(dialogue), None
     except Exception as exc:  # per-dialogue isolation: the run continues
         return dialogue.id, [], f"{type(exc).__name__}: {exc}"
 
@@ -309,19 +317,19 @@ def _outcome(dialogue_id: str, future: Future) -> tuple[str, list, str | None]:
         return dialogue_id, [], f"{type(exc).__name__}: {exc}"
 
 
-def _run_in_pool(tasks: list[tuple], workers: int) -> list[tuple[str, list, str | None]]:
-    """Run every task in a pool of ``workers`` processes; outcomes in task order.
+def _run_in_pool(run, dialogues: list[Dialogue], workers: int) -> list[tuple[str, list, str | None]]:
+    """``run`` each dialogue in a pool of ``workers`` processes; outcomes in dialogue order.
 
     A worker that dies breaks the pool, and with it every dialogue whose
     result had not come back. Each of those runs again alone, in a fresh
     one-worker pool, so only a dialogue that kills its own worker fails.
     """
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_execute_dialogue, task) for task in tasks]
-        outcomes = [_outcome(task[0].id, future) for task, future in zip(tasks, futures)]
-    for i, (task, future) in enumerate(zip(tasks, futures)):
+        futures = [pool.submit(_execute_dialogue, run, dialogue) for dialogue in dialogues]
+        outcomes = [_outcome(dialogue.id, future) for dialogue, future in zip(dialogues, futures)]
+    for i, (dialogue, future) in enumerate(zip(dialogues, futures)):
         if workers > 1 and isinstance(future.exception(), BrokenProcessPool):
-            (outcomes[i],) = _run_in_pool([task], 1)
+            (outcomes[i],) = _run_in_pool(run, [dialogue], 1)
     return outcomes
 
 
@@ -352,6 +360,7 @@ def cmd_synth(seed: int, out: str, **flags) -> None:
     """Generate a synthetic corpus with feature sidecars."""
     # every other flag names a SynthConfig field
     config = _validated(SynthConfig(**flags))
+    _check_out(out, directory=True)
     dialogues = synth_corpus(seed, config)
     path = write_corpus(
         out,
@@ -400,7 +409,7 @@ def cmd_run(manifest: str | None, exclude_ids: str | None, **flags) -> None:
         dialogues = load_corpus(run_manifest.corpus, run_manifest.format, read)
     except CorpusFormatError as exc:
         raise click.ClickException(str(exc)) from exc
-    agent_texts = _load_agent_texts(run_manifest.agent_asr, dialogues)
+    _load_agent_texts(run_manifest.agent_asr, dialogues)
     dialogues = filter_corrupted(dialogues, run_manifest.exclude_ids)
     if not dialogues:
         raise click.ClickException("no dialogues left after filtering")
@@ -417,40 +426,26 @@ def cmd_run(manifest: str | None, exclude_ids: str | None, **flags) -> None:
         time_reformat_prob=run_manifest.time_reformat_prob,
     )
 
-    tasks = [
-        (
-            dlg,
-            strategy_enum,
-            predictor_obj,
-            embedder,
-            compressor,
-            run_manifest.compress_current,
-            agent_texts.get(dlg.id),
-        )
-        for dlg in sorted(dialogues, key=lambda d: d.id)
-    ]
+    run = functools.partial(
+        run_dialogue,
+        strategy=strategy_enum,
+        predictor=predictor_obj,
+        embedder=embedder,
+        compressor=compressor,
+        compress_current=run_manifest.compress_current,
+    )
+    # outcomes come back in dialogue-id order, each dialogue's results in turn order
+    dialogues.sort(key=lambda d: d.id)
     if run_manifest.workers > 1:
-        outcomes = _run_in_pool(tasks, run_manifest.workers)
+        outcomes = _run_in_pool(run, dialogues, run_manifest.workers)
     else:
-        outcomes = [_execute_dialogue(task) for task in tasks]
-
-    outcomes.sort(key=lambda item: item[0])
-    records: list[PredictionRecord] = []
-    failures: list[dict] = []
-    for dialogue_id, results, error in outcomes:
-        if error is not None:
-            failures.append({"dialogue_id": dialogue_id, "error": error})
-            continue
-        for result in sorted(results, key=lambda r: r.turn_index):
-            records.append(
-                PredictionRecord(
-                    dialogue_id=dialogue_id,
-                    turn_index=result.turn_index,
-                    raw_output=result.raw_output,
-                    parsed_state=None if result.parse_failed else result.state,
-                    diagnostics=result.diagnostics,
-                )
-            )
+        outcomes = [_execute_dialogue(run, dialogue) for dialogue in dialogues]
+    records = [
+        PredictionRecord(dialogue_id, r.turn_index, r.raw_output, r.parsed_state, r.diagnostics)
+        for dialogue_id, results, _ in outcomes
+        for r in results
+    ]
+    failures = [{"dialogue_id": dialogue_id, "error": error} for dialogue_id, _, error in outcomes if error is not None]
 
     out_dir = Path(run_manifest.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -493,8 +488,12 @@ def cmd_evaluate(
     top_k_errors: int,
 ) -> None:
     """Score predictions against gold states; print JGA with and without post-processing."""
+    if out:
+        _check_out(out, directory=True)
     try:
         records = read_predictions(predictions)
+    except OSError as exc:
+        raise click.ClickException(f"cannot read {predictions}: {exc.strerror}") from exc
     except PredictionFileError as exc:
         raise click.ClickException(str(exc)) from exc
     # scoring reads gold states only, so no feature sidecar is loaded
@@ -589,6 +588,7 @@ def cmd_probe(
             f"must be >= 2 so that a dialogue is held out, got {config.n_dialogues}", param_hint="--n-dialogues"
         )
     hypers = [_validated(ProbeHyper(lr=lr, epochs=epochs, seed=seed)) for seed in seed_values]
+    _check_out(out, directory=False)
     rows: list[tuple[int, int, float]] = []
     for hyper in hypers:
         if not n_queries_list:

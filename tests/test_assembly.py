@@ -15,7 +15,7 @@ from dst_lab.assembly import (
     run_dialogue,
 )
 from dst_lab.corpus import DialogueState
-from dst_lab.metrics import evaluate, references_from_corpus
+from dst_lab.metrics import evaluate, references_from_corpus, states_from_records
 from dst_lab.neural.pipeline import (
     CompressorConfig,
     build_compressor,
@@ -25,7 +25,7 @@ from dst_lab.neural.pipeline import (
     connector_forward,
 )
 from dst_lab.postprocess import MatchPolicy
-from dst_lab.state_codec import Strategy
+from dst_lab.state_codec import PredictionRecord, Strategy
 
 from oracles import oracle_assemble, oracle_embed_turn, oracle_total_rows
 
@@ -163,8 +163,8 @@ def test_oracle_exact_reproduces_gold(small_corpus, taxonomy, strategy):
     predictions = {}
     for dlg in small_corpus:
         for result in run_dialogue(dlg, strategy, OracleExact(), embedder, compressor):
-            assert not result.parse_failed
-            predictions[(dlg.id, result.turn_index)] = result.state
+            assert result.parsed_state is not None
+            predictions[(dlg.id, result.turn_index)] = result.parsed_state
     references = references_from_corpus(small_corpus)
     assert evaluate(predictions, references, MatchPolicy(), taxonomy).jga_post == 1.0
 
@@ -199,7 +199,7 @@ def test_truncated_oracle_degrades_late_turns_under_full_spoken(small_corpus, ta
     predictions = {}
     for dlg in small_corpus:
         for result in run_dialogue(dlg, Strategy.FULL_SPOKEN, budget_pred, embedder):
-            predictions[(dlg.id, result.turn_index)] = result.state
+            predictions[(dlg.id, result.turn_index)] = result.parsed_state
     per_turn = evaluate(predictions, references, MatchPolicy(), taxonomy).per_turn
     indices = sorted(per_turn)
     early = np.mean([per_turn[i][0] for i in indices[: len(indices) // 2]])
@@ -225,8 +225,10 @@ def test_parse_failure_becomes_empty_state(small_corpus):
     embedder = _embedder(8)
     dlg = small_corpus[0]
     results = run_dialogue(dlg, Strategy.MULTIMODAL, BrokenPredictor(), embedder)
-    assert all(r.parse_failed for r in results)
-    assert all(r.state == DialogueState() for r in results)
+    assert all(r.parsed_state is None for r in results)
+    # a failed parse scores as the empty state
+    records = [PredictionRecord(dlg.id, r.turn_index, r.raw_output, r.parsed_state) for r in results]
+    assert all(state == DialogueState() for state in states_from_records(records).values())
     assert all(r.diagnostics for r in results)
 
 

@@ -717,6 +717,76 @@ def test_run_accepts_agent_asr_line_for_an_excluded_dialogue(runner, tmp_path):
     assert all(r.dialogue_id != dialogue_id for r in read_predictions(tmp_path / "run" / "predictions.ndjson"))
 
 
+def test_run_agent_asr_equals_a_run_on_rewritten_agent_transcripts(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus")
+    dialogues = load_corpus(tmp_path / "corpus", "synthetic_json")
+    # every other agent turn of the first three dialogues is overridden
+    texts = {
+        (dlg.id, turn.index): f'asr "{dlg.id}" turn {turn.index} \\ heard'
+        for dlg in dialogues[:3]
+        for turn in dlg.turns
+        if turn.speaker.value == "AGENT" and turn.index % 4 == 2
+    }
+    asr = tmp_path / "agent_asr.ndjson"
+    asr.write_text("".join(json.dumps({"dialogue_id": d, "turn_index": i, "text": t}) + "\n" for (d, i), t in texts.items()))
+    shutil.copytree(tmp_path / "corpus", tmp_path / "rewritten")
+    document = tmp_path / "rewritten" / "corpus.json"
+    doc = json.loads(document.read_text())
+    for dlg in doc["dialogues"]:
+        for turn in dlg["turns"]:
+            turn["transcript"] = texts.get((dlg["id"], turn["index"]), turn["transcript"])
+    document.write_text(json.dumps(doc))
+
+    base = ["run", "--strategy", "multimodal", "--predictor", "noisy", "--seed", "5"]
+    for corpus, extra, out in (
+        ("corpus", ["--agent-asr", str(asr)], "asr"),
+        ("rewritten", [], "rewritten_run"),
+        ("corpus", [], "gold"),
+    ):
+        result = runner.invoke(main, base + ["--corpus", str(tmp_path / corpus), *extra, "--out", str(tmp_path / out)])
+        assert result.exit_code == 0, result.output
+    for name in ("predictions.ndjson", "context_lengths.csv"):
+        assert (tmp_path / "asr" / name).read_bytes() == (tmp_path / "rewritten_run" / name).read_bytes()
+    assert (tmp_path / "asr" / "predictions.ndjson").read_bytes() != (tmp_path / "gold" / "predictions.ndjson").read_bytes()
+
+
+# each JSON input that can name a directory: the arguments before the
+# directory, and the exit code (2 for a usage input, 1 for a data file)
+_DIRECTORY_INPUTS = {
+    "run-manifest": (["run", "--manifest"], 2),
+    "run-exclude-ids": (["run", "--corpus", "{corpus}", "--strategy", "full", "--exclude-ids"], 2),
+    "run-agent-asr": (["run", "--corpus", "{corpus}", "--strategy", "multimodal", "--agent-asr"], 1),
+    "evaluate-policy": (["evaluate", "--predictions", "{predictions}", "--corpus", "{corpus}", "--policy"], 2),
+    "evaluate-predictions": (["evaluate", "--corpus", "{corpus}", "--predictions"], 1),
+}
+
+
+@pytest.mark.parametrize("case", [*_DIRECTORY_INPUTS, "manifest-field-agent-asr"])
+def test_a_directory_given_as_a_json_input_is_a_one_line_error(runner, tmp_path, case):
+    _synth(runner, tmp_path / "corpus")
+    directory = tmp_path / "input"
+    directory.mkdir()
+    predictions = tmp_path / "pred.ndjson"
+    predictions.write_text("")
+    if case == "manifest-field-agent-asr":
+        manifest = tmp_path / "manifest.json"
+        settings = {"corpus": str(tmp_path / "corpus"), "strategy": "multimodal", "agent_asr": str(directory)}
+        manifest.write_text(json.dumps(settings))
+        args, exit_code = ["run", "--manifest", str(manifest)], 1
+    else:
+        before, exit_code = _DIRECTORY_INPUTS[case]
+        fill = {"{corpus}": str(tmp_path / "corpus"), "{predictions}": str(predictions)}
+        args = [fill.get(arg, arg) for arg in before] + [str(directory)]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "run")])
+    assert result.exit_code == exit_code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"cannot read {directory}: Is a directory" in result.output
+    if exit_code == 2:
+        assert f"Invalid value for --{case.split('-', 1)[1]}" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "evaluate"])
 @pytest.mark.parametrize(
     "taxonomy, reason",
@@ -1226,6 +1296,73 @@ def test_bad_setting_is_a_usage_error(runner, tmp_path, command, args, manifest,
     assert message in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+# each command's --out that cannot be written, and the function that would start its work
+_BAD_OUTS = {
+    "run-file": ("run", "{file}", "{file} is not a directory", "load_corpus"),
+    "run-under-file": ("run", "{file}/run", "{file} is not a directory", "load_corpus"),
+    "run-manifest-file": ("run-manifest", "{file}", "{file} is not a directory", "load_corpus"),
+    "evaluate-file": ("evaluate", "{file}", "{file} is not a directory", "read_predictions"),
+    "synth-file": ("synth", "{file}", "{file} is not a directory", "synth_corpus"),
+    "synth-under-file": ("synth", "{file}/corpus", "{file} is not a directory", "synth_corpus"),
+    "probe-directory": ("probe", "{directory}", "{directory} is a directory", "synth_corpus"),
+    "probe-under-file": ("probe", "{file}/p.csv", "{file} is not a directory", "synth_corpus"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_OUTS))
+def test_unwritable_out_is_a_usage_error_before_any_work(runner, tmp_path, monkeypatch, case):
+    command, out, message, work = _BAD_OUTS[case]
+    _synth(runner, tmp_path / "corpus")
+    (tmp_path / "out_file").write_text("kept")
+    (tmp_path / "out_dir").mkdir()
+    fill = {"{file}": str(tmp_path / "out_file"), "{directory}": str(tmp_path / "out_dir")}
+    for key, value in fill.items():
+        out, message = out.replace(key, value), message.replace(key, value)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} was called")
+
+    monkeypatch.setattr(cli, work, no_work)
+    predictions = tmp_path / "pred.ndjson"
+    predictions.write_text("")
+    corpus = str(tmp_path / "corpus")
+    if command == "run-manifest":
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"corpus": corpus, "strategy": "full", "out": out}))
+        args = ["run", "--manifest", str(manifest)]
+    else:
+        args = {
+            "run": ["run", "--corpus", corpus, "--strategy", "full", "--out", out],
+            "evaluate": ["evaluate", "--predictions", str(predictions), "--corpus", corpus, "--out", out],
+            "synth": ["synth", "--out", out],
+            "probe": ["probe", *_PROBE_BASE, "--out", out],
+        }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"Invalid value for --out: {message}" in result.output
+    assert "Traceback" not in result.output
+    assert (tmp_path / "out_file").read_text() == "kept"
+    assert list((tmp_path / "out_dir").iterdir()) == []
+
+
+def test_out_may_be_an_existing_directory_or_file(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus")
+    _synth(runner, tmp_path / "corpus")  # synth writes into an existing corpus directory
+    for name in ("run", "report"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "p.csv").write_text("old")
+    for args in (
+        ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "full", "--out", str(tmp_path / "run")],
+        ["evaluate", "--predictions", str(tmp_path / "run" / "predictions.ndjson"), "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "report")],
+        ["probe", *_PROBE_BASE, "--out", str(tmp_path / "p.csv")],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    assert (tmp_path / "report" / "report.json").exists()
+    assert (tmp_path / "p.csv").read_text().startswith("seed,")
 
 
 def test_probe_that_diverges_at_every_learning_rate_is_a_one_line_error(runner, tmp_path):

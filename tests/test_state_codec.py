@@ -315,7 +315,7 @@ class _Scripted:
         return 'null, "domains": [], "predicted_state": {} }'
 
 
-def _run_prompts(dialogue, strategy, predictor, *, agent_texts=None):
+def _run_prompts(dialogue, strategy, predictor):
     """``run_dialogue``'s results and the prompt text of each user turn's context."""
     prompts = {}
 
@@ -326,8 +326,19 @@ def _run_prompts(dialogue, strategy, predictor, *, agent_texts=None):
 
     for turn in dialogue.turns:
         turn.features = np.ones((1, 8))  # run_dialogue groups the turns it embeds by feature shape
-    results = run_dialogue(dialogue, strategy, Recording(), _StubEmbedder(), _COMPRESSOR, agent_texts=agent_texts)
+    results = run_dialogue(dialogue, strategy, Recording(), _StubEmbedder(), _COMPRESSOR)
     return prompts, results
+
+
+def _with_agent_texts(dialogue: Dialogue, agent_texts: dict[int, str] | None) -> Dialogue:
+    """A copy of ``dialogue`` whose agent turns named in ``agent_texts`` carry
+    those texts as transcripts, as ``run --agent-asr`` leaves them at load."""
+    texts = agent_texts or {}
+    turns = [
+        Turn(t.index, t.speaker, texts.get(t.index, t.transcript) if t.speaker is Speaker.AGENT else t.transcript)
+        for t in dialogue.turns
+    ]
+    return Dialogue(dialogue.id, turns, dialogue.gold_states)
 
 
 def _dialogue_3_turns() -> Dialogue:
@@ -363,10 +374,10 @@ def test_multimodal_uses_hypothesis_not_gold():
 
 
 def test_multimodal_agent_text_override():
-    prompts, _ = _run_prompts(
-        _dialogue_3_turns(), Strategy.MULTIMODAL, OracleExact(), agent_texts={2: "asr a2"}
-    )
+    dlg = _dialogue_3_turns()
+    prompts, _ = _run_prompts(_with_agent_texts(dlg, {2: "asr a2"}), Strategy.MULTIMODAL, OracleExact())
     assert "AGENT: asr a2" in prompts[3]
+    assert prompts[3] == oracle_build_prompt(Strategy.MULTIMODAL, dlg, 3, {1: "u1"}, {2: "asr a2"})
 
 
 def test_full_spoken_prompt_slots_and_text():
@@ -417,7 +428,7 @@ def test_run_prompts_equal_from_scratch_prompts(transcripts, hypotheses, agent_t
     ]
     dlg = Dialogue(id="d", turns=turns)
     script = {n: h for n, h in zip(dlg.user_turn_indices(), hypotheses) if h is not None}
-    prompts, results = _run_prompts(dlg, Strategy.MULTIMODAL, _Scripted(script), agent_texts=agent_texts)
+    prompts, results = _run_prompts(_with_agent_texts(dlg, agent_texts), Strategy.MULTIMODAL, _Scripted(script))
     parsed = {}
     for result in results:
         # not always the scripted text: JSON decoding joins an escaped
