@@ -219,19 +219,15 @@ class RunManifest:
             value = getattr(self, name)
             if value not in allowed:
                 raise click.BadParameter(f"must be one of {list(allowed)}, got {value!r}", param_hint=f"field {name!r}")
+        if self.strategy.lower() not in _STRATEGY_ALIASES:
+            raise click.BadParameter(
+                f"must be one of {sorted(_STRATEGY_ALIASES)}, got {self.strategy!r}", param_hint="field 'strategy'"
+            )
         for name in ("corpus", "agent_asr"):
             value = getattr(self, name)
             if value is not None and not Path(value).exists():
                 raise click.BadParameter(f"path {value!r} does not exist", param_hint=f"field {name!r}")
         _check_out(self.out, directory=True)
-
-    def resolved_strategy(self) -> Strategy:
-        key = self.strategy.lower()
-        if key not in _STRATEGY_ALIASES:
-            raise click.BadParameter(
-                f"unknown strategy {self.strategy!r}; expected one of {sorted(_STRATEGY_ALIASES)}"
-            )
-        return _STRATEGY_ALIASES[key]
 
 
 def _require_positive(value: int, flag: str) -> None:
@@ -324,7 +320,8 @@ def _run_in_pool(run, dialogues: list[Dialogue], workers: int) -> list[tuple[str
     result had not come back. Each of those runs again alone, in a fresh
     one-worker pool, so only a dialogue that kills its own worker fails.
     """
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a pool starts all of its processes at the first submit; a dialogue keeps at most one busy
+    with ProcessPoolExecutor(max_workers=min(workers, len(dialogues))) as pool:
         futures = [pool.submit(_execute_dialogue, run, dialogue) for dialogue in dialogues]
         outcomes = [_outcome(dialogue.id, future) for dialogue, future in zip(dialogues, futures)]
     for i, (dialogue, future) in enumerate(zip(dialogues, futures)):
@@ -399,7 +396,7 @@ def cmd_run(manifest: str | None, exclude_ids: str | None, **flags) -> None:
         run_manifest.exclude_ids = _parse_exclude_ids(exclude_ids)
 
     run_manifest.check_ranges()
-    strategy_enum = run_manifest.resolved_strategy()
+    strategy_enum = _STRATEGY_ALIASES[run_manifest.strategy.lower()]
     excluded = set(run_manifest.exclude_ids)
 
     def read(dialogue: Dialogue) -> list[int]:
@@ -477,7 +474,7 @@ def cmd_run(manifest: str | None, exclude_ids: str | None, **flags) -> None:
 @click.option("--policy", type=str, default="standard", show_default=True, help="'standard', 'exact', or a policy JSON file.")
 @click.option("--exclude-ids", type=str, default=None, help="Comma-separated ids or a JSON file; defaults to the packaged list.")
 @click.option("--out", type=click.Path(), default=None, help="Report output directory.")
-@click.option("--top-k-errors", type=int, default=6, show_default=True)
+@click.option("--top-k-errors", type=click.IntRange(min=0), default=6, show_default=True)
 def cmd_evaluate(
     predictions: str,
     corpus: str,

@@ -109,13 +109,17 @@ class DialogueState:
                 nested[domain] = {s: entries[s] for s in sorted(entries)}
         return nested
 
+    def to_json_obj(self) -> dict:
+        """The ``{"domains": [...], "slots": to_nested()}`` object that ``read_state`` reads."""
+        return {"domains": self.domains, "slots": self.to_nested()}
+
 
 _DOMAINS, _SLOTS = list[str], dict[str, dict[str, str]]  # a state's JSON fields, made once
 
 
 def read_state(obj: object, where: tuple) -> DialogueState:
     """The state of a ``{"domains": [...], "slots": {domain: {slot: value}}}`` object at
-    ``where`` (``to_nested`` plus the domains); a domain with slots joins ``domains``."""
+    ``where`` (as ``DialogueState.to_json_obj`` writes it); a domain with slots joins ``domains``."""
     domains = get(check(obj, dict, where), "domains", _DOMAINS, where, default=[])
     nested = get(obj, "slots", _SLOTS, where, default={})
     slots = {(domain, slot): value for domain, slot_map in nested.items() for slot, value in slot_map.items()}
@@ -672,10 +676,7 @@ def write_corpus(
                     turn.index,
                     turn.features,
                 )
-        states_obj = {
-            str(idx): {"domains": st.domains, "slots": st.to_nested()}
-            for idx, st in sorted(dlg.gold_states.items())
-        }
+        states_obj = {str(idx): st.to_json_obj() for idx, st in sorted(dlg.gold_states.items())}
         doc_dialogues.append({"id": dlg.id, "turns": turns_obj, "gold_states": states_obj})
     doc["dialogues"] = doc_dialogues
     corpus_path = out / "corpus.json"
@@ -709,7 +710,7 @@ def _attach_features(dialogues: list[Dialogue], features_dir: Path, read: TurnSe
                         path=str(sidecar),
                         offset=len(FEATURE_MAGIC) + 4,
                     )
-                if mat.shape[0] < 1:
+                if mat.size == 0:
                     raise CorpusFormatError(
                         f"empty feature matrix for {dlg.id} turn {turn.index}", path=str(sidecar)
                     )

@@ -23,7 +23,7 @@ from .pipeline import (
     build_encoder_stub,
     build_readout,
 )
-from .train import TrainingConfig, TrainingDivergence, TrainingResult, accuracy, forward, train
+from .train import TrainingDivergence, TrainingResult, accuracy, forward, train
 
 log = logging.getLogger(__name__)
 
@@ -132,7 +132,7 @@ def _train_with_retry(
     last: TrainingDivergence | None = None
     for _ in range(4):
         try:
-            return train(stages, dataset, TrainingConfig(lr=lr, epochs=hyper.epochs))
+            return train(stages, dataset, lr=lr, epochs=hyper.epochs)
         except TrainingDivergence as exc:
             log.warning("training diverged at lr=%.4f; retrying at %.4f", lr, lr / 2)
             last = exc

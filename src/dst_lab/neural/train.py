@@ -18,12 +18,6 @@ class TrainingDivergence(RuntimeError):
         self.trace = trace
 
 
-@dataclass(frozen=True)
-class TrainingConfig:
-    lr: float = 0.1
-    epochs: int = 100
-
-
 @dataclass
 class TrainingResult:
     stages: list[Layer]
@@ -66,7 +60,9 @@ def forward(stages: list[Layer], x: np.ndarray) -> np.ndarray:
 def train(
     stages: list[Layer],
     dataset: tuple[np.ndarray, np.ndarray],
-    hyper: TrainingConfig,
+    *,
+    lr: float,
+    epochs: int,
 ) -> TrainingResult:
     """Train a copy of every stage in ``stages`` by full-batch gradient descent.
 
@@ -82,7 +78,7 @@ def train(
     # overflow is an expected, handled condition: it surfaces as a non-finite
     # loss and raises TrainingDivergence
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(hyper.epochs):
+        for _ in range(epochs):
             for stage in trained:
                 stage.zero_grads()
             loss, dlogits = softmax_cross_entropy(forward(trained, x), labels)
@@ -95,7 +91,7 @@ def train(
             for stage in trained:
                 params = stage.params()
                 for name, g in stage.grads().items():
-                    params[name] -= hyper.lr * g
+                    params[name] -= lr * g
         final_loss, _ = softmax_cross_entropy(forward(trained, x), labels)
         if not np.isfinite(final_loss):
             raise TrainingDivergence(f"loss diverged to {final_loss}", trace)

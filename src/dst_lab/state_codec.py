@@ -248,14 +248,8 @@ class PredictionRecord:
             "dialogue_id": self.dialogue_id,
             "turn_index": self.turn_index,
             "raw_output": self.raw_output,
+            "parsed_state": None if self.parsed_state is None else self.parsed_state.to_json_obj(),
         }
-        if self.parsed_state is None:
-            obj["parsed_state"] = None
-        else:
-            obj["parsed_state"] = {
-                "domains": self.parsed_state.domains,
-                "slots": self.parsed_state.to_nested(),
-            }
         if self.diagnostics:
             obj["diagnostics"] = self.diagnostics
         return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)

@@ -323,8 +323,8 @@ def test_acceptance_7_freeze_contract(monkeypatch):
                 return built[name]
             return wrapper
 
-        def recording_train(stages, dataset, training_config):
-            outcome = train(stages, dataset, training_config)
+        def recording_train(stages, dataset, **schedule):
+            outcome = train(stages, dataset, **schedule)
             trained.append((stages, outcome.stages))
             return outcome
 

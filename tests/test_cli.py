@@ -283,6 +283,26 @@ def test_run_determinism_across_invocations_and_workers(runner, tmp_path):
     assert p1 == (tmp_path / "r3" / "predictions.ndjson").read_bytes()
 
 
+def test_run_starts_no_more_worker_processes_than_dialogues(runner, tmp_path, monkeypatch):
+    # the pool starts all of its max_workers processes at the first submit
+    _synth(runner, tmp_path / "corpus", ["--n-dialogues", "2"])
+    pool_sizes = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    base = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "compressed", "--predictor", "noisy"]
+    for name, workers in (("one", "1"), ("four", "4")):
+        result = runner.invoke(main, base + ["--workers", workers, "--out", str(tmp_path / name)])
+        assert result.exit_code == 0, result.output
+    assert pool_sizes == [2]
+    for name in ("predictions.ndjson", "context_lengths.csv"):
+        assert (tmp_path / "four" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
 def test_run_isolates_per_dialogue_failures(runner, tmp_path):
     _synth(runner, tmp_path / "corpus")
     # strip one dialogue's feature sidecars: embedding it must fail, others run
@@ -426,6 +446,8 @@ def _write_bad_sidecar(features_dir: Path, dialogue, turn_index: int, fault: str
     header_turn = turn_index
     if fault == "non_finite":
         features[0, 1] = np.inf
+    elif fault == "zero_columns":
+        features = features[:, :0]
     else:
         header_turn = turn_index + 2
     corpus_module.write_feature_sidecar(sidecar, dialogue.id, header_turn, features)
@@ -435,6 +457,7 @@ def _write_bad_sidecar(features_dir: Path, dialogue, turn_index: int, fault: str
 @pytest.mark.parametrize("fault, message, offset", [
     ("non_finite", "non-finite feature value", "sidecar"),
     ("header_mismatch", "sidecar header is for", 12),
+    ("zero_columns", "empty feature matrix", None),
 ])
 def test_run_opens_no_sidecar_its_contexts_do_not_read(runner, tmp_path, fault, message, offset):
     _synth(runner, tmp_path / "corpus")
@@ -460,7 +483,8 @@ def test_run_opens_no_sidecar_its_contexts_do_not_read(runner, tmp_path, fault, 
     if offset == "sidecar":  # the byte of row 0, column 1 in the payload, which ends the file
         offset = middle.stat().st_size - dialogues[1].turn(2).features.size * 8 + 8
     assert f"Error: {message}" in result.output
-    assert f"[file: {middle}] [offset: {offset}]" in result.output
+    assert f"[file: {middle}]" + ("" if offset is None else f" [offset: {offset}]") in result.output
+    assert "Traceback" not in result.output
     # a dialogue that --exclude-ids drops has no sidecar read
     result = runner.invoke(
         main, base + ["--strategy", "full", "--exclude-ids", dialogues[1].id, "--out", str(tmp_path / "excluded")]
@@ -1251,6 +1275,7 @@ _PROBE_BASE = ["--n-queries", "1", "--seeds", "0", "--n-dialogues", "4", "--turn
     [
         ("run", [], {"predictor": "llm"}, "field 'predictor': must be one of ['exact', 'noisy', 'truncated'], got 'llm'"),
         ("run", [], {"format": "xml"}, "field 'format': must be one of ['synthetic_json', 'spokenwoz_json'], got 'xml'"),
+        ("run", [], {"strategy": "bogus"}, "field 'strategy': must be one of ['compressed', 'compressed_spoken', 'full', 'full_spoken', 'multimodal'], got 'bogus'"),
         ("run", ["--corpus", "nope"], None, "field 'corpus': path 'nope' does not exist"),
         ("run", ["--seed", "-5"], None, "field 'seed': must be >= 0, got -5"),
         ("run", [], {"corpus": "nope"}, "field 'corpus': path 'nope' does not exist"),
@@ -1269,13 +1294,15 @@ _PROBE_BASE = ["--n-queries", "1", "--seeds", "0", "--n-dialogues", "4", "--turn
         ("probe", ["--seeds", "0,3,0"], None, "--seeds: 0 is given more than once"),
         ("probe", ["--n-queries", "2", "--n-queries", "1"], None, "--n-queries: 1 is given more than once"),
         ("synth", ["--noise-sigma", "inf"], None, "noise_sigma must be finite, got inf"),
+        ("evaluate", ["--top-k-errors", "-3"], None, "'--top-k-errors': -3 is not in the range x>=0"),
     ],
     ids=[
-        "run-manifest-predictor", "run-manifest-format", "run-corpus-flag", "run-seed", "run-manifest-corpus",
+        "run-manifest-predictor", "run-manifest-format", "run-manifest-strategy", "run-corpus-flag", "run-seed",
+        "run-manifest-corpus",
         "synth-slot-capacity", "probe-n-dialogues-0", "probe-n-dialogues-1", "probe-fixed-domain",
         "probe-noise-sigma", "probe-turns-per-dialogue", "probe-feature-dim", "probe-n-queries",
         "probe-lr-nan", "probe-lr-negative", "probe-epochs", "probe-seeds", "probe-seeds-repeated",
-        "probe-n-queries-repeated", "synth-noise-sigma-inf",
+        "probe-n-queries-repeated", "synth-noise-sigma-inf", "evaluate-top-k-negative",
     ],
 )
 def test_bad_setting_is_a_usage_error(runner, tmp_path, command, args, manifest, message):
@@ -1289,6 +1316,11 @@ def test_bad_setting_is_a_usage_error(runner, tmp_path, command, args, manifest,
             base = ["--manifest", str(path)]
     elif command == "probe":
         base = _PROBE_BASE
+    elif command == "evaluate":
+        _synth(runner, tmp_path / "corpus")
+        run = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "full", "--out", str(tmp_path / "run")]
+        assert runner.invoke(main, run).exit_code == 0
+        base = ["--predictions", str(tmp_path / "run" / "predictions.ndjson"), "--corpus", str(tmp_path / "corpus")]
     out = tmp_path / "out"
     result = runner.invoke(main, [command, *base, *args, "--out", str(out)])
     assert result.exit_code == 2, result.output

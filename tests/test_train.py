@@ -7,7 +7,6 @@ from dst_lab.neural import layers
 from dst_lab.neural.layers import Layer
 from dst_lab.neural.pipeline import CompressorConfig, build_compressor, build_readout
 from dst_lab.neural.train import (
-    TrainingConfig,
     TrainingDivergence,
     accuracy,
     forward,
@@ -34,14 +33,14 @@ def _readout_stages(seed: int = 0) -> list[Layer]:
 
 def test_readout_only_reaches_perfect_accuracy():
     dataset = _separable_dataset()
-    result = train(_readout_stages(), dataset, TrainingConfig(lr=0.5, epochs=300))
+    result = train(_readout_stages(), dataset, lr=0.5, epochs=300)
     logits = forward(result.stages, dataset[0])
     assert accuracy(logits, dataset[1]) == 1.0
 
 
 def test_convex_case_trace_monotone_for_small_lr():
     dataset = _separable_dataset()
-    result = train(_readout_stages(), dataset, TrainingConfig(lr=0.05, epochs=200))
+    result = train(_readout_stages(), dataset, lr=0.05, epochs=200)
     trace = np.asarray(result.trace)
     assert (np.diff(trace) <= 1e-12).all()
 
@@ -50,7 +49,7 @@ def test_zero_lr_keeps_parameters_and_trace_constant():
     dataset = _separable_dataset()
     stages = _readout_stages()
     before = {k: v.copy() for k, v in stages[0].params().items()}
-    result = train(stages, dataset, TrainingConfig(lr=0.0, epochs=20))
+    result = train(stages, dataset, lr=0.0, epochs=20)
     assert len(set(result.trace)) == 1
     for name, value in result.stages[0].params().items():
         assert np.array_equal(value, before[name])
@@ -58,8 +57,8 @@ def test_zero_lr_keeps_parameters_and_trace_constant():
 
 def test_same_seed_identical_traces():
     dataset = _separable_dataset()
-    a = train(_readout_stages(3), dataset, TrainingConfig(lr=0.2, epochs=50))
-    b = train(_readout_stages(3), dataset, TrainingConfig(lr=0.2, epochs=50))
+    a = train(_readout_stages(3), dataset, lr=0.2, epochs=50)
+    b = train(_readout_stages(3), dataset, lr=0.2, epochs=50)
     assert a.trace == b.trace
 
 
@@ -67,7 +66,7 @@ def test_input_pipeline_untouched():
     dataset = _separable_dataset()
     stages = _readout_stages()
     before = {k: v.copy() for k, v in stages[0].params().items()}
-    result = train(stages, dataset, TrainingConfig(lr=0.5, epochs=30))
+    result = train(stages, dataset, lr=0.5, epochs=30)
     assert result.stages[0] is not stages[0]
     for name, value in stages[0].params().items():
         assert np.array_equal(value, before[name])
@@ -80,7 +79,7 @@ def test_divergence_raises_with_trace():
     x = rng.standard_normal((8, 3, 4))
     labels = rng.integers(0, 2, size=(8, 1)).astype(np.int64)
     with pytest.raises(TrainingDivergence) as err:
-        train(stages, (x, labels), TrainingConfig(lr=1e6, epochs=500))
+        train(stages, (x, labels), lr=1e6, epochs=500)
     assert len(err.value.trace) >= 1
 
 
@@ -89,7 +88,8 @@ def test_empty_dataset_rejected():
         train(
             _readout_stages(),
             (np.zeros((0, 1, 4)), np.zeros((0, 1), dtype=np.int64)),
-            TrainingConfig(),
+            lr=0.1,
+            epochs=100,
         )
 
 
@@ -127,13 +127,12 @@ def test_training_on_the_oracle_kernels_is_bitwise_equal(monkeypatch, n_queries)
     labels = rng.integers(0, 5, size=(48, 3))
     config = CompressorConfig(d_model=16, n_heads=2, n_queries=n_queries, seed=1)
     stages = [build_compressor(config), build_readout(n_queries, config, n_heads=3, n_classes=5)]
-    hyper = TrainingConfig(lr=0.2, epochs=30)
-    fast = train(stages, (x, labels), hyper)
+    fast = train(stages, (x, labels), lr=0.2, epochs=30)
     monkeypatch.setattr(layers, "gelu_grad", oracle_gelu_grad)
     monkeypatch.setattr(layers, "softmax_last", oracle_softmax_last)
     monkeypatch.setattr(layers.LayerNorm, "backward", _oracle_layer_norm_backward)
     monkeypatch.setattr(layers.FeedForward, "backward", _oracle_feed_forward_backward)
-    slow = train(stages, (x, labels), hyper)
+    slow = train(stages, (x, labels), lr=0.2, epochs=30)
     assert fast.trace == slow.trace
     assert slow.trace[-1] < slow.trace[0]
     for fast_stage, slow_stage in zip(fast.stages, slow.stages, strict=True):
