@@ -14,6 +14,7 @@ end to end; they do not model speech understanding.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
@@ -195,13 +196,16 @@ class OracleNoisy:
         return value[:pos] + "aeiou"[rng.randint(5)] + value[pos + 1 :]  # replace
 
     def _reformat_time(self, value: str) -> str:
-        hh, _, mm = value.partition(":")
-        hour = int(hh)
+        """"H:MM" or "HH:MM" as 12-hour time; any other value unchanged."""
+        clock = re.fullmatch(r"(\d{1,2}):(\d{2})", value)
+        if not clock:
+            return value
+        hour = int(clock[1])
         suffix = "am" if hour < 12 else "pm"
         hour12 = hour % 12
         if hour12 == 0:
             hour12 = 12
-        return f"{hour12}:{mm} {suffix}"
+        return f"{hour12}:{clock[2]} {suffix}"
 
     def perturb_state(self, dialogue_id: str, turn_index: int, gold: DialogueState) -> DialogueState:
         rng = SplitMix64(derive_key(self.seed, "noisy", dialogue_id, turn_index))

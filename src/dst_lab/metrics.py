@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .corpus import DialogueState, SlotTaxonomy
-from .postprocess import MatchPolicy, canonical_value, levenshtein_ratio, values_match
+from .postprocess import MatchPolicy, compare_values, values_match
 
 log = logging.getLogger(__name__)
 
@@ -179,8 +179,10 @@ def evaluate(
 ) -> EvalReport:
     """Every report metric in one pass over the aligned pairs.
 
-    ``jga`` uses exact matching; ``jga_post``, ``per_turn`` and the slot
-    analyses use the supplied policy.
+    ``jga`` uses exact matching (one ``turn_correct`` per pair). The rest use
+    the supplied policy: each reference slot the prediction also holds gets
+    one ``compare_values`` verdict and ratio, and a turn is post-correct when
+    its key sets are equal and every verdict is a match.
 
     ``group_f1`` is micro-averaged precision/recall/F1 per slot group: a
     predicted slot is a true positive when the reference holds the same
@@ -203,15 +205,11 @@ def evaluate(
     for key in keys:
         pred, ref = predictions[key], references[key]
         exact_hits += turn_correct(pred, ref, exact, taxonomy)
-        correct = turn_correct(pred, ref, policy, taxonomy)
-        post_hits += correct
-        tally = turn_tally.setdefault(key[1], [0, 0])
-        tally[0] += correct
-        tally[1] += 1
         domain_hits += {d.lower() for d in pred.domains} == {d.lower() for d in ref.domains}
 
         pred_slots = _normalized_slots(pred)
         ref_slots = _normalized_slots(ref)
+        correct = pred_slots.keys() == ref_slots.keys()
         for slot_key in pred_slots:
             if slot_key not in ref_slots:
                 errors.setdefault(slot_key, SlotErrorEntry()).insertions += 1
@@ -227,17 +225,18 @@ def evaluate(
                 entry.deletions += 1
                 counts[group].fn += 1
                 continue
-            entry.matched_ratios.append(
-                levenshtein_ratio(
-                    canonical_value(pred_value, group, policy),
-                    canonical_value(ref_value, group, policy),
-                )
-            )
-            if values_match(pred_value, ref_value, group, policy):
+            matched, ratio = compare_values(pred_value, ref_value, group, policy)
+            entry.matched_ratios.append(ratio)
+            if matched:
                 counts[group].tp += 1
             else:
                 counts[group].fn += 1
                 counts[group].fp += 1
+                correct = False
+        post_hits += correct
+        tally = turn_tally.setdefault(key[1], [0, 0])
+        tally[0] += correct
+        tally[1] += 1
 
     n_turns = len(keys)
     ranked = sorted(errors.items(), key=lambda kv: (-kv[1].error_score, kv[0]))

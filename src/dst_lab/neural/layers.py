@@ -244,11 +244,11 @@ class MultiHeadAttention(Layer):
 
 
 class FeedForward(Layer):
-    """Two-layer MLP with GELU; hidden width is ``expansion`` times d_model."""
+    """Two-layer MLP with GELU; hidden width is 4 times d_model."""
 
-    def __init__(self, d_model: int, rng: np.random.Generator, expansion: int = 4):
+    def __init__(self, d_model: int, rng: np.random.Generator):
         super().__init__()
-        d_hidden = expansion * d_model
+        d_hidden = 4 * d_model
         self.add_param("W1", init_matrix(rng, d_model, d_hidden))
         self.add_param("b1", np.zeros(d_hidden))
         self.add_param("W2", init_matrix(rng, d_hidden, d_model))

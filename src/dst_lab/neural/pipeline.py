@@ -54,9 +54,8 @@ class Connector(_Composite):
     layer itself is position-agnostic.
     """
 
-    def __init__(self, d_in: int, config: CompressorConfig, rng: np.random.Generator | None = None):
+    def __init__(self, d_in: int, config: CompressorConfig, rng: np.random.Generator):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(config.seed)
         self.d_in = d_in
         self.d_model = config.d_model
         self.proj = self.add_sublayer("proj", Linear(d_in, config.d_model, rng))
@@ -88,9 +87,8 @@ class Compressor(_Composite):
     (see :mod:`dst_lab.neural.layers`).
     """
 
-    def __init__(self, config: CompressorConfig, rng: np.random.Generator | None = None):
+    def __init__(self, config: CompressorConfig, rng: np.random.Generator):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(config.seed)
         self.config = config
         self.add_param(
             "queries", rng.uniform(-1, 1, size=(config.n_queries, config.d_model)) / np.sqrt(config.d_model)

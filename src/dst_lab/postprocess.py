@@ -102,26 +102,22 @@ def normalize_value(value: str) -> str:
     return _WS_RE.sub(" ", value.strip()).lower()
 
 
-def canonical_value(value: str, slot_group: str, policy: MatchPolicy) -> str:
-    """The fully normalized comparison form of a value for its slot group."""
-    v = normalize_value(value)
+def compare_values(pred: str, ref: str, slot_group: str, policy: MatchPolicy) -> tuple[bool, float]:
+    """Whether a predicted value counts as correct for a reference value, and
+    the Levenshtein ratio of their normalized forms; both are symmetric.
+
+    Both sides are normalized alike, time values canonicalized when the policy
+    says so. A fuzzy group matches at a ratio of at least the policy
+    threshold, any other group on equal normalized forms.
+    """
+    p, r = normalize_value(pred), normalize_value(ref)
     if slot_group == "time" and policy.time_canonicalization:
-        v = canonicalize_time(v)
-    return v
+        p, r = canonicalize_time(p), canonicalize_time(r)
+    ratio = levenshtein_ratio(p, r)
+    matched = ratio >= policy.fuzzy_threshold if slot_group in policy.fuzzy_groups else p == r
+    return matched, ratio
 
 
 def values_match(pred: str, ref: str, slot_group: str, policy: MatchPolicy) -> bool:
-    """Whether a predicted value counts as correct for a reference value.
-
-    Both sides are normalized identically, so the relation is symmetric.
-    """
-    p = canonical_value(pred, slot_group, policy)
-    r = canonical_value(ref, slot_group, policy)
-    if slot_group in policy.fuzzy_groups:
-        # the edit distance is at least the length gap (Ukkonen 1985), so the
-        # ratio is at most this bound; below the threshold the DP is skipped
-        longest = max(len(p), len(r))
-        if longest and 1.0 - abs(len(p) - len(r)) / longest < policy.fuzzy_threshold:
-            return False
-        return levenshtein_ratio(p, r) >= policy.fuzzy_threshold
-    return p == r
+    """The verdict of ``compare_values``."""
+    return compare_values(pred, ref, slot_group, policy)[0]

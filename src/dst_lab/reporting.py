@@ -191,8 +191,6 @@ def _grouped_bar_chart(
 
 
 def _group_f1_svg(report: EvalReport) -> str:
-    if not report.group_f1:
-        return _no_data_svg("Slot value F1 by group")
     groups = list(report.group_f1)
     series = [
         ("precision", "#9ecae1", [report.group_f1[g][0] for g in groups]),
@@ -208,8 +206,6 @@ def _per_turn_svg(report: EvalReport) -> str:
 
 
 def _slot_errors_svg(report: EvalReport) -> str:
-    if not report.slot_errors:
-        return _no_data_svg("Most error-prone slots")
     groups = [f"{d}-{s}" for d, s in report.slot_errors]
     entries = list(report.slot_errors.values())
     series = [

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from dst_lab.assembly import (
     make_predictor,
     run_dialogue,
 )
-from dst_lab.corpus import DialogueState
+from dst_lab.corpus import DialogueState, load_corpus
 from dst_lab.metrics import evaluate, references_from_corpus, states_from_records
 from dst_lab.neural.pipeline import (
     CompressorConfig,
@@ -177,6 +179,49 @@ def test_oracle_noisy_deterministic(small_corpus):
     assert [r.raw_output for r in a] == [r.raw_output for r in b]
     c = run_dialogue(dlg, Strategy.FULL_SPOKEN, OracleNoisy(seed=4), embedder)
     assert [r.raw_output for r in a] != [r.raw_output for r in c]
+
+
+def test_noisy_time_reformat_leaves_values_that_are_not_clock_times_unchanged():
+    noisy = OracleNoisy(seed=0, drop_prob=0.0, typo_prob=0.0, insert_prob=0.0, time_reformat_prob=1.0)
+    gold = DialogueState(
+        ["taxi", "train"],
+        {
+            ("taxi", "leaveat"): "at 7:15",
+            ("taxi", "arriveby"): "after 17:00",
+            ("train", "arriveby"): "7:15pm",
+            ("train", "leaveat"): "17:05",
+        },
+    )
+    assert noisy.perturb_state("d", 1, gold).slots == {
+        ("taxi", "leaveat"): "at 7:15",
+        ("taxi", "arriveby"): "after 17:00",
+        ("train", "arriveby"): "7:15pm",
+        ("train", "leaveat"): "5:05 pm",
+    }
+
+
+def test_noisy_run_over_a_spokenwoz_time_phrase_predicts_every_turn(tmp_path):
+    taxi = {"taxi": {"semi": {"leaveAt": "at 7:15", "arriveBy": "after 17:00"}}}
+    doc = {
+        "SNG0001": {
+            "log": [
+                {"text": "i need a taxi at 7:15", "tag": "user"},
+                {"text": "where to?", "tag": "system", "metadata": taxi},
+                {"text": "the station after 17:00", "tag": "user"},
+                {"text": "booked", "tag": "system", "metadata": taxi},
+            ]
+        }
+    }
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(doc))
+    (dlg,) = load_corpus(path, "spokenwoz_json")
+    for turn in dlg.turns:
+        turn.features = np.ones((2, 8))
+    noisy = OracleNoisy(seed=0, drop_prob=0.0, typo_prob=0.0, insert_prob=0.0, time_reformat_prob=1.0)
+    results = run_dialogue(dlg, Strategy.FULL_SPOKEN, noisy, _embedder(8))
+    assert [r.turn_index for r in results] == dlg.user_turn_indices()
+    for result in results:
+        assert result.parsed_state == dlg.gold_states[result.turn_index]
 
 
 def test_multimodal_feedback_uses_model_hypotheses(small_corpus):

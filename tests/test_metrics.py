@@ -332,7 +332,7 @@ def test_evaluate_without_taxonomy_has_no_group_f1(noisy_pair):
     assert report.slot_errors
 
 
-def test_evaluate_aligns_once_and_scores_each_pair_at_most_twice(noisy_pair, taxonomy, monkeypatch):
+def test_evaluate_aligns_once_and_calls_turn_correct_once_per_pair(noisy_pair, taxonomy, monkeypatch):
     predictions, references = noisy_pair
     calls = {"align": 0, "turn_correct": 0}
 
@@ -349,7 +349,7 @@ def test_evaluate_aligns_once_and_scores_each_pair_at_most_twice(noisy_pair, tax
         monkeypatch.setattr(metrics, name, counting(name))
     evaluate(predictions, references, MatchPolicy(), taxonomy)
     assert calls["align"] == 1
-    assert len(references) <= calls["turn_correct"] <= 2 * len(references)
+    assert calls["turn_correct"] == len(references)
 
 
 def test_jga_equals_report_jga_post(noisy_pair, taxonomy):

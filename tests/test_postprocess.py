@@ -12,12 +12,18 @@ from dst_lab.corpus import SplitMix64
 from dst_lab.postprocess import (
     MatchPolicy,
     canonicalize_time,
+    compare_values,
     levenshtein_ratio,
     normalize_value,
     values_match,
 )
 
-from oracles import oracle_canonicalize_time, oracle_levenshtein_ratio
+from oracles import (
+    oracle_canonicalize_time,
+    oracle_levenshtein_ratio,
+    oracle_value_form,
+    oracle_values_match,
+)
 
 # ---------------------------------------------------------------------------
 # canonicalize_time
@@ -146,8 +152,8 @@ def test_symmetry_on_random_pairs():
 @settings(max_examples=500, deadline=None)
 @given(p=st.text("abc", max_size=12), r=st.text("abc", max_size=12), data=st.data())
 def test_fuzzy_match_equals_full_ratio_at_any_threshold(p, r, data):
-    """The length-gap exit never changes a fuzzy result, also at thresholds
-    equal to the gap bound or to the ratio itself."""
+    """A fuzzy verdict is the full ratio against the threshold, also at
+    thresholds equal to the length-gap bound or to the ratio itself."""
     longest = max(len(p), len(r), 1)
     threshold = data.draw(
         st.one_of(
@@ -157,6 +163,32 @@ def test_fuzzy_match_equals_full_ratio_at_any_threshold(p, r, data):
     )
     policy = MatchPolicy(fuzzy_threshold=threshold)
     assert values_match(p, r, "open", policy) == (levenshtein_ratio(p, r) >= threshold)
+
+
+_VALUES = st.one_of(
+    st.text("ab :.5pm", max_size=10),
+    st.sampled_from(["5:30 pm", "17:30", " 5.30 PM", "noon", "at 6:15", "12 am", "00:00", "Pizza  Hut"]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    pred=_VALUES,
+    ref=_VALUES,
+    group=st.sampled_from(["categorical", "time", "open", "profile"]),
+    threshold=st.floats(0.0, 1.0),
+    fuzzy_groups=st.frozensets(st.sampled_from(["categorical", "time", "open", "profile"])),
+    canon=st.booleans(),
+)
+def test_compare_values_equals_oracle_and_is_symmetric(pred, ref, group, threshold, fuzzy_groups, canon):
+    policy = MatchPolicy(fuzzy_threshold=threshold, fuzzy_groups=fuzzy_groups, time_canonicalization=canon)
+    matched, ratio = compare_values(pred, ref, group, policy)
+    assert matched == oracle_values_match(pred, ref, group, threshold, set(fuzzy_groups), canon)
+    assert ratio == oracle_levenshtein_ratio(
+        oracle_value_form(pred, group, canon), oracle_value_form(ref, group, canon)
+    )
+    assert compare_values(ref, pred, group, policy) == (matched, ratio)
+    assert values_match(pred, ref, group, policy) == matched
 
 
 def test_degenerate_policy_is_case_insensitive_equality():

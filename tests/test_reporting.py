@@ -7,6 +7,7 @@ from dst_lab.postprocess import MatchPolicy
 from dst_lab.reporting import (
     MethodComparisonRow,
     NO_DATA_MARKER,
+    _no_data_svg,
     render_method_comparison,
     render_report,
     render_retention_table,
@@ -77,6 +78,8 @@ def test_render_empty_report_has_markers(tmp_path):
     assert NO_DATA_MARKER in summary
     for svg in tmp_path.glob("*.svg"):
         assert "no data" in svg.read_text()
+    for name, title in (("group_f1.svg", "Slot value F1 by group"), ("slot_errors.svg", "Most error-prone slots")):
+        assert (tmp_path / name).read_text(encoding="utf-8") == _no_data_svg(title)
     report_json = (tmp_path / "report.json").read_text()
     assert '"n_turns": 0' in report_json
 
