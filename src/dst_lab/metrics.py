@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .corpus import DialogueState, SlotTaxonomy
-from .postprocess import MatchPolicy, compare_values, values_match
+from .postprocess import MatchPolicy, compare_forms, value_form, values_match
 
 log = logging.getLogger(__name__)
 
@@ -181,8 +181,10 @@ def evaluate(
 
     ``jga`` uses exact matching (one ``turn_correct`` per pair). The rest use
     the supplied policy: each reference slot the prediction also holds gets
-    one ``compare_values`` verdict and ratio, and a turn is post-correct when
-    its key sets are equal and every verdict is a match.
+    one verdict and one Levenshtein ratio of the two compared forms, and a
+    turn is post-correct when its key sets are equal and every verdict is a
+    match. Each distinct (value, group) is brought to its compared form once
+    per call.
 
     ``group_f1`` is micro-averaged precision/recall/F1 per slot group: a
     predicted slot is a true positive when the reference holds the same
@@ -201,6 +203,13 @@ def evaluate(
     turn_tally: dict[int, list[int]] = {}  # turn_index -> [post-correct turns, turns]
     counts = {g: GroupCounts() for g in SlotTaxonomy.GROUPS}
     errors: dict[tuple[str, str], SlotErrorEntry] = {}
+    forms: dict[tuple[str, str], str] = {}  # (value, group) -> compared form, for this call only
+
+    def form(value: str, group: str) -> str:
+        found = forms.get((value, group))
+        if found is None:
+            found = forms[value, group] = value_form(value, group, policy)
+        return found
 
     for key in keys:
         pred, ref = predictions[key], references[key]
@@ -225,7 +234,7 @@ def evaluate(
                 entry.deletions += 1
                 counts[group].fn += 1
                 continue
-            matched, ratio = compare_values(pred_value, ref_value, group, policy)
+            matched, ratio = compare_forms(form(pred_value, group), form(ref_value, group), group, policy)
             entry.matched_ratios.append(ratio)
             if matched:
                 counts[group].tp += 1

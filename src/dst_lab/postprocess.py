@@ -3,6 +3,10 @@
 Times are canonicalized to zero-padded 24-hour "HH:MM"; open and profile slot
 values are compared with a Levenshtein ratio threshold. Both normalizations
 are applied symmetrically to predictions and references.
+
+A comparison has two steps: ``value_form`` gives the form a value is
+compared in, and ``forms_match`` gives the verdict on two forms. Only a fuzzy
+group's verdict takes a Levenshtein ratio.
 """
 
 from __future__ import annotations
@@ -54,22 +58,47 @@ def canonicalize_time(value: str) -> str:
     return f"{hour:02d}:{minute:02d}"
 
 
+def levenshtein_distance(a: str, b: str) -> int:
+    """Edit distance by Myers' bit-vector algorithm (Hyyrö's formulation).
+
+    The longer string is the pattern: bit i of each vector stands for its
+    character i, and one Python int holds the whole column, so any length
+    works. Each character of the shorter string advances the column in a
+    fixed number of big-int operations; ``score`` tracks the last row.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}
+    for i, c in enumerate(a):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, score = mask, 0, len(a)
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
+
+
 def levenshtein_ratio(a: str, b: str) -> float:
     """1 - edit_distance(a, b) / max(|a|, |b|); two empty strings match at 1.0."""
     if a == b:
         return 1.0
     if not a or not b:
         return 0.0
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return 1.0 - previous[-1] / len(a)
+    return 1.0 - levenshtein_distance(a, b) / max(len(a), len(b))
 
 
 @dataclass(frozen=True)
@@ -102,22 +131,41 @@ def normalize_value(value: str) -> str:
     return _WS_RE.sub(" ", value.strip()).lower()
 
 
+def value_form(value: str, slot_group: str, policy: MatchPolicy) -> str:
+    """The form a value is compared in: normalized, and time-canonical in the
+    time group when the policy says so."""
+    form = normalize_value(value)
+    if slot_group == "time" and policy.time_canonicalization:
+        form = canonicalize_time(form)
+    return form
+
+
+def forms_match(p: str, r: str, slot_group: str, policy: MatchPolicy, ratio: float | None = None) -> bool:
+    """The verdict on two compared forms; symmetric.
+
+    A fuzzy group matches at a Levenshtein ratio of at least the policy
+    threshold (``ratio`` when the caller already holds it), any other group
+    on equal forms, so only a fuzzy group takes a ratio.
+    """
+    if slot_group not in policy.fuzzy_groups:
+        return p == r
+    if ratio is None:
+        ratio = levenshtein_ratio(p, r)
+    return ratio >= policy.fuzzy_threshold
+
+
+def compare_forms(p: str, r: str, slot_group: str, policy: MatchPolicy) -> tuple[bool, float]:
+    """The verdict on two compared forms and their Levenshtein ratio."""
+    ratio = levenshtein_ratio(p, r)
+    return forms_match(p, r, slot_group, policy, ratio), ratio
+
+
 def compare_values(pred: str, ref: str, slot_group: str, policy: MatchPolicy) -> tuple[bool, float]:
     """Whether a predicted value counts as correct for a reference value, and
-    the Levenshtein ratio of their normalized forms; both are symmetric.
-
-    Both sides are normalized alike, time values canonicalized when the policy
-    says so. A fuzzy group matches at a ratio of at least the policy
-    threshold, any other group on equal normalized forms.
-    """
-    p, r = normalize_value(pred), normalize_value(ref)
-    if slot_group == "time" and policy.time_canonicalization:
-        p, r = canonicalize_time(p), canonicalize_time(r)
-    ratio = levenshtein_ratio(p, r)
-    matched = ratio >= policy.fuzzy_threshold if slot_group in policy.fuzzy_groups else p == r
-    return matched, ratio
+    the Levenshtein ratio of their compared forms; both are symmetric."""
+    return compare_forms(value_form(pred, slot_group, policy), value_form(ref, slot_group, policy), slot_group, policy)
 
 
 def values_match(pred: str, ref: str, slot_group: str, policy: MatchPolicy) -> bool:
-    """The verdict of ``compare_values``."""
-    return compare_values(pred, ref, slot_group, policy)[0]
+    """The verdict of ``compare_values``, without a ratio outside fuzzy groups."""
+    return forms_match(value_form(pred, slot_group, policy), value_form(ref, slot_group, policy), slot_group, policy)

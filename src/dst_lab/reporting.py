@@ -8,12 +8,16 @@ self-contained hand-rolled documents.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .metrics import EvalReport
 
 NO_DATA_MARKER = "# no data"
+
+# Characters XML 1.0 cannot hold even as a reference.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +76,14 @@ def _group_f1_csv(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, with doubled quotes, only when it
+    holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _slot_errors_csv(report: EvalReport) -> str:
     lines = ["domain,slot,insertions,deletions,imperfect_matches,matched,mean_fuzzy_ratio"]
     if not report.slot_errors:
@@ -80,7 +92,7 @@ def _slot_errors_csv(report: EvalReport) -> str:
         matched = len(entry.matched_ratios)
         mean_ratio = sum(entry.matched_ratios) / matched if matched else 1.0
         lines.append(
-            f"{domain},{slot},{entry.insertions},{entry.deletions},"
+            f"{_csv_field(domain)},{_csv_field(slot)},{entry.insertions},{entry.deletions},"
             f"{entry.imperfect_matches},{matched},{mean_ratio!r}"
         )
     return "\n".join(lines) + "\n"
@@ -109,6 +121,14 @@ def _no_data_svg(title: str) -> str:
         '<text x="10" y="45" fill="#777">no data</text>',
     ]
     return _svg(320, 60, body)
+
+
+def _svg_text(label: str) -> str:
+    """``label`` as SVG text content: XML-escaped, and any character XML
+    cannot hold replaced by U+FFFD. (``xml.sax.saxutils.escape`` would import
+    ``urllib.request`` into every command.)"""
+    label = _NOT_XML_CHAR.sub("\ufffd", label)
+    return label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(x: float) -> str:
@@ -155,7 +175,8 @@ def _grouped_bar_chart(
     groups: list[str],
     series: list[tuple[str, str, list[float]]],
 ) -> str:
-    """series: (label, color, one value per group)."""
+    """series: (label, color, one value per group). Group labels may come from
+    model output, so each goes through ``_svg_text``."""
     if not groups or not series:
         return _no_data_svg(title)
     width, height, margin = 560, 300, 52
@@ -180,7 +201,7 @@ def _grouped_bar_chart(
             )
         body.append(
             f'<text x="{_fmt(margin + gi * slot_w + slot_w / 2)}" y="{base_y + 14}" '
-            f'text-anchor="middle">{group}</text>'
+            f'text-anchor="middle">{_svg_text(group)}</text>'
         )
     legend_x = margin
     for si, (label, color, _) in enumerate(series):

@@ -1,5 +1,12 @@
 from __future__ import annotations
 
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dst_lab.assembly import OracleNoisy
@@ -350,6 +357,68 @@ def test_evaluate_aligns_once_and_calls_turn_correct_once_per_pair(noisy_pair, t
     evaluate(predictions, references, MatchPolicy(), taxonomy)
     assert calls["align"] == 1
     assert calls["turn_correct"] == len(references)
+
+
+def _count_ratios(monkeypatch) -> list[tuple[str, str]]:
+    """Patch ``postprocess.levenshtein_ratio`` to record the forms of each call."""
+    import dst_lab.postprocess as postprocess
+
+    calls: list[tuple[str, str]] = []
+    original = postprocess.levenshtein_ratio
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(postprocess, "levenshtein_ratio", counting)
+    return calls
+
+
+def test_exact_turn_correct_takes_no_ratio(noisy_pair, taxonomy, monkeypatch):
+    predictions, references = noisy_pair
+    calls = _count_ratios(monkeypatch)
+    verdicts = [metrics.turn_correct(predictions[k], references[k], MatchPolicy.exact(), taxonomy) for k in references]
+    assert True in verdicts and False in verdicts
+    assert calls == []
+
+
+@pytest.mark.parametrize("policy", [MatchPolicy(), MatchPolicy.exact(), MatchPolicy(fuzzy_threshold=0.5)])
+def test_evaluate_takes_one_ratio_per_reference_slot_the_prediction_holds(noisy_pair, taxonomy, monkeypatch, policy):
+    predictions, references = noisy_pair
+    calls = _count_ratios(monkeypatch)
+    evaluate(predictions, references, policy, taxonomy)
+    held = sum(
+        len(metrics._normalized_slots(ref).keys() & metrics._normalized_slots(predictions[k]).keys())
+        for k, ref in references.items()
+    )
+    assert held > 0
+    assert len(calls) == held
+
+
+def test_evaluate_reports_do_not_depend_on_earlier_calls(noisy_pair, taxonomy, tmp_path):
+    """Forms are memoized per call: a report made after one under another
+    policy equals the report made alone in a fresh interpreter."""
+    predictions, references = noisy_pair
+    policies = [MatchPolicy(), MatchPolicy(time_canonicalization=False)]
+    in_sequence = [evaluate(predictions, references, p, taxonomy).to_json_obj() for p in policies]
+    assert in_sequence[0] != in_sequence[1]
+    src = str(Path(metrics.__file__).resolve().parents[1])
+    script = (
+        "import json, pickle, sys\n"
+        "from dst_lab.metrics import evaluate\n"
+        "with open(sys.argv[1], 'rb') as fh:\n"
+        "    args = pickle.load(fh)\n"
+        "print(json.dumps(evaluate(*args).to_json_obj()))"
+    )
+    for policy, report in zip(policies, in_sequence):
+        path = tmp_path / "args.pickle"
+        path.write_bytes(pickle.dumps((predictions, references, policy, taxonomy)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == report
 
 
 def test_jga_equals_report_jga_post(noisy_pair, taxonomy):

@@ -13,6 +13,7 @@ from dst_lab.postprocess import (
     MatchPolicy,
     canonicalize_time,
     compare_values,
+    levenshtein_distance,
     levenshtein_ratio,
     normalize_value,
     values_match,
@@ -20,6 +21,7 @@ from dst_lab.postprocess import (
 
 from oracles import (
     oracle_canonicalize_time,
+    oracle_levenshtein_distance,
     oracle_levenshtein_ratio,
     oracle_value_form,
     oracle_values_match,
@@ -102,6 +104,38 @@ def test_ratio_matches_dp_oracle_on_random_pairs():
         a = "".join(rng.choice(list(alphabet)) for _ in range(rng.randint(10)))
         b = "".join(rng.choice(list(alphabet)) for _ in range(rng.randint(10)))
         assert levenshtein_ratio(a, b) == oracle_levenshtein_ratio(a, b)
+
+
+def _random_pairs(alphabet: str, seed: int, longest: int, n: int = 40) -> list[tuple[str, str]]:
+    rng = SplitMix64(seed)
+    letters = list(alphabet)
+    return [
+        ("".join(rng.choice(letters) for _ in range(rng.randint(longest))),
+         "".join(rng.choice(letters) for _ in range(rng.randint(longest))))
+        for _ in range(n)
+    ]
+
+
+_DISTANCE_CASES = {
+    "past_one_machine_word": _random_pairs("abcde ", 3, 200)
+    + [("x" * 64, "y" * 65), ("a" * 65 + "b", "b" + "a" * 65), ("ab" * 40, "ba" * 40)],
+    "non_ascii": _random_pairs("éü漢字ß a", 5, 90) + [("", "漢" * 70), ("Straße", "strasse")],
+    "long_runs_of_one_character": _random_pairs("ab", 7, 150) + [("a" * 130, "a" * 64), ("a" * 70, "b" * 70)],
+}
+
+
+@pytest.mark.parametrize("cases", list(_DISTANCE_CASES.values()), ids=list(_DISTANCE_CASES))
+def test_distance_equals_dp_oracle_and_is_symmetric(cases):
+    for a, b in cases:
+        distance = levenshtein_distance(a, b)
+        assert distance == oracle_levenshtein_distance(a, b), (a, b)
+        assert levenshtein_distance(b, a) == distance, (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("aab\u00e9\u6f22", max_size=140), st.text("aab\u00e9\u6f22", max_size=140))
+def test_distance_property_equals_dp_oracle(a, b):
+    assert levenshtein_distance(a, b) == oracle_levenshtein_distance(a, b) == levenshtein_distance(b, a)
 
 
 @settings(max_examples=300)
@@ -189,6 +223,23 @@ def test_compare_values_equals_oracle_and_is_symmetric(pred, ref, group, thresho
     )
     assert compare_values(ref, pred, group, policy) == (matched, ratio)
     assert values_match(pred, ref, group, policy) == matched
+
+
+def test_only_fuzzy_groups_take_a_ratio(monkeypatch):
+    import dst_lab.postprocess as postprocess
+
+    calls = []
+    original = postprocess.levenshtein_ratio
+    monkeypatch.setattr(postprocess, "levenshtein_ratio", lambda a, b: calls.append((a, b)) or original(a, b))
+    policy = MatchPolicy()
+    assert values_match("North", "north", "categorical", policy)
+    assert values_match("5:30 pm", "17:30", "time", policy)
+    assert not values_match("alpha", "alpah", "open", MatchPolicy.exact())
+    assert calls == []
+    assert values_match("Pizza Hut Fenditton", "pizza hut fen ditton", "open", policy)
+    assert calls == [("pizza hut fenditton", "pizza hut fen ditton")]
+    assert compare_values("North", "north", "categorical", policy) == (True, 1.0)
+    assert len(calls) == 2
 
 
 def test_degenerate_policy_is_case_insensitive_equality():

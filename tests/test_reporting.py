@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import csv
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
+from dst_lab.corpus import DialogueState
 from dst_lab.metrics import EvalReport, evaluate, references_from_corpus
 from dst_lab.postprocess import MatchPolicy
 from dst_lab.reporting import (
@@ -99,3 +102,25 @@ def test_retention_table_render():
     assert out.splitlines()[0] == "seed,n_queries,accuracy"
     assert "0,8,0.875" in out
     assert render_retention_table([]) == "seed,n_queries,accuracy\n"
+
+
+def test_slot_names_with_markup_and_separators_parse_back(tmp_path):
+    """Slot names come from model output: the SVG labels are XML-escaped, with
+    characters XML cannot hold replaced, and the CSV quotes a name field only
+    where it holds a comma, quote or line break."""
+    odd = [("hotel", 'a<b&c,"d'), ("ho,tel", "line\nbreak"), ("hotel", "bell\x07")]
+    reference = DialogueState(["hotel"], {("hotel", "name"): "alpha lodge"})
+    prediction = DialogueState(["hotel", "ho,tel"], {("hotel", "name"): "alpha lodge", **{k: "x" for k in odd}})
+    report = evaluate({("d", 1): prediction}, {("d", 1): reference}, MatchPolicy())
+    render_report(report, tmp_path)
+
+    labels = [el.text for el in ET.parse(tmp_path / "slot_errors.svg").iter("{http://www.w3.org/2000/svg}text")]
+    for domain, slot in odd:
+        assert f"{domain}-{slot}".replace("\x07", "\ufffd") in labels
+
+    with open(tmp_path / "slot_errors.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert all(len(row) == 7 for row in rows)
+    assert {(row[0], row[1]) for row in rows[1:]} == {*odd, ("hotel", "name")}
+    text = (tmp_path / "slot_errors.csv").read_text(encoding="utf-8")
+    assert "\nhotel,name,0,0,0,1,1.0\n" in text
