@@ -21,6 +21,7 @@ from typing import Iterable, Protocol
 import numpy as np
 
 from .corpus import Dialogue, DialogueState, Speaker, SplitMix64, derive_key, ONTOLOGY, ontology_values
+from .jsonio import SURROGATE
 from .neural.layers import Linear
 from .neural.pipeline import (
     Compressor,
@@ -361,6 +362,10 @@ def run_dialogue(
     string that grows by appending: each user turn adds its transcription
     once it is parsed, and the agent turn after it, if any, adds its
     transcript (an ASR text when ``run --agent-asr`` replaced it at load).
+
+    Each lone surrogate in a completion becomes U+FFFD, with a ``repaired:``
+    diagnostic, before the raw output is built, so every text the run writes
+    can be encoded as UTF-8.
     """
     compressed = strategy is Strategy.COMPRESSED_SPOKEN
     if compressed and compressor is None:
@@ -385,11 +390,14 @@ def run_dialogue(
         context = assemble(blocks, prompt)
         gold = dialogue.gold_states.get(n, DialogueState())
         completion = predictor.predict(PredictionRequest(dialogue, n, strategy, context, gold))
+        completion, surrogates = SURROGATE.subn("\ufffd", completion)
         raw_output = prompt + completion
         try:
             state, diagnostics = parse_state(raw_output)
         except ParseFailure as exc:
             state, diagnostics = None, [f"parse failure: {exc}"]
+        if surrogates:
+            diagnostics.append(f"repaired: {surrogates} lone surrogate(s) replaced by U+FFFD")
         if strategy is Strategy.MULTIMODAL:
             hypothesis = extract_user_last_turn(raw_output)
             if hypothesis is None:

@@ -71,6 +71,7 @@ from .reporting import (
     render_context_lengths,
     render_report,
     render_retention_table,
+    write_files,
 )
 from .state_codec import (
     PredictionFileError,
@@ -444,24 +445,24 @@ def cmd_run(manifest: str | None, exclude_ids: str | None, **flags) -> None:
     ]
     failures = [{"dialogue_id": dialogue_id, "error": error} for dialogue_id, _, error in outcomes if error is not None]
 
-    out_dir = Path(run_manifest.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_predictions(out_dir / "predictions.ndjson", records)
     # a failed dialogue has no turn results, so only the dialogues that succeeded count
     length_rows = context_length_report(
         strategy_enum, run_manifest.n_queries, [r for _, results, _ in outcomes for r in results]
     )
-    with open(out_dir / "context_lengths.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_context_lengths(length_rows))
     summary = {
         "n_dialogues": len(dialogues),
         "n_records": len(records),
         "failures": failures,
         "manifest": asdict(run_manifest),
     }
-    with open(out_dir / "run_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    texts = {
+        "context_lengths.csv": render_context_lengths(length_rows),
+        "run_summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",
+    }
+    out_dir = Path(run_manifest.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # the predictions stream into it
+    write_predictions(out_dir / "predictions.ndjson", records)
+    write_files(out_dir, texts)
     click.echo(f"wrote {len(records)} prediction records to {out_dir / 'predictions.ndjson'}")
     if failures:
         click.echo(f"{len(failures)} dialogue(s) failed; see run_summary.json", err=True)
@@ -600,9 +601,7 @@ def cmd_probe(
         for n_queries in n_queries_list:
             rows.append((hyper.seed, n_queries, accuracies[n_queries]))
     out_path = Path(out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_retention_table(rows))
+    write_files(out_path.parent, {out_path.name: render_retention_table(rows)})
     click.echo(f"wrote {len(rows)} probe rows to {out_path}")
 
 

@@ -595,7 +595,11 @@ def write_feature_sidecar(path: Path, dialogue_id: str, turn_index: int, feature
 
 def _sidecar_header(header: object) -> tuple[str, int, int, int]:
     check(header, dict)
-    return get(header, "dialogue_id", str), get(header, "turn_index", int), get(header, "rows", int), get(header, "cols", int)
+    fields = get(header, "dialogue_id", str), get(header, "turn_index", int), get(header, "rows", int), get(header, "cols", int)
+    version = get(header, "format_version", int)
+    if version != CORPUS_FORMAT_VERSION:
+        reject(("format_version",), f"must be {CORPUS_FORMAT_VERSION}", version)
+    return fields
 
 
 def read_feature_sidecar(path: Path) -> tuple[str, int, np.ndarray]:

@@ -1,8 +1,9 @@
 """Decoding and checking of every JSON input the lab reads.
 
 A value is accepted only when its JSON type is the one asked for, nothing is
-converted, and no object repeats a key. Every failure is one located
-:class:`JsonInputError`, which each reader turns into its own public error.
+converted, no object repeats a key, and no string holds a lone surrogate.
+Every failure is one located :class:`JsonInputError`, which each reader turns
+into its own public error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import contextlib
 import functools
 import json
 import json.scanner
+import re
 import reprlib
 import types
 import typing
@@ -37,6 +39,27 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
+# A code point no UTF-8 output can hold. Only a JSON \uD800-\uDFFF escape
+# decodes to one, and the decoder joins an escaped pair into one character, so
+# any one left in a decoded string is lone.
+SURROGATE = re.compile("[\ud800-\udfff]")
+SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _reject_lone_surrogates(value) -> None:
+    """Raise for the first string, key or value, of ``value`` that holds a
+    lone surrogate."""
+    pending = [((), value)]
+    while pending:
+        where, value = pending.pop()
+        if type(value) is str and SURROGATE.search(value):
+            reject(where, "holds a lone surrogate", value)
+        members = list(value.items() if type(value) is dict else enumerate(value) if type(value) is list else ())
+        for key, _ in members:
+            if type(key) is str and SURROGATE.search(key):
+                reject(where, "has a key that holds a lone surrogate", key)
+        pending.extend((where + (key,), member) for key, member in reversed(members))
+
 
 def parse(data: bytes, read, *, line: int | None = None):
     """``read`` of the JSON value in the UTF-8 ``data``; any fault is one
@@ -45,6 +68,8 @@ def parse(data: bytes, read, *, line: int | None = None):
     try:
         text = data.decode("utf-8")
         value = _DECODER.decode(text)
+        if SURROGATE_ESCAPE.search(text):
+            _reject_lone_surrogates(value)
     except UnicodeDecodeError as exc:
         text = data[: exc.start].decode("utf-8")
         error = JsonInputError(f"malformed UTF-8: {exc.reason}", pos=len(text))
@@ -52,7 +77,7 @@ def parse(data: bytes, read, *, line: int | None = None):
         error = JsonInputError(f"malformed JSON: {exc.msg}", pos=exc.pos)
     except RecursionError:
         error = JsonInputError("malformed JSON: nesting too deep", pos=0)
-    except JsonInputError as exc:  # a repeated key
+    except JsonInputError as exc:  # a repeated key or a lone surrogate
         error = exc
     else:
         try:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,9 +137,7 @@ def grad_check_suite(
     for shape in ((3, 4), (5, 8), (7, 6)):
         results.append(grad_check("connector", shape, eps, config))
     for n_queries in (1, 10):
-        cfg = CompressorConfig(
-            d_model=d, n_heads=config.n_heads, n_queries=n_queries, seed=config.seed
-        )
+        cfg = replace(config, n_queries=n_queries)
         for shape in ((2, d), (5, d), (9, d)):
             results.append(grad_check("compressor", shape, eps, cfg))
     for shape in ((5, 8), (3, 8), (1, 8)):

@@ -1,6 +1,7 @@
-"""Deterministic rendering of evaluation reports: JSON, CSV, and SVG charts.
+"""Deterministic rendering of the text outputs (JSON, CSV and SVG charts),
+and ``write_files``, the one writer of them.
 
-All outputs are pure functions of the report contents: no timestamps, no
+All outputs are pure functions of their contents: no timestamps, no
 library-assigned element ids, byte-identical across runs. SVG charts are
 self-contained hand-rolled documents.
 """
@@ -34,10 +35,8 @@ class MethodComparisonRow:
 
 def render_method_comparison(rows: list[MethodComparisonRow]) -> str:
     """CSV with one row per context-management method, dev and test columns."""
-    lines = ["model,swoz_dev,swoz_test"]
-    for row in rows:
-        lines.append(f"{row.label},{row.dev_jga_percent:.2f}%,{row.test_jga_percent:.2f}%")
-    return "\n".join(lines) + "\n"
+    fields = [(row.label, f"{row.dev_jga_percent:.2f}%", f"{row.test_jga_percent:.2f}%") for row in rows]
+    return _table("model,swoz_dev,swoz_test", fields, empty=False)
 
 
 # ---------------------------------------------------------------------------
@@ -45,35 +44,28 @@ def render_method_comparison(rows: list[MethodComparisonRow]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _summary_csv(report: EvalReport) -> str:
-    lines = ["metric,value"]
-    if report.n_turns == 0:
-        lines.append(NO_DATA_MARKER)
-    lines.append(f"jga,{report.jga!r}")
-    lines.append(f"jga_post,{report.jga_post!r}")
-    lines.append(f"domain_accuracy,{report.domain_accuracy!r}")
-    lines.append(f"n_dialogues,{report.n_dialogues}")
-    lines.append(f"n_turns,{report.n_turns}")
+def _table(header: str, rows, *, empty: bool) -> str:
+    """CSV text: ``header``, the no-data marker when ``empty``, then each row's
+    fields joined by commas (a float as its shortest round-trip text), every
+    line ending in ``\\n``."""
+    lines = [header, NO_DATA_MARKER] if empty else [header]
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _summary_csv(report: EvalReport) -> str:
+    rows = [(name, getattr(report, name)) for name in ("jga", "jga_post", "domain_accuracy", "n_dialogues", "n_turns")]
+    return _table("metric,value", rows, empty=report.n_turns == 0)
 
 
 def _per_turn_csv(report: EvalReport) -> str:
-    lines = ["turn_index,jga,count"]
-    if not report.per_turn:
-        lines.append(NO_DATA_MARKER)
-    for idx in sorted(report.per_turn):
-        value, count = report.per_turn[idx]
-        lines.append(f"{idx},{value!r},{count}")
-    return "\n".join(lines) + "\n"
+    rows = [(idx, *report.per_turn[idx]) for idx in sorted(report.per_turn)]
+    return _table("turn_index,jga,count", rows, empty=not rows)
 
 
 def _group_f1_csv(report: EvalReport) -> str:
-    lines = ["group,precision,recall,f1"]
-    if not report.group_f1:
-        lines.append(NO_DATA_MARKER)
-    for group, (p, r, f1) in report.group_f1.items():
-        lines.append(f"{group},{p!r},{r!r},{f1!r}")
-    return "\n".join(lines) + "\n"
+    rows = [(group, *scores) for group, scores in report.group_f1.items()]
+    return _table("group,precision,recall,f1", rows, empty=not rows)
 
 
 def _csv_field(text: str) -> str:
@@ -85,17 +77,14 @@ def _csv_field(text: str) -> str:
 
 
 def _slot_errors_csv(report: EvalReport) -> str:
-    lines = ["domain,slot,insertions,deletions,imperfect_matches,matched,mean_fuzzy_ratio"]
-    if not report.slot_errors:
-        lines.append(NO_DATA_MARKER)
+    rows = []
     for (domain, slot), entry in report.slot_errors.items():
         matched = len(entry.matched_ratios)
         mean_ratio = sum(entry.matched_ratios) / matched if matched else 1.0
-        lines.append(
-            f"{_csv_field(domain)},{_csv_field(slot)},{entry.insertions},{entry.deletions},"
-            f"{entry.imperfect_matches},{matched},{mean_ratio!r}"
-        )
-    return "\n".join(lines) + "\n"
+        fields = (entry.insertions, entry.deletions, entry.imperfect_matches, matched, mean_ratio)
+        rows.append((_csv_field(domain), _csv_field(slot), *fields))
+    header = "domain,slot,insertions,deletions,imperfect_matches,matched,mean_fuzzy_ratio"
+    return _table(header, rows, empty=not rows)
 
 
 # ---------------------------------------------------------------------------
@@ -238,49 +227,44 @@ def _slot_errors_svg(report: EvalReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Entry point
+# Entry points
 # ---------------------------------------------------------------------------
 
 
-def render_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
-    """Write the report as JSON, CSV and SVG files; returns the files written."""
+def write_files(out_dir: str | Path, texts: dict[str, str]) -> list[Path]:
+    """Write each text as UTF-8, line ends untranslated, to its name under
+    ``out_dir``; returns the paths written. All are encoded before anything is
+    made, so a text that cannot be encoded writes no file and no directory."""
     out = Path(out_dir)
+    blobs = {out / name: text.encode("utf-8") for name, text in texts.items()}
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    for path, blob in blobs.items():
+        path.write_bytes(blob)
+    return list(blobs)
 
-    def emit(name: str, content: str) -> None:
-        path = out / name
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(content)
-        written.append(path)
 
-    emit("report.json", json.dumps(report.to_json_obj(), indent=2) + "\n")
-    emit("summary.csv", _summary_csv(report))
-    emit("per_turn.csv", _per_turn_csv(report))
-    emit("group_f1.csv", _group_f1_csv(report))
-    emit("slot_errors.csv", _slot_errors_csv(report))
-    emit("per_turn_jga.svg", _per_turn_svg(report))
-    emit("group_f1.svg", _group_f1_svg(report))
-    emit("slot_errors.svg", _slot_errors_svg(report))
-    return written
+def render_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
+    """Write the report as JSON, CSV and SVG files; returns the files written.
+    All eight are rendered and encoded before the first is written."""
+    texts = {
+        "report.json": json.dumps(report.to_json_obj(), indent=2) + "\n",
+        "summary.csv": _summary_csv(report),
+        "per_turn.csv": _per_turn_csv(report),
+        "group_f1.csv": _group_f1_csv(report),
+        "slot_errors.csv": _slot_errors_csv(report),
+        "per_turn_jga.svg": _per_turn_svg(report),
+        "group_f1.svg": _group_f1_svg(report),
+        "slot_errors.svg": _slot_errors_svg(report),
+    }
+    return write_files(out_dir, texts)
 
 
 def render_context_lengths(rows) -> str:
     """CSV for context-length reports (strategy, n_queries, turn_index, mean rows)."""
-    lines = ["strategy,n_queries,turn_index,mean_rows,n_turns"]
-    if not rows:
-        lines.append(NO_DATA_MARKER)
-    for row in rows:
-        n_queries = "" if row.n_queries is None else row.n_queries
-        lines.append(
-            f"{row.strategy.value},{n_queries},{row.turn_index},{row.mean_rows!r},{row.n_turns}"
-        )
-    return "\n".join(lines) + "\n"
+    fields = [(r.strategy.value, "" if r.n_queries is None else r.n_queries, r.turn_index, r.mean_rows, r.n_turns) for r in rows]
+    return _table("strategy,n_queries,turn_index,mean_rows,n_turns", fields, empty=not fields)
 
 
 def render_retention_table(rows: list[tuple[int, int, float]]) -> str:
     """CSV of (seed, n_queries, accuracy) triples from retention probes."""
-    lines = ["seed,n_queries,accuracy"]
-    for seed, n_queries, acc in rows:
-        lines.append(f"{seed},{n_queries},{acc!r}")
-    return "\n".join(lines) + "\n"
+    return _table("seed,n_queries,accuracy", rows, empty=False)

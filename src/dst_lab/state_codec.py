@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 from .corpus import DialogueState, Speaker, read_state
-from .jsonio import JsonInputError, check, get, read_lines
+from .jsonio import SURROGATE, SURROGATE_ESCAPE, JsonInputError, check, get, read_lines
 
 
 class Strategy(str, Enum):
@@ -144,13 +144,21 @@ def parse_state(text: str) -> tuple[DialogueState, list[str]]:
     """Best-effort extraction of a DialogueState from model-like output.
 
     Returns the state and a list of repair diagnostics. Raises
-    :class:`ParseFailure` when no usable JSON object can be recovered.
+    :class:`ParseFailure` when no usable JSON object can be recovered. A lone
+    surrogate that an escape decodes to becomes U+FFFD, so every name and
+    value of the state can be written as UTF-8.
     """
     doc, diagnostics = _decode(text)
     if not isinstance(doc, dict):
         raise ParseFailure("top-level JSON value is not an object", text)
 
     doc = {str(k).lower(): v for k, v in doc.items()}
+    if SURROGATE_ESCAPE.search(text):
+        read = {key: doc[key] for key in ("domains", "predicted_state") if key in doc}
+        encoded, count = SURROGATE.subn("\ufffd", json.dumps(read, ensure_ascii=False))
+        if count:
+            doc = json.loads(encoded)
+            diagnostics.append(f"repaired: {count} lone surrogate(s) replaced by U+FFFD")
     raw_domains = doc.get("domains", [])
     if not isinstance(raw_domains, list):
         diagnostics.append("ignored: non-list domains field")

@@ -27,7 +27,7 @@ from dst_lab.neural.pipeline import (
     connector_forward,
 )
 from dst_lab.postprocess import MatchPolicy
-from dst_lab.state_codec import PredictionRecord, Strategy
+from dst_lab.state_codec import PredictionRecord, Strategy, read_predictions, write_predictions
 
 from oracles import oracle_assemble, oracle_embed_turn, oracle_total_rows
 
@@ -275,6 +275,25 @@ def test_parse_failure_becomes_empty_state(small_corpus):
     records = [PredictionRecord(dlg.id, r.turn_index, r.raw_output, r.parsed_state) for r in results]
     assert all(state == DialogueState() for state in states_from_records(records).values())
     assert all(r.diagnostics for r in results)
+
+
+def test_run_dialogue_replaces_lone_surrogates_in_completions(small_corpus, tmp_path):
+    class SurrogatePredictor:
+        def predict(self, request):
+            completion = OracleExact().predict(request)
+            return completion.replace('"predicted_state"', '"na\ud800me": "\udfff", "predicted_state"')
+
+    dlg = small_corpus[0]
+    for strategy in (Strategy.MULTIMODAL, Strategy.FULL_SPOKEN):
+        exact = run_dialogue(dlg, strategy, OracleExact(), _embedder(8))
+        results = run_dialogue(dlg, strategy, SurrogatePredictor(), _embedder(8))
+        for result, expected in zip(results, exact):
+            assert '"na\ufffdme": "\ufffd"' in result.raw_output
+            assert result.parsed_state == expected.parsed_state
+            assert result.diagnostics == [*expected.diagnostics, "repaired: 2 lone surrogate(s) replaced by U+FFFD"]
+        records = [PredictionRecord(dlg.id, r.turn_index, r.raw_output, r.parsed_state, r.diagnostics) for r in results]
+        write_predictions(tmp_path / "p.ndjson", records)
+        assert read_predictions(tmp_path / "p.ndjson") == records
 
 
 def test_run_dialogue_rejects_non_finite_embedding(small_corpus, monkeypatch):

@@ -1090,6 +1090,29 @@ def test_evaluate_reports_bad_prediction_line(runner, tmp_path, bad_line, reason
     assert re.search(re.escape(f"{path}:3:") + r"\d+: (malformed record: )?" + re.escape(reason), result.output)
 
 
+def test_evaluate_rejects_a_lone_surrogate_and_writes_no_report(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus")
+    run = tmp_path / "run"
+    result = runner.invoke(main, ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "full", "--out", str(run)])
+    assert result.exit_code == 0, result.output
+    lines = (run / "predictions.ndjson").read_text().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    domain = record["parsed_state"]["domains"][0]
+    record["parsed_state"]["slots"][domain]["na\ud800me"] = "x"
+    lines[2] = json.dumps(record) + "\n"
+    (run / "predictions.ndjson").write_text("".join(lines))
+    out = tmp_path / "new" / "report"
+    args = ["evaluate", "--predictions", str(run / "predictions.ndjson"), "--corpus", str(tmp_path / "corpus")]
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    # the column is where the object holding the key starts
+    column = lines[2].index(f'"slots": {{"{domain}": {{') + len(f'"slots": {{"{domain}": {{')
+    where = f"parsed_state.slots.{domain} has a key that holds a lone surrogate, got 'na\\ud800me'"
+    assert f"{run / 'predictions.ndjson'}:3:{column}: {where}" in result.output
+    assert not (tmp_path / "new").exists()
+
+
 def test_evaluate_rejects_a_duplicate_prediction_naming_both_lines(runner, tmp_path):
     _synth(runner, tmp_path / "corpus")
     good = '{"dialogue_id":"d0","turn_index":%d,"raw_output":"","parsed_state":null}'

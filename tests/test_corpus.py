@@ -262,6 +262,8 @@ _SIDECAR_HEADER_FAULTS = {
     b"\xff\xfe": "malformed UTF-8",
     b'{%s, "rows": "3", "turn_index": 3}' % _SIDECAR_HEADER_FIELDS.encode(): "rows must be an integer, got '3'",
     b'{%s, "rows": 3, "turn_index": 1.0}' % _SIDECAR_HEADER_FIELDS.encode(): "turn_index must be an integer, got 1.0",
+    b'{"cols": 2, "dialogue_id": "dlg", "format_version": 99, "rows": 0, "turn_index": 3}': "format_version must be 1, got 99",
+    b'{"cols": 2, "dialogue_id": "dlg", "rows": 0, "turn_index": 3}': "missing field 'format_version'",
 }
 
 

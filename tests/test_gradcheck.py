@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
@@ -71,6 +72,21 @@ def test_compressor_gradients_at_memory_batch_above_one(n_layers):
         a = analytic[name].reshape(-1)
         rel = np.abs(a - grad) / np.maximum(1e-8, np.abs(a) + np.abs(grad))
         assert rel.max() < 1e-4, name
+
+
+def test_suite_keeps_every_config_field_but_the_query_count(monkeypatch):
+    built = []
+
+    def spy(module, input_shape, eps, config):
+        built.append((module, config))
+        return gradcheck.GradCheckResult(module, input_shape, 0.0, "")
+
+    monkeypatch.setattr(gradcheck, "grad_check", spy)
+    config = CompressorConfig(d_model=8, n_heads=4, n_layers=2, n_queries=3, seed=5)
+    gradcheck.grad_check_suite(config=config)
+    compressors = [cfg for module, cfg in built if module == "compressor"]
+    assert compressors == [dataclasses.replace(config, n_queries=n) for n in (1, 1, 1, 10, 10, 10)]
+    assert all(cfg is config for module, cfg in built if module != "compressor")
 
 
 def test_eps_zero_rejected():

@@ -20,6 +20,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dst_lab import jsonio
 from dst_lab.cli import main
 
 # one value of each JSON type
@@ -172,3 +173,22 @@ def test_a_mutated_input_fails_cleanly_naming_its_file(inputs, target, data):
             assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
             if result.exit_code:
                 assert str(work / named) in result.output, result.output
+
+
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        (r'"\ud800"', "the top-level value holds a lone surrogate, got '\\ud800'", 1),
+        (r'{"a": [1, {"b": "x\uDFFF"}]}', "a[1].b holds a lone surrogate, got 'x\\udfff'", 11),
+        (r'{"a": 1, "k\udbff": 2}', "the top-level value has a key that holds a lone surrogate, got 'k\\udbff'", 1),
+        (r'["\ud83d\ude00", "\ude00\ud83d"]', "[1] holds a lone surrogate, got '\\ude00\\ud83d'", 1),
+    ],
+)
+def test_a_json_string_with_a_lone_surrogate_is_a_located_error(text, message, column):
+    with pytest.raises(jsonio.JsonInputError) as info:
+        jsonio.parse(text.encode(), lambda value: value)
+    assert (str(info.value), info.value.line, info.value.column) == (message, 1, column)
+
+
+def test_an_escaped_surrogate_pair_or_backslash_is_no_lone_surrogate():
+    assert jsonio.parse(rb'["\ud83d\ude00", "\\ud800"]', lambda value: value) == ["\U0001f600", "\\ud800"]

@@ -4,8 +4,9 @@ A fixed synthetic corpus is run under every context strategy and predictor
 that changes what ``run`` writes, and each run is evaluated under the standard
 and the exact policy. The digests of ``predictions.ndjson``,
 ``context_lengths.csv`` and all eight report files are pinned, so a change
-that moves one byte of output fails here. ``run_summary.json`` is left out
-because it holds absolute paths.
+that moves one byte of output fails here. ``run_summary.json`` holds the
+absolute corpus and output paths, so it is hashed with those two values
+replaced by fixed placeholders.
 
 The ``noisy`` and ``truncated`` predictors read only gold states and context
 row counts, never feature values, so these digests do not depend on the BLAS
@@ -15,6 +16,7 @@ build or the thread count.
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,7 @@ EXPECTED: dict[str, dict[str, str]] = {
     "noisy-compressed": {
         "predictions.ndjson": "6caef3fdb4330a42d415cf162688cacd7dc4be6ce8988ad0972e864cf5c9b3bf",
         "context_lengths.csv": "30b84a07e49383c052f03cd2a0f0ec075bdce59d289cddad3db929a5860a9d6b",
+        "run_summary.json": "08ceeea7cf1417afe33eeaa3f42ad74b1712ca435f712a959a4889654acb61f8",
         "standard/report.json": "21bcfaf9d334dae16013cb11d0e0c7e24e0fc335abde5f2e8fc8950019cf6fb8",
         "standard/summary.csv": "aea195803e2200c64c396573f390b5252e75e7224133362e9fdea9601f62f29e",
         "standard/per_turn.csv": "5c3be62dd07f8ec1a2a646ff0ff2f7ee3d329d27d210a224a60c438757e1d4d5",
@@ -69,6 +72,7 @@ EXPECTED: dict[str, dict[str, str]] = {
     "noisy-compressed-current": {
         "predictions.ndjson": "6caef3fdb4330a42d415cf162688cacd7dc4be6ce8988ad0972e864cf5c9b3bf",
         "context_lengths.csv": "8ef5082538df91a54ca48f487abc93e3155b29651a614f92cbaa1b835f0f22ef",
+        "run_summary.json": "7ae5d2db85b8038a1eefc0fb55cfa338e01877d6187e8bd4603ad83f19b531a4",
         "standard/report.json": "21bcfaf9d334dae16013cb11d0e0c7e24e0fc335abde5f2e8fc8950019cf6fb8",
         "standard/summary.csv": "aea195803e2200c64c396573f390b5252e75e7224133362e9fdea9601f62f29e",
         "standard/per_turn.csv": "5c3be62dd07f8ec1a2a646ff0ff2f7ee3d329d27d210a224a60c438757e1d4d5",
@@ -89,6 +93,7 @@ EXPECTED: dict[str, dict[str, str]] = {
     "noisy-full": {
         "predictions.ndjson": "6caef3fdb4330a42d415cf162688cacd7dc4be6ce8988ad0972e864cf5c9b3bf",
         "context_lengths.csv": "e04087b5cc32fa1c8e23e11266631403b069ee37ea7a7e379edd8c0bfcd58850",
+        "run_summary.json": "0616a697133f8c644f9226f3d8424465cf7ccb0f2051b6a41e25a3dc6a8849d0",
         "standard/report.json": "21bcfaf9d334dae16013cb11d0e0c7e24e0fc335abde5f2e8fc8950019cf6fb8",
         "standard/summary.csv": "aea195803e2200c64c396573f390b5252e75e7224133362e9fdea9601f62f29e",
         "standard/per_turn.csv": "5c3be62dd07f8ec1a2a646ff0ff2f7ee3d329d27d210a224a60c438757e1d4d5",
@@ -109,6 +114,7 @@ EXPECTED: dict[str, dict[str, str]] = {
     "noisy-multimodal": {
         "predictions.ndjson": "caa38fd281e332d7f5b4cb88f490cae6a0ea9ca52258760dc7b28f3353555ab8",
         "context_lengths.csv": "fd7cf64612f087d666b3148a15dcd0e04f1890d3303f2b4d3482a598b1458420",
+        "run_summary.json": "f2b8de46dbfaefa078fbc93739280e133e85521dc318d6db753da2ef460c4fcd",
         "standard/report.json": "21bcfaf9d334dae16013cb11d0e0c7e24e0fc335abde5f2e8fc8950019cf6fb8",
         "standard/summary.csv": "aea195803e2200c64c396573f390b5252e75e7224133362e9fdea9601f62f29e",
         "standard/per_turn.csv": "5c3be62dd07f8ec1a2a646ff0ff2f7ee3d329d27d210a224a60c438757e1d4d5",
@@ -129,6 +135,7 @@ EXPECTED: dict[str, dict[str, str]] = {
     "truncated-full": {
         "predictions.ndjson": "220c7f39e8ab9e2a0d5923170892ee2c0138b1da63a909a02d67009178fd861e",
         "context_lengths.csv": "e04087b5cc32fa1c8e23e11266631403b069ee37ea7a7e379edd8c0bfcd58850",
+        "run_summary.json": "d396743ee494f7d2aa31af661c0cfde2ca42d1dc3b118e2b5df3eb2f9e8e97e2",
         "standard/report.json": "36d5bf7e8869d442069e6a118f022bfd9a6630be0f47f22484e68d489c8e6c31",
         "standard/summary.csv": "53dc12c9aa43ab133e862e2d3b7451fff9523bc4a327ef1785730ea6641c6dcc",
         "standard/per_turn.csv": "6d16beb7d84da32b12bff42548e7b08405a35ec31735de4d9e75bd5781802e0b",
@@ -166,11 +173,22 @@ def corpus(tmp_path_factory) -> Path:
     return path
 
 
+def _summary_sha256(run: Path, corpus: Path) -> str:
+    """SHA-256 of ``run_summary.json`` with its ``corpus`` and ``out`` values
+    replaced by placeholders."""
+    text = (run / "run_summary.json").read_text(encoding="utf-8")
+    for path, placeholder in ((corpus, "<corpus>"), (run, "<out>")):
+        assert text.count(json.dumps(str(path))) == 1
+        text = text.replace(json.dumps(str(path)), json.dumps(placeholder))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def output_digests(corpus: Path, out: Path, run_args: list[str]) -> dict[str, str]:
     """``run`` then ``evaluate`` under each policy; file name -> SHA-256 of its bytes."""
     run = out / "run"
     _invoke(["run", "--corpus", str(corpus), *run_args, "--out", str(run)])
     digests = {name: _sha256(run / name) for name in ("predictions.ndjson", "context_lengths.csv")}
+    digests["run_summary.json"] = _summary_sha256(run, corpus)
     for policy in POLICIES:
         report = out / policy
         _invoke(

@@ -167,6 +167,20 @@ def test_parse_surrounding_prose():
     assert state.domains == ["taxi"]
 
 
+def test_parse_replaces_escaped_lone_surrogates_in_the_state():
+    text = (
+        '{"history": "USER: x\\ud800", "domains": ["ho\\ud800tel"], "predicted_state": '
+        '{"ho\\ud800tel": {"na\\udfffme": "a\\ud83d\\ude00", "area": "\\\\ud800"}}}'
+    )
+    state, diagnostics = parse_state(text)
+    assert state.domains == ["ho\ufffdtel"]
+    assert state.slots == {("ho\ufffdtel", "na\ufffdme"): "a\U0001f600", ("ho\ufffdtel", "area"): "\\ud800"}
+    # the history's surrogate is not read, so it is not counted
+    assert diagnostics == ["repaired: 3 lone surrogate(s) replaced by U+FFFD"]
+    state, diagnostics = parse_state('{"domains": [], "history": "x\\ud800", "predicted_state": {}}')
+    assert (state, diagnostics) == (DialogueState(), [])
+
+
 def test_every_truncation_of_a_nested_object_closes_its_open_objects():
     # the inner object opens at index 5 and closes at index 17; the braces at
     # 12 and 15 sit inside a string with an escaped quote
