@@ -81,13 +81,10 @@ class DialogueState:
     slots: dict[tuple[str, str], str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        seen: list[str] = []
-        for d in self.domains:
-            if d not in seen:
-                seen.append(d)
-        self.domains = seen
+        known = dict.fromkeys(self.domains)
+        self.domains = list(known)
         for (domain, slot), value in self.slots.items():
-            if domain not in self.domains:
+            if domain not in known:
                 raise StateInvariantError(
                     f"slot ({domain}, {slot}) = {value!r} references a domain not in {self.domains}"
                 )
@@ -124,6 +121,27 @@ def read_state(obj: object, where: tuple) -> DialogueState:
     nested = get(obj, "slots", _SLOTS, where, default={})
     slots = {(domain, slot): value for domain, slot_map in nested.items() for slot, value in slot_map.items()}
     return DialogueState(domains + [domain for domain in nested if domain not in domains], slots)
+
+
+def fast_state(obj: object) -> DialogueState | None:
+    """``read_state(obj, where)``, or None where ``obj`` is no state it accepts."""
+    if type(obj) is not dict:
+        return None
+    domains, nested = obj.get("domains", []), obj.get("slots", {})
+    if type(domains) is not list or type(nested) is not dict:
+        return None
+    for domain in domains:
+        if type(domain) is not str:
+            return None
+    slots = {}
+    for domain, slot_map in nested.items():
+        if type(slot_map) is not dict:
+            return None
+        for slot, value in slot_map.items():
+            if type(value) is not str:
+                return None
+            slots[domain, slot] = value
+    return DialogueState(domains + list(nested), slots)  # which keeps the first of each
 
 
 @dataclass
@@ -602,6 +620,19 @@ def _sidecar_header(header: object) -> tuple[str, int, int, int]:
     return fields
 
 
+def _fast_sidecar_header(header: object) -> tuple[str, int, int, int] | None:
+    """``_sidecar_header(header)``, or None where ``header`` is no header it accepts."""
+    if type(header) is not dict:
+        return None
+    fields = dialogue_id, turn_index, rows, cols = (
+        header.get("dialogue_id"), header.get("turn_index"), header.get("rows"), header.get("cols")
+    )
+    version = header.get("format_version")
+    if type(dialogue_id) is not str or not all(type(value) is int for value in (turn_index, rows, cols, version)):
+        return None
+    return fields if version == CORPUS_FORMAT_VERSION else None
+
+
 def read_feature_sidecar(path: Path) -> tuple[str, int, np.ndarray]:
     """Parse one sidecar; a short, overlong or malformed file, or a NaN or
     infinite value, is a CorpusFormatError naming the byte offset, and a file
@@ -623,8 +654,9 @@ def read_feature_sidecar(path: Path) -> tuple[str, int, np.ndarray]:
         raise CorpusFormatError(
             f"truncated sidecar header: {header_len} bytes declared", path=where, offset=len(blob)
         )
+    header = blob[header_start:payload_start]
     try:
-        dialogue_id, turn_index, rows, cols = jsonio.parse(blob[header_start:payload_start], _sidecar_header)
+        dialogue_id, turn_index, rows, cols = jsonio.accept(header, _fast_sidecar_header) or jsonio.parse(header, _sidecar_header)
     except JsonInputError as exc:
         raise CorpusFormatError(f"malformed sidecar header: {exc}", path=where, offset=header_start) from exc
     if rows < 0 or cols < 0:
@@ -660,6 +692,7 @@ def write_corpus(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     features_dir = out / "features"
+    made_features_dir = False
     doc: dict = {"format_version": CORPUS_FORMAT_VERSION, "kind": "synthetic"}
     if meta:
         doc["meta"] = dict(meta)
@@ -673,7 +706,9 @@ def write_corpus(
                 {"index": turn.index, "speaker": turn.speaker.value, "transcript": turn.transcript}
             )
             if turn.features is not None:
-                features_dir.mkdir(parents=True, exist_ok=True)
+                if not made_features_dir:
+                    features_dir.mkdir(parents=True, exist_ok=True)
+                    made_features_dir = True
                 write_feature_sidecar(
                     features_dir / _feature_sidecar_name(dlg.id, turn.index),
                     dlg.id,
@@ -700,24 +735,23 @@ def _attach_features(dialogues: list[Dialogue], features_dir: Path, read: TurnSe
         listed = set(os.listdir(features_dir))
     except OSError as exc:
         raise CorpusFormatError(f"cannot list feature sidecars: {exc.strerror}", path=str(features_dir)) from exc
+    directory = os.path.join(features_dir, "")
     dims: set[int] = set()
     for dlg in dialogues:
         for turn in dlg.turns if read is None else [dlg.turn(i) for i in read(dlg)]:
             name = _feature_sidecar_name(dlg.id, turn.index)
             if name in listed:
-                sidecar = features_dir / name
+                sidecar = directory + name
                 dialogue_id, turn_index, mat = read_feature_sidecar(sidecar)
                 if (dialogue_id, turn_index) != (dlg.id, turn.index):
                     raise CorpusFormatError(
                         f"sidecar header is for {dialogue_id} turn {turn_index}, "
                         f"not {dlg.id} turn {turn.index}",
-                        path=str(sidecar),
+                        path=sidecar,
                         offset=len(FEATURE_MAGIC) + 4,
                     )
                 if mat.size == 0:
-                    raise CorpusFormatError(
-                        f"empty feature matrix for {dlg.id} turn {turn.index}", path=str(sidecar)
-                    )
+                    raise CorpusFormatError(f"empty feature matrix for {dlg.id} turn {turn.index}", path=sidecar)
                 dims.add(int(mat.shape[1]))
                 turn.features = mat
     if len(dims) > 1:
@@ -766,11 +800,41 @@ def _synthetic_dialogue(obj: object, where: tuple) -> Dialogue:
     return Dialogue(id=dialogue_id, turns=turns, gold_states=gold)
 
 
+_SPEAKERS = (("AGENT", Speaker.AGENT), ("USER", Speaker.USER))  # by turn position parity
+
+
+def _fast_dialogue(obj: object) -> Dialogue | None:
+    """``_synthetic_dialogue(obj, where)``, or None where ``obj`` is no dialogue it accepts."""
+    if type(obj) is not dict:
+        return None
+    dialogue_id, turn_objs, state_objs = obj.get("id"), obj.get("turns"), obj.get("gold_states", {})
+    if type(dialogue_id) is not str or type(turn_objs) is not list or not turn_objs or type(state_objs) is not dict:
+        return None
+    turns = []
+    for pos, turn_obj in enumerate(turn_objs, start=1):
+        if type(turn_obj) is not dict:
+            return None
+        index, tag, transcript = turn_obj.get("index"), turn_obj.get("speaker"), turn_obj.get("transcript")
+        expected_tag, speaker = _SPEAKERS[pos % 2]
+        if type(index) is not int or index != pos or tag != expected_tag or type(transcript) is not str:
+            return None
+        turns.append(Turn(pos, speaker, transcript))
+    user_keys = {str(pos): pos for pos in range(1, len(turns) + 1, 2)}
+    gold = {}
+    for key, state_obj in state_objs.items():
+        if key not in user_keys or (state := fast_state(state_obj)) is None:
+            return None
+        gold[user_keys[key]] = state
+    return Dialogue(dialogue_id, turns, gold)
+
+
 def _synthetic_document(doc: object) -> tuple[list[Dialogue], SlotTaxonomy | None]:
     version = get(check(doc, dict), "format_version", int)
     if version != CORPUS_FORMAT_VERSION:
         reject(("format_version",), f"must be {CORPUS_FORMAT_VERSION}", version)
-    dialogues = [_synthetic_dialogue(obj, ("dialogues", i)) for i, obj in enumerate(get(doc, "dialogues", list))]
+    dialogues = [
+        _fast_dialogue(obj) or _synthetic_dialogue(obj, ("dialogues", i)) for i, obj in enumerate(get(doc, "dialogues", list))
+    ]
     positions: dict[str, int] = {}
     for pos, dialogue in enumerate(dialogues, start=1):
         if positions.setdefault(dialogue.id, pos) != pos:

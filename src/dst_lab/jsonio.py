@@ -4,16 +4,23 @@ A value is accepted only when its JSON type is the one asked for, nothing is
 converted, no object repeats a key, and no string holds a lone surrogate.
 Every failure is one located :class:`JsonInputError`, which each reader turns
 into its own public error.
+
+A reader may also have a fast path (see :func:`accept`): a function of the
+decoded value that returns what the generic reader would, or None to decline.
+A declined or faulty input goes through :func:`parse` and the generic reader,
+which locate the fault.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import json
 import json.scanner
 import re
 import reprlib
+import sys
 import types
 import typing
 
@@ -79,6 +86,8 @@ def parse(data: bytes, read, *, line: int | None = None):
         error = JsonInputError("malformed JSON: nesting too deep", pos=0)
     except JsonInputError as exc:  # a repeated key or a lone surrogate
         error = exc
+    except ValueError:  # an integer with more digits than int() converts
+        error = _long_integer(text)
     else:
         try:
             return read(value)
@@ -91,6 +100,52 @@ def parse(data: bytes, read, *, line: int | None = None):
     raise error
 
 
+def accept(data: bytes, fast):
+    """``fast`` of the JSON value in the UTF-8 ``data``, or None where
+    :func:`parse` would raise or ``fast`` declines by returning None."""
+    try:
+        text = data.decode("utf-8")
+        value = _DECODER.decode(text)
+        if SURROGATE_ESCAPE.search(text):
+            _reject_lone_surrogates(value)
+    except (ValueError, RecursionError):
+        return None
+    return fast(value)
+
+
+_NUMBER_OR_STRING = re.compile(r'"(?:[^"\\]|\\.)*"|-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?')
+
+
+def _long_integer(text: str) -> JsonInputError:
+    """The error for the first integer in ``text`` with more digits than
+    ``int()`` converts; the text before it is valid JSON, so the scan over
+    strings and numbers stays in step with the decoder's."""
+    limit = sys.get_int_max_str_digits()
+    for token in _NUMBER_OR_STRING.finditer(text):
+        digits = token.group().removeprefix("-")
+        if digits.isdigit() and len(digits) > limit:
+            return JsonInputError(f"malformed JSON: integer longer than {limit} digits", pos=token.start())
+    raise AssertionError("the decoder rejected an integer that the scan does not find")
+
+
+def nogc(func):
+    """``func`` with the cycle collector paused while it runs, and left as it
+    was found: for readers that build many objects holding no reference cycle."""
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@nogc
 def read_document(path, read):
     """``read`` of the JSON document in the file ``path``; see :func:`parse`."""
     with open(path, "rb") as fh:

@@ -9,12 +9,14 @@ must degrade to an empty state rather than crash.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .corpus import DialogueState, Speaker, read_state
-from .jsonio import SURROGATE, SURROGATE_ESCAPE, JsonInputError, check, get, read_lines
+from . import jsonio
+from .corpus import DialogueState, Speaker, fast_state, read_state
+from .jsonio import SURROGATE, SURROGATE_ESCAPE, JsonInputError, check, get
 
 
 class Strategy(str, Enum):
@@ -122,6 +124,8 @@ def _decode_repaired(text: str) -> tuple[object, list[str]]:
         raise ParseFailure(f"unparseable output: {exc.msg}", text) from exc
     except RecursionError as exc:
         raise ParseFailure("unparseable output: nesting too deep", text) from exc
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise ParseFailure(f"unparseable output: integer longer than {sys.get_int_max_str_digits()} digits", text) from exc
 
 
 _DECODER = json.JSONDecoder()
@@ -135,7 +139,7 @@ def _decode(text: str) -> tuple[object, list[str]]:
     if start >= 0:
         try:
             return _DECODER.raw_decode(text, start)[0], []
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):
             pass
     return _decode_repaired(text)
 
@@ -275,6 +279,24 @@ def _record(obj: object) -> PredictionRecord:
     )
 
 
+def _fast_record(obj: object) -> PredictionRecord | None:
+    """``_record(obj)``, or None where ``obj`` is no record it accepts."""
+    if type(obj) is not dict:
+        return None
+    dialogue_id, turn_index, raw_output = obj.get("dialogue_id"), obj.get("turn_index"), obj.get("raw_output", "")
+    parsed, diagnostics = obj.get("parsed_state"), obj.get("diagnostics", [])
+    if type(dialogue_id) is not str or type(turn_index) is not int or type(raw_output) is not str:
+        return None
+    if type(diagnostics) is not list:
+        return None
+    for line in diagnostics:
+        if type(line) is not str:
+            return None
+    if parsed is not None and (parsed := fast_state(parsed)) is None:
+        return None
+    return PredictionRecord(dialogue_id, turn_index, raw_output, parsed, diagnostics)
+
+
 def write_predictions(path, records: Iterable[PredictionRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
@@ -289,18 +311,26 @@ class PredictionFileError(ValueError):
         super().__init__(f"{path}:{line}: {reason}")
 
 
+@jsonio.nogc
 def read_predictions(path) -> list[PredictionRecord]:
-    """Every record of a prediction NDJSON file; at most one per (dialogue, turn)."""
+    """Every record of a prediction NDJSON file; at most one per (dialogue, turn).
+    A line that ``_fast_record`` declines is read again by ``jsonio.parse``."""
     records = []
     first_line: dict[tuple[str, int], int] = {}
-    try:
-        for line_no, record in read_lines(path, _record):
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            record = jsonio.accept(line, _fast_record)
+            if record is None:
+                if not line.strip():
+                    continue
+                try:
+                    record = jsonio.parse(line, _record, line=line_no)
+                except JsonInputError as exc:
+                    raise PredictionFileError(path, f"{exc.line}:{exc.column}", str(exc)) from exc
             key = (record.dialogue_id, record.turn_index)
             if key in first_line:
                 reason = f"duplicate record for dialogue {key[0]!r} turn {key[1]}, first on line {first_line[key]}"
                 raise PredictionFileError(path, line_no, reason)
             first_line[key] = line_no
             records.append(record)
-    except JsonInputError as exc:
-        raise PredictionFileError(path, f"{exc.line}:{exc.column}", str(exc)) from exc
     return records

@@ -13,8 +13,21 @@ import json
 
 import numpy as np
 
-from dst_lab.corpus import Speaker
+from dst_lab.corpus import Speaker, StateInvariantError
 from dst_lab.state_codec import ParseFailure, Strategy
+
+
+def oracle_state_domains(domains: list[str], slots: dict[tuple[str, str], str]) -> list[str]:
+    """The domains a DialogueState keeps, by list scan: the first of each, in
+    order. A slot whose domain is not among them raises DialogueState's error."""
+    seen: list[str] = []
+    for d in domains:
+        if d not in seen:
+            seen.append(d)
+    for (domain, slot), value in slots.items():
+        if domain not in seen:
+            raise StateInvariantError(f"slot ({domain}, {slot}) = {value!r} references a domain not in {seen}")
+    return seen
 
 
 def oracle_levenshtein_distance(a: str, b: str) -> int:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -275,6 +276,17 @@ def test_parse_failure_becomes_empty_state(small_corpus):
     records = [PredictionRecord(dlg.id, r.turn_index, r.raw_output, r.parsed_state) for r in results]
     assert all(state == DialogueState() for state in states_from_records(records).values())
     assert all(r.diagnostics for r in results)
+
+
+def test_run_dialogue_records_a_parse_failure_for_an_integer_too_long_to_convert(small_corpus):
+    class LongIntegerPredictor:
+        def predict(self, request):
+            return OracleExact().predict(request).replace('"predicted_state"', '"n": 1' + "0" * 5000 + ', "predicted_state"')
+
+    results = run_dialogue(small_corpus[0], Strategy.FULL_SPOKEN, LongIntegerPredictor(), _embedder(8))
+    assert results and all(r.parsed_state is None for r in results)
+    limit = sys.get_int_max_str_digits()
+    assert all(r.diagnostics == [f"parse failure: unparseable output: integer longer than {limit} digits"] for r in results)
 
 
 def test_run_dialogue_replaces_lone_surrogates_in_completions(small_corpus, tmp_path):

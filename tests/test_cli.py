@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shutil
+import sys
 import time
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dst_lab import assembly, cli
+from dst_lab import assembly, cli, state_codec
 from dst_lab import corpus as corpus_module
 from dst_lab.cli import RunManifest, main
 from dst_lab.corpus import SynthConfig, default_corrupted_ids, filter_corrupted, load_corpus, synthetic_taxonomy
@@ -1125,6 +1126,56 @@ def test_evaluate_rejects_a_duplicate_prediction_naming_both_lines(runner, tmp_p
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert f"{path}:4: duplicate record for dialogue 'd0' turn 1, first on line 1" in result.output
+
+
+def test_evaluate_reports_a_duplicate_before_a_later_malformed_line(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus")
+    good = '{"dialogue_id":"d0","turn_index":%d,"raw_output":"","parsed_state":null}'
+    path = tmp_path / "pred.ndjson"
+    path.write_text("\n".join([good % 1, good % 3, good % 1, good % 5, "{"]) + "\n")
+    result = runner.invoke(main, ["evaluate", "--predictions", str(path), "--corpus", str(tmp_path / "corpus")])
+    assert result.exit_code == 1
+    assert f"{path}:3: duplicate record for dialogue 'd0' turn 1, first on line 1" in result.output
+
+
+def test_evaluate_locates_an_integer_too_long_to_convert(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus")
+    line = '{"dialogue_id": "d0", "turn_index": 1' + "0" * 5000 + "}"
+    path = tmp_path / "pred.ndjson"
+    path.write_text('{"dialogue_id":"d0","turn_index":1}\n' + line + "\n")
+    result = runner.invoke(main, ["evaluate", "--predictions", str(path), "--corpus", str(tmp_path / "corpus")])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    column = line.index("10") + 1
+    limit = sys.get_int_max_str_digits()
+    assert f"{path}:2:{column}: malformed JSON: integer longer than {limit} digits" in result.output
+
+
+def test_run_and_evaluate_of_a_valid_corpus_read_every_record_by_its_fast_path(runner, tmp_path, monkeypatch):
+    _synth(runner, tmp_path / "corpus")
+    generic: list[str] = []
+    for module, name in [
+        (corpus_module, "_synthetic_dialogue"),
+        (corpus_module, "read_state"),
+        (corpus_module, "_sidecar_header"),
+        (state_codec, "read_state"),
+        (state_codec, "_record"),
+    ]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _name=name, _real=real: generic.append(_name) or _real(*args))
+    predictions = tmp_path / "run" / "predictions.ndjson"
+    evaluate_args = ["evaluate", "--predictions", str(predictions), "--corpus", str(tmp_path / "corpus")]
+    for strategy in ("multimodal", "full"):
+        result = runner.invoke(main, ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", strategy, "--out", str(tmp_path / "run")])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, [*evaluate_args, "--out", str(tmp_path / "report")])
+        assert result.exit_code == 0, result.output
+    assert generic == []
+    # the spies are live: a record the fast path declines reaches the generic reader
+    with predictions.open("a") as fh:
+        fh.write('{"dialogue_id": "d0", "turn_index": true}\n')
+    assert runner.invoke(main, evaluate_args).exit_code == 1
+    assert generic == ["_record"]
 
 
 def test_evaluate_policy_exact_on_exact_oracle(runner, tmp_path):

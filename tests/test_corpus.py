@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dst_lab import corpus
 from dst_lab.corpus import (
@@ -29,6 +32,8 @@ from dst_lab.corpus import (
     write_corpus,
     write_feature_sidecar,
 )
+
+from oracles import oracle_state_domains
 
 
 def _write_minimal_corpus(tmp_path, dialogues):
@@ -223,6 +228,56 @@ def test_state_invariants():
         DialogueState(["hotel"], {("taxi", "leaveat"): "17:30"})
     state = DialogueState(["hotel", "hotel"], {("hotel", "area"): "north"})
     assert state.domains == ["hotel"]
+
+
+_DOMAIN_NAMES = st.sampled_from(["hotel", "taxi", "train", "Hotel", ""])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    domains=st.lists(_DOMAIN_NAMES, max_size=6),
+    slots=st.dictionaries(st.tuples(_DOMAIN_NAMES, st.sampled_from(["area", "day"])), st.sampled_from(["north", "x"]), max_size=5),
+)
+def test_state_keeps_the_first_of_each_domain_and_checks_slots_like_a_list_scan(domains, slots):
+    try:
+        expected = oracle_state_domains(domains, slots)
+    except StateInvariantError as exc:
+        with pytest.raises(StateInvariantError) as info:
+            DialogueState(list(domains), dict(slots))
+        assert str(info.value) == str(exc)
+    else:
+        assert DialogueState(list(domains), dict(slots)).domains == expected
+
+
+def test_an_integer_too_long_to_convert_is_a_located_corpus_error(tmp_path, small_corpus):
+    path = write_corpus(tmp_path / "c", small_corpus)
+    text = path.read_text()
+    at = text.index('"index": 2,') + len('"index": ')
+    path.write_text(text[:at] + "1" + "0" * 5000 + text[at + 1 :])
+    with pytest.raises(CorpusFormatError) as info:
+        parse_corpus(tmp_path / "c", "synthetic_json")
+    line = text.count("\n", 0, at) + 1
+    column = at - text.rfind("\n", 0, at)
+    limit = sys.get_int_max_str_digits()
+    assert str(info.value) == f"malformed JSON: integer longer than {limit} digits (line {line}, column {column}) [file: {path}] [offset: {at}]"
+
+
+def test_write_corpus_makes_the_features_directory_once_and_only_for_features(tmp_path, small_corpus, monkeypatch):
+    made = []
+    mkdir = Path.mkdir
+
+    def counting_mkdir(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+    write_corpus(tmp_path / "c", small_corpus)
+    assert made == [tmp_path / "c", tmp_path / "c" / "features"]
+    made.clear()
+    bare = [Dialogue(d.id, [Turn(t.index, t.speaker, t.transcript) for t in d.turns], d.gold_states) for d in small_corpus]
+    write_corpus(tmp_path / "bare", bare)
+    assert made == [tmp_path / "bare"]
+    assert not (tmp_path / "bare" / "features").exists()
 
 
 def test_feature_sidecar_roundtrip(tmp_path):

@@ -6,11 +6,16 @@ prediction file), applies one mutation (drop a key, swap a value's JSON type,
 write a key twice, or truncate the bytes) and runs ``run`` or ``evaluate``
 on a 3-dialogue corpus. The command must exit 0, 1 or 2, raise nothing but
 ``SystemExit``, and on a non-zero exit name the file it was given.
+
+The same mutations check each record kind's fast path against its generic
+reader: the fast path declines or returns what the generic reader returns.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import gc
 import json
 import shutil
 from pathlib import Path
@@ -20,7 +25,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dst_lab import jsonio
+from dst_lab import corpus, jsonio, state_codec
 from dst_lab.cli import main
 
 # one value of each JSON type
@@ -192,3 +197,101 @@ def test_a_json_string_with_a_lone_surrogate_is_a_located_error(text, message, c
 
 def test_an_escaped_surrogate_pair_or_backslash_is_no_lone_surrogate():
     assert jsonio.parse(rb'["\ud83d\ude00", "\\ud800"]', lambda value: value) == ["\U0001f600", "\\ud800"]
+
+
+# other values of a JSON type that the type swaps above cannot reach: turn
+# indices, speaker tags, gold-state keys and format versions out of place
+_RESPELLINGS = {int: [0, -1, 2, 3, 10**20], str: ["", "USER", "AGENT", "1", "2", "01", "x"]}
+
+
+def _respell(data, value):
+    """``value`` with one integer or string, or one object key, replaced by
+    another of its kind; returns the changed value."""
+    value = copy.deepcopy(value)
+    leaves = [(path, node) for path, node in _nodes(value) if type(node) in _RESPELLINGS]
+    objects = [(path, node) for path, node in _nodes(value) if isinstance(node, dict) and node]
+    if objects and (not leaves or data.draw(st.booleans())):
+        path, node = data.draw(st.sampled_from(objects))
+        old, new = data.draw(st.sampled_from(list(node))), data.draw(st.sampled_from(_RESPELLINGS[str]))
+        return _replace(value, path, {new if key == old else key: item for key, item in node.items()})
+    path, node = data.draw(st.sampled_from(leaves))
+    return _replace(value, path, data.draw(st.sampled_from(_RESPELLINGS[type(node)])))
+
+
+def _valid_records(inputs) -> dict[str, list]:
+    """Valid values of each record kind, taken from the module's inputs."""
+    dialogues = inputs["corpus.json"]["dialogues"]
+    records = inputs["predictions.ndjson"]
+    blob = (inputs["base"] / "corpus" / "features" / inputs["sidecar"]).read_bytes()
+    return {
+        "dialogue": dialogues,
+        "state": [s for d in dialogues for s in d["gold_states"].values()] + [r["parsed_state"] for r in records],
+        "record": records,
+        "sidecar header": [json.loads(blob[12 : 12 + int.from_bytes(blob[8:12], "little")])],
+    }
+
+
+# each record kind: (fast path, generic reader)
+_FAST_PATHS = {
+    "dialogue": (corpus._fast_dialogue, lambda value: corpus._synthetic_dialogue(value, ())),
+    "state": (corpus.fast_state, lambda value: corpus.read_state(value, ())),
+    "record": (state_codec._fast_record, state_codec._record),
+    "sidecar header": (corpus._fast_sidecar_header, corpus._sidecar_header),
+}
+
+
+def _fields(result):
+    """Every field of a reader's result, domain order included (which
+    ``DialogueState.__eq__`` ignores)."""
+    return dataclasses.astuple(result) if dataclasses.is_dataclass(result) else result
+
+
+def _generic(raw: bytes, read):
+    try:
+        return _fields(jsonio.parse(raw, read))
+    except jsonio.JsonInputError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("kind", list(_FAST_PATHS))
+@settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_fast_path_declines_or_returns_what_its_generic_reader_returns(inputs, kind, data):
+    fast, read = _FAST_PATHS[kind]
+    value = data.draw(st.sampled_from(_valid_records(inputs)[kind]))
+    assert _fields(jsonio.accept(_encode(value).encode(), fast)) == _generic(_encode(value).encode(), read)
+    raw = _encode(data.draw(st.sampled_from([_mutate, _respell]))(data, value)).encode()
+    got, expected = jsonio.accept(raw, fast), _generic(raw, read)
+    assert got is None or _fields(got) == expected, expected
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("valid", [True, False])
+def test_the_readers_pause_the_collector_and_leave_it_as_they_found_it(tmp_path, monkeypatch, enabled, valid):
+    document, predictions = tmp_path / "doc.json", tmp_path / "p.ndjson"
+    document.write_text('{"a": [1]}' if valid else '{"a": [1}')
+    line = '{"dialogue_id": "d0", "turn_index": 1, "parsed_state": null}\n'
+    predictions.write_text(line if valid else line + "{\n")
+    inside = []
+
+    def recording(read):
+        return lambda value: inside.append(gc.isenabled()) or read(value)
+
+    monkeypatch.setattr(state_codec, "_fast_record", recording(state_codec._fast_record))
+    readers = [
+        (lambda: jsonio.read_document(document, recording(lambda value: value)), jsonio.JsonInputError),
+        (lambda: state_codec.read_predictions(predictions), state_codec.PredictionFileError),
+    ]
+    was = gc.isenabled()
+    try:
+        for reader, error in readers:
+            (gc.enable if enabled else gc.disable)()
+            if valid:
+                reader()
+            else:
+                with pytest.raises(error):
+                    reader()
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert inside == ([False, False] if valid else [False])

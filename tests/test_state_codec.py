@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import string
+import sys
 from unittest import mock
 
 import numpy as np
@@ -291,6 +292,15 @@ def test_parse_state_raises_nothing_but_parse_failure(text):
 def test_unterminated_deep_nesting_is_a_parse_failure():
     text = '{"domains": ' + "[" * 100000
     with pytest.raises(ParseFailure, match="nesting too deep"):
+        parse_state(text)
+    assert extract_user_last_turn(text) is None
+
+
+@pytest.mark.parametrize("tail", ["}", ", }"])  # valid JSON, and one that needs a repair
+def test_an_integer_too_long_to_convert_is_a_parse_failure(tail):
+    text = '{"domains": [], "predicted_state": {}, "n": 1' + "0" * 5000 + tail
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseFailure, match=f"^unparseable output: integer longer than {limit} digits$"):
         parse_state(text)
     assert extract_user_last_turn(text) is None
 
