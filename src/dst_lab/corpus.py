@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from . import jsonio
-from .jsonio import JsonInputError, check, get, reject
+from .jsonio import JsonInputError, all_strings, check, get, reject
 
 log = logging.getLogger(__name__)
 
@@ -117,31 +117,27 @@ _DOMAINS, _SLOTS = list[str], dict[str, dict[str, str]]  # a state's JSON fields
 def read_state(obj: object, where: tuple) -> DialogueState:
     """The state of a ``{"domains": [...], "slots": {domain: {slot: value}}}`` object at
     ``where`` (as ``DialogueState.to_json_obj`` writes it); a domain with slots joins ``domains``."""
+    if type(obj) is dict:
+        domains, nested = obj.get("domains", []), obj.get("slots", {})
+        if type(domains) is list and type(nested) is dict and all_strings(domains):
+            slots = {}
+            for domain, slot_map in nested.items():
+                if type(slot_map) is not dict:
+                    break
+                for slot, value in slot_map.items():
+                    if type(value) is not str:
+                        break
+                    slots[domain, slot] = value
+                else:
+                    continue
+                break  # a slot value that is not a string
+            else:
+                return DialogueState(domains + list(nested), slots)  # which keeps the first of each
+    # faulty input: located in the order the fields are read
     domains = get(check(obj, dict, where), "domains", _DOMAINS, where, default=[])
     nested = get(obj, "slots", _SLOTS, where, default={})
     slots = {(domain, slot): value for domain, slot_map in nested.items() for slot, value in slot_map.items()}
     return DialogueState(domains + [domain for domain in nested if domain not in domains], slots)
-
-
-def fast_state(obj: object) -> DialogueState | None:
-    """``read_state(obj, where)``, or None where ``obj`` is no state it accepts."""
-    if type(obj) is not dict:
-        return None
-    domains, nested = obj.get("domains", []), obj.get("slots", {})
-    if type(domains) is not list or type(nested) is not dict:
-        return None
-    for domain in domains:
-        if type(domain) is not str:
-            return None
-    slots = {}
-    for domain, slot_map in nested.items():
-        if type(slot_map) is not dict:
-            return None
-        for slot, value in slot_map.items():
-            if type(value) is not str:
-                return None
-            slots[domain, slot] = value
-    return DialogueState(domains + list(nested), slots)  # which keeps the first of each
 
 
 @dataclass
@@ -620,19 +616,6 @@ def _sidecar_header(header: object) -> tuple[str, int, int, int]:
     return fields
 
 
-def _fast_sidecar_header(header: object) -> tuple[str, int, int, int] | None:
-    """``_sidecar_header(header)``, or None where ``header`` is no header it accepts."""
-    if type(header) is not dict:
-        return None
-    fields = dialogue_id, turn_index, rows, cols = (
-        header.get("dialogue_id"), header.get("turn_index"), header.get("rows"), header.get("cols")
-    )
-    version = header.get("format_version")
-    if type(dialogue_id) is not str or not all(type(value) is int for value in (turn_index, rows, cols, version)):
-        return None
-    return fields if version == CORPUS_FORMAT_VERSION else None
-
-
 def read_feature_sidecar(path: Path) -> tuple[str, int, np.ndarray]:
     """Parse one sidecar; a short, overlong or malformed file, or a NaN or
     infinite value, is a CorpusFormatError naming the byte offset, and a file
@@ -656,7 +639,7 @@ def read_feature_sidecar(path: Path) -> tuple[str, int, np.ndarray]:
         )
     header = blob[header_start:payload_start]
     try:
-        dialogue_id, turn_index, rows, cols = jsonio.accept(header, _fast_sidecar_header) or jsonio.parse(header, _sidecar_header)
+        dialogue_id, turn_index, rows, cols = jsonio.parse(header, _sidecar_header)
     except JsonInputError as exc:
         raise CorpusFormatError(f"malformed sidecar header: {exc}", path=where, offset=header_start) from exc
     if rows < 0 or cols < 0:
@@ -772,59 +755,48 @@ def _check_turns(dialogue_id: str, turns: list[Turn], where: tuple) -> None:
     """A dialogue has turns, numbered 1, 2, ... and alternating from a user turn."""
     if not turns:
         raise JsonInputError(f"dialogue {dialogue_id!r} has no turns", where)
+    user, agent = Speaker.USER, Speaker.AGENT  # read once: an enum member's lookup is slow
     for pos, turn in enumerate(turns, start=1):
         if turn.index != pos:
             raise JsonInputError(f"non-contiguous turn index {turn.index} at position {pos} in dialogue {dialogue_id}", where)
-        if turn.speaker is not (Speaker.USER if pos % 2 == 1 else Speaker.AGENT):
+        if turn.speaker is not (user if pos % 2 == 1 else agent):
             raise JsonInputError(f"speaker alternation violated at turn {pos} of dialogue {dialogue_id}", where)
 
 
+def _turn(obj: object, at: tuple) -> Turn:
+    """The turn of the object at ``at``, read field by field so that a fault is located."""
+    index, tag = get(check(obj, dict, at), "index", int, at), get(obj, "speaker", str, at)
+    if tag not in ("USER", "AGENT"):
+        reject(at + ("speaker",), "must be 'USER' or 'AGENT'", tag)
+    return Turn(index=index, speaker=Speaker[tag], transcript=get(obj, "transcript", str, at))
+
+
 def _synthetic_dialogue(obj: object, where: tuple) -> Dialogue:
-    dialogue_id = get(check(obj, dict, where), "id", str, where)
-    turns = []
-    for i, turn_obj in enumerate(get(obj, "turns", list, where)):
-        at = where + ("turns", i)
-        index, tag = get(check(turn_obj, dict, at), "index", int, at), get(turn_obj, "speaker", str, at)
-        if tag not in ("USER", "AGENT"):
-            reject(at + ("speaker",), "must be 'USER' or 'AGENT'", tag)
-        turns.append(Turn(index=index, speaker=Speaker[tag], transcript=get(turn_obj, "transcript", str, at)))
+    """The dialogue of the object at ``where``. A valid object is read by type
+    tests alone; each faulty part is read again by the checks that locate it."""
+    dialogue_id, turn_objs = (obj.get("id"), obj.get("turns")) if type(obj) is dict else (None, None)
+    if type(dialogue_id) is not str or type(turn_objs) is not list:
+        dialogue_id, turn_objs = get(check(obj, dict, where), "id", str, where), get(obj, "turns", list, where)
+    turns, user, agent = [], Speaker.USER, Speaker.AGENT
+    for i, turn_obj in enumerate(turn_objs):
+        if type(turn_obj) is dict:
+            index, tag, transcript = turn_obj.get("index"), turn_obj.get("speaker"), turn_obj.get("transcript")
+            if type(index) is int and (tag == "USER" or tag == "AGENT") and type(transcript) is str:
+                turns.append(Turn(index, user if tag == "USER" else agent, transcript))
+                continue
+        turns.append(_turn(turn_obj, where + ("turns", i)))
     _check_turns(dialogue_id, turns, where)
     # a gold state's key is its user turn's index (checked above to be its position) as write_corpus writes it
-    user_keys = {str(pos): pos for pos, turn in enumerate(turns, start=1) if turn.speaker is Speaker.USER}
+    user_keys = {str(pos): pos for pos in range(1, len(turns) + 1, 2)}
+    state_objs = obj.get("gold_states", {})
+    if type(state_objs) is not dict:
+        state_objs = get(obj, "gold_states", dict, where)
     gold = {}
-    for key, state_obj in get(obj, "gold_states", dict, where, default={}).items():
+    for key, state_obj in state_objs.items():
         if key not in user_keys:
             rule = f"keys must name user turns of dialogue {dialogue_id!r} ({', '.join(user_keys)})"
             reject(where + ("gold_states",), rule, key)
         gold[user_keys[key]] = read_state(state_obj, where + ("gold_states", key))
-    return Dialogue(id=dialogue_id, turns=turns, gold_states=gold)
-
-
-_SPEAKERS = (("AGENT", Speaker.AGENT), ("USER", Speaker.USER))  # by turn position parity
-
-
-def _fast_dialogue(obj: object) -> Dialogue | None:
-    """``_synthetic_dialogue(obj, where)``, or None where ``obj`` is no dialogue it accepts."""
-    if type(obj) is not dict:
-        return None
-    dialogue_id, turn_objs, state_objs = obj.get("id"), obj.get("turns"), obj.get("gold_states", {})
-    if type(dialogue_id) is not str or type(turn_objs) is not list or not turn_objs or type(state_objs) is not dict:
-        return None
-    turns = []
-    for pos, turn_obj in enumerate(turn_objs, start=1):
-        if type(turn_obj) is not dict:
-            return None
-        index, tag, transcript = turn_obj.get("index"), turn_obj.get("speaker"), turn_obj.get("transcript")
-        expected_tag, speaker = _SPEAKERS[pos % 2]
-        if type(index) is not int or index != pos or tag != expected_tag or type(transcript) is not str:
-            return None
-        turns.append(Turn(pos, speaker, transcript))
-    user_keys = {str(pos): pos for pos in range(1, len(turns) + 1, 2)}
-    gold = {}
-    for key, state_obj in state_objs.items():
-        if key not in user_keys or (state := fast_state(state_obj)) is None:
-            return None
-        gold[user_keys[key]] = state
     return Dialogue(dialogue_id, turns, gold)
 
 
@@ -832,9 +804,7 @@ def _synthetic_document(doc: object) -> tuple[list[Dialogue], SlotTaxonomy | Non
     version = get(check(doc, dict), "format_version", int)
     if version != CORPUS_FORMAT_VERSION:
         reject(("format_version",), f"must be {CORPUS_FORMAT_VERSION}", version)
-    dialogues = [
-        _fast_dialogue(obj) or _synthetic_dialogue(obj, ("dialogues", i)) for i, obj in enumerate(get(doc, "dialogues", list))
-    ]
+    dialogues = [_synthetic_dialogue(obj, ("dialogues", i)) for i, obj in enumerate(get(doc, "dialogues", list))]
     positions: dict[str, int] = {}
     for pos, dialogue in enumerate(dialogues, start=1):
         if positions.setdefault(dialogue.id, pos) != pos:

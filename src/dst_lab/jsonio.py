@@ -4,11 +4,6 @@ A value is accepted only when its JSON type is the one asked for, nothing is
 converted, no object repeats a key, and no string holds a lone surrogate.
 Every failure is one located :class:`JsonInputError`, which each reader turns
 into its own public error.
-
-A reader may also have a fast path (see :func:`accept`): a function of the
-decoded value that returns what the generic reader would, or None to decline.
-A declined or faulty input goes through :func:`parse` and the generic reader,
-which locate the fault.
 """
 
 from __future__ import annotations
@@ -44,7 +39,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+def _no_constant(name: str) -> typing.NoReturn:
+    raise ValueError(name)  # NaN, Infinity or -Infinity, located by _bad_number
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_constant=_no_constant)
 
 # A code point no UTF-8 output can hold. Only a JSON \uD800-\uDFFF escape
 # decodes to one, and the decoder joins an escaped pair into one character, so
@@ -86,8 +85,8 @@ def parse(data: bytes, read, *, line: int | None = None):
         error = JsonInputError("malformed JSON: nesting too deep", pos=0)
     except JsonInputError as exc:  # a repeated key or a lone surrogate
         error = exc
-    except ValueError:  # an integer with more digits than int() converts
-        error = _long_integer(text)
+    except ValueError:  # NaN, Infinity, -Infinity or an integer with more digits than int() converts
+        error = _bad_number(text)
     else:
         try:
             return read(value)
@@ -100,32 +99,23 @@ def parse(data: bytes, read, *, line: int | None = None):
     raise error
 
 
-def accept(data: bytes, fast):
-    """``fast`` of the JSON value in the UTF-8 ``data``, or None where
-    :func:`parse` would raise or ``fast`` declines by returning None."""
-    try:
-        text = data.decode("utf-8")
-        value = _DECODER.decode(text)
-        if SURROGATE_ESCAPE.search(text):
-            _reject_lone_surrogates(value)
-    except (ValueError, RecursionError):
-        return None
-    return fast(value)
+_CONSTANTS = ("NaN", "Infinity", "-Infinity")
+_NUMBER_OR_STRING = re.compile(r'"(?:[^"\\]|\\.)*"|NaN|-?Infinity|-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?')
 
 
-_NUMBER_OR_STRING = re.compile(r'"(?:[^"\\]|\\.)*"|-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?')
-
-
-def _long_integer(text: str) -> JsonInputError:
-    """The error for the first integer in ``text`` with more digits than
-    ``int()`` converts; the text before it is valid JSON, so the scan over
-    strings and numbers stays in step with the decoder's."""
+def _bad_number(text: str) -> JsonInputError:
+    """The error for the first ``NaN``, ``Infinity`` or ``-Infinity``, or
+    integer with more digits than ``int()`` converts, in ``text``; the text
+    before it is valid JSON, so the scan over strings and numbers stays in step
+    with the decoder's."""
     limit = sys.get_int_max_str_digits()
     for token in _NUMBER_OR_STRING.finditer(text):
-        digits = token.group().removeprefix("-")
+        number, digits = token.group(), token.group().removeprefix("-")
+        if number in _CONSTANTS:
+            return JsonInputError(f"malformed JSON: {number} is not JSON", pos=token.start())
         if digits.isdigit() and len(digits) > limit:
             return JsonInputError(f"malformed JSON: integer longer than {limit} digits", pos=token.start())
-    raise AssertionError("the decoder rejected an integer that the scan does not find")
+    raise AssertionError("the decoder rejected a number that the scan does not find")
 
 
 def nogc(func):
@@ -155,7 +145,9 @@ def read_document(path, read):
 def read_lines(path, read):
     """(line number, ``read`` of its value) for each non-blank NDJSON line."""
     with open(path, "rb") as fh:
-        yield from ((n, parse(line, read, line=n)) for n, line in enumerate(fh, start=1) if line.strip())
+        for n, line in enumerate(fh, start=1):
+            if line.strip():
+                yield n, parse(line, read, line=n)
 
 
 def check(value, kind, where: tuple = ()):
@@ -174,6 +166,15 @@ def get(obj: dict, key: str, kind, where: tuple = (), default=_REQUIRED):
     if default is _REQUIRED:
         raise JsonInputError(f"missing field {_path(where + (key,))!r}", where)
     return default
+
+
+def all_strings(values) -> bool:
+    """Whether every one of ``values`` is a string: how a reader's valid branch
+    tests a list of strings without a :func:`check` call."""
+    for value in values:
+        if type(value) is not str:
+            return False
+    return True
 
 
 def reject(where: tuple, rule: str, value) -> typing.NoReturn:

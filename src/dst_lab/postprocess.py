@@ -160,12 +160,7 @@ def compare_forms(p: str, r: str, slot_group: str, policy: MatchPolicy) -> tuple
     return forms_match(p, r, slot_group, policy, ratio), ratio
 
 
-def compare_values(pred: str, ref: str, slot_group: str, policy: MatchPolicy) -> tuple[bool, float]:
-    """Whether a predicted value counts as correct for a reference value, and
-    the Levenshtein ratio of their compared forms; both are symmetric."""
-    return compare_forms(value_form(pred, slot_group, policy), value_form(ref, slot_group, policy), slot_group, policy)
-
-
 def values_match(pred: str, ref: str, slot_group: str, policy: MatchPolicy) -> bool:
-    """The verdict of ``compare_values``, without a ratio outside fuzzy groups."""
+    """Whether a predicted value counts as correct for a reference value (a
+    symmetric verdict), without a ratio outside fuzzy groups."""
     return forms_match(value_form(pred, slot_group, policy), value_form(ref, slot_group, policy), slot_group, policy)

@@ -15,8 +15,8 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 from . import jsonio
-from .corpus import DialogueState, Speaker, fast_state, read_state
-from .jsonio import SURROGATE, SURROGATE_ESCAPE, JsonInputError, check, get
+from .corpus import DialogueState, Speaker, read_state
+from .jsonio import SURROGATE, SURROGATE_ESCAPE, JsonInputError, all_strings, check, get
 
 
 class Strategy(str, Enum):
@@ -269,6 +269,19 @@ class PredictionRecord:
 
 def _record(obj: object) -> PredictionRecord:
     """Inverse of ``PredictionRecord.to_json_line`` on the decoded line."""
+    if type(obj) is dict:
+        dialogue_id, turn_index, raw_output = obj.get("dialogue_id"), obj.get("turn_index"), obj.get("raw_output", "")
+        parsed, diagnostics = obj.get("parsed_state"), obj.get("diagnostics", [])
+        if (
+            type(dialogue_id) is str
+            and type(turn_index) is int
+            and type(raw_output) is str
+            and type(diagnostics) is list
+            and all_strings(diagnostics)
+        ):
+            parsed = None if parsed is None else read_state(parsed, ("parsed_state",))
+            return PredictionRecord(dialogue_id, turn_index, raw_output, parsed, diagnostics)
+    # faulty input: located in the order the fields are read
     parsed = check(obj, dict).get("parsed_state")
     return PredictionRecord(
         dialogue_id=get(obj, "dialogue_id", str),
@@ -277,24 +290,6 @@ def _record(obj: object) -> PredictionRecord:
         parsed_state=None if parsed is None else read_state(parsed, ("parsed_state",)),
         diagnostics=get(obj, "diagnostics", list[str], default=[]),
     )
-
-
-def _fast_record(obj: object) -> PredictionRecord | None:
-    """``_record(obj)``, or None where ``obj`` is no record it accepts."""
-    if type(obj) is not dict:
-        return None
-    dialogue_id, turn_index, raw_output = obj.get("dialogue_id"), obj.get("turn_index"), obj.get("raw_output", "")
-    parsed, diagnostics = obj.get("parsed_state"), obj.get("diagnostics", [])
-    if type(dialogue_id) is not str or type(turn_index) is not int or type(raw_output) is not str:
-        return None
-    if type(diagnostics) is not list:
-        return None
-    for line in diagnostics:
-        if type(line) is not str:
-            return None
-    if parsed is not None and (parsed := fast_state(parsed)) is None:
-        return None
-    return PredictionRecord(dialogue_id, turn_index, raw_output, parsed, diagnostics)
 
 
 def write_predictions(path, records: Iterable[PredictionRecord]) -> None:
@@ -313,24 +308,17 @@ class PredictionFileError(ValueError):
 
 @jsonio.nogc
 def read_predictions(path) -> list[PredictionRecord]:
-    """Every record of a prediction NDJSON file; at most one per (dialogue, turn).
-    A line that ``_fast_record`` declines is read again by ``jsonio.parse``."""
+    """Every record of a prediction NDJSON file; at most one per (dialogue, turn)."""
     records = []
     first_line: dict[tuple[str, int], int] = {}
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            record = jsonio.accept(line, _fast_record)
-            if record is None:
-                if not line.strip():
-                    continue
-                try:
-                    record = jsonio.parse(line, _record, line=line_no)
-                except JsonInputError as exc:
-                    raise PredictionFileError(path, f"{exc.line}:{exc.column}", str(exc)) from exc
+    try:
+        for line_no, record in jsonio.read_lines(path, _record):
             key = (record.dialogue_id, record.turn_index)
             if key in first_line:
                 reason = f"duplicate record for dialogue {key[0]!r} turn {key[1]}, first on line {first_line[key]}"
                 raise PredictionFileError(path, line_no, reason)
             first_line[key] = line_no
             records.append(record)
+    except JsonInputError as exc:
+        raise PredictionFileError(path, f"{exc.line}:{exc.column}", str(exc)) from exc
     return records

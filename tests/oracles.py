@@ -13,8 +13,9 @@ import json
 
 import numpy as np
 
-from dst_lab.corpus import Speaker, StateInvariantError
-from dst_lab.state_codec import ParseFailure, Strategy
+from dst_lab.corpus import Dialogue, DialogueState, Speaker, StateInvariantError, Turn, _check_turns
+from dst_lab.jsonio import check, get, reject
+from dst_lab.state_codec import ParseFailure, PredictionRecord, Strategy
 
 
 def oracle_state_domains(domains: list[str], slots: dict[tuple[str, str], str]) -> list[str]:
@@ -28,6 +29,55 @@ def oracle_state_domains(domains: list[str], slots: dict[tuple[str, str], str]) 
         if domain not in seen:
             raise StateInvariantError(f"slot ({domain}, {slot}) = {value!r} references a domain not in {seen}")
     return seen
+
+
+# The field-by-field readers of a state, a synthetic dialogue and a prediction
+# line, as dst_lab.corpus and dst_lab.state_codec had them before each gained
+# a branch for valid input: every check in its place, each a get or check call.
+# Each library reader must return what its oracle returns, or raise its error.
+_DOMAINS, _SLOTS = list[str], dict[str, dict[str, str]]
+
+
+def read_state(obj: object, where: tuple) -> DialogueState:
+    """The state of a ``{"domains": [...], "slots": {domain: {slot: value}}}`` object at
+    ``where`` (as ``DialogueState.to_json_obj`` writes it); a domain with slots joins ``domains``."""
+    domains = get(check(obj, dict, where), "domains", _DOMAINS, where, default=[])
+    nested = get(obj, "slots", _SLOTS, where, default={})
+    slots = {(domain, slot): value for domain, slot_map in nested.items() for slot, value in slot_map.items()}
+    return DialogueState(domains + [domain for domain in nested if domain not in domains], slots)
+
+
+def _synthetic_dialogue(obj: object, where: tuple) -> Dialogue:
+    dialogue_id = get(check(obj, dict, where), "id", str, where)
+    turns = []
+    for i, turn_obj in enumerate(get(obj, "turns", list, where)):
+        at = where + ("turns", i)
+        index, tag = get(check(turn_obj, dict, at), "index", int, at), get(turn_obj, "speaker", str, at)
+        if tag not in ("USER", "AGENT"):
+            reject(at + ("speaker",), "must be 'USER' or 'AGENT'", tag)
+        turns.append(Turn(index=index, speaker=Speaker[tag], transcript=get(turn_obj, "transcript", str, at)))
+    _check_turns(dialogue_id, turns, where)
+    # a gold state's key is its user turn's index (checked above to be its position) as write_corpus writes it
+    user_keys = {str(pos): pos for pos, turn in enumerate(turns, start=1) if turn.speaker is Speaker.USER}
+    gold = {}
+    for key, state_obj in get(obj, "gold_states", dict, where, default={}).items():
+        if key not in user_keys:
+            rule = f"keys must name user turns of dialogue {dialogue_id!r} ({', '.join(user_keys)})"
+            reject(where + ("gold_states",), rule, key)
+        gold[user_keys[key]] = read_state(state_obj, where + ("gold_states", key))
+    return Dialogue(id=dialogue_id, turns=turns, gold_states=gold)
+
+
+def _record(obj: object) -> PredictionRecord:
+    """Inverse of ``PredictionRecord.to_json_line`` on the decoded line."""
+    parsed = check(obj, dict).get("parsed_state")
+    return PredictionRecord(
+        dialogue_id=get(obj, "dialogue_id", str),
+        turn_index=get(obj, "turn_index", int),
+        raw_output=get(obj, "raw_output", str, default=""),
+        parsed_state=None if parsed is None else read_state(parsed, ("parsed_state",)),
+        diagnostics=get(obj, "diagnostics", list[str], default=[]),
+    )
 
 
 def oracle_levenshtein_distance(a: str, b: str) -> int:

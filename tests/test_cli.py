@@ -11,6 +11,7 @@ import sys
 import time
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -19,6 +20,7 @@ from dst_lab import assembly, cli, state_codec
 from dst_lab import corpus as corpus_module
 from dst_lab.cli import RunManifest, main
 from dst_lab.corpus import SynthConfig, default_corrupted_ids, filter_corrupted, load_corpus, synthetic_taxonomy
+from dst_lab.jsonio import JsonInputError
 from dst_lab.metrics import evaluate, references_from_corpus, states_from_records
 from dst_lab.neural import layers
 from dst_lab.neural.probe import ProbeHyper
@@ -219,8 +221,8 @@ def test_run_rejects_non_positive_counts(runner, tmp_path, flag, value):
         ("budget_rows", 0, "must be >= 1, got 0"),
         ("drop_prob", 1.5, "must be in [0, 1], got 1.5"),
         ("typo_prob", -0.1, "must be in [0, 1], got -0.1"),
-        ("insert_prob", float("nan"), "must be in [0, 1], got nan"),
-        ("time_reformat_prob", float("inf"), "must be in [0, 1], got inf"),
+        ("insert_prob", float("nan"), "malformed JSON: NaN is not JSON"),
+        ("time_reformat_prob", float("inf"), "malformed JSON: Infinity is not JSON"),
     ],
 )
 def test_run_rejects_out_of_range_manifest_field(runner, tmp_path, field, value, message):
@@ -231,8 +233,19 @@ def test_run_rejects_out_of_range_manifest_field(runner, tmp_path, field, value,
     manifest_path.write_text(json.dumps(manifest))
     result = runner.invoke(main, ["run", "--manifest", str(manifest_path)])
     assert result.exit_code == 2, result.output
-    assert f"Invalid value for field '{field}': {message}" in result.output
+    # json.dumps writes NaN and Infinity, which the manifest's reader rejects
+    where = "--manifest" if message.startswith("malformed JSON") else f"field '{field}'"
+    assert f"Invalid value for {where}: " in result.output and message in result.output
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("field, value", [("insert_prob", float("nan")), ("time_reformat_prob", float("-inf"))])
+def test_a_non_finite_value_built_in_python_fails_its_range_check(tmp_path, field, value):
+    manifest = RunManifest(corpus=str(tmp_path), strategy="full", out=str(tmp_path / "run"), **{field: value})
+    with pytest.raises(click.BadParameter, match=re.escape(f"must be in [0, 1], got {value}")):
+        manifest.check_ranges()
+    with pytest.raises(JsonInputError, match=re.escape(f"fuzzy_threshold must be in [0, 1], got {value}")):
+        cli._policy({"fuzzy_threshold": value})
 
 
 @pytest.mark.parametrize("compress_current", ["--compress-current", "--no-compress-current"])
@@ -859,7 +872,7 @@ def test_malformed_taxonomy_is_a_click_error(runner, tmp_path, command, taxonomy
         ('{"bogus": 1}', "unknown policy keys: ['bogus']"),
         ('{"fuzzy_threshold": "high"}', "fuzzy_threshold must be a number"),
         ('{"fuzzy_threshold": true}', "fuzzy_threshold must be a number"),
-        ('{"fuzzy_threshold": NaN}', "fuzzy_threshold must be in [0, 1], got nan"),
+        ('{"fuzzy_threshold": NaN}', ":1:21: malformed JSON: NaN is not JSON"),
         ('{"fuzzy_groups": "open"}', "fuzzy_groups must be a list of strings, got 'open'"),
         (
             '{"fuzzy_groups": ["open", "names"]}',
@@ -1151,31 +1164,24 @@ def test_evaluate_locates_an_integer_too_long_to_convert(runner, tmp_path):
     assert f"{path}:2:{column}: malformed JSON: integer longer than {limit} digits" in result.output
 
 
-def test_run_and_evaluate_of_a_valid_corpus_read_every_record_by_its_fast_path(runner, tmp_path, monkeypatch):
-    _synth(runner, tmp_path / "corpus")
-    generic: list[str] = []
-    for module, name in [
-        (corpus_module, "_synthetic_dialogue"),
-        (corpus_module, "read_state"),
-        (corpus_module, "_sidecar_header"),
-        (state_codec, "read_state"),
-        (state_codec, "_record"),
-    ]:
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, _name=name, _real=real: generic.append(_name) or _real(*args))
-    predictions = tmp_path / "run" / "predictions.ndjson"
-    evaluate_args = ["evaluate", "--predictions", str(predictions), "--corpus", str(tmp_path / "corpus")]
-    for strategy in ("multimodal", "full"):
-        result = runner.invoke(main, ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", strategy, "--out", str(tmp_path / "run")])
-        assert result.exit_code == 0, result.output
-        result = runner.invoke(main, [*evaluate_args, "--out", str(tmp_path / "report")])
-        assert result.exit_code == 0, result.output
-    assert generic == []
-    # the spies are live: a record the fast path declines reaches the generic reader
-    with predictions.open("a") as fh:
-        fh.write('{"dialogue_id": "d0", "turn_index": true}\n')
-    assert runner.invoke(main, evaluate_args).exit_code == 1
-    assert generic == ["_record"]
+def test_valid_records_stay_off_the_located_branch(runner, tmp_path, monkeypatch):
+    calls: list[str] = []
+    for module in (corpus_module, state_codec):
+        for name in ("get", "check"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, _name=name, _real=real, **kw: calls.append(_name) or _real(*args, **kw))
+    counts = []
+    for turns in ("6", "12"):
+        corpus, run = tmp_path / turns / "corpus", tmp_path / turns / "run"
+        _synth(runner, corpus, ["--turns-per-dialogue", turns])
+        args = ["run", "--corpus", str(corpus), "--strategy", "multimodal", "--predictor", "noisy", "--out", str(run)]
+        assert runner.invoke(main, args).exit_code == 0
+        calls.clear()
+        corpus_module.parse_corpus(corpus, "synthetic_json")
+        read_predictions(run / "predictions.ndjson")
+        counts.append(len(calls))
+    # the document's own fields are read by get and check, once per file
+    assert 0 < counts[1] <= counts[0], counts
 
 
 def test_evaluate_policy_exact_on_exact_oracle(runner, tmp_path):

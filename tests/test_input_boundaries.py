@@ -7,8 +7,8 @@ write a key twice, or truncate the bytes) and runs ``run`` or ``evaluate``
 on a 3-dialogue corpus. The command must exit 0, 1 or 2, raise nothing but
 ``SystemExit``, and on a non-zero exit name the file it was given.
 
-The same mutations check each record kind's fast path against its generic
-reader: the fast path declines or returns what the generic reader returns.
+The same mutations check each record kind's reader against its
+field-by-field oracle: both return the same value or raise the same error.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from hypothesis import strategies as st
 from dst_lab import corpus, jsonio, state_codec
 from dst_lab.cli import main
 
+import oracles
+
 # one value of each JSON type
 _SAMPLES = {int: 1, float: 0.5, str: "x", bool: True, type(None): None, list: [], dict: {}}
 
@@ -39,7 +41,7 @@ class _Repeated(dict):
 def _encode(value) -> str:
     if isinstance(value, dict):
         items = list(value.items())
-        if isinstance(value, _Repeated):
+        if isinstance(value, _Repeated) and items:  # a later mutation may drop its keys
             items.insert(0, items[0])
         return "{" + ", ".join(f"{json.dumps(key)}: {_encode(item)}" for key, item in items) + "}"
     if isinstance(value, list):
@@ -195,6 +197,23 @@ def test_a_json_string_with_a_lone_surrogate_is_a_located_error(text, message, c
     assert (str(info.value), info.value.line, info.value.column) == (message, 1, column)
 
 
+@pytest.mark.parametrize(
+    "text, constant, column",
+    [
+        ("[NaN]", "NaN", 2),
+        ('{"a": "NaN, Infinity", "b": [1, -Infinity]}', "-Infinity", 33),
+        ('{"Infinity\\"": 0.5,\n "c": Infinity}', "Infinity", 7),
+        ("[1" + "0" * 5000 + ", NaN]", None, 2),
+    ],
+)
+def test_nan_and_infinity_are_malformed_json_at_the_constant(text, constant, column):
+    with pytest.raises(jsonio.JsonInputError) as info:
+        jsonio.parse(text.encode(), lambda value: value)
+    message = f"{constant} is not JSON" if constant else "integer longer than"
+    assert str(info.value).startswith(f"malformed JSON: {message}")
+    assert (info.value.line, info.value.column) == (text.count("\n") + 1, column)
+
+
 def test_an_escaped_surrogate_pair_or_backslash_is_no_lone_surrogate():
     assert jsonio.parse(rb'["\ud83d\ude00", "\\ud800"]', lambda value: value) == ["\U0001f600", "\\ud800"]
 
@@ -222,47 +241,49 @@ def _valid_records(inputs) -> dict[str, list]:
     """Valid values of each record kind, taken from the module's inputs."""
     dialogues = inputs["corpus.json"]["dialogues"]
     records = inputs["predictions.ndjson"]
-    blob = (inputs["base"] / "corpus" / "features" / inputs["sidecar"]).read_bytes()
     return {
         "dialogue": dialogues,
         "state": [s for d in dialogues for s in d["gold_states"].values()] + [r["parsed_state"] for r in records],
         "record": records,
-        "sidecar header": [json.loads(blob[12 : 12 + int.from_bytes(blob[8:12], "little")])],
     }
 
 
-# each record kind: (fast path, generic reader)
-_FAST_PATHS = {
-    "dialogue": (corpus._fast_dialogue, lambda value: corpus._synthetic_dialogue(value, ())),
-    "state": (corpus.fast_state, lambda value: corpus.read_state(value, ())),
-    "record": (state_codec._fast_record, state_codec._record),
-    "sidecar header": (corpus._fast_sidecar_header, corpus._sidecar_header),
+# each record kind: (reader, its field-by-field oracle), at a path as the files place them
+_READERS = {
+    "dialogue": (
+        lambda value: corpus._synthetic_dialogue(value, ("dialogues", 2)),
+        lambda value: oracles._synthetic_dialogue(value, ("dialogues", 2)),
+    ),
+    "state": (
+        lambda value: corpus.read_state(value, ("parsed_state",)),
+        lambda value: oracles.read_state(value, ("parsed_state",)),
+    ),
+    "record": (state_codec._record, oracles._record),
 }
 
 
-def _fields(result):
-    """Every field of a reader's result, domain order included (which
-    ``DialogueState.__eq__`` ignores)."""
-    return dataclasses.astuple(result) if dataclasses.is_dataclass(result) else result
-
-
-def _generic(raw: bytes, read):
+def _outcome(raw: bytes, read):
+    """Every field of what ``read`` of ``raw`` returns, domain order included
+    (which ``DialogueState.__eq__`` ignores), or every part of its error."""
     try:
-        return _fields(jsonio.parse(raw, read))
+        return dataclasses.astuple(jsonio.parse(raw, read))
     except jsonio.JsonInputError as exc:
-        return exc
+        return type(exc), str(exc), exc.where, exc.pos, exc.line, exc.column
 
 
-@pytest.mark.parametrize("kind", list(_FAST_PATHS))
+@pytest.mark.parametrize("kind", list(_READERS))
 @settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_a_fast_path_declines_or_returns_what_its_generic_reader_returns(inputs, kind, data):
-    fast, read = _FAST_PATHS[kind]
+def test_a_reader_returns_or_raises_what_its_oracle_does(inputs, kind, data):
+    read, oracle = _READERS[kind]
     value = data.draw(st.sampled_from(_valid_records(inputs)[kind]))
-    assert _fields(jsonio.accept(_encode(value).encode(), fast)) == _generic(_encode(value).encode(), read)
-    raw = _encode(data.draw(st.sampled_from([_mutate, _respell]))(data, value)).encode()
-    got, expected = jsonio.accept(raw, fast), _generic(raw, read)
-    assert got is None or _fields(got) == expected, expected
+    raw = _encode(value).encode()
+    assert _outcome(raw, read) == _outcome(raw, oracle)
+    # two faults tell whether the reader checks them in its oracle's order
+    for _ in range(data.draw(st.integers(1, 2))):
+        value = data.draw(st.sampled_from([_mutate, _respell]))(data, value)
+    raw = _encode(value).encode()
+    assert _outcome(raw, read) == _outcome(raw, oracle)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -277,7 +298,7 @@ def test_the_readers_pause_the_collector_and_leave_it_as_they_found_it(tmp_path,
     def recording(read):
         return lambda value: inside.append(gc.isenabled()) or read(value)
 
-    monkeypatch.setattr(state_codec, "_fast_record", recording(state_codec._fast_record))
+    monkeypatch.setattr(state_codec, "_record", recording(state_codec._record))
     readers = [
         (lambda: jsonio.read_document(document, recording(lambda value: value)), jsonio.JsonInputError),
         (lambda: state_codec.read_predictions(predictions), state_codec.PredictionFileError),

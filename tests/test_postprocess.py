@@ -12,10 +12,11 @@ from dst_lab.corpus import SplitMix64
 from dst_lab.postprocess import (
     MatchPolicy,
     canonicalize_time,
-    compare_values,
+    compare_forms,
     levenshtein_distance,
     levenshtein_ratio,
     normalize_value,
+    value_form,
     values_match,
 )
 
@@ -216,12 +217,13 @@ _VALUES = st.one_of(
 )
 def test_compare_values_equals_oracle_and_is_symmetric(pred, ref, group, threshold, fuzzy_groups, canon):
     policy = MatchPolicy(fuzzy_threshold=threshold, fuzzy_groups=fuzzy_groups, time_canonicalization=canon)
-    matched, ratio = compare_values(pred, ref, group, policy)
+    p, r = value_form(pred, group, policy), value_form(ref, group, policy)
+    matched, ratio = compare_forms(p, r, group, policy)
     assert matched == oracle_values_match(pred, ref, group, threshold, set(fuzzy_groups), canon)
     assert ratio == oracle_levenshtein_ratio(
         oracle_value_form(pred, group, canon), oracle_value_form(ref, group, canon)
     )
-    assert compare_values(ref, pred, group, policy) == (matched, ratio)
+    assert compare_forms(r, p, group, policy) == (matched, ratio)
     assert values_match(pred, ref, group, policy) == matched
 
 
@@ -238,7 +240,8 @@ def test_only_fuzzy_groups_take_a_ratio(monkeypatch):
     assert calls == []
     assert values_match("Pizza Hut Fenditton", "pizza hut fen ditton", "open", policy)
     assert calls == [("pizza hut fenditton", "pizza hut fen ditton")]
-    assert compare_values("North", "north", "categorical", policy) == (True, 1.0)
+    forms = [value_form(value, "categorical", policy) for value in ("North", "north")]
+    assert compare_forms(*forms, "categorical", policy) == (True, 1.0)
     assert len(calls) == 2
 
 
