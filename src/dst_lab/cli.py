@@ -64,7 +64,7 @@ from .neural.pipeline import (
     build_connector,
     build_encoder_stub,
 )
-from .neural.probe import ProbeHyper, probe_retention
+from .neural.probe import ProbeHyper, probe_runs
 from .neural.train import TrainingDivergence
 from .postprocess import DEFAULT_FUZZY_GROUPS, DEFAULT_FUZZY_THRESHOLD, MatchPolicy
 from .reporting import (
@@ -587,19 +587,12 @@ def cmd_probe(
         )
     hypers = [_validated(ProbeHyper(lr=lr, epochs=epochs, seed=seed)) for seed in seed_values]
     _check_out(out, directory=False)
-    rows: list[tuple[int, int, float]] = []
-    for hyper in hypers:
-        if not n_queries_list:
-            break
-        corpus_dialogues = synth_corpus(hyper.seed, config)
-        try:
-            accuracies = probe_retention(corpus_dialogues, list(n_queries_list), hyper)
-        except TrainingDivergence as exc:
-            raise click.ClickException(
-                f"probe training at seed {hyper.seed} diverged at every learning rate tried: {exc}"
-            ) from exc
-        for n_queries in n_queries_list:
-            rows.append((hyper.seed, n_queries, accuracies[n_queries]))
+    runs = [(synth_corpus(hyper.seed, config), list(n_queries_list), hyper) for hyper in hypers if n_queries_list]
+    try:
+        accuracies = probe_runs(runs)
+    except TrainingDivergence as exc:
+        raise click.ClickException(str(exc)) from exc
+    rows = [(hyper.seed, n, acc[n]) for (_, _, hyper), acc in zip(runs, accuracies) for n in n_queries_list]
     out_path = Path(out)
     write_files(out_path.parent, {out_path.name: render_retention_table(rows)})
     click.echo(f"wrote {len(rows)} probe rows to {out_path}")

@@ -13,6 +13,7 @@ import functools
 import gc
 import json
 import json.scanner
+import math
 import re
 import reprlib
 import sys
@@ -43,7 +44,14 @@ def _no_constant(name: str) -> typing.NoReturn:
     raise ValueError(name)  # NaN, Infinity or -Infinity, located by _bad_number
 
 
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_constant=_no_constant)
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(text)  # a number too large for a float, located by _bad_number
+    return value
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_float=_finite_float, parse_constant=_no_constant)
 
 # A code point no UTF-8 output can hold. Only a JSON \uD800-\uDFFF escape
 # decodes to one, and the decoder joins an escaped pair into one character, so
@@ -85,7 +93,7 @@ def parse(data: bytes, read, *, line: int | None = None):
         error = JsonInputError("malformed JSON: nesting too deep", pos=0)
     except JsonInputError as exc:  # a repeated key or a lone surrogate
         error = exc
-    except ValueError:  # NaN, Infinity, -Infinity or an integer with more digits than int() converts
+    except ValueError:  # NaN, Infinity, -Infinity, a float out of range or an integer too long to convert
         error = _bad_number(text)
     else:
         try:
@@ -104,17 +112,22 @@ _NUMBER_OR_STRING = re.compile(r'"(?:[^"\\]|\\.)*"|NaN|-?Infinity|-?[0-9]+(?:\.[
 
 
 def _bad_number(text: str) -> JsonInputError:
-    """The error for the first ``NaN``, ``Infinity`` or ``-Infinity``, or
-    integer with more digits than ``int()`` converts, in ``text``; the text
-    before it is valid JSON, so the scan over strings and numbers stays in step
-    with the decoder's."""
+    """The error for the first ``NaN``, ``Infinity`` or ``-Infinity``, integer
+    with more digits than ``int()`` converts, or number with a fraction or
+    exponent too large for a float, in ``text``; the text before it is valid
+    JSON, so the scan over strings and numbers stays in step with the
+    decoder's."""
     limit = sys.get_int_max_str_digits()
     for token in _NUMBER_OR_STRING.finditer(text):
         number, digits = token.group(), token.group().removeprefix("-")
         if number in _CONSTANTS:
             return JsonInputError(f"malformed JSON: {number} is not JSON", pos=token.start())
-        if digits.isdigit() and len(digits) > limit:
-            return JsonInputError(f"malformed JSON: integer longer than {limit} digits", pos=token.start())
+        if digits.isdigit():
+            if len(digits) > limit:
+                return JsonInputError(f"malformed JSON: integer longer than {limit} digits", pos=token.start())
+        elif number[0] != '"' and math.isinf(float(number)):
+            shown = number if len(number) <= 30 else f"{number[:12]}...{number[-12:]}"
+            return JsonInputError(f"malformed JSON: {shown} is out of range", pos=token.start())
     raise AssertionError("the decoder rejected a number that the scan does not find")
 
 

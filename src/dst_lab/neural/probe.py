@@ -3,14 +3,22 @@
 Works on synthetic corpora whose user turns all mention the same number of
 slot-value pairs (``mentions_per_turn`` set). For each query count, a fresh
 compressor and readout are trained to recover the mentioned values from the
-compressed turn, and held-out recovery accuracy is reported.
+compressed turn, and held-out recovery accuracy is reported. The configs
+train side by side: the calling process trains a fixed share of them and
+forked worker processes train the rest.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,12 +160,51 @@ def probe_retention(
     jointly, with the connector frozen so the contrast between query counts
     isolates compressor capacity. Both frozen stages are built once and run
     once over the train rows and once over the held-out rows; only
-    ``[compressor, readout]`` is trained.
+    ``[compressor, readout]`` is trained. See :func:`probe_runs` for how the
+    query counts are trained side by side.
     """
-    if not n_queries_list:
-        return {}
-    hyper = hyper or ProbeHyper()
-    hyper.validate()
+    return probe_runs([(corpus, n_queries_list, hyper or ProbeHyper())])[0]
+
+
+def probe_runs(runs: list[tuple[list[Dialogue], list[int], ProbeHyper]]) -> list[dict[int, float]]:
+    """:func:`probe_retention` of each (corpus, query counts, hyper) run.
+
+    One job is one (run, query count) config. This process builds every run's
+    frozen-stage inputs once, then trains a fixed share of the jobs itself
+    while ``min(usable CPUs, jobs) - 1`` forked worker processes, which inherit
+    those inputs, train the rest. Every config trains on one BLAS thread from
+    the same inputs, so the results do not depend on the CPU count. A job whose
+    worker died trains again in this process. When configs diverge at every
+    learning rate tried, the first in run order raises, naming its seed.
+    """
+    for _, n_queries_list, hyper in runs:
+        if n_queries_list:
+            hyper.validate()
+    inputs = [_prepare(corpus, hyper) if n_queries_list else None for corpus, n_queries_list, hyper in runs]
+    jobs = [(run, n_queries) for run, (_, n_queries_list, _) in enumerate(runs) for n_queries in n_queries_list]
+    results: list[dict[int, float]] = [{} for _ in runs]
+    for (run, n_queries), outcome in zip(jobs, _train_jobs(inputs, jobs)):
+        if isinstance(outcome, TrainingDivergence):
+            raise TrainingDivergence(
+                f"probe training at seed {runs[run][2].seed} diverged at every learning rate tried: {outcome}",
+                outcome.trace,
+            ) from outcome
+        results[run][n_queries] = outcome
+    return results
+
+
+class _Inputs(NamedTuple):
+    """One run's training and held-out rows after the frozen stages."""
+
+    hyper: ProbeHyper
+    base: CompressorConfig
+    train: tuple[np.ndarray, np.ndarray]
+    held: tuple[np.ndarray, np.ndarray]
+    n_slots: int
+    n_classes: int
+
+
+def _prepare(corpus: list[Dialogue], hyper: ProbeHyper) -> _Inputs:
     dataset = build_probe_dataset(corpus)
     train_idx, held_idx = _split_indices(dataset)
     d_feat = dataset.features.shape[2]
@@ -165,20 +212,80 @@ def probe_retention(
     frozen = [build_encoder_stub(d_feat, base), build_connector(d_feat, base)]
     train_x = forward(frozen, dataset.features[train_idx])
     held_x = forward(frozen, dataset.features[held_idx])
-    results: dict[int, float] = {}
-    for n_queries in n_queries_list:
-        config = replace(base, n_queries=n_queries)
-        stages = [
-            build_compressor(config),
-            build_readout(n_queries, config, dataset.n_slots, dataset.n_classes),
-        ]
-        outcome = _train_with_retry(stages, (train_x, dataset.labels[train_idx]), hyper)
-        acc = accuracy(forward(outcome.stages, held_x), dataset.labels[held_idx])
-        log.info(
-            "probe n_queries=%d train_loss=%.4f heldout_accuracy=%.4f",
-            n_queries,
-            outcome.trace[-1],
-            acc,
-        )
-        results[n_queries] = acc
-    return results
+    return _Inputs(
+        hyper, base, (train_x, dataset.labels[train_idx]), (held_x, dataset.labels[held_idx]),
+        dataset.n_slots, dataset.n_classes,
+    )
+
+
+def _train_job(inputs: list[_Inputs], run: int, n_queries: int) -> float | TrainingDivergence:
+    """Held-out accuracy of one config, or its divergence at every learning rate."""
+    config = replace(inputs[run].base, n_queries=n_queries)
+    stages = [
+        build_compressor(config),
+        build_readout(n_queries, config, inputs[run].n_slots, inputs[run].n_classes),
+    ]
+    try:
+        outcome = _train_with_retry(stages, inputs[run].train, inputs[run].hyper)
+    except TrainingDivergence as exc:
+        return exc
+    held_x, held_labels = inputs[run].held
+    acc = accuracy(forward(outcome.stages, held_x), held_labels)
+    log.info("probe n_queries=%d train_loss=%.4f heldout_accuracy=%.4f", n_queries, outcome.trace[-1], acc)
+    return acc
+
+
+def _caller_share(costs: list[int], processes: int) -> set[int]:
+    """The jobs the calling process trains itself: greedy longest-first over
+    ``processes`` bins (ties to the lower job, then the lower bin), the caller
+    being bin 0. The share depends on the costs alone, so every call trains
+    the same configs in the caller, and a traced run records the same spans."""
+    loads = [0] * processes
+    share = set()
+    for job in sorted(range(len(costs)), key=lambda job: -costs[job]):
+        least = loads.index(min(loads))
+        loads[least] += costs[job]
+        if least == 0:
+            share.add(job)
+    return share
+
+
+# each worker's copy of the inputs, inherited from the caller at fork
+_inherited: list[_Inputs] = []
+
+
+def _inherit(inputs: list[_Inputs]) -> None:
+    _inherited[:] = inputs
+
+
+def _train_inherited(run: int, n_queries: int) -> float | TrainingDivergence:
+    return _train_job(_inherited, run, n_queries)
+
+
+def _train_jobs(inputs: list[_Inputs], jobs: list[tuple[int, int]]) -> list[float | TrainingDivergence]:
+    """Each job's outcome, in job order. Workers are forked, so ``inputs``
+    reach them without being pickled; only (run, query count) is sent. The
+    pool forks all of its processes at the first submit, before it starts
+    its own threads."""
+    # a config's time grows with its query count (and a fixed part) times its epochs
+    costs = [(n_queries + 2) * (inputs[run].hyper.epochs + 1) for run, n_queries in jobs]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    processes = min(cpus, len(jobs))
+    own = _caller_share(costs, processes)
+    pooled = [job for job in sorted(range(len(jobs)), key=lambda job: -costs[job]) if job not in own]
+    if not pooled:
+        return [_train_job(inputs, *job) for job in jobs]
+    outcomes: dict[int, float | TrainingDivergence] = {}
+    with ProcessPoolExecutor(
+        max_workers=processes - 1,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_inherit,
+        initargs=(inputs,),
+    ) as pool:
+        futures = {job: pool.submit(_train_inherited, *jobs[job]) for job in pooled}
+        for job in sorted(own):
+            outcomes[job] = _train_job(inputs, *jobs[job])
+        for job, future in futures.items():
+            with contextlib.suppress(BrokenProcessPool):  # a worker died: trained again below
+                outcomes[job] = future.result()
+    return [outcomes[job] if job in outcomes else _train_job(inputs, *jobs[job]) for job in range(len(jobs))]

@@ -17,6 +17,10 @@ class TrainingDivergence(RuntimeError):
         super().__init__(message)
         self.trace = trace
 
+    def __reduce__(self):
+        # the default rebuilds from ``args`` alone, which lack the trace
+        return type(self), (*self.args, self.trace)
+
 
 @dataclass
 class TrainingResult:

@@ -4,17 +4,23 @@ Everything here is written straight-line from the evaluation contract and must
 stay independent of the library code it checks: no imports from
 dst_lab.postprocess, dst_lab.metrics, dst_lab.assembly or dst_lab.neural. The
 neural oracles call a layer's own ``forward`` where they need one, never a
-pipeline function.
+pipeline function. The one exception is ``oracle_probe_retention``: it checks
+how the probe schedules its configs, not their numerics, so it is the serial
+loop over the probe's own building and training steps.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
 from dst_lab.corpus import Dialogue, DialogueState, Speaker, StateInvariantError, Turn, _check_turns
 from dst_lab.jsonio import check, get, reject
+from dst_lab.neural import probe
+from dst_lab.neural.pipeline import CompressorConfig, build_compressor, build_connector, build_encoder_stub, build_readout
+from dst_lab.neural.train import accuracy, forward
 from dst_lab.state_codec import ParseFailure, PredictionRecord, Strategy
 
 
@@ -578,3 +584,28 @@ def oracle_decode_repaired(text: str) -> tuple[object, list[str]]:
         return json.loads(fragment), diagnostics
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"unparseable output: {exc.msg}", text) from exc
+
+
+def oracle_probe_retention(corpus: list[Dialogue], n_queries_list: list[int], hyper) -> dict[int, float]:
+    """``probe_retention`` as it was before its configs trained side by side:
+    one process trains each query count in turn."""
+    if not n_queries_list:
+        return {}
+    hyper.validate()
+    dataset = probe.build_probe_dataset(corpus)
+    train_idx, held_idx = probe._split_indices(dataset)
+    d_feat = dataset.features.shape[2]
+    base = CompressorConfig(d_model=hyper.d_model, n_heads=probe.N_HEADS, seed=hyper.seed)
+    frozen = [build_encoder_stub(d_feat, base), build_connector(d_feat, base)]
+    train_x = forward(frozen, dataset.features[train_idx])
+    held_x = forward(frozen, dataset.features[held_idx])
+    results: dict[int, float] = {}
+    for n_queries in n_queries_list:
+        config = replace(base, n_queries=n_queries)
+        stages = [
+            build_compressor(config),
+            build_readout(n_queries, config, dataset.n_slots, dataset.n_classes),
+        ]
+        outcome = probe._train_with_retry(stages, (train_x, dataset.labels[train_idx]), hyper)
+        results[n_queries] = accuracy(forward(outcome.stages, held_x), dataset.labels[held_idx])
+    return results

@@ -4,9 +4,7 @@
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -27,7 +25,7 @@ from dst_lab.neural.pipeline import (
     build_connector,
     build_encoder_stub,
 )
-from dst_lab.neural.probe import ProbeHyper, probe_retention
+from dst_lab.neural.probe import ProbeHyper, probe_retention, probe_runs
 from dst_lab.neural.train import train
 from dst_lab.postprocess import MatchPolicy, levenshtein_ratio, values_match
 from dst_lab.corpus import SplitMix64
@@ -262,22 +260,16 @@ def _probe_config(seed: int, noise: float) -> list:
     )
 
 
-def _probe_job(seed: int, noise: float, query_counts: list[int], epochs: int) -> dict[int, float]:
-    """One ``probe_retention`` call on ``_probe_config(seed, noise)``, run in a pool worker."""
-    return probe_retention(_probe_config(seed, noise), query_counts, ProbeHyper(lr=0.2, epochs=epochs, seed=seed))
-
-
 def test_acceptance_6_retention_probe():
     with criterion(6, "8-query recovery beats 1-query by >= 10 points; lossless case >= 99%"):
         start = time.monotonic()
-        turn_rows = _probe_config(0, noise=0.0)[0].turns[0].features.shape[0]
-        # the six configs are independent: two processes, each on one BLAS
-        # thread, train them; the longest (lossless) one goes first
-        with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
-            lossless_job = pool.submit(_probe_job, 0, 0.0, [turn_rows], 800)
-            jobs = [pool.submit(_probe_job, seed, 0.5, [1, 8], 600) for seed in range(5)]
-            results = [job.result() for job in jobs]
-            lossless = lossless_job.result()
+        lossless_corpus = _probe_config(0, noise=0.0)
+        turn_rows = lossless_corpus[0].turns[0].features.shape[0]
+        # the eleven configs are independent, so probe_runs trains them side by side
+        lossless, *results = probe_runs(
+            [(lossless_corpus, [turn_rows], ProbeHyper(lr=0.2, epochs=800, seed=0))]
+            + [(_probe_config(seed, 0.5), [1, 8], ProbeHyper(lr=0.2, epochs=600, seed=seed)) for seed in range(5)]
+        )
         acc1 = [result[1] for result in results]
         acc8 = [result[8] for result in results]
         gap = float(np.mean(acc8)) - float(np.mean(acc1))

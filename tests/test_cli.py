@@ -873,6 +873,7 @@ def test_malformed_taxonomy_is_a_click_error(runner, tmp_path, command, taxonomy
         ('{"fuzzy_threshold": "high"}', "fuzzy_threshold must be a number"),
         ('{"fuzzy_threshold": true}', "fuzzy_threshold must be a number"),
         ('{"fuzzy_threshold": NaN}', ":1:21: malformed JSON: NaN is not JSON"),
+        ('{"fuzzy_threshold": 1e400}', ":1:21: malformed JSON: 1e400 is out of range"),
         ('{"fuzzy_groups": "open"}', "fuzzy_groups must be a list of strings, got 'open'"),
         (
             '{"fuzzy_groups": ["open", "names"]}',
@@ -892,6 +893,15 @@ def test_evaluate_rejects_bad_policy_file(runner, tmp_path, content, message):
     assert "Invalid value for --policy" in result.output
     assert f"{path}" in result.output
     assert message in result.output
+
+
+def test_a_number_too_large_for_a_float_in_a_manifest_is_a_located_usage_error(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus")
+    path = tmp_path / "manifest.json"
+    path.write_text(f'{{"corpus": {json.dumps(str(tmp_path / "corpus"))},\n "drop_prob": -1e400}}')
+    result = runner.invoke(main, ["run", "--manifest", str(path)])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for --manifest: {path}:2:15: malformed JSON: -1e400 is out of range" in result.output
 
 
 @pytest.mark.parametrize(

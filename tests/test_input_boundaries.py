@@ -214,6 +214,28 @@ def test_nan_and_infinity_are_malformed_json_at_the_constant(text, constant, col
     assert (info.value.line, info.value.column) == (text.count("\n") + 1, column)
 
 
+@pytest.mark.parametrize(
+    "text, number, column",
+    [
+        ("[1e400, -1e400]", "1e400", 2),
+        ('{"a": "1e400", "b": [0.5, -1.5E+999]}', "-1.5E+999", 27),
+        ('{"k\\"": 1e308,\n "c": 2e308}', "2e308", 7),
+        ("[1" + "0" * 400 + ".5]", "100000000000...0000000000.5", 2),
+    ],
+)
+def test_a_number_too_large_for_a_float_is_malformed_json_at_the_number(text, number, column):
+    with pytest.raises(jsonio.JsonInputError) as info:
+        jsonio.parse(text.encode(), lambda value: value)
+    assert str(info.value) == f"malformed JSON: {number} is out of range"
+    assert (info.value.line, info.value.column) == (text.count("\n") + 1, column)
+
+
+def test_a_float_that_underflows_or_is_the_largest_stays_valid():
+    assert jsonio.parse(b"[1e-400, -1e-400, 1.7976931348623157e308]", lambda value: value) == [
+        0.0, -0.0, 1.7976931348623157e308
+    ]
+
+
 def test_an_escaped_surrogate_pair_or_backslash_is_no_lone_surrogate():
     assert jsonio.parse(rb'["\ud83d\ude00", "\\ud800"]', lambda value: value) == ["\U0001f600", "\\ud800"]
 

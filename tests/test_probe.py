@@ -1,16 +1,24 @@
 from __future__ import annotations
 
+import multiprocessing
+import os
 import re
 
 import pytest
+from click.testing import CliRunner
 
 import dst_lab.neural.probe as probe_module
+from dst_lab.cli import main
 from dst_lab.corpus import SynthConfig, synth_corpus
 from dst_lab.neural.probe import (
     ProbeHyper,
     build_probe_dataset,
     probe_retention,
 )
+from dst_lab.neural.train import TrainingDivergence
+from dst_lab.reporting import render_retention_table
+
+from oracles import oracle_probe_retention
 
 
 def test_build_probe_dataset_shapes(probe_corpus):
@@ -112,3 +120,135 @@ def test_probe_requires_features():
             turn.features = None
     with pytest.raises(ValueError, match="no features"):
         build_probe_dataset(corpus)
+
+
+# ---------------------------------------------------------------------------
+# configs trained side by side
+# ---------------------------------------------------------------------------
+
+_SHAPES = ["--n-dialogues", "8", "--turns-per-dialogue", "4", "--feature-dim", "8", "--epochs", "15"]
+_CONFIG = SynthConfig(
+    n_dialogues=8, turns_per_dialogue=4, feature_dim=8, slots_per_dialogue=4, noise_sigma=0.5,
+    mentions_per_turn=4, fixed_domain="hotel",
+)
+
+
+def _probe(tmp_path, seeds: list[int], n_queries: list[int], *extra: str):
+    """``dst-lab probe`` at ``_SHAPES``; returns the click result and the CSV path."""
+    out = tmp_path / "probe.csv"
+    args = ["probe", "--seeds", ",".join(map(str, seeds)), *(a for n in n_queries for a in ("--n-queries", str(n)))]
+    return CliRunner().invoke(main, [*args, *_SHAPES, *extra, "--out", str(out)]), out
+
+
+def _serial_csv(seeds: list[int], n_queries: list[int]) -> str:
+    rows = []
+    for seed in seeds:
+        accuracies = oracle_probe_retention(synth_corpus(seed, _CONFIG), n_queries, ProbeHyper(epochs=15, seed=seed))
+        rows += [(seed, n, accuracies[n]) for n in n_queries]
+    return render_retention_table(rows)
+
+
+def _usable_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _spy_on_jobs(monkeypatch, action=None) -> list[tuple[int, int]]:
+    """The (run, query count) jobs this process trains, in order; ``action(run,
+    n_queries)`` runs first in whichever process trains the job."""
+    trained, parent = [], os.getpid()
+    train_job = probe_module._train_job
+
+    def spy(inputs, run, n_queries):
+        if action is not None:
+            action(run, n_queries)
+        if os.getpid() == parent:
+            trained.append((run, n_queries))
+        return train_job(inputs, run, n_queries)
+
+    monkeypatch.setattr(probe_module, "_train_job", spy)
+    return trained
+
+
+@pytest.mark.parametrize("seeds, n_queries", [([0], [1, 8]), ([0, 1], [1, 4, 8])])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_probe_csv_equals_the_serial_oracle_at_any_cpu_count(monkeypatch, tmp_path, cpus, seeds, n_queries):
+    expected = _serial_csv(seeds, n_queries)
+    _usable_cpus(monkeypatch, cpus)
+    pools = []
+    pool = probe_module.ProcessPoolExecutor
+    monkeypatch.setattr(probe_module, "ProcessPoolExecutor", lambda **kwargs: pools.append(kwargs) or pool(**kwargs))
+    result, out = _probe(tmp_path, seeds, n_queries)
+    assert result.exit_code == 0, result.output
+    assert out.read_text(encoding="utf-8") == expected
+    assert [kwargs["max_workers"] for kwargs in pools] == ([] if cpus == 1 else [1])
+    assert multiprocessing.active_children() == []
+
+
+def test_the_callers_share_is_the_same_on_every_call(monkeypatch, tmp_path):
+    _usable_cpus(monkeypatch, 2)
+    trained = _spy_on_jobs(monkeypatch)
+    shares = []
+    for _ in range(3):
+        result, _ = _probe(tmp_path, [0, 1], [1, 4, 8])
+        assert result.exit_code == 0, result.output
+        shares.append(sorted(trained))
+        trained.clear()
+    # greedy longest-first over two bins at costs n_queries + 2: the caller
+    # takes seed 0's three configs, the worker seed 1's
+    assert shares == [[(0, 1), (0, 4), (0, 8)]] * 3
+
+
+def test_caller_share_is_greedy_longest_first_with_the_caller_as_bin_0():
+    assert probe_module._caller_share([3, 10, 3, 10], 2) == {0, 1}
+    assert probe_module._caller_share([3, 10, 3, 10], 1) == {0, 1, 2, 3}
+    assert probe_module._caller_share([5, 5, 5], 3) == {0}
+    assert probe_module._caller_share([0, 0], 2) == {0, 1}  # nothing to gain from a worker
+
+
+def test_configs_of_a_worker_that_dies_train_again_in_the_caller(monkeypatch, tmp_path):
+    expected = _serial_csv([0, 1], [1, 8])
+    _usable_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def die_in_a_worker(run, n_queries):
+        if os.getpid() != parent:
+            os._exit(1)
+
+    trained = _spy_on_jobs(monkeypatch, die_in_a_worker)
+    result, out = _probe(tmp_path, [0, 1], [1, 8])
+    assert result.exit_code == 0, result.output
+    assert out.read_text(encoding="utf-8") == expected
+    assert sorted(trained) == [(0, 1), (0, 8), (1, 1), (1, 8)]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_config_that_diverges_in_a_worker_is_a_one_line_error_naming_its_seed(monkeypatch, tmp_path):
+    _usable_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    train_with_retry = probe_module._train_with_retry
+
+    def diverge_in_a_worker(stages, dataset, hyper):
+        if os.getpid() != parent:
+            raise TrainingDivergence("loss diverged to nan", [2.5, float("nan")])
+        return train_with_retry(stages, dataset, hyper)
+
+    monkeypatch.setattr(probe_module, "_train_with_retry", diverge_in_a_worker)
+    trained = _spy_on_jobs(monkeypatch)
+    # the caller trains seed 3's configs, the worker seed 5's
+    result, out = _probe(tmp_path, [3, 5], [1, 8])
+    assert sorted(trained) == [(0, 1), (0, 8)]
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == (
+        "Error: probe training at seed 5 diverged at every learning rate tried: loss diverged to nan\n"
+    )
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_when_several_seeds_diverge_the_first_in_seed_order_is_named(monkeypatch, tmp_path):
+    _usable_cpus(monkeypatch, 2)
+    result, out = _probe(tmp_path, [2, 1], [1, 8], "--lr", "1e6")
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("Error: probe training at seed 2 diverged at every learning rate tried: ")
+    assert not out.exists()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,12 @@ def test_divergence_raises_with_trace():
     with pytest.raises(TrainingDivergence) as err:
         train(stages, (x, labels), lr=1e6, epochs=500)
     assert len(err.value.trace) >= 1
+
+
+def test_divergence_survives_pickling():
+    # a probe worker sends its config's divergence back to the caller pickled
+    err = pickle.loads(pickle.dumps(TrainingDivergence("loss diverged to nan", [2.5, 1.0])))
+    assert (type(err), err.args, err.trace) == (TrainingDivergence, ("loss diverged to nan",), [2.5, 1.0])
 
 
 def test_empty_dataset_rejected():
