@@ -7,15 +7,12 @@ regardless of worker count. Set DST_LAB_LOG to control log verbosity.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
 import os
 import sys
 import typing
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -45,6 +42,7 @@ from .corpus import (
     id_list,
     load_corpus,
     parse_corpus,
+    seed_error,
     synth_corpus,
     synthetic_taxonomy,
     write_corpus,
@@ -80,6 +78,7 @@ from .state_codec import (
     read_predictions,
     write_predictions,
 )
+from .workers import fan_out
 
 log = logging.getLogger(__name__)
 
@@ -202,8 +201,8 @@ class RunManifest:
         whether its value came from the manifest or from a flag."""
         _require_positive(self.workers, "--workers")
         _require_positive(self.n_queries, "--n-queries")
-        if self.seed < 0:
-            raise click.BadParameter(f"must be >= 0, got {self.seed}", param_hint="field 'seed'")
+        if error := seed_error(self.seed):
+            raise click.BadParameter(error, param_hint="field 'seed'")
         for name in ("d_model", "n_heads", "n_layers", "stride", "budget_rows"):
             value = getattr(self, name)
             if value < 1:
@@ -298,39 +297,6 @@ def _load_agent_texts(path: str | None, dialogues: list[Dialogue]) -> None:
         agent_turns[dialogue_id, turn_index].transcript = text
 
 
-def _execute_dialogue(run, dialogue: Dialogue) -> tuple[str, list, str | None]:
-    """Worker entry: returns (dialogue_id, ``run(dialogue)``, error message or None)."""
-    try:
-        return dialogue.id, run(dialogue), None
-    except Exception as exc:  # per-dialogue isolation: the run continues
-        return dialogue.id, [], f"{type(exc).__name__}: {exc}"
-
-
-def _outcome(dialogue_id: str, future: Future) -> tuple[str, list, str | None]:
-    """A worker's result, or its dialogue's failure when it cannot come back."""
-    try:
-        return future.result()
-    except Exception as exc:  # BrokenProcessPool, or a result that cannot be sent back
-        return dialogue_id, [], f"{type(exc).__name__}: {exc}"
-
-
-def _run_in_pool(run, dialogues: list[Dialogue], workers: int) -> list[tuple[str, list, str | None]]:
-    """``run`` each dialogue in a pool of ``workers`` processes; outcomes in dialogue order.
-
-    A worker that dies breaks the pool, and with it every dialogue whose
-    result had not come back. Each of those runs again alone, in a fresh
-    one-worker pool, so only a dialogue that kills its own worker fails.
-    """
-    # a pool starts all of its processes at the first submit; a dialogue keeps at most one busy
-    with ProcessPoolExecutor(max_workers=min(workers, len(dialogues))) as pool:
-        futures = [pool.submit(_execute_dialogue, run, dialogue) for dialogue in dialogues]
-        outcomes = [_outcome(dialogue.id, future) for dialogue, future in zip(dialogues, futures)]
-    for i, (dialogue, future) in enumerate(zip(dialogues, futures)):
-        if workers > 1 and isinstance(future.exception(), BrokenProcessPool):
-            (outcomes[i],) = _run_in_pool(run, [dialogue], 1)
-    return outcomes
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="dst-lab")
 def main() -> None:
@@ -356,6 +322,8 @@ def main() -> None:
 @click.option("--out", type=click.Path(), required=True, help="Output corpus directory.")
 def cmd_synth(seed: int, out: str, **flags) -> None:
     """Generate a synthetic corpus with feature sidecars."""
+    if error := seed_error(seed):
+        raise click.BadParameter(error, param_hint="--seed")
     # every other flag names a SynthConfig field
     config = _validated(SynthConfig(**flags))
     _check_out(out, directory=True)
@@ -424,31 +392,33 @@ def cmd_run(manifest: str | None, exclude_ids: str | None, **flags) -> None:
         time_reformat_prob=run_manifest.time_reformat_prob,
     )
 
-    run = functools.partial(
-        run_dialogue,
-        strategy=strategy_enum,
-        predictor=predictor_obj,
-        embedder=embedder,
-        compressor=compressor,
-        compress_current=run_manifest.compress_current,
-    )
     # outcomes come back in dialogue-id order, each dialogue's results in turn order
     dialogues.sort(key=lambda d: d.id)
-    if run_manifest.workers > 1:
-        outcomes = _run_in_pool(run, dialogues, run_manifest.workers)
-    else:
-        outcomes = [_execute_dialogue(run, dialogue) for dialogue in dialogues]
+
+    def work(i: int) -> list | str:
+        """Dialogue ``i``'s turn results, or its failure: the other dialogues still run."""
+        try:
+            return run_dialogue(
+                dialogues[i], strategy_enum, predictor_obj, embedder, compressor,
+                compress_current=run_manifest.compress_current,
+            )
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    n, workers = len(dialogues), run_manifest.workers
+    outcomes = fan_out(work, range(n), min(workers, n), own=range(n) if workers == 1 else ())
+    # a dialogue whose worker was lost twice has that exception as its outcome
+    outcomes = [f"{type(o).__name__}: {o}" if isinstance(o, Exception) else o for o in outcomes]
+    failures = [{"dialogue_id": d.id, "error": o} for d, o in zip(dialogues, outcomes) if isinstance(o, str)]
+    results = [[] if isinstance(o, str) else o for o in outcomes]
     records = [
-        PredictionRecord(dialogue_id, r.turn_index, r.raw_output, r.parsed_state, r.diagnostics)
-        for dialogue_id, results, _ in outcomes
-        for r in results
+        PredictionRecord(d.id, r.turn_index, r.raw_output, r.parsed_state, r.diagnostics)
+        for d, turn_results in zip(dialogues, results)
+        for r in turn_results
     ]
-    failures = [{"dialogue_id": dialogue_id, "error": error} for dialogue_id, _, error in outcomes if error is not None]
 
     # a failed dialogue has no turn results, so only the dialogues that succeeded count
-    length_rows = context_length_report(
-        strategy_enum, run_manifest.n_queries, [r for _, results, _ in outcomes for r in results]
-    )
+    length_rows = context_length_report(strategy_enum, run_manifest.n_queries, [r for rs in results for r in rs])
     summary = {
         "n_dialogues": len(dialogues),
         "n_records": len(records),
@@ -553,7 +523,7 @@ def cmd_gradcheck(eps: float, threshold: float) -> None:
 
 
 @main.command("probe")
-@click.option("--n-queries", "n_queries_list", type=int, multiple=True, help="Query counts to probe; repeatable.")
+@click.option("--n-queries", "n_queries_list", type=int, multiple=True, required=True, help="Query counts to probe; repeatable.")
 @click.option("--seeds", type=str, default="0,1,2,3,4", show_default=True, help="Comma-separated corpus/training seeds.")
 @click.option("--n-dialogues", type=int, default=60, show_default=True)
 @click.option("--turns-per-dialogue", type=int, default=10, show_default=True)
@@ -574,6 +544,8 @@ def cmd_probe(
         raise click.BadParameter(
             f"expected comma-separated integers, got {seeds!r}", param_hint="--seeds"
         ) from None
+    if not seed_values:
+        raise click.BadParameter(f"expected at least one seed, got {seeds!r}", param_hint="--seeds")
     for n_queries in n_queries_list:
         _require_positive(n_queries, "--n-queries")
     # a repeated value would train the same config twice and write its row twice
@@ -587,7 +559,7 @@ def cmd_probe(
         )
     hypers = [_validated(ProbeHyper(lr=lr, epochs=epochs, seed=seed)) for seed in seed_values]
     _check_out(out, directory=False)
-    runs = [(synth_corpus(hyper.seed, config), list(n_queries_list), hyper) for hyper in hypers if n_queries_list]
+    runs = [(synth_corpus(hyper.seed, config), list(n_queries_list), hyper) for hyper in hypers]
     try:
         accuracies = probe_runs(runs)
     except TrainingDivergence as exc:

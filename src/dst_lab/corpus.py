@@ -294,6 +294,14 @@ def derive_key(*parts: int | str) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def seed_error(seed: int) -> str | None:
+    """Why ``seed`` cannot seed a run, or None. :func:`derive_key` keeps an int's
+    low 63 bits, so a seed outside [0, 2**63) would repeat another's outputs."""
+    if seed < 0:
+        return f"must be >= 0, got {seed}"
+    return f"must be < 2**63, got {seed}" if seed >= 1 << 63 else None
+
+
 class SplitMix64:
     """Sequential splitmix64 stream. Used for scalar draws during generation."""
 

@@ -10,19 +10,16 @@ forked worker processes train the rest.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from ..corpus import Dialogue, Speaker, ontology_values, scan_transcript_mentions
+from ..corpus import Dialogue, Speaker, ontology_values, scan_transcript_mentions, seed_error
+from ..workers import fan_out
 from .layers import Layer
 from .pipeline import (
     CompressorConfig,
@@ -54,8 +51,8 @@ class ProbeHyper:
             raise ValueError(f"lr must be a positive finite number, got {self.lr}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if error := seed_error(self.seed):
+            raise ValueError(f"seed {error}")
 
 
 @dataclass
@@ -173,9 +170,10 @@ def probe_runs(runs: list[tuple[list[Dialogue], list[int], ProbeHyper]]) -> list
     frozen-stage inputs once, then trains a fixed share of the jobs itself
     while ``min(usable CPUs, jobs) - 1`` forked worker processes, which inherit
     those inputs, train the rest. Every config trains on one BLAS thread from
-    the same inputs, so the results do not depend on the CPU count. A job whose
-    worker died trains again in this process. When configs diverge at every
-    learning rate tried, the first in run order raises, naming its seed.
+    the same inputs, so the results do not depend on the CPU count. A job lost
+    with its worker twice (see :func:`fan_out`) trains again in this process.
+    When configs diverge at every learning rate tried, the first in run order
+    raises, naming its seed.
     """
     for _, n_queries_list, hyper in runs:
         if n_queries_list:
@@ -250,42 +248,16 @@ def _caller_share(costs: list[int], processes: int) -> set[int]:
     return share
 
 
-# each worker's copy of the inputs, inherited from the caller at fork
-_inherited: list[_Inputs] = []
-
-
-def _inherit(inputs: list[_Inputs]) -> None:
-    _inherited[:] = inputs
-
-
-def _train_inherited(run: int, n_queries: int) -> float | TrainingDivergence:
-    return _train_job(_inherited, run, n_queries)
-
-
 def _train_jobs(inputs: list[_Inputs], jobs: list[tuple[int, int]]) -> list[float | TrainingDivergence]:
-    """Each job's outcome, in job order. Workers are forked, so ``inputs``
-    reach them without being pickled; only (run, query count) is sent. The
-    pool forks all of its processes at the first submit, before it starts
-    its own threads."""
+    """Each job's outcome, in job order; the pooled jobs are submitted longest first."""
     # a config's time grows with its query count (and a fixed part) times its epochs
     costs = [(n_queries + 2) * (inputs[run].hyper.epochs + 1) for run, n_queries in jobs]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     processes = min(cpus, len(jobs))
-    own = _caller_share(costs, processes)
-    pooled = [job for job in sorted(range(len(jobs)), key=lambda job: -costs[job]) if job not in own]
-    if not pooled:
-        return [_train_job(inputs, *job) for job in jobs]
-    outcomes: dict[int, float | TrainingDivergence] = {}
-    with ProcessPoolExecutor(
-        max_workers=processes - 1,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_inherit,
-        initargs=(inputs,),
-    ) as pool:
-        futures = {job: pool.submit(_train_inherited, *jobs[job]) for job in pooled}
-        for job in sorted(own):
-            outcomes[job] = _train_job(inputs, *jobs[job])
-        for job, future in futures.items():
-            with contextlib.suppress(BrokenProcessPool):  # a worker died: trained again below
-                outcomes[job] = future.result()
-    return [outcomes[job] if job in outcomes else _train_job(inputs, *jobs[job]) for job in range(len(jobs))]
+    share = _caller_share(costs, processes)
+    order = sorted(range(len(jobs)), key=lambda job: -costs[job])
+    own = [i for i, job in enumerate(order) if job in share]
+    outcomes = dict(zip(order, fan_out(lambda job: _train_job(inputs, *jobs[job]), order, processes - 1, own)))
+    # a job lost with its worker twice trains in this process; a divergence is an outcome
+    lost = {job for job, o in outcomes.items() if isinstance(o, Exception) and not isinstance(o, TrainingDivergence)}
+    return [_train_job(inputs, *jobs[job]) if job in lost else outcomes[job] for job in range(len(jobs))]

@@ -4,10 +4,12 @@ import builtins
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 import re
 import shutil
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from click.testing import CliRunner
 
 from dst_lab import assembly, cli, state_codec
 from dst_lab import corpus as corpus_module
+from dst_lab import workers as workers_module
 from dst_lab.cli import RunManifest, main
 from dst_lab.corpus import SynthConfig, default_corrupted_ids, filter_corrupted, load_corpus, synthetic_taxonomy
 from dst_lab.jsonio import JsonInputError
@@ -302,12 +305,12 @@ def test_run_starts_no_more_worker_processes_than_dialogues(runner, tmp_path, mo
     _synth(runner, tmp_path / "corpus", ["--n-dialogues", "2"])
     pool_sizes = []
 
-    class RecordingPool(cli.ProcessPoolExecutor):
+    class RecordingPool(workers_module.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             pool_sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(workers_module, "ProcessPoolExecutor", RecordingPool)
     base = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "compressed", "--predictor", "noisy"]
     for name, workers in (("one", "1"), ("four", "4")):
         result = runner.invoke(main, base + ["--workers", workers, "--out", str(tmp_path / name)])
@@ -559,6 +562,28 @@ def test_run_loses_only_the_dialogue_that_kills_its_worker(runner, tmp_path, mon
     assert summary["n_records"] == len(read_predictions(tmp_path / "reference" / "predictions.ndjson"))
     for name in ("predictions.ndjson", "context_lengths.csv"):
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+
+
+class _LockedOracle(assembly.OracleExact):
+    """Exact oracle that holds a lock, so it cannot be pickled."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+
+
+def test_run_with_a_predictor_that_cannot_be_pickled_matches_one_worker(runner, tmp_path, monkeypatch):
+    # workers inherit the predictor at fork: nothing but a dialogue's index is sent to them
+    _synth(runner, tmp_path / "corpus", ["--turns-per-dialogue", "4"])
+    monkeypatch.setattr(cli, "make_predictor", lambda *args, **kwargs: _LockedOracle())
+    base = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "compressed"]
+    for workers in ("1", "2"):
+        result = runner.invoke(main, base + ["--workers", workers, "--out", str(tmp_path / workers)])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / workers / "run_summary.json").read_text())
+        assert (summary["n_dialogues"], summary["failures"]) == (4, [])
+    for name in ("predictions.ndjson", "context_lengths.csv"):
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+    assert multiprocessing.active_children() == []
 
 
 def _invoke_on_corpus(runner, tmp_path, command: str, extra: list[str]):
@@ -1218,10 +1243,56 @@ def test_evaluate_policy_exact_on_exact_oracle(runner, tmp_path):
     assert "JGA (post-processed):  1.0000" in result.output
 
 
-def test_probe_empty_n_queries_writes_header_only(runner, tmp_path):
-    result = runner.invoke(main, ["probe", "--seeds", "0", "--out", str(tmp_path / "probe.csv")])
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--seeds", "0"], "Missing option '--n-queries'"),
+        (["--n-queries", "1", "--seeds", ""], "Invalid value for --seeds: expected at least one seed, got ''"),
+        (["--n-queries", "1", "--seeds", " , "], "Invalid value for --seeds: expected at least one seed, got ' , '"),
+    ],
+    ids=["no-n-queries", "no-seeds", "blank-seeds"],
+)
+def test_probe_with_nothing_to_train_is_a_usage_error(runner, tmp_path, args, message):
+    result = runner.invoke(main, ["probe", *args, "--out", str(tmp_path / "probe.csv")])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "probe.csv").exists()
+
+
+# derive_key keeps a seed's low 63 bits, so 2**63 would repeat seed 0's outputs and -1 those of 2**63 - 1
+@pytest.mark.parametrize("command", ["synth", "run", "run-manifest", "probe"])
+def test_a_seed_outside_0_to_2_pow_63_is_a_usage_error(runner, tmp_path, command):
+    if command.startswith("run"):
+        _synth(runner, tmp_path / "corpus")
+    messages = {
+        "synth": "Invalid value for --seed: {}",
+        "run": "Invalid value for field 'seed': {}",
+        "run-manifest": "Invalid value for field 'seed': {}",
+        "probe": "seed {}",
+    }
+
+    def invoke(seed: int, out: Path):
+        if command == "synth":
+            args = ["synth", "--seed", str(seed), "--n-dialogues", "2", "--turns-per-dialogue", "2"]
+        elif command == "probe":
+            args = ["probe", *_PROBE_BASE, "--seeds", str(seed)]  # the last --seeds counts
+        else:
+            args = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "compressed", "--predictor", "noisy"]
+            if command == "run-manifest":
+                manifest = tmp_path / f"manifest{seed}.json"
+                manifest.write_text(json.dumps({"corpus": str(tmp_path / "corpus"), "strategy": "compressed", "seed": seed}))
+                args = ["run", "--manifest", str(manifest), "--predictor", "noisy"]
+            else:
+                args += ["--seed", str(seed)]
+        return runner.invoke(main, [*args, "--out", str(out)])
+
+    for seed, problem in ((-1, "must be >= 0, got -1"), (2**63, f"must be < 2**63, got {2**63}")):
+        result = invoke(seed, tmp_path / "rejected")
+        assert result.exit_code == 2, result.output
+        assert messages[command].format(problem) in result.output
+        assert not (tmp_path / "rejected").exists()
+    result = invoke(2**63 - 1, tmp_path / "accepted")
     assert result.exit_code == 0, result.output
-    assert (tmp_path / "probe.csv").read_text() == "seed,n_queries,accuracy\n"
 
 
 def test_probe_rejects_non_integer_seeds(runner, tmp_path):

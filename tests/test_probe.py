@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import dst_lab.neural.probe as probe_module
+import dst_lab.workers as workers_module
 from dst_lab.cli import main
 from dst_lab.corpus import SynthConfig, synth_corpus
 from dst_lab.neural.probe import (
@@ -175,8 +176,8 @@ def test_probe_csv_equals_the_serial_oracle_at_any_cpu_count(monkeypatch, tmp_pa
     expected = _serial_csv(seeds, n_queries)
     _usable_cpus(monkeypatch, cpus)
     pools = []
-    pool = probe_module.ProcessPoolExecutor
-    monkeypatch.setattr(probe_module, "ProcessPoolExecutor", lambda **kwargs: pools.append(kwargs) or pool(**kwargs))
+    pool = workers_module.ProcessPoolExecutor
+    monkeypatch.setattr(workers_module, "ProcessPoolExecutor", lambda **kwargs: pools.append(kwargs) or pool(**kwargs))
     result, out = _probe(tmp_path, seeds, n_queries)
     assert result.exit_code == 0, result.output
     assert out.read_text(encoding="utf-8") == expected
