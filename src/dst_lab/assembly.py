@@ -4,8 +4,9 @@
 carries only the current turn's embedding, the full spoken context the
 concatenation of every turn, and the compressed spoken context replaces each
 prior turn with its pooled query vectors while the current turn stays
-uncompressed. It picks each context's blocks; ``assemble`` only concatenates
-them.
+uncompressed. It stacks the blocks a dialogue's contexts share once and picks
+each context's prefix of them; ``assemble`` builds a read-only context from
+that prefix plus at most one block.
 
 The predictor oracles stand in for the language model. They read gold states
 (optionally perturbing them) so the harness, codecs and metrics can be tested
@@ -16,11 +17,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from typing import Iterable, NamedTuple, Protocol
 
 import numpy as np
 
-from .corpus import Dialogue, DialogueState, Speaker, SplitMix64, derive_key, ONTOLOGY, ontology_values
+from .corpus import Dialogue, DialogueState, Speaker, SplitMix64, key_prefix, ONTOLOGY, ontology_values
 from .jsonio import SURROGATE
 from .neural.layers import Linear
 from .neural.pipeline import (
@@ -41,8 +42,7 @@ from .state_codec import (
 )
 
 
-@dataclass(frozen=True)
-class TurnSpan:
+class TurnSpan(NamedTuple):
     turn_index: int
     start_row: int
     n_rows: int
@@ -72,15 +72,39 @@ def read_turns(strategy: Strategy, dialogue: Dialogue) -> list[int]:
     return sorted({i for n in dialogue.user_turn_indices() for i in context_turns(strategy, n)})
 
 
-def assemble(blocks: list[tuple[int, np.ndarray]], text_part: str = "") -> AssembledContext:
-    """Concatenate a context's ``(turn_index, block)`` pairs, in order, and
-    record the rows each turn's block fills."""
+def stack_blocks(blocks: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, list[TurnSpan]]:
+    """The blocks of ``(turn_index, block)`` pairs concatenated, in order, into
+    one read-only matrix, and the rows each turn's block fills."""
     spans: list[TurnSpan] = []
     row = 0
     for i, block in blocks:
         spans.append(TurnSpan(i, row, block.shape[0]))
         row += block.shape[0]
-    return AssembledContext(np.concatenate([block for _, block in blocks], axis=0), spans, text_part)
+    matrix = np.concatenate([block for _, block in blocks], axis=0) if blocks else np.empty((0, 0))
+    matrix.flags.writeable = False
+    return matrix, spans
+
+
+def assemble(
+    matrix: np.ndarray,
+    spans: list[TurnSpan],
+    k: int,
+    current: tuple[int, np.ndarray] | None = None,
+    text_part: str = "",
+) -> AssembledContext:
+    """The context holding the first ``k`` blocks of ``stack_blocks``'s
+    ``matrix`` and ``spans``, then ``current``'s ``(turn_index, block)`` if
+    given. Its speech part is read-only: a view of ``matrix``, or of
+    ``current``'s block when ``k`` is 0, or else a new array of both."""
+    end = spans[k - 1].start_row + spans[k - 1].n_rows if k else 0
+    if current is None:
+        speech, bookkeeping = matrix[:end], spans[:k]
+    else:
+        i, block = current
+        speech = np.concatenate((matrix[:end], block), axis=0) if k else block.view()
+        bookkeeping = [*spans[:k], TurnSpan(i, end, block.shape[0])]
+    speech.flags.writeable = False
+    return AssembledContext(speech, bookkeeping, text_part)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +138,7 @@ class EmbeddingPipeline:
         return embedded
 
 
-def _groups(indices: list[int], key) -> list[tuple[int, ...]]:
+def _groups(indices: Iterable[int], key) -> list[tuple[int, ...]]:
     """``indices`` split by ``key(index)`` into tuples that keep their order,
     with ``key`` called on every index in order."""
     groups: dict[object, list[int]] = {}
@@ -180,6 +204,8 @@ class OracleNoisy:
         time_reformat_prob: float = TIME_REFORMAT_PROB,
     ):
         self.seed = seed
+        self._state_key = key_prefix(seed, "noisy")
+        self._text_key = key_prefix(seed, "asr")
         self.drop_prob = drop_prob
         self.typo_prob = typo_prob
         self.insert_prob = insert_prob
@@ -209,7 +235,7 @@ class OracleNoisy:
         return f"{hour12}:{clock[2]} {suffix}"
 
     def perturb_state(self, dialogue_id: str, turn_index: int, gold: DialogueState) -> DialogueState:
-        rng = SplitMix64(derive_key(self.seed, "noisy", dialogue_id, turn_index))
+        rng = SplitMix64(self._state_key(dialogue_id, turn_index))
         domains = list(gold.domains)
         slots: dict[tuple[str, str], str] = {}
         for (domain, slot), value in sorted(gold.slots.items()):
@@ -227,11 +253,10 @@ class OracleNoisy:
                 if domain not in domains:
                     domains.append(domain)
                 slots[(domain, slot)] = rng.choice(ontology_values(domain, slot))
-        kept_domains = [d for d in domains if any(k[0] == d for k in slots) or d in gold.domains]
-        return DialogueState(kept_domains, slots)
+        return DialogueState(domains, slots)
 
     def perturb_text(self, dialogue_id: str, turn_index: int, text: str) -> str:
-        rng = SplitMix64(derive_key(self.seed, "asr", dialogue_id, turn_index))
+        rng = SplitMix64(self._text_key(dialogue_id, turn_index))
         words = text.split()
         out = []
         for word in words:
@@ -342,19 +367,22 @@ def run_dialogue(
     """Predict the state at every user turn, in order.
 
     The context of user turn ``n`` reads the turns ``context_turns`` names.
-    Under the compressed strategy it holds each turn before ``n`` (and ``n``
-    itself under ``compress_current``) as that turn's pooled block, and every
-    other turn as its embedding; this is the one place that rule is written.
-    ``assemble`` concatenates the blocks picked here.
+    Under the spoken strategies it opens with a prefix of one read-only
+    matrix per dialogue (``stack_blocks``): the blocks of turns 1, 2, ... in
+    order, each as every context after that turn holds it, which is its
+    pooled block under the compressed strategy and its embedding under full
+    spoken. Under full spoken and ``compress_current`` the prefix runs
+    through turn ``n`` and is the whole context; otherwise turn ``n``'s
+    embedding follows the blocks of turns 1..n-1 (under the multimodal
+    strategy, none). ``assemble`` builds each context from that choice.
 
     The turns the contexts read (``read_turns``) are embedded once, up front:
     the user turns under the multimodal strategy, every turn up to the last
     user turn under the spoken ones. A read turn without features fails the
     dialogue, naming the lowest such turn. Turns whose features share a shape
-    are embedded by one ``embed_turn`` call. Every turn some context holds
+    are embedded by one ``embed_turn`` call. Every turn the matrix holds
     pooled is pooled once, up front, by one ``compress_turn`` call per
-    embedding row count, and every context reuses the blocks. A stacked
-    forward is bitwise equal to per-turn ones.
+    embedding row count. A stacked forward is bitwise equal to per-turn ones.
 
     For the multimodal strategy the predictor's own transcription of each user
     turn is fed back as that turn's history text for subsequent prompts; gold
@@ -370,24 +398,27 @@ def run_dialogue(
     compressed = strategy is Strategy.COMPRESSED_SPOKEN
     if compressed and compressor is None:
         raise ValueError("compressed_spoken requires a compressor")
-
-    def pooled_at(n: int, i: int) -> bool:
-        return compressed and (i < n or compress_current)
-
     results: list[TurnResult] = []
     history = ""
     users = dialogue.user_turn_indices()
+    if not users:
+        return results
     embedded: dict[int, np.ndarray] = {}
     for group in _groups(read_turns(strategy, dialogue), lambda i: _features(dialogue, i).shape):
         embedded.update(zip(group, embedder.embed_turn(dialogue, group)))
-    to_pool = sorted({i for n in users for i in context_turns(strategy, n) if pooled_at(n, i)})
+    whole = strategy is Strategy.FULL_SPOKEN or (compressed and compress_current)
+    last = users[-1] if whole else users[-1] - 1
+    shared = range(1, last + 1) if strategy is not Strategy.MULTIMODAL else range(0)
     pooled: dict[int, np.ndarray] = {}
-    for group in _groups(to_pool, lambda i: embedded[i].shape[0]):
+    for group in _groups(shared if compressed else range(0), lambda i: embedded[i].shape[0]):
         pooled.update(zip(group, compress_turn(np.stack([embedded[i] for i in group]), compressor)))
+    matrix, spans = stack_blocks([(i, pooled[i] if compressed else embedded[i]) for i in shared])
     for n in users:
         prompt = build_prompt(strategy, history)
-        blocks = [(i, pooled[i] if pooled_at(n, i) else embedded[i]) for i in context_turns(strategy, n)]
-        context = assemble(blocks, prompt)
+        if whole:
+            context = assemble(matrix, spans, n, text_part=prompt)
+        else:
+            context = assemble(matrix, spans, n - 1 if compressed else 0, (n, embedded[n]), prompt)
         gold = dialogue.gold_states.get(n, DialogueState())
         completion = predictor.predict(PredictionRequest(dialogue, n, strategy, context, gold))
         completion, surrogates = SURROGATE.subn("\ufffd", completion)

@@ -99,12 +99,10 @@ class DialogueState:
 
     def to_nested(self) -> dict[str, dict[str, str]]:
         """Slots as {domain: {slot: value}}, domains in insertion order, slots sorted."""
-        nested: dict[str, dict[str, str]] = {}
-        for domain in self.domains:
-            entries = {s: v for (d, s), v in self.slots.items() if d == domain}
-            if entries:
-                nested[domain] = {s: entries[s] for s in sorted(entries)}
-        return nested
+        by_domain: dict[str, dict[str, str]] = {}
+        for (domain, slot), value in self.slots.items():
+            by_domain.setdefault(domain, {})[slot] = value
+        return {d: dict(sorted(by_domain[d].items())) for d in self.domains if d in by_domain}
 
     def to_json_obj(self) -> dict:
         """The ``{"domains": [...], "slots": to_nested()}`` object that ``read_state`` reads."""
@@ -276,22 +274,26 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
-def derive_key(*parts: int | str) -> int:
-    """Stable 64-bit key from a sequence of integers and strings."""
-    h = hashlib.blake2b(digest_size=8)
+def _absorb(h, parts: tuple[int | str, ...]):
+    """``h`` updated with each part's tagged bytes, in order."""
     for part in parts:
         if isinstance(part, int):
             h.update(b"i" + struct.pack("<q", part & ((1 << 63) - 1)))
         else:
             h.update(b"s" + part.encode("utf-8") + b"\x00")
-    return int.from_bytes(h.digest(), "little")
+    return h
+
+
+def derive_key(*parts: int | str) -> int:
+    """Stable 64-bit key from a sequence of integers and strings."""
+    return int.from_bytes(_absorb(hashlib.blake2b(digest_size=8), parts).digest(), "little")
+
+
+def key_prefix(*head: int | str) -> Callable[..., int]:
+    """``derive_key`` with its leading parts fixed: ``key_prefix(*head)(*rest)``
+    equals ``derive_key(*head, *rest)``, and ``head`` is hashed once."""
+    hashed = _absorb(hashlib.blake2b(digest_size=8), head)
+    return lambda *rest: int.from_bytes(_absorb(hashed.copy(), rest).digest(), "little")
 
 
 def seed_error(seed: int) -> str | None:
@@ -309,8 +311,10 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix64(self._state)
+        z = self._state = (self._state + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))

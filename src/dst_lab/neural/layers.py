@@ -16,9 +16,12 @@ An input may have batch 1 where the other input of the same layer, and so the
 output, has batch B: the compressor feeds its query bank to decoder layer 0
 once, not copied per memory turn. Backward takes ``dout`` at batch B, and a
 cache with batch 1 broadcasts to ``dout``'s batch. ``LayerNorm`` and every
-``@`` do that by numpy broadcasting; ``MultiHeadAttention`` reads its cached
-``x_q``, ``x_kv`` and ``merged`` through ``np.broadcast_to`` for the weight
-gradients' ``tensordot``.
+``@`` do that by numpy broadcasting. ``MultiHeadAttention`` copies each
+batch-1 cache among ``x_q``, ``x_kv`` and ``merged`` once per backward, at
+``dout``'s batch, and hands that copy to every weight gradient's
+``tensordot`` that reads it (``tensordot`` would copy a broadcast view per
+call). The products are bitwise equal to those of the broadcast views at the
+shapes ``tests/test_neural.py`` checks.
 
 The elementwise kernels (``gelu_grad``, ``softmax_last``, the GELU factor of
 ``FeedForward.backward`` and ``LayerNorm.backward``) are ``out=`` ufunc chains.
@@ -178,6 +181,12 @@ class LayerNorm(Layer):
         return dx
 
 
+def _at_batch(a: np.ndarray, batch: int) -> np.ndarray:
+    """``a``, or, when its batch is 1, a C-contiguous copy of ``a`` broadcast
+    to ``batch``."""
+    return a if a.shape[0] == batch else np.ascontiguousarray(np.broadcast_to(a, (batch, *a.shape[1:])))
+
+
 class MultiHeadAttention(Layer):
     """Scaled dot-product attention; self-attention when memory is the input."""
 
@@ -220,8 +229,11 @@ class MultiHeadAttention(Layer):
     def backward(self, dout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p, g = self._params, self._grads
         x_q, x_kv, q, k, v, attn, merged = self._cache
-        # a cache with batch 1 broadcasts to dout's batch for the tensordots
-        x_q, x_kv, merged = (np.broadcast_to(a, dout.shape[:1] + a.shape[1:]) for a in (x_q, x_kv, merged))
+        # a cache with batch 1 is copied once to dout's batch for the tensordots;
+        # under self-attention x_q is x_kv, so one copy serves Wq, Wk and Wv
+        same = x_q is x_kv
+        x_kv, merged = _at_batch(x_kv, dout.shape[0]), _at_batch(merged, dout.shape[0])
+        x_q = x_kv if same else _at_batch(x_q, dout.shape[0])
         g["Wo"] += np.tensordot(merged, dout, axes=((0, 1), (0, 1)))
         g["bo"] += dout.sum(axis=(0, 1))
         dmerged = dout @ p["Wo"].T

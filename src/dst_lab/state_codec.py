@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii  # what ``json.dumps(str)`` calls
 from typing import Iterable, Mapping
 
 from . import jsonio
@@ -37,6 +38,10 @@ class ParseFailure(ValueError):
 # State serialization
 # --------------------------------------------------------------------------
 
+# The compact ASCII encoder of every JSON document this module writes, made
+# once: ``json.dumps`` with a non-default setting builds a new encoder per call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
 
 def serialize_state(state: DialogueState) -> str:
     """Canonical byte-stable encoding of a dialogue state.
@@ -52,7 +57,7 @@ def serialize_state(state: DialogueState) -> str:
             for domain, slot_map in nested.items()
         },
     }
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=True)
+    return _COMPACT.encode(doc)
 
 
 def _extract_json_object(text: str) -> tuple[str, list[str]]:
@@ -226,7 +231,7 @@ def build_prompt(strategy: Strategy, history: str = "") -> str:
     only as speech.
     """
     if strategy is Strategy.MULTIMODAL:
-        return MULTIMODAL_PROMPT_PREFIX + json.dumps(history, ensure_ascii=True) + MULTIMODAL_PROMPT_INFIX
+        return MULTIMODAL_PROMPT_PREFIX + encode_basestring_ascii(history) + MULTIMODAL_PROMPT_INFIX
     return SPOKEN_PROMPT_PREFIX
 
 
@@ -235,7 +240,7 @@ def render_completion(strategy: Strategy, state: DialogueState, user_last_turn: 
     serialized = serialize_state(state)
     if strategy is Strategy.MULTIMODAL:
         body = serialized[1:-1]  # inner fields of the canonical object
-        return json.dumps(user_last_turn or "", ensure_ascii=True) + ", " + body + " }"
+        return encode_basestring_ascii(user_last_turn or "") + ", " + body + " }"
     assert serialized.startswith('{"domains":')
     return serialized[len(SPOKEN_PROMPT_PREFIX) - 1 :]
 
@@ -264,7 +269,7 @@ class PredictionRecord:
         }
         if self.diagnostics:
             obj["diagnostics"] = self.diagnostics
-        return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+        return _COMPACT.encode(obj)
 
 
 def _record(obj: object) -> PredictionRecord:

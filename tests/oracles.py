@@ -16,7 +16,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from dst_lab.corpus import Dialogue, DialogueState, Speaker, StateInvariantError, Turn, _check_turns
+from dst_lab.corpus import (
+    ONTOLOGY,
+    Dialogue,
+    DialogueState,
+    Speaker,
+    SplitMix64,
+    StateInvariantError,
+    Turn,
+    _check_turns,
+    derive_key,
+    ontology_values,
+)
 from dst_lab.jsonio import check, get, reject
 from dst_lab.neural import probe
 from dst_lab.neural.pipeline import CompressorConfig, build_compressor, build_connector, build_encoder_stub, build_readout
@@ -388,6 +399,12 @@ def oracle_feed_forward_backward(params: dict, cache: tuple, dout: np.ndarray) -
     return dpre @ params["W1"].T, grads
 
 
+def oracle_broadcast_cache(a: np.ndarray, batch: int) -> np.ndarray:
+    """A cache at ``batch`` as ``MultiHeadAttention.backward`` first read it:
+    a stride-0 ``np.broadcast_to`` view, which each ``tensordot`` copies."""
+    return np.broadcast_to(a, (batch, *a.shape[1:]))
+
+
 def oracle_compressor_forward(compressor, memory: np.ndarray) -> np.ndarray:
     """The compressor forward with the query bank copied to the memory's batch
     before decoder layer 0, so every sublayer caches full-batch arrays.
@@ -400,6 +417,65 @@ def oracle_compressor_forward(compressor, memory: np.ndarray) -> np.ndarray:
     for layer in compressor.layers:
         q = layer.forward(q, memory)
     return q
+
+
+def oracle_to_nested(state: DialogueState) -> dict[str, dict[str, str]]:
+    """``DialogueState.to_nested`` by one scan of the slots per domain: domains
+    in insertion order, each with its slots sorted, a domain without slots
+    left out."""
+    nested: dict[str, dict[str, str]] = {}
+    for domain in state.domains:
+        entries = {s: v for (d, s), v in state.slots.items() if d == domain}
+        if entries:
+            nested[domain] = {s: entries[s] for s in sorted(entries)}
+    return nested
+
+
+def oracle_compact_json(obj: object) -> str:
+    """The compact ASCII JSON text of ``obj``, from a new encoder per call."""
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+
+
+# The noisy predictor's perturbations as they were written with ``derive_key``
+# over the whole key at every turn. They take the predictor for its
+# probabilities and call its own ``_typo`` and ``_reformat_time``.
+
+
+def oracle_perturb_state(noisy, dialogue_id: str, turn_index: int, gold: DialogueState) -> DialogueState:
+    """The gold state with drops, time reformats, typos and at most one
+    inserted slot; the domains are filtered to those that hold a slot or are
+    gold domains."""
+    rng = SplitMix64(derive_key(noisy.seed, "noisy", dialogue_id, turn_index))
+    domains = list(gold.domains)
+    slots: dict[tuple[str, str], str] = {}
+    for (domain, slot), value in sorted(gold.slots.items()):
+        if rng.uniform() < noisy.drop_prob:
+            continue
+        if ":" in value and rng.uniform() < noisy.time_reformat_prob:
+            value = noisy._reformat_time(value)
+        elif rng.uniform() < noisy.typo_prob:
+            value = noisy._typo(rng, value)
+        slots[(domain, slot)] = value
+    if rng.uniform() < noisy.insert_prob:
+        domain = rng.choice(sorted(ONTOLOGY))
+        slot = rng.choice(sorted(ONTOLOGY[domain]))
+        if (domain, slot) not in gold.slots:
+            if domain not in domains:
+                domains.append(domain)
+            slots[(domain, slot)] = rng.choice(ontology_values(domain, slot))
+    kept_domains = [d for d in domains if any(k[0] == d for k in slots) or d in gold.domains]
+    return DialogueState(kept_domains, slots)
+
+
+def oracle_perturb_text(noisy, dialogue_id: str, turn_index: int, text: str) -> str:
+    """``text`` with a typo in each word drawn below the typo probability."""
+    rng = SplitMix64(derive_key(noisy.seed, "asr", dialogue_id, turn_index))
+    out = []
+    for word in text.split():
+        if rng.uniform() < noisy.typo_prob:
+            word = noisy._typo(rng, word)
+        out.append(word)
+    return " ".join(out)
 
 
 def oracle_total_rows(

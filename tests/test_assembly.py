@@ -16,8 +16,9 @@ from dst_lab.assembly import (
     context_length_report,
     make_predictor,
     run_dialogue,
+    stack_blocks,
 )
-from dst_lab.corpus import DialogueState, load_corpus
+from dst_lab.corpus import DialogueState, SynthConfig, load_corpus, synth_corpus
 from dst_lab.metrics import evaluate, references_from_corpus, states_from_records
 from dst_lab.neural.pipeline import (
     CompressorConfig,
@@ -30,7 +31,13 @@ from dst_lab.neural.pipeline import (
 from dst_lab.postprocess import MatchPolicy
 from dst_lab.state_codec import PredictionRecord, Strategy, read_predictions, write_predictions
 
-from oracles import oracle_assemble, oracle_embed_turn, oracle_total_rows
+from oracles import (
+    oracle_assemble,
+    oracle_embed_turn,
+    oracle_perturb_state,
+    oracle_perturb_text,
+    oracle_total_rows,
+)
 
 RNG = np.random.default_rng(77)
 CONFIG = CompressorConfig(d_model=16, n_heads=2, n_queries=10, seed=5)
@@ -89,14 +96,20 @@ def test_multimodal_keeps_only_current_turn():
 def test_bookkeeping_partitions_rows():
     for rows in ([7, 3, 9, 2, 5], [10, 10, 10, 10, 5], [4]):
         blocks = list(zip([1, 2, 3, 4, 5], _embeddings(rows)))
-        ctx = assemble(blocks, "prompt")
-        position = 0
-        for span, (i, block) in zip(ctx.bookkeeping, blocks, strict=True):
-            assert (span.turn_index, span.start_row, span.n_rows) == (i, position, block.shape[0])
-            assert np.array_equal(ctx.speech_part[position : position + span.n_rows], block)
-            position += span.n_rows
-        assert position == ctx.total_rows
-        assert ctx.text_part == "prompt"
+        matrix, spans = stack_blocks(blocks)
+        for k in range(len(blocks) + 1):
+            for current in (None, (9, _embeddings([3])[0])):
+                if not k and current is None:
+                    continue
+                ctx = assemble(matrix, spans, k, current, "prompt")
+                held = blocks[:k] + ([current] if current else [])
+                position = 0
+                for span, (i, block) in zip(ctx.bookkeeping, held, strict=True):
+                    assert (span.turn_index, span.start_row, span.n_rows) == (i, position, block.shape[0])
+                    assert np.array_equal(ctx.speech_part[position : position + span.n_rows], block)
+                    position += span.n_rows
+                assert position == ctx.total_rows
+                assert ctx.text_part == "prompt"
 
 
 def test_missing_compressor_rejected(small_corpus, monkeypatch):
@@ -143,15 +156,16 @@ def test_assemble_deterministic():
     embs = _embeddings([4, 6, 8])
     compressor = build_compressor(CONFIG)
 
-    def blocks():
-        return [(i, compress_turn(embs[i - 1][None], compressor)[0]) for i in (1, 2)] + [(3, embs[2])]
+    def context():
+        pooled = [(i, compress_turn(embs[i - 1][None], compressor)[0]) for i in (1, 2)]
+        matrix, spans = stack_blocks(pooled)
+        return assemble(matrix, spans, 2, (3, embs[2]))
 
-    x = assemble(blocks())
-    y = assemble(blocks())
+    x, y = context(), context()
     assert np.array_equal(x.speech_part, y.speech_part)
     assert x.bookkeeping == y.bookkeeping
-    assert not np.shares_memory(x.speech_part, y.speech_part)
-    assert not np.shares_memory(x.speech_part, embs[2])
+    with pytest.raises(ValueError, match="read-only"):
+        x.speech_part[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +194,36 @@ def test_oracle_noisy_deterministic(small_corpus):
     assert [r.raw_output for r in a] == [r.raw_output for r in b]
     c = run_dialogue(dlg, Strategy.FULL_SPOKEN, OracleNoisy(seed=4), embedder)
     assert [r.raw_output for r in a] != [r.raw_output for r in c]
+
+
+# (drop, typo, insert, time reformat) probabilities, and a test that the
+# perturbed state took the path the setting forces
+NOISE_PATHS = {
+    "defaults": ((0.08, 0.10, 0.05, 0.25), lambda gold, state: True),
+    "drop": ((0.5, 0.0, 0.0, 0.0), lambda gold, state: len(state.slots) < len(gold.slots)),
+    "typo": ((0.0, 1.0, 0.0, 0.0), lambda gold, state: state.slots != gold.slots),
+    "time": ((0.0, 0.0, 0.0, 1.0), lambda gold, state: any(v.endswith((" am", " pm")) for v in state.slots.values())),
+    "insert": ((0.0, 0.0, 1.0, 0.0), lambda gold, state: set(state.domains) - set(gold.domains)),
+    "mixed": ((0.3, 0.5, 0.5, 0.5), lambda gold, state: state.slots != gold.slots),
+}
+
+
+@pytest.mark.parametrize("path", NOISE_PATHS)
+def test_noisy_perturbations_equal_the_whole_key_oracles(small_corpus, path):
+    probs, took_path = NOISE_PATHS[path]
+    corpus = small_corpus + synth_corpus(9, SynthConfig(n_dialogues=6, turns_per_dialogue=10, feature_dim=4))
+    hits = 0
+    for seed in (0, 7):
+        noisy = OracleNoisy(seed, *probs)
+        for dlg in corpus:
+            for n, gold in dlg.gold_states.items():
+                state = noisy.perturb_state(dlg.id, n, gold)
+                expected = oracle_perturb_state(noisy, dlg.id, n, gold)
+                assert (state.domains, state.slots) == (expected.domains, expected.slots)
+                hits += bool(took_path(gold, state))
+                text = dlg.turn(n).transcript
+                assert noisy.perturb_text(dlg.id, n, text) == oracle_perturb_text(noisy, dlg.id, n, text)
+    assert hits
 
 
 def test_noisy_time_reformat_leaves_values_that_are_not_clock_times_unchanged():
@@ -373,6 +417,47 @@ def test_run_dialogue_contexts_equal_from_scratch_assembly(small_corpus, monkeyp
                 compressed_up_to = last if compress_current else last - 1
                 expected_compressed |= {(dlg.id, i) for i in range(1, compressed_up_to + 1)}
         assert sorted(compressed_turns) == sorted(expected_compressed)
+
+
+@pytest.mark.parametrize("strategy, compress_current", STRATEGY_CASES)
+def test_run_dialogue_contexts_are_read_only_views(small_corpus, monkeypatch, strategy, compress_current):
+    """Every context a predictor receives is read-only. The full spoken and
+    ``compress_current`` contexts are prefixes of the dialogue's one matrix, a
+    multimodal context is a view of its turn's embedding stack, and a
+    compressed context is a new array of pooled rows plus the current turn
+    (or that turn's embedding alone at turn 1)."""
+    matrices, stacks = [], []
+    original_stack_blocks, embed_turn = assembly.stack_blocks, EmbeddingPipeline.embed_turn
+
+    def recording_stack_blocks(blocks):
+        matrix, spans = original_stack_blocks(blocks)
+        matrices.append(matrix)
+        return matrix, spans
+
+    def recording_embed_turn(self, dialogue, turn_indices):
+        stacks.append(embed_turn(self, dialogue, turn_indices))
+        return stacks[-1]
+
+    monkeypatch.setattr(assembly, "stack_blocks", recording_stack_blocks)
+    monkeypatch.setattr(EmbeddingPipeline, "embed_turn", recording_embed_turn)
+    embedder, compressor = _embedder(8), build_compressor(CONFIG)
+    for dlg in small_corpus:
+        matrices.clear()
+        stacks.clear()
+        recorder = RecordingPredictor()
+        run_dialogue(dlg, strategy, recorder, embedder, compressor, compress_current=compress_current)
+        (matrix,) = matrices
+        assert not matrix.flags.writeable
+        for n, context in recorder.contexts.items():
+            speech = context.speech_part
+            with pytest.raises(ValueError, match="read-only"):
+                speech[0, 0] = 0.0
+            if strategy is Strategy.FULL_SPOKEN or compress_current:
+                assert speech.base is matrix
+            elif strategy is Strategy.MULTIMODAL or n == 1:
+                assert any(speech.base is stack for stack in stacks)
+            else:
+                assert speech.flags.owndata
 
 
 @pytest.mark.parametrize("strategy, compress_current", STRATEGY_CASES)

@@ -257,10 +257,9 @@ def test_context_lengths_csv_matches_assembled_contexts(runner, tmp_path, monkey
     assembled: dict[int, list[int]] = {}
     original = assembly.assemble
 
-    def recording_assemble(blocks, text_part):
-        context = original(blocks, text_part)
-        current, _ = blocks[-1]
-        assembled.setdefault(current, []).append(context.total_rows)
+    def recording_assemble(*args, **kwargs):
+        context = original(*args, **kwargs)
+        assembled.setdefault(context.bookkeeping[-1].turn_index, []).append(context.total_rows)
         return context
 
     monkeypatch.setattr(assembly, "assemble", recording_assemble)

@@ -33,7 +33,7 @@ from dst_lab.corpus import (
     write_feature_sidecar,
 )
 
-from oracles import oracle_state_domains
+from oracles import oracle_state_domains, oracle_to_nested
 
 
 def _write_minimal_corpus(tmp_path, dialogues):
@@ -247,6 +247,51 @@ def test_state_keeps_the_first_of_each_domain_and_checks_slots_like_a_list_scan(
         assert str(info.value) == str(exc)
     else:
         assert DialogueState(list(domains), dict(slots)).domains == expected
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    domains=st.lists(_DOMAIN_NAMES, max_size=6),
+    slots=st.dictionaries(
+        st.tuples(_DOMAIN_NAMES, st.sampled_from(["area", "day", "Name", "book"])), st.sampled_from(["north", "x"]), max_size=8
+    ),
+)
+def test_to_nested_equals_the_scan_per_domain_oracle(domains, slots):
+    state = DialogueState(list(domains) + [d for d, _ in slots], dict(slots))
+    # json.dumps pins the order of domains and of each domain's slots
+    assert json.dumps(state.to_nested()) == json.dumps(oracle_to_nested(state))
+
+
+def test_to_nested_of_gold_states_equals_the_oracle(small_corpus):
+    for dialogue in small_corpus:
+        for state in dialogue.gold_states.values():
+            assert json.dumps(state.to_nested()) == json.dumps(oracle_to_nested(state))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**63 - 1])
+def test_splitmix64_draws_equal_the_numpy_counter_stream(seed):
+    """``SplitMix64`` draws the counter stream ``_u64_stream`` computes with
+    numpy; ``uniform``, ``randint``, ``choice`` and ``sample``, replayed here
+    from that stream, draw what they drew."""
+    draws = corpus._u64_stream(seed, 6000).tolist()
+    rng = corpus.SplitMix64(seed)
+    assert [rng.next_u64() for _ in range(1000)] == draws[:1000]
+    stream = iter(draws[1000:])
+
+    def randint(n: int) -> int:
+        limit = 2**64 - 2**64 % n  # a draw at or above it is rejected
+        while (u := next(stream)) >= limit:
+            pass
+        return u % n
+
+    items = list("abcdefghij")
+    for step in range(300):
+        assert rng.uniform() == (next(stream) >> 11) * 2.0**-53
+        n = (1, 2, 3, 7, 10, 1000, 3 * 2**62)[step % 7]  # 3 * 2**62 rejects a quarter of draws
+        assert rng.randint(n) == randint(n)
+        assert rng.choice(items) == items[randint(len(items))]
+        pool = list(items)
+        assert rng.sample(items, 4) == [pool.pop(randint(len(pool))) for _ in range(4)]
 
 
 def test_an_integer_too_long_to_convert_is_a_located_corpus_error(tmp_path, small_corpus):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dst_lab.neural import layers
 from dst_lab.neural.layers import (
     FeedForward,
     LayerNorm,
@@ -25,6 +26,7 @@ from dst_lab.neural.pipeline import (
 from oracles import (
     OracleLayerNorm,
     gelu,
+    oracle_broadcast_cache,
     oracle_compressor_forward,
     oracle_feed_forward_backward,
     oracle_gelu_grad,
@@ -434,6 +436,30 @@ def test_attention_caches_the_oracle_softmax_and_backward_writes_no_cache(q_shap
     kept = _snapshot(*attn._cache)
     attn.backward(rng.standard_normal(q_shape))
     _assert_unchanged(kept)
+
+
+# dout's (batch, rows, d); x_q has batch 1, and so has x_kv under self-attention
+@pytest.mark.parametrize("shape", [(240, 8, 16), (60, 8, 16), (240, 1, 16), (48, 10, 8), (240, 9, 16), (7, 3, 8)])
+@pytest.mark.parametrize("self_attention", [True, False])
+def test_attention_backward_copying_batch_1_caches_bitwise_equals_broadcast_views(monkeypatch, shape, self_attention):
+    rng = np.random.default_rng(sum(shape))
+    x_q = rng.standard_normal((1, *shape[1:]))
+    x_kv = x_q if self_attention else rng.standard_normal(shape)
+    dout = rng.standard_normal(shape)
+
+    def backward():
+        attn = MultiHeadAttention(shape[-1], 2, np.random.default_rng(5))
+        attn.forward(x_q, x_kv)
+        return attn.backward(dout), attn.grads()
+
+    (dx_q, dx_kv), grads = backward()
+    monkeypatch.setattr(layers, "_at_batch", oracle_broadcast_cache)
+    (expected_dx_q, expected_dx_kv), expected_grads = backward()
+    _assert_bitwise(dx_q, expected_dx_q)
+    _assert_bitwise(dx_kv, expected_dx_kv)
+    assert grads.keys() == expected_grads.keys()
+    for name, grad in expected_grads.items():
+        _assert_bitwise(grads[name], grad)
 
 
 def test_sinusoidal_positions_shape_and_range():

@@ -30,7 +30,7 @@ from dst_lab.state_codec import (
     write_predictions,
 )
 
-from oracles import oracle_build_prompt, oracle_decode_repaired
+from oracles import oracle_build_prompt, oracle_compact_json, oracle_decode_repaired
 
 # ---------------------------------------------------------------------------
 # serialize_state
@@ -115,6 +115,24 @@ def test_roundtrip_property(slots):
     state = DialogueState(domains, slots)
     parsed, _ = parse_state(serialize_state(state))
     assert parsed == state
+
+
+@pytest.mark.parametrize(
+    "text", ["", "plain", "caf\u00e9 \u2615 \u5317\u4eac", "lone \ud800 high", "\udfff", 'q"b\\s\n\t\x00\x7f', "\U0001f600"]
+)
+def test_shared_encoder_and_string_escape_equal_json_dumps(text):
+    for doc in (text, [text], {"k": text, text: [text, 1, None, 2.5, True]}):
+        assert state_codec._COMPACT.encode(doc) == oracle_compact_json(doc)
+    assert state_codec.encode_basestring_ascii(text) == json.dumps(text, ensure_ascii=True)
+    state = DialogueState(["hotel"], {("hotel", "name"): text})
+    assert serialize_state(state) == oracle_compact_json({"domains": ["hotel"], "predicted_state": {"hotel": {"name": text.lower()}}})
+    record = PredictionRecord("d", 1, text, state, [text])
+    assert record.to_json_line() == oracle_compact_json(
+        {"dialogue_id": "d", "turn_index": 1, "raw_output": text, "parsed_state": state.to_json_obj(), "diagnostics": [text]}
+    )
+    assert build_prompt(Strategy.MULTIMODAL, text) == '{ "history": ' + json.dumps(text) + ', "user_last_turn": '
+    completion = render_completion(Strategy.MULTIMODAL, state, text)
+    assert completion.startswith(json.dumps(text) + ", ")
 
 
 # ---------------------------------------------------------------------------
