@@ -7,6 +7,7 @@ regardless of worker count. Set DST_LAB_LOG to control log verbosity.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import math
@@ -299,9 +300,15 @@ def _load_agent_texts(path: str | None, dialogues: list[Dialogue]) -> None:
 
 @click.group()
 @click.version_option(version=__version__, prog_name="dst-lab")
-def main() -> None:
+@click.pass_context
+def main(ctx: click.Context) -> None:
     """Spoken-dialog context management lab: synthesis, runs, and evaluation."""
     _configure_logging()
+    # a command builds many long-lived objects and no cycles that grow with its input, so the
+    # cycle collector is paused until the command's context closes, however it ends
+    if gc.isenabled():
+        gc.disable()
+        ctx.call_on_close(gc.enable)
 
 
 @main.command("synth")

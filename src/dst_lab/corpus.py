@@ -9,6 +9,7 @@ survives compression.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import logging
@@ -634,8 +635,14 @@ def read_feature_sidecar(path: Path) -> tuple[str, int, np.ndarray]:
     that cannot be read one naming the path."""
     where = str(path)
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            blob = os.read(fd, size)
+            while len(blob) < size and (more := os.read(fd, size - len(blob))):
+                blob += more
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise CorpusFormatError(f"cannot read feature sidecar: {exc.strerror}", path=where) from exc
     if blob[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:
@@ -721,34 +728,36 @@ def write_corpus(
 
 
 def _attach_features(dialogues: list[Dialogue], features_dir: Path, read: TurnSelector | None) -> None:
-    """Attach the sidecar, where ``features_dir`` lists one, of each turn
+    """Attach the sidecar, where ``features_dir`` holds one, of each turn
     that ``read`` names (every turn when ``read`` is None). The sidecars read must agree
-    on ``feature_dim``; no other sidecar is opened."""
+    on ``feature_dim``; no other sidecar is opened, and the directory is not listed."""
     if not features_dir.is_dir():
         return
-    try:
-        listed = set(os.listdir(features_dir))
-    except OSError as exc:
-        raise CorpusFormatError(f"cannot list feature sidecars: {exc.strerror}", path=str(features_dir)) from exc
     directory = os.path.join(features_dir, "")
     dims: set[int] = set()
     for dlg in dialogues:
+        if "/" in dlg.id or "\0" in dlg.id:  # no file directly in features/ has such a name
+            continue
         for turn in dlg.turns if read is None else [dlg.turn(i) for i in read(dlg)]:
-            name = _feature_sidecar_name(dlg.id, turn.index)
-            if name in listed:
-                sidecar = directory + name
+            sidecar = directory + _feature_sidecar_name(dlg.id, turn.index)
+            try:
                 dialogue_id, turn_index, mat = read_feature_sidecar(sidecar)
-                if (dialogue_id, turn_index) != (dlg.id, turn.index):
-                    raise CorpusFormatError(
-                        f"sidecar header is for {dialogue_id} turn {turn_index}, "
-                        f"not {dlg.id} turn {turn.index}",
-                        path=sidecar,
-                        offset=len(FEATURE_MAGIC) + 4,
-                    )
-                if mat.size == 0:
-                    raise CorpusFormatError(f"empty feature matrix for {dlg.id} turn {turn.index}", path=sidecar)
-                dims.add(int(mat.shape[1]))
-                turn.features = mat
+            except CorpusFormatError as exc:
+                # a name features/ does not hold is no sidecar; a dangling link by that name is an error
+                if getattr(exc.__cause__, "errno", None) in (errno.ENOENT, errno.ENAMETOOLONG) and not os.path.lexists(sidecar):
+                    continue
+                raise
+            if (dialogue_id, turn_index) != (dlg.id, turn.index):
+                raise CorpusFormatError(
+                    f"sidecar header is for {dialogue_id} turn {turn_index}, "
+                    f"not {dlg.id} turn {turn.index}",
+                    path=sidecar,
+                    offset=len(FEATURE_MAGIC) + 4,
+                )
+            if mat.size == 0:
+                raise CorpusFormatError(f"empty feature matrix for {dlg.id} turn {turn.index}", path=sidecar)
+            dims.add(int(mat.shape[1]))
+            turn.features = mat
     if len(dims) > 1:
         raise CorpusFormatError(f"feature_dim not uniform across corpus: {sorted(dims)}")
 

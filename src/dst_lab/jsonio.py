@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import gc
 import json
 import json.scanner
 import math
@@ -131,24 +130,6 @@ def _bad_number(text: str) -> JsonInputError:
     raise AssertionError("the decoder rejected a number that the scan does not find")
 
 
-def nogc(func):
-    """``func`` with the cycle collector paused while it runs, and left as it
-    was found: for readers that build many objects holding no reference cycle."""
-
-    @functools.wraps(func)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return func(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused
-
-
-@nogc
 def read_document(path, read):
     """``read`` of the JSON document in the file ``path``; see :func:`parse`."""
     with open(path, "rb") as fh:

@@ -311,7 +311,6 @@ class PredictionFileError(ValueError):
         super().__init__(f"{path}:{line}: {reason}")
 
 
-@jsonio.nogc
 def read_predictions(path) -> list[PredictionRecord]:
     """Every record of a prediction NDJSON file; at most one per (dialogue, turn)."""
     records = []

@@ -12,12 +12,15 @@ loop over the probe's own building and training steps.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
 
 from dst_lab.corpus import (
+    FEATURE_MAGIC,
     ONTOLOGY,
+    CorpusFormatError,
     Dialogue,
     DialogueState,
     Speaker,
@@ -25,8 +28,10 @@ from dst_lab.corpus import (
     StateInvariantError,
     Turn,
     _check_turns,
+    _feature_sidecar_name,
     derive_key,
     ontology_values,
+    read_feature_sidecar,
 )
 from dst_lab.jsonio import check, get, reject
 from dst_lab.neural import probe
@@ -685,3 +690,36 @@ def oracle_probe_retention(corpus: list[Dialogue], n_queries_list: list[int], hy
         outcome = probe._train_with_retry(stages, (train_x, dataset.labels[train_idx]), hyper)
         results[n_queries] = accuracy(forward(outcome.stages, held_x), dataset.labels[held_idx])
     return results
+
+
+def oracle_attach_features(dialogues: list[Dialogue], features_dir, read) -> None:
+    """``corpus._attach_features`` as it was when it listed ``features_dir``
+    once and opened the sidecar of each turn ``read`` names that the listing
+    holds."""
+    if not features_dir.is_dir():
+        return
+    try:
+        listed = set(os.listdir(features_dir))
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot list feature sidecars: {exc.strerror}", path=str(features_dir)) from exc
+    directory = os.path.join(features_dir, "")
+    dims: set[int] = set()
+    for dlg in dialogues:
+        for turn in dlg.turns if read is None else [dlg.turn(i) for i in read(dlg)]:
+            name = _feature_sidecar_name(dlg.id, turn.index)
+            if name in listed:
+                sidecar = directory + name
+                dialogue_id, turn_index, mat = read_feature_sidecar(sidecar)
+                if (dialogue_id, turn_index) != (dlg.id, turn.index):
+                    raise CorpusFormatError(
+                        f"sidecar header is for {dialogue_id} turn {turn_index}, "
+                        f"not {dlg.id} turn {turn.index}",
+                        path=sidecar,
+                        offset=len(FEATURE_MAGIC) + 4,
+                    )
+                if mat.size == 0:
+                    raise CorpusFormatError(f"empty feature matrix for {dlg.id} turn {turn.index}", path=sidecar)
+                dims.add(int(mat.shape[1]))
+                turn.features = mat
+    if len(dims) > 1:
+        raise CorpusFormatError(f"feature_dim not uniform across corpus: {sorted(dims)}")

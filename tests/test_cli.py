@@ -3,6 +3,7 @@ from __future__ import annotations
 import builtins
 import csv
 import dataclasses
+import gc
 import json
 import multiprocessing
 import os
@@ -1362,6 +1363,97 @@ def test_gradcheck_command_fails_on_nan_gradients(runner, monkeypatch):
     compressor_lines = [line for line in result.output.splitlines() if " compressor " in line]
     assert len(compressor_lines) == 6
     assert all(line.startswith("FAIL") and "max_rel_err=inf" in line for line in compressor_lines)
+
+
+def _collector_case(runner, tmp_path, command: str, valid: bool) -> tuple[str, list[str], int]:
+    """The function of ``cli`` that ``command`` calls on its way to a success
+    or to a failure, the command's arguments, and its exit code on failure."""
+    corpus, run_out = tmp_path / "corpus", tmp_path / "run"
+    if command == "synth":
+        return "seed_error", ["synth", "--seed", "0" if valid else "-1", "--out", str(corpus)], 2
+    if command == "probe":
+        args = ["probe", *_PROBE_BASE, "--epochs", "20", "--lr", "0.2" if valid else "1e6", "--out", str(tmp_path / "p.csv")]
+        return "probe_runs", args, 1
+    if command == "gradcheck":
+        return "grad_check_suite", ["gradcheck", "--threshold", "1e-4" if valid else "1e-18"], 1
+    _synth(runner, corpus)
+    if command == "run":
+        if not valid:
+            next((corpus / "features").iterdir()).write_bytes(b"not a sidecar")
+        return "load_corpus", ["run", "--corpus", str(corpus), "--strategy", "full", "--out", str(run_out)], 1
+    assert runner.invoke(main, ["run", "--corpus", str(corpus), "--strategy", "full", "--out", str(run_out)]).exit_code == 0
+    predictions = run_out / "predictions.ndjson"
+    if not valid:
+        predictions.write_text(predictions.read_text() + "{\n")
+    args = ["evaluate", "--predictions", str(predictions), "--corpus", str(corpus), "--out", str(tmp_path / "report")]
+    return "read_predictions", args, 1
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("valid", [True, False])
+@pytest.mark.parametrize("command", ["synth", "run", "evaluate", "probe", "gradcheck"])
+def test_a_command_runs_with_the_collector_paused_and_leaves_it_as_found(
+    runner, tmp_path, monkeypatch, command, valid, enabled
+):
+    name, args, failure = _collector_case(runner, tmp_path, command, valid)
+    inside = []
+    called = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **k: inside.append(gc.isenabled()) or called(*a, **k))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        result = runner.invoke(main, args)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert result.exit_code == (0 if valid else failure), result.output
+    assert "Traceback" not in result.output
+    assert inside == [False]
+
+
+def _cycle_args(runner, tmp_path, command: str, n_dialogues: int) -> list[str]:
+    """Arguments of ``command`` ("run-<strategy>-<workers>", "evaluate", "probe"
+    or "gradcheck") on inputs of ``n_dialogues`` dialogues, made beforehand;
+    gradcheck reads no input, so it runs the same suite each time."""
+    if command == "probe":
+        return ["probe", *_PROBE_BASE, "--n-dialogues", str(n_dialogues), "--n-queries", "2", "--out", str(tmp_path / "p.csv")]
+    if command == "gradcheck":
+        return ["gradcheck"]
+    corpus, run_out = tmp_path / "corpus", tmp_path / "run"
+    _synth(runner, corpus, ["--n-dialogues", str(n_dialogues)])
+    _, strategy, workers = command.split("-") if command.startswith("run") else ("", "multimodal", "1")
+    args = ["run", "--corpus", str(corpus), "--strategy", strategy, "--predictor", "noisy", "--workers", workers]
+    args += ["--exclude-ids", "none", "--out", str(run_out)]
+    if command == "evaluate":
+        assert runner.invoke(main, args).exit_code == 0
+        args = ["evaluate", "--predictions", str(run_out / "predictions.ndjson"), "--corpus", str(corpus)]
+        args += ["--exclude-ids", "none", "--out", str(tmp_path / "report")]
+    return args
+
+
+def _cyclic_garbage(runner, args: list[str]) -> int:
+    """How many objects ``dst-lab args`` leaves in reference cycles. The
+    collector stays off throughout, so no collection frees one early."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        return gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [f"run-{s}-{w}" for s in ("multimodal", "full", "compressed") for w in (1, 2)] + ["evaluate", "probe", "gradcheck"],
+)
+def test_a_command_leaves_as_much_cyclic_garbage_on_four_times_the_input(runner, tmp_path, command):
+    # a command runs with the collector paused, which is safe only while its garbage cycles do not grow with its input
+    counts = [_cyclic_garbage(runner, _cycle_args(runner, tmp_path / str(n), command, n)) for n in (2, 8)]
+    assert counts[0] == counts[1]
 
 
 # the flags of each command that name no field of the object the command fills

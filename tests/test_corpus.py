@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ from dst_lab.corpus import (
     write_feature_sidecar,
 )
 
-from oracles import oracle_state_domains, oracle_to_nested
+from oracles import oracle_attach_features, oracle_state_domains, oracle_to_nested
 
 
 def _write_minimal_corpus(tmp_path, dialogues):
@@ -460,28 +463,35 @@ def test_feature_dim_must_agree_across_the_sidecars_read(tmp_path, small_corpus)
         load_corpus(tmp_path / "c", "synthetic_json")
 
 
-def test_load_corpus_lists_the_features_directory_once(tmp_path, small_corpus, monkeypatch):
+def test_load_corpus_lists_nothing_and_opens_each_read_sidecar_once(tmp_path, small_corpus, monkeypatch):
     write_corpus(tmp_path / "c", small_corpus)
-    listings = []
-    listdir = os.listdir
+    opened = []
+    os_open = os.open
 
-    def counting_listdir(path):
-        listings.append(path)
-        return listdir(path)
+    def counting_open(path, flags, *args, **kwargs):
+        opened.append(str(path))
+        return os_open(path, flags, *args, **kwargs)
+
+    def no_listing(path="."):
+        raise AssertionError(f"listing of {path}")
 
     def no_exists(self):
         raise AssertionError(f"stat of {self}")
 
-    monkeypatch.setattr(os, "listdir", counting_listdir)
-    monkeypatch.setattr(Path, "exists", no_exists)
-    loaded = load_corpus(tmp_path / "c", "synthetic_json")
-    assert listings == [tmp_path / "c" / "features"]
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "listdir", no_listing)
+        patched.setattr(os, "scandir", no_listing)
+        patched.setattr(os, "open", counting_open)
+        patched.setattr(Path, "exists", no_exists)
+        loaded = load_corpus(tmp_path / "c", "synthetic_json")
+    features = tmp_path / "c" / "features"
+    assert opened == [str(features / f"{dlg.id}__t{turn.index:04d}.f64") for dlg in small_corpus for turn in dlg.turns]
     for got, want in zip(loaded, small_corpus):
         assert all(np.array_equal(a.features, b.features) for a, b in zip(got.turns, want.turns))
 
 
 @pytest.mark.parametrize("fault, reason", [("directory", "Is a directory"), ("dangling_link", "No such file or directory")])
-def test_listed_sidecar_that_cannot_be_opened_is_a_format_error(tmp_path, small_corpus, fault, reason):
+def test_sidecar_that_cannot_be_opened_is_a_format_error(tmp_path, small_corpus, fault, reason):
     write_corpus(tmp_path / "c", small_corpus)
     sidecar = tmp_path / "c" / "features" / f"{small_corpus[0].id}__t0001.f64"
     sidecar.unlink()
@@ -494,17 +504,106 @@ def test_listed_sidecar_that_cannot_be_opened_is_a_format_error(tmp_path, small_
     assert str(info.value) == f"cannot read feature sidecar: {reason} [file: {sidecar}]"
 
 
-def test_unlistable_features_directory_is_a_format_error(tmp_path, small_corpus, monkeypatch):
-    write_corpus(tmp_path / "c", small_corpus)
+def _faulty_features(root: Path, dialogues: list[Dialogue], fault: str) -> Path:
+    """A corpus directory of the four ``dialogues`` with ``fault`` in what
+    its ``features/`` directory holds."""
+    corpus_dir, features = root / "c", root / "c" / "features"
+    first, second, third, fourth = dialogues
 
-    def denied(path):
-        raise PermissionError(13, "Permission denied", str(path))
+    def sidecar(dlg, turn_index):
+        return features / f"{dlg.id}__t{turn_index:04d}.f64"
 
-    monkeypatch.setattr(os, "listdir", denied)
+    if fault in ("nested_id", "long_id", "nul_id"):  # ids that no file directly in features/ can be named after
+        name = {"nested_id": "sub/d", "long_id": "d" * 300, "nul_id": "d\0"}[fault]
+        turns = first.turns if fault == "nested_id" else [dataclasses.replace(t, features=None) for t in first.turns]
+        dialogues = [dataclasses.replace(first, id=name, turns=turns), second, third, fourth]
+        (features / "sub").mkdir(parents=True)
+    write_corpus(corpus_dir, dialogues)
+    if fault == "missing":
+        for path in [sidecar(first, 2), sidecar(first, 3), *(sidecar(third, t.index) for t in third.turns)]:
+            path.unlink()
+    elif fault == "stale":  # the sidecars of a corpus of another seed, whose names hold that seed
+        write_corpus(root / "other", synth_corpus(124, SynthConfig(n_dialogues=4, turns_per_dialogue=8, feature_dim=5)))
+        for path in (root / "other" / "features").iterdir():
+            path.rename(features / path.name)
+    elif fault == "no_directory":
+        shutil.rmtree(features)
+    elif fault == "file_in_place_of_directory":
+        shutil.rmtree(features)
+        features.write_bytes(b"")
+    elif fault in ("dangling_user_link", "dangling_agent_link"):
+        path = sidecar(second, 3 if fault == "dangling_user_link" else 4)
+        path.unlink()
+        path.symlink_to(root / "gone.f64")
+    elif fault == "directory":
+        sidecar(second, 1).unlink()
+        sidecar(second, 1).mkdir()
+    elif fault == "header_for_another_turn":
+        write_feature_sidecar(sidecar(second, 5), second.id, 7, second.turns[4].features)
+    elif fault == "non_finite":
+        values = third.turns[2].features.copy()
+        values[1, 3] = np.inf
+        write_feature_sidecar(sidecar(third, 3), third.id, 3, values)
+    elif fault in ("mixed_agent_dims", "mixed_user_dims"):
+        index = 6 if fault == "mixed_agent_dims" else 7
+        write_feature_sidecar(sidecar(fourth, index), fourth.id, index, np.ones((2, 9)))
+    return corpus_dir
+
+
+def _attached(load) -> list | str:
+    """Each turn's features, as shape and bytes, in the dialogues ``load``
+    returns, or the text of the CorpusFormatError it raises."""
+    try:
+        dialogues = load()
+    except CorpusFormatError as exc:
+        return str(exc)
+    return [[None if t.features is None else (t.features.shape, t.features.tobytes()) for t in d.turns] for d in dialogues]
+
+
+def _oracle_load(corpus_dir: Path, read):
+    dialogues, _ = parse_corpus(corpus_dir, "synthetic_json")
+    oracle_attach_features(dialogues, corpus_dir / "features", read)
+    return dialogues
+
+
+@pytest.mark.parametrize("read", [None, _user_turns], ids=["every_turn", "user_turns"])
+@pytest.mark.parametrize(
+    "fault",
+    [
+        "intact", "missing", "stale", "no_directory", "file_in_place_of_directory", "dangling_user_link",
+        "dangling_agent_link", "directory", "header_for_another_turn", "non_finite", "mixed_agent_dims",
+        "mixed_user_dims", "nested_id", "long_id", "nul_id",
+    ],
+)
+def test_load_corpus_attaches_what_the_listing_oracle_attaches(tmp_path, small_corpus, fault, read):
+    corpus_dir = _faulty_features(tmp_path, small_corpus, fault)
+    got = _attached(lambda: load_corpus(corpus_dir, "synthetic_json", read))
+    assert got == _attached(lambda: _oracle_load(corpus_dir, read))
+    if fault == "intact":
+        every = _attached(lambda: small_corpus)
+        assert got == [[f if read is None or i % 2 == 0 else None for i, f in enumerate(turns)] for turns in every]
+
+
+def test_sidecar_reader_takes_short_reads(tmp_path, monkeypatch):
+    path = tmp_path / "x.f64"
+    mat = np.arange(6.0).reshape(3, 2)
+    write_feature_sidecar(path, "dlg", 3, mat)
+    blob = path.read_bytes()
+    os_read, os_fstat = os.read, os.fstat
+    monkeypatch.setattr(os, "read", lambda fd, n: os_read(fd, min(n, 1)))
+    dialogue_id, turn_index, loaded = read_feature_sidecar(path)
+    assert (dialogue_id, turn_index) == ("dlg", 3)
+    assert np.array_equal(loaded, mat) and loaded.flags.writeable
+    # a file shorter than its header declares, also where it ends before the size fstat reported
+    path.write_bytes(blob[:-20])
+    expected = f"sidecar payload is 28 bytes; a 3x2 float64 matrix needs 48 [file: {path}] [offset: {len(blob) - 20}]"
     with pytest.raises(CorpusFormatError) as info:
-        load_corpus(tmp_path / "c", "synthetic_json")
-    features = tmp_path / "c" / "features"
-    assert str(info.value) == f"cannot list feature sidecars: Permission denied [file: {features}]"
+        read_feature_sidecar(path)
+    assert str(info.value) == expected
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=os_fstat(fd).st_size + 100))
+    with pytest.raises(CorpusFormatError) as info:
+        read_feature_sidecar(path)
+    assert str(info.value) == expected
 
 
 def test_spokenwoz_ingestion(tmp_path):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import gc
 import json
 import shutil
 from pathlib import Path
@@ -306,35 +305,3 @@ def test_a_reader_returns_or_raises_what_its_oracle_does(inputs, kind, data):
         value = data.draw(st.sampled_from([_mutate, _respell]))(data, value)
     raw = _encode(value).encode()
     assert _outcome(raw, read) == _outcome(raw, oracle)
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("valid", [True, False])
-def test_the_readers_pause_the_collector_and_leave_it_as_they_found_it(tmp_path, monkeypatch, enabled, valid):
-    document, predictions = tmp_path / "doc.json", tmp_path / "p.ndjson"
-    document.write_text('{"a": [1]}' if valid else '{"a": [1}')
-    line = '{"dialogue_id": "d0", "turn_index": 1, "parsed_state": null}\n'
-    predictions.write_text(line if valid else line + "{\n")
-    inside = []
-
-    def recording(read):
-        return lambda value: inside.append(gc.isenabled()) or read(value)
-
-    monkeypatch.setattr(state_codec, "_record", recording(state_codec._record))
-    readers = [
-        (lambda: jsonio.read_document(document, recording(lambda value: value)), jsonio.JsonInputError),
-        (lambda: state_codec.read_predictions(predictions), state_codec.PredictionFileError),
-    ]
-    was = gc.isenabled()
-    try:
-        for reader, error in readers:
-            (gc.enable if enabled else gc.disable)()
-            if valid:
-                reader()
-            else:
-                with pytest.raises(error):
-                    reader()
-            assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert inside == ([False, False] if valid else [False])

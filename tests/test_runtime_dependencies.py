@@ -1,6 +1,7 @@
 """The runtime dependencies stay numpy and click: every module that a file of
 the package imports is in the standard library, numpy, click or dst_lab. And
-one module of the package starts processes: ``workers.py``."""
+one module of the package starts processes, ``workers.py``, and one pauses the
+cycle collector, ``cli.py``."""
 
 from __future__ import annotations
 
@@ -58,3 +59,21 @@ def test_one_module_of_the_package_names_a_process_pool():
     package = Path(dst_lab.__file__).parent
     naming = {path.relative_to(package).as_posix() for path in package.rglob("*.py") if POOL_NAMES & set(_names(path))}
     assert naming == {"workers.py"}
+
+
+def _pauses_the_collector(path: Path) -> bool:
+    """Whether ``path`` names ``gc.disable`` or ``gc.enable``, or imports from ``gc``."""
+    for node in _nodes(path):
+        if isinstance(node, ast.Attribute) and node.attr in ("disable", "enable"):
+            if isinstance(node.value, ast.Name) and node.value.id == "gc":
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            return True
+    return False
+
+
+def test_one_module_of_the_package_pauses_the_cycle_collector():
+    # the CLI pauses it once per command; a pause per reader would come back here
+    package = Path(dst_lab.__file__).parent
+    pausing = {path.relative_to(package).as_posix() for path in package.rglob("*.py") if _pauses_the_collector(path)}
+    assert pausing == {"cli.py"}
