@@ -7,6 +7,7 @@ regardless of worker count. Set DST_LAB_LOG to control log verbosity.
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import logging
@@ -113,9 +114,16 @@ def _check_out(out: str, *, directory: bool) -> None:
     """A usage error, raised before any work, for an ``--out`` that cannot be
     written: a file where the output directory goes, a directory where the
     output file goes, or a file as the nearest existing path above either.
-    Nothing is created; missing directories are made when the output is written."""
+    Nothing is created; missing directories are made when the output is written.
+    A name the OS refuses to look up, such as one too long, is a usage error too."""
+    try:
+        os.stat(out)
+    except (FileNotFoundError, NotADirectoryError):
+        pass  # absent: made when the output is written, unless a file above it is found below
+    except OSError as exc:
+        raise click.BadParameter(f"{out}: {exc.strerror}", param_hint="--out") from exc
     path = Path(out)
-    nearest = next(p for p in (path, *path.absolute().parents) if p.exists())  # the root always exists
+    nearest = next(p for p in (path, *path.absolute().parents) if os.path.exists(p))  # the root always exists
     if nearest == path and path.is_dir() != directory:
         raise click.BadParameter(f"{out} is {'not ' if directory else ''}a directory", param_hint="--out")
     if nearest != path and not nearest.is_dir():
@@ -142,20 +150,19 @@ def load_policy(name: str) -> MatchPolicy:
         return MatchPolicy()
     if name == "exact":
         return MatchPolicy.exact()
-    path = Path(name)
-    if not path.exists():
+    if not os.path.exists(name):
         raise click.BadParameter(
             f"policy must be 'standard', 'exact', or a JSON file; {name!r} not found", param_hint="--policy"
         )
-    return _read_option_file(path, _policy, "--policy")
+    return _read_option_file(name, _policy, "--policy")
 
 
 def _parse_exclude_ids(value: str | None) -> list[str]:
     if not value:
         return default_corrupted_ids()
-    path = Path(value)
-    if path.exists():
-        return _read_option_file(path, id_list, "--exclude-ids")
+    # os.path.exists reads a name the OS refuses, such as a long id list, as absent; Path.exists raises
+    if os.path.exists(value):
+        return _read_option_file(value, id_list, "--exclude-ids")
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
@@ -226,7 +233,7 @@ class RunManifest:
             )
         for name in ("corpus", "agent_asr"):
             value = getattr(self, name)
-            if value is not None and not Path(value).exists():
+            if value is not None and not os.path.exists(value):
                 raise click.BadParameter(f"path {value!r} does not exist", param_hint=f"field {name!r}")
         _check_out(self.out, directory=True)
 
@@ -292,13 +299,35 @@ def _load_agent_texts(path: str | None, dialogues: list[Dialogue]) -> None:
     except JsonInputError as exc:
         raise click.ClickException(f"{path}:{exc.line}:{exc.column}: {exc}") from exc
     agent_turns = {(dlg.id, turn.index): turn for dlg in dialogues for turn in dlg.turns if turn.speaker is Speaker.AGENT}
+    first_line: dict[tuple[str, int], int] = {}
     for line_no, (dialogue_id, turn_index, text) in lines:
-        if (dialogue_id, turn_index) not in agent_turns:
+        key = (dialogue_id, turn_index)
+        if key not in agent_turns:
             raise click.ClickException(f"{path}:{line_no}: dialogue {dialogue_id!r} has no agent turn {turn_index}")
-        agent_turns[dialogue_id, turn_index].transcript = text
+        if key in first_line:
+            reason = f"repeated text for dialogue {dialogue_id!r} turn {turn_index}, first on line {first_line[key]}"
+            raise click.ClickException(f"{path}:{line_no}: {reason}")
+        first_line[key] = line_no
+        agent_turns[key].transcript = text
 
 
-@click.group()
+class _Main(click.Group):
+    """The group whose ``invoke`` is the one place a command's failure on its
+    data or the OS becomes its exit: one ``Error:`` line and exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (CorpusFormatError, PredictionFileError, TrainingDivergence) as exc:
+            raise click.ClickException(str(exc)) from exc
+        except OSError as exc:
+            if exc.errno == errno.EPIPE:  # click exits quietly when stdout's reader has gone
+                raise
+            where = "" if exc.filename is None else f"{exc.filename}: "
+            raise click.ClickException(where + (exc.strerror or str(exc))) from exc
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="dst-lab")
 @click.pass_context
 def main(ctx: click.Context) -> None:
@@ -378,10 +407,7 @@ def cmd_run(manifest: str | None, exclude_ids: str | None, **flags) -> None:
     def read(dialogue: Dialogue) -> list[int]:
         return [] if dialogue.id in excluded else read_turns(strategy_enum, dialogue)
 
-    try:
-        dialogues = load_corpus(run_manifest.corpus, run_manifest.format, read)
-    except CorpusFormatError as exc:
-        raise click.ClickException(str(exc)) from exc
+    dialogues = load_corpus(run_manifest.corpus, run_manifest.format, read)
     _load_agent_texts(run_manifest.agent_asr, dialogues)
     dialogues = filter_corrupted(dialogues, run_manifest.exclude_ids)
     if not dialogues:
@@ -465,17 +491,9 @@ def cmd_evaluate(
     """Score predictions against gold states; print JGA with and without post-processing."""
     if out:
         _check_out(out, directory=True)
-    try:
-        records = read_predictions(predictions)
-    except OSError as exc:
-        raise click.ClickException(f"cannot read {predictions}: {exc.strerror}") from exc
-    except PredictionFileError as exc:
-        raise click.ClickException(str(exc)) from exc
+    records = read_predictions(predictions)
     # scoring reads gold states only, so no feature sidecar is loaded
-    try:
-        dialogues, taxonomy = parse_corpus(corpus, format_)
-    except CorpusFormatError as exc:
-        raise click.ClickException(str(exc)) from exc
+    dialogues, taxonomy = parse_corpus(corpus, format_)
     references = references_from_corpus(filter_corrupted(dialogues, _parse_exclude_ids(exclude_ids)))
     if format_ == "synthetic_json":
         taxonomy = taxonomy or synthetic_taxonomy()
@@ -567,10 +585,7 @@ def cmd_probe(
     hypers = [_validated(ProbeHyper(lr=lr, epochs=epochs, seed=seed)) for seed in seed_values]
     _check_out(out, directory=False)
     runs = [(synth_corpus(hyper.seed, config), list(n_queries_list), hyper) for hyper in hypers]
-    try:
-        accuracies = probe_runs(runs)
-    except TrainingDivergence as exc:
-        raise click.ClickException(str(exc)) from exc
+    accuracies = probe_runs(runs)
     rows = [(hyper.seed, n, acc[n]) for (_, _, hyper), acc in zip(runs, accuracies) for n in n_queries_list]
     out_path = Path(out)
     write_files(out_path.parent, {out_path.name: render_retention_table(rows)})

@@ -836,13 +836,16 @@ def _synthetic_document(doc: object) -> tuple[list[Dialogue], SlotTaxonomy | Non
     where = ("taxonomy",)  # the inverse of SlotTaxonomy.to_json_obj
     groups = get(check(doc["taxonomy"], dict, where), "groups", dict[str, str], where, default={})
     values = get(doc["taxonomy"], "categorical_values", dict[str, list[str]], where, default={})
-    for part, entries in (("groups", groups), ("categorical_values", values)):
+    by_slot: list[dict] = [{}, {}]  # keyed lower-cased, as scoring compares slots
+    for part, entries, into in (("groups", groups, by_slot[0]), ("categorical_values", values, by_slot[1])):
         for key, value in entries.items():
             if "-" not in key:
                 reject(where + (part,), "keys must be 'domain-slot' names", key)
             if part == "groups" and value not in SlotTaxonomy.GROUPS:
                 reject(where + (part, key), f"must be one of {list(SlotTaxonomy.GROUPS)}", value)
-    by_slot = [{key.partition("-")[::2]: value for key, value in entries.items()} for entries in (groups, values)]
+            slot = key.lower().partition("-")[::2]
+            if into.setdefault(slot, value) != value:
+                reject(where + (part, key), f"must be {into[slot]!r} as for a key that differs only in case", value)
     return dialogues, SlotTaxonomy(*by_slot)
 
 

@@ -305,10 +305,7 @@ def write_predictions(path, records: Iterable[PredictionRecord]) -> None:
 
 
 class PredictionFileError(ValueError):
-    """A prediction NDJSON line that is not a valid record; names ``path:line[:column]``."""
-
-    def __init__(self, path, line: int | str, reason: str):
-        super().__init__(f"{path}:{line}: {reason}")
+    """A prediction file that cannot be read, or a line of it (``path:line[:column]``) that is no valid record."""
 
 
 def read_predictions(path) -> list[PredictionRecord]:
@@ -320,9 +317,11 @@ def read_predictions(path) -> list[PredictionRecord]:
             key = (record.dialogue_id, record.turn_index)
             if key in first_line:
                 reason = f"duplicate record for dialogue {key[0]!r} turn {key[1]}, first on line {first_line[key]}"
-                raise PredictionFileError(path, line_no, reason)
+                raise PredictionFileError(f"{path}:{line_no}: {reason}")
             first_line[key] = line_no
             records.append(record)
+    except OSError as exc:
+        raise PredictionFileError(f"cannot read {path}: {exc.strerror}") from exc
     except JsonInputError as exc:
-        raise PredictionFileError(path, f"{exc.line}:{exc.column}", str(exc)) from exc
+        raise PredictionFileError(f"{path}:{exc.line}:{exc.column}: {exc}") from exc
     return records

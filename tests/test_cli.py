@@ -3,6 +3,7 @@ from __future__ import annotations
 import builtins
 import csv
 import dataclasses
+import errno
 import gc
 import json
 import multiprocessing
@@ -769,6 +770,20 @@ def test_run_rejects_agent_asr_line_naming_no_agent_turn(runner, tmp_path, case)
     assert not (tmp_path / "run").exists()
 
 
+def test_run_rejects_a_repeated_agent_asr_line_naming_both_lines(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus")
+    dialogue_id = load_corpus(tmp_path / "corpus", "synthetic_json")[0].id
+    lines = [(dialogue_id, 2, "first"), (dialogue_id, 4, "other"), (dialogue_id, 2, "second")]
+    path = tmp_path / "agent_asr.ndjson"
+    path.write_text("".join(json.dumps({"dialogue_id": d, "turn_index": t, "text": x}) + "\n" for d, t, x in lines))
+    args = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "multimodal", "--agent-asr", str(path)]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "run")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {path}:3: repeated text for dialogue {dialogue_id!r} turn 2, first on line 1" in result.output
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_accepts_agent_asr_line_for_an_excluded_dialogue(runner, tmp_path):
     _synth(runner, tmp_path / "corpus")
     dialogue_id = load_corpus(tmp_path / "corpus", "synthetic_json")[0].id
@@ -870,10 +885,18 @@ def test_a_directory_given_as_a_json_input_is_a_one_line_error(runner, tmp_path,
         ),
         ({"groups": {"hotelarea": "categorical"}}, "taxonomy.groups keys must be 'domain-slot' names, got 'hotelarea'"),
         ({"categorical_values": {"hotel-area": [1, 2]}}, "taxonomy.categorical_values.hotel-area[0] must be a string, got 1"),
+        (
+            {"groups": {"hotel-area": "categorical", "Hotel-Area": "open"}},
+            "taxonomy.groups.Hotel-Area must be 'categorical' as for a key that differs only in case, got 'open'",
+        ),
+        (
+            {"categorical_values": {"Hotel-area": ["north"], "hotel-AREA": ["south"]}},
+            "taxonomy.categorical_values.hotel-AREA must be ['north'] as for a key that differs only in case, got ['south']",
+        ),
     ],
     ids=[
         "list", "groups-list", "categorical-string", "value-list-string", "unknown-group", "key-without-dash",
-        "value-list-numbers",
+        "value-list-numbers", "groups-case-conflict", "values-case-conflict",
     ],
 )
 def test_malformed_taxonomy_is_a_click_error(runner, tmp_path, command, taxonomy, reason):
@@ -1049,6 +1072,52 @@ def test_evaluate_with_no_reference_turn_is_a_click_error(runner, tmp_path, how)
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     assert f"Error: no reference turn to score in {tmp_path / 'corpus'}" in result.output
+
+
+def test_an_exclude_ids_list_too_long_for_a_file_name_excludes_its_ids(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus", ["--n-dialogues", "24"])
+    ids = sorted(d.id for d in load_corpus(tmp_path / "corpus", "synthetic_json"))
+    excluded = ",".join(ids[:20])
+    assert len(excluded) > 255  # longer than a file name may be
+    args = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "full", "--exclude-ids", excluded]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    predictions = tmp_path / "run" / "predictions.ndjson"
+    assert {r.dialogue_id for r in read_predictions(predictions)} == set(ids[20:])
+    # the excluded dialogues have no prediction, so scoring them would be an alignment failure
+    args = ["evaluate", "--predictions", str(predictions), "--corpus", str(tmp_path / "corpus"), "--exclude-ids", excluded]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "report")])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "report" / "report.json").read_text())["n_dialogues"] == 4
+
+
+def _title_slots(slots: dict) -> dict:
+    return {domain.title(): {slot.title(): value for slot, value in by_slot.items()} for domain, by_slot in slots.items()}
+
+
+def test_a_mixed_case_corpus_scores_as_its_lower_cased_twin(runner, tmp_path):
+    _synth(runner, tmp_path / "corpus")
+    run_args = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "full", "--predictor", "noisy", "--seed", "4"]
+    assert runner.invoke(main, run_args + ["--out", str(tmp_path / "run")]).exit_code == 0
+    doc = json.loads((tmp_path / "corpus" / "corpus.json").read_text())
+    for part in ("groups", "categorical_values"):
+        doc["taxonomy"][part] = {key.title(): value for key, value in doc["taxonomy"][part].items()}
+    for dialogue in doc["dialogues"]:
+        for state in dialogue["gold_states"].values():
+            state["domains"] = [domain.title() for domain in state["domains"]]
+            state["slots"] = _title_slots(state["slots"])
+    (tmp_path / "mixed").mkdir()
+    (tmp_path / "mixed" / "corpus.json").write_text(json.dumps(doc))
+    outputs = []
+    for corpus in ("corpus", "mixed"):
+        args = ["evaluate", "--predictions", str(tmp_path / "run" / "predictions.ndjson"), "--corpus", str(tmp_path / corpus)]
+        result = runner.invoke(main, args + ["--out", str(tmp_path / f"report-{corpus}")])
+        assert result.exit_code == 0, result.output
+        report = tmp_path / f"report-{corpus}"
+        scores = result.output.splitlines()[:3]  # the last line names the report directory
+        outputs.append((scores, {path.name: path.read_bytes() for path in sorted(report.iterdir())}))
+    assert len(outputs[0][1]) == 8
+    assert outputs[0] == outputs[1]
 
 
 def test_evaluate_names_a_gold_slot_the_taxonomy_lacks(runner, tmp_path):
@@ -1518,6 +1587,9 @@ def test_run_flags_and_manifest_write_identical_outputs(runner, tmp_path, strate
     assert {name: (tmp_path / "run" / name).read_bytes() for name in names} == from_flags
 
 
+# a name longer than a file name may be: the OS refuses to look it up
+_LONG_NAME = "n" * 300
+
 # small probe settings, so that a case that is not rejected still ends quickly
 _PROBE_BASE = ["--n-queries", "1", "--seeds", "0", "--n-dialogues", "4", "--turns-per-dialogue", "2", "--epochs", "2"]
 
@@ -1547,6 +1619,9 @@ _PROBE_BASE = ["--n-queries", "1", "--seeds", "0", "--n-dialogues", "4", "--turn
         ("probe", ["--n-queries", "2", "--n-queries", "1"], None, "--n-queries: 1 is given more than once"),
         ("synth", ["--noise-sigma", "inf"], None, "noise_sigma must be finite, got inf"),
         ("evaluate", ["--top-k-errors", "-3"], None, "'--top-k-errors': -3 is not in the range x>=0"),
+        ("run", [], {"corpus": _LONG_NAME}, f"field 'corpus': path '{_LONG_NAME}' does not exist"),
+        ("run", [], {"agent_asr": _LONG_NAME}, f"field 'agent_asr': path '{_LONG_NAME}' does not exist"),
+        ("evaluate", ["--policy", _LONG_NAME], None, f"a JSON file; '{_LONG_NAME}' not found"),
     ],
     ids=[
         "run-manifest-predictor", "run-manifest-format", "run-manifest-strategy", "run-corpus-flag", "run-seed",
@@ -1555,6 +1630,7 @@ _PROBE_BASE = ["--n-queries", "1", "--seeds", "0", "--n-dialogues", "4", "--turn
         "probe-noise-sigma", "probe-turns-per-dialogue", "probe-feature-dim", "probe-n-queries",
         "probe-lr-nan", "probe-lr-negative", "probe-epochs", "probe-seeds", "probe-seeds-repeated",
         "probe-n-queries-repeated", "synth-noise-sigma-inf", "evaluate-top-k-negative",
+        "run-manifest-corpus-long", "run-manifest-agent-asr-long", "evaluate-policy-long",
     ],
 )
 def test_bad_setting_is_a_usage_error(runner, tmp_path, command, args, manifest, message):
@@ -1592,6 +1668,11 @@ _BAD_OUTS = {
     "synth-under-file": ("synth", "{file}/corpus", "{file} is not a directory", "synth_corpus"),
     "probe-directory": ("probe", "{directory}", "{directory} is a directory", "synth_corpus"),
     "probe-under-file": ("probe", "{file}/p.csv", "{file} is not a directory", "synth_corpus"),
+    "run-long": ("run", "{long}", "{long}: File name too long", "load_corpus"),
+    "run-manifest-long": ("run-manifest", "{long}", "{long}: File name too long", "load_corpus"),
+    "evaluate-long": ("evaluate", "{long}", "{long}: File name too long", "read_predictions"),
+    "synth-long": ("synth", "{long}/corpus", "{long}/corpus: File name too long", "synth_corpus"),
+    "probe-long": ("probe", "{long}", "{long}: File name too long", "synth_corpus"),
 }
 
 
@@ -1601,7 +1682,7 @@ def test_unwritable_out_is_a_usage_error_before_any_work(runner, tmp_path, monke
     _synth(runner, tmp_path / "corpus")
     (tmp_path / "out_file").write_text("kept")
     (tmp_path / "out_dir").mkdir()
-    fill = {"{file}": str(tmp_path / "out_file"), "{directory}": str(tmp_path / "out_dir")}
+    fill = {"{file}": str(tmp_path / "out_file"), "{directory}": str(tmp_path / "out_dir"), "{long}": str(tmp_path / _LONG_NAME)}
     for key, value in fill.items():
         out, message = out.replace(key, value), message.replace(key, value)
 
@@ -1630,6 +1711,64 @@ def test_unwritable_out_is_a_usage_error_before_any_work(runner, tmp_path, monke
     assert "Traceback" not in result.output
     assert (tmp_path / "out_file").read_text() == "kept"
     assert list((tmp_path / "out_dir").iterdir()) == []
+
+
+# the function that writes each command's output
+_WRITERS = {"synth": "write_corpus", "run": "write_predictions", "evaluate": "render_report", "probe": "write_files"}
+
+
+def _command_args(runner, tmp_path, command: str) -> list[str]:
+    """Arguments of ``command`` up to its ``--out``, on small inputs made beforehand."""
+    if command == "synth":
+        return ["synth", "--n-dialogues", "2"]
+    if command == "probe":
+        return ["probe", *_PROBE_BASE]
+    _synth(runner, tmp_path / "corpus")
+    run = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "full"]
+    if command == "run":
+        return run
+    assert runner.invoke(main, run + ["--out", str(tmp_path / "run")]).exit_code == 0
+    return ["evaluate", "--predictions", str(tmp_path / "run" / "predictions.ndjson"), "--corpus", str(tmp_path / "corpus")]
+
+
+@pytest.mark.parametrize("case", ["refused-by-os", "permission-denied"])
+@pytest.mark.parametrize("command", list(_WRITERS))
+def test_an_output_that_cannot_be_written_is_a_one_line_error(runner, tmp_path, monkeypatch, command, case):
+    args = _command_args(runner, tmp_path, command)
+    if case == "refused-by-os":
+        if not os.path.isdir("/proc"):
+            pytest.skip("no /proc to refuse an output")
+        out = named = "/proc/dstlab_out"  # /proc takes no new entry
+    else:
+        out = str(tmp_path / "out")
+        named = out if command == "evaluate" else f"{out}/written"
+
+        def refused(*args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), named)
+
+        monkeypatch.setattr(cli, _WRITERS[command], refused)
+    result = runner.invoke(main, args + ["--out", out])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, result.output
+    reasons = [os.strerror(errno.EACCES)] if case == "permission-denied" else map(os.strerror, errno.errorcode)
+    assert errors[0] in {f"Error: {named}: {reason}" for reason in reasons}
+
+
+@pytest.mark.parametrize("command", list(_WRITERS))
+def test_a_closed_stdout_ends_a_command_quietly(runner, tmp_path, monkeypatch, command):
+    args = _command_args(runner, tmp_path, command) + ["--out", str(tmp_path / "out")]
+
+    def closed(*args, **kwargs):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(click, "echo", closed)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == ""
 
 
 def test_out_may_be_an_existing_directory_or_file(runner, tmp_path):

@@ -1,7 +1,8 @@
 """The runtime dependencies stay numpy and click: every module that a file of
 the package imports is in the standard library, numpy, click or dst_lab. And
 one module of the package starts processes, ``workers.py``, and one pauses the
-cycle collector, ``cli.py``."""
+cycle collector, ``cli.py``, whose commands leave their data and OS failures
+to the one rule in ``main``."""
 
 from __future__ import annotations
 
@@ -77,3 +78,23 @@ def test_one_module_of_the_package_pauses_the_cycle_collector():
     package = Path(dst_lab.__file__).parent
     pausing = {path.relative_to(package).as_posix() for path in package.rglob("*.py") if _pauses_the_collector(path)}
     assert pausing == {"cli.py"}
+
+
+# the failures that ``main`` turns into one ``Error:`` line and exit 1
+MAIN_FAILURES = {"CorpusFormatError", "PredictionFileError", "TrainingDivergence", "OSError"}
+
+
+def test_no_command_maps_a_failure_that_main_maps():
+    # a per-command copy of main's failure rule would come back here
+    tree = ast.parse((Path(dst_lab.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 5
+    caught = {
+        f"{command.name}: {name.id}"
+        for command in commands
+        for handler in ast.walk(command)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for name in ast.walk(handler.type)
+        if isinstance(name, ast.Name) and name.id in MAIN_FAILURES
+    }
+    assert caught == set()
