@@ -115,7 +115,9 @@ def _check_out(out: str, *, directory: bool) -> None:
     written: a file where the output directory goes, a directory where the
     output file goes, or a file as the nearest existing path above either.
     Nothing is created; missing directories are made when the output is written.
-    A name the OS refuses to look up, such as one too long, is a usage error too."""
+    A name the OS refuses to look up, such as one too long, is a usage error too,
+    and so is a missing name longer than the nearest existing directory's
+    file system allows, which the lookup does not reach."""
     try:
         os.stat(out)
     except (FileNotFoundError, NotADirectoryError):
@@ -126,8 +128,12 @@ def _check_out(out: str, *, directory: bool) -> None:
     nearest = next(p for p in (path, *path.absolute().parents) if os.path.exists(p))  # the root always exists
     if nearest == path and path.is_dir() != directory:
         raise click.BadParameter(f"{out} is {'not ' if directory else ''}a directory", param_hint="--out")
-    if nearest != path and not nearest.is_dir():
-        raise click.BadParameter(f"{nearest} is not a directory", param_hint="--out")
+    if nearest != path:
+        if not nearest.is_dir():
+            raise click.BadParameter(f"{nearest} is not a directory", param_hint="--out")
+        name_max = os.pathconf(nearest, "PC_NAME_MAX")  # -1 when the file system sets no limit
+        if any(0 < name_max < len(os.fsencode(name)) for name in path.absolute().relative_to(nearest).parts):
+            raise click.BadParameter(f"{out}: {os.strerror(errno.ENAMETOOLONG)}", param_hint="--out")
 
 
 def _policy(obj: object) -> MatchPolicy:

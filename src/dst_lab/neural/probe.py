@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from ..corpus import Dialogue, Speaker, ontology_values, scan_transcript_mentions, seed_error
-from ..workers import fan_out
+from ..workers import share_out
 from .layers import Layer
 from .pipeline import (
     CompressorConfig,
@@ -167,11 +166,11 @@ def probe_runs(runs: list[tuple[list[Dialogue], list[int], ProbeHyper]]) -> list
     """:func:`probe_retention` of each (corpus, query counts, hyper) run.
 
     One job is one (run, query count) config. This process builds every run's
-    frozen-stage inputs once, then trains a fixed share of the jobs itself
-    while ``min(usable CPUs, jobs) - 1`` forked worker processes, which inherit
-    those inputs, train the rest. Every config trains on one BLAS thread from
-    the same inputs, so the results do not depend on the CPU count. A job lost
-    with its worker twice (see :func:`fan_out`) trains again in this process.
+    frozen-stage inputs once; :func:`share_out` then trains a fixed share of
+    the jobs here and the rest in forked workers, which inherit those inputs.
+    Every config trains on one BLAS thread from the same inputs, so the results
+    do not depend on the CPU count. A job lost with its worker twice trains
+    again in this process.
     When configs diverge at every learning rate tried, the first in run order
     raises, naming its seed.
     """
@@ -233,31 +232,8 @@ def _train_job(inputs: list[_Inputs], run: int, n_queries: int) -> float | Train
     return acc
 
 
-def _caller_share(costs: list[int], processes: int) -> set[int]:
-    """The jobs the calling process trains itself: greedy longest-first over
-    ``processes`` bins (ties to the lower job, then the lower bin), the caller
-    being bin 0. The share depends on the costs alone, so every call trains
-    the same configs in the caller, and a traced run records the same spans."""
-    loads = [0] * processes
-    share = set()
-    for job in sorted(range(len(costs)), key=lambda job: -costs[job]):
-        least = loads.index(min(loads))
-        loads[least] += costs[job]
-        if least == 0:
-            share.add(job)
-    return share
-
-
 def _train_jobs(inputs: list[_Inputs], jobs: list[tuple[int, int]]) -> list[float | TrainingDivergence]:
-    """Each job's outcome, in job order; the pooled jobs are submitted longest first."""
+    """Each job's outcome, in job order; a divergence is an outcome."""
     # a config's time grows with its query count (and a fixed part) times its epochs
     costs = [(n_queries + 2) * (inputs[run].hyper.epochs + 1) for run, n_queries in jobs]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    processes = min(cpus, len(jobs))
-    share = _caller_share(costs, processes)
-    order = sorted(range(len(jobs)), key=lambda job: -costs[job])
-    own = [i for i, job in enumerate(order) if job in share]
-    outcomes = dict(zip(order, fan_out(lambda job: _train_job(inputs, *jobs[job]), order, processes - 1, own)))
-    # a job lost with its worker twice trains in this process; a divergence is an outcome
-    lost = {job for job, o in outcomes.items() if isinstance(o, Exception) and not isinstance(o, TrainingDivergence)}
-    return [_train_job(inputs, *jobs[job]) if job in lost else outcomes[job] for job in range(len(jobs))]
+    return share_out(lambda job: _train_job(inputs, *job), jobs, costs)

@@ -1673,6 +1673,10 @@ _BAD_OUTS = {
     "evaluate-long": ("evaluate", "{long}", "{long}: File name too long", "read_predictions"),
     "synth-long": ("synth", "{long}/corpus", "{long}/corpus: File name too long", "synth_corpus"),
     "probe-long": ("probe", "{long}", "{long}: File name too long", "synth_corpus"),
+    "run-long-below-missing": ("run", "{missing}", "{missing}: File name too long", "load_corpus"),
+    "evaluate-long-below-missing": ("evaluate", "{missing}", "{missing}: File name too long", "read_predictions"),
+    "synth-long-below-missing": ("synth", "{missing}", "{missing}: File name too long", "synth_corpus"),
+    "probe-long-below-missing": ("probe", "{missing}", "{missing}: File name too long", "synth_corpus"),
 }
 
 
@@ -1682,7 +1686,13 @@ def test_unwritable_out_is_a_usage_error_before_any_work(runner, tmp_path, monke
     _synth(runner, tmp_path / "corpus")
     (tmp_path / "out_file").write_text("kept")
     (tmp_path / "out_dir").mkdir()
-    fill = {"{file}": str(tmp_path / "out_file"), "{directory}": str(tmp_path / "out_dir"), "{long}": str(tmp_path / _LONG_NAME)}
+    fill = {
+        "{file}": str(tmp_path / "out_file"),
+        "{directory}": str(tmp_path / "out_dir"),
+        "{long}": str(tmp_path / _LONG_NAME),
+        # below a missing directory the lookup stops at "x", before the long name
+        "{missing}": str(tmp_path / "x" / _LONG_NAME / "y"),
+    }
     for key, value in fill.items():
         out, message = out.replace(key, value), message.replace(key, value)
 
@@ -1711,6 +1721,7 @@ def test_unwritable_out_is_a_usage_error_before_any_work(runner, tmp_path, monke
     assert "Traceback" not in result.output
     assert (tmp_path / "out_file").read_text() == "kept"
     assert list((tmp_path / "out_dir").iterdir()) == []
+    assert not (tmp_path / "x").exists()
 
 
 # the function that writes each command's output

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import multiprocessing
+import os
 import re
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from dst_lab.cli import main
 from dst_lab.neural import gradcheck, layers
 from dst_lab.neural.gradcheck import grad_check, numeric_gradients
 from dst_lab.neural.pipeline import Compressor, CompressorConfig
@@ -75,18 +79,49 @@ def test_compressor_gradients_at_memory_batch_above_one(n_layers):
 
 
 def test_suite_keeps_every_config_field_but_the_query_count(monkeypatch):
-    built = []
-
+    # the checks run in this process and in a worker, so each result carries its config back
     def spy(module, input_shape, eps, config):
-        built.append((module, config))
-        return gradcheck.GradCheckResult(module, input_shape, 0.0, "")
+        return gradcheck.GradCheckResult(module, input_shape, 0.0, config)
 
     monkeypatch.setattr(gradcheck, "grad_check", spy)
     config = CompressorConfig(d_model=8, n_heads=4, n_layers=2, n_queries=3, seed=5)
-    gradcheck.grad_check_suite(config=config)
+    built = [(r.module, r.worst_param) for r in gradcheck.grad_check_suite(config=config)]
     compressors = [cfg for module, cfg in built if module == "compressor"]
     assert compressors == [dataclasses.replace(config, n_queries=n) for n in (1, 1, 1, 10, 10, 10)]
-    assert all(cfg is config for module, cfg in built if module != "compressor")
+    assert all(cfg == config for module, cfg in built if module != "compressor")
+
+
+def _gradcheck_stdout(monkeypatch, cpus: int) -> str:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    result = CliRunner().invoke(main, ["gradcheck"])
+    assert result.exit_code == 0, result.output
+    assert multiprocessing.active_children() == []
+    return result.stdout
+
+
+def test_gradcheck_prints_the_same_bytes_at_any_cpu_count(monkeypatch):
+    outputs = [_gradcheck_stdout(monkeypatch, cpus) for cpus in (1, 2, 4)]
+    assert len(outputs[0].splitlines()) == 12
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_a_check_whose_worker_dies_runs_again_in_the_caller(monkeypatch):
+    expected = _gradcheck_stdout(monkeypatch, 1)
+    parent, check = os.getpid(), gradcheck.grad_check
+    ran_here = []
+
+    def die_in_a_worker(module, input_shape, eps, config):
+        if os.getpid() != parent and (module, input_shape) == ("compressor", (5, 8)):
+            os._exit(1)
+        if os.getpid() == parent:
+            ran_here.append((module, input_shape, config.n_queries))
+        return check(module, input_shape, eps, config)
+
+    monkeypatch.setattr(gradcheck, "grad_check", die_in_a_worker)
+    assert _gradcheck_stdout(monkeypatch, 2) == expected
+    # the worker's compressor checks at (5, 8) are lost twice, then run here
+    assert {("compressor", (5, 8), 1), ("compressor", (5, 8), 10)} <= set(ran_here)
+    assert len(ran_here) < 12
 
 
 def test_eps_zero_rejected():

@@ -199,13 +199,6 @@ def test_the_callers_share_is_the_same_on_every_call(monkeypatch, tmp_path):
     assert shares == [[(0, 1), (0, 4), (0, 8)]] * 3
 
 
-def test_caller_share_is_greedy_longest_first_with_the_caller_as_bin_0():
-    assert probe_module._caller_share([3, 10, 3, 10], 2) == {0, 1}
-    assert probe_module._caller_share([3, 10, 3, 10], 1) == {0, 1, 2, 3}
-    assert probe_module._caller_share([5, 5, 5], 3) == {0}
-    assert probe_module._caller_share([0, 0], 2) == {0, 1}  # nothing to gain from a worker
-
-
 def test_configs_of_a_worker_that_dies_train_again_in_the_caller(monkeypatch, tmp_path):
     expected = _serial_csv([0, 1], [1, 8])
     _usable_cpus(monkeypatch, 2)

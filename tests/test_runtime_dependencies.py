@@ -1,8 +1,8 @@
 """The runtime dependencies stay numpy and click: every module that a file of
 the package imports is in the standard library, numpy, click or dst_lab. And
-one module of the package starts processes, ``workers.py``, and one pauses the
-cycle collector, ``cli.py``, whose commands leave their data and OS failures
-to the one rule in ``main``."""
+one module of the package starts processes and reads the CPU count,
+``workers.py``, and one pauses the cycle collector, ``cli.py``, whose commands
+leave their data and OS failures to the one rule in ``main``."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import dst_lab
 
 ALLOWED = {"numpy", "click", "dst_lab"}
 POOL_NAMES = {"ProcessPoolExecutor", "multiprocessing", "get_context"}
+CPU_COUNT_NAMES = {"sched_getaffinity", "cpu_count"}
 
 
 def _nodes(path: Path):
@@ -60,6 +61,13 @@ def test_one_module_of_the_package_names_a_process_pool():
     package = Path(dst_lab.__file__).parent
     naming = {path.relative_to(package).as_posix() for path in package.rglob("*.py") if POOL_NAMES & set(_names(path))}
     assert naming == {"workers.py"}
+
+
+def test_one_module_of_the_package_reads_the_cpu_count():
+    # so the number of processes has one rule
+    package = Path(dst_lab.__file__).parent
+    reading = {path.relative_to(package).as_posix() for path in package.rglob("*.py") if CPU_COUNT_NAMES & set(_names(path))}
+    assert reading == {"workers.py"}
 
 
 def _pauses_the_collector(path: Path) -> bool:

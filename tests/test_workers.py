@@ -1,4 +1,5 @@
-"""The one process pool: job order, the caller's share, and the dead-worker rule."""
+"""The one process pool: job order, the caller's share, and the dead-worker rule;
+and the cost-balanced share-out over it."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import dst_lab.workers as workers_module
-from dst_lab.workers import fan_out
+from dst_lab.workers import _caller_share, fan_out, share_out
 
 
 @pytest.fixture(autouse=True)
@@ -65,3 +66,41 @@ def test_a_result_that_cannot_be_sent_back_is_its_jobs_exception():
     outcomes = fan_out(lambda job: threading.Lock() if job else job, [0, 1], 1)
     assert outcomes[0] == 0
     assert isinstance(outcomes[1], TypeError)
+
+
+def _usable_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_caller_share_is_greedy_longest_first_with_the_caller_as_bin_0():
+    assert _caller_share([3, 10, 3, 10], 2) == {0, 1}
+    assert _caller_share([3, 10, 3, 10], 1) == {0, 1, 2, 3}
+    assert _caller_share([5, 5, 5], 3) == {0}
+    assert _caller_share([0, 0], 2) == {0, 1}  # nothing to gain from a worker
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_share_out_gives_the_caller_its_share_and_outcomes_in_job_order(monkeypatch, cpus):
+    _usable_cpus(monkeypatch, cpus)
+    costs = [3, 10, 3, 10]
+    outcomes = share_out(lambda job: (job, os.getpid()), list("abcd"), costs)
+    assert [job for job, _ in outcomes] == list("abcd")
+    in_caller = {i for i, (_, pid) in enumerate(outcomes) if pid == os.getpid()}
+    assert in_caller == _caller_share(costs, cpus)
+
+
+def test_share_out_reruns_here_a_job_without_a_result_and_keeps_a_returned_exception(monkeypatch, tmp_path):
+    _usable_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def work(job):
+        if job == "dies" and os.getpid() != parent:
+            os._exit(3)
+        if job == "raises" and os.getpid() != parent:
+            raise RuntimeError("only in a worker")
+        return ValueError(job) if job == "returns" else (job, os.getpid())
+
+    # at costs 9, 1, 1, 1 the caller takes job 0 and the worker the other three
+    outcomes = share_out(work, ["a", "dies", "raises", "returns"], [9, 1, 1, 1])
+    assert outcomes[:3] == [("a", parent), ("dies", parent), ("raises", parent)]
+    assert isinstance(outcomes[3], ValueError) and outcomes[3].args == ("returns",)
