@@ -45,4 +45,42 @@ def _limit_blas_threads() -> None:
         set_num_threads(1)
 
 
+def _libc(function: str):
+    """``function`` of the C library this process runs on; None when it has no such symbol."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+    return getattr(libc, function, None)
+
+
+# glibc's mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_GLIBC_HEAP_VARIABLES = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
+
+
+def _keep_freed_heap() -> None:
+    """Keep up to 64 MiB of freed heap, unless the user set glibc's thresholds.
+
+    Each training epoch frees about 2 MB of temporaries of about 1 MB each at
+    the top of the heap. glibc's dynamic rule hands the top back to the kernel
+    once more than twice the largest freed block is free there, so the next
+    epoch faults every page in again. A 32 MiB mmap threshold (glibc's largest
+    on 64-bit) keeps such blocks on the heap, and a 64 MiB trim threshold keeps
+    glibc's 2:1 ratio. The mmap threshold goes first: setting either one turns
+    the dynamic rule off, and a trim threshold alone sends the blocks to mmap,
+    to be faulted in on every allocation. Forked workers inherit the setting.
+    """
+    if any(name in os.environ for name in _GLIBC_HEAP_VARIABLES):
+        return
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return
+    mallopt = _libc("mallopt")
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        if mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1:
+            mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 _limit_blas_threads()
+_keep_freed_heap()

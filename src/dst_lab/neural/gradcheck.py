@@ -13,8 +13,11 @@ from .pipeline import CompressorConfig, Compressor, Connector, Readout
 
 _CHECKABLE = ("connector", "compressor", "readout")
 # Entries perturbed per forward pass; a block stacks 2 * _BLOCK copies of one
-# parameter, which bounds the memory a large CompressorConfig needs.
-_BLOCK = 32
+# parameter, which bounds the memory a large CompressorConfig needs. A block of
+# 128 beats one of 32 only because import keeps freed heap
+# (dst_lab._keep_freed_heap), so the copies reuse pages instead of faulting
+# fresh ones in.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,9 @@ def numeric_gradients(net: Layer, x: np.ndarray, eps: float) -> dict[str, np.nda
     entry i, and one forward of the batch-1 input yields all 2k losses. The
     stack axis is placed where the layers broadcast a batch axis, so a 1-d
     parameter becomes (2k, 1, n). The original array is always restored.
+
+    A perturbation large enough to overflow a forward is expected and
+    handled: it yields a non-finite entry, which :func:`grad_check` reports.
     """
     numeric = {}
     for name, param in net.params().items():
@@ -69,15 +75,16 @@ def numeric_gradients(net: Layer, x: np.ndarray, eps: float) -> dict[str, np.nda
         grad = np.empty(flat.size)
         stack_shape = (1,) * (2 - param.ndim) + param.shape
         try:
-            for start in range(0, flat.size, _BLOCK):
-                entries = np.arange(start, min(start + _BLOCK, flat.size))
-                rows = np.arange(entries.size)
-                stacked = np.tile(flat, (2 * entries.size, 1))
-                stacked[2 * rows, entries] = flat[entries] + eps
-                stacked[2 * rows + 1, entries] = flat[entries] - eps
-                layer._params[key] = stacked.reshape(-1, *stack_shape)
-                losses = net.forward(x).reshape(stacked.shape[0], -1).sum(axis=1)
-                grad[entries] = (losses[0::2] - losses[1::2]) / (2.0 * eps)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, flat.size, _BLOCK):
+                    entries = np.arange(start, min(start + _BLOCK, flat.size))
+                    rows = np.arange(entries.size)
+                    stacked = np.tile(flat, (2 * entries.size, 1))
+                    stacked[2 * rows, entries] = flat[entries] + eps
+                    stacked[2 * rows + 1, entries] = flat[entries] - eps
+                    layer._params[key] = stacked.reshape(-1, *stack_shape)
+                    losses = net.forward(x).reshape(stacked.shape[0], -1).sum(axis=1)
+                    grad[entries] = (losses[0::2] - losses[1::2]) / (2.0 * eps)
         finally:
             layer._params[key] = param
         numeric[name] = grad
@@ -139,18 +146,18 @@ def _suite_checks(config: CompressorConfig) -> list[tuple[str, tuple[int, int], 
 
 
 def _cost(module: str, input_shape: tuple[int, int], config: CompressorConfig) -> int:
-    """A check's time, estimated as its stacked forwards times (4 + the rows
+    """A check's time, estimated as its stacked forwards times (8 + the rows
     each stacked copy carries). A copy carries its input rows through the
     connector and the readout, and 2 * n_queries rows through the compressor,
-    whose queries pass both self- and cross-attention; the 4 stands for the
-    fixed cost of a forward. Serial times at the suite's default config (min
-    of 5, one core of a 2-vCPU VM): connector 5.3-8.4 ms, compressor 7.2-7.3 ms
-    at 1 query and 21.2-23.0 ms at 10, readout 0.1-0.3 ms; the estimate puts
-    52 of their 109 ms in the caller."""
+    whose queries pass both self- and cross-attention; the 8 stands for the
+    fixed cost of a forward. Serial times at the suite's default config
+    (median of 12, one core of a 2-vCPU VM): connector 4.6-7.1 ms, compressor
+    5.7-5.8 ms at 1 query and 17.0-17.3 ms at 10, readout 0.1-0.5 ms; the
+    estimate puts 44.6 of their 87.3 ms in the caller."""
     net, _ = _build(module, input_shape, config)
     forwards = sum(-(-param.size // _BLOCK) for param in net.params().values())
     rows = 2 * config.n_queries if module == "compressor" else input_shape[0]
-    return forwards * (4 + rows)
+    return forwards * (8 + rows)
 
 
 def grad_check_suite(

@@ -5,6 +5,9 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +127,20 @@ def test_a_check_whose_worker_dies_runs_again_in_the_caller(monkeypatch):
     assert len(ran_here) < 12
 
 
+def test_overflowing_eps_fails_checks_without_numpy_warnings():
+    # the stacked forwards overflow in the caller and in the forked worker;
+    # a fresh interpreter shows what both print to the real stderr
+    src = str(Path(gradcheck.__file__).resolve().parents[2])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)}
+    done = subprocess.run(
+        [sys.executable, "-m", "dst_lab.cli", "gradcheck", "--eps", "1e300"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (1, "")
+    assert len(done.stdout.splitlines()) == 12
+    assert "FAIL connector   input=(3, 4)    max_rel_err=inf" in done.stdout
+
+
 def test_eps_zero_rejected():
     with pytest.raises(ValueError, match="eps"):
         grad_check("readout", (3, 8), 0.0, CONFIG)
@@ -150,7 +167,7 @@ def test_numeric_gradients_match_serial_oracle(module, shape, config):
     _assert_matches_oracle(module, shape, config)
 
 
-@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("block", [1, 7, 32])
 def test_numeric_gradients_cross_block_boundaries(monkeypatch, block):
     # readout W has 240 entries and ff.W1 256, so both span many blocks
     monkeypatch.setattr(gradcheck, "_BLOCK", block)

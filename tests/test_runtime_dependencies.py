@@ -1,8 +1,9 @@
 """The runtime dependencies stay numpy and click: every module that a file of
 the package imports is in the standard library, numpy, click or dst_lab. And
 one module of the package starts processes and reads the CPU count,
-``workers.py``, and one pauses the cycle collector, ``cli.py``, whose commands
-leave their data and OS failures to the one rule in ``main``."""
+``workers.py``, one pauses the cycle collector, ``cli.py``, whose commands
+leave their data and OS failures to the one rule in ``main``, and one tunes
+the C library's heap, ``__init__.py``."""
 
 from __future__ import annotations
 
@@ -86,6 +87,21 @@ def test_one_module_of_the_package_pauses_the_cycle_collector():
     package = Path(dst_lab.__file__).parent
     pausing = {path.relative_to(package).as_posix() for path in package.rglob("*.py") if _pauses_the_collector(path)}
     assert pausing == {"cli.py"}
+
+
+def _names_mallopt(path: Path) -> bool:
+    """Whether ``path`` has a name, attribute or string ``mallopt``, as in ``getattr(libc, "mallopt")``."""
+    for node in _nodes(path):
+        if isinstance(node, ast.Constant) and node.value == "mallopt":
+            return True
+    return "mallopt" in set(_names(path))
+
+
+def test_one_module_of_the_package_tunes_the_heap():
+    # process-level runtime settings are made once, at import
+    package = Path(dst_lab.__file__).parent
+    tuning = {path.relative_to(package).as_posix() for path in package.rglob("*.py") if _names_mallopt(path)}
+    assert tuning == {"__init__.py"}
 
 
 # the failures that ``main`` turns into one ``Error:`` line and exit 1
