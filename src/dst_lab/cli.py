@@ -80,7 +80,7 @@ from .state_codec import (
     read_predictions,
     write_predictions,
 )
-from .workers import fan_out
+from .workers import share_out
 
 log = logging.getLogger(__name__)
 
@@ -390,7 +390,7 @@ def cmd_synth(seed: int, out: str, **flags) -> None:
 @click.option("--compress-current/--no-compress-current", default=None, help="Also compress the current turn (ablation).")
 @click.option("--exclude-ids", type=str, default=None, help="Comma-separated ids or a JSON file; defaults to the packaged list.")
 @click.option("--out", type=click.Path(), default=None, help="Output directory.")
-@click.option("--workers", type=int, default=None, help="Parallel dialogue workers.")
+@click.option("--workers", type=int, default=None, help="Parallel dialogue workers, capped at usable CPUs and dialogues.")
 @click.option("--budget-rows", type=int, default=None, help="Row budget for the truncated predictor.")
 @click.option("--agent-asr", type=click.Path(exists=True), default=None, help="NDJSON sidecar of agent-turn ASR texts for multimodal history.")
 def cmd_run(manifest: str | None, exclude_ids: str | None, **flags) -> None:
@@ -444,9 +444,10 @@ def cmd_run(manifest: str | None, exclude_ids: str | None, **flags) -> None:
         except Exception as exc:
             return f"{type(exc).__name__}: {exc}"
 
-    n, workers = len(dialogues), run_manifest.workers
-    outcomes = fan_out(work, range(n), min(workers, n), own=range(n) if workers == 1 else ())
-    # a dialogue whose worker was lost twice has that exception as its outcome
+    # a dialogue can end the process it runs in, so with a pool none runs in this one; a
+    # dialogue whose worker was lost twice has that exception as its outcome
+    costs = [len(d.turns) for d in dialogues]
+    outcomes = share_out(work, list(range(len(dialogues))), costs, run_manifest.workers, isolated=True)
     outcomes = [f"{type(o).__name__}: {o}" if isinstance(o, Exception) else o for o in outcomes]
     failures = [{"dialogue_id": d.id, "error": o} for d, o in zip(dialogues, outcomes) if isinstance(o, str)]
     results = [[] if isinstance(o, str) else o for o in outcomes]

@@ -127,20 +127,26 @@ def _split_indices(dataset: ProbeDataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _train_with_retry(
-    stages: list[Layer], dataset: tuple[np.ndarray, np.ndarray], hyper: ProbeHyper
-) -> TrainingResult:
-    """Plain gradient descent diverges above a data-dependent step size; retry
-    the full schedule from the same initial stages at half the rate when that
-    happens."""
+    stages: list[Layer], dataset: tuple[np.ndarray, np.ndarray], hyper: ProbeHyper, held_x: np.ndarray
+) -> tuple[TrainingResult, np.ndarray]:
+    """The trained stages and their held-out logits. Plain gradient descent
+    diverges above a data-dependent step size (see :func:`train`), which can
+    also leave held-out logits that are not finite; retry the full schedule
+    from the same initial stages at half the rate when that happens."""
     lr = hyper.lr
-    last: TrainingDivergence | None = None
     for _ in range(4):
         try:
-            return train(stages, dataset, lr=lr, epochs=hyper.epochs)
+            outcome = train(stages, dataset, lr=lr, epochs=hyper.epochs)
         except TrainingDivergence as exc:
-            log.warning("training diverged at lr=%.4f; retrying at %.4f", lr, lr / 2)
             last = exc
-            lr /= 2
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                logits = forward(outcome.stages, held_x)
+            if np.isfinite(logits).all():
+                return outcome, logits
+            last = TrainingDivergence("held-out logits diverged", outcome.trace)
+        log.warning("training diverged at lr=%.4f; retrying at %.4f", lr, lr / 2)
+        lr /= 2
     raise last
 
 
@@ -222,12 +228,12 @@ def _train_job(inputs: list[_Inputs], run: int, n_queries: int) -> float | Train
         build_compressor(config),
         build_readout(n_queries, config, inputs[run].n_slots, inputs[run].n_classes),
     ]
+    held_x, held_labels = inputs[run].held
     try:
-        outcome = _train_with_retry(stages, inputs[run].train, inputs[run].hyper)
+        outcome, logits = _train_with_retry(stages, inputs[run].train, inputs[run].hyper, held_x)
     except TrainingDivergence as exc:
         return exc
-    held_x, held_labels = inputs[run].held
-    acc = accuracy(forward(outcome.stages, held_x), held_labels)
+    acc = accuracy(logits, held_labels)
     log.info("probe n_queries=%d train_loss=%.4f heldout_accuracy=%.4f", n_queries, outcome.trace[-1], acc)
     return acc
 

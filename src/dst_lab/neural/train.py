@@ -11,7 +11,8 @@ from .layers import Layer
 
 
 class TrainingDivergence(RuntimeError):
-    """Loss became non-finite. Carries the trace up to the failing epoch."""
+    """Loss became non-finite, or ended above where it started. Carries the
+    trace up to the failing epoch."""
 
     def __init__(self, message: str, trace: list[float]):
         super().__init__(message)
@@ -73,6 +74,8 @@ def train(
     The input stages are left untouched; a stage that must stay frozen is kept
     out of the list and applied to the inputs beforehand. The returned trace
     has ``epochs + 1`` entries: the loss before each step plus the final loss.
+    A loss that becomes non-finite, or ends above the first, is a divergence:
+    full-batch descent at a step size it can take lowers the loss.
     """
     x, labels = dataset
     if x.shape[0] == 0:
@@ -99,5 +102,7 @@ def train(
         final_loss, _ = softmax_cross_entropy(forward(trained, x), labels)
         if not np.isfinite(final_loss):
             raise TrainingDivergence(f"loss diverged to {final_loss}", trace)
+        if trace and final_loss > trace[0]:
+            raise TrainingDivergence(f"loss rose from {trace[0]:.4g} to {final_loss:.4g}", trace)
         trace.append(float(final_loss))
     return TrainingResult(stages=trained, trace=trace)

@@ -1,20 +1,30 @@
 """The one process pool, of `run --workers`, `probe` and `gradcheck`. Its
 workers are forked, so they inherit the work function and all it reads; only a
-job is sent."""
+job's index is sent."""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+from . import _libc
+
 _work = None  # set in each worker only: its copy of the work function, inherited at fork
+_PR_SET_PDEATHSIG = 1
 
 
-def _adopt(work) -> None:
+def _adopt(work, parent: int) -> None:
+    """Take ``work``, and die with ``parent``: a worker left behind would wait on the pool forever."""
     global _work
     _work = work
+    prctl = _libc("prctl")
+    if prctl is not None:
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # the parent died before the signal was asked for
+        os._exit(1)
 
 
 def _do(job):
@@ -24,29 +34,7 @@ def _do(job):
 def _pool(work, workers: int) -> ProcessPoolExecutor:
     # under fork the pool starts all of its processes at the first submit, before its own threads
     context = multiprocessing.get_context("fork")
-    return ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=_adopt, initargs=(work,))
-
-
-def fan_out(work, jobs, workers: int, own=()) -> list:
-    """``work(job)`` of each of ``jobs``, in job order. The jobs at the indices
-    in ``own`` run here while ``workers`` forked processes run the others, in
-    job order; when ``own`` holds every job, no process starts. A worker that
-    dies breaks the pool, and with it every job whose result had not come back:
-    each runs again alone, in a fresh one-worker pool. A pooled job lost there
-    too, that raises, or whose result cannot be sent back has that exception
-    as its outcome."""
-    pooled = [i for i in range(len(jobs)) if i not in own]
-    if not pooled:
-        return [work(job) for job in jobs]
-    with _pool(work, workers) as pool:
-        futures = {i: pool.submit(_do, jobs[i]) for i in pooled}
-        outcomes = {i: work(jobs[i]) for i in sorted(own)}
-    for i, future in futures.items():
-        if isinstance(future.exception(), BrokenProcessPool):
-            with _pool(work, 1) as pool:
-                future = pool.submit(_do, jobs[i])
-        outcomes[i] = future.exception() or future.result()
-    return [outcomes[i] for i in range(len(jobs))]
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=_adopt, initargs=(work, os.getpid()))
 
 
 def _usable_cpus() -> int:
@@ -68,18 +56,35 @@ def _caller_share(costs: list[int], processes: int) -> set[int]:
     return share
 
 
-def share_out(work, jobs: list, costs: list[int]) -> list:
-    """``work(job)`` of each of ``jobs``, in job order, where ``work`` is pure
-    computation and ``costs`` estimate the jobs' times. Of ``min(usable CPUs,
-    jobs)`` processes, this one runs the share :func:`_caller_share` gives it
-    while the forked workers run the rest, each side longest first. A pooled job
-    that comes back without a result (lost with its worker twice, raised, or
-    whose result cannot be sent back; see :func:`fan_out`) runs again here, so
-    its result or exception is the one a serial run gives."""
-    processes = min(_usable_cpus(), len(jobs))
-    share = _caller_share(costs, processes)
+def share_out(work, jobs: list, costs: list[int], workers: int | None = None, *, isolated: bool = False) -> list:
+    """``work(job)`` of each of ``jobs``, in job order, where ``costs`` estimate
+    the jobs' times, on ``min(workers, usable CPUs, jobs)`` processes. With one,
+    every job runs here and no process starts. Otherwise this process runs the
+    share :func:`_caller_share` gives it, or nothing when ``isolated``, while
+    forked workers run the rest, each side longest first.
+
+    A worker that dies breaks the pool, and with it every job whose result had
+    not come back: each runs again alone, in a fresh one-worker pool. A pooled
+    job that still comes back without a result (lost there too, raised, or
+    whose result cannot be sent back) has that exception as its outcome when
+    ``isolated``, for a job that may end the process it runs in; otherwise it
+    runs again here, so its result or exception is the one a serial run gives."""
+    processes = min(_usable_cpus(), len(jobs), len(jobs) if workers is None else workers)
+    share = set() if isolated and processes > 1 else _caller_share(costs, processes)
+    if len(share) == len(jobs):
+        return [work(job) for job in jobs]
     order = sorted(range(len(jobs)), key=lambda job: -costs[job])
-    own = [i for i, job in enumerate(order) if job in share]
     # a result comes back boxed, so a job that returns an exception is told from one that has none
-    outcomes = dict(zip(order, fan_out(lambda job: (work(jobs[job]),), order, processes - 1, own)))
-    return [outcomes[job][0] if isinstance(outcomes[job], tuple) else work(jobs[job]) for job in range(len(jobs))]
+    boxed = lambda job: (work(jobs[job]),)
+    with _pool(boxed, processes if isolated else processes - 1) as pool:
+        futures = {job: pool.submit(_do, job) for job in order if job not in share}
+        outcomes = {job: boxed(job) for job in order if job in share}
+    for job, future in futures.items():
+        if isinstance(future.exception(), BrokenProcessPool):
+            with _pool(boxed, 1) as pool:
+                future = pool.submit(_do, job)
+        outcomes[job] = future.exception() or future.result()
+    return [
+        outcome[0] if isinstance(outcome, tuple) else outcome if isolated else work(jobs[job])
+        for job, outcome in sorted(outcomes.items())
+    ]

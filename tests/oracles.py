@@ -687,8 +687,8 @@ def oracle_probe_retention(corpus: list[Dialogue], n_queries_list: list[int], hy
             build_compressor(config),
             build_readout(n_queries, config, dataset.n_slots, dataset.n_classes),
         ]
-        outcome = probe._train_with_retry(stages, (train_x, dataset.labels[train_idx]), hyper)
-        results[n_queries] = accuracy(forward(outcome.stages, held_x), dataset.labels[held_idx])
+        _, logits = probe._train_with_retry(stages, (train_x, dataset.labels[train_idx]), hyper, held_x)
+        results[n_queries] = accuracy(logits, dataset.labels[held_idx])
     return results
 
 

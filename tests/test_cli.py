@@ -304,6 +304,7 @@ def test_run_determinism_across_invocations_and_workers(runner, tmp_path):
 def test_run_starts_no_more_worker_processes_than_dialogues(runner, tmp_path, monkeypatch):
     # the pool starts all of its max_workers processes at the first submit
     _synth(runner, tmp_path / "corpus", ["--n-dialogues", "2"])
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 4)
     pool_sizes = []
 
     class RecordingPool(workers_module.ProcessPoolExecutor):
@@ -319,6 +320,27 @@ def test_run_starts_no_more_worker_processes_than_dialogues(runner, tmp_path, mo
     assert pool_sizes == [2]
     for name in ("predictions.ndjson", "context_lengths.csv"):
         assert (tmp_path / "four" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_run_starts_no_more_worker_processes_than_usable_cpus(runner, tmp_path, monkeypatch, cpus):
+    _synth(runner, tmp_path / "corpus")
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: cpus)
+    pool_sizes = []
+    pool = workers_module._pool
+    monkeypatch.setattr(workers_module, "_pool", lambda work, workers: pool_sizes.append(workers) or pool(work, workers))
+    base = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "compressed", "--predictor", "noisy"]
+    for workers in (1, 2, 10**6):
+        result = runner.invoke(main, base + ["--workers", str(workers), "--out", str(tmp_path / str(workers))])
+        assert result.exit_code == 0, result.output
+    # four dialogues: --workers 1 takes no pool, the others min(--workers, usable CPUs, 4) workers
+    assert pool_sizes == [size for size in (min(2, cpus), min(cpus, 4)) if size > 1]
+    for name in ("predictions.ndjson", "context_lengths.csv"):
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+        assert (tmp_path / str(10**6) / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+    summary = json.loads((tmp_path / str(10**6) / "run_summary.json").read_text())
+    assert summary["manifest"]["workers"] == 10**6
+    assert multiprocessing.active_children() == []
 
 
 def test_run_isolates_per_dialogue_failures(runner, tmp_path):
@@ -525,6 +547,7 @@ class _DiesOnDialogue:
 
 
 def test_run_records_a_dead_worker_as_its_dialogues_failure(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 2)  # on one CPU, --workers 2 would run here
     _synth(runner, tmp_path / "corpus")
     ids = sorted(d.id for d in load_corpus(tmp_path / "corpus", "synthetic_json"))
     base = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "full", "--workers", "2"]
@@ -544,6 +567,7 @@ def test_run_records_a_dead_worker_as_its_dialogues_failure(runner, tmp_path, mo
 
 
 def test_run_loses_only_the_dialogue_that_kills_its_worker(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 2)  # on one CPU, --workers 2 would run here
     # the first dialogue kills its worker at once, while the others are still
     # queued or running
     _synth(runner, tmp_path / "corpus", ["--n-dialogues", "8"])
@@ -573,6 +597,7 @@ class _LockedOracle(assembly.OracleExact):
 
 
 def test_run_with_a_predictor_that_cannot_be_pickled_matches_one_worker(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 2)  # on one CPU, --workers 2 would run here
     # workers inherit the predictor at fork: nothing but a dialogue's index is sent to them
     _synth(runner, tmp_path / "corpus", ["--turns-per-dialogue", "4"])
     monkeypatch.setattr(cli, "make_predictor", lambda *args, **kwargs: _LockedOracle())

@@ -3,6 +3,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -221,10 +225,10 @@ def test_a_config_that_diverges_in_a_worker_is_a_one_line_error_naming_its_seed(
     parent = os.getpid()
     train_with_retry = probe_module._train_with_retry
 
-    def diverge_in_a_worker(stages, dataset, hyper):
+    def diverge_in_a_worker(stages, dataset, hyper, held_x):
         if os.getpid() != parent:
             raise TrainingDivergence("loss diverged to nan", [2.5, float("nan")])
-        return train_with_retry(stages, dataset, hyper)
+        return train_with_retry(stages, dataset, hyper, held_x)
 
     monkeypatch.setattr(probe_module, "_train_with_retry", diverge_in_a_worker)
     trained = _spy_on_jobs(monkeypatch)
@@ -245,4 +249,45 @@ def test_when_several_seeds_diverge_the_first_in_seed_order_is_named(monkeypatch
     result, out = _probe(tmp_path, [2, 1], [1, 8], "--lr", "1e6")
     assert result.exit_code == 1, result.output
     assert result.output.startswith("Error: probe training at seed 2 diverged at every learning rate tried: ")
+    assert not out.exists()
+
+
+def test_a_probe_that_trains_to_an_exploded_loss_fails_without_numpy_warnings(tmp_path):
+    # at --lr 1e6 and each halving the loss stays finite but ends near 1e200,
+    # and the held-out forward overflows; a fresh interpreter shows what
+    # reaches the real stderr
+    src = str(Path(probe_module.__file__).resolve().parents[2])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)}
+    env["DST_LAB_LOG"] = "ERROR"  # the retries' own warnings stay out
+    out = tmp_path / "p.csv"
+    args = ["probe", "--n-queries", "1", "--seeds", "0", "--lr", "1e6", "--epochs", "3", "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-m", "dst_lab.cli", *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        "Error: probe training at seed 0 diverged at every learning rate tried: loss rose from 1.804 to 7.075e+199\n"
+    )
+    assert not out.exists()
+
+
+def test_held_out_logits_that_are_not_finite_are_a_divergence_at_that_rate(monkeypatch, tmp_path):
+    train = probe_module.train
+    rates = []
+
+    def train_to_an_infinite_readout(stages, dataset, lr, epochs):
+        rates.append(lr)
+        outcome = train(stages, dataset, lr=lr, epochs=epochs)
+        for value in outcome.stages[-1].params().values():
+            value.fill(float("inf"))
+        return outcome
+
+    monkeypatch.setattr(probe_module, "train", train_to_an_infinite_readout)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result, out = _probe(tmp_path, [0], [1])
+    assert rates == [0.2, 0.1, 0.05, 0.025]
+    assert (result.exit_code, result.output) == (
+        1, "Error: probe training at seed 0 diverged at every learning rate tried: held-out logits diverged\n"
+    )
     assert not out.exists()

@@ -1,9 +1,9 @@
 """The runtime dependencies stay numpy and click: every module that a file of
 the package imports is in the standard library, numpy, click or dst_lab. And
 one module of the package starts processes and reads the CPU count,
-``workers.py``, one pauses the cycle collector, ``cli.py``, whose commands
-leave their data and OS failures to the one rule in ``main``, and one tunes
-the C library's heap, ``__init__.py``."""
+``workers.py``, through its one entry point; one pauses the cycle collector,
+``cli.py``, whose commands leave their data and OS failures to the one rule in
+``main``; and one tunes the C library's heap, ``__init__.py``."""
 
 from __future__ import annotations
 
@@ -62,6 +62,27 @@ def test_one_module_of_the_package_names_a_process_pool():
     package = Path(dst_lab.__file__).parent
     naming = {path.relative_to(package).as_posix() for path in package.rglob("*.py") if POOL_NAMES & set(_names(path))}
     assert naming == {"workers.py"}
+
+
+def test_workers_has_one_entry_point_and_the_package_imports_only_it():
+    # a second pool entry point, with its own process count, would come back here
+    package = Path(dst_lab.__file__).parent
+    tree = ast.parse((package / "workers.py").read_text(encoding="utf-8"))
+    public = [node.name for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert public == ["share_out"]
+    imported = {
+        f"{path.relative_to(package).as_posix()}: {alias.name}"
+        for path in package.rglob("*.py")
+        for node in _nodes(path)
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[-1] == "workers"
+        for alias in node.names
+    }
+    assert imported == {"cli.py: share_out", "neural/gradcheck.py: share_out", "neural/probe.py: share_out"}
+    assert not any(
+        isinstance(node, ast.alias) and node.name.split(".")[-1] == "workers"
+        for path in package.rglob("*.py")
+        for node in _nodes(path)
+    )
 
 
 def test_one_module_of_the_package_reads_the_cpu_count():

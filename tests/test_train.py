@@ -85,6 +85,17 @@ def test_divergence_raises_with_trace():
     assert len(err.value.trace) >= 1
 
 
+def test_a_finite_loss_that_ends_above_the_first_is_a_divergence():
+    config = CompressorConfig(d_model=4, n_heads=2, n_queries=2, seed=1)
+    stages = [build_compressor(config), build_readout(2, config, n_heads=1, n_classes=2)]
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((8, 3, 4))
+    labels = rng.integers(0, 2, size=(8, 1)).astype(np.int64)
+    with pytest.raises(TrainingDivergence, match=r"^loss rose from 0\.6802 to 6\.589e\+15$") as err:
+        train(stages, (x, labels), lr=100.0, epochs=2)
+    assert len(err.value.trace) == 2 and np.isfinite(err.value.trace).all()
+
+
 def test_divergence_survives_pickling():
     # a probe worker sends its config's divergence back to the caller pickled
     err = pickle.loads(pickle.dumps(TrainingDivergence("loss diverged to nan", [2.5, 1.0])))
