@@ -132,7 +132,12 @@ class EmbeddingPipeline:
         encoder-stub forward and one connector forward over their stack;
         returns the (turns, rows, d_model) stack of connector outputs."""
         stack = np.stack([_features(dialogue, i) for i in turn_indices])
-        embedded = connector_forward(downsample(self.encoder_stub.forward(stack), self.stride), self.connector)
+        try:  # an overflow is an error: a later layer norm would turn it into finite values
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                embedded = connector_forward(downsample(self.encoder_stub.forward(stack), self.stride), self.connector)
+        except FloatingPointError as exc:
+            turns = f"turn{'s' * (len(turn_indices) > 1)} {', '.join(map(str, turn_indices))}"
+            raise FloatingPointError(f"{exc} while embedding {turns}") from exc
         if not np.isfinite(embedded).all():
             raise ValueError("embedding contains non-finite entries")
         return embedded

@@ -74,7 +74,6 @@ from .reporting import (
     write_files,
 )
 from .state_codec import (
-    PredictionFileError,
     PredictionRecord,
     Strategy,
     read_predictions,
@@ -105,9 +104,9 @@ def _read_option_file(path, read, flag: str):
     try:
         return jsonio.read_document(path, read)
     except OSError as exc:
-        raise click.BadParameter(f"cannot read {path}: {exc.strerror}", param_hint=flag) from exc
+        raise click.BadParameter(f"{path}: {exc.strerror}", param_hint=flag) from exc
     except JsonInputError as exc:
-        raise click.BadParameter(f"{path}:{exc.line}:{exc.column}: {exc}", param_hint=flag) from exc
+        raise click.BadParameter(str(exc), param_hint=flag) from exc
 
 
 def _check_out(out: str, *, directory: bool) -> None:
@@ -298,21 +297,16 @@ def _load_agent_texts(path: str | None, dialogues: list[Dialogue]) -> None:
     turn of ``dialogues``."""
     if not path:
         return
-    try:
-        lines = list(jsonio.read_lines(path, _agent_text))
-    except OSError as exc:
-        raise click.ClickException(f"cannot read {path}: {exc.strerror}") from exc
-    except JsonInputError as exc:
-        raise click.ClickException(f"{path}:{exc.line}:{exc.column}: {exc}") from exc
+    lines = list(jsonio.read_lines(path, _agent_text))
     agent_turns = {(dlg.id, turn.index): turn for dlg in dialogues for turn in dlg.turns if turn.speaker is Speaker.AGENT}
     first_line: dict[tuple[str, int], int] = {}
     for line_no, (dialogue_id, turn_index, text) in lines:
         key = (dialogue_id, turn_index)
         if key not in agent_turns:
-            raise click.ClickException(f"{path}:{line_no}: dialogue {dialogue_id!r} has no agent turn {turn_index}")
+            raise JsonInputError(f"{path}:{line_no}: dialogue {dialogue_id!r} has no agent turn {turn_index}")
         if key in first_line:
             reason = f"repeated text for dialogue {dialogue_id!r} turn {turn_index}, first on line {first_line[key]}"
-            raise click.ClickException(f"{path}:{line_no}: {reason}")
+            raise JsonInputError(f"{path}:{line_no}: {reason}")
         first_line[key] = line_no
         agent_turns[key].transcript = text
 
@@ -324,7 +318,7 @@ class _Main(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (CorpusFormatError, PredictionFileError, TrainingDivergence) as exc:
+        except (CorpusFormatError, JsonInputError, TrainingDivergence) as exc:
             raise click.ClickException(str(exc)) from exc
         except OSError as exc:
             if exc.errno == errno.EPIPE:  # click exits quietly when stdout's reader has gone

@@ -32,7 +32,7 @@ FEATURE_MAGIC = b"DSTLFEA1"
 
 
 class CorpusFormatError(ValueError):
-    """Raised when a corpus file does not match its declared format."""
+    """Raised when feature sidecars do not match their declared format."""
 
     def __init__(self, message: str, *, path: str | None = None, offset: int | None = None):
         tags = (("file", path), ("offset", offset))
@@ -762,16 +762,6 @@ def _attach_features(dialogues: list[Dialogue], features_dir: Path, read: TurnSe
         raise CorpusFormatError(f"feature_dim not uniform across corpus: {sorted(dims)}")
 
 
-def _read_corpus_document(path: Path, read):
-    """``read`` of the corpus document at ``path``; a fault is a CorpusFormatError."""
-    try:
-        return jsonio.read_document(path, read)
-    except OSError as exc:
-        raise CorpusFormatError(f"cannot read corpus document: {exc.strerror}", path=str(path)) from exc
-    except JsonInputError as exc:
-        raise CorpusFormatError(f"{exc} (line {exc.line}, column {exc.column})", path=str(path), offset=exc.pos) from exc
-
-
 def _check_turns(dialogue_id: str, turns: list[Turn], where: tuple) -> None:
     """A dialogue has turns, numbered 1, 2, ... and alternating from a user turn."""
     if not turns:
@@ -903,12 +893,12 @@ def parse_corpus(path: str | Path, format: str) -> tuple[list[Dialogue], SlotTax
     """Dialogues, gold states and the embedded taxonomy (None when absent) of
     a corpus, read from its one document; no feature sidecar is read, so every
     ``Turn.features`` is None. ``format`` is ``synthetic_json`` or
-    ``spokenwoz_json``."""
+    ``spokenwoz_json``. A fault of the document is :func:`jsonio.read_document`'s."""
     p = Path(path)
     if format == "synthetic_json":
-        return _read_corpus_document(p / "corpus.json" if p.is_dir() else p, _synthetic_document)
+        return jsonio.read_document(p / "corpus.json" if p.is_dir() else p, _synthetic_document)
     if format == "spokenwoz_json":
-        return _read_corpus_document(p / "data.json" if p.is_dir() else p, _spokenwoz_document), None
+        return jsonio.read_document(p / "data.json" if p.is_dir() else p, _spokenwoz_document), None
     raise ValueError(f"unknown corpus format {format!r}")
 
 

@@ -2,8 +2,8 @@
 
 A value is accepted only when its JSON type is the one asked for, nothing is
 converted, no object repeats a key, and no string holds a lone surrogate.
-Every failure is one located :class:`JsonInputError`, which each reader turns
-into its own public error.
+Every failure is one located :class:`JsonInputError`; a file's reads
+``<path>:<line>:<column>: <message>``, and an OSError carries the file's path.
 """
 
 from __future__ import annotations
@@ -130,15 +130,29 @@ def _bad_number(text: str) -> JsonInputError:
     raise AssertionError("the decoder rejected a number that the scan does not find")
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Name the file ``path`` in a fault raised while it is read: a JsonInputError's
+    text gains its location, and an OSError (one from a read has none) its ``filename``."""
+    try:
+        yield
+    except JsonInputError as exc:
+        exc.args = (f"{path}:{exc.line}:{exc.column}: {exc}",)
+        raise
+    except OSError as exc:
+        exc.filename = path
+        raise
+
+
 def read_document(path, read):
     """``read`` of the JSON document in the file ``path``; see :func:`parse`."""
-    with open(path, "rb") as fh:
+    with _naming(path), open(path, "rb") as fh:
         return parse(fh.read(), read)
 
 
 def read_lines(path, read):
     """(line number, ``read`` of its value) for each non-blank NDJSON line."""
-    with open(path, "rb") as fh:
+    with _naming(path), open(path, "rb") as fh:
         for n, line in enumerate(fh, start=1):
             if line.strip():
                 yield n, parse(line, read, line=n)

@@ -213,8 +213,12 @@ def _prepare(corpus: list[Dialogue], hyper: ProbeHyper) -> _Inputs:
     d_feat = dataset.features.shape[2]
     base = CompressorConfig(d_model=hyper.d_model, n_heads=N_HEADS, seed=hyper.seed)
     frozen = [build_encoder_stub(d_feat, base), build_connector(d_feat, base)]
-    train_x = forward(frozen, dataset.features[train_idx])
-    held_x = forward(frozen, dataset.features[held_idx])
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            train_x = forward(frozen, dataset.features[train_idx])
+            held_x = forward(frozen, dataset.features[held_idx])
+    except FloatingPointError as exc:  # no learning rate can mend the frozen stages' inputs: no retry
+        raise TrainingDivergence(f"probe inputs at seed {hyper.seed} overflow the frozen stages: {exc}", []) from exc
     return _Inputs(
         hyper, base, (train_x, dataset.labels[train_idx]), (held_x, dataset.labels[held_idx]),
         dataset.n_slots, dataset.n_classes,

@@ -304,24 +304,15 @@ def write_predictions(path, records: Iterable[PredictionRecord]) -> None:
             fh.write("\n")
 
 
-class PredictionFileError(ValueError):
-    """A prediction file that cannot be read, or a line of it (``path:line[:column]``) that is no valid record."""
-
-
 def read_predictions(path) -> list[PredictionRecord]:
     """Every record of a prediction NDJSON file; at most one per (dialogue, turn)."""
     records = []
     first_line: dict[tuple[str, int], int] = {}
-    try:
-        for line_no, record in jsonio.read_lines(path, _record):
-            key = (record.dialogue_id, record.turn_index)
-            if key in first_line:
-                reason = f"duplicate record for dialogue {key[0]!r} turn {key[1]}, first on line {first_line[key]}"
-                raise PredictionFileError(f"{path}:{line_no}: {reason}")
-            first_line[key] = line_no
-            records.append(record)
-    except OSError as exc:
-        raise PredictionFileError(f"cannot read {path}: {exc.strerror}") from exc
-    except JsonInputError as exc:
-        raise PredictionFileError(f"{path}:{exc.line}:{exc.column}: {exc}") from exc
+    for line_no, record in jsonio.read_lines(path, _record):
+        key = (record.dialogue_id, record.turn_index)
+        if key in first_line:
+            reason = f"duplicate record for dialogue {key[0]!r} turn {key[1]}, first on line {first_line[key]}"
+            raise JsonInputError(f"{path}:{line_no}: {reason}")
+        first_line[key] = line_no
+        records.append(record)
     return records

@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import subprocess
 import sys
 import threading
 import time
@@ -164,7 +165,8 @@ def test_run_rejects_malformed_manifest(runner, tmp_path, text, message):
     manifest_path.write_text(text)
     result = runner.invoke(main, ["run", "--manifest", str(manifest_path)])
     assert result.exit_code == 2, result.output
-    assert message in result.output
+    where = re.escape(f"Invalid value for --manifest: {manifest_path}:1:") + r"\d+: "
+    assert re.search(where + re.escape(message), result.output), result.output
 
 
 def test_run_rejects_unknown_manifest_field(runner, tmp_path):
@@ -566,6 +568,23 @@ def test_run_records_a_dead_worker_as_its_dialogues_failure(runner, tmp_path, mo
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
 
 
+def test_run_fails_each_dialogue_whose_embedding_overflows_without_numpy_warnings(runner, tmp_path):
+    # a layer norm turns the overflow into finite values, so no finiteness check
+    # sees it; a fresh interpreter shows what reaches the real stderr
+    _synth(runner, tmp_path / "corpus", ["--noise-sigma", "1e300"])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)}
+    args = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "full", "--out", str(tmp_path / "run")]
+    done = subprocess.run([sys.executable, "-m", "dst_lab.cli", *args], env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "4 dialogue(s) failed; see run_summary.json\n")
+    summary = json.loads((tmp_path / "run" / "run_summary.json").read_text())
+    assert summary["n_records"] == 0
+    errors = [failure["error"] for failure in summary["failures"]]
+    assert len(errors) == 4
+    for error in errors:
+        assert re.fullmatch(r"FloatingPointError: overflow encountered in \w+ while embedding turns? 1(, \d+)*", error), error
+
+
 def test_run_loses_only_the_dialogue_that_kills_its_worker(runner, tmp_path, monkeypatch):
     monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 2)  # on one CPU, --workers 2 would run here
     # the first dialogue kills its worker at once, while the others are still
@@ -628,12 +647,13 @@ def test_malformed_corpus_json_is_a_click_error(runner, tmp_path, command):
     document = tmp_path / "corpus" / "corpus.json"
     text = document.read_text()
     document.write_text(text[: len(text) // 2])
+    with pytest.raises(json.JSONDecodeError) as fault:
+        json.loads(text[: len(text) // 2])
     result = _invoke_on_corpus(runner, tmp_path, command, [])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert "Error: malformed JSON" in result.output
-    assert f"[file: {document}]" in result.output
-    assert "[offset: " in result.output
+    where = f"{document}:{fault.value.lineno}:{fault.value.colno}"
+    assert f"Error: {where}: malformed JSON: {fault.value.msg}\n" in result.output
 
 
 def _break_document(tmp_path, case: str) -> tuple[Path, list[str], str]:
@@ -717,8 +737,7 @@ def test_malformed_corpus_document_is_a_click_error(runner, tmp_path, command, c
     result = _invoke_on_corpus(runner, tmp_path, command, extra)
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert re.search(re.escape(f"Error: {message}") + r".* \(line \d+, column \d+\)", result.output), result.output
-    assert f"[file: {document}]" in result.output
+    assert re.search(re.escape(f"Error: {document}:") + r"\d+:\d+: " + re.escape(f"{message}\n"), result.output), result.output
 
 
 @pytest.mark.parametrize("command", ["run", "evaluate"])
@@ -729,7 +748,7 @@ def test_missing_corpus_document_is_a_click_error(runner, tmp_path, command, for
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     path = tmp_path / "corpus" / document
-    assert f"Error: cannot read corpus document: No such file or directory [file: {path}]" in result.output
+    assert f"Error: {path}: No such file or directory\n" in result.output
 
 
 def test_unreadable_sidecar_of_a_read_turn_is_a_click_error(runner, tmp_path):
@@ -854,8 +873,11 @@ def test_run_agent_asr_equals_a_run_on_rewritten_agent_transcripts(runner, tmp_p
 
 
 # each JSON input that can name a directory: the arguments before the
-# directory, and the exit code (2 for a usage input, 1 for a data file)
+# directory, and the exit code (2 for a usage input, 1 for a data file); a
+# corpus directory whose document is a directory names the document
 _DIRECTORY_INPUTS = {
+    "run-corpus": (["run", "--strategy", "full", "--corpus"], 1),
+    "evaluate-corpus": (["evaluate", "--predictions", "{predictions}", "--corpus"], 1),
     "run-manifest": (["run", "--manifest"], 2),
     "run-exclude-ids": (["run", "--corpus", "{corpus}", "--strategy", "full", "--exclude-ids"], 2),
     "run-agent-asr": (["run", "--corpus", "{corpus}", "--strategy", "multimodal", "--agent-asr"], 1),
@@ -869,6 +891,10 @@ def test_a_directory_given_as_a_json_input_is_a_one_line_error(runner, tmp_path,
     _synth(runner, tmp_path / "corpus")
     directory = tmp_path / "input"
     directory.mkdir()
+    named = directory
+    if case.endswith("-corpus"):
+        named = directory / "corpus.json"
+        named.mkdir()
     predictions = tmp_path / "pred.ndjson"
     predictions.write_text("")
     if case == "manifest-field-agent-asr":
@@ -883,9 +909,10 @@ def test_a_directory_given_as_a_json_input_is_a_one_line_error(runner, tmp_path,
     result = runner.invoke(main, args + ["--out", str(tmp_path / "run")])
     assert result.exit_code == exit_code, result.output
     assert isinstance(result.exception, SystemExit)
-    assert f"cannot read {directory}: Is a directory" in result.output
     if exit_code == 2:
-        assert f"Invalid value for --{case.split('-', 1)[1]}" in result.output
+        assert f"Error: Invalid value for --{case.split('-', 1)[1]}: {named}: Is a directory\n" in result.output
+    else:
+        assert f"Error: {named}: Is a directory\n" in result.output
     assert "Traceback" not in result.output
     assert not (tmp_path / "run").exists()
 
@@ -933,8 +960,7 @@ def test_malformed_taxonomy_is_a_click_error(runner, tmp_path, command, taxonomy
     result = _invoke_on_corpus(runner, tmp_path, command, [])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert f"Error: {reason} (line " in result.output
-    assert f"[file: {document}]" in result.output
+    assert re.search(re.escape(f"Error: {document}:1:") + r"\d+: " + re.escape(f"{reason}\n"), result.output), result.output
 
 
 @pytest.mark.parametrize(
@@ -963,8 +989,7 @@ def test_evaluate_rejects_bad_policy_file(runner, tmp_path, content, message):
     result = _invoke_on_corpus(runner, tmp_path, "evaluate", ["--policy", str(path)])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
-    assert "Invalid value for --policy" in result.output
-    assert f"{path}" in result.output
+    assert re.search(re.escape(f"Invalid value for --policy: {path}:1:") + r"\d+: ", result.output), result.output
     assert message in result.output
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -35,6 +36,7 @@ from dst_lab.corpus import (
     write_corpus,
     write_feature_sidecar,
 )
+from dst_lab.jsonio import JsonInputError
 
 from oracles import oracle_attach_features, oracle_state_domains, oracle_to_nested
 
@@ -44,6 +46,13 @@ def _write_minimal_corpus(tmp_path, dialogues):
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def _located(path, start: str, message: str) -> str:
+    """The error text for ``message`` located where ``start`` first begins in the file ``path``."""
+    text = path.read_text()
+    at = text.index(start)
+    return f"{path}:{text.count(chr(10), 0, at) + 1}:{at - text.rfind(chr(10), 0, at)}: {message}"
 
 
 def test_load_counts_preserved(tmp_path):
@@ -73,8 +82,9 @@ def test_agent_first_is_rejected(tmp_path):
         }
     ]
     path = _write_minimal_corpus(tmp_path, dialogues)
-    with pytest.raises(CorpusFormatError, match="speaker alternation violated"):
+    with pytest.raises(JsonInputError) as info:
         load_corpus(path, "synthetic_json")
+    assert str(info.value) == _located(path, '{"id": "bad"', "speaker alternation violated at turn 1 of dialogue bad")
 
 
 def test_unknown_speaker_tag_rejected(tmp_path):
@@ -86,16 +96,19 @@ def test_unknown_speaker_tag_rejected(tmp_path):
         }
     ]
     path = _write_minimal_corpus(tmp_path, dialogues)
-    with pytest.raises(CorpusFormatError, match=r"dialogues\[0\].turns\[0\].speaker must be 'USER' or 'AGENT', got 'NARRATOR'"):
+    with pytest.raises(JsonInputError) as info:
         load_corpus(path, "synthetic_json")
+    message = "dialogues[0].turns[0].speaker must be 'USER' or 'AGENT', got 'NARRATOR'"
+    assert str(info.value) == _located(path, '{"index": 1', message)
 
 
 def test_malformed_json_reports_offset(tmp_path):
     path = tmp_path / "corpus.json"
     path.write_text('{"format_version": 1, "dialogues": [')
-    with pytest.raises(CorpusFormatError) as err:
+    with pytest.raises(JsonInputError) as err:
         load_corpus(path, "synthetic_json")
-    assert err.value.offset is not None
+    assert err.value.pos == 36
+    assert str(err.value) == f"{path}:1:37: malformed JSON: Expecting value"
 
 
 def test_synth_roundtrip_through_disk(tmp_path, small_corpus, monkeypatch):
@@ -302,12 +315,13 @@ def test_an_integer_too_long_to_convert_is_a_located_corpus_error(tmp_path, smal
     text = path.read_text()
     at = text.index('"index": 2,') + len('"index": ')
     path.write_text(text[:at] + "1" + "0" * 5000 + text[at + 1 :])
-    with pytest.raises(CorpusFormatError) as info:
+    with pytest.raises(JsonInputError) as info:
         parse_corpus(tmp_path / "c", "synthetic_json")
     line = text.count("\n", 0, at) + 1
     column = at - text.rfind("\n", 0, at)
     limit = sys.get_int_max_str_digits()
-    assert str(info.value) == f"malformed JSON: integer longer than {limit} digits (line {line}, column {column}) [file: {path}] [offset: {at}]"
+    assert str(info.value) == f"{path}:{line}:{column}: malformed JSON: integer longer than {limit} digits"
+    assert info.value.pos == at
 
 
 def test_write_corpus_makes_the_features_directory_once_and_only_for_features(tmp_path, small_corpus, monkeypatch):
@@ -647,8 +661,10 @@ def test_spokenwoz_unknown_tag(tmp_path):
     doc = {"X": {"log": [{"text": "hi", "tag": "robot"}]}}
     path = tmp_path / "data.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(CorpusFormatError, match=r"X.log\[0\].tag must be 'user', 'system' or 'agent', got 'robot'"):
+    with pytest.raises(JsonInputError) as info:
         load_corpus(path, "spokenwoz_json")
+    message = "X.log[0].tag must be 'user', 'system' or 'agent', got 'robot'"
+    assert str(info.value) == _located(path, '{"text": "hi"', message)
 
 
 def test_spokenwoz_repeated_dialogue_id_is_a_format_error(tmp_path):
@@ -657,9 +673,9 @@ def test_spokenwoz_repeated_dialogue_id_is_a_format_error(tmp_path):
     path.write_text(
         '{\n  "SNG1": {"log": [{"text": "first", "tag": "user"}]},\n  "SNG1": {"log": [{"text": "second", "tag": "user"}]}\n}'
     )
-    with pytest.raises(CorpusFormatError, match=r"repeated key 'SNG1' \(line 1, column 1\)") as info:
+    with pytest.raises(JsonInputError) as info:
         load_corpus(path, "spokenwoz_json")
-    assert info.value.path == str(path)
+    assert str(info.value) == f"{path}:1:1: repeated key 'SNG1'"
 
 
 @pytest.mark.parametrize(
@@ -675,9 +691,10 @@ def test_spokenwoz_slot_value_of_the_wrong_type_is_a_format_error(tmp_path, meta
     doc = {"SNG1": {"log": [{"text": "hi", "tag": "user"}, {"text": "ok", "tag": "system", "metadata": metadata}]}}
     path = tmp_path / "data.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(CorpusFormatError) as info:
+    with pytest.raises(JsonInputError) as info:
         load_corpus(path, "spokenwoz_json")
-    assert str(info.value).startswith(message)
+    # located at the start of the innermost object or list on the value's path
+    assert re.fullmatch(re.escape(f"{path}:1:") + r"\d+: " + re.escape(message), str(info.value)), str(info.value)
 
 
 def test_spokenwoz_tolerances_are_kept(tmp_path):
@@ -696,8 +713,9 @@ def test_spokenwoz_alternation_uses_the_synthetic_rule(tmp_path):
     doc = {"X": {"log": [{"text": "hi", "tag": "user"}, {"text": "yes", "tag": "user"}]}}
     path = tmp_path / "data.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(CorpusFormatError, match="speaker alternation violated at turn 2 of dialogue X"):
+    with pytest.raises(JsonInputError) as info:
         load_corpus(path, "spokenwoz_json")
+    assert str(info.value) == _located(path, '{"log"', "speaker alternation violated at turn 2 of dialogue X")
 
 
 def test_turn_equality_with_features():

@@ -3,9 +3,11 @@
 Each example takes one valid input (the corpus document, a feature sidecar, a
 run manifest, a policy file, an id list, an ``--agent-asr`` file or a
 prediction file), applies one mutation (drop a key, swap a value's JSON type,
-write a key twice, or truncate the bytes) and runs ``run`` or ``evaluate``
-on a 3-dialogue corpus. The command must exit 0, 1 or 2, raise nothing but
-``SystemExit``, and on a non-zero exit name the file it was given.
+write a key twice, set a sidecar value to +-1e300, or truncate the bytes) and
+runs ``run`` or ``evaluate`` on a 3-dialogue corpus, with numpy's
+``RuntimeWarning`` an error. The command must exit 0, 1 or 2, raise nothing
+but ``SystemExit``, record no warning as a dialogue's failure, and on a
+non-zero exit name the file it was given.
 
 The same mutations check each record kind's reader against its
 field-by-field oracle: both return the same value or raise the same error.
@@ -15,8 +17,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import errno
+import io
 import json
+import os
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -143,10 +149,17 @@ def _commands(target: str) -> tuple[str, list[list[str]]]:
 
 
 def _mutated_sidecar(data, path: Path) -> bytes:
+    """The sidecar's bytes truncated, with one mutation of its JSON header, or
+    with one payload value set to +-1e300, finite but too large for the
+    forwards that embed it."""
     blob = path.read_bytes()
-    if data.draw(st.booleans()):
+    kind = data.draw(st.sampled_from(["truncate", "header", "payload"]))
+    if kind == "truncate":
         return blob[: data.draw(st.integers(0, len(blob) - 1))]
     size = int.from_bytes(blob[8:12], "little")
+    if kind == "payload":
+        at = 12 + size + 8 * data.draw(st.integers(0, (len(blob) - 12 - size) // 8 - 1))
+        return blob[:at] + struct.pack("<d", data.draw(st.sampled_from([1e300, -1e300]))) + blob[at + 8 :]
     header = _encode(_mutate(data, json.loads(blob[12 : 12 + size]))).encode()
     return blob[:8] + len(header).to_bytes(4, "little") + header + blob[12 + size :]
 
@@ -154,6 +167,7 @@ def _mutated_sidecar(data, path: Path) -> bytes:
 _TARGETS = ["corpus.json", "sidecar", "manifest.json", "policy.json", "exclude.json", "agent_asr.ndjson", "predictions.ndjson"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("target", _TARGETS)
 @settings(max_examples=30, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -177,6 +191,9 @@ def test_a_mutated_input_fails_cleanly_naming_its_file(inputs, target, data):
             result = runner.invoke(main, [str(work / arg) if Path(arg).suffix or arg in ("corpus", "out") else arg for arg in command])
             assert result.exit_code in (0, 1, 2), result.output
             assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+            # a numpy warning, raised as an error, would be a dialogue's failure
+            summary = work / "out" / "run_summary.json"
+            assert not summary.exists() or "RuntimeWarning" not in summary.read_text()
             if result.exit_code:
                 assert str(work / named) in result.output, result.output
 
@@ -237,6 +254,27 @@ def test_a_float_that_underflows_or_is_the_largest_stays_valid():
 
 def test_an_escaped_surrogate_pair_or_backslash_is_no_lone_surrogate():
     assert jsonio.parse(rb'["\ud83d\ude00", "\\ud800"]', lambda value: value) == ["\U0001f600", "\\ud800"]
+
+
+class _FailingFile(io.BytesIO):
+    """A file whose reads fail as a device error does: with no file name."""
+
+    def read(self, *args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return self.read()
+
+
+@pytest.mark.parametrize("reader", [jsonio.read_document, jsonio.read_lines])
+def test_a_file_that_fails_while_read_is_named_in_the_error(monkeypatch, tmp_path, reader):
+    monkeypatch.setattr(jsonio, "open", lambda path, mode: _FailingFile(), raising=False)
+    with pytest.raises(OSError) as info:
+        list(reader(tmp_path / "input.json", lambda value: value))
+    assert (info.value.filename, info.value.strerror) == (tmp_path / "input.json", os.strerror(errno.EIO))
 
 
 # other values of a JSON type that the type swaps above cannot reach: turn

@@ -271,6 +271,22 @@ def test_a_probe_that_trains_to_an_exploded_loss_fails_without_numpy_warnings(tm
     assert not out.exists()
 
 
+def test_probe_inputs_that_overflow_the_frozen_stages_are_one_error_line(tmp_path):
+    # no learning rate can mend the frozen stages' inputs, so no retry warning
+    # is logged; a fresh interpreter shows what reaches the real stderr
+    src = str(Path(probe_module.__file__).resolve().parents[2])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)}
+    env.pop("DST_LAB_LOG", None)
+    out = tmp_path / "p.csv"
+    args = ["probe", "--n-queries", "1", "--noise-sigma", "1e300", "--epochs", "3", "--n-dialogues", "6", "--seeds", "0"]
+    done = subprocess.run(
+        [sys.executable, "-m", "dst_lab.cli", *args, "--out", str(out)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert re.fullmatch(r"Error: probe inputs at seed 0 overflow the frozen stages: overflow encountered in \w+\n", done.stderr)
+    assert not out.exists()
+
+
 def test_held_out_logits_that_are_not_finite_are_a_divergence_at_that_rate(monkeypatch, tmp_path):
     train = probe_module.train
     rates = []

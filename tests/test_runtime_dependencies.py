@@ -2,8 +2,9 @@
 the package imports is in the standard library, numpy, click or dst_lab. And
 one module of the package starts processes and reads the CPU count,
 ``workers.py``, through its one entry point; one pauses the cycle collector,
-``cli.py``, whose commands leave their data and OS failures to the one rule in
-``main``; and one tunes the C library's heap, ``__init__.py``."""
+``cli.py``, whose commands and helpers leave their data and OS failures to the
+one rule in ``main``; one words where a JSON input's fault is, ``jsonio.py``;
+and one tunes the C library's heap, ``__init__.py``."""
 
 from __future__ import annotations
 
@@ -126,20 +127,55 @@ def test_one_module_of_the_package_tunes_the_heap():
 
 
 # the failures that ``main`` turns into one ``Error:`` line and exit 1
-MAIN_FAILURES = {"CorpusFormatError", "PredictionFileError", "TrainingDivergence", "OSError"}
+MAIN_FAILURES = {"CorpusFormatError", "JsonInputError", "TrainingDivergence", "OSError"}
+# main's rule itself, and the two functions that make a fault of an option's
+# file or path a usage error (exit 2)
+MAPPERS = {"cli.py: _Main.invoke", "cli.py: _read_option_file", "cli.py: _check_out"}
+
+
+def _handlers(node: ast.AST, where: str):
+    """(innermost function or method around it, handler) for each except clause under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _handlers(child, f"{where}.{child.name}" if where else child.name)
+            continue
+        if isinstance(child, ast.ExceptHandler) and child.type is not None:
+            yield where, child
+        yield from _handlers(child, where)
 
 
 def test_no_command_maps_a_failure_that_main_maps():
-    # a per-command copy of main's failure rule would come back here
-    tree = ast.parse((Path(dst_lab.__file__).parent / "cli.py").read_text(encoding="utf-8"))
-    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
-    assert len(commands) == 5
-    caught = {
-        f"{command.name}: {name.id}"
-        for command in commands
-        for handler in ast.walk(command)
-        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
-        for name in ast.walk(handler.type)
-        if isinstance(name, ast.Name) and name.id in MAIN_FAILURES
-    }
-    assert caught == set()
+    # a copy of main's failure rule in a command or one of its helpers would come back here
+    package = Path(dst_lab.__file__).parent
+    caught = set()
+    for module in ("cli.py", "state_codec.py"):
+        tree = ast.parse((package / module).read_text(encoding="utf-8"))
+        for where, handler in _handlers(tree, ""):
+            for name in ast.walk(handler.type):
+                if (name.id if isinstance(name, ast.Name) else getattr(name, "attr", None)) in MAIN_FAILURES:
+                    caught.add(f"{module}: {where or '<module>'}")
+    assert caught == MAPPERS
+
+
+def _formats_a_location(path: Path) -> bool:
+    """Whether ``path`` formats a ``.line`` or ``.column`` into text, by an
+    f-string, ``%`` or ``str.format``."""
+    for node in _nodes(path):
+        if isinstance(node, ast.FormattedValue):
+            parts = [node.value]
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            parts = [node.right]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "format":
+            parts = [*node.args, *(keyword.value for keyword in node.keywords)]
+        else:
+            continue
+        if any(isinstance(n, ast.Attribute) and n.attr in ("line", "column") for part in parts for n in ast.walk(part)):
+            return True
+    return False
+
+
+def test_one_module_of_the_package_words_where_a_json_fault_is():
+    # a reader's own location format would come back here
+    package = Path(dst_lab.__file__).parent
+    locating = {path.relative_to(package).as_posix() for path in package.rglob("*.py") if _formats_a_location(path)}
+    assert locating == {"jsonio.py"}
