@@ -34,6 +34,7 @@ from .assembly import (
     run_dialogue,
 )
 from .corpus import (
+    SIZE_LIMIT,
     CorpusFormatError,
     Dialogue,
     SlotTaxonomy,
@@ -212,14 +213,12 @@ class RunManifest:
     def check_ranges(self) -> None:
         """Raise click.BadParameter naming the first field outside its range,
         whether its value came from the manifest or from a flag."""
-        _require_positive(self.workers, "--workers")
-        _require_positive(self.n_queries, "--n-queries")
+        _require_size(self.workers, "--workers")
+        _require_size(self.n_queries, "--n-queries")
         if error := seed_error(self.seed):
             raise click.BadParameter(error, param_hint="field 'seed'")
         for name in ("d_model", "n_heads", "n_layers", "stride", "budget_rows"):
-            value = getattr(self, name)
-            if value < 1:
-                raise click.BadParameter(f"must be >= 1, got {value}", param_hint=f"field {name!r}")
+            _require_size(getattr(self, name), f"field {name!r}")
         if self.d_model % self.n_heads:
             raise click.BadParameter(
                 f"must divide d_model={self.d_model}, got {self.n_heads}", param_hint="field 'n_heads'"
@@ -243,9 +242,11 @@ class RunManifest:
         _check_out(self.out, directory=True)
 
 
-def _require_positive(value: int, flag: str) -> None:
+def _require_size(value: int, hint: str) -> None:
     if value < 1:
-        raise click.BadParameter(f"must be >= 1, got {value}", param_hint=flag)
+        raise click.BadParameter(f"must be >= 1, got {value}", param_hint=hint)
+    if value > SIZE_LIMIT:
+        raise click.BadParameter(f"must be <= {SIZE_LIMIT}, got {value}", param_hint=hint)
 
 
 def _require_distinct(values, flag: str) -> None:
@@ -468,6 +469,8 @@ def cmd_run(manifest: str | None, exclude_ids: str | None, **flags) -> None:
     write_predictions(out_dir / "predictions.ndjson", records)
     write_files(out_dir, texts)
     click.echo(f"wrote {len(records)} prediction records to {out_dir / 'predictions.ndjson'}")
+    if len(failures) == len(dialogues):
+        raise click.ClickException(f"every dialogue failed; see {out_dir / 'run_summary.json'}")
     if failures:
         click.echo(f"{len(failures)} dialogue(s) failed; see run_summary.json", err=True)
 
@@ -573,7 +576,7 @@ def cmd_probe(
     if not seed_values:
         raise click.BadParameter(f"expected at least one seed, got {seeds!r}", param_hint="--seeds")
     for n_queries in n_queries_list:
-        _require_positive(n_queries, "--n-queries")
+        _require_size(n_queries, "--n-queries")
     # a repeated value would train the same config twice and write its row twice
     _require_distinct(seed_values, "--seeds")
     _require_distinct(n_queries_list, "--n-queries")

@@ -23,21 +23,28 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from . import jsonio
-from .jsonio import JsonInputError, all_strings, check, get, reject
+from .jsonio import CorpusFormatError, JsonInputError, all_strings, check, get, reject
 
 log = logging.getLogger(__name__)
 
 CORPUS_FORMAT_VERSION = 1
 FEATURE_MAGIC = b"DSTLFEA1"
-
-
-class CorpusFormatError(ValueError):
-    """Raised when feature sidecars do not match their declared format."""
-
-    def __init__(self, message: str, *, path: str | None = None, offset: int | None = None):
-        tags = (("file", path), ("offset", offset))
-        super().__init__(message + "".join(f" [{tag}: {value}]" for tag, value in tags if value is not None))
-        self.path, self.offset = path, offset
+# The largest |value| a feature sidecar may hold. The encoder stub and the
+# connector's projection multiply by matrices whose entries are at most
+# 1/sqrt(d_in), so the connector's first LayerNorm squares values of at most
+# about d_feat * |x| and sums d_model of them: about d_model * d_feat**2 * 1e200,
+# far below the float64 maximum (1.8e308) at any realistic d_feat and d_model.
+# The headroom also covers the later layer norms, whose inputs are at most a
+# few factors of d_model larger.
+FEATURE_BOUND = 1e100
+# The largest count or dimension a command accepts for a corpus or a model: far
+# beyond any desk-scale shape. A size such as 2**63 would otherwise grow a list
+# until memory runs out or fail inside numpy; one below it can still need more
+# memory than the machine has.
+SIZE_LIMIT = 1 << 20
+# Box-Muller's largest draw, sqrt(-2 ln 2**-53) = 8.57, bounds both a token's
+# vector and its noise, so a turn's features stay within FEATURE_BOUND.
+_NOISE_SIGMA_MAX = FEATURE_BOUND / 8.6 - 1
 
 
 class Speaker(str, Enum):
@@ -396,14 +403,15 @@ class SynthConfig:
 
     def validate(self) -> None:
         for name in ("n_dialogues", "turns_per_dialogue", "feature_dim", "slots_per_dialogue", "frames_per_token"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.noise_sigma >= 0:  # also true for NaN
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.noise_sigma == float("inf"):
-            raise ValueError("noise_sigma must be finite, got inf")
-        if self.mentions_per_turn is not None and self.mentions_per_turn < 1:
-            raise ValueError("mentions_per_turn must be >= 1 when given")
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            if value > SIZE_LIMIT:
+                raise ValueError(f"{name} must be <= {SIZE_LIMIT}, got {value}")
+        if not 0 <= self.noise_sigma <= _NOISE_SIGMA_MAX:  # also true for NaN
+            raise ValueError(f"noise_sigma must be in [0, {_NOISE_SIGMA_MAX:g}], got {self.noise_sigma}")
+        if self.mentions_per_turn is not None and not 1 <= self.mentions_per_turn <= self.slots_per_dialogue:
+            raise ValueError(f"mentions_per_turn must be in [1, slots_per_dialogue] when given, got {self.mentions_per_turn}")
         if self.fixed_domain is not None and self.fixed_domain not in ONTOLOGY:
             raise ValueError(f"unknown domain {self.fixed_domain!r}")
         domains = sorted(ONTOLOGY) if self.fixed_domain is None else [self.fixed_domain]
@@ -629,12 +637,12 @@ def _sidecar_header(header: object) -> tuple[str, int, int, int]:
     return fields
 
 
-def read_feature_sidecar(path: Path) -> tuple[str, int, np.ndarray]:
-    """Parse one sidecar; a short, overlong or malformed file, or a NaN or
-    infinite value, is a CorpusFormatError naming the byte offset, and a file
-    that cannot be read one naming the path."""
-    where = str(path)
-    try:
+def read_feature_sidecar(path, dialogue_id: str, turn_index: int, cols: int | None = None) -> np.ndarray:
+    """The matrix that ``write_feature_sidecar(path, dialogue_id, turn_index, ...)``
+    wrote, of ``cols`` columns when given. Any other content, such as a header
+    for another turn, an empty matrix or a value above FEATURE_BOUND in
+    magnitude, is a CorpusFormatError at its byte offset, worded by jsonio."""
+    with jsonio._naming(path):
         fd = os.open(path, os.O_RDONLY)
         try:
             size = os.fstat(fd).st_size
@@ -643,44 +651,38 @@ def read_feature_sidecar(path: Path) -> tuple[str, int, np.ndarray]:
                 blob += more
         finally:
             os.close(fd)
-    except OSError as exc:
-        raise CorpusFormatError(f"cannot read feature sidecar: {exc.strerror}", path=where) from exc
-    if blob[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:
-        raise CorpusFormatError("bad feature sidecar magic", path=where, offset=0)
-    header_start = len(FEATURE_MAGIC) + 4
-    if len(blob) < header_start:
-        raise CorpusFormatError("truncated sidecar header length", path=where, offset=len(blob))
-    (header_len,) = struct.unpack_from("<I", blob, len(FEATURE_MAGIC))
-    payload_start = header_start + header_len
-    if len(blob) < payload_start:
-        raise CorpusFormatError(
-            f"truncated sidecar header: {header_len} bytes declared", path=where, offset=len(blob)
-        )
-    header = blob[header_start:payload_start]
-    try:
-        dialogue_id, turn_index, rows, cols = jsonio.parse(header, _sidecar_header)
-    except JsonInputError as exc:
-        raise CorpusFormatError(f"malformed sidecar header: {exc}", path=where, offset=header_start) from exc
-    if rows < 0 or cols < 0:
-        raise CorpusFormatError(f"negative sidecar shape {rows}x{cols}", path=where, offset=header_start)
-    expected = rows * cols * 8
-    actual = len(blob) - payload_start
-    if actual != expected:
-        raise CorpusFormatError(
-            f"sidecar payload is {actual} bytes; a {rows}x{cols} float64 matrix needs {expected}",
-            path=where,
-            offset=payload_start + min(actual, expected),
-        )
-    data = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=payload_start).reshape(rows, cols)
-    finite = np.isfinite(data)
-    if not finite.all():
-        first = int(np.argmin(finite.ravel()))
-        raise CorpusFormatError(
-            f"non-finite feature value {float(data.ravel()[first])} at row {first // cols}, column {first % cols}",
-            path=where,
-            offset=payload_start + 8 * first,
-        )
-    return dialogue_id, turn_index, data.astype(np.float64)
+        if blob[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:
+            raise CorpusFormatError("bad feature sidecar magic", 0)
+        header_start = len(FEATURE_MAGIC) + 4
+        if len(blob) < header_start:
+            raise CorpusFormatError("truncated sidecar header length", len(blob))
+        (header_len,) = struct.unpack_from("<I", blob, len(FEATURE_MAGIC))
+        payload_start = header_start + header_len
+        if len(blob) < payload_start:
+            raise CorpusFormatError(f"truncated sidecar header: {header_len} bytes declared", len(blob))
+        try:
+            header_id, header_turn, rows, width = jsonio.parse(blob[header_start:payload_start], _sidecar_header)
+        except JsonInputError as exc:
+            raise CorpusFormatError(f"malformed sidecar header: {exc}", header_start) from exc
+        if (header_id, header_turn) != (dialogue_id, turn_index):
+            message = f"sidecar header is for {header_id} turn {header_turn}, not {dialogue_id} turn {turn_index}"
+            raise CorpusFormatError(message, header_start)
+        if rows < 1 or width < 1:
+            raise CorpusFormatError(f"sidecar shape {rows}x{width} has no feature value", header_start)
+        if cols is not None and width != cols:
+            raise CorpusFormatError(f"sidecar has {width} columns; the sidecars read before it have {cols}", header_start)
+        expected = rows * width * 8
+        actual = len(blob) - payload_start
+        if actual != expected:
+            message = f"sidecar payload is {actual} bytes; a {rows}x{width} float64 matrix needs {expected}"
+            raise CorpusFormatError(message, payload_start + min(actual, expected))
+        data = np.frombuffer(blob, dtype="<f8", count=rows * width, offset=payload_start).reshape(rows, width)
+        # np.maximum.reduce is what ndarray.max computes, without its Python-level wrapper
+        if not np.maximum.reduce(np.abs(data), axis=None) <= FEATURE_BOUND:  # also true for NaN
+            first = int(np.argmin(np.abs(data.ravel()) <= FEATURE_BOUND))
+            message = f"feature value {data.flat[first]} at row {first // width}, column {first % width}"
+            raise CorpusFormatError(f"{message} is not in [-{FEATURE_BOUND:g}, {FEATURE_BOUND:g}]", payload_start + 8 * first)
+        return data.astype(np.float64)
 
 
 def write_corpus(
@@ -729,37 +731,26 @@ def write_corpus(
 
 def _attach_features(dialogues: list[Dialogue], features_dir: Path, read: TurnSelector | None) -> None:
     """Attach the sidecar, where ``features_dir`` holds one, of each turn
-    that ``read`` names (every turn when ``read`` is None). The sidecars read must agree
-    on ``feature_dim``; no other sidecar is opened, and the directory is not listed."""
+    that ``read`` names (every turn when ``read`` is None). Each sidecar read
+    must have the first one's column count; no other sidecar is opened, and
+    the directory is not listed."""
     if not features_dir.is_dir():
         return
     directory = os.path.join(features_dir, "")
-    dims: set[int] = set()
+    cols = None
     for dlg in dialogues:
         if "/" in dlg.id or "\0" in dlg.id:  # no file directly in features/ has such a name
             continue
         for turn in dlg.turns if read is None else [dlg.turn(i) for i in read(dlg)]:
             sidecar = directory + _feature_sidecar_name(dlg.id, turn.index)
             try:
-                dialogue_id, turn_index, mat = read_feature_sidecar(sidecar)
-            except CorpusFormatError as exc:
+                turn.features = read_feature_sidecar(sidecar, dlg.id, turn.index, cols)
+            except OSError as exc:
                 # a name features/ does not hold is no sidecar; a dangling link by that name is an error
-                if getattr(exc.__cause__, "errno", None) in (errno.ENOENT, errno.ENAMETOOLONG) and not os.path.lexists(sidecar):
+                if exc.errno in (errno.ENOENT, errno.ENAMETOOLONG) and not os.path.lexists(sidecar):
                     continue
                 raise
-            if (dialogue_id, turn_index) != (dlg.id, turn.index):
-                raise CorpusFormatError(
-                    f"sidecar header is for {dialogue_id} turn {turn_index}, "
-                    f"not {dlg.id} turn {turn.index}",
-                    path=sidecar,
-                    offset=len(FEATURE_MAGIC) + 4,
-                )
-            if mat.size == 0:
-                raise CorpusFormatError(f"empty feature matrix for {dlg.id} turn {turn.index}", path=sidecar)
-            dims.add(int(mat.shape[1]))
-            turn.features = mat
-    if len(dims) > 1:
-        raise CorpusFormatError(f"feature_dim not uniform across corpus: {sorted(dims)}")
+            cols = turn.features.shape[1]
 
 
 def _check_turns(dialogue_id: str, turns: list[Turn], where: tuple) -> None:

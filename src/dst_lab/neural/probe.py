@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..corpus import Dialogue, Speaker, ontology_values, scan_transcript_mentions, seed_error
+from ..corpus import SIZE_LIMIT, Dialogue, Speaker, ontology_values, scan_transcript_mentions, seed_error
 from ..workers import share_out
 from .layers import Layer
 from .pipeline import (
@@ -50,6 +50,8 @@ class ProbeHyper:
             raise ValueError(f"lr must be a positive finite number, got {self.lr}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.epochs > SIZE_LIMIT:
+            raise ValueError(f"epochs must be <= {SIZE_LIMIT}, got {self.epochs}")
         if error := seed_error(self.seed):
             raise ValueError(f"seed {error}")
 

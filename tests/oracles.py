@@ -18,9 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from dst_lab.corpus import (
-    FEATURE_MAGIC,
     ONTOLOGY,
-    CorpusFormatError,
     Dialogue,
     DialogueState,
     Speaker,
@@ -698,28 +696,12 @@ def oracle_attach_features(dialogues: list[Dialogue], features_dir, read) -> Non
     holds."""
     if not features_dir.is_dir():
         return
-    try:
-        listed = set(os.listdir(features_dir))
-    except OSError as exc:
-        raise CorpusFormatError(f"cannot list feature sidecars: {exc.strerror}", path=str(features_dir)) from exc
+    listed = set(os.listdir(features_dir))
     directory = os.path.join(features_dir, "")
-    dims: set[int] = set()
+    cols = None
     for dlg in dialogues:
         for turn in dlg.turns if read is None else [dlg.turn(i) for i in read(dlg)]:
             name = _feature_sidecar_name(dlg.id, turn.index)
             if name in listed:
-                sidecar = directory + name
-                dialogue_id, turn_index, mat = read_feature_sidecar(sidecar)
-                if (dialogue_id, turn_index) != (dlg.id, turn.index):
-                    raise CorpusFormatError(
-                        f"sidecar header is for {dialogue_id} turn {turn_index}, "
-                        f"not {dlg.id} turn {turn.index}",
-                        path=sidecar,
-                        offset=len(FEATURE_MAGIC) + 4,
-                    )
-                if mat.size == 0:
-                    raise CorpusFormatError(f"empty feature matrix for {dlg.id} turn {turn.index}", path=sidecar)
-                dims.add(int(mat.shape[1]))
-                turn.features = mat
-    if len(dims) > 1:
-        raise CorpusFormatError(f"feature_dim not uniform across corpus: {sorted(dims)}")
+                turn.features = read_feature_sidecar(directory + name, dlg.id, turn.index, cols)
+                cols = turn.features.shape[1]

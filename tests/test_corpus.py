@@ -206,8 +206,9 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "config, message",
     [
-        (SynthConfig(noise_sigma=float("nan")), "noise_sigma must be >= 0, got nan"),
-        (SynthConfig(noise_sigma=float("inf")), "noise_sigma must be finite, got inf"),
+        (SynthConfig(noise_sigma=float("nan")), "noise_sigma must be in [0, 1.16279e+99], got nan"),
+        (SynthConfig(noise_sigma=float("inf")), "noise_sigma must be in [0, 1.16279e+99], got inf"),
+        (SynthConfig(noise_sigma=1e300), "noise_sigma must be in [0, 1.16279e+99], got 1e+300"),
         (SynthConfig(slots_per_dialogue=5, fixed_domain="hotel"), "exceeds available slots for ['hotel']"),
     ],
 )
@@ -217,6 +218,16 @@ def test_config_validation_runs_before_generation(config, message):
     assert message in str(info.value)
     with pytest.raises(ValueError):
         synth_corpus(0, config)
+
+
+def test_the_largest_noise_sigma_writes_sidecars_that_load(tmp_path):
+    # Box-Muller's largest draw bounds token vectors and noise alike
+    config = SynthConfig(n_dialogues=2, turns_per_dialogue=4, feature_dim=4, noise_sigma=corpus._NOISE_SIGMA_MAX)
+    write_corpus(tmp_path / "c", synth_corpus(0, config))
+    loaded = load_corpus(tmp_path / "c", "synthetic_json")
+    largest = max(np.abs(t.features).max() for d in loaded for t in d.turns)
+    assert config.noise_sigma < largest <= corpus.FEATURE_BOUND
+    assert corpus.gaussian_stream(0, 1 << 16).max() < 8.6
 
 
 def test_filter_corrupted_drops_present_ids(small_corpus):
@@ -346,9 +357,14 @@ def test_feature_sidecar_roundtrip(tmp_path):
     mat = np.array([[1.5, -2.25], [3.125, 0.0], [np.pi, np.e]])
     path = tmp_path / "x.f64"
     write_feature_sidecar(path, "dlg", 3, mat)
-    dlg_id, turn_index, loaded = read_feature_sidecar(path)
-    assert (dlg_id, turn_index) == ("dlg", 3)
-    assert np.array_equal(loaded, mat)
+    loaded = read_feature_sidecar(path, "dlg", 3)
+    assert np.array_equal(loaded, mat) and loaded.flags.writeable
+    assert np.array_equal(read_feature_sidecar(path, "dlg", 3, cols=2), mat)
+
+
+def _fault(path, offset: int, message: str) -> str:
+    """The text of a sidecar's CorpusFormatError."""
+    return f"{path}: byte {offset}: {message}"
 
 
 def test_truncated_or_padded_sidecar_is_a_format_error(tmp_path):
@@ -359,24 +375,31 @@ def test_truncated_or_padded_sidecar_is_a_format_error(tmp_path):
     for end in range(len(blob)):
         path.write_bytes(blob[:end])
         with pytest.raises(CorpusFormatError) as info:
-            read_feature_sidecar(path)
-        assert info.value.path == str(path)
-        assert info.value.offset is not None
-        if end >= payload_start:
-            assert info.value.offset == end
+            read_feature_sidecar(path, "dlg", 3)
+        assert info.value.path == path
+        if end < 8:
+            message, offset = "bad feature sidecar magic", 0
+        elif end < 12:
+            message, offset = "truncated sidecar header length", end
+        elif end < payload_start:
+            message, offset = f"truncated sidecar header: {payload_start - 12} bytes declared", end
+        else:
+            message, offset = f"sidecar payload is {end - payload_start} bytes; a 3x2 float64 matrix needs 48", end
+        assert str(info.value) == _fault(path, offset, message)
+        assert info.value.offset == offset
     path.write_bytes(blob + b"\x00")
-    with pytest.raises(CorpusFormatError, match="payload is 49 bytes") as info:
-        read_feature_sidecar(path)
-    assert info.value.offset == len(blob)
+    with pytest.raises(CorpusFormatError) as info:
+        read_feature_sidecar(path, "dlg", 3)
+    assert str(info.value) == _fault(path, len(blob), "sidecar payload is 49 bytes; a 3x2 float64 matrix needs 48")
 
 
 _SIDECAR_HEADER_FIELDS = '"cols": 2, "dialogue_id": "dlg", "format_version": 1'
 # each malformed header and what its error names
 _SIDECAR_HEADER_FAULTS = {
-    b"{not json": "malformed JSON",
+    b"{not json": "malformed JSON: Expecting property name enclosed in double quotes",
     b"[1, 2]": "expected a JSON object, got list",
     b'{"rows": 1}': "missing field 'dialogue_id'",
-    b"\xff\xfe": "malformed UTF-8",
+    b"\xff\xfe": "malformed UTF-8: invalid start byte",
     b'{%s, "rows": "3", "turn_index": 3}' % _SIDECAR_HEADER_FIELDS.encode(): "rows must be an integer, got '3'",
     b'{%s, "rows": 3, "turn_index": 1.0}' % _SIDECAR_HEADER_FIELDS.encode(): "turn_index must be an integer, got 1.0",
     b'{"cols": 2, "dialogue_id": "dlg", "format_version": 99, "rows": 0, "turn_index": 3}': "format_version must be 1, got 99",
@@ -388,33 +411,40 @@ _SIDECAR_HEADER_FAULTS = {
 def test_malformed_sidecar_header_is_a_format_error(tmp_path, header):
     path = tmp_path / "x.f64"
     path.write_bytes(b"DSTLFEA1" + len(header).to_bytes(4, "little") + header)
-    with pytest.raises(CorpusFormatError, match="malformed sidecar header") as info:
-        read_feature_sidecar(path)
-    assert info.value.offset == 12
-    assert f"malformed sidecar header: {_SIDECAR_HEADER_FAULTS[header]}" in str(info.value)
-    assert info.value.path == str(path)
+    with pytest.raises(CorpusFormatError) as info:
+        read_feature_sidecar(path, "dlg", 3)
+    assert (info.value.path, info.value.offset) == (path, 12)
+    message = f"malformed sidecar header: {_SIDECAR_HEADER_FAULTS[header]}"
+    assert str(info.value) == _fault(path, 12, message)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+_OUT_OF_RANGE = "is not in [-1e+100, 1e+100]"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -1.0000000000000002e100])
 @pytest.mark.parametrize("positions", [(0,), (3,), (5,), (2, 4)])
-def test_non_finite_sidecar_value_is_a_format_error(tmp_path, bad, positions):
+def test_sidecar_value_out_of_range_is_a_format_error(tmp_path, bad, positions):
     path = tmp_path / "x.f64"
     mat = np.arange(6.0).reshape(3, 2)
     mat.flat[list(positions)] = bad
     write_feature_sidecar(path, "dlg", 3, mat)
     payload_start = path.stat().st_size - 48
     with pytest.raises(CorpusFormatError) as info:
-        read_feature_sidecar(path)
-    assert info.value.path == str(path)
-    assert info.value.offset == payload_start + 8 * positions[0]
-    value = "nan" if np.isnan(bad) else "inf" if bad > 0 else "-inf"
+        read_feature_sidecar(path, "dlg", 3)
+    assert (info.value.path, info.value.offset) == (path, payload_start + 8 * positions[0])
     row, column = divmod(positions[0], 2)
-    assert str(info.value) == (
-        f"non-finite feature value {value} at row {row}, column {column} [file: {path}] [offset: {info.value.offset}]"
-    )
+    message = f"feature value {bad} at row {row}, column {column} {_OUT_OF_RANGE}"
+    assert str(info.value) == _fault(path, info.value.offset, message)
 
 
-def test_non_finite_sidecar_fails_corpus_load(tmp_path, small_corpus):
+def test_sidecar_values_at_the_bound_are_read(tmp_path):
+    path = tmp_path / "x.f64"
+    mat = np.array([[corpus.FEATURE_BOUND, -corpus.FEATURE_BOUND], [5e-324, -0.0]])
+    write_feature_sidecar(path, "dlg", 3, mat)
+    assert np.array_equal(read_feature_sidecar(path, "dlg", 3), mat)
+
+
+def test_sidecar_value_out_of_range_fails_corpus_load(tmp_path, small_corpus):
     write_corpus(tmp_path / "c", small_corpus)
     dlg = small_corpus[1]
     agent_turn = dlg.turns[1]
@@ -424,11 +454,8 @@ def test_non_finite_sidecar_fails_corpus_load(tmp_path, small_corpus):
     write_feature_sidecar(sidecar, dlg.id, agent_turn.index, features)
     with pytest.raises(CorpusFormatError) as info:
         load_corpus(tmp_path / "c", "synthetic_json")
-    assert info.value.path == str(sidecar)
-    assert info.value.offset == sidecar.stat().st_size - features.size * 8 + 8 * (features.shape[1] + 2)
-    assert str(info.value) == (
-        f"non-finite feature value nan at row 1, column 2 [file: {sidecar}] [offset: {info.value.offset}]"
-    )
+    offset = sidecar.stat().st_size - features.size * 8 + 8 * (features.shape[1] + 2)
+    assert str(info.value) == _fault(sidecar, offset, f"feature value nan at row 1, column 2 {_OUT_OF_RANGE}")
 
 
 @pytest.mark.parametrize("header_id, header_turn", [("other", 2), (None, 4)])
@@ -437,10 +464,22 @@ def test_sidecar_header_must_match_its_file(tmp_path, small_corpus, header_id, h
     dlg = small_corpus[0]
     sidecar = tmp_path / "c" / "features" / f"{dlg.id}__t0002.f64"
     write_feature_sidecar(sidecar, header_id or dlg.id, header_turn, dlg.turns[1].features)
-    with pytest.raises(CorpusFormatError, match="sidecar header is for") as info:
+    with pytest.raises(CorpusFormatError) as info:
         load_corpus(tmp_path / "c", "synthetic_json")
-    assert info.value.path == str(sidecar)
-    assert info.value.offset == 12
+    message = f"sidecar header is for {header_id or dlg.id} turn {header_turn}, not {dlg.id} turn 2"
+    assert str(info.value) == _fault(sidecar, 12, message)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 2), (3, 0), (0, 0), (-1, 2), (2, -3)])
+def test_sidecar_with_no_feature_value_is_a_format_error(tmp_path, rows, cols):
+    path = tmp_path / "x.f64"
+    write_feature_sidecar(path, "dlg", 3, np.zeros((max(rows, 0), max(cols, 0))))
+    if min(rows, cols) < 0:  # a shape no matrix has, written by hand
+        header = json.dumps({"cols": cols, "dialogue_id": "dlg", "format_version": 1, "rows": rows, "turn_index": 3})
+        path.write_bytes(b"DSTLFEA1" + len(header).to_bytes(4, "little") + header.encode())
+    with pytest.raises(CorpusFormatError) as info:
+        read_feature_sidecar(path, "dlg", 3)
+    assert str(info.value) == _fault(path, 12, f"sidecar shape {rows}x{cols} has no feature value")
 
 
 def _user_turns(dialogue):
@@ -463,8 +502,10 @@ def test_load_corpus_reads_only_the_sidecars_read_names(tmp_path, small_corpus):
                 assert turn.features is None
     loaded = load_corpus(tmp_path / "c", "synthetic_json", lambda dialogue: [])
     assert all(turn.features is None for dlg in loaded for turn in dlg.turns)
-    with pytest.raises(CorpusFormatError, match="bad feature sidecar magic"):
+    with pytest.raises(CorpusFormatError) as info:
         load_corpus(tmp_path / "c", "synthetic_json")
+    sidecar = tmp_path / "c" / "features" / f"{small_corpus[0].id}__t0002.f64"
+    assert str(info.value) == _fault(sidecar, 0, "bad feature sidecar magic")
 
 
 def test_feature_dim_must_agree_across_the_sidecars_read(tmp_path, small_corpus):
@@ -473,8 +514,10 @@ def test_feature_dim_must_agree_across_the_sidecars_read(tmp_path, small_corpus)
     wide = np.zeros((3, dlg.turns[1].features.shape[1] + 1))
     write_feature_sidecar(tmp_path / "c" / "features" / f"{dlg.id}__t0002.f64", dlg.id, 2, wide)
     assert load_corpus(tmp_path / "c", "synthetic_json", _user_turns)[0].turns[1].features is None
-    with pytest.raises(CorpusFormatError, match=r"feature_dim not uniform across corpus: \[8, 9\]"):
+    with pytest.raises(CorpusFormatError) as info:
         load_corpus(tmp_path / "c", "synthetic_json")
+    sidecar = tmp_path / "c" / "features" / f"{dlg.id}__t0002.f64"
+    assert str(info.value) == _fault(sidecar, 12, "sidecar has 9 columns; the sidecars read before it have 8")
 
 
 def test_load_corpus_lists_nothing_and_opens_each_read_sidecar_once(tmp_path, small_corpus, monkeypatch):
@@ -505,7 +548,7 @@ def test_load_corpus_lists_nothing_and_opens_each_read_sidecar_once(tmp_path, sm
 
 
 @pytest.mark.parametrize("fault, reason", [("directory", "Is a directory"), ("dangling_link", "No such file or directory")])
-def test_sidecar_that_cannot_be_opened_is_a_format_error(tmp_path, small_corpus, fault, reason):
+def test_sidecar_that_cannot_be_read_is_an_os_error_naming_it(tmp_path, small_corpus, fault, reason):
     write_corpus(tmp_path / "c", small_corpus)
     sidecar = tmp_path / "c" / "features" / f"{small_corpus[0].id}__t0001.f64"
     sidecar.unlink()
@@ -513,9 +556,9 @@ def test_sidecar_that_cannot_be_opened_is_a_format_error(tmp_path, small_corpus,
         sidecar.mkdir()
     else:
         sidecar.symlink_to(tmp_path / "gone.f64")
-    with pytest.raises(CorpusFormatError) as info:
+    with pytest.raises(OSError) as info:
         load_corpus(tmp_path / "c", "synthetic_json")
-    assert str(info.value) == f"cannot read feature sidecar: {reason} [file: {sidecar}]"
+    assert (info.value.filename, info.value.strerror) == (str(sidecar), reason)
 
 
 def _faulty_features(root: Path, dialogues: list[Dialogue], fault: str) -> Path:
@@ -566,11 +609,11 @@ def _faulty_features(root: Path, dialogues: list[Dialogue], fault: str) -> Path:
 
 def _attached(load) -> list | str:
     """Each turn's features, as shape and bytes, in the dialogues ``load``
-    returns, or the text of the CorpusFormatError it raises."""
+    returns, or the type and text of the CorpusFormatError or OSError it raises."""
     try:
         dialogues = load()
-    except CorpusFormatError as exc:
-        return str(exc)
+    except (CorpusFormatError, OSError) as exc:
+        return type(exc), str(exc)
     return [[None if t.features is None else (t.features.shape, t.features.tobytes()) for t in d.turns] for d in dialogues]
 
 
@@ -605,18 +648,17 @@ def test_sidecar_reader_takes_short_reads(tmp_path, monkeypatch):
     blob = path.read_bytes()
     os_read, os_fstat = os.read, os.fstat
     monkeypatch.setattr(os, "read", lambda fd, n: os_read(fd, min(n, 1)))
-    dialogue_id, turn_index, loaded = read_feature_sidecar(path)
-    assert (dialogue_id, turn_index) == ("dlg", 3)
+    loaded = read_feature_sidecar(path, "dlg", 3)
     assert np.array_equal(loaded, mat) and loaded.flags.writeable
     # a file shorter than its header declares, also where it ends before the size fstat reported
     path.write_bytes(blob[:-20])
-    expected = f"sidecar payload is 28 bytes; a 3x2 float64 matrix needs 48 [file: {path}] [offset: {len(blob) - 20}]"
+    expected = _fault(path, len(blob) - 20, "sidecar payload is 28 bytes; a 3x2 float64 matrix needs 48")
     with pytest.raises(CorpusFormatError) as info:
-        read_feature_sidecar(path)
+        read_feature_sidecar(path, "dlg", 3)
     assert str(info.value) == expected
     monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=os_fstat(fd).st_size + 100))
     with pytest.raises(CorpusFormatError) as info:
-        read_feature_sidecar(path)
+        read_feature_sidecar(path, "dlg", 3)
     assert str(info.value) == expected
 
 

@@ -150,8 +150,8 @@ def _commands(target: str) -> tuple[str, list[list[str]]]:
 
 def _mutated_sidecar(data, path: Path) -> bytes:
     """The sidecar's bytes truncated, with one mutation of its JSON header, or
-    with one payload value set to +-1e300, finite but too large for the
-    forwards that embed it."""
+    with one payload value set to +-1e300, finite but above the bound that the
+    reader keeps so that the forwards which embed a value cannot overflow."""
     blob = path.read_bytes()
     kind = data.draw(st.sampled_from(["truncate", "header", "payload"]))
     if kind == "truncate":

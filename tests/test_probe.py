@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import dst_lab.cli as cli_module
 import dst_lab.neural.probe as probe_module
 import dst_lab.workers as workers_module
 from dst_lab.cli import main
@@ -53,6 +55,7 @@ def test_probe_empty_query_list(probe_corpus):
         (ProbeHyper(lr=0.0), "lr must be a positive finite number, got 0.0"),
         (ProbeHyper(epochs=-1), "epochs must be >= 0, got -1"),
         (ProbeHyper(seed=-1), "seed must be >= 0, got -1"),
+        (ProbeHyper(epochs=2**63), "epochs must be <= 1048576, got 9223372036854775808"),
     ],
 )
 def test_probe_rejects_bad_hyper_before_training(probe_corpus, hyper, message):
@@ -271,19 +274,24 @@ def test_a_probe_that_trains_to_an_exploded_loss_fails_without_numpy_warnings(tm
     assert not out.exists()
 
 
-def test_probe_inputs_that_overflow_the_frozen_stages_are_one_error_line(tmp_path):
-    # no learning rate can mend the frozen stages' inputs, so no retry warning
-    # is logged; a fresh interpreter shows what reaches the real stderr
-    src = str(Path(probe_module.__file__).resolve().parents[2])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)}
-    env.pop("DST_LAB_LOG", None)
-    out = tmp_path / "p.csv"
-    args = ["probe", "--n-queries", "1", "--noise-sigma", "1e300", "--epochs", "3", "--n-dialogues", "6", "--seeds", "0"]
-    done = subprocess.run(
-        [sys.executable, "-m", "dst_lab.cli", *args, "--out", str(out)], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert (done.returncode, done.stdout) == (1, "")
-    assert re.fullmatch(r"Error: probe inputs at seed 0 overflow the frozen stages: overflow encountered in \w+\n", done.stderr)
+def test_probe_inputs_that_overflow_the_frozen_stages_are_one_error_line(tmp_path, monkeypatch, caplog):
+    # SynthConfig refuses a noise this large, so the values are put in memory after synthesis;
+    # no learning rate can mend the frozen stages' inputs, so no retry warning is logged
+    synth = cli_module.synth_corpus
+
+    def synth_overflowing(seed, config):
+        dialogues = synth(seed, config)
+        for turn in (turn for dialogue in dialogues for turn in dialogue.turns):
+            turn.features = turn.features * 1e300
+        return dialogues
+
+    monkeypatch.setattr(cli_module, "synth_corpus", synth_overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result, out = _probe(tmp_path, [0], [1])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert re.fullmatch(r"Error: probe inputs at seed 0 overflow the frozen stages: overflow encountered in \w+\n", result.stderr)
+    assert not [record for record in caplog.records if record.levelno >= logging.WARNING]
     assert not out.exists()
 
 

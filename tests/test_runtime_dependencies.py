@@ -2,9 +2,10 @@
 the package imports is in the standard library, numpy, click or dst_lab. And
 one module of the package starts processes and reads the CPU count,
 ``workers.py``, through its one entry point; one pauses the cycle collector,
-``cli.py``, whose commands and helpers leave their data and OS failures to the
-one rule in ``main``; one words where a JSON input's fault is, ``jsonio.py``;
-and one tunes the C library's heap, ``__init__.py``."""
+``cli.py``, whose commands and helpers, like the corpus readers, leave their
+data and OS failures to the one rule in ``main``; one words where an input
+file's fault is, ``jsonio.py``; and one tunes the C library's heap,
+``__init__.py``."""
 
 from __future__ import annotations
 
@@ -128,9 +129,18 @@ def test_one_module_of_the_package_tunes_the_heap():
 
 # the failures that ``main`` turns into one ``Error:`` line and exit 1
 MAIN_FAILURES = {"CorpusFormatError", "JsonInputError", "TrainingDivergence", "OSError"}
-# main's rule itself, and the two functions that make a fault of an option's
-# file or path a usage error (exit 2)
-MAPPERS = {"cli.py: _Main.invoke", "cli.py: _read_option_file", "cli.py: _check_out"}
+# each function that catches one of them, with those it catches: main's rule
+# itself; the two functions that make a fault of an option's file or path a
+# usage error (exit 2); the sidecar loop, which skips a sidecar that is absent
+# and re-raises any other OSError; and the sidecar reader, whose header fault
+# becomes a fault at the header's byte offset
+MAPPERS = {
+    "cli.py: _Main.invoke": MAIN_FAILURES,
+    "cli.py: _read_option_file": {"OSError", "JsonInputError"},
+    "cli.py: _check_out": {"OSError"},
+    "corpus.py: _attach_features": {"OSError"},
+    "corpus.py: read_feature_sidecar": {"JsonInputError"},
+}
 
 
 def _handlers(node: ast.AST, where: str):
@@ -145,21 +155,62 @@ def _handlers(node: ast.AST, where: str):
 
 
 def test_no_command_maps_a_failure_that_main_maps():
-    # a copy of main's failure rule in a command or one of its helpers would come back here
+    # a copy of main's failure rule in a command, one of its helpers or a reader would come back here
     package = Path(dst_lab.__file__).parent
-    caught = set()
-    for module in ("cli.py", "state_codec.py"):
+    caught: dict[str, set[str]] = {}
+    for module in ("cli.py", "corpus.py", "state_codec.py"):
         tree = ast.parse((package / module).read_text(encoding="utf-8"))
         for where, handler in _handlers(tree, ""):
-            for name in ast.walk(handler.type):
-                if (name.id if isinstance(name, ast.Name) else getattr(name, "attr", None)) in MAIN_FAILURES:
-                    caught.add(f"{module}: {where or '<module>'}")
+            names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(handler.type)}
+            if names & MAIN_FAILURES:
+                caught.setdefault(f"{module}: {where or '<module>'}", set()).update(names & MAIN_FAILURES)
+            if module != "cli.py" and "OSError" in names:  # only main's rule and the usage errors map one
+                assert all(node.exc is None for node in ast.walk(handler) if isinstance(node, ast.Raise)), where
     assert caught == MAPPERS
 
 
+LOCATIONS = {"line", "column", "offset"}
+
+
+def _located_names(path: Path) -> set[str]:
+    """The variables of ``path`` that hold a location: those named ``line``,
+    ``column`` or ``offset``, and those set from a ``.line``, ``.column`` or
+    ``.offset`` or from another such variable, as a loop over
+    ``(("offset", offset),)`` sets its targets."""
+    bindings = []
+    for node in _nodes(path):
+        if isinstance(node, ast.Assign):
+            bindings.append((node.targets, node.value))
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.NamedExpr)) and node.value is not None:
+            bindings.append(([node.target], node.value))
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            bindings.append(([node.target], node.iter))
+    located = set(LOCATIONS)
+    while True:
+        more = {
+            name.id
+            for targets, value in bindings
+            if _holds_a_location(value, located)
+            for target in targets
+            for name in ast.walk(target)
+            if isinstance(name, ast.Name)
+        } - located
+        if not more:
+            return located
+        located |= more
+
+
+def _holds_a_location(expr: ast.AST, located: set[str]) -> bool:
+    return any(
+        isinstance(n, ast.Attribute) and n.attr in LOCATIONS or isinstance(n, ast.Name) and n.id in located
+        for n in ast.walk(expr)
+    )
+
+
 def _formats_a_location(path: Path) -> bool:
-    """Whether ``path`` formats a ``.line`` or ``.column`` into text, by an
-    f-string, ``%`` or ``str.format``."""
+    """Whether ``path`` formats a location (see :func:`_located_names`) into
+    text, by an f-string, ``%`` or ``str.format``."""
+    located = _located_names(path)
     for node in _nodes(path):
         if isinstance(node, ast.FormattedValue):
             parts = [node.value]
@@ -169,12 +220,12 @@ def _formats_a_location(path: Path) -> bool:
             parts = [*node.args, *(keyword.value for keyword in node.keywords)]
         else:
             continue
-        if any(isinstance(n, ast.Attribute) and n.attr in ("line", "column") for part in parts for n in ast.walk(part)):
+        if any(_holds_a_location(part, located) for part in parts):
             return True
     return False
 
 
-def test_one_module_of_the_package_words_where_a_json_fault_is():
+def test_one_module_of_the_package_words_where_an_input_fault_is():
     # a reader's own location format would come back here
     package = Path(dst_lab.__file__).parent
     locating = {path.relative_to(package).as_posix() for path in package.rglob("*.py") if _formats_a_location(path)}
