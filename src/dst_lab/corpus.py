@@ -362,6 +362,9 @@ def _u64_stream(key: int, n: int) -> np.ndarray:
 def gaussian_stream(key: int, n: int) -> np.ndarray:
     """n standard-normal float64 draws, a pure function of ``key`` (Box-Muller)."""
     m = (n + 1) // 2
+    # numpy's uint64 arange of an uncountable length comes back empty, not raising
+    if n < 0 or 2 * m > np.iinfo(np.intp).max:
+        raise ValueError(f"number of draws must be in [0, {np.iinfo(np.intp).max - 1}], got n={n}")
     u_bits = _u64_stream(key, 2 * m)
     u1 = ((u_bits[:m] >> np.uint64(11)).astype(np.float64) + 1.0) * (1.0 / (1 << 53))
     u2 = (u_bits[m:] >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))

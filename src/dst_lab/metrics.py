@@ -221,20 +221,27 @@ def evaluate(
         correct = pred_slots.keys() == ref_slots.keys()
         for slot_key in pred_slots:
             if slot_key not in ref_slots:
-                errors.setdefault(slot_key, SlotErrorEntry()).insertions += 1
+                entry = errors.get(slot_key)
+                if entry is None:
+                    entry = errors[slot_key] = SlotErrorEntry()
+                entry.insertions += 1
                 counts[group_of(*slot_key)].fp += 1
         for slot_key, ref_value in ref_slots.items():
             try:
                 group = group_of(*slot_key) if taxonomy is None else taxonomy.group_of(*slot_key)
             except KeyError:
                 raise UnclassifiedSlotError(*slot_key) from None
-            entry = errors.setdefault(slot_key, SlotErrorEntry())
+            entry = errors.get(slot_key)
+            if entry is None:
+                entry = errors[slot_key] = SlotErrorEntry()
             pred_value = pred_slots.get(slot_key)
             if pred_value is None:
                 entry.deletions += 1
                 counts[group].fn += 1
                 continue
-            matched, ratio = compare_forms(form(pred_value, group), form(ref_value, group), group, policy)
+            ref_form = form(ref_value, group)
+            pred_form = ref_form if pred_value == ref_value else form(pred_value, group)
+            matched, ratio = compare_forms(pred_form, ref_form, group, policy)
             entry.matched_ratios.append(ratio)
             if matched:
                 counts[group].tp += 1

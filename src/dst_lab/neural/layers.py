@@ -5,6 +5,10 @@ what the matching backward pass needs; backward accumulates parameter
 gradients and returns the input gradient. Gradients are verified against
 central finite differences by the gradcheck module.
 
+A layer holds one forward's cache. Each forward that caches arrays it
+allocated drops its previous cache as its first statement, so training never
+holds two epochs' activations at once. Backward leaves the cache in place.
+
 A parameter may also carry a leading stack axis of size S in place of the
 batch axis: a matrix of shape (S, d_in, d_out), a vector of shape (S, 1, n).
 Every forward broadcasts it like a batch axis, so a batch-1 input yields S
@@ -23,13 +27,16 @@ batch-1 cache among ``x_q``, ``x_kv`` and ``merged`` once per backward, at
 call). The products are bitwise equal to those of the broadcast views at the
 shapes ``tests/test_neural.py`` checks.
 
-The elementwise kernels (``gelu_grad``, ``softmax_last``, the GELU factor of
-``FeedForward.backward`` and ``LayerNorm.backward``) are ``out=`` ufunc chains.
-They write only into temporaries they allocated themselves, never into an
-input or a cached array, and they keep every operation, its operands and its
-association (``0.5 * x * (1 - t*t) * dinner`` stays
-``((0.5*x) * (1-t*t)) * dinner``). So they are bitwise equal to the
-straight-line expressions in ``tests/oracles.py``.
+The elementwise kernels (``_gelu_with_tanh``, ``gelu_grad``,
+``softmax_last``, ``softmax_last_grad``, the GELU factor of
+``FeedForward.backward`` and ``LayerNorm.backward``) are ``out=`` ufunc
+chains, so they hold fewer temporaries. They write only into temporaries they
+allocated themselves, never into an input or a cached array, and they keep
+every operation, its operands and its association
+(``0.5 * x * (1 - t*t) * dinner`` stays ``((0.5*x) * (1-t*t)) * dinner``). So
+they are bitwise equal to the straight-line expressions in
+``tests/oracles.py``. A bias add ``x @ W + b`` stays out of place: under
+gradcheck's stack axis a (S, 1, n) bias broadcasts a batch-1 product up to S.
 """
 
 from __future__ import annotations
@@ -48,24 +55,32 @@ def init_matrix(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
 
 
 def _gelu_with_tanh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t = np.tanh(_SQRT_2_OVER_PI * (x + _GELU_C * x * x * x))
-    return 0.5 * x * (1.0 + t), t
+    """The tanh GELU of ``x`` and its tanh, which ``gelu_grad`` reads back."""
+    # t = tanh(sqrt(2/pi) * (x + c * x * x * x)), built in one buffer
+    t = np.multiply(_GELU_C, x)
+    t *= x
+    t *= x
+    np.add(x, t, out=t)
+    np.multiply(_SQRT_2_OVER_PI, t, out=t)
+    np.tanh(t, out=t)
+    out = np.multiply(0.5, x)
+    out *= 1.0 + t
+    return out, t
 
 
 def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Derivative of the tanh GELU at ``x``; ``t`` is the forward's tanh."""
-    x2 = np.multiply(x, x)
-    # dinner = sqrt(2/pi) * (1 + 3c * x^2), built in place of x^2
-    dinner = x2
-    dinner *= 3.0 * _GELU_C
-    dinner += 1.0
-    dinner *= _SQRT_2_OVER_PI
     # 0.5 * x * (1 - t*t) * dinner
     out = np.multiply(x, 0.5)
     tmp = np.multiply(t, t)
     np.subtract(1.0, tmp, out=tmp)
     out *= tmp
-    out *= dinner
+    # dinner = sqrt(2/pi) * (1 + 3c * x^2), built in tmp once 1 - t*t is used
+    np.multiply(x, x, out=tmp)
+    tmp *= 3.0 * _GELU_C
+    tmp += 1.0
+    tmp *= _SQRT_2_OVER_PI
+    out *= tmp
     # + 0.5 * (1 + t)
     np.add(t, 1.0, out=tmp)
     tmp *= 0.5
@@ -78,6 +93,16 @@ def softmax_last(x: np.ndarray) -> np.ndarray:
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
+
+
+def softmax_last_grad(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Gradient of ``softmax_last`` at its output ``y``, given ``dy``, the
+    gradient of ``y``: ``y * (dy - rowsum(dy * y))``, built in one buffer."""
+    dx = np.multiply(dy, y)
+    row_sum = np.add.reduce(dx, axis=-1, keepdims=True)
+    np.subtract(dy, row_sum, out=dx)
+    dx *= y
+    return dx
 
 
 @functools.lru_cache(maxsize=256)
@@ -150,6 +175,7 @@ class LayerNorm(Layer):
     # is what ndarray.mean computes for float64, bit for bit, without the
     # Python-level wrapper it runs on every call.
     def forward(self, x: np.ndarray) -> np.ndarray:
+        self._cache = None
         d = x.shape[-1]
         mean = np.add.reduce(x, axis=-1, keepdims=True) / d
         centered = x - mean
@@ -214,6 +240,7 @@ class MultiHeadAttention(Layer):
         return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
     def forward(self, x_q: np.ndarray, x_kv: np.ndarray) -> np.ndarray:
+        self._cache = None
         p = self._params
         q = self._split(x_q @ p["Wq"] + p["bq"])
         k = self._split(x_kv @ p["Wk"])
@@ -238,9 +265,9 @@ class MultiHeadAttention(Layer):
         g["bo"] += dout.sum(axis=(0, 1))
         dmerged = dout @ p["Wo"].T
         dcontext = self._split(dmerged)
-        dattn = dcontext @ v.transpose(0, 1, 3, 2)
         dv = attn.transpose(0, 1, 3, 2) @ dcontext
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        # the attention weights' gradient lives only for this call
+        dscores = softmax_last_grad(attn, dcontext @ v.transpose(0, 1, 3, 2))
         dscores /= np.sqrt(self.d_head)
         dq = dscores @ k
         dk = dscores.transpose(0, 1, 3, 2) @ q
@@ -268,6 +295,7 @@ class FeedForward(Layer):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        self._cache = None
         p = self._params
         pre = x @ p["W1"] + p["b1"]
         hidden, tanh_cache = _gelu_with_tanh(pre)

@@ -163,4 +163,7 @@ def compare_forms(p: str, r: str, slot_group: str, policy: MatchPolicy) -> tuple
 def values_match(pred: str, ref: str, slot_group: str, policy: MatchPolicy) -> bool:
     """Whether a predicted value counts as correct for a reference value (a
     symmetric verdict), without a ratio outside fuzzy groups."""
+    # equal values have equal forms, and equal forms match under every policy
+    if pred == ref:
+        return True
     return forms_match(value_form(pred, slot_group, policy), value_form(ref, slot_group, policy), slot_group, policy)

@@ -368,9 +368,15 @@ class OracleLayerNorm:
         return dx, dgamma, dbeta
 
 
+def oracle_gelu_with_tanh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-approximated GELU and its tanh."""
+    t = np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x * x * x))
+    return 0.5 * x * (1.0 + t), t
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
     """Tanh-approximated GELU."""
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x * x * x)))
+    return oracle_gelu_with_tanh(x)[0]
 
 
 def oracle_gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -384,6 +390,11 @@ def oracle_softmax_last(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def oracle_softmax_last_grad(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Gradient of the last-axis softmax at its output ``y``, given ``dy``."""
+    return y * (dy - (dy * y).sum(axis=-1, keepdims=True))
 
 
 def oracle_feed_forward_backward(params: dict, cache: tuple, dout: np.ndarray) -> tuple[np.ndarray, dict]:

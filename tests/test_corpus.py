@@ -295,6 +295,13 @@ def test_to_nested_of_gold_states_equals_the_oracle(small_corpus):
             assert json.dumps(state.to_nested()) == json.dumps(oracle_to_nested(state))
 
 
+@pytest.mark.parametrize("n", [-1, 2**63 - 1, 2**63])
+def test_gaussian_stream_rejects_a_draw_count_it_cannot_return(n):
+    with pytest.raises(ValueError, match=rf"got n={n}$"):
+        corpus.gaussian_stream(5, n)
+    assert corpus.gaussian_stream(5, 3).shape == (3,)
+
+
 @pytest.mark.parametrize("seed", [0, 3, 2**63 - 1])
 def test_splitmix64_draws_equal_the_numpy_counter_stream(seed):
     """``SplitMix64`` draws the counter stream ``_u64_stream`` computes with

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from dst_lab.neural.layers import (
     gelu_grad,
     sinusoidal_positions,
     softmax_last,
+    softmax_last_grad,
 )
 from dst_lab.neural.pipeline import (
     CompressorConfig,
@@ -30,7 +33,9 @@ from oracles import (
     oracle_compressor_forward,
     oracle_feed_forward_backward,
     oracle_gelu_grad,
+    oracle_gelu_with_tanh,
     oracle_softmax_last,
+    oracle_softmax_last_grad,
 )
 
 RNG = np.random.default_rng(1234)
@@ -387,8 +392,24 @@ def _assert_bitwise(a: np.ndarray, b: np.ndarray) -> None:
 
 
 # probe training: 240 train rows, 1 or 8 queries over 9 frames, d_model 16
-# (hidden 64); then a single row and an odd shape
-@pytest.mark.parametrize("shape", [(240, 8, 64), (240, 1, 64), (240, 9, 64), (1, 1, 4), (3, 7, 12)])
+# (hidden 64); a single row and an odd shape; gradcheck: 256 stacked copies,
+# d_model 8 (hidden 32)
+_GELU_SHAPES = [(240, 8, 64), (240, 1, 64), (240, 9, 64), (1, 1, 4), (3, 7, 12), (256, 2, 32), (256, 9, 32)]
+
+
+@pytest.mark.parametrize("shape", _GELU_SHAPES)
+def test_gelu_with_tanh_bitwise_equals_oracle(shape):
+    x = 3.0 * np.random.default_rng(sum(shape)).standard_normal(shape)
+    kept = _snapshot(x)
+    out, t = _gelu_with_tanh(x)
+    expected_out, expected_t = oracle_gelu_with_tanh(x)
+    _assert_bitwise(out, expected_out)
+    _assert_bitwise(t, expected_t)
+    _assert_unchanged(kept)
+    assert not any(np.shares_memory(a, b) for a, b in ((out, x), (t, x), (out, t)))
+
+
+@pytest.mark.parametrize("shape", _GELU_SHAPES)
 def test_gelu_grad_bitwise_equals_oracle(shape):
     x = 3.0 * np.random.default_rng(sum(shape)).standard_normal(shape)
     t = _gelu_with_tanh(x)[1]
@@ -407,6 +428,17 @@ def test_softmax_last_bitwise_equals_oracle(shape):
     _assert_bitwise(out, oracle_softmax_last(x))
     _assert_unchanged(kept)
     assert not np.shares_memory(out, x)
+
+
+@pytest.mark.parametrize("shape", [(240, 2, 8, 9), (240, 2, 8, 8), (240, 2, 1, 9), (240, 2, 1, 1), (1, 1, 4), (3, 7, 12)])
+def test_softmax_last_grad_bitwise_equals_oracle(shape):
+    rng = np.random.default_rng(sum(shape))
+    y, dy = softmax_last(4.0 * rng.standard_normal(shape)), rng.standard_normal(shape)
+    kept = _snapshot(y, dy)
+    out = softmax_last_grad(y, dy)
+    _assert_bitwise(out, oracle_softmax_last_grad(y, dy))
+    _assert_unchanged(kept)
+    assert not any(np.shares_memory(out, a) for a, _ in kept)
 
 
 @pytest.mark.parametrize("shape", [(240, 8, 16), (240, 1, 16), (1, 1, 4), (3, 7, 12)])
@@ -460,6 +492,32 @@ def test_attention_backward_copying_batch_1_caches_bitwise_equals_broadcast_view
     assert grads.keys() == expected_grads.keys()
     for name, grad in expected_grads.items():
         _assert_bitwise(grads[name], grad)
+
+
+@pytest.mark.parametrize("layer", ["feed_forward", "self_attention", "cross_attention"])
+def test_a_second_forward_drops_the_first_forwards_cache(layer):
+    """At the probe's 8-query training shapes, a second forward of equal
+    inputs raises traced memory above what the first left by less than the
+    bytes it caches: it does not hold the first forward's cache while it
+    builds its own."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((240, 8, 16))
+    if layer == "feed_forward":
+        module, inputs = FeedForward(16, rng), (x,)
+    else:
+        module = MultiHeadAttention(16, 2, rng)
+        inputs = (x, x) if layer == "self_attention" else (x, rng.standard_normal((240, 9, 16)))
+    tracemalloc.start()
+    try:
+        module.forward(*inputs)
+        left, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        module.forward(*inputs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    allocated = sum(a.nbytes for a in module._cache if all(a is not given for given in inputs))
+    assert peak - left < allocated
 
 
 def test_sinusoidal_positions_shape_and_range():

@@ -227,6 +227,24 @@ def test_compare_values_equals_oracle_and_is_symmetric(pred, ref, group, thresho
     assert values_match(pred, ref, group, policy) == matched
 
 
+_GROUPS = st.sampled_from(["categorical", "time", "open", "profile"])
+_POLICIES = st.one_of(
+    st.just(MatchPolicy()),
+    st.just(MatchPolicy.exact()),
+    st.builds(MatchPolicy, st.floats(0.0, 1.0), st.frozensets(_GROUPS), st.booleans()),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=st.one_of(_VALUES, st.text(max_size=12)), group=_GROUPS, policy=_POLICIES)
+def test_a_value_matches_itself_under_every_policy(value, group, policy):
+    """The premise of the shortcut ``values_match`` takes on equal raw values:
+    their compared forms match, at a ratio of 1."""
+    form = value_form(value, group, policy)
+    assert compare_forms(form, form, group, policy) == (True, 1.0)
+    assert values_match(value, value, group, policy)
+
+
 def test_only_fuzzy_groups_take_a_ratio(monkeypatch):
     import dst_lab.postprocess as postprocess
 

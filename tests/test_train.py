@@ -16,7 +16,14 @@ from dst_lab.neural.train import (
     train,
 )
 
-from oracles import OracleLayerNorm, oracle_feed_forward_backward, oracle_gelu_grad, oracle_softmax_last
+from oracles import (
+    OracleLayerNorm,
+    oracle_feed_forward_backward,
+    oracle_gelu_grad,
+    oracle_gelu_with_tanh,
+    oracle_softmax_last,
+    oracle_softmax_last_grad,
+)
 
 
 def _separable_dataset(n: int = 40, seed: int = 0):
@@ -147,8 +154,10 @@ def test_training_on_the_oracle_kernels_is_bitwise_equal(monkeypatch, n_queries)
     config = CompressorConfig(d_model=16, n_heads=2, n_queries=n_queries, seed=1)
     stages = [build_compressor(config), build_readout(n_queries, config, n_heads=3, n_classes=5)]
     fast = train(stages, (x, labels), lr=0.2, epochs=30)
+    monkeypatch.setattr(layers, "_gelu_with_tanh", oracle_gelu_with_tanh)
     monkeypatch.setattr(layers, "gelu_grad", oracle_gelu_grad)
     monkeypatch.setattr(layers, "softmax_last", oracle_softmax_last)
+    monkeypatch.setattr(layers, "softmax_last_grad", oracle_softmax_last_grad)
     monkeypatch.setattr(layers.LayerNorm, "backward", _oracle_layer_norm_backward)
     monkeypatch.setattr(layers.FeedForward, "backward", _oracle_feed_forward_backward)
     slow = train(stages, (x, labels), lr=0.2, epochs=30)
