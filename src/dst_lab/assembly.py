@@ -175,8 +175,6 @@ class StatePredictor(Protocol):
 class OracleExact:
     """Reads the gold state; transcribes the user turn verbatim."""
 
-    name = "exact"
-
     def predict(self, request: PredictionRequest) -> str:
         hypothesis = request.dialogue.turn(request.turn_index).transcript
         return render_completion(request.strategy, request.gold_state, hypothesis)
@@ -198,8 +196,6 @@ class OracleNoisy:
     stable under any execution order or worker count.
     """
 
-    name = "noisy"
-
     def __init__(
         self,
         seed: int,
@@ -208,7 +204,6 @@ class OracleNoisy:
         insert_prob: float = INSERT_PROB,
         time_reformat_prob: float = TIME_REFORMAT_PROB,
     ):
-        self.seed = seed
         self._state_key = key_prefix(seed, "noisy")
         self._text_key = key_prefix(seed, "asr")
         self.drop_prob = drop_prob
@@ -287,8 +282,6 @@ class OracleTruncated:
     speech part; a slot survives only if the user turn where its current value
     was last set lies fully inside the kept window.
     """
-
-    name = "truncated"
 
     def __init__(self, budget_rows: int):
         if budget_rows < 1:

@@ -288,28 +288,22 @@ def _build_embedder(manifest: RunManifest, d_feat: int) -> tuple[EmbeddingPipeli
     return embedder, config
 
 
-def _agent_text(obj: object) -> tuple[str, int, str]:
-    return get(check(obj, dict), "dialogue_id", str), get(obj, "turn_index", int), get(obj, "text", str)
-
-
 def _load_agent_texts(path: str | None, dialogues: list[Dialogue]) -> None:
     """Replace agent transcripts in ``dialogues`` by the texts of the NDJSON
-    file ``path``. Every line is parsed first; then each must name an agent
-    turn of ``dialogues``."""
+    file ``path``, each line of which must name an agent turn of ``dialogues``."""
     if not path:
         return
-    lines = list(jsonio.read_lines(path, _agent_text))
     agent_turns = {(dlg.id, turn.index): turn for dlg in dialogues for turn in dlg.turns if turn.speaker is Speaker.AGENT}
-    first_line: dict[tuple[str, int], int] = {}
-    for line_no, (dialogue_id, turn_index, text) in lines:
-        key = (dialogue_id, turn_index)
-        if key not in agent_turns:
-            raise JsonInputError(f"{path}:{line_no}: dialogue {dialogue_id!r} has no agent turn {turn_index}")
-        if key in first_line:
-            reason = f"repeated text for dialogue {dialogue_id!r} turn {turn_index}, first on line {first_line[key]}"
-            raise JsonInputError(f"{path}:{line_no}: {reason}")
-        first_line[key] = line_no
-        agent_turns[key].transcript = text
+
+    def agent_text(obj: object) -> tuple[tuple[str, int], str]:
+        dialogue_id, turn_index = get(check(obj, dict), "dialogue_id", str), get(obj, "turn_index", int)
+        text = get(obj, "text", str)
+        if (dialogue_id, turn_index) not in agent_turns:
+            raise JsonInputError(f"dialogue {dialogue_id!r} has no agent turn {turn_index}")
+        return (dialogue_id, turn_index), text
+
+    for turn_key, asr_text in jsonio.read_lines(path, agent_text, lambda entry: entry[0]):
+        agent_turns[turn_key].transcript = asr_text
 
 
 class _Main(click.Group):

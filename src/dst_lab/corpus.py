@@ -45,6 +45,9 @@ SIZE_LIMIT = 1 << 20
 # Box-Muller's largest draw, sqrt(-2 ln 2**-53) = 8.57, bounds both a token's
 # vector and its noise, so a turn's features stay within FEATURE_BOUND.
 _NOISE_SIGMA_MAX = FEATURE_BOUND / 8.6 - 1
+# How often a spread-mode user turn that introduces slots, after the first,
+# also restates an earlier slot with a fresh value.
+_OVERWRITE_PROB = 0.25
 
 
 class Speaker(str, Enum):
@@ -402,7 +405,6 @@ class SynthConfig:
     mentions_per_turn: int | None = None
     fixed_domain: str | None = None
     frames_per_token: int = 1
-    overwrite_prob: float = 0.25
 
     def validate(self) -> None:
         for name in ("n_dialogues", "turns_per_dialogue", "feature_dim", "slots_per_dialogue", "frames_per_token"):
@@ -464,7 +466,7 @@ def _mention_schedule(
             introduced = [p for earlier in schedule[:t] for p in earlier]
             if introduced and rng.uniform() < 0.9:
                 schedule[t].append(rng.choice(introduced))
-        elif t > 0 and rng.uniform() < config.overwrite_prob:
+        elif t > 0 and rng.uniform() < _OVERWRITE_PROB:
             introduced = [p for earlier in schedule[:t] for p in earlier if p not in schedule[t]]
             if introduced:
                 schedule[t].append(rng.choice(introduced))

@@ -168,12 +168,24 @@ def read_document(path, read):
         return parse(fh.read(), read)
 
 
-def read_lines(path, read):
-    """(line number, ``read`` of its value) for each non-blank NDJSON line."""
+def read_lines(path, read, key) -> list:
+    """``read`` of the value of each non-blank line of the NDJSON file
+    ``path``, a line checked in full before the next is read. A line whose
+    ``key``, the value's (dialogue id, turn index), is an earlier line's is a
+    fault located where its value starts."""
+    values, first_lines = [], {}
     with _naming(path), open(path, "rb") as fh:
-        for n, line in enumerate(fh, start=1):
-            if line.strip():
-                yield n, parse(line, read, line=n)
+        for line, data in enumerate(fh, start=1):
+            if data.strip():
+                value = parse(data, read, line=line)
+                if (first_line := first_lines.setdefault(key(value), line)) != line:
+                    reason = "repeated record for dialogue {!r} turn {}, first on line {}"
+                    # the line parses, so what lstrip drops is JSON whitespace
+                    error = JsonInputError(reason.format(*key(value), first_line), pos=len(data) - len(data.lstrip()))
+                    error.line, error.column = line, error.pos + 1
+                    raise error
+                values.append(value)
+    return values
 
 
 def check(value, kind, where: tuple = ()):

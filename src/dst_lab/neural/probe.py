@@ -134,19 +134,21 @@ def _train_with_retry(
     """The trained stages and their held-out logits. Plain gradient descent
     diverges above a data-dependent step size (see :func:`train`), which can
     also leave held-out logits that are not finite; retry the full schedule
-    from the same initial stages at half the rate when that happens."""
+    from the same initial stages at half the rate when that happens. A retry
+    trains without the failed attempt: its traceback, stages and logits go."""
     lr = hyper.lr
     for _ in range(4):
         try:
             outcome = train(stages, dataset, lr=lr, epochs=hyper.epochs)
         except TrainingDivergence as exc:
-            last = exc
+            last = exc.with_traceback(None)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 logits = forward(outcome.stages, held_x)
             if np.isfinite(logits).all():
                 return outcome, logits
             last = TrainingDivergence("held-out logits diverged", outcome.trace)
+            del outcome, logits
         log.warning("training diverged at lr=%.4f; retrying at %.4f", lr, lr / 2)
         lr /= 2
     raise last

@@ -9,6 +9,7 @@ must degrade to an empty state rather than crash.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -17,7 +18,7 @@ from typing import Iterable, Mapping
 
 from . import jsonio
 from .corpus import DialogueState, Speaker, read_state
-from .jsonio import SURROGATE, SURROGATE_ESCAPE, JsonInputError, all_strings, check, get
+from .jsonio import SURROGATE, SURROGATE_ESCAPE, all_strings, check, get
 
 
 class Strategy(str, Enum):
@@ -306,13 +307,4 @@ def write_predictions(path, records: Iterable[PredictionRecord]) -> None:
 
 def read_predictions(path) -> list[PredictionRecord]:
     """Every record of a prediction NDJSON file; at most one per (dialogue, turn)."""
-    records = []
-    first_line: dict[tuple[str, int], int] = {}
-    for line_no, record in jsonio.read_lines(path, _record):
-        key = (record.dialogue_id, record.turn_index)
-        if key in first_line:
-            reason = f"duplicate record for dialogue {key[0]!r} turn {key[1]}, first on line {first_line[key]}"
-            raise JsonInputError(f"{path}:{line_no}: {reason}")
-        first_line[key] = line_no
-        records.append(record)
-    return records
+    return jsonio.read_lines(path, _record, operator.attrgetter("dialogue_id", "turn_index"))

@@ -452,14 +452,15 @@ def oracle_compact_json(obj: object) -> str:
 
 # The noisy predictor's perturbations as they were written with ``derive_key``
 # over the whole key at every turn. They take the predictor for its
-# probabilities and call its own ``_typo`` and ``_reformat_time``.
+# probabilities, with the seed it was built with, and call its own ``_typo``
+# and ``_reformat_time``.
 
 
-def oracle_perturb_state(noisy, dialogue_id: str, turn_index: int, gold: DialogueState) -> DialogueState:
+def oracle_perturb_state(noisy, seed: int, dialogue_id: str, turn_index: int, gold: DialogueState) -> DialogueState:
     """The gold state with drops, time reformats, typos and at most one
     inserted slot; the domains are filtered to those that hold a slot or are
     gold domains."""
-    rng = SplitMix64(derive_key(noisy.seed, "noisy", dialogue_id, turn_index))
+    rng = SplitMix64(derive_key(seed, "noisy", dialogue_id, turn_index))
     domains = list(gold.domains)
     slots: dict[tuple[str, str], str] = {}
     for (domain, slot), value in sorted(gold.slots.items()):
@@ -481,9 +482,9 @@ def oracle_perturb_state(noisy, dialogue_id: str, turn_index: int, gold: Dialogu
     return DialogueState(kept_domains, slots)
 
 
-def oracle_perturb_text(noisy, dialogue_id: str, turn_index: int, text: str) -> str:
+def oracle_perturb_text(noisy, seed: int, dialogue_id: str, turn_index: int, text: str) -> str:
     """``text`` with a typo in each word drawn below the typo probability."""
-    rng = SplitMix64(derive_key(noisy.seed, "asr", dialogue_id, turn_index))
+    rng = SplitMix64(derive_key(seed, "asr", dialogue_id, turn_index))
     out = []
     for word in text.split():
         if rng.uniform() < noisy.typo_prob:

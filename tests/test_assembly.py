@@ -218,11 +218,11 @@ def test_noisy_perturbations_equal_the_whole_key_oracles(small_corpus, path):
         for dlg in corpus:
             for n, gold in dlg.gold_states.items():
                 state = noisy.perturb_state(dlg.id, n, gold)
-                expected = oracle_perturb_state(noisy, dlg.id, n, gold)
+                expected = oracle_perturb_state(noisy, seed, dlg.id, n, gold)
                 assert (state.domains, state.slots) == (expected.domains, expected.slots)
                 hits += bool(took_path(gold, state))
                 text = dlg.turn(n).transcript
-                assert noisy.perturb_text(dlg.id, n, text) == oracle_perturb_text(noisy, dlg.id, n, text)
+                assert noisy.perturb_text(dlg.id, n, text) == oracle_perturb_text(noisy, seed, dlg.id, n, text)
     assert hits
 
 

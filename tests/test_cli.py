@@ -885,7 +885,7 @@ def test_run_rejects_agent_asr_line_naming_no_agent_turn(runner, tmp_path, case)
     result = runner.invoke(main, args + ["--out", str(tmp_path / "run")])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert f"{path}:2: {reason}" in result.output
+    assert f"Error: {path}:2:1: malformed record: {reason}" in result.output
     assert not (tmp_path / "run").exists()
 
 
@@ -899,7 +899,7 @@ def test_run_rejects_a_repeated_agent_asr_line_naming_both_lines(runner, tmp_pat
     result = runner.invoke(main, args + ["--out", str(tmp_path / "run")])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert f"Error: {path}:3: repeated text for dialogue {dialogue_id!r} turn 2, first on line 1" in result.output
+    assert f"Error: {path}:3:1: repeated record for dialogue {dialogue_id!r} turn 2, first on line 1" in result.output
     assert not (tmp_path / "run").exists()
 
 
@@ -1093,7 +1093,8 @@ def test_a_number_too_large_for_a_float_in_a_manifest_is_a_located_usage_error(r
 def test_run_reports_bad_agent_asr_line(runner, tmp_path, bad_line, reason):
     _synth(runner, tmp_path / "corpus")
     path = tmp_path / "agent_asr.ndjson"
-    good = '{"dialogue_id": "d0", "turn_index": 2, "text": "hi"}'
+    dialogue_id = load_corpus(tmp_path / "corpus", "synthetic_json")[0].id
+    good = json.dumps({"dialogue_id": dialogue_id, "turn_index": 2, "text": "hi"})
     path.write_text("\n".join([good, bad_line, good]) + "\n")
     result = runner.invoke(
         main,
@@ -1367,7 +1368,7 @@ def test_evaluate_rejects_a_duplicate_prediction_naming_both_lines(runner, tmp_p
     )
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert f"{path}:4: duplicate record for dialogue 'd0' turn 1, first on line 1" in result.output
+    assert f"{path}:4:1: repeated record for dialogue 'd0' turn 1, first on line 1" in result.output
 
 
 def test_evaluate_reports_a_duplicate_before_a_later_malformed_line(runner, tmp_path):
@@ -1377,7 +1378,34 @@ def test_evaluate_reports_a_duplicate_before_a_later_malformed_line(runner, tmp_
     path.write_text("\n".join([good % 1, good % 3, good % 1, good % 5, "{"]) + "\n")
     result = runner.invoke(main, ["evaluate", "--predictions", str(path), "--corpus", str(tmp_path / "corpus")])
     assert result.exit_code == 1
-    assert f"{path}:3: duplicate record for dialogue 'd0' turn 1, first on line 1" in result.output
+    assert f"{path}:3:1: repeated record for dialogue 'd0' turn 1, first on line 1" in result.output
+
+
+@pytest.mark.parametrize("repeat_first", [True, False], ids=["repeat-first", "malformed-first"])
+@pytest.mark.parametrize("command", ["evaluate", "run-agent-asr"])
+def test_an_ndjson_file_reports_its_first_faulty_line(runner, tmp_path, command, repeat_first):
+    # a repeated (dialogue, turn) and a malformed line, in either order
+    _synth(runner, tmp_path / "corpus")
+    dialogue_id = load_corpus(tmp_path / "corpus", "synthetic_json")[0].id
+    path = tmp_path / "input.ndjson"
+    if command == "evaluate":
+        fields, turns = {"raw_output": "", "parsed_state": None}, (1, 3)
+        args = ["evaluate", "--predictions", str(path), "--corpus", str(tmp_path / "corpus")]
+    else:
+        fields, turns = {"text": "hi"}, (2, 4)
+        args = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "multimodal", "--agent-asr", str(path)]
+    lines = [json.dumps({"dialogue_id": dialogue_id, "turn_index": turn, **fields}) for turn in turns]
+    faults = ["  " + lines[0], json.dumps({"dialogue_id": dialogue_id, "turn_index": "1", **fields})]
+    path.write_text("\n".join(lines + (faults if repeat_first else faults[::-1])) + "\n")
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    if repeat_first:
+        fault = f"3:3: repeated record for dialogue {dialogue_id!r} turn {turns[0]}, first on line 1"
+    else:
+        fault = "3:1: malformed record: turn_index must be an integer, got '1'"
+    assert result.output == f"Error: {path}:{fault}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_locates_an_integer_too_long_to_convert(runner, tmp_path):

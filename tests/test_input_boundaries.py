@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import errno
+import functools
 import io
 import json
 import os
@@ -269,11 +270,17 @@ class _FailingFile(io.BytesIO):
         return self.read()
 
 
-@pytest.mark.parametrize("reader", [jsonio.read_document, jsonio.read_lines])
+@pytest.mark.parametrize(
+    "reader",
+    [
+        pytest.param(jsonio.read_document, id="read_document"),
+        pytest.param(functools.partial(jsonio.read_lines, key=tuple), id="read_lines"),
+    ],
+)
 def test_a_file_that_fails_while_read_is_named_in_the_error(monkeypatch, tmp_path, reader):
     monkeypatch.setattr(jsonio, "open", lambda path, mode: _FailingFile(), raising=False)
     with pytest.raises(OSError) as info:
-        list(reader(tmp_path / "input.json", lambda value: value))
+        reader(tmp_path / "input.json", lambda value: value)
     assert (info.value.filename, info.value.strerror) == (tmp_path / "input.json", os.strerror(errno.EIO))
 
 

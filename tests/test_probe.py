@@ -7,8 +7,10 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -22,7 +24,7 @@ from dst_lab.neural.probe import (
     build_probe_dataset,
     probe_retention,
 )
-from dst_lab.neural.train import TrainingDivergence
+from dst_lab.neural.train import TrainingDivergence, TrainingResult
 from dst_lab.reporting import render_retention_table
 
 from oracles import oracle_probe_retention
@@ -315,3 +317,32 @@ def test_held_out_logits_that_are_not_finite_are_a_divergence_at_that_rate(monke
         1, "Error: probe training at seed 0 diverged at every learning rate tried: held-out logits diverged\n"
     )
     assert not out.exists()
+
+
+class _Stage:
+    """What a failed attempt allocates, standing for its trained stages."""
+
+
+@pytest.mark.parametrize("path", ["divergence", "held-out"])
+def test_a_retry_trains_without_the_failed_attempt(monkeypatch, path):
+    attempts = []  # weak references to what each attempt allocated
+
+    def train_and_fail(stages, dataset, lr, epochs):
+        assert [ref() for ref in attempts] == [None] * len(attempts)
+        stage = _Stage()
+        attempts.append(weakref.ref(stage))
+        if path == "divergence":
+            raise TrainingDivergence(f"loss diverged at {lr}", [])  # its traceback holds this frame
+        return TrainingResult([stage], [])
+
+    def infinite_logits(stages, x):
+        logits = np.full((len(x), 2), np.inf)
+        attempts.append(weakref.ref(logits))
+        return logits
+
+    monkeypatch.setattr(probe_module, "train", train_and_fail)
+    monkeypatch.setattr(probe_module, "forward", infinite_logits)
+    with pytest.raises(TrainingDivergence) as info:
+        probe_module._train_with_retry([], (np.zeros((2, 1)), np.zeros(2, dtype=np.int64)), ProbeHyper(), np.zeros((1, 1)))
+    assert len(attempts) == (4 if path == "divergence" else 8)
+    assert str(info.value) == ("loss diverged at 0.025" if path == "divergence" else "held-out logits diverged")

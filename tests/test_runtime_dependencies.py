@@ -173,10 +173,12 @@ LOCATIONS = {"line", "column", "offset"}
 
 
 def _located_names(path: Path) -> set[str]:
-    """The variables of ``path`` that hold a location: those named ``line``,
-    ``column`` or ``offset``, and those set from a ``.line``, ``.column`` or
-    ``.offset`` or from another such variable, as a loop over
-    ``(("offset", offset),)`` sets its targets."""
+    """The variables of ``path`` that hold a location: those with ``line``,
+    ``column`` or ``offset`` as a word of their name (``line_no``,
+    ``first_line``), and those set from a ``.line``, ``.column`` or
+    ``.offset``, from a ``read_lines`` call (a loop over lines that carry
+    their numbers would bind one) or from another such variable, as a loop
+    over ``(("offset", offset),)`` sets its targets."""
     bindings = []
     for node in _nodes(path):
         if isinstance(node, ast.Assign):
@@ -185,7 +187,7 @@ def _located_names(path: Path) -> set[str]:
             bindings.append(([node.target], node.value))
         elif isinstance(node, (ast.For, ast.comprehension)):
             bindings.append(([node.target], node.iter))
-    located = set(LOCATIONS)
+    located = {name.id for name in _nodes(path) if isinstance(name, ast.Name) and _names_a_location(name.id)}
     while True:
         more = {
             name.id
@@ -200,9 +202,14 @@ def _located_names(path: Path) -> set[str]:
         located |= more
 
 
+def _names_a_location(name: str) -> bool:
+    return not LOCATIONS.isdisjoint(name.split("_"))
+
+
 def _holds_a_location(expr: ast.AST, located: set[str]) -> bool:
     return any(
-        isinstance(n, ast.Attribute) and n.attr in LOCATIONS or isinstance(n, ast.Name) and n.id in located
+        isinstance(n, ast.Attribute) and (n.attr in LOCATIONS or n.attr == "read_lines")
+        or isinstance(n, ast.Name) and (n.id in located or n.id == "read_lines")
         for n in ast.walk(expr)
     )
 
