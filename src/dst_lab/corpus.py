@@ -29,6 +29,8 @@ log = logging.getLogger(__name__)
 
 CORPUS_FORMAT_VERSION = 1
 FEATURE_MAGIC = b"DSTLFEA1"
+# The header version of a feature file: 2 holds one dialogue's turns, 1 held one turn.
+FEATURE_FORMAT_VERSION = 2
 # The largest |value| a feature sidecar may hold. The encoder stub and the
 # connector's projection multiply by matrices whose entries are at most
 # 1/sqrt(d_in), so the connector's first LayerNorm squares values of at most
@@ -606,23 +608,23 @@ def filter_corrupted(dialogues: list[Dialogue], exclude_ids: Iterable[str]) -> l
 # ---------------------------------------------------------------------------
 
 
-TurnSelector = Callable[[Dialogue], Iterable[int]]  # the indices of the turns whose sidecars to read
+TurnSelector = Callable[[Dialogue], Iterable[int]]  # the indices of the turns whose features to read
 
 
-def _feature_sidecar_name(dialogue_id: str, turn_index: int) -> str:
-    return f"{dialogue_id}__t{turn_index:04d}.f64"
-
-
-def write_feature_sidecar(path: Path, dialogue_id: str, turn_index: int, features: np.ndarray) -> None:
-    """One matrix per file: magic, header length, JSON header, little-endian f64 rows."""
-    mat = np.ascontiguousarray(features, dtype=np.float64)
+def write_feature_sidecar(path: Path, dialogue_id: str, turns: list[tuple[int, np.ndarray]]) -> None:
+    """One dialogue's feature file: magic, header length, a JSON header that
+    lists each of ``turns``' index and row count in the order given, then
+    each turn's rows as little-endian f64. Every matrix has one column count."""
+    mats = [(index, np.ascontiguousarray(features, dtype=np.float64)) for index, features in turns]
+    widths = sorted({mat.shape[1] for _, mat in mats})
+    if len(widths) > 1:
+        raise ValueError(f"the turns of dialogue {dialogue_id!r} have {widths} feature columns, not one count")
     header = json.dumps(
         {
-            "format_version": CORPUS_FORMAT_VERSION,
+            "format_version": FEATURE_FORMAT_VERSION,
             "dialogue_id": dialogue_id,
-            "turn_index": turn_index,
-            "rows": int(mat.shape[0]),
-            "cols": int(mat.shape[1]),
+            "cols": widths[0],
+            "turns": [[index, int(mat.shape[0])] for index, mat in mats],
         },
         sort_keys=True,
     ).encode("utf-8")
@@ -630,23 +632,35 @@ def write_feature_sidecar(path: Path, dialogue_id: str, turn_index: int, feature
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        fh.write(mat.astype("<f8").tobytes(order="C"))
+        for _, mat in mats:
+            fh.write(mat.astype("<f8").tobytes(order="C"))
 
 
-def _sidecar_header(header: object) -> tuple[str, int, int, int]:
-    check(header, dict)
-    fields = get(header, "dialogue_id", str), get(header, "turn_index", int), get(header, "rows", int), get(header, "cols", int)
-    version = get(header, "format_version", int)
-    if version != CORPUS_FORMAT_VERSION:
-        reject(("format_version",), f"must be {CORPUS_FORMAT_VERSION}", version)
-    return fields
+def _sidecar_header(header: object) -> tuple[str, int, list[list[int]]]:
+    version = get(check(header, dict), "format_version", int)
+    if version != FEATURE_FORMAT_VERSION:
+        reject(("format_version",), f"must be {FEATURE_FORMAT_VERSION}", version)
+    dialogue_id, cols, turns = get(header, "dialogue_id", str), get(header, "cols", int), get(header, "turns", list)
+    if not turns:
+        reject(("turns",), "must list at least one turn", turns)
+    previous = 0
+    for i, entry in enumerate(turns):  # a valid entry is read by type tests alone, a faulty one again by check
+        pair = type(entry) is list and len(entry) == 2 and type(entry[0]) is int and type(entry[1]) is int
+        if not pair or entry[0] <= previous:
+            check(entry, list[int], ("turns", i))
+            reject(("turns", i), f"must be [index, rows] with an index above {previous}", entry)
+        previous = entry[0]
+    return dialogue_id, cols, turns
 
 
-def read_feature_sidecar(path, dialogue_id: str, turn_index: int, cols: int | None = None) -> np.ndarray:
-    """The matrix that ``write_feature_sidecar(path, dialogue_id, turn_index, ...)``
-    wrote, of ``cols`` columns when given. Any other content, such as a header
-    for another turn, an empty matrix or a value above FEATURE_BOUND in
-    magnitude, is a CorpusFormatError at its byte offset, worded by jsonio."""
+def read_feature_sidecar(path, dialogue_id: str, turns: Iterable[int], cols: int | None = None) -> dict[int, np.ndarray]:
+    """The matrices, by turn index, of the ``turns`` that the feature file
+    ``write_feature_sidecar(path, dialogue_id, ...)`` wrote holds, each of
+    ``cols`` columns when given; a turn the file does not list is left out.
+    All the file holds is checked: any other content, such as a header for
+    another dialogue, a turn with no row or a value above FEATURE_BOUND in
+    magnitude in any turn, is a CorpusFormatError at its byte offset, worded
+    by jsonio. Each matrix is a copy, so none keeps the file's bytes alive."""
     with jsonio._naming(path):
         fd = os.open(path, os.O_RDONLY)
         try:
@@ -666,28 +680,33 @@ def read_feature_sidecar(path, dialogue_id: str, turn_index: int, cols: int | No
         if len(blob) < payload_start:
             raise CorpusFormatError(f"truncated sidecar header: {header_len} bytes declared", len(blob))
         try:
-            header_id, header_turn, rows, width = jsonio.parse(blob[header_start:payload_start], _sidecar_header)
+            header_id, width, listed = jsonio.parse(blob[header_start:payload_start], _sidecar_header)
         except JsonInputError as exc:
             raise CorpusFormatError(f"malformed sidecar header: {exc}", header_start) from exc
-        if (header_id, header_turn) != (dialogue_id, turn_index):
-            message = f"sidecar header is for {header_id} turn {header_turn}, not {dialogue_id} turn {turn_index}"
-            raise CorpusFormatError(message, header_start)
-        if rows < 1 or width < 1:
-            raise CorpusFormatError(f"sidecar shape {rows}x{width} has no feature value", header_start)
+        if header_id != dialogue_id:
+            raise CorpusFormatError(f"sidecar header is for dialogue {header_id}, not {dialogue_id}", header_start)
+        spans, total = {}, 0  # each listed turn's first and end row
+        for index, rows in listed:
+            if rows < 1 or width < 1:
+                raise CorpusFormatError(f"sidecar shape {rows}x{width} of turn {index} has no feature value", header_start)
+            spans[index] = total, total + rows
+            total += rows
         if cols is not None and width != cols:
             raise CorpusFormatError(f"sidecar has {width} columns; the sidecars read before it have {cols}", header_start)
-        expected = rows * width * 8
+        expected = total * width * 8
         actual = len(blob) - payload_start
         if actual != expected:
-            message = f"sidecar payload is {actual} bytes; a {rows}x{width} float64 matrix needs {expected}"
+            message = f"sidecar payload is {actual} bytes; {total} rows of {width} float64 values need {expected}"
             raise CorpusFormatError(message, payload_start + min(actual, expected))
-        data = np.frombuffer(blob, dtype="<f8", count=rows * width, offset=payload_start).reshape(rows, width)
+        data = np.frombuffer(blob, dtype="<f8", count=total * width, offset=payload_start).reshape(total, width)
         # np.maximum.reduce is what ndarray.max computes, without its Python-level wrapper
         if not np.maximum.reduce(np.abs(data), axis=None) <= FEATURE_BOUND:  # also true for NaN
             first = int(np.argmin(np.abs(data.ravel()) <= FEATURE_BOUND))
-            message = f"feature value {data.flat[first]} at row {first // width}, column {first % width}"
+            row = first // width
+            index, (start, _) = next((i, span) for i, span in spans.items() if row < span[1])
+            message = f"feature value {data.flat[first]} of turn {index} at row {row - start}, column {first % width}"
             raise CorpusFormatError(f"{message} is not in [-{FEATURE_BOUND:g}, {FEATURE_BOUND:g}]", payload_start + 8 * first)
-        return data.astype(np.float64)
+        return {i: data[spans[i][0] : spans[i][1]].astype(np.float64) for i in turns if i in spans}
 
 
 def write_corpus(
@@ -697,7 +716,8 @@ def write_corpus(
     taxonomy: SlotTaxonomy | None = None,
     meta: Mapping | None = None,
 ) -> Path:
-    """Write corpus.json plus one feature sidecar per turn under features/."""
+    """Write corpus.json plus, under features/, one feature file per dialogue
+    that has features: ``<dialogue id>.f64``, holding its turns that have them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     features_dir = out / "features"
@@ -714,16 +734,12 @@ def write_corpus(
             turns_obj.append(
                 {"index": turn.index, "speaker": turn.speaker.value, "transcript": turn.transcript}
             )
-            if turn.features is not None:
-                if not made_features_dir:
-                    features_dir.mkdir(parents=True, exist_ok=True)
-                    made_features_dir = True
-                write_feature_sidecar(
-                    features_dir / _feature_sidecar_name(dlg.id, turn.index),
-                    dlg.id,
-                    turn.index,
-                    turn.features,
-                )
+        featured = [(turn.index, turn.features) for turn in dlg.turns if turn.features is not None]
+        if featured:
+            if not made_features_dir:
+                features_dir.mkdir(parents=True, exist_ok=True)
+                made_features_dir = True
+            write_feature_sidecar(features_dir / f"{dlg.id}.f64", dlg.id, featured)
         states_obj = {str(idx): st.to_json_obj() for idx, st in sorted(dlg.gold_states.items())}
         doc_dialogues.append({"id": dlg.id, "turns": turns_obj, "gold_states": states_obj})
     doc["dialogues"] = doc_dialogues
@@ -735,27 +751,32 @@ def write_corpus(
 
 
 def _attach_features(dialogues: list[Dialogue], features_dir: Path, read: TurnSelector | None) -> None:
-    """Attach the sidecar, where ``features_dir`` holds one, of each turn
-    that ``read`` names (every turn when ``read`` is None). Each sidecar read
-    must have the first one's column count; no other sidecar is opened, and
-    the directory is not listed."""
+    """Attach the features of each turn that ``read`` names (every turn when
+    ``read`` is None) from its dialogue's file in ``features_dir``, where
+    that holds one that lists the turn. Each file read must have the column
+    count of the first file that gave a turn its features; the file of a
+    dialogue with no turn to read is not opened, and the directory is not
+    listed."""
     if not features_dir.is_dir():
         return
     directory = os.path.join(features_dir, "")
     cols = None
     for dlg in dialogues:
-        if "/" in dlg.id or "\0" in dlg.id:  # no file directly in features/ has such a name
+        turns = dlg.turns if read is None else [dlg.turn(i) for i in read(dlg)]
+        if not turns or "/" in dlg.id or "\0" in dlg.id:  # no file directly in features/ has such a name
             continue
-        for turn in dlg.turns if read is None else [dlg.turn(i) for i in read(dlg)]:
-            sidecar = directory + _feature_sidecar_name(dlg.id, turn.index)
-            try:
-                turn.features = read_feature_sidecar(sidecar, dlg.id, turn.index, cols)
-            except OSError as exc:
-                # a name features/ does not hold is no sidecar; a dangling link by that name is an error
-                if exc.errno in (errno.ENOENT, errno.ENAMETOOLONG) and not os.path.lexists(sidecar):
-                    continue
-                raise
-            cols = turn.features.shape[1]
+        path = f"{directory}{dlg.id}.f64"
+        try:
+            found = read_feature_sidecar(path, dlg.id, [turn.index for turn in turns], cols)
+        except OSError as exc:
+            # a name features/ does not hold is no file; a dangling link by that name is an error
+            if exc.errno in (errno.ENOENT, errno.ENAMETOOLONG) and not os.path.lexists(path):
+                continue
+            raise
+        for turn in turns:
+            turn.features = found.get(turn.index)
+        if found:
+            cols = next(iter(found.values())).shape[1]
 
 
 def _check_turns(dialogue_id: str, turns: list[Turn], where: tuple) -> None:
@@ -899,9 +920,10 @@ def parse_corpus(path: str | Path, format: str) -> tuple[list[Dialogue], SlotTax
 
 
 def load_corpus(path: str | Path, format: str, read: TurnSelector | None = None) -> list[Dialogue]:
-    """``parse_corpus`` plus feature sidecars from the ``features/`` directory
-    next to the corpus document: of the turns ``read(dialogue)`` names, or of
-    every turn when ``read`` is None. A turn left unread keeps no features."""
+    """``parse_corpus`` plus features from the ``features/`` directory next to
+    the corpus document, one file per dialogue: of the turns ``read(dialogue)``
+    names, or of every turn when ``read`` is None. A turn left unread keeps
+    no features."""
     dialogues, _ = parse_corpus(path, format)
     p = Path(path)
     _attach_features(dialogues, (p if p.is_dir() else p.parent) / "features", read)

@@ -26,7 +26,6 @@ from dst_lab.corpus import (
     StateInvariantError,
     Turn,
     _check_turns,
-    _feature_sidecar_name,
     derive_key,
     ontology_values,
     read_feature_sidecar,
@@ -703,17 +702,20 @@ def oracle_probe_retention(corpus: list[Dialogue], n_queries_list: list[int], hy
 
 
 def oracle_attach_features(dialogues: list[Dialogue], features_dir, read) -> None:
-    """``corpus._attach_features`` as it was when it listed ``features_dir``
-    once and opened the sidecar of each turn ``read`` names that the listing
-    holds."""
+    """``corpus._attach_features`` by a listing of ``features_dir``: each
+    dialogue whose file ``<id>.f64`` the listing holds, and of which ``read``
+    names a turn (every turn when ``read`` is None), has that file read once,
+    and each named turn takes the matrix the file holds for it, or none."""
     if not features_dir.is_dir():
         return
     listed = set(os.listdir(features_dir))
-    directory = os.path.join(features_dir, "")
     cols = None
     for dlg in dialogues:
-        for turn in dlg.turns if read is None else [dlg.turn(i) for i in read(dlg)]:
-            name = _feature_sidecar_name(dlg.id, turn.index)
-            if name in listed:
-                turn.features = read_feature_sidecar(directory + name, dlg.id, turn.index, cols)
-                cols = turn.features.shape[1]
+        turns = dlg.turns if read is None else [dlg.turn(i) for i in read(dlg)]
+        name = f"{dlg.id}.f64"
+        if turns and name in listed:
+            found = read_feature_sidecar(os.path.join(features_dir, name), dlg.id, [t.index for t in turns], cols)
+            for turn in turns:
+                turn.features = found.get(turn.index)
+                if turn.features is not None:
+                    cols = turn.features.shape[1]

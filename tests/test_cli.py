@@ -54,6 +54,16 @@ def _synth(runner, out: Path, extra: list[str] | None = None) -> None:
     assert result.exit_code == 0, result.output
 
 
+def _write_features(features_dir: Path, dialogue, replace: dict) -> Path:
+    """Write the feature file of ``dialogue`` with the matrix of each turn
+    index that ``replace`` maps in place of the turn's own; a turn mapped to
+    None is left out. Returns the file's path."""
+    path = features_dir / f"{dialogue.id}.f64"
+    turns = [(t.index, replace.get(t.index, t.features)) for t in dialogue.turns]
+    corpus_module.write_feature_sidecar(path, dialogue.id, [(index, mat) for index, mat in turns if mat is not None])
+    return path
+
+
 def test_synth_writes_reloadable_corpus(runner, tmp_path):
     _synth(runner, tmp_path / "corpus")
     dialogues = load_corpus(tmp_path / "corpus", "synthetic_json")
@@ -346,10 +356,9 @@ def test_run_starts_no_more_worker_processes_than_usable_cpus(runner, tmp_path, 
 
 def test_run_isolates_per_dialogue_failures(runner, tmp_path):
     _synth(runner, tmp_path / "corpus")
-    # strip one dialogue's feature sidecars: embedding it must fail, others run
+    # remove one dialogue's feature file: embedding it must fail, others run
     victim = load_corpus(tmp_path / "corpus", "synthetic_json")[0].id
-    for sidecar in (tmp_path / "corpus" / "features").glob(f"{victim}__*"):
-        sidecar.unlink()
+    (tmp_path / "corpus" / "features" / f"{victim}.f64").unlink()
     result = runner.invoke(
         main,
         [
@@ -375,8 +384,8 @@ def test_run_embeds_no_turn_its_contexts_do_not_read(runner, tmp_path):
     assert result.exit_code == 0, result.output
     # a middle agent turn of one dialogue and the trailing agent turn of another
     first, second = load_corpus(tmp_path / "corpus", "synthetic_json")[:2]
-    (tmp_path / "corpus" / "features" / f"{first.id}__t0002.f64").unlink()
-    (tmp_path / "corpus" / "features" / f"{second.id}__t0006.f64").unlink()
+    _write_features(tmp_path / "corpus" / "features", first, {2: None})
+    _write_features(tmp_path / "corpus" / "features", second, {6: None})
 
     result = runner.invoke(main, base + ["--strategy", "multimodal", "--out", str(tmp_path / "mm")])
     assert result.exit_code == 0, result.output
@@ -396,7 +405,7 @@ def test_context_lengths_count_only_dialogues_that_succeeded(runner, tmp_path):
     _synth(runner, tmp_path / "corpus")
     dialogues = load_corpus(tmp_path / "corpus", "synthetic_json")
     victim = dialogues[0].id
-    (tmp_path / "corpus" / "features" / f"{victim}__t0002.f64").unlink()
+    _write_features(tmp_path / "corpus" / "features", dialogues[0], {2: None})
     base = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "full"]
     result = runner.invoke(main, base + ["--out", str(tmp_path / "run")])
     assert result.exit_code == 0, result.output
@@ -419,11 +428,11 @@ def test_context_lengths_count_only_dialogues_that_succeeded(runner, tmp_path):
 @pytest.mark.parametrize("strategy, missing_turn", [("multimodal", 3), ("full", 2), ("compressed", 2)])
 def test_run_failure_names_the_lowest_read_turn_without_features(runner, tmp_path, strategy, missing_turn):
     _synth(runner, tmp_path / "corpus")
-    victim = load_corpus(tmp_path / "corpus", "synthetic_json")[1].id
+    dialogue = load_corpus(tmp_path / "corpus", "synthetic_json")[1]
+    victim = dialogue.id
     # agent turn 2 and user turns 3 and 5: the spoken contexts read all three,
     # the multimodal ones only the user turns
-    for turn in (5, 2, 3):
-        (tmp_path / "corpus" / "features" / f"{victim}__t{turn:04d}.f64").unlink()
+    _write_features(tmp_path / "corpus" / "features", dialogue, {5: None, 2: None, 3: None})
     base = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", strategy]
     result = runner.invoke(main, base + ["--out", str(tmp_path / "run")])
     assert result.exit_code == 0, result.output
@@ -451,12 +460,12 @@ def test_run_reads_each_sidecar_its_contexts_read_once(runner, tmp_path, monkeyp
     _synth(runner, tmp_path / "corpus")
     dialogues = load_corpus(tmp_path / "corpus", "synthetic_json")
     victim = dialogues[2].id
-    read: list[str] = []
+    read: list[tuple[str, list[int]]] = []
     real_read = corpus_module.read_feature_sidecar
 
-    def counting_read(path, *args):
-        read.append(Path(path).name)
-        return real_read(path, *args)
+    def counting_read(path, dialogue_id, turns, *args):
+        read.append((Path(path).name, list(turns)))
+        return real_read(path, dialogue_id, turns, *args)
 
     monkeypatch.setattr(corpus_module, "read_feature_sidecar", counting_read)
     args = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", strategy, "--exclude-ids", victim]
@@ -466,95 +475,137 @@ def test_run_reads_each_sidecar_its_contexts_read_once(runner, tmp_path, monkeyp
     # six turns each: no context reads the trailing agent turn 6, nor under multimodal any agent turn
     kept = [d for d in dialogues if d.id != victim]
     assert all(assembly.read_turns(cli._STRATEGY_ALIASES[strategy], d) == expected for d in kept)
-    assert sorted(read) == sorted(f"{d.id}__t{i:04d}.f64" for d in kept for i in expected)
-    assert not [name for name in read if name.startswith(victim)]
+    assert sorted(read) == sorted((f"{d.id}.f64", expected) for d in kept)
+    assert not [name for name, _ in read if name.startswith(victim)]
 
 
-def test_run_without_a_sidecar_on_any_read_turn_is_a_click_error(runner, tmp_path):
+@pytest.mark.parametrize("how", ["agent_turns_only", "version_1_files"])
+def test_run_without_a_sidecar_on_any_read_turn_is_a_click_error(runner, tmp_path, how):
     _synth(runner, tmp_path / "corpus")
-    # agent turns keep their sidecars, but no multimodal context reads one
-    for sidecar in (tmp_path / "corpus" / "features").glob("*__t000[135].f64"):
-        sidecar.unlink()
+    features = tmp_path / "corpus" / "features"
+    for dialogue in load_corpus(tmp_path / "corpus", "synthetic_json"):
+        if how == "agent_turns_only":  # the files keep agent turns, but no multimodal context reads one
+            _write_features(features, dialogue, {1: None, 3: None, 5: None})
+            continue
+        # the files, one per turn, that the feature format of version 1 held, and none of the new name
+        (features / f"{dialogue.id}.f64").unlink()
+        for turn in dialogue.turns:
+            header = {"cols": 8, "dialogue_id": dialogue.id, "format_version": 1, "rows": len(turn.features), "turn_index": turn.index}
+            header = json.dumps(header, sort_keys=True).encode()
+            data = b"DSTLFEA1" + len(header).to_bytes(4, "little") + header + turn.features.astype("<f8").tobytes()
+            (features / f"{dialogue.id}__t{turn.index:04d}.f64").write_bytes(data)
     args = ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "multimodal", "--out", str(tmp_path / "run")]
     result = runner.invoke(main, args)
     assert result.exit_code == 1, result.output
-    assert "Error: no turn that a context reads has a feature sidecar" in result.output
+    assert result.output == "Error: no turn that a context reads has a feature sidecar; generate sidecars first\n"
 
 
 def _write_bad_sidecar(features_dir: Path, dialogue, turn_index: int, fault: str) -> tuple[Path, str]:
-    """Write the sidecar of a turn of ``dialogue`` with ``fault``; returns its
-    path and the one line that a run which reads it prints."""
-    sidecar = features_dir / f"{dialogue.id}__t{turn_index:04d}.f64"
-    features = dialogue.turn(turn_index).features.copy()
-    rows, cols = features.shape
-    header_turn = turn_index
+    """Write the feature file of ``dialogue`` with ``fault`` (in turn
+    ``turn_index`` where the fault is a turn's); returns its path and the one
+    line that a run which reads it prints."""
+    cols = dialogue.turn(turn_index).features.shape[1]
+    replace = {}
     if fault == "out_of_range":
-        features[0, 1] = 1e300
-    elif fault == "zero_columns":
-        features = features[:, :0]
-    elif fault == "other_width":
-        features = np.ones((rows, cols + 1))
-    elif fault == "header_for_another_turn":
-        header_turn = turn_index + 2
-    corpus_module.write_feature_sidecar(sidecar, dialogue.id, header_turn, features)
+        replace[turn_index] = dialogue.turn(turn_index).features.copy()
+        replace[turn_index][0, 1] = 1e300
+    elif fault in ("zero_columns", "other_width"):
+        width = 0 if fault == "zero_columns" else cols + 1
+        replace = {t.index: np.ones((len(t.features), width)) for t in dialogue.turns}
+    sidecar = _write_features(features_dir, dialogue, replace)
+    if fault == "header_for_another_dialogue":
+        corpus_module.write_feature_sidecar(sidecar, "other", [(t.index, t.features) for t in dialogue.turns])
     blob = sidecar.read_bytes()
-    payload = len(blob) - features.size * 8
+    payload = 12 + int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:payload])
+    listed = header["turns"]
+    # the previous turn's entry again in the place of turn_index's
+    twice = dict(header, turns=[*listed[: turn_index - 1], listed[turn_index - 2], *listed[turn_index:]])
+    twice = json.dumps(twice, sort_keys=True).encode()
     rewritten = {
         "truncated": blob[:10],
         "bad_magic": b"X" + blob[1:],
         "malformed_header": blob[:12] + b" " * (payload - 12) + blob[payload:],
-        "wrong_version": blob.replace(b'"format_version": 1', b'"format_version": 2'),
+        "wrong_version": blob.replace(b'"format_version": 2', b'"format_version": 1'),
         "payload_size": blob + bytes(8),
+        "turn_listed_twice": blob[:8] + len(twice).to_bytes(4, "little") + twice + blob[payload:],
     }
     if fault in rewritten:
         sidecar.write_bytes(rewritten[fault])
+    before = sum(len(t.features) for t in dialogue.turns[: turn_index - 1])
+    total = sum(len(t.features) for t in dialogue.turns)
     offset, message = {
-        "out_of_range": (payload + 8, "feature value 1e+300 at row 0, column 1 is not in [-1e+100, 1e+100]"),
-        "zero_columns": (12, f"sidecar shape {rows}x0 has no feature value"),
-        "other_width": (12, f"sidecar has {cols + 1} columns; the sidecars read before it have {cols}"),
-        "header_for_another_turn": (
-            12, f"sidecar header is for {dialogue.id} turn {turn_index + 2}, not {dialogue.id} turn {turn_index}"
+        "out_of_range": (
+            payload + 8 * (before * cols + 1),
+            f"feature value 1e+300 of turn {turn_index} at row 0, column 1 is not in [-1e+100, 1e+100]",
         ),
+        "zero_columns": (12, f"sidecar shape {len(dialogue.turns[0].features)}x0 of turn 1 has no feature value"),
+        "other_width": (12, f"sidecar has {cols + 1} columns; the sidecars read before it have {cols}"),
+        "header_for_another_dialogue": (12, f"sidecar header is for dialogue other, not {dialogue.id}"),
         "truncated": (10, "truncated sidecar header length"),
         "bad_magic": (0, "bad feature sidecar magic"),
         "malformed_header": (12, "malformed sidecar header: malformed JSON: Expecting value"),
-        "wrong_version": (12, "malformed sidecar header: format_version must be 1, got 2"),
-        "payload_size": (len(blob), f"sidecar payload is {len(blob) - payload + 8} bytes; a {rows}x{cols} float64 matrix needs {len(blob) - payload}"),
+        "wrong_version": (12, "malformed sidecar header: format_version must be 2, got 1"),
+        "payload_size": (len(blob), f"sidecar payload is {len(blob) - payload + 8} bytes; {total} rows of {cols} float64 values need {len(blob) - payload}"),
+        "turn_listed_twice": (
+            12,
+            f"malformed sidecar header: turns[{turn_index - 1}] must be [index, rows] with an index above "
+            f"{turn_index - 1}, got {listed[turn_index - 2]}",
+        ),
     }[fault]
     return sidecar, f"Error: {sidecar}: byte {offset}: {message}\n"
 
 
 @pytest.mark.parametrize("fault", [
-    "out_of_range", "zero_columns", "header_for_another_turn", "truncated", "bad_magic", "malformed_header",
-    "wrong_version", "payload_size", "other_width",
+    "out_of_range", "zero_columns", "header_for_another_dialogue", "truncated", "bad_magic", "malformed_header",
+    "wrong_version", "payload_size", "other_width", "turn_listed_twice",
 ])
-def test_run_opens_no_sidecar_its_contexts_do_not_read(runner, tmp_path, fault):
+def test_run_fails_at_load_on_a_faulty_file_of_a_dialogue_it_reads(runner, tmp_path, fault):
     _synth(runner, tmp_path / "corpus")
     dialogues = load_corpus(tmp_path / "corpus", "synthetic_json")
     base = ["run", "--corpus", str(tmp_path / "corpus"), "--predictor", "noisy"]
-    result = runner.invoke(main, base + ["--strategy", "multimodal", "--out", str(tmp_path / "clean")])
+    dropped = ["--exclude-ids", f"{dialogues[1].id},{dialogues[3].id}"]
+    result = runner.invoke(main, base + ["--strategy", "multimodal", *dropped, "--out", str(tmp_path / "clean")])
     assert result.exit_code == 0, result.output
-    # a middle agent turn and the trailing one: no multimodal context reads either
+    # a middle agent turn and the trailing one: no multimodal context reads either, but a
+    # dialogue's turns share its file, and the file is checked whole
     features_dir = tmp_path / "corpus" / "features"
     _, line = _write_bad_sidecar(features_dir, dialogues[1], 2, fault)
     _write_bad_sidecar(features_dir, dialogues[3], 6, fault)
-
-    result = runner.invoke(main, base + ["--strategy", "multimodal", "--out", str(tmp_path / "mm")])
+    for strategy in ("multimodal", "full"):
+        result = runner.invoke(main, base + ["--strategy", strategy, "--out", str(tmp_path / strategy)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == line
+        assert not (tmp_path / strategy).exists()
+    # a dialogue that --exclude-ids drops has its file left unread
+    result = runner.invoke(main, base + ["--strategy", "multimodal", *dropped, "--out", str(tmp_path / "excluded")])
     assert result.exit_code == 0, result.output
-    assert json.loads((tmp_path / "mm" / "run_summary.json").read_text())["failures"] == []
     for name in ("predictions.ndjson", "context_lengths.csv"):
-        assert (tmp_path / "mm" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+        assert (tmp_path / "excluded" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
-    # the spoken contexts of user turns 3 and 5 read turn 2, so the run ends at load with one line
-    result = runner.invoke(main, base + ["--strategy", "full", "--out", str(tmp_path / "full")])
-    assert result.exit_code == 1, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert result.output == line
-    # a dialogue that --exclude-ids drops has no sidecar read
-    result = runner.invoke(
-        main, base + ["--strategy", "full", "--exclude-ids", dialogues[1].id, "--out", str(tmp_path / "excluded")]
-    )
-    assert result.exit_code == 0, result.output
+
+def test_readme_feature_file_errors_are_what_run_prints(runner, tmp_path, monkeypatch):
+    # each feature-file Error: line of the README, made by the fault it names in the corpus it names
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = [line + "\n" for line in readme.read_text(encoding="utf-8").splitlines() if line.startswith("Error: c/features/")]
+    assert len(lines) == 2
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        shutil.rmtree("c", ignore_errors=True)
+        assert runner.invoke(main, ["synth", "--seed", "3", "--out", "c"]).exit_code == 0
+        path = Path(line.removeprefix("Error: ").partition(": ")[0])
+        dialogue = next(d for d in load_corpus("c", "synthetic_json") if f"{d.id}.f64" == path.name)
+        if line.endswith(": Is a directory\n"):
+            path.unlink()
+            path.mkdir()
+        else:
+            value, turn, row, column = re.search(r"feature value (\S+) of turn (\d+) at row (\d+), column (\d+)", line).groups()
+            features = dialogue.turn(int(turn)).features.copy()
+            features[int(row), int(column)] = float(value)
+            _write_features(path.parent, dialogue, {int(turn): features})
+        result = runner.invoke(main, ["run", "--corpus", "c", "--strategy", "full", "--out", "out"])
+        assert (result.exit_code, result.output) == (1, line)
 
 
 class _DiesOnDialogue:
@@ -829,7 +880,7 @@ def test_missing_corpus_document_is_a_click_error(runner, tmp_path, command, for
 def test_unreadable_sidecar_of_a_read_turn_is_a_click_error(runner, tmp_path):
     _synth(runner, tmp_path / "corpus")
     dialogue_id = load_corpus(tmp_path / "corpus", "synthetic_json")[0].id
-    sidecar = tmp_path / "corpus" / "features" / f"{dialogue_id}__t0001.f64"
+    sidecar = tmp_path / "corpus" / "features" / f"{dialogue_id}.f64"
     sidecar.unlink()
     sidecar.mkdir()
     result = _invoke_on_corpus(runner, tmp_path, "run", [])

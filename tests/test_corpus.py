@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import re
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dst_lab import corpus
+from dst_lab.assembly import read_turns
 from dst_lab.corpus import (
     CorpusFormatError,
     Dialogue,
@@ -37,6 +40,7 @@ from dst_lab.corpus import (
     write_feature_sidecar,
 )
 from dst_lab.jsonio import JsonInputError
+from dst_lab.state_codec import Strategy
 
 from oracles import oracle_attach_features, oracle_state_domains, oracle_to_nested
 
@@ -360,13 +364,42 @@ def test_write_corpus_makes_the_features_directory_once_and_only_for_features(tm
     assert not (tmp_path / "bare" / "features").exists()
 
 
+def _dialogue_file(features: Path, dialogue: Dialogue, replace: dict | None = None) -> Path:
+    """Write the feature file of ``dialogue`` under ``features``, with the
+    matrix of each turn index that ``replace`` maps in place of the turn's
+    own; a turn mapped to None is left out. Returns the file's path."""
+    replace = replace or {}
+    turns = [(t.index, replace.get(t.index, t.features)) for t in dialogue.turns]
+    path = features / f"{dialogue.id}.f64"
+    write_feature_sidecar(path, dialogue.id, [(index, mat) for index, mat in turns if mat is not None])
+    return path
+
+
+def _payload_start(path: Path) -> int:
+    return 12 + int.from_bytes(path.read_bytes()[8:12], "little")
+
+
 def test_feature_sidecar_roundtrip(tmp_path):
-    mat = np.array([[1.5, -2.25], [3.125, 0.0], [np.pi, np.e]])
+    mats = {1: np.array([[1.5, -2.25], [3.125, 0.0], [np.pi, np.e]]), 2: np.array([[7.0, -0.5]]), 4: np.zeros((2, 2))}
     path = tmp_path / "x.f64"
-    write_feature_sidecar(path, "dlg", 3, mat)
-    loaded = read_feature_sidecar(path, "dlg", 3)
-    assert np.array_equal(loaded, mat) and loaded.flags.writeable
-    assert np.array_equal(read_feature_sidecar(path, "dlg", 3, cols=2), mat)
+    write_feature_sidecar(path, "dlg", list(mats.items()))
+    loaded = read_feature_sidecar(path, "dlg", [1, 2, 3, 4])
+    assert list(loaded) == [1, 2, 4]  # turn 3 is not in the file
+    for index, mat in mats.items():
+        assert np.array_equal(loaded[index], mat) and loaded[index].flags.writeable and loaded[index].flags.owndata
+    assert list(read_feature_sidecar(path, "dlg", [4, 2], cols=2)) == [4, 2]
+    assert read_feature_sidecar(path, "dlg", []) == {}
+    header = json.loads(path.read_bytes()[12 : _payload_start(path)])
+    assert header == {"cols": 2, "dialogue_id": "dlg", "format_version": 2, "turns": [[1, 3], [2, 1], [4, 2]]}
+
+
+def test_feature_sidecar_writer_rejects_turns_of_different_widths(tmp_path):
+    with pytest.raises(ValueError) as info:
+        write_feature_sidecar(tmp_path / "x.f64", "dlg-7", [(1, np.zeros((2, 3))), (2, np.zeros((1, 4)))])
+    assert str(info.value) == "the turns of dialogue 'dlg-7' have [3, 4] feature columns, not one count"
+    dialogue = Dialogue("dlg-8", [Turn(1, Speaker.USER, "a", np.zeros((1, 2))), Turn(2, Speaker.AGENT, "b", np.zeros((1, 3)))])
+    with pytest.raises(ValueError, match="'dlg-8'"):
+        write_corpus(tmp_path / "c", [dialogue])
 
 
 def _fault(path, offset: int, message: str) -> str:
@@ -376,13 +409,13 @@ def _fault(path, offset: int, message: str) -> str:
 
 def test_truncated_or_padded_sidecar_is_a_format_error(tmp_path):
     path = tmp_path / "x.f64"
-    write_feature_sidecar(path, "dlg", 3, np.arange(6.0).reshape(3, 2))
+    write_feature_sidecar(path, "dlg", [(1, np.arange(6.0).reshape(3, 2)), (2, np.ones((1, 2)))])
     blob = path.read_bytes()
-    payload_start = len(blob) - 48
+    payload_start = len(blob) - 64
     for end in range(len(blob)):
         path.write_bytes(blob[:end])
         with pytest.raises(CorpusFormatError) as info:
-            read_feature_sidecar(path, "dlg", 3)
+            read_feature_sidecar(path, "dlg", [1])
         assert info.value.path == path
         if end < 8:
             message, offset = "bad feature sidecar magic", 0
@@ -391,26 +424,34 @@ def test_truncated_or_padded_sidecar_is_a_format_error(tmp_path):
         elif end < payload_start:
             message, offset = f"truncated sidecar header: {payload_start - 12} bytes declared", end
         else:
-            message, offset = f"sidecar payload is {end - payload_start} bytes; a 3x2 float64 matrix needs 48", end
+            message, offset = f"sidecar payload is {end - payload_start} bytes; 4 rows of 2 float64 values need 64", end
         assert str(info.value) == _fault(path, offset, message)
         assert info.value.offset == offset
     path.write_bytes(blob + b"\x00")
     with pytest.raises(CorpusFormatError) as info:
-        read_feature_sidecar(path, "dlg", 3)
-    assert str(info.value) == _fault(path, len(blob), "sidecar payload is 49 bytes; a 3x2 float64 matrix needs 48")
+        read_feature_sidecar(path, "dlg", [1])
+    assert str(info.value) == _fault(path, len(blob), "sidecar payload is 65 bytes; 4 rows of 2 float64 values need 64")
 
 
-_SIDECAR_HEADER_FIELDS = '"cols": 2, "dialogue_id": "dlg", "format_version": 1'
+_SIDECAR_HEADER_FIELDS = '"cols": 2, "dialogue_id": "dlg", "format_version": 2'
 # each malformed header and what its error names
 _SIDECAR_HEADER_FAULTS = {
     b"{not json": "malformed JSON: Expecting property name enclosed in double quotes",
     b"[1, 2]": "expected a JSON object, got list",
-    b'{"rows": 1}': "missing field 'dialogue_id'",
+    b'{"format_version": 2}': "missing field 'dialogue_id'",
     b"\xff\xfe": "malformed UTF-8: invalid start byte",
-    b'{%s, "rows": "3", "turn_index": 3}' % _SIDECAR_HEADER_FIELDS.encode(): "rows must be an integer, got '3'",
-    b'{%s, "rows": 3, "turn_index": 1.0}' % _SIDECAR_HEADER_FIELDS.encode(): "turn_index must be an integer, got 1.0",
-    b'{"cols": 2, "dialogue_id": "dlg", "format_version": 99, "rows": 0, "turn_index": 3}': "format_version must be 1, got 99",
-    b'{"cols": 2, "dialogue_id": "dlg", "rows": 0, "turn_index": 3}': "missing field 'format_version'",
+    b'{%s, "turns": [[3, "3"]]}' % _SIDECAR_HEADER_FIELDS.encode(): "turns[0][1] must be an integer, got '3'",
+    b'{%s, "turns": [[1.0, 3]]}' % _SIDECAR_HEADER_FIELDS.encode(): "turns[0][0] must be an integer, got 1.0",
+    b'{%s, "turns": {"3": 3}}' % _SIDECAR_HEADER_FIELDS.encode(): "turns must be a list, got {'3': 3}",
+    b'{%s, "turns": []}' % _SIDECAR_HEADER_FIELDS.encode(): "turns must list at least one turn, got []",
+    b'{%s, "turns": [[3]]}' % _SIDECAR_HEADER_FIELDS.encode(): "turns[0] must be [index, rows] with an index above 0, got [3]",
+    b'{%s, "turns": [[0, 1]]}' % _SIDECAR_HEADER_FIELDS.encode(): "turns[0] must be [index, rows] with an index above 0, got [0, 1]",
+    b'{%s, "turns": [[2, 1], [2, 1]]}' % _SIDECAR_HEADER_FIELDS.encode(): "turns[1] must be [index, rows] with an index above 2, got [2, 1]",
+    b'{"cols": "2", "dialogue_id": "dlg", "format_version": 2, "turns": [[3, 1]]}': "cols must be an integer, got '2'",
+    b'{"cols": 2, "dialogue_id": "dlg", "format_version": 99, "turns": [[3, 0]]}': "format_version must be 2, got 99",
+    b'{"cols": 2, "dialogue_id": "dlg", "turns": [[3, 0]]}': "missing field 'format_version'",
+    # the header of a file that held one turn
+    b'{"cols": 2, "dialogue_id": "dlg", "format_version": 1, "rows": 3, "turn_index": 3}': "format_version must be 2, got 1",
 }
 
 
@@ -419,7 +460,7 @@ def test_malformed_sidecar_header_is_a_format_error(tmp_path, header):
     path = tmp_path / "x.f64"
     path.write_bytes(b"DSTLFEA1" + len(header).to_bytes(4, "little") + header)
     with pytest.raises(CorpusFormatError) as info:
-        read_feature_sidecar(path, "dlg", 3)
+        read_feature_sidecar(path, "dlg", [3])
     assert (info.value.path, info.value.offset) == (path, 12)
     message = f"malformed sidecar header: {_SIDECAR_HEADER_FAULTS[header]}"
     assert str(info.value) == _fault(path, 12, message)
@@ -429,105 +470,109 @@ _OUT_OF_RANGE = "is not in [-1e+100, 1e+100]"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -1.0000000000000002e100])
-@pytest.mark.parametrize("positions", [(0,), (3,), (5,), (2, 4)])
+@pytest.mark.parametrize("positions", [(0,), (3,), (7,), (2, 6)])
 def test_sidecar_value_out_of_range_is_a_format_error(tmp_path, bad, positions):
+    # turn 2 holds the file's row 0, turn 5 its rows 1-3; neither is the turn read
     path = tmp_path / "x.f64"
-    mat = np.arange(6.0).reshape(3, 2)
+    mat = np.arange(8.0).reshape(4, 2)
     mat.flat[list(positions)] = bad
-    write_feature_sidecar(path, "dlg", 3, mat)
-    payload_start = path.stat().st_size - 48
+    write_feature_sidecar(path, "dlg", [(2, mat[:1]), (5, mat[1:])])
     with pytest.raises(CorpusFormatError) as info:
-        read_feature_sidecar(path, "dlg", 3)
-    assert (info.value.path, info.value.offset) == (path, payload_start + 8 * positions[0])
+        read_feature_sidecar(path, "dlg", [1])
+    assert (info.value.path, info.value.offset) == (path, _payload_start(path) + 8 * positions[0])
     row, column = divmod(positions[0], 2)
-    message = f"feature value {bad} at row {row}, column {column} {_OUT_OF_RANGE}"
+    turn, row = (2, row) if row < 1 else (5, row - 1)
+    message = f"feature value {bad} of turn {turn} at row {row}, column {column} {_OUT_OF_RANGE}"
     assert str(info.value) == _fault(path, info.value.offset, message)
 
 
 def test_sidecar_values_at_the_bound_are_read(tmp_path):
     path = tmp_path / "x.f64"
     mat = np.array([[corpus.FEATURE_BOUND, -corpus.FEATURE_BOUND], [5e-324, -0.0]])
-    write_feature_sidecar(path, "dlg", 3, mat)
-    assert np.array_equal(read_feature_sidecar(path, "dlg", 3), mat)
-
-
-def test_sidecar_value_out_of_range_fails_corpus_load(tmp_path, small_corpus):
-    write_corpus(tmp_path / "c", small_corpus)
-    dlg = small_corpus[1]
-    agent_turn = dlg.turns[1]
-    features = agent_turn.features.copy()
-    features[1, 2] = np.nan
-    sidecar = tmp_path / "c" / "features" / f"{dlg.id}__t{agent_turn.index:04d}.f64"
-    write_feature_sidecar(sidecar, dlg.id, agent_turn.index, features)
-    with pytest.raises(CorpusFormatError) as info:
-        load_corpus(tmp_path / "c", "synthetic_json")
-    offset = sidecar.stat().st_size - features.size * 8 + 8 * (features.shape[1] + 2)
-    assert str(info.value) == _fault(sidecar, offset, f"feature value nan at row 1, column 2 {_OUT_OF_RANGE}")
-
-
-@pytest.mark.parametrize("header_id, header_turn", [("other", 2), (None, 4)])
-def test_sidecar_header_must_match_its_file(tmp_path, small_corpus, header_id, header_turn):
-    write_corpus(tmp_path / "c", small_corpus)
-    dlg = small_corpus[0]
-    sidecar = tmp_path / "c" / "features" / f"{dlg.id}__t0002.f64"
-    write_feature_sidecar(sidecar, header_id or dlg.id, header_turn, dlg.turns[1].features)
-    with pytest.raises(CorpusFormatError) as info:
-        load_corpus(tmp_path / "c", "synthetic_json")
-    message = f"sidecar header is for {header_id or dlg.id} turn {header_turn}, not {dlg.id} turn 2"
-    assert str(info.value) == _fault(sidecar, 12, message)
-
-
-@pytest.mark.parametrize("rows, cols", [(0, 2), (3, 0), (0, 0), (-1, 2), (2, -3)])
-def test_sidecar_with_no_feature_value_is_a_format_error(tmp_path, rows, cols):
-    path = tmp_path / "x.f64"
-    write_feature_sidecar(path, "dlg", 3, np.zeros((max(rows, 0), max(cols, 0))))
-    if min(rows, cols) < 0:  # a shape no matrix has, written by hand
-        header = json.dumps({"cols": cols, "dialogue_id": "dlg", "format_version": 1, "rows": rows, "turn_index": 3})
-        path.write_bytes(b"DSTLFEA1" + len(header).to_bytes(4, "little") + header.encode())
-    with pytest.raises(CorpusFormatError) as info:
-        read_feature_sidecar(path, "dlg", 3)
-    assert str(info.value) == _fault(path, 12, f"sidecar shape {rows}x{cols} has no feature value")
+    write_feature_sidecar(path, "dlg", [(3, mat)])
+    assert np.array_equal(read_feature_sidecar(path, "dlg", [3])[3], mat)
 
 
 def _user_turns(dialogue):
     return dialogue.user_turn_indices()
 
 
-def test_load_corpus_reads_only_the_sidecars_read_names(tmp_path, small_corpus):
+@pytest.mark.parametrize("read", [None, _user_turns], ids=["every_turn", "user_turns"])
+def test_sidecar_value_out_of_range_fails_corpus_load(tmp_path, small_corpus, read):
+    # the value is in an agent turn: a load of the user turns alone reads its file and fails too
     write_corpus(tmp_path / "c", small_corpus)
-    # every agent turn's sidecar is broken; reading user turns only never opens one
-    for dlg in small_corpus:
-        for turn in dlg.turns[1::2]:
-            sidecar = tmp_path / "c" / "features" / f"{dlg.id}__t{turn.index:04d}.f64"
-            sidecar.write_bytes(b"not a sidecar")
-    loaded = load_corpus(tmp_path / "c", "synthetic_json", _user_turns)
+    dlg = small_corpus[1]
+    features = dlg.turns[1].features.copy()
+    features[1, 2] = np.nan
+    sidecar = _dialogue_file(tmp_path / "c" / "features", dlg, {2: features})
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(tmp_path / "c", "synthetic_json", read)
+    offset = _payload_start(sidecar) + 8 * ((dlg.turns[0].features.shape[0] + 1) * features.shape[1] + 2)
+    assert str(info.value) == _fault(sidecar, offset, f"feature value nan of turn 2 at row 1, column 2 {_OUT_OF_RANGE}")
+
+
+@pytest.mark.parametrize("header_id", ["other", None])
+def test_sidecar_header_must_match_its_file(tmp_path, small_corpus, header_id):
+    write_corpus(tmp_path / "c", small_corpus)
+    dlg, other = small_corpus[0], small_corpus[1]
+    sidecar = tmp_path / "c" / "features" / f"{dlg.id}.f64"
+    write_feature_sidecar(sidecar, header_id or other.id, [(t.index, t.features) for t in dlg.turns])
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(tmp_path / "c", "synthetic_json")
+    message = f"sidecar header is for dialogue {header_id or other.id}, not {dlg.id}"
+    assert str(info.value) == _fault(sidecar, 12, message)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 2), (3, 0), (0, 0), (-1, 2), (2, -3)])
+def test_sidecar_with_no_feature_value_is_a_format_error(tmp_path, rows, cols):
+    path = tmp_path / "x.f64"
+    write_feature_sidecar(path, "dlg", [(1, np.ones((1, max(cols, 0)))), (3, np.zeros((max(rows, 0), max(cols, 0))))])
+    if min(rows, cols) < 0:  # a shape no matrix has, written by hand
+        header = json.dumps({"cols": cols, "dialogue_id": "dlg", "format_version": 2, "turns": [[1, 1], [3, rows]]})
+        path.write_bytes(b"DSTLFEA1" + len(header).to_bytes(4, "little") + header.encode())
+    with pytest.raises(CorpusFormatError) as info:
+        read_feature_sidecar(path, "dlg", [1])
+    # the first turn the file lists with no value is named
+    turn, turn_rows = (1, 1) if cols < 1 else (3, rows)
+    assert str(info.value) == _fault(path, 12, f"sidecar shape {turn_rows}x{cols} of turn {turn} has no feature value")
+
+
+def test_load_corpus_reads_only_the_files_and_turns_read_names(tmp_path, small_corpus):
+    write_corpus(tmp_path / "c", small_corpus)
+    # two dialogues' files are broken; a load that reads no turn of them never opens one
+    broken = {small_corpus[0].id, small_corpus[2].id}
+    for dialogue_id in broken:
+        (tmp_path / "c" / "features" / f"{dialogue_id}.f64").write_bytes(b"not a sidecar")
+    loaded = load_corpus(tmp_path / "c", "synthetic_json", lambda d: [] if d.id in broken else _user_turns(d))
     for got, want in zip(loaded, small_corpus):
         for turn, original in zip(got.turns, want.turns):
-            if turn.speaker is Speaker.USER:
+            if turn.speaker is Speaker.USER and got.id not in broken:
                 assert np.array_equal(turn.features, original.features)
             else:
                 assert turn.features is None
     loaded = load_corpus(tmp_path / "c", "synthetic_json", lambda dialogue: [])
     assert all(turn.features is None for dlg in loaded for turn in dlg.turns)
     with pytest.raises(CorpusFormatError) as info:
-        load_corpus(tmp_path / "c", "synthetic_json")
-    sidecar = tmp_path / "c" / "features" / f"{small_corpus[0].id}__t0002.f64"
+        load_corpus(tmp_path / "c", "synthetic_json", _user_turns)
+    sidecar = tmp_path / "c" / "features" / f"{small_corpus[0].id}.f64"
     assert str(info.value) == _fault(sidecar, 0, "bad feature sidecar magic")
 
 
 def test_feature_dim_must_agree_across_the_sidecars_read(tmp_path, small_corpus):
     write_corpus(tmp_path / "c", small_corpus)
-    dlg = small_corpus[0]
-    wide = np.zeros((3, dlg.turns[1].features.shape[1] + 1))
-    write_feature_sidecar(tmp_path / "c" / "features" / f"{dlg.id}__t0002.f64", dlg.id, 2, wide)
-    assert load_corpus(tmp_path / "c", "synthetic_json", _user_turns)[0].turns[1].features is None
+    dlg = small_corpus[1]
+    sidecar = _dialogue_file(tmp_path / "c" / "features", dlg, {t.index: np.zeros((3, 9)) for t in dlg.turns})
+    # alone, or with every other dialogue unread, its file sets the column count
+    loaded = load_corpus(tmp_path / "c", "synthetic_json", lambda d: _user_turns(d) if d.id == dlg.id else [])
+    assert loaded[1].turns[0].features.shape == (3, 9)
+    assert load_corpus(tmp_path / "c", "synthetic_json", lambda d: [] if d.id == dlg.id else [1])[1].turns[0].features is None
     with pytest.raises(CorpusFormatError) as info:
-        load_corpus(tmp_path / "c", "synthetic_json")
-    sidecar = tmp_path / "c" / "features" / f"{dlg.id}__t0002.f64"
+        load_corpus(tmp_path / "c", "synthetic_json", _user_turns)
     assert str(info.value) == _fault(sidecar, 12, "sidecar has 9 columns; the sidecars read before it have 8")
 
 
-def test_load_corpus_lists_nothing_and_opens_each_read_sidecar_once(tmp_path, small_corpus, monkeypatch):
+@pytest.mark.parametrize("read", [None, _user_turns], ids=["every_turn", "user_turns"])
+def test_load_corpus_lists_nothing_and_opens_each_read_sidecar_once(tmp_path, small_corpus, monkeypatch, read):
     write_corpus(tmp_path / "c", small_corpus)
     opened = []
     os_open = os.open
@@ -547,17 +592,18 @@ def test_load_corpus_lists_nothing_and_opens_each_read_sidecar_once(tmp_path, sm
         patched.setattr(os, "scandir", no_listing)
         patched.setattr(os, "open", counting_open)
         patched.setattr(Path, "exists", no_exists)
-        loaded = load_corpus(tmp_path / "c", "synthetic_json")
+        loaded = load_corpus(tmp_path / "c", "synthetic_json", read)
     features = tmp_path / "c" / "features"
-    assert opened == [str(features / f"{dlg.id}__t{turn.index:04d}.f64") for dlg in small_corpus for turn in dlg.turns]
+    assert opened == [str(features / f"{dlg.id}.f64") for dlg in small_corpus]
     for got, want in zip(loaded, small_corpus):
-        assert all(np.array_equal(a.features, b.features) for a, b in zip(got.turns, want.turns))
+        for a, b in zip(got.turns, want.turns):
+            assert np.array_equal(a.features, b.features) if read is None or a.speaker is Speaker.USER else a.features is None
 
 
 @pytest.mark.parametrize("fault, reason", [("directory", "Is a directory"), ("dangling_link", "No such file or directory")])
 def test_sidecar_that_cannot_be_read_is_an_os_error_naming_it(tmp_path, small_corpus, fault, reason):
     write_corpus(tmp_path / "c", small_corpus)
-    sidecar = tmp_path / "c" / "features" / f"{small_corpus[0].id}__t0001.f64"
+    sidecar = tmp_path / "c" / "features" / f"{small_corpus[0].id}.f64"
     sidecar.unlink()
     if fault == "directory":
         sidecar.mkdir()
@@ -568,14 +614,23 @@ def test_sidecar_that_cannot_be_read_is_an_os_error_naming_it(tmp_path, small_co
     assert (info.value.filename, info.value.strerror) == (str(sidecar), reason)
 
 
+def _write_version_1(features: Path, dialogue: Dialogue) -> None:
+    """The files, one per turn, that the feature format of version 1 held."""
+    for turn in dialogue.turns:
+        header = {"cols": 8, "dialogue_id": dialogue.id, "format_version": 1, "rows": len(turn.features), "turn_index": turn.index}
+        header = json.dumps(header, sort_keys=True).encode()
+        data = b"DSTLFEA1" + len(header).to_bytes(4, "little") + header + turn.features.astype("<f8").tobytes()
+        (features / f"{dialogue.id}__t{turn.index:04d}.f64").write_bytes(data)
+
+
 def _faulty_features(root: Path, dialogues: list[Dialogue], fault: str) -> Path:
     """A corpus directory of the four ``dialogues`` with ``fault`` in what
     its ``features/`` directory holds."""
     corpus_dir, features = root / "c", root / "c" / "features"
     first, second, third, fourth = dialogues
 
-    def sidecar(dlg, turn_index):
-        return features / f"{dlg.id}__t{turn_index:04d}.f64"
+    def sidecar(dlg):
+        return features / f"{dlg.id}.f64"
 
     if fault in ("nested_id", "long_id", "nul_id"):  # ids that no file directly in features/ can be named after
         name = {"nested_id": "sub/d", "long_id": "d" * 300, "nul_id": "d\0"}[fault]
@@ -583,34 +638,38 @@ def _faulty_features(root: Path, dialogues: list[Dialogue], fault: str) -> Path:
         dialogues = [dataclasses.replace(first, id=name, turns=turns), second, third, fourth]
         (features / "sub").mkdir(parents=True)
     write_corpus(corpus_dir, dialogues)
-    if fault == "missing":
-        for path in [sidecar(first, 2), sidecar(first, 3), *(sidecar(third, t.index) for t in third.turns)]:
-            path.unlink()
-    elif fault == "stale":  # the sidecars of a corpus of another seed, whose names hold that seed
+    if fault == "missing":  # a user and an agent turn, and a whole dialogue
+        _dialogue_file(features, first, {2: None, 3: None})
+        sidecar(third).unlink()
+    elif fault == "stale":  # the files of a corpus of another seed, whose names hold that seed
         write_corpus(root / "other", synth_corpus(124, SynthConfig(n_dialogues=4, turns_per_dialogue=8, feature_dim=5)))
         for path in (root / "other" / "features").iterdir():
             path.rename(features / path.name)
+    elif fault == "version_1_files":  # the per-turn files of the same dialogues, and no file of the new name
+        shutil.rmtree(features)
+        features.mkdir()
+        for dlg in dialogues:
+            _write_version_1(features, dlg)
     elif fault == "no_directory":
         shutil.rmtree(features)
     elif fault == "file_in_place_of_directory":
         shutil.rmtree(features)
         features.write_bytes(b"")
-    elif fault in ("dangling_user_link", "dangling_agent_link"):
-        path = sidecar(second, 3 if fault == "dangling_user_link" else 4)
-        path.unlink()
-        path.symlink_to(root / "gone.f64")
+    elif fault == "dangling_link":
+        sidecar(second).unlink()
+        sidecar(second).symlink_to(root / "gone.f64")
     elif fault == "directory":
-        sidecar(second, 1).unlink()
-        sidecar(second, 1).mkdir()
-    elif fault == "header_for_another_turn":
-        write_feature_sidecar(sidecar(second, 5), second.id, 7, second.turns[4].features)
-    elif fault == "non_finite":
-        values = third.turns[2].features.copy()
+        sidecar(second).unlink()
+        sidecar(second).mkdir()
+    elif fault == "header_for_another_dialogue":
+        write_feature_sidecar(sidecar(second), third.id, [(t.index, t.features) for t in second.turns])
+    elif fault in ("non_finite_user", "non_finite_agent"):
+        index = 3 if fault == "non_finite_user" else 4
+        values = third.turn(index).features.copy()
         values[1, 3] = np.inf
-        write_feature_sidecar(sidecar(third, 3), third.id, 3, values)
-    elif fault in ("mixed_agent_dims", "mixed_user_dims"):
-        index = 6 if fault == "mixed_agent_dims" else 7
-        write_feature_sidecar(sidecar(fourth, index), fourth.id, index, np.ones((2, 9)))
+        _dialogue_file(features, third, {index: values})
+    elif fault == "other_width":
+        _dialogue_file(features, fourth, {t.index: np.ones((2, 9)) for t in fourth.turns})
     return corpus_dir
 
 
@@ -634,9 +693,9 @@ def _oracle_load(corpus_dir: Path, read):
 @pytest.mark.parametrize(
     "fault",
     [
-        "intact", "missing", "stale", "no_directory", "file_in_place_of_directory", "dangling_user_link",
-        "dangling_agent_link", "directory", "header_for_another_turn", "non_finite", "mixed_agent_dims",
-        "mixed_user_dims", "nested_id", "long_id", "nul_id",
+        "intact", "missing", "stale", "version_1_files", "no_directory", "file_in_place_of_directory",
+        "dangling_link", "directory", "header_for_another_dialogue", "non_finite_user", "non_finite_agent",
+        "other_width", "nested_id", "long_id", "nul_id",
     ],
 )
 def test_load_corpus_attaches_what_the_listing_oracle_attaches(tmp_path, small_corpus, fault, read):
@@ -646,26 +705,61 @@ def test_load_corpus_attaches_what_the_listing_oracle_attaches(tmp_path, small_c
     if fault == "intact":
         every = _attached(lambda: small_corpus)
         assert got == [[f if read is None or i % 2 == 0 else None for i, f in enumerate(turns)] for turns in every]
+    if fault in ("version_1_files", "no_directory", "file_in_place_of_directory"):
+        assert got == [[None] * len(d.turns) for d in small_corpus]
+
+
+_READS = {"every_turn": None} | {s.value: functools.partial(read_turns, s) for s in Strategy}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_dialogues=st.integers(1, 4),
+    turns=st.integers(1, 7),
+    frames=st.integers(1, 3),
+    noise=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+def test_written_features_load_bitwise_equal_to_the_synthesized_ones(n_dialogues, turns, frames, noise, seed):
+    # no output of run depends on the features it loads, so a loader that
+    # attached another turn's matrix would pass every digest test
+    config = SynthConfig(
+        n_dialogues=n_dialogues, turns_per_dialogue=turns, feature_dim=3, noise_sigma=noise, frames_per_token=frames
+    )
+    dialogues = synth_corpus(seed, config)
+    with tempfile.TemporaryDirectory() as directory:
+        write_corpus(directory, dialogues)
+        for read in _READS.values():
+            loaded = load_corpus(directory, "synthetic_json", read)
+            assert _attached(lambda: loaded) == _attached(lambda: _oracle_load(Path(directory), read))
+            for got, want in zip(loaded, dialogues, strict=True):
+                wanted = {t.index for t in want.turns} if read is None else set(read(want))
+                for turn, original in zip(got.turns, want.turns, strict=True):
+                    if turn.index in wanted:
+                        assert turn.features.dtype == np.float64 and turn.features.shape == original.features.shape
+                        assert turn.features.tobytes() == original.features.tobytes()
+                    else:
+                        assert turn.features is None
 
 
 def test_sidecar_reader_takes_short_reads(tmp_path, monkeypatch):
     path = tmp_path / "x.f64"
     mat = np.arange(6.0).reshape(3, 2)
-    write_feature_sidecar(path, "dlg", 3, mat)
+    write_feature_sidecar(path, "dlg", [(3, mat)])
     blob = path.read_bytes()
     os_read, os_fstat = os.read, os.fstat
     monkeypatch.setattr(os, "read", lambda fd, n: os_read(fd, min(n, 1)))
-    loaded = read_feature_sidecar(path, "dlg", 3)
+    loaded = read_feature_sidecar(path, "dlg", [3])[3]
     assert np.array_equal(loaded, mat) and loaded.flags.writeable
     # a file shorter than its header declares, also where it ends before the size fstat reported
     path.write_bytes(blob[:-20])
-    expected = _fault(path, len(blob) - 20, "sidecar payload is 28 bytes; a 3x2 float64 matrix needs 48")
+    expected = _fault(path, len(blob) - 20, "sidecar payload is 28 bytes; 3 rows of 2 float64 values need 48")
     with pytest.raises(CorpusFormatError) as info:
-        read_feature_sidecar(path, "dlg", 3)
+        read_feature_sidecar(path, "dlg", [3])
     assert str(info.value) == expected
     monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=os_fstat(fd).st_size + 100))
     with pytest.raises(CorpusFormatError) as info:
-        read_feature_sidecar(path, "dlg", 3)
+        read_feature_sidecar(path, "dlg", [3])
     assert str(info.value) == expected
 
 

@@ -1,6 +1,6 @@
 """Boundary fuzz: every JSON input the CLI reads, mutated, fails cleanly.
 
-Each example takes one valid input (the corpus document, a feature sidecar, a
+Each example takes one valid input (the corpus document, a dialogue's feature file, a
 run manifest, a policy file, an id list, an ``--agent-asr`` file or a
 prediction file), applies one mutation (drop a key, swap a value's JSON type,
 write a key twice, set a sidecar value to +-1e300, or truncate the bytes) and
@@ -129,7 +129,7 @@ def inputs(tmp_path_factory):
         "exclude.json": {"ids": [ids[1]]},
         "agent_asr.ndjson": [{"dialogue_id": ids[0], "turn_index": 2, "text": "two nights"},
                              {"dialogue_id": ids[2], "turn_index": 4, "text": "done"}],
-        "sidecar": f"{ids[1]}__t0001.f64",
+        "sidecar": f"{ids[1]}.f64",
     }
 
 
@@ -150,9 +150,11 @@ def _commands(target: str) -> tuple[str, list[list[str]]]:
 
 
 def _mutated_sidecar(data, path: Path) -> bytes:
-    """The sidecar's bytes truncated, with one mutation of its JSON header, or
-    with one payload value set to +-1e300, finite but above the bound that the
-    reader keeps so that the forwards which embed a value cannot overflow."""
+    """A dialogue's feature file truncated, with one mutation of its JSON
+    header (its version, dialogue id, column count or the index and rows of a
+    turn), or with one value of any turn set to +-1e300, finite but above the
+    bound that the reader keeps so that the forwards which embed a value
+    cannot overflow."""
     blob = path.read_bytes()
     kind = data.draw(st.sampled_from(["truncate", "header", "payload"]))
     if kind == "truncate":

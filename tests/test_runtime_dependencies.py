@@ -131,9 +131,9 @@ def test_one_module_of_the_package_tunes_the_heap():
 MAIN_FAILURES = {"CorpusFormatError", "JsonInputError", "TrainingDivergence", "OSError"}
 # each function that catches one of them, with those it catches: main's rule
 # itself; the two functions that make a fault of an option's file or path a
-# usage error (exit 2); the sidecar loop, which skips a sidecar that is absent
-# and re-raises any other OSError; and the sidecar reader, whose header fault
-# becomes a fault at the header's byte offset
+# usage error (exit 2); the feature-file loop, which skips a dialogue whose
+# file is absent and re-raises any other OSError; and the sidecar reader,
+# whose header fault becomes a fault at the header's byte offset
 MAPPERS = {
     "cli.py: _Main.invoke": MAIN_FAILURES,
     "cli.py: _read_option_file": {"OSError", "JsonInputError"},
