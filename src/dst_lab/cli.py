@@ -11,7 +11,6 @@ import errno
 import gc
 import json
 import logging
-import math
 import os
 import sys
 import typing
@@ -34,7 +33,6 @@ from .assembly import (
     run_dialogue,
 )
 from .corpus import (
-    SIZE_LIMIT,
     CorpusFormatError,
     Dialogue,
     SlotTaxonomy,
@@ -45,12 +43,11 @@ from .corpus import (
     id_list,
     load_corpus,
     parse_corpus,
-    seed_error,
     synth_corpus,
     synthetic_taxonomy,
     write_corpus,
 )
-from .jsonio import JsonInputError, check, get, reject
+from .jsonio import COUNT, POSITIVE, SEED, SIZE, UNIT, Interval, JsonInputError, check, get, range_fault, reject
 from .metrics import (
     AlignmentError,
     UnclassifiedSlotError,
@@ -141,12 +138,11 @@ def _policy(obj: object) -> MatchPolicy:
     if unknown:
         raise JsonInputError(f"unknown policy keys: {sorted(unknown)}")
     threshold = get(obj, "fuzzy_threshold", float, default=DEFAULT_FUZZY_THRESHOLD)
-    if not 0.0 <= threshold <= 1.0:  # also true for NaN
-        reject(("fuzzy_threshold",), "must be in [0, 1]", threshold)
     groups = get(obj, "fuzzy_groups", list[str], default=sorted(DEFAULT_FUZZY_GROUPS))
     for i, group in enumerate(groups):
         if group not in SlotTaxonomy.GROUPS:
             reject(("fuzzy_groups", i), f"must be one of {list(SlotTaxonomy.GROUPS)}", group)
+    # MatchPolicy checks fuzzy_threshold's declared range, and the reader locates a fault at the key
     return MatchPolicy(float(threshold), frozenset(groups), get(obj, "time_canonicalization", bool, default=True))
 
 
@@ -180,21 +176,21 @@ class RunManifest:
     strategy: str
     format: str = "synthetic_json"
     predictor: str = "exact"
-    seed: int = 0
-    n_queries: int = 8
-    d_model: int = 16
-    n_heads: int = 2
-    n_layers: int = 1
-    stride: int = 1
+    seed: int = SEED.field(0)
+    n_queries: int = SIZE.field(8)
+    d_model: int = SIZE.field(16)
+    n_heads: int = SIZE.field(2)
+    n_layers: int = SIZE.field(1)
+    stride: int = SIZE.field(1)
     compress_current: bool = False
-    workers: int = 1
+    workers: int = SIZE.field(1)
     exclude_ids: list[str] = field(default_factory=list)
     out: str = "runs/out"
-    drop_prob: float = DROP_PROB
-    typo_prob: float = TYPO_PROB
-    insert_prob: float = INSERT_PROB
-    time_reformat_prob: float = TIME_REFORMAT_PROB
-    budget_rows: int = BUDGET_ROWS
+    drop_prob: float = UNIT.field(DROP_PROB)
+    typo_prob: float = UNIT.field(TYPO_PROB)
+    insert_prob: float = UNIT.field(INSERT_PROB)
+    time_reformat_prob: float = UNIT.field(TIME_REFORMAT_PROB)
+    budget_rows: int = SIZE.field(BUDGET_ROWS)
     agent_asr: str | None = None
 
     @classmethod
@@ -213,20 +209,11 @@ class RunManifest:
     def check_ranges(self) -> None:
         """Raise click.BadParameter naming the first field outside its range,
         whether its value came from the manifest or from a flag."""
-        _require_size(self.workers, "--workers")
-        _require_size(self.n_queries, "--n-queries")
-        if error := seed_error(self.seed):
-            raise click.BadParameter(error, param_hint="field 'seed'")
-        for name in ("d_model", "n_heads", "n_layers", "stride", "budget_rows"):
-            _require_size(getattr(self, name), f"field {name!r}")
+        _check_declared(self)
         if self.d_model % self.n_heads:
             raise click.BadParameter(
                 f"must divide d_model={self.d_model}, got {self.n_heads}", param_hint="field 'n_heads'"
             )
-        for name in ("drop_prob", "typo_prob", "insert_prob", "time_reformat_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:  # also false for NaN
-                raise click.BadParameter(f"must be in [0, 1], got {value}", param_hint=f"field {name!r}")
         for name, allowed in (("predictor", _PREDICTORS), ("format", _FORMATS)):
             value = getattr(self, name)
             if value not in allowed:
@@ -242,11 +229,40 @@ class RunManifest:
         _check_out(self.out, directory=True)
 
 
-def _require_size(value: int, hint: str) -> None:
-    if value < 1:
-        raise click.BadParameter(f"must be >= 1, got {value}", param_hint=hint)
-    if value > SIZE_LIMIT:
-        raise click.BadParameter(f"must be <= {SIZE_LIMIT}, got {value}", param_hint=hint)
+def _check_declared(config) -> None:
+    """A usage error for the first field of the dataclass ``config`` outside its
+    declared range, named by the command's flag that sets the field, if any."""
+    if fault := range_fault(config):
+        name, error = fault
+        ctx = click.get_current_context(silent=True)
+        flag = f"--{name.replace('_', '-')}" if ctx and name in ctx.params else f"field {name!r}"
+        raise click.BadParameter(error, param_hint=flag)
+
+
+def _within(interval: Interval, parse=None):
+    """The callback of an option whose value, or each value of its repeats or
+    of the list that ``parse`` makes of its text, must lie in ``interval``; the
+    callback keeps ``interval`` as its ``interval``."""
+
+    def check(ctx: click.Context, param: click.Parameter, value):
+        value = parse(value) if parse else value
+        for item in value if isinstance(value, (list, tuple)) else [value]:
+            if fault := interval.fault(item):
+                raise click.BadParameter(fault, param_hint=param.opts[0])
+        return value
+
+    check.interval = interval
+    return check
+
+
+def _seed_list(text: str) -> list[int]:
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise click.BadParameter(f"expected comma-separated integers, got {text!r}", param_hint="--seeds") from None
+    if not seeds:
+        raise click.BadParameter(f"expected at least one seed, got {text!r}", param_hint="--seeds")
+    return seeds
 
 
 def _require_distinct(values, flag: str) -> None:
@@ -256,7 +272,8 @@ def _require_distinct(values, flag: str) -> None:
 
 
 def _validated(config):
-    """``config`` after its ``validate()``; a ValueError becomes a usage error."""
+    """``config`` after its declared ranges and its ``validate()``; a fault is a usage error."""
+    _check_declared(config)
     try:
         config.validate()
     except ValueError as exc:
@@ -336,7 +353,7 @@ def main(ctx: click.Context) -> None:
 
 
 @main.command("synth")
-@click.option("--seed", type=int, default=0, show_default=True, help="Corpus seed.")
+@click.option("--seed", type=int, default=0, show_default=True, callback=_within(SEED), help="Corpus seed.")
 @click.option("--n-dialogues", type=int, default=8, show_default=True)
 @click.option("--turns-per-dialogue", type=int, default=8, show_default=True)
 @click.option("--feature-dim", type=int, default=16, show_default=True)
@@ -353,8 +370,6 @@ def main(ctx: click.Context) -> None:
 @click.option("--out", type=click.Path(), required=True, help="Output corpus directory.")
 def cmd_synth(seed: int, out: str, **flags) -> None:
     """Generate a synthetic corpus with feature sidecars."""
-    if error := seed_error(seed):
-        raise click.BadParameter(error, param_hint="--seed")
     # every other flag names a SynthConfig field
     config = _validated(SynthConfig(**flags))
     _check_out(out, directory=True)
@@ -476,7 +491,7 @@ def cmd_run(manifest: str | None, exclude_ids: str | None, **flags) -> None:
 @click.option("--policy", type=str, default="standard", show_default=True, help="'standard', 'exact', or a policy JSON file.")
 @click.option("--exclude-ids", type=str, default=None, help="Comma-separated ids or a JSON file; defaults to the packaged list.")
 @click.option("--out", type=click.Path(), default=None, help="Report output directory.")
-@click.option("--top-k-errors", type=click.IntRange(min=0), default=6, show_default=True)
+@click.option("--top-k-errors", type=int, default=6, show_default=True, callback=_within(COUNT))
 def cmd_evaluate(
     predictions: str,
     corpus: str,
@@ -523,14 +538,10 @@ def cmd_evaluate(
 
 
 @main.command("gradcheck")
-@click.option("--eps", type=float, default=1e-5, show_default=True)
-@click.option("--threshold", type=float, default=1e-4, show_default=True)
+@click.option("--eps", type=float, default=1e-5, show_default=True, callback=_within(POSITIVE))
+@click.option("--threshold", type=float, default=1e-4, show_default=True, callback=_within(POSITIVE))
 def cmd_gradcheck(eps: float, threshold: float) -> None:
     """Verify analytic gradients against central finite differences."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise click.BadParameter(f"must be a positive finite number, got {eps}", param_hint="--eps")
-    if not threshold > 0:
-        raise click.BadParameter(f"must be positive, got {threshold}", param_hint="--threshold")
     results = grad_check_suite(eps=eps)
     failed = False
     for result in results:
@@ -546,8 +557,8 @@ def cmd_gradcheck(eps: float, threshold: float) -> None:
 
 
 @main.command("probe")
-@click.option("--n-queries", "n_queries_list", type=int, multiple=True, required=True, help="Query counts to probe; repeatable.")
-@click.option("--seeds", type=str, default="0,1,2,3,4", show_default=True, help="Comma-separated corpus/training seeds.")
+@click.option("--n-queries", "n_queries_list", type=int, multiple=True, required=True, callback=_within(SIZE), help="Query counts to probe; repeatable.")
+@click.option("--seeds", type=str, default="0,1,2,3,4", show_default=True, callback=_within(SEED, _seed_list), help="Comma-separated corpus/training seeds.")
 @click.option("--n-dialogues", type=int, default=60, show_default=True)
 @click.option("--turns-per-dialogue", type=int, default=10, show_default=True)
 @click.option("--feature-dim", type=int, default=16, show_default=True)
@@ -558,29 +569,19 @@ def cmd_gradcheck(eps: float, threshold: float) -> None:
 @click.option("--epochs", type=int, default=600, show_default=True)
 @click.option("--out", type=click.Path(), required=True, help="Retention CSV path.")
 def cmd_probe(
-    n_queries_list: tuple[int, ...], seeds: str, lr: float, epochs: int, out: str, **flags
+    n_queries_list: tuple[int, ...], seeds: list[int], lr: float, epochs: int, out: str, **flags
 ) -> None:
     """Slot-recovery accuracy as a function of compressor query count."""
-    try:
-        seed_values = [int(s) for s in seeds.split(",") if s.strip()]
-    except ValueError:
-        raise click.BadParameter(
-            f"expected comma-separated integers, got {seeds!r}", param_hint="--seeds"
-        ) from None
-    if not seed_values:
-        raise click.BadParameter(f"expected at least one seed, got {seeds!r}", param_hint="--seeds")
-    for n_queries in n_queries_list:
-        _require_size(n_queries, "--n-queries")
     # a repeated value would train the same config twice and write its row twice
-    _require_distinct(seed_values, "--seeds")
+    _require_distinct(seeds, "--seeds")
     _require_distinct(n_queries_list, "--n-queries")
     # every other flag names a SynthConfig field; each turn restates every slot
     config = _validated(SynthConfig(mentions_per_turn=flags["slots_per_dialogue"], **flags))
     if config.n_dialogues < 2:
         raise click.BadParameter(
-            f"must be >= 2 so that a dialogue is held out, got {config.n_dialogues}", param_hint="--n-dialogues"
+            f"must be at least 2 so that a dialogue is held out, got {config.n_dialogues}", param_hint="--n-dialogues"
         )
-    hypers = [_validated(ProbeHyper(lr=lr, epochs=epochs, seed=seed)) for seed in seed_values]
+    hypers = [_validated(ProbeHyper(lr=lr, epochs=epochs, seed=seed)) for seed in seeds]
     _check_out(out, directory=False)
     runs = [(synth_corpus(hyper.seed, config), list(n_queries_list), hyper) for hyper in hypers]
     accuracies = probe_runs(runs)

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from . import jsonio
-from .jsonio import CorpusFormatError, JsonInputError, all_strings, check, get, reject
+from .jsonio import SIZE, CorpusFormatError, Interval, JsonInputError, all_strings, check, check_ranges, get, reject
 
 log = logging.getLogger(__name__)
 
@@ -39,11 +39,6 @@ FEATURE_FORMAT_VERSION = 2
 # The headroom also covers the later layer norms, whose inputs are at most a
 # few factors of d_model larger.
 FEATURE_BOUND = 1e100
-# The largest count or dimension a command accepts for a corpus or a model: far
-# beyond any desk-scale shape. A size such as 2**63 would otherwise grow a list
-# until memory runs out or fail inside numpy; one below it can still need more
-# memory than the machine has.
-SIZE_LIMIT = 1 << 20
 # Box-Muller's largest draw, sqrt(-2 ln 2**-53) = 8.57, bounds both a token's
 # vector and its noise, so a turn's features stay within FEATURE_BOUND.
 _NOISE_SIGMA_MAX = FEATURE_BOUND / 8.6 - 1
@@ -309,14 +304,6 @@ def key_prefix(*head: int | str) -> Callable[..., int]:
     return lambda *rest: int.from_bytes(_absorb(hashed.copy(), rest).digest(), "little")
 
 
-def seed_error(seed: int) -> str | None:
-    """Why ``seed`` cannot seed a run, or None. :func:`derive_key` keeps an int's
-    low 63 bits, so a seed outside [0, 2**63) would repeat another's outputs."""
-    if seed < 0:
-        return f"must be >= 0, got {seed}"
-    return f"must be < 2**63, got {seed}" if seed >= 1 << 63 else None
-
-
 class SplitMix64:
     """Sequential splitmix64 stream. Used for scalar draws during generation."""
 
@@ -399,26 +386,19 @@ class SynthConfig:
     drawn values (uniform-length turns, suited to the retention probe).
     """
 
-    n_dialogues: int = 8
-    turns_per_dialogue: int = 8
-    feature_dim: int = 16
-    slots_per_dialogue: int = 4
-    noise_sigma: float = 0.0
-    mentions_per_turn: int | None = None
+    n_dialogues: int = SIZE.field(8)
+    turns_per_dialogue: int = SIZE.field(8)
+    feature_dim: int = SIZE.field(16)
+    slots_per_dialogue: int = SIZE.field(4)
+    noise_sigma: float = Interval(0, _NOISE_SIGMA_MAX).field(0.0)
+    mentions_per_turn: int | None = SIZE.field(None)
     fixed_domain: str | None = None
-    frames_per_token: int = 1
+    frames_per_token: int = SIZE.field(1)
 
     def validate(self) -> None:
-        for name in ("n_dialogues", "turns_per_dialogue", "feature_dim", "slots_per_dialogue", "frames_per_token"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-            if value > SIZE_LIMIT:
-                raise ValueError(f"{name} must be <= {SIZE_LIMIT}, got {value}")
-        if not 0 <= self.noise_sigma <= _NOISE_SIGMA_MAX:  # also true for NaN
-            raise ValueError(f"noise_sigma must be in [0, {_NOISE_SIGMA_MAX:g}], got {self.noise_sigma}")
-        if self.mentions_per_turn is not None and not 1 <= self.mentions_per_turn <= self.slots_per_dialogue:
-            raise ValueError(f"mentions_per_turn must be in [1, slots_per_dialogue] when given, got {self.mentions_per_turn}")
+        check_ranges(self)
+        if self.mentions_per_turn is not None and self.mentions_per_turn > self.slots_per_dialogue:
+            raise ValueError(f"mentions_per_turn={self.mentions_per_turn} exceeds slots_per_dialogue={self.slots_per_dialogue}")
         if self.fixed_domain is not None and self.fixed_domain not in ONTOLOGY:
             raise ValueError(f"unknown domain {self.fixed_domain!r}")
         domains = sorted(ONTOLOGY) if self.fixed_domain is None else [self.fixed_domain]

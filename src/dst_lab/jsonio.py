@@ -6,11 +6,14 @@ converted, no object repeats a key, and no string holds a lone surrogate.
 Every failure is one located :class:`JsonInputError`; a file's reads
 ``<path>:<line>:<column>: <message>``, a binary file's :class:`CorpusFormatError`
 ``<path>: byte <offset>: <message>``, and an OSError carries the file's path.
+A numeric setting's range is an :class:`Interval`, declared on its field by
+:meth:`Interval.field`, whose ``fault`` words every value outside it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import json
 import json.scanner
@@ -22,12 +25,18 @@ import types
 import typing
 
 _REQUIRED = object()
+# The largest count or dimension a command accepts for a corpus or a model: far
+# beyond any desk-scale shape. A size such as 2**63 would otherwise grow a list
+# until memory runs out or fail inside numpy; one below it can still need more
+# memory than the machine has.
+SIZE_LIMIT = 1 << 20
 
 
 class JsonInputError(ValueError):
     """Input that does not decode, or whose value at ``where`` (object keys and
-    list indices) breaks a rule. The reader sets ``pos``, the text offset of the
-    fault or of the innermost container on ``where``, ``line`` and ``column``."""
+    list indices, or a dataclass's field) breaks a rule. The reader sets
+    ``pos``, the text offset of the fault or of the innermost container on
+    ``where``, ``line`` and ``column``."""
 
     def __init__(self, message: str, where: tuple = (), pos: int | None = None):
         super().__init__(message)
@@ -218,6 +227,53 @@ def all_strings(values) -> bool:
 def reject(where: tuple, rule: str, value) -> typing.NoReturn:
     """Raise the JsonInputError for ``value`` at ``where`` breaking ``rule``."""
     raise JsonInputError(f"{_path(where) or 'the top-level value'} {rule}, got {reprlib.repr(value)}", where)
+
+
+class Interval(typing.NamedTuple):
+    """The numbers from ``low`` to ``high``; an open end leaves its bound out."""
+
+    low: float
+    high: float
+    open_low: bool = False
+    open_high: bool = False
+
+    def fault(self, value) -> str | None:
+        """``must be in <interval>, got <value>`` for a ``value`` outside the
+        interval, else None; NaN fails the chained comparison, so every one."""
+        if not self.low <= value <= self.high or self.open_low and value == self.low or self.open_high and value == self.high:
+            low, high = (str(end) if type(end) is int else f"{end:g}" for end in (self.low, self.high))
+            return f"must be in {'(' if self.open_low else '['}{low}, {high}{')' if self.open_high else ']'}, got {value}"
+        return None
+
+    def field(self, default):
+        """A dataclass field whose value, unless None, must lie in the interval."""
+        return dataclasses.field(default=default, metadata={"range": self})
+
+
+SIZE = Interval(1, SIZE_LIMIT)
+COUNT = Interval(0, SIZE_LIMIT)
+# derive_key keeps a seed's low 63 bits, so a seed outside [0, 2**63) would repeat another's outputs
+SEED = Interval(0, 1 << 63, open_high=True)
+UNIT = Interval(0, 1)
+POSITIVE = Interval(0, math.inf, open_low=True, open_high=True)
+
+
+def range_fault(config) -> tuple[str, str] | None:
+    """The name and fault of the first field of the dataclass ``config`` outside
+    its declared range (see :meth:`Interval.field`), or None."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if "range" in f.metadata and value is not None and (fault := f.metadata["range"].fault(value)):
+            return f.name, fault
+    return None
+
+
+def check_ranges(config) -> None:
+    """Raise the JsonInputError ``<field> must be in <interval>, got <value>``
+    at the first field of the dataclass ``config`` outside its declared range;
+    a reader that builds ``config`` locates it."""
+    if fault := range_fault(config):
+        raise JsonInputError("{} {}".format(*fault), fault[:1])
 
 
 @functools.cache

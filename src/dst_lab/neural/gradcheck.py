@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..jsonio import POSITIVE
 from ..workers import share_out
 from .layers import Layer
 from .pipeline import CompressorConfig, Compressor, Connector, Readout
@@ -108,8 +109,8 @@ def grad_check(
     on every layer's forward broadcasting a leading stack axis on its
     parameters (see :mod:`dst_lab.neural.layers`).
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be a positive finite number, got {eps}")
+    if fault := POSITIVE.fault(eps):
+        raise ValueError(f"eps {fault}")
     config = config or CompressorConfig(d_model=8, n_heads=2, n_queries=2, seed=0)
     net, x = _build(module, input_shape, config)
 

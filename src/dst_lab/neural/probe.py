@@ -11,13 +11,13 @@ forked worker processes train the rest.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from ..corpus import SIZE_LIMIT, Dialogue, Speaker, ontology_values, scan_transcript_mentions, seed_error
+from ..corpus import Dialogue, Speaker, ontology_values, scan_transcript_mentions
+from ..jsonio import COUNT, POSITIVE, SEED, SIZE, check_ranges
 from ..workers import share_out
 from .layers import Layer
 from .pipeline import (
@@ -40,20 +40,13 @@ TRAIN_FRACTION = 0.8
 
 @dataclass(frozen=True)
 class ProbeHyper:
-    lr: float = 0.2
-    epochs: int = 600
-    seed: int = 0
-    d_model: int = 16
+    lr: float = POSITIVE.field(0.2)
+    epochs: int = COUNT.field(600)
+    seed: int = SEED.field(0)
+    d_model: int = SIZE.field(16)
 
     def validate(self) -> None:
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be a positive finite number, got {self.lr}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.epochs > SIZE_LIMIT:
-            raise ValueError(f"epochs must be <= {SIZE_LIMIT}, got {self.epochs}")
-        if error := seed_error(self.seed):
-            raise ValueError(f"seed {error}")
+        check_ranges(self)
 
 
 @dataclass

@@ -14,6 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .jsonio import UNIT, check_ranges
+
 DEFAULT_FUZZY_THRESHOLD = 0.90
 DEFAULT_FUZZY_GROUPS = frozenset({"open", "profile"})
 
@@ -105,13 +107,12 @@ def levenshtein_ratio(a: str, b: str) -> float:
 class MatchPolicy:
     """How predicted values are compared to references."""
 
-    fuzzy_threshold: float = DEFAULT_FUZZY_THRESHOLD
+    fuzzy_threshold: float = UNIT.field(DEFAULT_FUZZY_THRESHOLD)
     fuzzy_groups: frozenset[str] = DEFAULT_FUZZY_GROUPS
     time_canonicalization: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.fuzzy_threshold <= 1.0:
-            raise ValueError(f"fuzzy_threshold must be in [0, 1], got {self.fuzzy_threshold}")
+        check_ranges(self)
 
     @classmethod
     def exact(cls) -> "MatchPolicy":

@@ -82,7 +82,7 @@ def test_synth_rejects_invalid_config(runner, tmp_path):
         main, ["synth", "--turns-per-dialogue", "0", "--out", str(tmp_path / "x")]
     )
     assert result.exit_code != 0
-    assert "turns_per_dialogue" in result.output
+    assert "--turns-per-dialogue" in result.output
 
 
 def test_run_and_evaluate_exact_oracle(runner, tmp_path):
@@ -222,19 +222,19 @@ def test_run_rejects_non_positive_counts(runner, tmp_path, flag, value):
         ["run", "--corpus", str(tmp_path / "corpus"), "--strategy", "full", flag, value, "--out", str(tmp_path / "run")],
     )
     assert result.exit_code == 2, result.output
-    assert f"Invalid value for {flag}: must be >= 1, got {value}" in result.output
+    assert f"Invalid value for {flag}: must be in [1, 1048576], got {value}" in result.output
     assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("stride", 0, "must be >= 1, got 0"),
-        ("d_model", 0, "must be >= 1, got 0"),
-        ("n_heads", -2, "must be >= 1, got -2"),
+        ("stride", 0, "must be in [1, 1048576], got 0"),
+        ("d_model", 0, "must be in [1, 1048576], got 0"),
+        ("n_heads", -2, "must be in [1, 1048576], got -2"),
         ("n_heads", 3, "must divide d_model=16, got 3"),
-        ("n_layers", 0, "must be >= 1, got 0"),
-        ("budget_rows", 0, "must be >= 1, got 0"),
+        ("n_layers", 0, "must be in [1, 1048576], got 0"),
+        ("budget_rows", 0, "must be in [1, 1048576], got 0"),
         ("drop_prob", 1.5, "must be in [0, 1], got 1.5"),
         ("typo_prob", -0.1, "must be in [0, 1], got -0.1"),
         ("insert_prob", float("nan"), "malformed JSON: NaN is not JSON"),
@@ -251,6 +251,8 @@ def test_run_rejects_out_of_range_manifest_field(runner, tmp_path, field, value,
     assert result.exit_code == 2, result.output
     # json.dumps writes NaN and Infinity, which the manifest's reader rejects
     where = "--manifest" if message.startswith("malformed JSON") else f"field '{field}'"
+    if field == "budget_rows":
+        where = "--budget-rows"  # a field that a flag of run sets is named by the flag
     assert f"Invalid value for {where}: " in result.output and message in result.output
     assert not (tmp_path / "run").exists()
 
@@ -608,6 +610,33 @@ def test_readme_feature_file_errors_are_what_run_prints(runner, tmp_path, monkey
         assert (result.exit_code, result.output) == (1, line)
 
 
+def test_readme_range_errors_are_what_the_commands_print(runner, tmp_path, monkeypatch):
+    # each range Error: line of the README, made by the setting and the value it names: a flag of
+    # synth, a manifest field that no run flag sets, or a key of an evaluate policy file
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = [line for line in readme.read_text(encoding="utf-8").splitlines() if line.startswith("Error: Invalid value for ") and " must be in " in line]
+    assert len(lines) == 3
+    monkeypatch.chdir(tmp_path)
+    _synth(runner, Path("c"))
+    assert runner.invoke(main, ["run", "--corpus", "c", "--strategy", "full", "--out", "r"]).exit_code == 0
+    for line in lines:
+        hint, _, fault = line.removeprefix("Error: Invalid value for ").partition(": ")
+        value = json.loads(fault.rpartition(", got ")[2])
+        if hint.startswith("field "):
+            Path("m.json").write_text(json.dumps({"corpus": "c", "strategy": "full", hint[7:-1]: value}))
+            args = ["run", "--manifest", "m.json"]
+        elif hint == "--policy":
+            path, _, fault = fault.partition(":1:1: ")
+            Path(path).write_text(json.dumps({fault.partition(" ")[0]: value}))
+            args = ["evaluate", "--predictions", "r/predictions.ndjson", "--corpus", "c", "--policy", path]
+        else:
+            args = ["synth", hint, str(value)]
+        result = runner.invoke(main, [*args, "--out", "out"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.endswith("\n\n" + line + "\n"), result.stderr
+        assert not Path("out").exists()
+
+
 class _DiesOnDialogue:
     """Exact oracle whose worker process dies, ``delay`` seconds in, on one dialogue."""
 
@@ -680,7 +709,7 @@ def test_feature_values_above_the_bound_stop_where_they_enter(runner, tmp_path, 
         args = ["probe", "--n-queries", "1", "--epochs", "3", "--n-dialogues", "6", "--seeds", "0"]
     if command != "run":
         args += ["--noise-sigma", "1e300"]
-        line = "Error: Invalid value: noise_sigma must be in [0, 1.16279e+99], got 1e+300\n"
+        line = "Error: Invalid value for --noise-sigma: must be in [0, 1.16279e+99], got 1e+300\n"
     result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
     assert result.exit_code == (1 if command == "run" else 2), result.output
     # a usage error's line comes after click's usage lines
@@ -1539,9 +1568,9 @@ def test_a_seed_outside_0_to_2_pow_63_is_a_usage_error(runner, tmp_path, command
         _synth(runner, tmp_path / "corpus")
     messages = {
         "synth": "Invalid value for --seed: {}",
-        "run": "Invalid value for field 'seed': {}",
-        "run-manifest": "Invalid value for field 'seed': {}",
-        "probe": "seed {}",
+        "run": "Invalid value for --seed: {}",
+        "run-manifest": "Invalid value for --seed: {}",
+        "probe": "Invalid value for --seeds: {}",
     }
 
     def invoke(seed: int, out: Path):
@@ -1559,7 +1588,7 @@ def test_a_seed_outside_0_to_2_pow_63_is_a_usage_error(runner, tmp_path, command
                 args += ["--seed", str(seed)]
         return runner.invoke(main, [*args, "--out", str(out)])
 
-    for seed, problem in ((-1, "must be >= 0, got -1"), (2**63, f"must be < 2**63, got {2**63}")):
+    for seed, problem in ((-1, "must be in [0, 9223372036854775808), got -1"), (2**63, f"must be in [0, 9223372036854775808), got {2**63}")):
         result = invoke(seed, tmp_path / "rejected")
         assert result.exit_code == 2, result.output
         assert messages[command].format(problem) in result.output
@@ -1620,6 +1649,7 @@ def test_gradcheck_command_fails_with_tight_threshold(runner):
         (["--threshold", "0"], "--threshold"),
         (["--threshold", "-1"], "--threshold"),
         (["--threshold", "nan"], "--threshold"),
+        (["--threshold", "inf"], "--threshold"),
     ],
 )
 def test_gradcheck_rejects_bad_flags(runner, args, flag):
@@ -1643,7 +1673,7 @@ def _collector_case(runner, tmp_path, command: str, valid: bool) -> tuple[str, l
     or to a failure, the command's arguments, and its exit code on failure."""
     corpus, run_out = tmp_path / "corpus", tmp_path / "run"
     if command == "synth":
-        return "seed_error", ["synth", "--seed", "0" if valid else "-1", "--out", str(corpus)], 2
+        return "_validated", ["synth", "--n-dialogues", "8" if valid else "0", "--out", str(corpus)], 2
     if command == "probe":
         args = ["probe", *_PROBE_BASE, "--epochs", "20", "--lr", "0.2" if valid else "1e6", "--out", str(tmp_path / "p.csv")]
         return "probe_runs", args, 1
@@ -1805,30 +1835,31 @@ _PROBE_BASE = ["--n-queries", "1", "--seeds", "0", "--n-dialogues", "4", "--turn
         ("run", [], {"format": "xml"}, "field 'format': must be one of ['synthetic_json', 'spokenwoz_json'], got 'xml'"),
         ("run", [], {"strategy": "bogus"}, "field 'strategy': must be one of ['compressed', 'compressed_spoken', 'full', 'full_spoken', 'multimodal'], got 'bogus'"),
         ("run", ["--corpus", "nope"], None, "field 'corpus': path 'nope' does not exist"),
-        ("run", ["--seed", "-5"], None, "field 'seed': must be >= 0, got -5"),
+        ("run", ["--seed", "-5"], None, "--seed: must be in [0, 9223372036854775808), got -5"),
         ("run", [], {"corpus": "nope"}, "field 'corpus': path 'nope' does not exist"),
         ("synth", ["--slots-per-dialogue", "5", "--fixed-domain", "hotel"], None, "slots_per_dialogue=5 exceeds available slots for ['hotel']"),
-        ("probe", ["--n-dialogues", "0"], None, "n_dialogues must be >= 1, got 0"),
-        ("probe", ["--n-dialogues", "1"], None, "--n-dialogues: must be >= 2 so that a dialogue is held out, got 1"),
+        ("probe", ["--n-dialogues", "0"], None, "--n-dialogues: must be in [1, 1048576], got 0"),
+        ("probe", ["--n-dialogues", "1"], None, "--n-dialogues: must be at least 2 so that a dialogue is held out, got 1"),
         ("probe", ["--fixed-domain", "nowhere"], None, "unknown domain 'nowhere'"),
-        ("probe", ["--noise-sigma", "-1"], None, "noise_sigma must be in [0, 1.16279e+99], got -1.0"),
-        ("probe", ["--turns-per-dialogue", "0"], None, "turns_per_dialogue must be >= 1, got 0"),
-        ("probe", ["--feature-dim", "0"], None, "feature_dim must be >= 1, got 0"),
-        ("probe", ["--n-queries", "0"], None, "--n-queries: must be >= 1, got 0"),
-        ("probe", ["--lr", "nan"], None, "lr must be a positive finite number, got nan"),
-        ("probe", ["--lr", "-5"], None, "lr must be a positive finite number, got -5.0"),
-        ("probe", ["--epochs", "-1"], None, "epochs must be >= 0, got -1"),
-        ("probe", ["--seeds", "3,-1"], None, "seed must be >= 0, got -1"),
+        ("probe", ["--noise-sigma", "-1"], None, "--noise-sigma: must be in [0, 1.16279e+99], got -1.0"),
+        ("probe", ["--turns-per-dialogue", "0"], None, "--turns-per-dialogue: must be in [1, 1048576], got 0"),
+        ("probe", ["--feature-dim", "0"], None, "--feature-dim: must be in [1, 1048576], got 0"),
+        ("probe", ["--n-queries", "0"], None, "--n-queries: must be in [1, 1048576], got 0"),
+        ("probe", ["--lr", "nan"], None, "--lr: must be in (0, inf), got nan"),
+        ("probe", ["--lr", "-5"], None, "--lr: must be in (0, inf), got -5.0"),
+        ("probe", ["--epochs", "-1"], None, "--epochs: must be in [0, 1048576], got -1"),
+        ("probe", ["--seeds", "3,-1"], None, "--seeds: must be in [0, 9223372036854775808), got -1"),
         ("probe", ["--seeds", "0,3,0"], None, "--seeds: 0 is given more than once"),
         ("probe", ["--n-queries", "2", "--n-queries", "1"], None, "--n-queries: 1 is given more than once"),
-        ("synth", ["--noise-sigma", "inf"], None, "noise_sigma must be in [0, 1.16279e+99], got inf"),
-        ("evaluate", ["--top-k-errors", "-3"], None, "'--top-k-errors': -3 is not in the range x>=0"),
-        ("synth", ["--slots-per-dialogue", "2", "--mentions-per-turn", "3"], None, "mentions_per_turn must be in [1, slots_per_dialogue] when given, got 3"),
-        ("synth", ["--frames-per-token", str(2**63)], None, f"frames_per_token must be <= 1048576, got {2**63}"),
-        ("probe", ["--epochs", str(2**63)], None, f"epochs must be <= 1048576, got {2**63}"),
-        ("probe", ["--n-queries", str(2**63)], None, f"--n-queries: must be <= 1048576, got {2**63}"),
-        ("run", [], {"n_layers": 2**63}, f"field 'n_layers': must be <= 1048576, got {2**63}"),
-        ("run", [], {"d_model": 2**21}, "field 'd_model': must be <= 1048576, got 2097152"),
+        ("synth", ["--noise-sigma", "inf"], None, "--noise-sigma: must be in [0, 1.16279e+99], got inf"),
+        ("evaluate", ["--top-k-errors", "-3"], None, "--top-k-errors: must be in [0, 1048576], got -3"),
+        ("evaluate", ["--top-k-errors", str(2**63)], None, f"--top-k-errors: must be in [0, 1048576], got {2**63}"),
+        ("synth", ["--slots-per-dialogue", "2", "--mentions-per-turn", "3"], None, "mentions_per_turn=3 exceeds slots_per_dialogue=2"),
+        ("synth", ["--frames-per-token", str(2**63)], None, f"--frames-per-token: must be in [1, 1048576], got {2**63}"),
+        ("probe", ["--epochs", str(2**63)], None, f"--epochs: must be in [0, 1048576], got {2**63}"),
+        ("probe", ["--n-queries", str(2**63)], None, f"--n-queries: must be in [1, 1048576], got {2**63}"),
+        ("run", [], {"n_layers": 2**63}, f"field 'n_layers': must be in [1, 1048576], got {2**63}"),
+        ("run", [], {"d_model": 2**21}, "field 'd_model': must be in [1, 1048576], got 2097152"),
         ("run", [], {"corpus": _LONG_NAME}, f"field 'corpus': path '{_LONG_NAME}' does not exist"),
         ("run", [], {"agent_asr": _LONG_NAME}, f"field 'agent_asr': path '{_LONG_NAME}' does not exist"),
         ("evaluate", ["--policy", _LONG_NAME], None, f"a JSON file; '{_LONG_NAME}' not found"),
@@ -1839,7 +1870,7 @@ _PROBE_BASE = ["--n-queries", "1", "--seeds", "0", "--n-dialogues", "4", "--turn
         "synth-slot-capacity", "probe-n-dialogues-0", "probe-n-dialogues-1", "probe-fixed-domain",
         "probe-noise-sigma", "probe-turns-per-dialogue", "probe-feature-dim", "probe-n-queries",
         "probe-lr-nan", "probe-lr-negative", "probe-epochs", "probe-seeds", "probe-seeds-repeated",
-        "probe-n-queries-repeated", "synth-noise-sigma-inf", "evaluate-top-k-negative",
+        "probe-n-queries-repeated", "synth-noise-sigma-inf", "evaluate-top-k-negative", "evaluate-top-k-huge",
         "synth-mentions-above-slots", "synth-frames-huge", "probe-epochs-huge", "probe-n-queries-huge",
         "run-manifest-n-layers-huge", "run-manifest-d-model-huge",
         "run-manifest-corpus-long", "run-manifest-agent-asr-long", "evaluate-policy-long",

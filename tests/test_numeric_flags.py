@@ -4,40 +4,62 @@ Each example runs one command in-process on small sizes (at most 4 dialogues,
 4 turns and 3 epochs, and ``--workers`` 1 or 2), with some of its numeric flags,
 or for ``run`` its manifest fields and for ``evaluate`` its policy file, drawn
 from a pool of edge values, and numpy's ``RuntimeWarning`` an error. The
-command must exit 0, 1 or 2 and raise nothing but ``SystemExit``. A failure
-prints exactly one ``Error:`` line (after click's usage lines for exit 2);
-``gradcheck``'s exit 1 is its FAIL report instead. On exit 0, every float the
-command writes is finite, and a corpus it writes loads.
+settings come from the program, not from a list here: each command's integer
+and float options and the options whose callback declares a range, and the
+fields of the manifest and of the policy that declare one. A size drawn from
+the pool replaces the small one. The command must exit 0, 1 or 2 and raise
+nothing but ``SystemExit``. A failure prints exactly one ``Error:`` line
+(after click's usage lines for exit 2); ``gradcheck``'s exit 1 is its FAIL
+report instead. On exit 0, every float the command writes is finite, and a
+corpus it writes loads.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
+import typing
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dst_lab import workers
-from dst_lab.cli import main
-from dst_lab.corpus import load_corpus
+from dst_lab.cli import RunManifest, main
+from dst_lab.corpus import SynthConfig, load_corpus
+from dst_lab.jsonio import Interval
+from dst_lab.neural.probe import ProbeHyper
+from dst_lab.postprocess import MatchPolicy
 
 POOL = [0, -1, 5e-324, 1e-300, 1e154, 1e300, math.nan, math.inf, 2**63]
+# the dataclasses whose fields a command's flags set, each flag the field of its name
+SET_BY_FLAGS = {"synth": [SynthConfig], "probe": [SynthConfig, ProbeHyper], "run": [RunManifest]}
+# the dataclass whose fields a command also reads from a file: run's manifest, evaluate's policy
+FROM_FILE = {"run": RunManifest, "evaluate": MatchPolicy}
+
+
+def _numeric_options(command: str) -> list[click.Parameter]:
+    """``command``'s options that take integers or floats, and those whose
+    callback declares a range, such as ``--seeds``' list of integers."""
+    params = main.commands[command].params
+    numbers = (click.types.IntParamType, click.types.FloatParamType)
+    return [p for p in params if isinstance(p.type, numbers) or hasattr(p.callback, "interval")]
+
+
+def _declared(kind) -> dict[str, Interval]:
+    """The range each field of the dataclass ``kind`` declares."""
+    return {f.name: f.metadata["range"] for f in dataclasses.fields(kind) if "range" in f.metadata}
+
+
 # each command's numeric flags; for run also its manifest fields, and for evaluate its policy file's
-NUMERIC = {
-    "synth": ["--seed", "--feature-dim", "--slots-per-dialogue", "--noise-sigma", "--mentions-per-turn", "--frames-per-token"],
-    "probe": ["--n-queries", "--feature-dim", "--noise-sigma", "--slots-per-dialogue", "--lr", "--seeds"],
-    "run": [
-        "--seed", "--n-queries", "--budget-rows", "seed", "n_queries", "d_model", "n_heads", "n_layers", "stride",
-        "drop_prob", "typo_prob", "insert_prob", "time_reformat_prob", "budget_rows",
-    ],
-    "evaluate": ["--top-k-errors", "fuzzy_threshold"],
-    "gradcheck": ["--eps", "--threshold"],
-}
+NUMERIC = {command: [p.opts[0] for p in _numeric_options(command)] for command in main.commands}
+for command, kind in FROM_FILE.items():
+    NUMERIC[command] += list(_declared(kind))
 # a word that only a non-finite float prints as, in text that is not JSON
 _NON_FINITE = re.compile(r"(?<![A-Za-z])(nan|inf)(?![A-Za-z])", re.IGNORECASE)
 
@@ -92,8 +114,8 @@ def _command(data, command: str, name: str, base: Path, work: Path) -> tuple[lis
         return args + ["--out", str(work / "report")], work / "report"
     strategy = data.draw(st.sampled_from(["multimodal", "full", "compressed"]))
     predictor = data.draw(st.sampled_from(["exact", "noisy", "truncated"]))
-    manifest = {"corpus": str(base / "corpus"), "strategy": strategy, "predictor": predictor, **fields}
-    manifest["workers"] = data.draw(st.sampled_from([1, 2]))
+    n_workers = data.draw(st.sampled_from([1, 2]))
+    manifest = {"corpus": str(base / "corpus"), "strategy": strategy, "predictor": predictor, "workers": n_workers, **fields}
     (work / "manifest.json").write_text(json.dumps(manifest))
     return ["run", "--manifest", str(work / "manifest.json"), *args, "--out", str(work / "run")], work / "run"
 
@@ -145,3 +167,19 @@ def test_every_numeric_flag_fails_cleanly_or_writes_finite_floats(inputs, monkey
             assert len(errors) == 1 and result.stderr.endswith(errors[0] + "\n"), result.stderr
             if result.exit_code == 1:
                 assert result.stderr == errors[0] + "\n", result.stderr
+
+
+def _numeric_fields(kind) -> list[str]:
+    kinds = typing.get_type_hints(kind)
+    return [f.name for f in dataclasses.fields(kind) if kinds[f.name] in (int, float, int | None, float | None)]
+
+
+def test_every_numeric_setting_declares_its_range():
+    # a numeric flag, manifest field or policy key added without a range would come back here
+    for command in main.commands:
+        for param in _numeric_options(command):
+            fields = [_declared(kind) for kind in SET_BY_FLAGS.get(command, [])]
+            interval = getattr(param.callback, "interval", None) or next((f[param.name] for f in fields if param.name in f), None)
+            assert isinstance(interval, Interval), f"{command} {param.opts[0]}"
+    for kind in (RunManifest, MatchPolicy, SynthConfig, ProbeHyper):
+        assert set(_numeric_fields(kind)) == set(_declared(kind)), kind

@@ -53,11 +53,11 @@ def test_probe_empty_query_list(probe_corpus):
 @pytest.mark.parametrize(
     "hyper, message",
     [
-        (ProbeHyper(lr=float("nan")), "lr must be a positive finite number, got nan"),
-        (ProbeHyper(lr=0.0), "lr must be a positive finite number, got 0.0"),
-        (ProbeHyper(epochs=-1), "epochs must be >= 0, got -1"),
-        (ProbeHyper(seed=-1), "seed must be >= 0, got -1"),
-        (ProbeHyper(epochs=2**63), "epochs must be <= 1048576, got 9223372036854775808"),
+        (ProbeHyper(lr=float("nan")), "lr must be in (0, inf), got nan"),
+        (ProbeHyper(lr=0.0), "lr must be in (0, inf), got 0.0"),
+        (ProbeHyper(epochs=-1), "epochs must be in [0, 1048576], got -1"),
+        (ProbeHyper(seed=-1), "seed must be in [0, 9223372036854775808), got -1"),
+        (ProbeHyper(epochs=2**63), "epochs must be in [0, 1048576], got 9223372036854775808"),
     ],
 )
 def test_probe_rejects_bad_hyper_before_training(probe_corpus, hyper, message):
